@@ -5,8 +5,8 @@ The package is organized around the pipeline:
 
     gridmodel   network data, synthetic feeders, exact power-flow ground truth
     linflow     linear voltage model, area truncation, per-area linear maps
-    datamatrix  multi-period measurement matrix, observation masks, selectors
-    completion  factored completion objective and the proximal ADMM solvers
+    datamatrix  multi-period measurement matrix, observation masks, noise
+    completion  factored completion objective and the proximal ADMM driver
     certificate global-optimality certificate for converged factor pairs
     simnet      deterministic bulk-synchronous area-to-area message bus
     metrics     magnitude/angle/RMSE error reports with confidence intervals

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamatrix import ObservationMask
 from .linflow import AreaMaps
 
 
@@ -45,23 +44,24 @@ class StackedOperator:
 
 
 def build_B_d(
-    mask: ObservationMask,
+    observed: np.ndarray,
     m_data: np.ndarray,
     area_maps: AreaMaps | None,
     mu: float,
     nu: float,
 ) -> StackedOperator:
+    """Stacked operator for the boolean observation array `observed`; its
+    entry rows follow the observed cells in row-major order."""
     if mu <= 0:
         raise CertificateError("mu must be positive")
     m, n = m_data.shape
-    entries = mask.sorted_entries()
+    obs_i, obs_j = np.nonzero(observed)
     rows: list[np.ndarray] = []
     d: list[np.ndarray] = []
-    b_obs = np.zeros((len(entries), m * n))
-    for k, (i, j) in enumerate(entries):
-        b_obs[k, j * m + i] = 1.0
+    b_obs = np.zeros((obs_i.size, m * n))
+    b_obs[np.arange(obs_i.size), obs_j * m + obs_i] = 1.0
     rows.append(b_obs)
-    d.append(np.array([m_data[i, j] for (i, j) in entries]))
+    d.append(m_data[obs_i, obs_j])
 
     if area_maps is not None and nu != 0.0:
         scale = np.sqrt(nu / mu)
@@ -79,7 +79,7 @@ def build_B_d(
         b_mat=np.vstack(rows),
         d=np.concatenate(d),
         shape=(m, n),
-        n_observed=len(entries),
+        n_observed=obs_i.size,
     )
 
 

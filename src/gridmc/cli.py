@@ -47,19 +47,23 @@ class ExperimentConfig:
         return d
 
 
-def _build_instance(config: ExperimentConfig, seed: int):
-    """Ground truth, measurement matrix, partition, and area maps."""
+def _build_feeder(config: ExperimentConfig, seed: int):
+    """Network, load scenario, and area partition of the configured feeder."""
     if config.feeder == "feeder33":
-        net, scen, part = gm.feeder33_analog(
+        return gm.feeder33_analog(
             seed=seed, n_steps=config.time_steps, n_areas=config.areas
         )
-    elif config.feeder == "random":
+    if config.feeder == "random":
         net, scen = gm.generate_radial_feeder(
             config.n_buses, seed=seed, n_steps=config.time_steps
         )
-        part = gm.AreaPartition.contiguous(net.n_phases, config.areas)
-    else:
-        raise CliError(f"unknown feeder kind: {config.feeder!r}")
+        return net, scen, gm.AreaPartition.contiguous(net.n_phases, config.areas)
+    raise CliError(f"unknown feeder kind: {config.feeder!r}")
+
+
+def _build_instance(config: ExperimentConfig, seed: int):
+    """Ground truth, measurement matrix, partition, and area maps."""
+    net, scen, part = _build_feeder(config, seed)
     v_true = gm.solve_exact_flow(net, scen.s)
     mat = dm.build_matrix(v_true, scen.s)
     model = lf.build_linear_model(net, n_steps=config.time_steps)
@@ -74,19 +78,14 @@ def _single_run(config: ExperimentConfig, seed: int, order=None):
         *mat.shape, config.fraction, policy=config.policy, seed=seed
     )
     admm = cp.AdmmConfig(**{**vars(config.admm), "seed": seed})
-    if config.areas == 1:
-        result = cp.run_centralized(data.data, mask, maps, admm, reference=mat.data)
-    else:
-        result = cp.run_decentralized(
-            data.data, mask, maps, part, admm, reference=mat.data, order=order
-        )
+    result = cp.run_decentralized(
+        data.data, mask.observed, maps, part, admm, reference=mat.data, order=order
+    )
     report = mt.evaluate_estimate(mt.voltage_from_matrix(result.x), v_true)
     return result, report, mask, mat, maps, part
 
 
 def _comm_summary(result, maps, config: ExperimentConfig) -> list[dict]:
-    if result.bus is None:
-        return []
     ledger = result.bus.ledger
     part = result.partition
     m = maps.m
@@ -145,7 +144,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Path, order=None) -> dict:
         aggregate = mt.aggregate_reports(reports)
 
         fp = result.factors()
-        op = ce.build_B_d(mask, mat.data, maps, config.admm.mu, config.admm.nu)
+        op = ce.build_B_d(mask.observed, mat.data, maps, config.admm.mu, config.admm.nu)
         cert = ce.full_report(fp.u, fp.v, op, config.admm.mu)
 
         payload = {
@@ -156,6 +155,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Path, order=None) -> dict:
             "certificate": cert.to_dict(),
             "communication": _comm_summary(result, maps, config),
             "iterations": result.trace.iterations,
+            "converged": result.converged,
             "final_consensus": result.trace.consensus[-1],
             "final_objective": result.trace.objective[-1],
             "low_observability": dm.is_low_observability(mask),
@@ -218,15 +218,7 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def cmd_gen_feeder(args) -> int:
-    if args.feeder == "feeder33":
-        net, scen, part = gm.feeder33_analog(
-            seed=args.seed, n_steps=args.time_steps, n_areas=args.areas
-        )
-    else:
-        net, scen = gm.generate_radial_feeder(
-            args.buses, seed=args.seed, n_steps=args.time_steps
-        )
-        part = gm.AreaPartition.contiguous(net.n_phases, args.areas)
+    net, scen, part = _build_feeder(_config_from_args(args), args.seed)
     v = gm.solve_exact_flow(net, scen.s)
     mat = dm.build_matrix(v, scen.s)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -322,7 +314,7 @@ def cmd_spectrum(args) -> int:
                           seed=args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
     write_spectrum_csv(mat.data, args.out / "spectrum.csv")
-    write_spectrum_csv(dm.apply_mask(mat.data, mask),
+    write_spectrum_csv(dm.apply_mask(mat.data, mask.observed),
                        args.out / "spectrum_observed.csv")
     print(f"wrote {args.out}/spectrum.csv and spectrum_observed.csv")
     return 0

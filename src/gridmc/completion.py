@@ -1,7 +1,10 @@
 """Factored matrix-completion objective and its solvers: the per-area
-proximal ADMM updates, the decentralized driver over the message bus, the
-one-area centralized baseline, and an independent singular-value-thresholding
-oracle for the convex problem."""
+proximal ADMM updates, the driver that runs them over the message bus (a
+single area is the same driver with no neighbors), and an independent
+singular-value-thresholding oracle for the convex problem.
+
+Every function here takes the observation mask as a boolean m x n array
+(`ObservationMask.observed`)."""
 
 from __future__ import annotations
 
@@ -10,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datamatrix import ObservationMask
 from .gridmodel import AreaPartition
 from .linflow import AreaMaps
 from .simnet import Message, MessageBus
@@ -105,7 +107,8 @@ class SolveResult:
     states: dict[int, AreaState]
     trace: ConvergenceTrace
     partition: AreaPartition
-    bus: MessageBus | None = None
+    bus: MessageBus
+    converged: bool  # stopped by the tolerance test, not the iteration cap
     u_history: list[dict[int, np.ndarray]] | None = None
 
     @property
@@ -136,7 +139,7 @@ def objective_factored(
     u: np.ndarray,
     v: np.ndarray,
     m_data: np.ndarray,
-    mask: ObservationMask | np.ndarray,
+    mask: np.ndarray,
     area_maps: AreaMaps | None,
     mu: float,
     nu: float,
@@ -145,9 +148,8 @@ def objective_factored(
     x = u @ v
     if x.shape != m_data.shape:
         raise CompletionError("factor product does not match data shape")
-    mb = mask.as_bool() if isinstance(mask, ObservationMask) else mask
     val = 0.5 * (np.sum(u * u) + np.sum(v * v))
-    diff = np.where(mb, x - m_data, 0.0)
+    diff = np.where(mask, x - m_data, 0.0)
     val += 0.5 * mu * np.sum(diff * diff)
     if area_maps is not None and nu != 0.0:
         for l in area_maps.partition.areas:
@@ -178,14 +180,13 @@ def _objective_decentralized(problems, states, config) -> float:
 # --- initialization ---------------------------------------------------------
 
 def init_factors(
-    m_data: np.ndarray, mask: ObservationMask | np.ndarray, r: int, seed: int = 0
+    m_data: np.ndarray, mask: np.ndarray, r: int, seed: int = 0
 ) -> FactorPair:
     """Balanced factors from the rank-r SVD of P_Omega(M); seeded Gaussian
     fallback when the observed matrix has lower rank."""
     if r < 1:
         raise CompletionError("rank must be >= 1")
-    mb = mask.as_bool() if isinstance(mask, ObservationMask) else mask
-    observed = np.where(mb, m_data, 0.0)
+    observed = np.where(mask, m_data, 0.0)
     uu, sv, vt = np.linalg.svd(observed, full_matrices=False)
     if np.sum(sv > 1e-12 * max(1.0, sv[0] if sv.size else 0.0)) < r:
         rng = np.random.default_rng(seed)
@@ -239,17 +240,16 @@ class AreaProblem:
 
 def _build_problems(
     m_data: np.ndarray,
-    mask: ObservationMask | np.ndarray,
+    mask: np.ndarray,
     area_maps: AreaMaps | None,
     part: AreaPartition,
 ) -> dict[int, AreaProblem]:
-    mb = mask.as_bool() if isinstance(mask, ObservationMask) else mask
     m = m_data.shape[0]
     problems = {}
     for l in part.areas:
         cols = part.phases_in(l)
         m_l = m_data[:, cols]
-        mask_l = mb[:, cols]
+        mask_l = mask[:, cols]
         local_cols, rows = np.nonzero(mask_l.T)  # sorted by column block
         obs_idx = local_cols * m + rows
         problems[l] = AreaProblem(
@@ -276,6 +276,17 @@ def _solve_quadratic(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(h, rhs)
     except np.linalg.LinAlgError as exc:  # cannot occur for prox_c>0 or gamma>0
         raise CompletionError(f"singular normal matrix in block update: {exc}")
+
+
+def _solve_checked(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the normal equations and verify the gradient vanishes at the
+    solution."""
+    sol = _solve_quadratic(h, rhs)
+    grad = h @ sol - rhs
+    scale = np.linalg.norm(h) * np.linalg.norm(sol) + np.linalg.norm(rhs)
+    if not np.linalg.norm(grad) <= 1e-9 * (1.0 + scale):
+        raise CompletionError("block update does not solve its normal equations")
+    return sol
 
 
 def _data_rows_u(prob: AreaProblem, v: np.ndarray) -> np.ndarray:
@@ -332,11 +343,7 @@ def update_u(prob: AreaProblem, st: AreaState, config: AdmmConfig) -> np.ndarray
             h += config.lam * (a_j.T @ a_j)
             rhs += config.lam * (a_j.T @ (st.q_in[j] + st.lam_in[j]))
 
-    u_new = _solve_quadratic(h, rhs).reshape((m, r), order="F")
-    grad = h @ u_new.ravel(order="F") - rhs
-    scale = np.linalg.norm(h) * np.linalg.norm(u_new) + np.linalg.norm(rhs)
-    assert np.linalg.norm(grad) <= 1e-9 * (1.0 + scale)
-    return u_new
+    return _solve_checked(h, rhs).reshape((m, r), order="F")
 
 
 def update_v(prob: AreaProblem, st: AreaState, u_new: np.ndarray,
@@ -365,11 +372,7 @@ def update_v(prob: AreaProblem, st: AreaState, u_new: np.ndarray,
             h += config.lam * (a_j.T @ a_j)
             rhs += config.lam * (a_j.T @ (st.q_in[j] + st.lam_in[j]))
 
-    v_new = _solve_quadratic(h, rhs).reshape((r, n_l), order="F")
-    grad = h @ v_new.ravel(order="F") - rhs
-    scale = np.linalg.norm(h) * np.linalg.norm(v_new) + np.linalg.norm(rhs)
-    assert np.linalg.norm(grad) <= 1e-9 * (1.0 + scale)
-    return v_new
+    return _solve_checked(h, rhs).reshape((r, n_l), order="F")
 
 
 def update_s(u_l: np.ndarray, u_j: np.ndarray) -> np.ndarray:
@@ -462,7 +465,7 @@ def _consensus_residual(problems, states) -> float:
 
 def run_decentralized(
     m_data: np.ndarray,
-    mask: ObservationMask | np.ndarray,
+    mask: np.ndarray,
     area_maps: AreaMaps | None,
     part: AreaPartition,
     config: AdmmConfig,
@@ -477,7 +480,10 @@ def run_decentralized(
     U/V subproblems and sends its basis factor and the flow terms its
     neighbors need.  Round B computes q, the consensus average, and the dual
     ascent steps, then sends q.  Stops when both the consensus residual and
-    the relative iterate change fall below tol.
+    the relative iterate change fall below tol (`converged`), or after
+    max_iters iterations.  With a single area nothing is sent, the
+    consensus residual is 0, and the iteration is the plain block U/V
+    update of the whole matrix.
 
     Flow and q terms travel in the coupling coordinates of `AreaMaps`: area
     l sends B_jl X_l (T rho_jl reals) and area j expands it with A_jl; area
@@ -559,6 +565,7 @@ def run_decentralized(
         return fn
 
     x_prev = None
+    converged = False
     for k in range(config.max_iters):
         order_a = order.get(2 * k) if order else None
         order_b = order.get(2 * k + 1) if order else None
@@ -587,7 +594,7 @@ def run_decentralized(
             denom = max(np.linalg.norm(x_prev), 1e-30)
             change = np.linalg.norm(x_full - x_prev) / denom
             if consensus < config.tol and change < config.tol:
-                x_prev = x_full
+                converged = True
                 break
         x_prev = x_full
 
@@ -597,61 +604,7 @@ def run_decentralized(
         trace=trace,
         partition=part,
         bus=bus,
-        u_history=history,
-    )
-
-
-def run_centralized(
-    m_data: np.ndarray,
-    mask: ObservationMask | np.ndarray,
-    area_maps: AreaMaps | None,
-    config: AdmmConfig,
-    reference: np.ndarray | None = None,
-    keep_history: bool = False,
-) -> SolveResult:
-    """One-area instance of the same iteration, without a message bus."""
-    if area_maps is not None and area_maps.partition.n_areas != 1:
-        raise CompletionError("run_centralized requires single-area maps")
-    m_data = np.asarray(m_data, dtype=float)
-    part = AreaPartition.single_area(m_data.shape[1])
-    problems = _build_problems(m_data, mask, area_maps, part)
-    r = config.resolve_rank(m_data.shape[0])
-    states = _init_states(problems, m_data, mask, r, config.seed)
-    prob, st = problems[1], states[1]
-    trace = ConvergenceTrace()
-    history = [] if keep_history else None
-
-    x_prev = None
-    for k in range(config.max_iters):
-        t0 = time.perf_counter()
-        u_new = update_u(prob, st, config)
-        v_new = update_v(prob, st, u_new, config)
-        st.u, st.v = u_new, v_new
-        elapsed = time.perf_counter() - t0
-        x_full = st.u @ st.v
-        if not np.all(np.isfinite(x_full)):
-            raise DivergenceError(iteration=k)
-        trace.consensus.append(0.0)
-        trace.objective.append(_objective_decentralized(problems, states, config))
-        trace.max_area_seconds.append(elapsed)
-        if reference is not None:
-            trace.rmse.append(float(np.sqrt(np.mean((x_full - reference) ** 2))))
-        if keep_history:
-            history.append({1: st.u.copy()})
-        if x_prev is not None:
-            change = np.linalg.norm(x_full - x_prev) / max(
-                np.linalg.norm(x_prev), 1e-30
-            )
-            if change < config.tol:
-                break
-        x_prev = x_full
-
-    return SolveResult(
-        x_blocks={1: st.u @ st.v},
-        states=states,
-        trace=trace,
-        partition=part,
-        bus=None,
+        converged=converged,
         u_history=history,
     )
 
@@ -667,7 +620,7 @@ def svt_objective(x: np.ndarray, m_data: np.ndarray, mb: np.ndarray,
 
 def svt_oracle(
     m_data: np.ndarray,
-    mask: ObservationMask | np.ndarray,
+    mask: np.ndarray,
     mu: float,
     max_iters: int = 20000,
 ) -> np.ndarray:
@@ -675,16 +628,15 @@ def svt_oracle(
     nuclear-norm problem; certified reference for the nu = 0 case."""
     if mu <= 0:
         raise CompletionError("mu must be positive")
-    mb = mask.as_bool() if isinstance(mask, ObservationMask) else mask
     m_data = np.asarray(m_data, dtype=float)
     x = np.zeros_like(m_data)
-    prev_obj = svt_objective(x, m_data, mb, mu)
+    prev_obj = svt_objective(x, m_data, mask, mu)
     for _ in range(max_iters):
-        grad_step = x - np.where(mb, x - m_data, 0.0)
+        grad_step = x - np.where(mask, x - m_data, 0.0)
         uu, sv, vt = np.linalg.svd(grad_step, full_matrices=False)
         sv = np.maximum(sv - 1.0 / mu, 0.0)
         x = (uu * sv[None, :]) @ vt
-        obj = svt_objective(x, m_data, mb, mu)
+        obj = svt_objective(x, m_data, mask, mu)
         if prev_obj - obj < 1e-10:
             break
         prev_obj = obj

@@ -1,5 +1,5 @@
-"""Multi-period measurement matrix, observation masks, row selectors, noise
-injection, and singular-value diagnostics.
+"""Multi-period measurement matrix, observation masks, noise injection, and
+singular-value diagnostics.
 
 Row layout per time block t (five rows each): Re(v), Im(v), |v|, Re(s), Im(s),
 one column per non-slack bus-phase.
@@ -7,7 +7,6 @@ one column per non-slack bus-phase.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,58 +37,30 @@ class MeasurementMatrix:
         return self.data.shape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationMask:
-    entries: frozenset[tuple[int, int]]
+    """Observed cells as a read-only boolean m x n array."""
+
+    observed: np.ndarray
     policy: str
-    shape: tuple[int, int]
 
     def __post_init__(self):
-        m, n = self.shape
-        for i, j in self.entries:
-            if not (0 <= i < m and 0 <= j < n):
-                raise DataMatrixError(f"mask entry ({i},{j}) out of range {self.shape}")
+        observed = np.array(self.observed)
+        if observed.dtype != bool or observed.ndim != 2:
+            raise DataMatrixError("mask must be a two-dimensional boolean array")
         if self.policy == "scada":
-            bad = [e for e in self.entries if e[0] % ROWS_PER_STEP in (0, 1)]
-            if bad:
+            phasor = np.arange(observed.shape[0]) % ROWS_PER_STEP < 2
+            if observed[phasor].any():
                 raise DataMatrixError("scada mask may not contain voltage-phasor rows")
+        observed.flags.writeable = False
+        object.__setattr__(self, "observed", observed)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.observed.shape
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def as_bool(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=bool)
-        for i, j in self.entries:
-            out[i, j] = True
-        return out
-
-    def sorted_entries(self) -> list[tuple[int, int]]:
-        return sorted(self.entries)
-
-
-@dataclass(frozen=True)
-class RowSelectors:
-    """Selector vectors picking voltage rows (a, complex) and power rows (c)."""
-
-    a: tuple[np.ndarray, ...]
-    c: tuple[np.ndarray, ...]
-
-
-def selectors(n_steps: int) -> RowSelectors:
-    m = ROWS_PER_STEP * n_steps
-
-    def e(k: int) -> np.ndarray:
-        v = np.zeros(m)
-        v[k] = 1.0
-        return v
-
-    a, c = [], []
-    for t in range(n_steps):
-        a.append(e(5 * t) + 1j * e(5 * t + 1))
-        a.append(e(5 * t + 2).astype(complex))
-        c.append(e(5 * t + 3))
-        c.append(e(5 * t + 4))
-    return RowSelectors(a=tuple(a), c=tuple(c))
+        return int(np.count_nonzero(self.observed))
 
 
 def build_matrix(v: np.ndarray, s: np.ndarray) -> MeasurementMatrix:
@@ -110,14 +81,14 @@ def build_matrix(v: np.ndarray, s: np.ndarray) -> MeasurementMatrix:
     return MeasurementMatrix(data=data)
 
 
-def eligible_cells(m: int, n: int, policy: str) -> list[tuple[int, int]]:
+def eligible_rows(m: int, policy: str) -> np.ndarray:
+    """Rows a mask of this policy may observe, in increasing order."""
+    rows = np.arange(m)
     if policy == "uniform":
-        rows = range(m)
-    elif policy == "scada":
-        rows = [r for r in range(m) if r % ROWS_PER_STEP in _SCADA_ROWS]
-    else:
-        raise DataMatrixError(f"unknown mask policy: {policy!r}")
-    return [(i, j) for i in rows for j in range(n)]
+        return rows
+    if policy == "scada":
+        return rows[np.isin(rows % ROWS_PER_STEP, _SCADA_ROWS)]
+    raise DataMatrixError(f"unknown mask policy: {policy!r}")
 
 
 def sample_mask(
@@ -125,23 +96,26 @@ def sample_mask(
 ) -> ObservationMask:
     """Sample an observation mask without replacement; deterministic per seed.
 
-    Counts are rounded half-up on the eligible-cell total.
+    Counts are rounded half-up on the eligible-cell total.  Eligible cells
+    are numbered row by row.
     """
     if not 0.0 <= fraction <= 1.0:
         raise DataMatrixError("fraction must lie in [0, 1]")
-    cells = eligible_cells(m, n, policy)
-    count = int(np.floor(fraction * len(cells) + 0.5))
+    rows = eligible_rows(m, policy)
+    n_cells = rows.size * n
+    count = int(np.floor(fraction * n_cells + 0.5))
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(cells), size=count, replace=False)
-    entries = frozenset(cells[k] for k in chosen)
-    return ObservationMask(entries=entries, policy=policy, shape=(m, n))
+    chosen = rng.choice(n_cells, size=count, replace=False)
+    observed = np.zeros((m, n), dtype=bool)
+    observed[rows[chosen // n], chosen % n] = True
+    return ObservationMask(observed=observed, policy=policy)
 
 
-def apply_mask(x: np.ndarray, mask: ObservationMask) -> np.ndarray:
+def apply_mask(x: np.ndarray, observed: np.ndarray) -> np.ndarray:
     """P_Omega: keep observed entries, zero the rest."""
-    if x.shape != mask.shape:
-        raise DataMatrixError(f"matrix {x.shape} does not match mask {mask.shape}")
-    return np.where(mask.as_bool(), x, 0.0)
+    if x.shape != observed.shape:
+        raise DataMatrixError(f"matrix {x.shape} does not match mask {observed.shape}")
+    return np.where(observed, x, 0.0)
 
 
 def add_noise(mat: MeasurementMatrix, percent: float, seed: int = 0) -> MeasurementMatrix:
@@ -153,18 +127,6 @@ def add_noise(mat: MeasurementMatrix, percent: float, seed: int = 0) -> Measurem
     return MeasurementMatrix(data=mat.data + scale * rng.standard_normal(mat.data.shape))
 
 
-def extract_f1_f2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the row selectors: f1 stacks (v^t, |v^t|) per step, f2 stacks
-    (Re s^t, Im s^t) per step.  f1 is complex with real magnitude entries."""
-    m, _ = x.shape
-    if m % ROWS_PER_STEP != 0:
-        raise DataMatrixError(f"row count {m} is not a multiple of 5")
-    sel = selectors(m // ROWS_PER_STEP)
-    f1 = np.concatenate([a @ x for a in sel.a])
-    f2 = np.concatenate([c @ x for c in sel.c])
-    return f1, f2
-
-
 def sv_spectrum(x: np.ndarray) -> np.ndarray:
     """Singular values in nonincreasing order."""
     return np.linalg.svd(np.asarray(x, dtype=float), compute_uv=False)
@@ -173,7 +135,7 @@ def sv_spectrum(x: np.ndarray) -> np.ndarray:
 def is_low_observability(mask: ObservationMask) -> bool:
     """True when fewer than 2/3 of the SCADA-eligible cells are observed."""
     m, n = mask.shape
-    eligible = len(eligible_cells(m, n, "scada"))
+    eligible = eligible_rows(m, "scada").size * n
     return len(mask) < (2.0 / 3.0) * eligible
 
 
@@ -183,22 +145,3 @@ def export_matrix_csv(mat: MeasurementMatrix, path) -> None:
 
 def import_matrix_csv(path) -> MeasurementMatrix:
     return MeasurementMatrix(data=np.atleast_2d(np.loadtxt(path, delimiter=",")))
-
-
-def export_mask_csv(mask: ObservationMask, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col"])
-        for i, j in mask.sorted_entries():
-            writer.writerow([i, j])
-
-
-def import_mask_csv(path, shape: tuple[int, int], policy: str = "uniform") -> ObservationMask:
-    entries = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        for rec in reader:
-            if rec:
-                entries.add((int(rec[0]), int(rec[1])))
-    return ObservationMask(entries=frozenset(entries), policy=policy, shape=shape)

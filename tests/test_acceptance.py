@@ -1,7 +1,9 @@
 """Acceptance gate: thirteen end-to-end checks, one pass/fail line each.
 The lines are echoed after the run summary (see conftest) so they always
-appear in the log."""
+appear in the log.  One further test, without a verdict line, checks that
+the converged flag tells the tolerance stop from the iteration cap."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -38,7 +40,7 @@ def analog_instance():
     mat = dm.build_matrix(v, scen.s)
     model = lf.build_linear_model(net, n_steps=2)
     maps = lf.build_area_maps(lf.truncate_model(model, part))
-    mask = dm.sample_mask(*mat.shape, 0.5, policy="scada", seed=0)
+    mask = dm.sample_mask(*mat.shape, 0.5, policy="scada", seed=0).observed
     return {"net": net, "scen": scen, "part": part, "v": v, "mat": mat,
             "model": model, "maps": maps, "mask": mask}
 
@@ -103,11 +105,12 @@ def test_03_convex_oracle_equivalence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
     a = rng.standard_normal((20, 3)) @ rng.standard_normal((3, 15))
-    mask = dm.sample_mask(20, 15, 0.5, policy="uniform", seed=7)
-    mb = mask.as_bool()
+    mb = dm.sample_mask(20, 15, 0.5, policy="uniform", seed=7).observed
     config = cp.AdmmConfig(mu=50.0, rank=10, max_iters=2000, tol=1e-12)
-    factored = cp.run_centralized(a, mask, None, config).x
-    oracle = cp.svt_oracle(a, mask, 50.0)
+    factored = cp.run_decentralized(
+        a, mb, None, gm.AreaPartition.single_area(15), config
+    ).x
+    oracle = cp.svt_oracle(a, mb, 50.0)
     obj_f = cp.svt_objective(factored, a, mb, 50.0)
     obj_o = cp.svt_objective(oracle, a, mb, 50.0)
     obj_gap = abs(obj_f - obj_o) / obj_o
@@ -124,17 +127,27 @@ def test_04_single_area_equivalence(small_instance):
     model = small_instance["model"]
     part = gm.AreaPartition.single_area(model.n_phases)
     maps = lf.build_area_maps(lf.truncate_model(model, part))
-    mask = dm.sample_mask(*mat.shape, 0.6, policy="uniform", seed=3)
+    mask = dm.sample_mask(*mat.shape, 0.6, policy="uniform", seed=3).observed
     config = cp.AdmmConfig(rank=3, max_iters=100, tol=1e-16)
-    cen = cp.run_centralized(mat.data, mask, maps, config, keep_history=True)
     dec = cp.run_decentralized(mat.data, mask, maps, part, config,
                                keep_history=True)
+    # the plain block iteration of the whole matrix, without the bus
+    problems = cp._build_problems(mat.data, mask, maps, part)
+    states = cp._init_states(problems, mat.data, mask,
+                             config.resolve_rank(mat.shape[0]), config.seed)
+    prob, st = problems[1], states[1]
+    plain_u = []
+    for _ in range(config.max_iters):
+        u_new = cp.update_u(prob, st, config)
+        v_new = cp.update_v(prob, st, u_new, config)
+        st.u, st.v = u_new, v_new
+        plain_u.append(st.u.copy())
     worst = max(
-        float(np.linalg.norm(hc[1] - hd[1]))
-        for hc, hd in zip(cen.u_history, dec.u_history)
+        float(np.linalg.norm(u - hd[1]))
+        for u, hd in zip(plain_u, dec.u_history)
     )
-    worst = max(worst, float(np.linalg.norm(cen.x - dec.x)))
-    ok = len(cen.u_history) == 100 and worst <= 1e-10
+    worst = max(worst, float(np.linalg.norm(st.u @ st.v - dec.x)))
+    ok = len(dec.u_history) == 100 and worst <= 1e-10
     assert verdict(4, "single-area-equivalence", ok,
                    f"max per-iteration gap {worst:.2e}")
 
@@ -263,6 +276,19 @@ def test_11_convergence_behavior(converged_run):
     ok = iters < 500 and final_consensus < config.tol and ratio <= 1.05
     assert verdict(11, "convergence-behavior", ok,
                    f"{iters} iterations, final/best RMSE ratio {ratio:.4f}")
+
+
+def test_converged_flag(analog_instance, converged_run):
+    """The run stopped by the tolerance test reports converged; the same
+    run capped after a few iterations does not."""
+    result, config = converged_run
+    inst = analog_instance
+    capped = cp.run_decentralized(
+        inst["mat"].data, inst["mask"], inst["maps"], inst["part"],
+        dataclasses.replace(config, max_iters=3),
+    )
+    assert result.converged and result.trace.iterations < config.max_iters
+    assert not capped.converged and capped.trace.iterations == 3
 
 
 def test_12_communication_ledger(analog_instance, converged_run):

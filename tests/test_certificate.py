@@ -13,7 +13,7 @@ def flow_operator(small_instance):
     mat = small_instance["mat"]
     maps = small_instance["maps"]
     mask = dm.sample_mask(*mat.shape, 0.5, policy="uniform", seed=9)
-    op = ct.build_B_d(mask, mat.data, maps, mu=10.0, nu=2.0)
+    op = ct.build_B_d(mask.observed, mat.data, maps, mu=10.0, nu=2.0)
     return op, mat.data, mask, maps
 
 
@@ -22,7 +22,7 @@ def sampling_operator():
     rng = np.random.default_rng(12)
     m_data = rng.standard_normal((10, 6))
     mask = dm.sample_mask(10, 6, 0.4, policy="uniform", seed=12)
-    return ct.build_B_d(mask, m_data, None, mu=5.0, nu=0.0), m_data, mask
+    return ct.build_B_d(mask.observed, m_data, None, mu=5.0, nu=0.0), m_data, mask
 
 
 class TestBuildOperator:
@@ -37,7 +37,8 @@ class TestBuildOperator:
         cell order."""
         op, m_data, mask = sampling_operator
         got = ct.apply_B(op, m_data)
-        expected = [m_data[i, j] for (i, j) in mask.sorted_entries()]
+        cells = sorted(zip(*np.nonzero(mask.observed)))
+        expected = [m_data[i, j] for (i, j) in cells]
         assert np.allclose(got, expected)
         assert np.allclose(got, op.d)
 
@@ -64,15 +65,13 @@ class TestBuildOperator:
         mat = small_instance["mat"]
         mask = dm.sample_mask(*mat.shape, 0.5, seed=0)
         with pytest.raises(ct.CertificateError):
-            ct.build_B_d(mask, mat.data, None, mu=0.0, nu=1.0)
+            ct.build_B_d(mask.observed, mat.data, None, mu=0.0, nu=1.0)
 
     def test_empty_mask(self, small_instance):
         mat = small_instance["mat"]
         maps = small_instance["maps"]
-        mask = dm.ObservationMask(
-            entries=frozenset(), policy="uniform", shape=mat.shape
-        )
-        op = ct.build_B_d(mask, mat.data, maps, mu=1.0, nu=1.0)
+        op = ct.build_B_d(np.zeros(mat.shape, dtype=bool), mat.data, maps,
+                          mu=1.0, nu=1.0)
         assert op.n_observed == 0
         assert op.n_rows > 0
 
@@ -187,7 +186,7 @@ class TestComplementarySlackness:
         u = rng.standard_normal((m, r))
         v = rng.standard_normal((r, n))
         mask = dm.sample_mask(m, n, 1.0, policy="uniform")
-        op = ct.build_B_d(mask, u @ v, None, mu=3.0, nu=0.0)
+        op = ct.build_B_d(mask.observed, u @ v, None, mu=3.0, nu=0.0)
         got = ct.complementary_slackness(u, v, op, mu=3.0)
         expected = 0.5 * (np.sum(u * u) + np.sum(v * v))
         assert abs(got - expected) < 1e-10

@@ -42,7 +42,7 @@ class TestRunExperiment:
         payload = cli.run_experiment(fast_config(runs=2), tmp_path)
         assert set(payload) == {
             "version", "config", "estimate", "per_run", "certificate",
-            "communication", "iterations", "final_consensus",
+            "communication", "iterations", "converged", "final_consensus",
             "final_objective", "low_observability",
         }
         assert len(payload["per_run"]) == 2
@@ -57,6 +57,10 @@ class TestRunExperiment:
         payload = cli.run_experiment(fast_config(areas=1), tmp_path)
         assert payload["communication"] == []
         assert payload["final_consensus"] == 0.0
+
+    def test_unknown_feeder_kind_rejected(self):
+        with pytest.raises(cli.CliError):
+            cli._build_instance(fast_config(feeder="bogus"), 0)
 
     def test_csv_outputs(self, tmp_path):
         payload = cli.run_experiment(fast_config(), tmp_path)

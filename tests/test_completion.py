@@ -18,7 +18,7 @@ def small_setup(small_instance):
     mat = small_instance["mat"]
     part = small_instance["part"]
     maps = small_instance["maps"]
-    mask = dm.sample_mask(*mat.shape, 0.6, policy="uniform", seed=4)
+    mask = dm.sample_mask(*mat.shape, 0.6, policy="uniform", seed=4).observed
     problems = cp._build_problems(mat.data, mask, maps, part)
     return mat.data, mask, maps, part, problems
 
@@ -165,6 +165,20 @@ class TestSubproblems:
             assert np.max(np.abs(u_new - st.u)) < 1e-6
             assert np.max(np.abs(v_new - st.v)) < 1e-6
 
+    def test_unsolved_normal_equations_raise(self, small_setup, monkeypatch):
+        """The post-solve gradient check is a typed error, so it also holds
+        under python -O."""
+        m_data, mask, maps, part, problems = small_setup
+        config = cp.AdmmConfig(rank=2)
+        states = cp._init_states(problems, m_data, mask, 2, 0)
+        prob, st = problems[2], states[2]
+        monkeypatch.setattr(cp, "_solve_quadratic",
+                            lambda h, rhs: np.linalg.solve(h, rhs) + 1.0)
+        with pytest.raises(cp.CompletionError):
+            cp.update_u(prob, st, config)
+        with pytest.raises(cp.CompletionError):
+            cp.update_v(prob, st, st.u, config)
+
     def test_row_builders_match_kron(self, small_setup):
         """The scatter/einsum constructions equal the textbook Kronecker
         forms of the composed linear maps."""
@@ -272,25 +286,6 @@ class TestDecentralizedRun:
         err = cp.DivergenceError(iteration=7)
         assert err.iteration == 7
         assert "7" in str(err)
-
-
-class TestCentralized:
-    def test_rejects_multi_area_maps(self, small_setup):
-        m_data, mask, maps, part, problems = small_setup
-        with pytest.raises(cp.CompletionError):
-            cp.run_centralized(m_data, mask, maps, cp.AdmmConfig())
-
-    def test_matches_single_area_decentralized(self, small_setup):
-        """With one area the bus carries nothing and both drivers run the
-        identical iteration."""
-        m_data, mask, maps, part, problems = small_setup
-        config = cp.AdmmConfig(rank=2, max_iters=30, tol=1e-14)
-        cen = cp.run_centralized(m_data, mask, None, config)
-        dec = cp.run_decentralized(
-            m_data, mask, None,
-            gm.AreaPartition.single_area(m_data.shape[1]), config,
-        )
-        assert np.array_equal(cen.x, dec.x)
 
 
 class TestSvtOracle:

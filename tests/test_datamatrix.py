@@ -38,48 +38,42 @@ class TestBuildMatrix:
             dm.MeasurementMatrix(data=np.zeros((7, 3)))
 
 
-class TestSelectors:
-    def test_selectors_recover_rows(self, sample_vs):
-        v, s = sample_vs
-        mat = dm.build_matrix(v, s)
-        sel = dm.selectors(3)
-        for t in range(3):
-            assert np.allclose(sel.a[2 * t] @ mat.data, v[t])
-            assert np.allclose(sel.a[2 * t + 1] @ mat.data, np.abs(v[t]))
-            assert np.allclose(sel.c[2 * t] @ mat.data, s[t].real)
-            assert np.allclose(sel.c[2 * t + 1] @ mat.data, s[t].imag)
-
-    def test_extract_f1_f2(self, sample_vs):
-        v, s = sample_vs
-        mat = dm.build_matrix(v, s)
-        f1, f2 = dm.extract_f1_f2(mat.data)
-        expect_f1 = np.concatenate(
-            [np.concatenate([v[t], np.abs(v[t])]) for t in range(3)]
-        )
-        expect_f2 = np.concatenate(
-            [np.concatenate([s[t].real, s[t].imag]) for t in range(3)]
-        )
-        assert np.allclose(f1, expect_f1)
-        assert np.allclose(f2, expect_f2)
-
-
 class TestMask:
     def test_scada_excludes_phasor_rows(self):
-        cells = dm.eligible_cells(10, 4, "scada")
-        rows = {i for i, _ in cells}
-        assert rows == {2, 3, 4, 7, 8, 9}
+        rows = dm.eligible_rows(10, "scada")
+        assert rows.tolist() == [2, 3, 4, 7, 8, 9]
 
     def test_scada_mask_rejects_phasor_entries(self):
+        observed = np.zeros((5, 3), dtype=bool)
+        observed[0, 0] = True
         with pytest.raises(dm.DataMatrixError):
-            dm.ObservationMask(
-                entries=frozenset({(0, 0)}), policy="scada", shape=(5, 3)
-            )
+            dm.ObservationMask(observed=observed, policy="scada")
 
-    def test_out_of_range_entry(self):
-        with pytest.raises(dm.DataMatrixError):
-            dm.ObservationMask(
-                entries=frozenset({(9, 0)}), policy="uniform", shape=(5, 3)
-            )
+    def test_rejects_non_boolean_or_non_2d_array(self):
+        for observed in (np.zeros((5, 3)), np.zeros(15, dtype=bool),
+                         np.zeros((5, 3, 1), dtype=bool)):
+            with pytest.raises(dm.DataMatrixError):
+                dm.ObservationMask(observed=observed, policy="uniform")
+
+    def test_observed_array_is_a_read_only_copy(self):
+        observed = np.ones((5, 3), dtype=bool)
+        mask = dm.ObservationMask(observed=observed, policy="uniform")
+        observed[0, 0] = False
+        assert mask.observed.all() and len(mask) == 15
+        with pytest.raises(ValueError):
+            mask.observed[0, 0] = False
+
+    @pytest.mark.parametrize("policy", ["uniform", "scada"])
+    def test_sampled_cells_numbered_row_by_row(self, policy):
+        """The sampler draws indices into the eligible cells listed row by
+        row, so a seed selects the same cells as drawing from that list."""
+        m, n, seed = 15, 7, 5
+        cells = [(i, j) for i in dm.eligible_rows(m, policy) for j in range(n)]
+        count = int(np.floor(0.4 * len(cells) + 0.5))
+        chosen = np.random.default_rng(seed).choice(len(cells), size=count,
+                                                    replace=False)
+        mask = dm.sample_mask(m, n, 0.4, policy=policy, seed=seed)
+        assert set(zip(*np.nonzero(mask.observed))) == {cells[k] for k in chosen}
 
     def test_unknown_policy(self):
         with pytest.raises(dm.DataMatrixError):
@@ -96,7 +90,7 @@ class TestMask:
     def test_deterministic_per_seed(self):
         m1 = dm.sample_mask(10, 6, 0.4, seed=7)
         m2 = dm.sample_mask(10, 6, 0.4, seed=7)
-        assert m1.entries == m2.entries
+        assert np.array_equal(m1.observed, m2.observed)
 
     def test_fraction_out_of_range(self):
         with pytest.raises(dm.DataMatrixError):
@@ -111,14 +105,14 @@ class TestMask:
         mask = dm.sample_mask(10, 4, frac, seed=seed)
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((10, 4))
-        once = dm.apply_mask(x, mask)
-        assert np.array_equal(dm.apply_mask(once, mask), once)
+        once = dm.apply_mask(x, mask.observed)
+        assert np.array_equal(dm.apply_mask(once, mask.observed), once)
         assert np.count_nonzero(once) <= len(mask)
 
     def test_apply_mask_shape_mismatch(self):
         mask = dm.sample_mask(5, 3, 0.5)
         with pytest.raises(dm.DataMatrixError):
-            dm.apply_mask(np.zeros((5, 4)), mask)
+            dm.apply_mask(np.zeros((5, 4)), mask.observed)
 
 
 class TestNoise:
@@ -159,10 +153,3 @@ class TestCsvRoundTrip:
         dm.export_matrix_csv(mat, path)
         again = dm.import_matrix_csv(path)
         assert np.allclose(again.data, mat.data)
-
-    def test_mask(self, tmp_path):
-        mask = dm.sample_mask(10, 4, 0.3, seed=1)
-        path = tmp_path / "mask.csv"
-        dm.export_mask_csv(mask, path)
-        again = dm.import_mask_csv(path, shape=(10, 4))
-        assert again.entries == mask.entries

@@ -134,8 +134,8 @@ class TestDecentralizedFlow:
 
 class TestAreaMaps:
     def test_residual_matches_dense_oracle(self, small_instance):
-        """E_ll(X) + sum E_lj(X) - f_l computed independently from the row
-        selectors and the truncated coefficients."""
+        """E_ll(X) + sum E_lj(X) - f_l computed independently from the
+        voltage and injection rows of X and the truncated coefficients."""
         trunc = small_instance["trunc"]
         part = small_instance["part"]
         maps = small_instance["maps"]
