@@ -71,8 +71,10 @@ def _build_instance(config: ExperimentConfig, seed: int):
     return net, scen, part, v_true, mat, model, maps
 
 
-def _single_run(config: ExperimentConfig, seed: int, order=None):
-    net, scen, part, v_true, mat, model, maps = _build_instance(config, config.seed)
+def _single_run(config: ExperimentConfig, instance, seed: int, order=None):
+    """One estimation run on an instance from `_build_instance`; `seed` draws
+    the noise, the mask and the solver initialization."""
+    net, scen, part, v_true, mat, model, maps = instance
     data = dm.add_noise(mat, config.noise_pct, seed=seed)
     mask = dm.sample_mask(
         *mat.shape, config.fraction, policy=config.policy, seed=seed
@@ -82,7 +84,7 @@ def _single_run(config: ExperimentConfig, seed: int, order=None):
         data.data, mask.observed, maps, part, admm, reference=mat.data, order=order
     )
     report = mt.evaluate_estimate(mt.voltage_from_matrix(result.x), v_true)
-    return result, report, mask, mat, maps, part
+    return result, report, mask
 
 
 def _comm_summary(result, maps, config: ExperimentConfig) -> list[dict]:
@@ -133,14 +135,12 @@ def run_experiment(config: ExperimentConfig, out_dir: Path, order=None) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
+        instance = _build_instance(config, config.seed)
+        net, scen, part, v_true, mat, model, maps = instance
         reports = []
-        last = None
         for k in range(config.runs):
-            seed = config.seed + k
-            result, report, mask, mat, maps, part = _single_run(config, seed, order)
+            result, report, mask = _single_run(config, instance, config.seed + k, order)
             reports.append(report)
-            last = (result, mask, mat, maps, part)
-        result, mask, mat, maps, part = last
         aggregate = mt.aggregate_reports(reports)
 
         fp = result.factors()

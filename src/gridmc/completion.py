@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datamatrix import ROWS_PER_STEP
 from .gridmodel import AreaPartition
 from .linflow import AreaMaps
 from .simnet import Message, MessageBus
@@ -170,7 +171,7 @@ def _objective_decentralized(problems, states, config) -> float:
         diff = np.where(prob.mask, x_l - prob.m_l, 0.0)
         val += 0.5 * config.mu * np.sum(diff * diff)
         if prob.maps is not None:
-            res = prob.e_ll @ x_l.ravel(order="F") - prob.f_l
+            res = _own_flow(prob, x_l) - prob.f_l
             for j in prob.neighbors:
                 res = res + st.q[j]
             val += 0.5 * config.nu * float(res @ res)
@@ -210,20 +211,26 @@ def init_factors(
 
 @dataclass
 class AreaProblem:
-    """Constant data for one area's subproblems."""
+    """Constant data for one area's subproblems.
+
+    The flow terms act on each time step's 5 x n_l row block X_t of X_l
+    through vec_F(X_t): the own-area block G_ll and the coupling factor B_jl
+    of each neighbor (see `AreaMaps`).  Their Grams are formed once here; the
+    flow Hessian of one step is nu G_ll^T G_ll + lam sum_j B_jl^T B_jl."""
 
     area: int
     cols: np.ndarray
     m_l: np.ndarray  # m x n_l data block
     mask: np.ndarray  # boolean m x n_l
+    m_obs: np.ndarray  # m_l with unobserved entries set to 0
     neighbors: list[int]
     n_areas: int
     maps: AreaMaps | None
-    e_ll: np.ndarray | None  # E_ll acting on vec(X_l)
-    e_from: dict[int, np.ndarray]  # j -> coordinates of E_jl from vec(X_l)
     f_l: np.ndarray | None
-    obs_idx: np.ndarray  # indices into vec_F(X_l) of observed entries
-    obs_val: np.ndarray
+    g_ll: np.ndarray | None  # G_ll, 3n_l x 5n_l
+    b_from: dict[int, np.ndarray]  # j -> B_jl, rho_jl x 5n_l
+    gram_own: np.ndarray | None  # G_ll^T G_ll
+    gram_nb: np.ndarray | None  # sum_j B_jl^T B_jl
 
     @property
     def m(self) -> int:
@@ -244,135 +251,146 @@ def _build_problems(
     area_maps: AreaMaps | None,
     part: AreaPartition,
 ) -> dict[int, AreaProblem]:
-    m = m_data.shape[0]
     problems = {}
     for l in part.areas:
         cols = part.phases_in(l)
-        m_l = m_data[:, cols]
-        mask_l = mask[:, cols]
-        local_cols, rows = np.nonzero(mask_l.T)  # sorted by column block
-        obs_idx = local_cols * m + rows
+        neighbors = part.neighbors(l)
+        g_ll = gram_own = gram_nb = None
+        b_from = {}
+        if area_maps is not None:
+            g_ll = area_maps.step_blocks[(l, l)]
+            b_from = {j: area_maps.coupling[(j, l)][1] for j in neighbors}
+            gram_own = g_ll.T @ g_ll
+            gram_nb = sum((b.T @ b for b in b_from.values()), np.zeros_like(gram_own))
         problems[l] = AreaProblem(
             area=l,
             cols=cols,
-            m_l=m_l,
-            mask=mask_l,
-            neighbors=part.neighbors(l),
+            m_l=m_data[:, cols],
+            mask=mask[:, cols],
+            m_obs=np.where(mask[:, cols], m_data[:, cols], 0.0),
+            neighbors=neighbors,
             n_areas=part.n_areas,
             maps=area_maps,
-            e_ll=area_maps.e_mats[(l, l)] if area_maps is not None else None,
-            e_from={
-                j: area_maps.coords_map(j, l) for j in part.neighbors(l)
-            } if area_maps is not None else {},
             f_l=area_maps.f[l] if area_maps is not None else None,
-            obs_idx=obs_idx,
-            obs_val=m_l.ravel(order="F")[obs_idx],
+            g_ll=g_ll,
+            b_from=b_from,
+            gram_own=gram_own,
+            gram_nb=gram_nb,
         )
     return problems
 
 
+def _steps(x: np.ndarray, t_steps: int) -> np.ndarray:
+    """(T, 5n) rows vec_F(X_t) of the 5 x n row blocks of an m x n matrix."""
+    n = x.shape[1]
+    return x.reshape(t_steps, ROWS_PER_STEP, n).transpose(0, 2, 1).reshape(t_steps, -1)
+
+
+def _own_flow(prob: AreaProblem, x_l: np.ndarray) -> np.ndarray:
+    """E_ll(X_l), in the residual order of `AreaMaps`."""
+    return prob.maps.from_steps(_steps(x_l, prob.maps.n_steps) @ prob.g_ll.T)
+
+
+def _flow_coords(prob: AreaProblem, x_l: np.ndarray) -> dict[int, np.ndarray]:
+    """j -> coordinates B_jl vec_F(X_t) of E_jl(X_l), step major."""
+    x_steps = _steps(x_l, prob.maps.n_steps)
+    return {j: (x_steps @ b.T).ravel() for j, b in prob.b_from.items()}
+
+
+def _flow_hessian(prob: AreaProblem, config: AdmmConfig) -> np.ndarray:
+    """Per-step flow Hessian on vec_F(X_t), indexed (col, row, col', row')."""
+    h = config.nu * prob.gram_own + config.lam * prob.gram_nb
+    return h.reshape(prob.n_l, ROWS_PER_STEP, prob.n_l, ROWS_PER_STEP)
+
+
+def _flow_target(prob: AreaProblem, st: AreaState, config: AdmmConfig) -> np.ndarray:
+    """Z (m x n_l): the flow terms are sum_t 0.5 vec(X_t)^T H vec(X_t) - <Z, X_l>
+    plus a constant, so Z V^T and U^T Z enter the right-hand sides."""
+    t_steps = prob.maps.n_steps
+    target = prob.f_l.copy()
+    for j in prob.neighbors:
+        target -= st.q[j]
+    z = config.nu * (prob.maps.to_steps(target) @ prob.g_ll)
+    for j, b in prob.b_from.items():
+        coords = (st.q_in[j] + st.lam_in[j]).reshape(t_steps, b.shape[0])
+        z += config.lam * (coords @ b)
+    z = z.reshape(t_steps, prob.n_l, ROWS_PER_STEP).transpose(0, 2, 1)
+    return z.reshape(prob.m, prob.n_l)  # undoes _steps
+
+
+def _outer_rows(a: np.ndarray) -> np.ndarray:
+    """Row i of the result is the flattened outer product a_i a_i^T."""
+    return (a[:, :, None] * a[:, None, :]).reshape(a.shape[0], -1)
+
+
 def _solve_quadratic(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve h x = rhs, or a stack of such systems (h: (..., n, n), rhs: (..., n))."""
     try:
-        return np.linalg.solve(h, rhs)
+        return np.linalg.solve(h, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:  # cannot occur for prox_c>0 or gamma>0
         raise CompletionError(f"singular normal matrix in block update: {exc}")
 
 
 def _solve_checked(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the normal equations and verify the gradient vanishes at the
-    solution."""
+    solution, over the whole stack of systems."""
     sol = _solve_quadratic(h, rhs)
-    grad = h @ sol - rhs
+    grad = (h @ sol[..., None])[..., 0] - rhs
     scale = np.linalg.norm(h) * np.linalg.norm(sol) + np.linalg.norm(rhs)
     if not np.linalg.norm(grad) <= 1e-9 * (1.0 + scale):
         raise CompletionError("block update does not solve its normal equations")
     return sol
 
 
-def _data_rows_u(prob: AreaProblem, v: np.ndarray) -> np.ndarray:
-    """Rows of the observed-entry sampler composed with U -> U V_l, acting on
-    vec(U)."""
-    m = prob.m
-    r = v.shape[0]
-    rows = prob.obs_idx % m
-    cols = prob.obs_idx // m
-    a_d = np.zeros((prob.obs_idx.size, m * r))
-    a_d[np.arange(rows.size)[:, None], (np.arange(r) * m)[None, :] + rows[:, None]] = v[:, cols].T
-    return a_d
-
-
-def _flow_rows_u(e_mat: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
-    """E composed with U -> U V_l, acting on vec(U), without forming the
-    Kronecker factor."""
-    r, n_l = v.shape
-    g3 = e_mat.reshape(e_mat.shape[0], n_l, m)
-    return np.einsum("rca,bc->rba", g3, v).reshape(e_mat.shape[0], r * m)
-
-
-def _flow_rows_v(e_mat: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """E composed with V_l -> U V_l, acting on vec(V_l)."""
-    m, r = u.shape
-    n_l = e_mat.shape[1] // m
-    g3 = e_mat.reshape(e_mat.shape[0], n_l, m)
-    return np.einsum("rci,ib->rcb", g3, u).reshape(e_mat.shape[0], n_l * r)
+def _block_diag(blocks: np.ndarray) -> np.ndarray:
+    """(n_sys, k, r, r) -> (n_sys, kr, kr): each system's k blocks on its diagonal."""
+    n_sys, k, r, _ = blocks.shape
+    return np.einsum("skij,kl->skilj", blocks, np.eye(k)).reshape(n_sys, k * r, k * r)
 
 
 def update_u(prob: AreaProblem, st: AreaState, config: AdmmConfig) -> np.ndarray:
     """Exact minimizer of the Lagrangian restricted to U_l plus the proximal
-    term, by direct solve of the normal equations."""
+    term.  Rows of U couple only through the flow terms, which act within one
+    time step, so the normal equations split into T systems of size 5r (m
+    systems of size r without flow maps) on the row-major blocks U_t."""
     m, r = st.u.shape
+    v = st.v
     base = 1.0 / prob.n_areas + config.prox_c + config.gamma * prob.deg
-    h = base * np.eye(m * r)
-    rhs = config.prox_c * st.u.ravel(order="F")
+    rhs = config.prox_c * st.u + config.mu * (prob.m_obs @ v.T)
     for j in prob.neighbors:
-        rhs += config.gamma * (st.s[j] - st.gamma[j]).ravel(order="F")
-
-    a_d = _data_rows_u(prob, st.v)
-    h += config.mu * (a_d.T @ a_d)
-    rhs += config.mu * (a_d.T @ prob.obs_val)
-
+        rhs += config.gamma * (st.s[j] - st.gamma[j])
+    # data Gram of row i: mu sum over observed columns c of v_c v_c^T
+    data = config.mu * (prob.mask @ _outer_rows(v.T))
+    rows = ROWS_PER_STEP if prob.maps is not None else 1
+    h = _block_diag(data.reshape(m // rows, rows, r, r))
+    h += base * np.eye(rows * r)
     if prob.maps is not None:
-        target = prob.f_l.copy()
-        for j in prob.neighbors:
-            target -= st.q[j]
-        a_nu = _flow_rows_u(prob.e_ll, st.v, m)
-        h += config.nu * (a_nu.T @ a_nu)
-        rhs += config.nu * (a_nu.T @ target)
-        for j in prob.neighbors:
-            a_j = _flow_rows_u(prob.e_from[j], st.v, m)
-            h += config.lam * (a_j.T @ a_j)
-            rhs += config.lam * (a_j.T @ (st.q_in[j] + st.lam_in[j]))
-
-    return _solve_checked(h, rhs).reshape((m, r), order="F")
+        rhs += _flow_target(prob, st, config) @ v.T
+        # (V^T kron I_5)^T H (V^T kron I_5), the same for every step
+        flow = np.tensordot(v, _flow_hessian(prob, config), axes=(1, 0))
+        flow = np.tensordot(flow, v, axes=(2, 1))  # (j, k, k', j')
+        h += flow.transpose(1, 0, 2, 3).reshape(rows * r, rows * r)
+    return _solve_checked(h, rhs.reshape(m // rows, rows * r)).reshape(m, r)
 
 
 def update_v(prob: AreaProblem, st: AreaState, u_new: np.ndarray,
              config: AdmmConfig) -> np.ndarray:
+    """Exact minimizer over V_l: one system on vec_F(V_l), block diagonal per
+    column in its data part, with the flow Hessian contracted against
+    W = sum_t vec(U_t) vec(U_t)^T."""
     m, r = u_new.shape
     n_l = st.v.shape[1]
-    h = (1.0 + config.prox_c) * np.eye(r * n_l)
-    rhs = config.prox_c * st.v.ravel(order="F")
-
-    rows = prob.obs_idx % m
-    cols = prob.obs_idx // m
-    a_d = np.zeros((prob.obs_idx.size, r * n_l))
-    a_d[np.arange(rows.size)[:, None], (cols * r)[:, None] + np.arange(r)[None, :]] = u_new[rows, :]
-    h += config.mu * (a_d.T @ a_d)
-    rhs += config.mu * (a_d.T @ prob.obs_val)
-
+    rhs = config.prox_c * st.v + config.mu * (u_new.T @ prob.m_obs)
+    data = config.mu * (prob.mask.T @ _outer_rows(u_new))
+    h = _block_diag(data.reshape(1, n_l, r, r))[0]
+    h += (1.0 + config.prox_c) * np.eye(r * n_l)
     if prob.maps is not None:
-        target = prob.f_l.copy()
-        for j in prob.neighbors:
-            target -= st.q[j]
-        a_nu = _flow_rows_v(prob.e_ll, u_new)
-        h += config.nu * (a_nu.T @ a_nu)
-        rhs += config.nu * (a_nu.T @ target)
-        for j in prob.neighbors:
-            a_j = _flow_rows_v(prob.e_from[j], u_new)
-            h += config.lam * (a_j.T @ a_j)
-            rhs += config.lam * (a_j.T @ (st.q_in[j] + st.lam_in[j]))
-
-    return _solve_checked(h, rhs).reshape((r, n_l), order="F")
+        rhs += u_new.T @ _flow_target(prob, st, config)
+        u_steps = u_new.reshape(prob.maps.n_steps, ROWS_PER_STEP * r)
+        w = (u_steps.T @ u_steps).reshape(ROWS_PER_STEP, r, ROWS_PER_STEP, r)
+        flow = np.tensordot(_flow_hessian(prob, config), w, axes=([1, 3], [0, 2]))
+        h += flow.transpose(0, 2, 1, 3).reshape(n_l * r, n_l * r)
+    return _solve_checked(h, rhs.T.ravel()).reshape(n_l, r).T
 
 
 def update_s(u_l: np.ndarray, u_j: np.ndarray) -> np.ndarray:
@@ -430,14 +448,14 @@ def _init_states(
         u = pair.u.copy()
         v = pair.v[:, prob.cols].copy()
         st = AreaState(u=u, v=v)
-        x_vec = (u @ v).ravel(order="F")
+        if prob.maps is not None:
+            st.e_out = _flow_coords(prob, u @ v)
         for j in prob.neighbors:
             st.s[j] = u.copy()
             st.gamma[j] = np.zeros_like(u)
             if prob.maps is not None:
-                st.e_out[j] = prob.e_from[j] @ x_vec
                 st.lam[j] = np.zeros(prob.maps.residual_dim(l))
-                st.lam_in[j] = np.zeros(prob.e_from[j].shape[0])
+                st.lam_in[j] = np.zeros_like(st.e_out[j])
         states[l] = st
     # q_lj and its mirrors start at the corresponding E values so the first
     # primal solve sees a consistent decentralized model
@@ -518,9 +536,9 @@ def run_decentralized(
             st.u, st.v = u_new, v_new
             sends = []
             if prob.neighbors:
-                x_vec = (u_new @ v_new).ravel(order="F")
+                if prob.maps is not None:
+                    st.e_out = _flow_coords(prob, u_new @ v_new)
                 for j in prob.neighbors:
-                    st.e_out[j] = prob.e_from[j] @ x_vec
                     sends.append(Message(dest=j, tag="factor", payload=u_new))
                     if prob.maps is not None:
                         sends.append(
@@ -545,7 +563,7 @@ def run_decentralized(
                 if prob.maps is not None:
                     e_full = {j: prob.maps.expand(l, j, st.e_in[j])
                               for j in prob.neighbors}
-                    e_ll_val = prob.e_ll @ (st.u @ st.v).ravel(order="F")
+                    e_ll_val = _own_flow(prob, st.u @ st.v)
                     q_new = update_q(prob, e_ll_val, e_full, st.lam, config)
                 else:
                     e_full, q_new = {}, {}

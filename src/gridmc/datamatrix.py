@@ -141,7 +141,3 @@ def is_low_observability(mask: ObservationMask) -> bool:
 
 def export_matrix_csv(mat: MeasurementMatrix, path) -> None:
     np.savetxt(path, mat.data, delimiter=",")
-
-
-def import_matrix_csv(path) -> MeasurementMatrix:
-    return MeasurementMatrix(data=np.atleast_2d(np.loadtxt(path, delimiter=",")))

@@ -223,11 +223,13 @@ class AreaMaps:
     3T * n_l entries.  e_mats[(l, j)] acts on the column-major flattening of
     the m x n_j block X_j.
 
-    E_lj repeats one per-step block G_lj (3n_l x 5n_j) on every time step.
-    For neighbors l != j, coupling[(l, j)] = (A, B) factors it exactly as
-    G_lj = A B with A orthonormal (3n_l x rho) and rho = rank(G_lj).  The
-    coordinates of E_lj(X_j) are B applied per step (T * rho reals, step
-    major); `expand` maps them back into the residual space of l."""
+    E_lj repeats one per-step block G_lj = step_blocks[(l, j)] (3n_l x 5n_j)
+    on every time step; it acts on vec_F of the step's 5 x n_j row block of
+    X_j, and its rows are (phase, [Re v, Im v, |v|]).  For neighbors l != j,
+    coupling[(l, j)] = (A, B) factors it exactly as G_lj = A B with A
+    orthonormal (3n_l x rho) and rho = rank(G_lj).  The coordinates of
+    E_lj(X_j) are B applied per step (T * rho reals, step major); `expand`
+    maps them back into the residual space of l."""
 
     partition: AreaPartition
     n_steps: int
@@ -235,6 +237,7 @@ class AreaMaps:
     cols: dict[int, np.ndarray]
     e_mats: dict[tuple[int, int], np.ndarray]
     f: dict[int, np.ndarray]
+    step_blocks: dict[tuple[int, int], np.ndarray]
     coupling: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
 
     @property
@@ -269,26 +272,25 @@ class AreaMaps:
         """rank(G_lj): reals per time step that carry E_lj(X_j)."""
         return self.coupling[(l, j)][1].shape[0]
 
-    def coords_map(self, l: int, j: int) -> np.ndarray:
-        """Dense (T*rho x m*n_j) map from vec(X_j) to the coordinates of
-        E_lj(X_j), so that expand(l, j, coords_map(l, j) @ vec(X_j)) equals
-        apply_block(l, j, X_j)."""
-        return _repeat_steps(self.coupling[(l, j)][1], self.cols[j].size, self.n_steps)
+    def to_steps(self, y: np.ndarray) -> np.ndarray:
+        """Residual-space vector of an area as rows of per-step blocks,
+        (T, 3n_l), in the row order of G_lj."""
+        per_step = y.reshape(-1, self.n_steps, 3).transpose(1, 0, 2)
+        return per_step.reshape(self.n_steps, -1)
+
+    def from_steps(self, y: np.ndarray) -> np.ndarray:
+        """Inverse of `to_steps`."""
+        return y.reshape(self.n_steps, -1, 3).transpose(1, 0, 2).ravel()
 
     def expand(self, l: int, j: int, coords: np.ndarray) -> np.ndarray:
         """Residual-space vector (I_T kron A_lj) coords, in residual order."""
         a = self.coupling[(l, j)][0]
-        n_l = self.cols[l].size
-        per_step = coords.reshape(self.n_steps, a.shape[1]) @ a.T
-        return per_step.reshape(self.n_steps, n_l, 3).transpose(1, 0, 2).ravel()
+        return self.from_steps(coords.reshape(self.n_steps, a.shape[1]) @ a.T)
 
     def project(self, l: int, j: int, y: np.ndarray) -> np.ndarray:
         """Coordinates (I_T kron A_lj)^T y of a residual-space vector of l;
         the adjoint of `expand`."""
-        a = self.coupling[(l, j)][0]
-        n_l = self.cols[l].size
-        per_step = y.reshape(n_l, self.n_steps, 3).transpose(1, 0, 2)
-        return (per_step.reshape(self.n_steps, 3 * n_l) @ a).ravel()
+        return (self.to_steps(y) @ self.coupling[(l, j)][0]).ravel()
 
 
 def _factor_step_block(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -323,7 +325,7 @@ def _step_block(
     return g.reshape(3 * own.size, ROWS_PER_STEP * src.size)
 
 
-def _repeat_steps(g: np.ndarray, n_src: int, t_steps: int, n_groups: int = 1) -> np.ndarray:
+def _repeat_steps(g: np.ndarray, n_src: int, t_steps: int, n_groups: int) -> np.ndarray:
     """Dense map applying the per-step block g on every time step of
     vec_F(X_src) (an m x n_src block).  The rows of g split into n_groups
     equal groups, and the output rows are ordered (group, step, row)."""
@@ -342,13 +344,14 @@ def build_area_maps(model: TruncatedFlowModel, part: AreaPartition | None = None
     w3 = np.stack([model.w.real, model.w.imag, np.abs(model.w)], axis=1)
 
     e_mats: dict[tuple[int, int], np.ndarray] = {}
+    step_blocks: dict[tuple[int, int], np.ndarray] = {}
     coupling: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     f: dict[int, np.ndarray] = {}
     for l in part.areas:
         own = cols[l]
         f[l] = np.repeat(w3[own], t_steps, axis=0).ravel()
         for j in [l] + part.neighbors(l):
-            g = _step_block(model, own, cols[j], same_area=j == l)
+            g = step_blocks[(l, j)] = _step_block(model, own, cols[j], same_area=j == l)
             e_mats[(l, j)] = _repeat_steps(g, cols[j].size, t_steps, n_groups=own.size)
             if j != l:
                 coupling[(l, j)] = _factor_step_block(g)
@@ -360,5 +363,6 @@ def build_area_maps(model: TruncatedFlowModel, part: AreaPartition | None = None
         cols=cols,
         e_mats=e_mats,
         f=f,
+        step_blocks=step_blocks,
         coupling=coupling,
     )

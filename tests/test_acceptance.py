@@ -206,9 +206,10 @@ def test_08_end_to_end_estimation():
         fraction=0.5, noise_pct=1.0, seed=0,
         admm=cp.AdmmConfig(max_iters=500, **TUNED),
     )
+    instance = cli._build_instance(config, config.seed)
     reports = []
     for k in range(5):
-        _, report, mask, *_ = cli._single_run(config, config.seed + k)
+        _, report, mask = cli._single_run(config, instance, config.seed + k)
         assert dm.is_low_observability(mask)
         reports.append(report)
     agg = mt.aggregate_reports(reports)
@@ -223,14 +224,15 @@ def test_09_time_window_trend():
     t0 = time.perf_counter()
     means = []
     for t_steps in (1, 5, 10):
+        config = cli.ExperimentConfig(
+            feeder="feeder33", time_steps=t_steps, areas=1,
+            policy="scada", fraction=0.5, noise_pct=1.0, seed=0,
+            admm=cp.AdmmConfig(max_iters=500, **TUNED),
+        )
+        instance = cli._build_instance(config, config.seed)
         mapes = []
         for k in range(5):
-            config = cli.ExperimentConfig(
-                feeder="feeder33", time_steps=t_steps, areas=1,
-                policy="scada", fraction=0.5, noise_pct=1.0, seed=0,
-                admm=cp.AdmmConfig(max_iters=500, **TUNED),
-            )
-            _, report, *_ = cli._single_run(config, k)
+            _, report, _ = cli._single_run(config, instance, k)
             mapes.append(report.mape_magnitude)
         means.append(float(np.mean(mapes)))
     elapsed = time.perf_counter() - t0

@@ -87,6 +87,26 @@ class TestRunExperiment:
         assert base == alt
 
 
+class TestPinnedReference:
+    # feeder33, T=10, one area, paper weights, rank 5, instance seed 0, as
+    # estimated by the dense (5T r)^2 normal equations of the U/V updates
+    PINNED_MAPE_PCT = 0.18232450410989448
+    PINNED_MAE_DEG = 0.12392865891293595
+
+    def test_feeder33_t10_single_area(self):
+        config = cli.ExperimentConfig(
+            feeder="feeder33", time_steps=10, areas=1, policy="scada",
+            fraction=0.5, noise_pct=1.0, seed=0,
+            admm=cp.AdmmConfig(mu=1e4, nu=1e4, gamma=1e3, lam=1e3, rank=5,
+                               max_iters=500, seed=0),
+        )
+        result, report, _ = cli._single_run(
+            config, cli._build_instance(config, config.seed), config.seed)
+        assert result.converged
+        assert report.mape_magnitude == pytest.approx(self.PINNED_MAPE_PCT, rel=1e-8)
+        assert report.mae_angle == pytest.approx(self.PINNED_MAE_DEG, rel=1e-8)
+
+
 class TestCommands:
     def test_gen_feeder(self, tmp_path, capsys):
         rc = cli.main(["gen-feeder", *FAST, "--areas", "2",

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from gridmc import completion as cp
 from gridmc import datamatrix as dm
 from gridmc import gridmodel as gm
+from gridmc import linflow as lf
 
 # Independently pinned optimum of the seeded nuclear-norm problem below,
 # computed once with an interior-point style convex solver at eps 1e-10.
@@ -108,51 +109,91 @@ class TestObjective:
         assert abs(val - 8.0) < 1e-12
 
 
+@pytest.fixture(scope="module")
+def three_step_setup():
+    """Masked data, maps, and per-area problems for a T=3 three-area feeder."""
+    net, scen = gm.generate_radial_feeder(9, branching=0.5, seed=2, n_steps=3)
+    part = gm.AreaPartition.contiguous(net.n_phases, 3)
+    mat = dm.build_matrix(gm.solve_exact_flow(net, scen.s), scen.s)
+    model = lf.build_linear_model(net, n_steps=3)
+    maps = lf.build_area_maps(lf.truncate_model(model, part))
+    mask = dm.sample_mask(*mat.shape, 0.6, policy="uniform", seed=4).observed
+    return mat.data, mask, maps, part, cp._build_problems(mat.data, mask, maps, part)
+
+
+def _perturbed_states(problems, m_data, mask, r, seed):
+    """Initial states with nontrivial dual and auxiliary variables."""
+    states = cp._init_states(problems, m_data, mask, r, 0)
+    rng = np.random.default_rng(seed)
+    for l, prob in problems.items():
+        st = states[l]
+        for j in prob.neighbors:
+            st.gamma[j] = 0.1 * rng.standard_normal(st.u.shape)
+            st.lam_in[j] = 0.1 * rng.standard_normal(st.lam_in[j].shape)
+    return states
+
+
 class TestSubproblems:
-    def _lagrangian_u(self, prob, st, config, u):
-        """Explicit scalar objective whose exact minimizer the basis update
-        claims to return."""
-        val = 0.5 * np.sum(u * u) / prob.n_areas
-        val += 0.5 * config.prox_c * np.sum((u - st.u) ** 2)
+    def _lagrangian(self, prob, st, config, u, v):
+        """Explicit scalar objective, from the dense maps E_ll and E_jl,
+        whose exact minimizers the U and V updates claim to return."""
+        maps = prob.maps
+        l = prob.area
+        val = 0.5 * np.sum(u * u) / prob.n_areas + 0.5 * np.sum(v * v)
+        val += 0.5 * config.prox_c * (np.sum((u - st.u) ** 2)
+                                      + np.sum((v - st.v) ** 2))
         for j in prob.neighbors:
             val += 0.5 * config.gamma * np.sum(
                 (u - (st.s[j] - st.gamma[j])) ** 2
             )
-        x_vec = (u @ st.v).ravel(order="F")
-        diff = x_vec[prob.obs_idx] - prob.obs_val
+        x = u @ v
+        diff = np.where(prob.mask, x - prob.m_l, 0.0)
         val += 0.5 * config.mu * np.sum(diff * diff)
-        if prob.maps is not None:
-            target = prob.f_l - sum(st.q[j] for j in prob.neighbors)
-            res = prob.e_ll @ x_vec - target
-            val += 0.5 * config.nu * float(res @ res)
-            for j in prob.neighbors:
-                res_j = prob.e_from[j] @ x_vec - (st.q_in[j] + st.lam_in[j])
-                val += 0.5 * config.lam * float(res_j @ res_j)
+        x_vec = x.ravel(order="F")
+        target = maps.f[l] - sum(st.q[j] for j in prob.neighbors)
+        res = maps.e_mats[(l, l)] @ x_vec - target
+        val += 0.5 * config.nu * float(res @ res)
+        for j in prob.neighbors:
+            # |B x - c| = |A B x - A c|: A_jl has orthonormal columns
+            res_j = (maps.e_mats[(j, l)] @ x_vec
+                     - maps.expand(j, l, st.q_in[j] + st.lam_in[j]))
+            val += 0.5 * config.lam * float(res_j @ res_j)
         return val
 
+    def _assert_minimizer(self, f, point, rng):
+        """Central differences vanish at point, and perturbations only
+        increase f."""
+        f0 = f(point)
+        eps = 1e-6
+        for _ in range(5):
+            d = rng.standard_normal(point.shape)
+            d /= np.linalg.norm(d)
+            fp, fm = f(point + eps * d), f(point - eps * d)
+            assert abs(fp - fm) / (2 * eps) < 1e-4 * (1 + abs(f0))
+            assert fp >= f0 - 1e-12 and fm >= f0 - 1e-12
+
     def test_update_u_minimizes_lagrangian(self, small_setup):
-        """Finite differences of the explicit objective vanish at the
-        returned point, and random perturbations only increase it."""
         m_data, mask, maps, part, problems = small_setup
         config = cp.AdmmConfig(rank=2)
-        states = cp._init_states(problems, m_data, mask, 2, 0)
+        states = _perturbed_states(problems, m_data, mask, 2, 8)
         rng = np.random.default_rng(8)
         for l in part.areas:
             prob, st = problems[l], states[l]
-            # make the dual/aux variables nontrivial
-            for j in prob.neighbors:
-                st.gamma[j] = 0.1 * rng.standard_normal(st.u.shape)
-                st.lam_in[j] = 0.1 * rng.standard_normal(st.lam_in[j].shape)
             u_new = cp.update_u(prob, st, config)
-            f0 = self._lagrangian_u(prob, st, config, u_new)
-            eps = 1e-6
-            for _ in range(5):
-                d = rng.standard_normal(u_new.shape)
-                d /= np.linalg.norm(d)
-                fp = self._lagrangian_u(prob, st, config, u_new + eps * d)
-                fm = self._lagrangian_u(prob, st, config, u_new - eps * d)
-                assert abs(fp - fm) / (2 * eps) < 1e-4 * (1 + abs(f0))
-                assert fp >= f0 - 1e-12 and fm >= f0 - 1e-12
+            self._assert_minimizer(
+                lambda u: self._lagrangian(prob, st, config, u, st.v), u_new, rng)
+
+    def test_update_v_minimizes_lagrangian(self, small_setup):
+        m_data, mask, maps, part, problems = small_setup
+        config = cp.AdmmConfig(rank=2)
+        states = _perturbed_states(problems, m_data, mask, 2, 9)
+        rng = np.random.default_rng(9)
+        for l in part.areas:
+            prob, st = problems[l], states[l]
+            u_new = cp.update_u(prob, st, config)
+            v_new = cp.update_v(prob, st, u_new, config)
+            self._assert_minimizer(
+                lambda v: self._lagrangian(prob, st, config, u_new, v), v_new, rng)
 
     def test_huge_prox_freezes_update(self, small_setup):
         m_data, mask, maps, part, problems = small_setup
@@ -172,34 +213,88 @@ class TestSubproblems:
         config = cp.AdmmConfig(rank=2)
         states = cp._init_states(problems, m_data, mask, 2, 0)
         prob, st = problems[2], states[2]
+        solve = cp._solve_quadratic
         monkeypatch.setattr(cp, "_solve_quadratic",
-                            lambda h, rhs: np.linalg.solve(h, rhs) + 1.0)
+                            lambda h, rhs: solve(h, rhs) + 1.0)
         with pytest.raises(cp.CompletionError):
             cp.update_u(prob, st, config)
         with pytest.raises(cp.CompletionError):
             cp.update_v(prob, st, st.u, config)
 
-    def test_row_builders_match_kron(self, small_setup):
-        """The scatter/einsum constructions equal the textbook Kronecker
-        forms of the composed linear maps."""
-        m_data, mask, maps, part, problems = small_setup
-        prob = problems[2]
-        rng = np.random.default_rng(3)
-        r = 3
-        u = rng.standard_normal((prob.m, r))
-        v = rng.standard_normal((r, prob.n_l))
-        full = np.eye(prob.m * prob.n_l)[prob.obs_idx]
-        assert np.max(np.abs(
-            cp._data_rows_u(prob, v) - full @ np.kron(v.T, np.eye(prob.m))
-        )) < 1e-12
-        assert np.max(np.abs(
-            cp._flow_rows_u(prob.e_ll, v, prob.m)
-            - prob.e_ll @ np.kron(v.T, np.eye(prob.m))
-        )) < 1e-12
-        assert np.max(np.abs(
-            cp._flow_rows_v(prob.e_ll, u)
-            - prob.e_ll @ np.kron(np.eye(prob.n_l), u)
-        )) < 1e-12
+    def test_normal_matrices_match_kron(self, three_step_setup, monkeypatch):
+        """The per-step U blocks and the V matrix equal the textbook
+        Kronecker forms of the normal matrices at T=3; the U blocks are the
+        whole U matrix, which couples no two time steps."""
+        m_data, mask, maps, part, problems = three_step_setup
+        config = cp.AdmmConfig(rank=3, mu=3.0, nu=2.0, gamma=1.5, lam=0.5)
+        states = _perturbed_states(problems, m_data, mask, 3, 3)
+        solved = []
+        solve = cp._solve_quadratic
+        monkeypatch.setattr(cp, "_solve_quadratic",
+                            lambda h, rhs: solved.append(h) or solve(h, rhs))
+        l = 2
+        prob, st = problems[l], states[l]
+        m, r, n_l, t_steps = prob.m, 3, prob.n_l, maps.n_steps
+        u_new = cp.update_u(prob, st, config)
+        cp.update_v(prob, st, u_new, config)
+        h_u, h_v = solved
+
+        local_cols, rows = np.nonzero(mask[:, prob.cols].T)
+        sampler = np.eye(m * n_l)[local_cols * m + rows]
+        e_ll = maps.e_mats[(l, l)]
+
+        def normal(lin, base):
+            """base I + the data, own-flow and neighbor-flow Grams of the
+            linear map lin from the unknowns to vec_F(X_l)."""
+            h = base * np.eye(lin.shape[1])
+            h += config.mu * (sampler @ lin).T @ (sampler @ lin)
+            h += config.nu * (e_ll @ lin).T @ (e_ll @ lin)
+            for j in prob.neighbors:
+                e_jl = maps.e_mats[(j, l)] @ lin
+                h += config.lam * e_jl.T @ e_jl
+            return h
+
+        base_u = 1.0 / prob.n_areas + config.prox_c + config.gamma * prob.deg
+        full_u = normal(np.kron(st.v.T, np.eye(m)), base_u)  # on vec_F(U)
+        assert h_u.shape == (t_steps, 5 * r, 5 * r)
+        # block t acts on U_t, the rows 5t..5t+4 of U, in row-major order
+        order = np.arange(m * r).reshape(r, m).T.ravel()
+        assembled = np.zeros_like(full_u)
+        for t in range(t_steps):
+            idx = order[5 * r * t:5 * r * (t + 1)]
+            assembled[np.ix_(idx, idx)] = h_u[t]
+        assert np.max(np.abs(assembled - full_u)) < 1e-10 * np.max(np.abs(full_u))
+
+        full_v = normal(np.kron(np.eye(n_l), u_new), 1.0 + config.prox_c)
+        assert np.max(np.abs(h_v - full_v)) < 1e-10 * np.max(np.abs(full_v))
+
+    def test_unmapped_u_splits_per_row(self, three_step_setup, monkeypatch):
+        """Without flow maps the U blocks are the r x r diagonal blocks of
+        the textbook normal matrix, one per row of U."""
+        m_data, mask, *_ = three_step_setup
+        prob = cp._build_problems(
+            m_data, mask, None, gm.AreaPartition.single_area(m_data.shape[1])
+        )[1]
+        config = cp.AdmmConfig(rank=3, mu=3.0)
+        st = cp._init_states({1: prob}, m_data, mask, 3, 0)[1]
+        solved = []
+        solve = cp._solve_quadratic
+        monkeypatch.setattr(cp, "_solve_quadratic",
+                            lambda h, rhs: solved.append(h) or solve(h, rhs))
+        cp.update_u(prob, st, config)
+        m, r = st.u.shape
+        local_cols, rows = np.nonzero(mask.T)
+        sampled = (np.eye(m * prob.n_l)[local_cols * m + rows]
+                   @ np.kron(st.v.T, np.eye(m)))
+        full = (1.0 + config.prox_c) * np.eye(m * r) + config.mu * sampled.T @ sampled
+        full = full.reshape(r, m, r, m).transpose(1, 0, 3, 2)  # (row, j, row', j')
+        assert solved[0].shape == (m, r, r)
+        for i in range(m):
+            gap = np.max(np.abs(solved[0][i] - full[i, :, i, :]))
+            assert gap < 1e-10 * np.max(np.abs(full))
+        off_diagonal = full.copy()
+        off_diagonal[np.arange(m), :, np.arange(m), :] = 0.0
+        assert not np.any(off_diagonal)
 
 
 class TestQUpdate:

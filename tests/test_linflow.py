@@ -237,15 +237,24 @@ class TestCouplingFactors:
                 cols = [dpos * m + 5 * t + k
                         for dpos in range(n_l) for k in range(5)]
                 g = e[np.ix_(rows, cols)]
+                assert np.array_equal(maps.step_blocks[(j, l)], g)
                 assert np.linalg.norm(a @ b - g) <= 1e-12 * np.linalg.norm(g)
 
     def test_coordinates_expand_to_dense_map(self, maps):
-        """expand(coords_map(.)) is the dense E_jl, off-step blocks included,
-        and project is the left inverse of expand."""
+        """Expanding the coordinates (I_T kron B_jl) vec(X_l) gives the dense
+        E_jl, off-step blocks included, and project is the left inverse of
+        expand."""
         rng = np.random.default_rng(0)
+        t_steps, m = maps.n_steps, maps.m
         for j, l in self._adjacent(maps):
             e = maps.e_mats[(j, l)]
-            coords = maps.coords_map(j, l)
+            b = maps.coupling[(j, l)][1]
+            n_l = maps.cols[l].size
+            # rows (step, coordinate), columns vec_F(X_l) = (phase, step, row)
+            coords = np.zeros((t_steps, b.shape[0], n_l, t_steps, 5))
+            for t in range(t_steps):
+                coords[t, :, :, t, :] = b.reshape(b.shape[0], n_l, 5)
+            coords = coords.reshape(t_steps * b.shape[0], n_l * m)
             recon = np.column_stack([maps.expand(j, l, c) for c in coords.T])
             assert np.linalg.norm(recon - e) <= 1e-12 * np.linalg.norm(e)
             c = rng.standard_normal(coords.shape[0])
