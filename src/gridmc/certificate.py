@@ -56,27 +56,25 @@ def build_B_d(
         raise CertificateError("mu must be positive")
     m, n = m_data.shape
     obs_i, obs_j = np.nonzero(observed)
-    rows: list[np.ndarray] = []
-    d: list[np.ndarray] = []
-    b_obs = np.zeros((obs_i.size, m * n))
-    b_obs[np.arange(obs_i.size), obs_j * m + obs_i] = 1.0
-    rows.append(b_obs)
-    d.append(m_data[obs_i, obs_j])
+    areas = area_maps.partition.areas if area_maps is not None and nu != 0.0 else []
+    scale = np.sqrt(nu / mu)
+    n_flow = sum(area_maps.residual_dim(l) for l in areas)
+    b_mat = np.zeros((obs_i.size + n_flow, m * n))
+    b_mat[np.arange(obs_i.size), obs_j * m + obs_i] = 1.0
+    d = [m_data[obs_i, obs_j]]
 
-    if area_maps is not None and nu != 0.0:
-        scale = np.sqrt(nu / mu)
-        for l in area_maps.partition.areas:
-            block = np.zeros((area_maps.residual_dim(l), m * n))
-            for j in area_maps.sources(l):
-                cols = area_maps.cols[j]
-                g = area_maps.e_mats[(l, j)]
-                for pos, c in enumerate(cols):
-                    block[:, c * m : (c + 1) * m] += g[:, pos * m : (pos + 1) * m]
-            rows.append(scale * block)
-            d.append(scale * area_maps.f[l])
+    # area l's rows: E_lj scattered from area j's columns into those of X
+    start = obs_i.size
+    for l in areas:
+        band = b_mat[start : start + area_maps.residual_dim(l)]
+        for j in area_maps.sources(l):
+            cols = (area_maps.cols[j][:, None] * m + np.arange(m)).ravel()
+            band[:, cols] = scale * area_maps.e_mats[(l, j)]
+        d.append(scale * area_maps.f[l])
+        start += band.shape[0]
 
     return StackedOperator(
-        b_mat=np.vstack(rows),
+        b_mat=b_mat,
         d=np.concatenate(d),
         shape=(m, n),
         n_observed=obs_i.size,

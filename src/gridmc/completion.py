@@ -77,6 +77,8 @@ class AreaState:
 
     u: np.ndarray
     v: np.ndarray
+    x: np.ndarray  # X_l = U_l V_l, formed once per iteration
+    e_ll: np.ndarray | None = None  # E_ll(X_l), set by each iteration with flow maps
     s: dict[int, np.ndarray] = field(default_factory=dict)  # S_lj
     q: dict[int, np.ndarray] = field(default_factory=dict)  # q_lj
     gamma: dict[int, np.ndarray] = field(default_factory=dict)  # dual for U_l = S_lj
@@ -167,11 +169,10 @@ def _objective_decentralized(problems, states, config) -> float:
     for l, prob in problems.items():
         st = states[l]
         val += 0.5 * (np.sum(st.u * st.u) / n_areas + np.sum(st.v * st.v))
-        x_l = st.u @ st.v
-        diff = np.where(prob.mask, x_l - prob.m_l, 0.0)
+        diff = np.where(prob.mask, st.x - prob.m_l, 0.0)
         val += 0.5 * config.mu * np.sum(diff * diff)
         if prob.maps is not None:
-            res = _own_flow(prob, x_l) - prob.f_l
+            res = st.e_ll - prob.f_l
             for j in prob.neighbors:
                 res = res + st.q[j]
             val += 0.5 * config.nu * float(res @ res)
@@ -215,8 +216,9 @@ class AreaProblem:
 
     The flow terms act on each time step's 5 x n_l row block X_t of X_l
     through vec_F(X_t): the own-area block G_ll and the coupling factor B_jl
-    of each neighbor (see `AreaMaps`).  Their Grams are formed once here; the
-    flow Hessian of one step is nu G_ll^T G_ll + lam sum_j B_jl^T B_jl."""
+    of each neighbor (see `AreaMaps`).  The flow Hessian of one step,
+    H = nu G_ll^T G_ll + lam sum_j B_jl^T B_jl, is weighted once per run and
+    stored in the two layouts the U and V contractions consume."""
 
     area: int
     cols: np.ndarray
@@ -229,8 +231,8 @@ class AreaProblem:
     f_l: np.ndarray | None
     g_ll: np.ndarray | None  # G_ll, 3n_l x 5n_l
     b_from: dict[int, np.ndarray]  # j -> B_jl, rho_jl x 5n_l
-    gram_own: np.ndarray | None  # G_ll^T G_ll
-    gram_nb: np.ndarray | None  # sum_j B_jl^T B_jl
+    h_u: np.ndarray | None  # H as (col, (row, row', col')): n_l x 25 n_l
+    h_v: np.ndarray | None  # H as ((col, col'), (row, row')): n_l^2 x 25
 
     @property
     def m(self) -> int:
@@ -250,18 +252,24 @@ def _build_problems(
     mask: np.ndarray,
     area_maps: AreaMaps | None,
     part: AreaPartition,
+    config: AdmmConfig,
 ) -> dict[int, AreaProblem]:
     problems = {}
     for l in part.areas:
         cols = part.phases_in(l)
         neighbors = part.neighbors(l)
-        g_ll = gram_own = gram_nb = None
+        n_l = cols.size
+        g_ll = h_u = h_v = None
         b_from = {}
         if area_maps is not None:
             g_ll = area_maps.step_blocks[(l, l)]
             b_from = {j: area_maps.coupling[(j, l)][1] for j in neighbors}
             gram_own = g_ll.T @ g_ll
             gram_nb = sum((b.T @ b for b in b_from.values()), np.zeros_like(gram_own))
+            h = config.nu * gram_own + config.lam * gram_nb
+            h = h.reshape(n_l, ROWS_PER_STEP, n_l, ROWS_PER_STEP)  # (c, k, c', k')
+            h_u = h.transpose(0, 1, 3, 2).reshape(n_l, -1)
+            h_v = h.transpose(0, 2, 1, 3).reshape(n_l * n_l, -1)
         problems[l] = AreaProblem(
             area=l,
             cols=cols,
@@ -274,8 +282,8 @@ def _build_problems(
             f_l=area_maps.f[l] if area_maps is not None else None,
             g_ll=g_ll,
             b_from=b_from,
-            gram_own=gram_own,
-            gram_nb=gram_nb,
+            h_u=h_u,
+            h_v=h_v,
         )
     return problems
 
@@ -295,12 +303,6 @@ def _flow_coords(prob: AreaProblem, x_l: np.ndarray) -> dict[int, np.ndarray]:
     """j -> coordinates B_jl vec_F(X_t) of E_jl(X_l), step major."""
     x_steps = _steps(x_l, prob.maps.n_steps)
     return {j: (x_steps @ b.T).ravel() for j, b in prob.b_from.items()}
-
-
-def _flow_hessian(prob: AreaProblem, config: AdmmConfig) -> np.ndarray:
-    """Per-step flow Hessian on vec_F(X_t), indexed (col, row, col', row')."""
-    h = config.nu * prob.gram_own + config.lam * prob.gram_nb
-    return h.reshape(prob.n_l, ROWS_PER_STEP, prob.n_l, ROWS_PER_STEP)
 
 
 def _flow_target(prob: AreaProblem, st: AreaState, config: AdmmConfig) -> np.ndarray:
@@ -342,17 +344,24 @@ def _solve_checked(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
-def _block_diag(blocks: np.ndarray) -> np.ndarray:
-    """(n_sys, k, r, r) -> (n_sys, kr, kr): each system's k blocks on its diagonal."""
+def _block_diag(blocks: np.ndarray, base: float) -> np.ndarray:
+    """(n_sys, k, r, r) -> (n_sys, k, r, k, r): each system's k blocks on its
+    block diagonal, plus base on its main diagonal."""
     n_sys, k, r, _ = blocks.shape
-    return np.einsum("skij,kl->skilj", blocks, np.eye(k)).reshape(n_sys, k * r, k * r)
+    out = np.zeros((n_sys, k, r, k, r))
+    diag = np.arange(k)
+    out[:, diag, :, diag, :] = blocks.transpose(1, 0, 2, 3)
+    out.reshape(n_sys, -1)[:, :: k * r + 1] += base
+    return out
 
 
-def update_u(prob: AreaProblem, st: AreaState, config: AdmmConfig) -> np.ndarray:
+def update_u(prob: AreaProblem, st: AreaState, config: AdmmConfig,
+             z: np.ndarray | None) -> np.ndarray:
     """Exact minimizer of the Lagrangian restricted to U_l plus the proximal
-    term.  Rows of U couple only through the flow terms, which act within one
-    time step, so the normal equations split into T systems of size 5r (m
-    systems of size r without flow maps) on the row-major blocks U_t."""
+    term, given the flow target z = `_flow_target` (None without flow maps).
+    Rows of U couple only through the flow terms, which act within one time
+    step, so the normal equations split into T systems of size 5r (m systems
+    of size r without flow maps) on the row-major blocks U_t."""
     m, r = st.u.shape
     v = st.v
     base = 1.0 / prob.n_areas + config.prox_c + config.gamma * prob.deg
@@ -362,34 +371,34 @@ def update_u(prob: AreaProblem, st: AreaState, config: AdmmConfig) -> np.ndarray
     # data Gram of row i: mu sum over observed columns c of v_c v_c^T
     data = config.mu * (prob.mask @ _outer_rows(v.T))
     rows = ROWS_PER_STEP if prob.maps is not None else 1
-    h = _block_diag(data.reshape(m // rows, rows, r, r))
-    h += base * np.eye(rows * r)
+    h = _block_diag(data.reshape(m // rows, rows, r, r), base)
     if prob.maps is not None:
-        rhs += _flow_target(prob, st, config) @ v.T
+        rhs += z @ v.T
         # (V^T kron I_5)^T H (V^T kron I_5), the same for every step
-        flow = np.tensordot(v, _flow_hessian(prob, config), axes=(1, 0))
-        flow = np.tensordot(flow, v, axes=(2, 1))  # (j, k, k', j')
-        h += flow.transpose(1, 0, 2, 3).reshape(rows * r, rows * r)
+        flow = ((v @ prob.h_u).reshape(-1, prob.n_l) @ v.T).reshape(r, rows, rows, r)
+        h += flow.transpose(1, 0, 2, 3)  # (k, j, k', j')
+    h = h.reshape(-1, rows * r, rows * r)
     return _solve_checked(h, rhs.reshape(m // rows, rows * r)).reshape(m, r)
 
 
 def update_v(prob: AreaProblem, st: AreaState, u_new: np.ndarray,
-             config: AdmmConfig) -> np.ndarray:
-    """Exact minimizer over V_l: one system on vec_F(V_l), block diagonal per
-    column in its data part, with the flow Hessian contracted against
-    W = sum_t vec(U_t) vec(U_t)^T."""
+             config: AdmmConfig, z: np.ndarray | None) -> np.ndarray:
+    """Exact minimizer over V_l, given the same z as `update_u`: one system
+    on vec_F(V_l), block diagonal per column in its data part, with the flow
+    Hessian contracted against W = sum_t vec(U_t) vec(U_t)^T."""
     m, r = u_new.shape
-    n_l = st.v.shape[1]
+    n_l = prob.n_l
     rhs = config.prox_c * st.v + config.mu * (u_new.T @ prob.m_obs)
     data = config.mu * (prob.mask.T @ _outer_rows(u_new))
-    h = _block_diag(data.reshape(1, n_l, r, r))[0]
-    h += (1.0 + config.prox_c) * np.eye(r * n_l)
+    h = _block_diag(data.reshape(1, n_l, r, r), 1.0 + config.prox_c)[0]
     if prob.maps is not None:
-        rhs += u_new.T @ _flow_target(prob, st, config)
+        rhs += u_new.T @ z
         u_steps = u_new.reshape(prob.maps.n_steps, ROWS_PER_STEP * r)
         w = (u_steps.T @ u_steps).reshape(ROWS_PER_STEP, r, ROWS_PER_STEP, r)
-        flow = np.tensordot(_flow_hessian(prob, config), w, axes=([1, 3], [0, 2]))
-        h += flow.transpose(0, 2, 1, 3).reshape(n_l * r, n_l * r)
+        w = w.transpose(0, 2, 1, 3)  # (k, k', j, j')
+        flow = (prob.h_v @ w.reshape(ROWS_PER_STEP**2, r * r)).reshape(n_l, n_l, r, r)
+        h += flow.transpose(0, 2, 1, 3)  # (c, j, c', j')
+    h = h.reshape(n_l * r, n_l * r)
     return _solve_checked(h, rhs.T.ravel()).reshape(n_l, r).T
 
 
@@ -447,9 +456,9 @@ def _init_states(
     for l, prob in problems.items():
         u = pair.u.copy()
         v = pair.v[:, prob.cols].copy()
-        st = AreaState(u=u, v=v)
+        st = AreaState(u=u, v=v, x=u @ v)
         if prob.maps is not None:
-            st.e_out = _flow_coords(prob, u @ v)
+            st.e_out = _flow_coords(prob, st.x)
         for j in prob.neighbors:
             st.s[j] = u.copy()
             st.gamma[j] = np.zeros_like(u)
@@ -474,10 +483,12 @@ def _init_states(
 
 
 def _consensus_residual(problems, states) -> float:
+    """Largest |U_l - U_j| over the adjacent pairs, each visited once."""
     worst = 0.0
     for l, prob in problems.items():
         for j in prob.neighbors:
-            worst = max(worst, float(np.linalg.norm(states[l].u - states[j].u)))
+            if j > l:
+                worst = max(worst, float(np.linalg.norm(states[l].u - states[j].u)))
     return worst
 
 
@@ -512,7 +523,7 @@ def run_decentralized(
     m_data = np.asarray(m_data, dtype=float)
     m = m_data.shape[0]
     r = config.resolve_rank(m)
-    problems = _build_problems(m_data, mask, area_maps, part)
+    problems = _build_problems(m_data, mask, area_maps, part, config)
     states = _init_states(problems, m_data, mask, r, config.seed)
     if bus is None:
         bus = MessageBus(part.areas, part.adjacency)
@@ -531,13 +542,16 @@ def run_decentralized(
                     q_jl = inbox[key]
                     st.lam_in[j] = st.lam_in[j] + (q_jl - st.e_out[j])
                     st.q_in[j] = q_jl
-            u_new = update_u(prob, st, config)
-            v_new = update_v(prob, st, u_new, config)
-            st.u, st.v = u_new, v_new
+            z = _flow_target(prob, st, config) if prob.maps is not None else None
+            u_new = update_u(prob, st, config, z)
+            v_new = update_v(prob, st, u_new, config, z)
+            st.u, st.v, st.x = u_new, v_new, u_new @ v_new
+            if prob.maps is not None:
+                st.e_ll = _own_flow(prob, st.x)
             sends = []
             if prob.neighbors:
                 if prob.maps is not None:
-                    st.e_out = _flow_coords(prob, u_new @ v_new)
+                    st.e_out = _flow_coords(prob, st.x)
                 for j in prob.neighbors:
                     sends.append(Message(dest=j, tag="factor", payload=u_new))
                     if prob.maps is not None:
@@ -563,8 +577,7 @@ def run_decentralized(
                 if prob.maps is not None:
                     e_full = {j: prob.maps.expand(l, j, st.e_in[j])
                               for j in prob.neighbors}
-                    e_ll_val = _own_flow(prob, st.u @ st.v)
-                    q_new = update_q(prob, e_ll_val, e_full, st.lam, config)
+                    q_new = update_q(prob, st.e_ll, e_full, st.lam, config)
                 else:
                     e_full, q_new = {}, {}
                 s_new = {j: update_s(st.u, st.u_in[j]) for j in prob.neighbors}
@@ -590,10 +603,9 @@ def run_decentralized(
         bus.run_round({l: node_a(l) for l in part.areas}, order=order_a)
         bus.run_round({l: node_b(l) for l in part.areas}, order=order_b)
 
-        x_blocks = {l: states[l].u @ states[l].v for l in part.areas}
         x_full = np.empty_like(m_data)
         for l, prob in problems.items():
-            x_full[:, prob.cols] = x_blocks[l]
+            x_full[:, prob.cols] = states[l].x
         if not np.all(np.isfinite(x_full)):
             raise DivergenceError(iteration=k)
 
@@ -617,7 +629,7 @@ def run_decentralized(
         x_prev = x_full
 
     return SolveResult(
-        x_blocks={l: states[l].u @ states[l].v for l in part.areas},
+        x_blocks={l: states[l].x for l in part.areas},
         states=states,
         trace=trace,
         partition=part,

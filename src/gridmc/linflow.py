@@ -46,13 +46,11 @@ def build_linear_model(net: NetworkModel, n_steps: int = 1) -> LinearFlowModel:
     w = net.no_load_voltage
     if np.min(np.abs(w)) < 1e-9:
         raise LinFlowError("degenerate linearization: no-load voltage has a zero entry")
-    n = net.n_phases
     g = net.solve_y_ll(np.diag(1.0 / np.conj(w)))
     n_mat = np.hstack([g, -1j * g])
     # first-order expansion of |w + delta| around w
     phase = (np.conj(w) / np.abs(w))[:, None]
     k_mat = np.real(phase * n_mat)
-    assert n_mat.shape == (n, 2 * n)
     return LinearFlowModel(n_mat=n_mat, k_mat=k_mat, w=w, n_steps=n_steps)
 
 

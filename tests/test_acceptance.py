@@ -132,14 +132,15 @@ def test_04_single_area_equivalence(small_instance):
     dec = cp.run_decentralized(mat.data, mask, maps, part, config,
                                keep_history=True)
     # the plain block iteration of the whole matrix, without the bus
-    problems = cp._build_problems(mat.data, mask, maps, part)
+    problems = cp._build_problems(mat.data, mask, maps, part, config)
     states = cp._init_states(problems, mat.data, mask,
                              config.resolve_rank(mat.shape[0]), config.seed)
     prob, st = problems[1], states[1]
     plain_u = []
     for _ in range(config.max_iters):
-        u_new = cp.update_u(prob, st, config)
-        v_new = cp.update_v(prob, st, u_new, config)
+        z = cp._flow_target(prob, st, config)
+        u_new = cp.update_u(prob, st, config, z)
+        v_new = cp.update_v(prob, st, u_new, config, z)
         st.u, st.v = u_new, v_new
         plain_u.append(st.u.copy())
     worst = max(

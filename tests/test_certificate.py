@@ -61,6 +61,25 @@ class TestBuildOperator:
         res = ct.apply_B(op, x) - op.d
         assert np.max(np.abs(res[op.n_observed:])) < 1e-10
 
+    def test_matches_per_column_reference(self, flow_operator):
+        """The in-place scatter equals, exactly, the operator assembled by
+        copying each area's flow map one measurement column at a time."""
+        op, m_data, mask, maps = flow_operator
+        m, n = m_data.shape
+        scale = np.sqrt(2.0 / 10.0)
+        obs_i, obs_j = np.nonzero(mask.observed)
+        rows = [np.zeros((obs_i.size, m * n))]
+        rows[0][np.arange(obs_i.size), obs_j * m + obs_i] = 1.0
+        for l in maps.partition.areas:
+            block = np.zeros((maps.residual_dim(l), m * n))
+            for j in maps.sources(l):
+                g = maps.e_mats[(l, j)]
+                for pos, c in enumerate(maps.cols[j]):
+                    block[:, c * m:(c + 1) * m] += g[:, pos * m:(pos + 1) * m]
+            rows.append(scale * block)
+        assert maps.partition.n_areas == 3
+        assert np.array_equal(op.b_mat, np.vstack(rows))
+
     def test_rejects_nonpositive_mu(self, small_instance):
         mat = small_instance["mat"]
         mask = dm.sample_mask(*mat.shape, 0.5, seed=0)

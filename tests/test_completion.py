@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +26,7 @@ def small_setup(small_instance):
     part = small_instance["part"]
     maps = small_instance["maps"]
     mask = dm.sample_mask(*mat.shape, 0.6, policy="uniform", seed=4).observed
-    problems = cp._build_problems(mat.data, mask, maps, part)
+    problems = cp._build_problems(mat.data, mask, maps, part, cp.AdmmConfig())
     return mat.data, mask, maps, part, problems
 
 
@@ -118,7 +124,13 @@ def three_step_setup():
     model = lf.build_linear_model(net, n_steps=3)
     maps = lf.build_area_maps(lf.truncate_model(model, part))
     mask = dm.sample_mask(*mat.shape, 0.6, policy="uniform", seed=4).observed
-    return mat.data, mask, maps, part, cp._build_problems(mat.data, mask, maps, part)
+    return mat.data, mask, maps, part, cp._build_problems(
+        mat.data, mask, maps, part, cp.AdmmConfig())
+
+
+def _z(prob, st, config):
+    """The flow target run_decentralized passes to both updates."""
+    return cp._flow_target(prob, st, config) if prob.maps is not None else None
 
 
 def _perturbed_states(problems, m_data, mask, r, seed):
@@ -179,7 +191,7 @@ class TestSubproblems:
         rng = np.random.default_rng(8)
         for l in part.areas:
             prob, st = problems[l], states[l]
-            u_new = cp.update_u(prob, st, config)
+            u_new = cp.update_u(prob, st, config, _z(prob, st, config))
             self._assert_minimizer(
                 lambda u: self._lagrangian(prob, st, config, u, st.v), u_new, rng)
 
@@ -190,8 +202,9 @@ class TestSubproblems:
         rng = np.random.default_rng(9)
         for l in part.areas:
             prob, st = problems[l], states[l]
-            u_new = cp.update_u(prob, st, config)
-            v_new = cp.update_v(prob, st, u_new, config)
+            z = _z(prob, st, config)
+            u_new = cp.update_u(prob, st, config, z)
+            v_new = cp.update_v(prob, st, u_new, config, z)
             self._assert_minimizer(
                 lambda v: self._lagrangian(prob, st, config, u_new, v), v_new, rng)
 
@@ -201,8 +214,9 @@ class TestSubproblems:
         states = cp._init_states(problems, m_data, mask, 2, 0)
         for l in part.areas:
             prob, st = problems[l], states[l]
-            u_new = cp.update_u(prob, st, config)
-            v_new = cp.update_v(prob, st, u_new, config)
+            z = _z(prob, st, config)
+            u_new = cp.update_u(prob, st, config, z)
+            v_new = cp.update_v(prob, st, u_new, config, z)
             assert np.max(np.abs(u_new - st.u)) < 1e-6
             assert np.max(np.abs(v_new - st.v)) < 1e-6
 
@@ -216,17 +230,50 @@ class TestSubproblems:
         solve = cp._solve_quadratic
         monkeypatch.setattr(cp, "_solve_quadratic",
                             lambda h, rhs: solve(h, rhs) + 1.0)
+        z = _z(prob, st, config)
         with pytest.raises(cp.CompletionError):
-            cp.update_u(prob, st, config)
+            cp.update_u(prob, st, config, z)
         with pytest.raises(cp.CompletionError):
-            cp.update_v(prob, st, st.u, config)
+            cp.update_v(prob, st, st.u, config, z)
+
+    def test_normal_equation_check_survives_optimize_flag(self):
+        """The same check in a `python -O` interpreter, which strips
+        `assert` statements: a wrong solve still raises CompletionError."""
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from gridmc import completion as cp
+            from gridmc import gridmodel as gm
+            if not sys.flags.optimize:
+                sys.exit(2)
+            rng = np.random.default_rng(0)
+            m_data = rng.standard_normal((6, 4))
+            mask = rng.random((6, 4)) < 0.7
+            config = cp.AdmmConfig(rank=2)
+            part = gm.AreaPartition.single_area(4)
+            prob = cp._build_problems(m_data, mask, None, part, config)[1]
+            st = cp._init_states({1: prob}, m_data, mask, 2, 0)[1]
+            solve = cp._solve_quadratic
+            cp._solve_quadratic = lambda h, rhs: solve(h, rhs) + 1.0
+            try:
+                cp.update_u(prob, st, config, None)
+            except cp.CompletionError:
+                sys.exit(0)
+            sys.exit(1)
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_normal_matrices_match_kron(self, three_step_setup, monkeypatch):
         """The per-step U blocks and the V matrix equal the textbook
         Kronecker forms of the normal matrices at T=3; the U blocks are the
         whole U matrix, which couples no two time steps."""
-        m_data, mask, maps, part, problems = three_step_setup
+        m_data, mask, maps, part, _ = three_step_setup
         config = cp.AdmmConfig(rank=3, mu=3.0, nu=2.0, gamma=1.5, lam=0.5)
+        problems = cp._build_problems(m_data, mask, maps, part, config)
         states = _perturbed_states(problems, m_data, mask, 3, 3)
         solved = []
         solve = cp._solve_quadratic
@@ -235,8 +282,9 @@ class TestSubproblems:
         l = 2
         prob, st = problems[l], states[l]
         m, r, n_l, t_steps = prob.m, 3, prob.n_l, maps.n_steps
-        u_new = cp.update_u(prob, st, config)
-        cp.update_v(prob, st, u_new, config)
+        z = _z(prob, st, config)
+        u_new = cp.update_u(prob, st, config, z)
+        cp.update_v(prob, st, u_new, config, z)
         h_u, h_v = solved
 
         local_cols, rows = np.nonzero(mask[:, prob.cols].T)
@@ -272,16 +320,16 @@ class TestSubproblems:
         """Without flow maps the U blocks are the r x r diagonal blocks of
         the textbook normal matrix, one per row of U."""
         m_data, mask, *_ = three_step_setup
-        prob = cp._build_problems(
-            m_data, mask, None, gm.AreaPartition.single_area(m_data.shape[1])
-        )[1]
         config = cp.AdmmConfig(rank=3, mu=3.0)
+        prob = cp._build_problems(
+            m_data, mask, None, gm.AreaPartition.single_area(m_data.shape[1]), config
+        )[1]
         st = cp._init_states({1: prob}, m_data, mask, 3, 0)[1]
         solved = []
         solve = cp._solve_quadratic
         monkeypatch.setattr(cp, "_solve_quadratic",
                             lambda h, rhs: solved.append(h) or solve(h, rhs))
-        cp.update_u(prob, st, config)
+        cp.update_u(prob, st, config, None)
         m, r = st.u.shape
         local_cols, rows = np.nonzero(mask.T)
         sampled = (np.eye(m * prob.n_l)[local_cols * m + rows]
@@ -323,7 +371,8 @@ class TestQUpdate:
     def test_no_neighbors(self, small_setup):
         m_data, mask, maps, part, problems = small_setup
         single = cp._build_problems(
-            m_data, mask, None, gm.AreaPartition.single_area(m_data.shape[1])
+            m_data, mask, None, gm.AreaPartition.single_area(m_data.shape[1]),
+            cp.AdmmConfig(),
         )[1]
         assert cp.update_q(single, np.zeros(0), {}, {}, cp.AdmmConfig()) == {}
 
@@ -381,6 +430,47 @@ class TestDecentralizedRun:
         err = cp.DivergenceError(iteration=7)
         assert err.iteration == 7
         assert "7" in str(err)
+
+
+class TestOncePerIteration:
+    def test_area_work_runs_once_per_area_per_iteration(self, small_setup,
+                                                        monkeypatch):
+        """The flow target Z, E_ll(X_l) and the sent flow coordinates are
+        computed once per area per iteration; the stored X_l and E_ll(X_l)
+        are those of the final factors."""
+        m_data, mask, maps, part, problems = small_setup
+        counts = {"_flow_target": 0, "_own_flow": 0, "_flow_coords": 0}
+
+        def counted(name):
+            fn = getattr(cp, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(cp, name, counted(name))
+        at_init = {}
+        init = cp._init_states
+
+        def init_counted(*args):
+            states = init(*args)
+            at_init.update(counts)
+            return states
+
+        monkeypatch.setattr(cp, "_init_states", init_counted)
+        k = 4
+        config = cp.AdmmConfig(rank=2, max_iters=k, tol=1e-14)
+        result = cp.run_decentralized(m_data, mask, maps, part, config)
+        assert result.trace.iterations == k and part.n_areas == 3
+        per_iteration = {name: counts[name] - at_init[name] for name in counts}
+        assert per_iteration == {name: part.n_areas * k for name in counts}
+        for l in part.areas:
+            st = result.states[l]
+            assert np.array_equal(st.x, st.u @ st.v)
+            assert np.array_equal(st.e_ll, cp._own_flow(problems[l], st.x))
+            assert result.x_blocks[l] is st.x
 
 
 class TestSvtOracle:
