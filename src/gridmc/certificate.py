@@ -10,6 +10,7 @@ slackness, and the Schur-complement dual-feasibility check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,25 +23,55 @@ class CertificateError(Exception):
 
 @dataclass(frozen=True)
 class StackedOperator:
-    """Linear map B: R^{m x n} -> R^L stored as a dense L x (m n) matrix
-    acting on column-major flattenings, with offset d.
+    """Linear map B: R^{m x n} -> R^L with offset d, applied without forming
+    B as a matrix.
 
-    The first rows are single-entry indicators for the observed cells; the
-    remaining rows are the per-area flow residual maps scaled by
-    sqrt(nu/mu)."""
+    The first rows read the observed cells `obs` (`np.nonzero` of the mask,
+    row-major order); the remaining rows are, area by area, the flow maps
+    sum_j E_lj(X_j) of `maps` scaled by `scale` = sqrt(nu/mu).  `maps` is
+    None when there are no flow rows."""
 
-    b_mat: np.ndarray
+    obs: tuple[np.ndarray, np.ndarray]
+    maps: AreaMaps | None
+    scale: float
     d: np.ndarray
     shape: tuple[int, int]
-    n_observed: int
 
     def __post_init__(self):
-        if self.b_mat.shape != (self.d.size, self.shape[0] * self.shape[1]):
+        rows = self.n_observed + sum(self.maps.residual_dim(l) for l in self.areas)
+        if self.d.size != rows:
             raise CertificateError("operator rows do not match offset length")
+
+    @property
+    def n_observed(self) -> int:
+        return self.obs[0].size
 
     @property
     def n_rows(self) -> int:
         return self.d.size
+
+    @property
+    def areas(self) -> list[int]:
+        return self.maps.partition.areas if self.maps is not None else []
+
+    @cached_property
+    def b_mat(self) -> np.ndarray:
+        """Dense reference view of B, an L x (m n) matrix acting on
+        column-major flattenings.  Assembled on first read from
+        `AreaMaps.e_mats`; `apply_B` and `apply_B_adjoint` never read it."""
+        m, n = self.shape
+        obs_i, obs_j = self.obs
+        b_mat = np.zeros((self.n_rows, m * n))
+        b_mat[np.arange(obs_i.size), obs_j * m + obs_i] = 1.0
+        # area l's rows: E_lj scattered from area j's columns into those of X
+        start = obs_i.size
+        for l in self.areas:
+            band = b_mat[start : start + self.maps.residual_dim(l)]
+            for j in self.maps.sources(l):
+                cols = (self.maps.cols[j][:, None] * m + np.arange(m)).ravel()
+                band[:, cols] = self.scale * self.maps.e_mats[(l, j)]
+            start += band.shape[0]
+        return b_mat
 
 
 def build_B_d(
@@ -54,44 +85,37 @@ def build_B_d(
     entry rows follow the observed cells in row-major order."""
     if mu <= 0:
         raise CertificateError("mu must be positive")
-    m, n = m_data.shape
-    obs_i, obs_j = np.nonzero(observed)
-    areas = area_maps.partition.areas if area_maps is not None and nu != 0.0 else []
+    obs = np.nonzero(observed)
+    maps = area_maps if nu != 0.0 else None
     scale = np.sqrt(nu / mu)
-    n_flow = sum(area_maps.residual_dim(l) for l in areas)
-    b_mat = np.zeros((obs_i.size + n_flow, m * n))
-    b_mat[np.arange(obs_i.size), obs_j * m + obs_i] = 1.0
-    d = [m_data[obs_i, obs_j]]
-
-    # area l's rows: E_lj scattered from area j's columns into those of X
-    start = obs_i.size
-    for l in areas:
-        band = b_mat[start : start + area_maps.residual_dim(l)]
-        for j in area_maps.sources(l):
-            cols = (area_maps.cols[j][:, None] * m + np.arange(m)).ravel()
-            band[:, cols] = scale * area_maps.e_mats[(l, j)]
-        d.append(scale * area_maps.f[l])
-        start += band.shape[0]
-
-    return StackedOperator(
-        b_mat=b_mat,
-        d=np.concatenate(d),
-        shape=(m, n),
-        n_observed=obs_i.size,
-    )
+    flow = [scale * maps.f[l] for l in maps.partition.areas] if maps is not None else []
+    return StackedOperator(obs=obs, maps=maps, scale=scale,
+                           d=np.concatenate([m_data[obs], *flow]), shape=m_data.shape)
 
 
 def apply_B(op: StackedOperator, x: np.ndarray) -> np.ndarray:
     if x.shape != op.shape:
         raise CertificateError(f"matrix {x.shape} does not match operator {op.shape}")
-    return op.b_mat @ x.ravel(order="F")
+    out = [x[op.obs]]
+    for l in op.areas:
+        flow = sum(op.maps.apply(l, j, x[:, op.maps.cols[j]]) for j in op.maps.sources(l))
+        out.append(op.scale * flow)
+    return np.concatenate(out)
 
 
 def apply_B_adjoint(op: StackedOperator, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float).ravel()
     if z.size != op.n_rows:
         raise CertificateError(f"vector length {z.size} does not match {op.n_rows} rows")
-    return (op.b_mat.T @ z).reshape(op.shape, order="F")
+    out = np.zeros(op.shape)
+    out[op.obs] = z[: op.n_observed]
+    start = op.n_observed
+    for l in op.areas:
+        y = op.scale * z[start : start + op.maps.residual_dim(l)]
+        for j in op.maps.sources(l):
+            out[:, op.maps.cols[j]] += op.maps.apply_adjoint(l, j, y)
+        start += y.size
+    return out
 
 
 def residual_matrix(op: StackedOperator, x: np.ndarray, mu: float) -> np.ndarray:

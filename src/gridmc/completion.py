@@ -138,29 +138,6 @@ class SolveResult:
 
 # --- objective --------------------------------------------------------------
 
-def objective_factored(
-    u: np.ndarray,
-    v: np.ndarray,
-    m_data: np.ndarray,
-    mask: np.ndarray,
-    area_maps: AreaMaps | None,
-    mu: float,
-    nu: float,
-) -> float:
-    """Centralized factored objective: 0.5(|U|^2+|V|^2) + data + flow terms."""
-    x = u @ v
-    if x.shape != m_data.shape:
-        raise CompletionError("factor product does not match data shape")
-    val = 0.5 * (np.sum(u * u) + np.sum(v * v))
-    diff = np.where(mask, x - m_data, 0.0)
-    val += 0.5 * mu * np.sum(diff * diff)
-    if area_maps is not None and nu != 0.0:
-        for l in area_maps.partition.areas:
-            res = area_maps.residual(l, x)
-            val += 0.5 * nu * float(res @ res)
-    return val
-
-
 def _objective_decentralized(problems, states, config) -> float:
     """Area-wise objective with the communicated q terms in place of the
     neighbor flow contributions."""
@@ -288,20 +265,9 @@ def _build_problems(
     return problems
 
 
-def _steps(x: np.ndarray, t_steps: int) -> np.ndarray:
-    """(T, 5n) rows vec_F(X_t) of the 5 x n row blocks of an m x n matrix."""
-    n = x.shape[1]
-    return x.reshape(t_steps, ROWS_PER_STEP, n).transpose(0, 2, 1).reshape(t_steps, -1)
-
-
-def _own_flow(prob: AreaProblem, x_l: np.ndarray) -> np.ndarray:
-    """E_ll(X_l), in the residual order of `AreaMaps`."""
-    return prob.maps.from_steps(_steps(x_l, prob.maps.n_steps) @ prob.g_ll.T)
-
-
 def _flow_coords(prob: AreaProblem, x_l: np.ndarray) -> dict[int, np.ndarray]:
     """j -> coordinates B_jl vec_F(X_t) of E_jl(X_l), step major."""
-    x_steps = _steps(x_l, prob.maps.n_steps)
+    x_steps = prob.maps.steps(x_l)
     return {j: (x_steps @ b.T).ravel() for j, b in prob.b_from.items()}
 
 
@@ -316,8 +282,7 @@ def _flow_target(prob: AreaProblem, st: AreaState, config: AdmmConfig) -> np.nda
     for j, b in prob.b_from.items():
         coords = (st.q_in[j] + st.lam_in[j]).reshape(t_steps, b.shape[0])
         z += config.lam * (coords @ b)
-    z = z.reshape(t_steps, prob.n_l, ROWS_PER_STEP).transpose(0, 2, 1)
-    return z.reshape(prob.m, prob.n_l)  # undoes _steps
+    return prob.maps.unsteps(z)
 
 
 def _outer_rows(a: np.ndarray) -> np.ndarray:
@@ -338,8 +303,9 @@ def _solve_checked(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     solution, over the whole stack of systems."""
     sol = _solve_quadratic(h, rhs)
     grad = (h @ sol[..., None])[..., 0] - rhs
-    scale = np.linalg.norm(h) * np.linalg.norm(sol) + np.linalg.norm(rhs)
-    if not np.linalg.norm(grad) <= 1e-9 * (1.0 + scale):
+    # the Frobenius norms of h, sol, rhs and grad, from one squared sum each
+    h_n, sol_n, rhs_n, grad_n = np.sqrt([np.vdot(a, a) for a in (h, sol, rhs, grad)])
+    if not grad_n <= 1e-9 * (1.0 + (h_n * sol_n + rhs_n)):
         raise CompletionError("block update does not solve its normal equations")
     return sol
 
@@ -547,7 +513,7 @@ def run_decentralized(
             v_new = update_v(prob, st, u_new, config, z)
             st.u, st.v, st.x = u_new, v_new, u_new @ v_new
             if prob.maps is not None:
-                st.e_ll = _own_flow(prob, st.x)
+                st.e_ll = prob.maps.apply(l, l, st.x)
             sends = []
             if prob.neighbors:
                 if prob.maps is not None:

@@ -5,6 +5,7 @@ completion objective."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -123,10 +124,6 @@ class FlowTerm:
         t = payload.size // 3
         return cls(p=payload[:t] + 1j * payload[t : 2 * t], q=payload[2 * t :])
 
-    @classmethod
-    def zeros(cls, n_steps: int) -> "FlowTerm":
-        return cls(p=np.zeros(n_steps, dtype=complex), q=np.zeros(n_steps))
-
     def __add__(self, other: "FlowTerm") -> "FlowTerm":
         return FlowTerm(p=self.p + other.p, q=self.q + other.q)
 
@@ -218,12 +215,12 @@ class AreaMaps:
 
     The residual space of area l stacks, for each of its phases (in phase
     order) and each time step, the real rows [Re v, Im v, |v|], giving
-    3T * n_l entries.  e_mats[(l, j)] acts on the column-major flattening of
-    the m x n_j block X_j.
+    3T * n_l entries.
 
     E_lj repeats one per-step block G_lj = step_blocks[(l, j)] (3n_l x 5n_j)
     on every time step; it acts on vec_F of the step's 5 x n_j row block of
-    X_j, and its rows are (phase, [Re v, Im v, |v|]).  For neighbors l != j,
+    X_j, and its rows are (phase, [Re v, Im v, |v|]).  `apply` and
+    `apply_adjoint` apply it step by step.  For neighbors l != j,
     coupling[(l, j)] = (A, B) factors it exactly as G_lj = A B with A
     orthonormal (3n_l x rho) and rho = rank(G_lj).  The coordinates of
     E_lj(X_j) are B applied per step (T * rho reals, step major); `expand`
@@ -233,7 +230,6 @@ class AreaMaps:
     n_steps: int
     n_phases: int
     cols: dict[int, np.ndarray]
-    e_mats: dict[tuple[int, int], np.ndarray]
     f: dict[int, np.ndarray]
     step_blocks: dict[tuple[int, int], np.ndarray]
     coupling: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
@@ -248,23 +244,36 @@ class AreaMaps:
     def sources(self, area: int) -> list[int]:
         return [area] + self.partition.neighbors(area)
 
-    def block(self, x: np.ndarray, area: int) -> np.ndarray:
-        return x[:, self.cols[area]]
+    @cached_property
+    def e_mats(self) -> dict[tuple[int, int], np.ndarray]:
+        """Dense reference views: e_mats[(l, j)] is E_lj as a 3T n_l x m n_j
+        matrix acting on the column-major flattening of X_j.  Assembled on
+        first read; no estimation step reads them."""
+        return {
+            (l, j): _repeat_steps(g, self.cols[j].size, self.n_steps,
+                                  n_groups=self.cols[l].size)
+            for (l, j), g in self.step_blocks.items()
+        }
 
-    def apply(self, l: int, j: int, x: np.ndarray) -> np.ndarray:
-        """E_lj evaluated on the full m x |P| matrix x."""
-        return self.apply_block(l, j, self.block(x, j))
+    def steps(self, x: np.ndarray) -> np.ndarray:
+        """(T, 5n) rows vec_F(X_t) of the 5 x n row blocks of an m x n matrix."""
+        n = x.shape[1]
+        per_step = x.reshape(self.n_steps, ROWS_PER_STEP, n).transpose(0, 2, 1)
+        return per_step.reshape(self.n_steps, -1)
 
-    def apply_block(self, l: int, j: int, x_j: np.ndarray) -> np.ndarray:
-        """E_lj evaluated on the area-j column block itself."""
-        return self.e_mats[(l, j)] @ x_j.ravel(order="F")
+    def unsteps(self, y: np.ndarray) -> np.ndarray:
+        """Inverse of `steps`: (T, 5n) rows back to the m x n matrix."""
+        n = y.shape[1] // ROWS_PER_STEP
+        per_step = y.reshape(self.n_steps, n, ROWS_PER_STEP).transpose(0, 2, 1)
+        return per_step.reshape(self.m, n)
 
-    def residual(self, l: int, x: np.ndarray) -> np.ndarray:
-        """E_ll(X) + sum_j E_lj(X) - f_l."""
-        out = -self.f[l].copy()
-        for j in self.sources(l):
-            out += self.apply(l, j, x)
-        return out
+    def apply(self, l: int, j: int, x_j: np.ndarray) -> np.ndarray:
+        """E_lj(X_j) for the m x n_j block x_j, in the residual order of l."""
+        return self.from_steps(self.steps(x_j) @ self.step_blocks[(l, j)].T)
+
+    def apply_adjoint(self, l: int, j: int, y: np.ndarray) -> np.ndarray:
+        """E_lj^T y for a residual-order vector y of l, as an m x n_j block."""
+        return self.unsteps(self.to_steps(y) @ self.step_blocks[(l, j)])
 
     def coupling_rank(self, l: int, j: int) -> int:
         """rank(G_lj): reals per time step that carry E_lj(X_j)."""
@@ -341,7 +350,6 @@ def build_area_maps(model: TruncatedFlowModel, part: AreaPartition | None = None
     cols = {l: part.phases_in(l) for l in part.areas}
     w3 = np.stack([model.w.real, model.w.imag, np.abs(model.w)], axis=1)
 
-    e_mats: dict[tuple[int, int], np.ndarray] = {}
     step_blocks: dict[tuple[int, int], np.ndarray] = {}
     coupling: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     f: dict[int, np.ndarray] = {}
@@ -350,7 +358,6 @@ def build_area_maps(model: TruncatedFlowModel, part: AreaPartition | None = None
         f[l] = np.repeat(w3[own], t_steps, axis=0).ravel()
         for j in [l] + part.neighbors(l):
             g = step_blocks[(l, j)] = _step_block(model, own, cols[j], same_area=j == l)
-            e_mats[(l, j)] = _repeat_steps(g, cols[j].size, t_steps, n_groups=own.size)
             if j != l:
                 coupling[(l, j)] = _factor_step_block(g)
 
@@ -359,7 +366,6 @@ def build_area_maps(model: TruncatedFlowModel, part: AreaPartition | None = None
         n_steps=t_steps,
         n_phases=model.n_phases,
         cols=cols,
-        e_mats=e_mats,
         f=f,
         step_blocks=step_blocks,
         coupling=coupling,

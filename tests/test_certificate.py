@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 
 from gridmc import certificate as ct
 from gridmc import datamatrix as dm
+from gridmc import gridmodel as gm
+from gridmc import linflow as lf
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +27,17 @@ def sampling_operator():
     m_data = rng.standard_normal((10, 6))
     mask = dm.sample_mask(10, 6, 0.4, policy="uniform", seed=12)
     return ct.build_B_d(mask.observed, m_data, None, mu=5.0, nu=0.0), m_data, mask
+
+
+@pytest.fixture(scope="module")
+def feeder33_operator():
+    """Stacked operator over the 5-area feeder33 analog, T=2."""
+    net, scen, part = gm.feeder33_analog(seed=0, n_steps=2, n_areas=5)
+    mat = dm.build_matrix(gm.solve_exact_flow(net, scen.s), scen.s)
+    model = lf.build_linear_model(net, n_steps=2)
+    maps = lf.build_area_maps(lf.truncate_model(model, part))
+    mask = dm.sample_mask(*mat.shape, 0.5, policy="scada", seed=0)
+    return ct.build_B_d(mask.observed, mat.data, maps, mu=10.0, nu=1.0)
 
 
 class TestBuildOperator:
@@ -114,6 +129,31 @@ class TestAdjoint:
             ct.apply_B(op, np.zeros((3, 3)))
         with pytest.raises(ct.CertificateError):
             ct.apply_B_adjoint(op, np.zeros(op.n_rows + 1))
+
+
+class TestMatrixFree:
+    @pytest.fixture(params=["small", "feeder33", "sampling"])
+    def op(self, request, flow_operator, feeder33_operator, sampling_operator):
+        return {
+            "small": flow_operator[0],
+            "feeder33": feeder33_operator,
+            "sampling": sampling_operator[0],
+        }[request.param]
+
+    def test_matches_dense_reference(self, op):
+        """B and B* applied block by block equal the dense reference matrix
+        and its transpose."""
+        assert (op.maps is None) == (op.n_rows == op.n_observed)
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            x = rng.standard_normal(op.shape)
+            want = op.b_mat @ x.ravel(order="F")
+            got = ct.apply_B(op, x)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            z = rng.standard_normal(op.n_rows)
+            want = op.b_mat.T @ z
+            got = ct.apply_B_adjoint(op, z).ravel(order="F")
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestSpectralNorm:
@@ -212,10 +252,7 @@ class TestComplementarySlackness:
 
     def test_zero_factors_zero_data(self, sampling_operator):
         op, m_data, mask = sampling_operator
-        zero_op = ct.StackedOperator(
-            b_mat=op.b_mat, d=np.zeros(op.n_rows), shape=op.shape,
-            n_observed=op.n_observed,
-        )
+        zero_op = dataclasses.replace(op, d=np.zeros(op.n_rows))
         u = np.zeros((10, 2))
         v = np.zeros((2, 6))
         assert ct.complementary_slackness(u, v, zero_op, mu=5.0) == 0.0

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from gridmc import certificate as ce
 from gridmc import cli
 from gridmc import completion as cp
+from gridmc import linflow as lf
 
 FAST = [
     "--feeder", "random", "--buses", "8", "--time-steps", "1",
@@ -87,11 +92,53 @@ class TestRunExperiment:
         assert base == alt
 
 
+class TestRunPathIsMatrixFree:
+    @pytest.mark.parametrize("areas", [3, 1])
+    def test_no_dense_view_is_built(self, tmp_path, monkeypatch, areas):
+        """A run, certificate included, applies the per-step blocks G_lj
+        only: neither the dense E_lj maps nor the dense certificate matrix
+        is ever assembled."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense E_lj assembled during a run")
+
+        monkeypatch.setattr(lf, "_repeat_steps", refuse)
+        built = {}
+
+        def keep(name, fn):
+            def wrapper(*args, **kwargs):
+                built[name] = fn(*args, **kwargs)
+                return built[name]
+            return wrapper
+
+        monkeypatch.setattr(lf, "build_area_maps", keep("maps", lf.build_area_maps))
+        monkeypatch.setattr(ce, "build_B_d", keep("op", ce.build_B_d))
+        config = cli.ExperimentConfig(
+            feeder="feeder33", time_steps=2, areas=areas, policy="scada",
+            fraction=0.5, noise_pct=1.0, seed=0,
+            admm=cp.AdmmConfig(mu=1e4, nu=1e4, gamma=1e3, lam=1e3, rank=5,
+                               max_iters=20),
+        )
+        payload = cli.run_experiment(config, tmp_path)
+        assert built["maps"].partition.n_areas == areas
+        assert "e_mats" not in vars(built["maps"])
+        assert "b_mat" not in vars(built["op"])
+        assert payload["certificate"]["spectral_norm"] > 0.0
+
+
 class TestPinnedReference:
     # feeder33, T=10, one area, paper weights, rank 5, instance seed 0, as
     # estimated by the dense (5T r)^2 normal equations of the U/V updates
     PINNED_MAPE_PCT = 0.18232450410989448
     PINNED_MAE_DEG = 0.12392865891293595
+    # its certificate, as evaluated with the dense certificate matrix B
+    PINNED_CERTIFICATE = {
+        "spectral_norm": 500.8896457215197,
+        "grad_u_norm": 756.3541749886864,
+        "grad_v_norm": 1572.6078233071376,
+        "trace_residuals": [452.71079543317614, 471.47269272643393],
+        "comp_slack_residual": 462.09174407980504,
+        "dual_feasibility_min_eig": -125444.72590312772,
+    }
 
     def test_feeder33_t10_single_area(self):
         config = cli.ExperimentConfig(
@@ -105,6 +152,27 @@ class TestPinnedReference:
         assert result.converged
         assert report.mape_magnitude == pytest.approx(self.PINNED_MAPE_PCT, rel=1e-8)
         assert report.mae_angle == pytest.approx(self.PINNED_MAE_DEG, rel=1e-8)
+
+    def test_feeder33_t10_single_area_certificate(self, tmp_path):
+        """The certificate of the same configuration, as `gridmc run` writes
+        it, run with one BLAS thread: the thread count moves the solver's
+        rounding, and with it these fields by up to 4e-12 relative."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "gridmc.cli", "run", "--feeder", "feeder33",
+             "--time-steps", "10", "--areas", "1", "--rank", "5",
+             "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads((tmp_path / "results.json").read_text())
+        assert payload["converged"]
+        cert = payload["certificate"]
+        assert not cert["theorem1_pass"] and cert["mu"] == 1e4
+        for key, want in self.PINNED_CERTIFICATE.items():
+            assert cert[key] == pytest.approx(want, rel=1e-12), key
 
 
 class TestCommands:

@@ -132,6 +132,11 @@ class TestDecentralizedFlow:
             lf.area_flow_terms(small_instance["trunc"], np.zeros((1, 16)), 99)
 
 
+def flow_residual(maps, l, x):
+    """E_ll(X) + sum_j E_lj(X) - f_l on the full m x |P| matrix x."""
+    return sum(maps.apply(l, j, x[:, maps.cols[j]]) for j in maps.sources(l)) - maps.f[l]
+
+
 class TestAreaMaps:
     def test_residual_matches_dense_oracle(self, small_instance):
         """E_ll(X) + sum E_lj(X) - f_l computed independently from the
@@ -144,7 +149,7 @@ class TestAreaMaps:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((5 * t_steps, n))
         for l in part.areas:
-            got = maps.residual(l, x)
+            got = flow_residual(maps, l, x)
             keep = np.isin(
                 part.assignment, [l] + part.neighbors(l)
             )
@@ -183,7 +188,7 @@ class TestAreaMaps:
             x[5 * t + 3] = scen.s[t].real
             x[5 * t + 4] = scen.s[t].imag
         for l in part.areas:
-            assert np.max(np.abs(maps.residual(l, x))) < 1e-12
+            assert np.max(np.abs(flow_residual(maps, l, x))) < 1e-12
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000), scale=st.floats(0.1, 10.0))
@@ -195,8 +200,9 @@ class TestAreaMaps:
         x, y = rng.standard_normal(shape), rng.standard_normal(shape)
         for l in part.areas:
             for j in maps.sources(l):
-                lhs = maps.apply(l, j, scale * x + y)
-                rhs = scale * maps.apply(l, j, x) + maps.apply(l, j, y)
+                lhs = maps.apply(l, j, (scale * x + y)[:, maps.cols[j]])
+                rhs = (scale * maps.apply(l, j, x[:, maps.cols[j]])
+                       + maps.apply(l, j, y[:, maps.cols[j]]))
                 assert np.max(np.abs(lhs - rhs)) < 1e-9 * (1 + scale)
 
     def test_residual_dims(self, small_instance):
@@ -215,11 +221,12 @@ def feeder33_maps():
     return lf.build_area_maps(lf.truncate_model(model, part))
 
 
-class TestCouplingFactors:
-    @pytest.fixture(params=["small", "feeder33"])
-    def maps(self, request, small_instance, feeder33_maps):
-        return small_instance["maps"] if request.param == "small" else feeder33_maps
+@pytest.fixture(params=["small", "feeder33"])
+def maps(request, small_instance, feeder33_maps):
+    return small_instance["maps"] if request.param == "small" else feeder33_maps
 
+
+class TestCouplingFactors:
     def _adjacent(self, maps):
         part = maps.partition
         return [(j, l) for l in part.areas for j in part.neighbors(l)]
@@ -263,3 +270,21 @@ class TestCouplingFactors:
     def test_radial_feeder_couples_through_the_boundary_bus(self, feeder33_maps):
         for j, l in self._adjacent(feeder33_maps):
             assert feeder33_maps.coupling_rank(j, l) == 2
+
+
+class TestPerStepApply:
+    def test_matches_dense_reference(self, maps):
+        """`apply` and `apply_adjoint`, step by step, equal the dense E_lj
+        and its transpose on every block of the reference view."""
+        rng = np.random.default_rng(1)
+        pairs = [(l, j) for l in maps.partition.areas for j in maps.sources(l)]
+        assert sorted(maps.e_mats) == sorted(pairs)
+        for (l, j), e in maps.e_mats.items():
+            x_j = rng.standard_normal((maps.m, maps.cols[j].size))
+            want = e @ x_j.ravel(order="F")
+            got = maps.apply(l, j, x_j)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            y = rng.standard_normal(maps.residual_dim(l))
+            want = (e.T @ y).reshape(x_j.shape, order="F")
+            got = maps.apply_adjoint(l, j, y)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
