@@ -260,6 +260,10 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     values = [float(v) for v in args.values.split(",")]
+    if args.param in ("time-steps", "areas"):
+        for value in values:
+            if not value.is_integer():
+                raise CliError(f"--param {args.param} takes integers, got {value:g}")
     rows = []
     for value in values:
         config = _config_from_args(args)
@@ -289,7 +293,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_certify(args) -> int:
     """Run, then shrink the penalty weights until the spectral condition
-    certifies global optimality."""
+    certifies global optimality.
+
+    Each shrink multiplies mu and nu by ``--shrink`` and re-runs the whole
+    solve at the smaller weights, so every certificate is evaluated at the
+    estimate its own weights produced; no earlier estimate is re-evaluated.
+    Each attempt overwrites the files in ``--out``."""
     config = _config_from_args(args)
     mu = config.admm.mu
     nu = config.admm.nu

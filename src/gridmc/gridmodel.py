@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.io import mmread
 from scipy.linalg import lu_factor, lu_solve
 
 
@@ -186,6 +185,9 @@ def load_network(manifest_path) -> tuple[NetworkModel, LoadScenario, AreaPartiti
     CSV files for phases, area assignment, and loads; see the README for the
     exact schema.
     """
+    # Imported here: only manifests need scipy.io, so no estimation run loads it.
+    from scipy.io import mmread
+
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise GridModelError(f"missing manifest file: {manifest_path}")

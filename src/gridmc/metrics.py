@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 
 class MetricsError(Exception):
@@ -64,6 +63,9 @@ def evaluate_estimate(v_est: np.ndarray, v_true: np.ndarray) -> EstimateReport:
 
 def confidence_interval(samples) -> tuple[float, float]:
     """Mean and 95% Student-t half-width."""
+    # Imported here: scipy.stats adds ~43 MB of RSS and only --runs >= 2 needs it.
+    from scipy import stats
+
     samples = np.asarray(samples, dtype=float)
     n = samples.size
     if n < 2:

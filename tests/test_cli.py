@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -125,6 +126,43 @@ class TestRunPathIsMatrixFree:
         assert payload["certificate"]["spectral_norm"] > 0.0
 
 
+class TestRunPathImports:
+    """An estimation run loads neither scipy.stats nor scipy.io; `--runs 2`
+    loads scipy.stats on first use for its confidence intervals.  The check
+    runs in a fresh interpreter, since this process has scipy loaded."""
+
+    SCRIPT = """
+import json, sys
+from pathlib import Path
+from gridmc import cli, completion as cp
+config = cli.ExperimentConfig(feeder="feeder33", time_steps=2, areas=3,
+                              runs=int(sys.argv[2]),
+                              admm=cp.AdmmConfig(max_iters=5))
+ci95 = cli.run_experiment(config, Path(sys.argv[1]))["estimate"]["ci95"]
+print(json.dumps({"loaded": [m for m in ("scipy.stats", "scipy.io")
+                             if m in sys.modules], "ci95": ci95}))
+"""
+
+    @pytest.mark.parametrize("runs", [1, 2])
+    def test_subpackages_load_only_on_use(self, tmp_path, runs):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path), str(runs)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.splitlines()[-1])
+        if runs == 1:
+            assert out["loaded"] == []
+            assert out["ci95"] is None
+        else:
+            assert out["loaded"] == ["scipy.stats"]
+            assert set(out["ci95"]) == {"mape_magnitude_pct", "mae_angle_deg", "rmse"}
+            assert all(math.isfinite(v) for v in out["ci95"].values())
+
+
 class TestPinnedReference:
     # feeder33, T=10, one area, paper weights, rank 5, instance seed 0, as
     # estimated by the dense (5T r)^2 normal equations of the U/V updates
@@ -220,6 +258,15 @@ class TestCommands:
                        "--out", str(tmp_path)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("param", ["time-steps", "areas"])
+    def test_sweep_rejects_non_integral_counts(self, tmp_path, param):
+        with pytest.raises(cli.CliError, match="integers"):
+            cli.cmd_sweep(cli.build_parser().parse_args([
+                "sweep", *FAST, "--param", param, "--values", "2,2.5",
+                "--out", str(tmp_path),
+            ]))
+        assert not any(tmp_path.iterdir())
 
     def test_unknown_sweep_param_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

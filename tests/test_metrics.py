@@ -80,6 +80,14 @@ class TestConfidenceInterval:
         assert abs(mean - 1.0) < 1e-12
         assert abs(hw - 12.706204736 * np.sqrt(2.0) / np.sqrt(2.0)) < 1e-6
 
+    def test_five_samples_pinned_quantile(self):
+        # t_{0.975,4} = 2.7764451051977934 (scipy 1.17)
+        samples = np.array([1.0, 2.5, 0.5, 4.0, 3.0])
+        mean, hw = mt.confidence_interval(samples)
+        s = np.std(samples, ddof=1)
+        assert mean == pytest.approx(2.2, rel=1e-12)
+        assert hw == pytest.approx(2.7764451051977934 * s / np.sqrt(5), rel=1e-12)
+
     def test_requires_two(self):
         with pytest.raises(mt.MetricsError):
             mt.confidence_interval([1.0])
