@@ -258,8 +258,18 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _parse_sweep_values(text: str) -> list[float]:
+    values = []
+    for entry in text.split(","):
+        try:
+            values.append(float(entry))
+        except ValueError:
+            raise CliError(f"--values entry {entry!r} is not a number") from None
+    return values
+
+
 def cmd_sweep(args) -> int:
-    values = [float(v) for v in args.values.split(",")]
+    values = _parse_sweep_values(args.values)
     if args.param in ("time-steps", "areas"):
         for value in values:
             if not value.is_integer():

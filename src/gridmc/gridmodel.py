@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 
 class GridModelError(Exception):
@@ -48,9 +47,22 @@ class PhaseIndex:
         return len(self.entries)
 
 
+# Largest 1-norm condition number of y_ll accepted as nonsingular.  Beyond
+# it a solve keeps fewer than four significant digits (eps * cond > 1e-4),
+# far too few for the flow's 1e-10 residual tolerance to mean anything.
+MAX_ADMITTANCE_COND = 1e12
+
+
 @dataclass(frozen=True)
 class NetworkModel:
-    """Bus-admittance blocks and slack voltage, all per-unit."""
+    """Bus-admittance blocks and slack voltage, all per-unit.
+
+    Construction rejects a singular ``y_ll`` with SingularAdmittanceError:
+    exactly singular when LAPACK's LU meets a zero pivot
+    (``np.linalg.LinAlgError``), numerically singular when
+    ``cond_1(y_ll) = |y_ll|_1 |y_ll^-1|_1`` exceeds MAX_ADMITTANCE_COND or
+    is not finite.
+    """
 
     y_ll: np.ndarray
     y_l0: np.ndarray
@@ -71,25 +83,32 @@ class NetworkModel:
         if self.v0.shape != (self.index.slack_phases,):
             raise GridModelError("v0 length inconsistent with slack phase count")
         try:
-            lu, piv = lu_factor(self.y_ll)
-        except Exception as exc:  # pragma: no cover - scipy raises ValueError
+            w = -self.solve_y_ll(self.y_l0 @ self.v0)
+        except np.linalg.LinAlgError as exc:
             raise SingularAdmittanceError(f"singular admittance: {exc}") from exc
-        if not np.all(np.isfinite(lu)) or np.min(np.abs(np.diag(lu))) < 1e-12:
-            raise SingularAdmittanceError("singular admittance matrix y_ll")
-        object.__setattr__(self, "_lu", (lu, piv))
+        if not np.linalg.cond(self.y_ll, 1) <= MAX_ADMITTANCE_COND:
+            raise SingularAdmittanceError(
+                "singular admittance matrix y_ll: 1-norm condition number above "
+                f"{MAX_ADMITTANCE_COND:.0e}"
+            )
+        w.flags.writeable = False
+        object.__setattr__(self, "_no_load_voltage", w)
 
     @property
     def n_phases(self) -> int:
         return len(self.index)
 
     def solve_y_ll(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve y_ll @ x = rhs using the cached factorization."""
-        return lu_solve(self._lu, rhs)
+        """Solve y_ll @ x = rhs by LAPACK getrf + getrs.  With one BLAS
+        thread each column of a multi-column rhs comes out bit for bit as
+        if solved alone."""
+        return np.linalg.solve(self.y_ll, rhs)
 
     @property
     def no_load_voltage(self) -> np.ndarray:
-        """w = -Y_LL^{-1} Y_L0 v0, the zero-injection voltage profile."""
-        return -self.solve_y_ll(self.y_l0 @ self.v0)
+        """w = -Y_LL^{-1} Y_L0 v0, the zero-injection voltage profile
+        (solved once, at construction; read-only)."""
+        return self._no_load_voltage
 
 
 @dataclass(frozen=True)
@@ -255,6 +274,25 @@ def _sample_complex(rng: np.random.Generator, lo: complex, hi: complex,
     return re + 1j * im
 
 
+def _radial_admittance(parents: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Bus admittance matrix of a radial network, slack bus 0 first: bus
+    b >= 1 hangs off bus ``parents[b - 1]`` through a line whose
+    n_ph x n_ph admittance block is ``blocks[b - 1]``.  One unbuffered
+    ``np.add.at`` adds the lines in bus order, so every entry sums its terms
+    in the order of a loop over the lines."""
+    n_lines, n_ph, _ = blocks.shape
+    child = np.arange(1, n_lines + 1)
+    # per line: +y at (b, b) and (p, p), -y at (b, p) and (p, b)
+    rows = np.stack([child, parents, child, parents], axis=1)
+    cols = np.stack([child, parents, parents, child], axis=1)
+    vals = np.stack([blocks, blocks, -blocks, -blocks], axis=1)
+    ph = np.arange(n_ph)
+    y_full = np.zeros(((n_lines + 1) * n_ph,) * 2, dtype=complex)
+    np.add.at(y_full, (rows[:, :, None, None] * n_ph + ph[:, None],
+                       cols[:, :, None, None] * n_ph + ph), vals)
+    return y_full
+
+
 def generate_radial_feeder(
     n_buses: int,
     branching: float = 0.5,
@@ -299,19 +337,8 @@ def generate_radial_feeder(
         return np.linalg.inv(zmat)
 
     n = len(index)
-    y_full = np.zeros((n + n_ph, n + n_ph), dtype=complex)
-
-    def sl(bus: int) -> slice:
-        return slice(bus * n_ph, (bus + 1) * n_ph)
-
-    for b in range(1, n_buses):
-        yb = phase_block(z_lines[b])
-        p = parents[b]
-        y_full[sl(b), sl(b)] += yb
-        y_full[sl(p), sl(p)] += yb
-        y_full[sl(b), sl(p)] -= yb
-        y_full[sl(p), sl(b)] -= yb
-
+    blocks = np.stack([phase_block(z) for z in z_lines[1:]])
+    y_full = _radial_admittance(parents[1:], blocks)
     y_ll = y_full[n_ph:, n_ph:]
     y_l0 = y_full[n_ph:, :n_ph]
     if n_ph == 1:
@@ -369,16 +396,9 @@ def feeder33_analog(
     entries = tuple((f"bus{b}", "a") for b in range(2, 2 + n))
     index = PhaseIndex(entries=entries, slack_phases=1)
 
-    y_full = np.zeros((n + 1, n + 1), dtype=complex)
     z = _sample_complex(rng, *impedance_range, n)
-    for k, parent in enumerate(_FEEDER33_PARENTS):
-        child = k + 1  # 0 = slack (bus 1)
-        y = 1.0 / z[k]
-        p = parent - 1
-        y_full[child, child] += y
-        y_full[p, p] += y
-        y_full[child, p] -= y
-        y_full[p, child] -= y
+    y_full = _radial_admittance(np.array(_FEEDER33_PARENTS) - 1,
+                                np.array([1.0 / zk for zk in z])[:, None, None])
     net = NetworkModel(
         y_ll=y_full[1:, 1:],
         y_l0=y_full[1:, :1],
@@ -413,22 +433,33 @@ def solve_exact_flow(
     """Solve the nonlinear power flow by the Z-bus fixed-point iteration.
 
     Returns v with v = w + Y_LL^{-1} diag(conj(v))^{-1} conj(s) to residual
-    infinity-norm <= tol.  Raises DivergedFlowError outside the convergence
-    region.
+    infinity-norm <= tol, for one injection vector or for each row of a
+    T x |P| matrix.  The rows are swept together: each sweep is one solve
+    with a column per row not yet converged, and a row stops on its own
+    residual.  A sweep's residual solve is the next sweep's iterate, so it
+    is never repeated.  Raises DivergedFlowError, with the number of sweeps
+    run and the residual of the earliest failing row, when a row's voltage
+    turns non-finite or collapses, or when a row has not converged after
+    max_iters sweeps.
     """
     s = np.asarray(s, dtype=complex)
-    if s.ndim == 2:
-        return np.stack([solve_exact_flow(net, row, max_iters, tol) for row in s])
+    rhs = np.conj(np.atleast_2d(s))
     w = net.no_load_voltage
-    v = w.copy()
-    residual = np.inf
+    out = np.empty_like(rhs)
+    active = np.arange(rhs.shape[0])
+    v = w + net.solve_y_ll((rhs / np.conj(w)).T).T
+    residual = np.full(rhs.shape[0], np.inf)
     for it in range(max_iters):
-        v_next = w + net.solve_y_ll(np.conj(s) / np.conj(v))
-        residual = float(np.max(np.abs(v_next - (w + net.solve_y_ll(
-            np.conj(s) / np.conj(v_next))))))
-        v = v_next
-        if residual <= tol:
-            return v
-        if not np.all(np.isfinite(v)) or np.min(np.abs(v)) < 1e-6:
-            break
-    raise DivergedFlowError(residual=residual, iterations=max_iters)
+        v_next = w + net.solve_y_ll((rhs[active] / np.conj(v)).T).T
+        residual = np.max(np.abs(v - v_next), axis=1)
+        done = residual <= tol
+        out[active[done]] = v[done]
+        broken = ~done & (~np.all(np.isfinite(v), axis=1)
+                          | (np.min(np.abs(v), axis=1) < 1e-6))
+        if broken.any():
+            raise DivergedFlowError(residual=float(residual[broken][0]),
+                                    iterations=it + 1)
+        active, v = active[~done], v_next[~done]
+        if active.size == 0:
+            return out if s.ndim == 2 else out[0]
+    raise DivergedFlowError(residual=float(residual[0]), iterations=max_iters)

@@ -44,7 +44,11 @@ class CommLedger:
     counts: dict[tuple[frozenset[int], int, str], int] = field(default_factory=dict)
 
     def record(self, src: int, dest: int, round_index: int, tag: str, units: int) -> None:
-        key = (frozenset((src, dest)), round_index, tag)
+        self.record_pair(frozenset((src, dest)), round_index, tag, units)
+
+    def record_pair(self, pair: frozenset[int], round_index: int, tag: str,
+                    units: int) -> None:
+        key = (pair, round_index, tag)
         self.counts[key] = self.counts.get(key, 0) + units
 
     def count(
@@ -92,12 +96,20 @@ class MessageBus:
         self.ledger = CommLedger()
         self.round_index = 0
         self._pending: dict[int, dict[tuple[int, str], np.ndarray]] = defaultdict(dict)
+        # (src, dest) -> the edge's ledger key, built once rather than per message
+        self._edge_keys: dict[tuple[int, int], frozenset[int]] = {}
+        for pair in self.adjacency:
+            if len(pair) == 2:
+                a, b = pair
+                self._edge_keys[a, b] = self._edge_keys[b, a] = pair
 
-    def _check_edge(self, src: int, dest: int) -> None:
-        if src == dest or frozenset((src, dest)) not in self.adjacency:
+    def _edge_key(self, src: int, dest: int) -> frozenset[int]:
+        key = self._edge_keys.get((src, dest))
+        if key is None:
             raise ProtocolViolationError(
                 f"area {src} may not message non-neighbor area {dest}"
             )
+        return key
 
     def run_round(
         self,
@@ -113,17 +125,16 @@ class MessageBus:
         if sorted(schedule) != sorted(nodes):
             raise ProtocolViolationError("order must be a permutation of the node ids")
         outputs: dict[int, Any] = {}
-        staged: list[tuple[int, Message]] = []
+        staged: list[tuple[int, frozenset[int], Message]] = []
         for area in schedule:
             inbox = self._pending.get(area, {})
             out, sends = nodes[area](inbox)
             outputs[area] = out
             for msg in sends:
-                self._check_edge(area, msg.dest)
-                staged.append((area, msg))
+                staged.append((area, self._edge_key(area, msg.dest), msg))
         self._pending = defaultdict(dict)
-        for src, msg in staged:
-            self.ledger.record(src, msg.dest, self.round_index, msg.tag, msg.payload.size)
+        for src, pair, msg in staged:
+            self.ledger.record_pair(pair, self.round_index, msg.tag, msg.payload.size)
             self._pending[msg.dest][(src, msg.tag)] = msg.payload
         self.round_index += 1
         return outputs

@@ -127,9 +127,10 @@ class TestRunPathIsMatrixFree:
 
 
 class TestRunPathImports:
-    """An estimation run loads neither scipy.stats nor scipy.io; `--runs 2`
-    loads scipy.stats on first use for its confidence intervals.  The check
-    runs in a fresh interpreter, since this process has scipy loaded."""
+    """An estimation run loads no scipy.linalg, scipy.stats or scipy.io;
+    `--runs 2` loads scipy.stats on first use for its confidence intervals.
+    The check runs in a fresh interpreter, since this process has scipy
+    loaded."""
 
     SCRIPT = """
 import json, sys
@@ -139,7 +140,7 @@ config = cli.ExperimentConfig(feeder="feeder33", time_steps=2, areas=3,
                               runs=int(sys.argv[2]),
                               admm=cp.AdmmConfig(max_iters=5))
 ci95 = cli.run_experiment(config, Path(sys.argv[1]))["estimate"]["ci95"]
-print(json.dumps({"loaded": [m for m in ("scipy.stats", "scipy.io")
+print(json.dumps({"loaded": [m for m in ("scipy.linalg", "scipy.stats", "scipy.io")
                              if m in sys.modules], "ci95": ci95}))
 """
 
@@ -158,7 +159,8 @@ print(json.dumps({"loaded": [m for m in ("scipy.stats", "scipy.io")
             assert out["loaded"] == []
             assert out["ci95"] is None
         else:
-            assert out["loaded"] == ["scipy.stats"]
+            assert "scipy.stats" in out["loaded"]
+            assert "scipy.io" not in out["loaded"]
             assert set(out["ci95"]) == {"mape_magnitude_pct", "mae_angle_deg", "rmse"}
             assert all(math.isfinite(v) for v in out["ci95"].values())
 
@@ -266,6 +268,13 @@ class TestCommands:
                 "sweep", *FAST, "--param", param, "--values", "2,2.5",
                 "--out", str(tmp_path),
             ]))
+        assert not any(tmp_path.iterdir())
+
+    def test_sweep_rejects_non_numeric_value(self, tmp_path, capsys):
+        rc = cli.main(["sweep", *FAST, "--param", "fraction", "--values", "0.5,x",
+                       "--out", str(tmp_path)])
+        assert rc == 1
+        assert "error: --values entry 'x' is not a number" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_unknown_sweep_param_rejected(self, tmp_path):

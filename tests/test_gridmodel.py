@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +45,6 @@ class TestPhaseIndex:
 
 
 class TestNetworkModel:
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_admittance_rejected(self):
         index = gm.PhaseIndex(entries=(("b1", "a"), ("b2", "a")))
         y_ll = np.ones((2, 2), dtype=complex)  # rank 1
@@ -52,6 +55,39 @@ class TestNetworkModel:
                 v0=np.array([1.0 + 0j]),
                 index=index,
             )
+
+    def test_exactly_singular_raises_through_lapack(self):
+        index = gm.PhaseIndex(entries=(("b1", "a"), ("b2", "a")))
+        with pytest.raises(gm.SingularAdmittanceError) as excinfo:
+            gm.NetworkModel(
+                y_ll=np.ones((2, 2), dtype=complex),
+                y_l0=np.zeros((2, 1), dtype=complex),
+                v0=np.array([1.0 + 0j]),
+                index=index,
+            )
+        assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
+
+    def test_rank_deficient_up_to_rounding_rejected(self):
+        # rank 2 in exact arithmetic; in floating point the LU's last pivot
+        # is about 3.5e-16, not zero, so LAPACK solves without complaint
+        u = np.array([1.0 + 0.5j, 0.3 - 0.2j, 0.7 + 0.1j])
+        v = np.array([0.9 - 0.4j, 1.1 + 0.3j, -0.6 + 0.8j])
+        y_ll = np.outer(u, u) + np.outer(v, v)
+        np.linalg.solve(y_ll, np.ones(3))
+        index = gm.PhaseIndex(entries=(("b1", "a"), ("b2", "a"), ("b3", "a")))
+        with pytest.raises(gm.SingularAdmittanceError, match="condition"):
+            gm.NetworkModel(
+                y_ll=y_ll,
+                y_l0=np.zeros((3, 1), dtype=complex),
+                v0=np.array([1.0 + 0j]),
+                index=index,
+            )
+
+    def test_no_load_voltage_is_read_only(self, small_feeder):
+        net, _, _ = small_feeder
+        assert net.no_load_voltage is net.no_load_voltage
+        with pytest.raises(ValueError):
+            net.no_load_voltage[0] = 0.0
 
     def test_shape_validation(self):
         index = gm.PhaseIndex(entries=(("b1", "a"),))
@@ -74,6 +110,40 @@ class TestNetworkModel:
             index=index,
         )
         assert np.allclose(net.no_load_voltage, [1.0 + 0j], atol=1e-14)
+
+
+def line_loop_admittance(parents, blocks):
+    """Reference: add each line's blocks one line at a time, in bus order."""
+    n_lines, n_ph, _ = blocks.shape
+    y_full = np.zeros(((n_lines + 1) * n_ph,) * 2, dtype=complex)
+
+    def sl(bus):
+        return slice(bus * n_ph, (bus + 1) * n_ph)
+
+    for b in range(1, n_lines + 1):
+        yb, p = blocks[b - 1], parents[b - 1]
+        y_full[sl(b), sl(b)] += yb
+        y_full[sl(p), sl(p)] += yb
+        y_full[sl(b), sl(p)] -= yb
+        y_full[sl(p), sl(b)] -= yb
+    return y_full
+
+
+class TestRadialAdmittance:
+    @pytest.mark.parametrize("n_ph", [1, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_line_by_line_loop(self, n_ph, seed):
+        # star-heavy random trees, so some buses sum many lines' terms
+        rng = np.random.default_rng(seed)
+        n_lines = 40
+        parents = np.array([rng.integers(0, min(b, 4)) for b in range(1, n_lines + 1)])
+        blocks = (rng.standard_normal((n_lines, n_ph, n_ph))
+                  + 1j * rng.standard_normal((n_lines, n_ph, n_ph)))
+        y_full = gm._radial_admittance(parents, blocks)
+        reference = line_loop_admittance(parents, blocks)
+        assert np.array_equal(y_full, reference)
+        assert np.array_equal(np.signbit(y_full.view(float)),
+                              np.signbit(reference.view(float)))
 
 
 class TestAreaPartition:
@@ -192,10 +262,46 @@ class TestSolveExactFlow:
         with pytest.raises(gm.DivergedFlowError):
             gm.solve_exact_flow(net, s)
 
+    def test_non_finite_load_reports_sweeps_run(self, small_feeder):
+        net, scen, _ = small_feeder
+        s = scen.s.copy()
+        s[1, 3] = np.inf
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(gm.DivergedFlowError) as excinfo:
+            gm.solve_exact_flow(net, s)
+        assert excinfo.value.iterations == 1
+
     def test_multi_step(self, small_feeder):
         net, scen, _ = small_feeder
         v = gm.solve_exact_flow(net, scen.s)
         assert v.shape == scen.s.shape
+
+    # The thread count changes the rounding of a multi-column LAPACK solve,
+    # and this process's BLAS may run several; a fresh interpreter pins one.
+    ROW_BY_ROW = """
+import sys
+import numpy as np
+from gridmc import gridmodel as gm
+if sys.argv[1] == "feeder33":
+    net, scen, _ = gm.feeder33_analog(seed=0, n_steps=10, n_areas=1)
+else:
+    net, scen = gm.generate_radial_feeder(129, seed=0, n_steps=5)
+batched = gm.solve_exact_flow(net, scen.s)
+rows = np.stack([gm.solve_exact_flow(net, row) for row in scen.s])
+print(batched.shape == scen.s.shape and np.array_equal(batched, rows))
+"""
+
+    @pytest.mark.parametrize("feeder", ["feeder33", "random"])
+    def test_batched_equals_row_by_row(self, feeder):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", self.ROW_BY_ROW, feeder],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True"]
 
 
 class TestLoadNetwork:
