@@ -1,0 +1,226 @@
+#!/usr/bin/env python3
+"""Before/after benchmark pairs for two checkouts of gridmc.
+
+    python3 scripts/bench_pairs.py PARENT_ROOT CHANGE_ROOT \\
+        --workload feeder33-t5-a5 --pairs 10 --seconds 8 --seed 401
+
+Each root is a checkout holding `src/gridmc`, `perfbench/` and
+`BENCHMARK.json`.  The script does two things, and changes neither tree:
+
+1. It checks that both trees compute the same thing.  Each side runs
+   `gridmc run` once at the workload's settings (those of `perfbench/run.py`)
+   with one BLAS thread.  `results.json` and `spectrum.csv` must match byte
+   for byte, and `trace.csv` must match apart from its `max_area_ms` timing
+   column.  If they differ it stops with exit code 1 and benchmarks nothing.
+2. It runs `perfbench/run.py --trace 0` of each tree in turn, `--pairs`
+   times with the seeds `--seed`, `--seed` + 1, ...  The side that runs
+   first alternates from pair to pair, so a drift in machine speed does not
+   favour either side.
+
+Per workload it records each end-to-end metric's per-pair values, the
+median and quartiles of each side, the number of pairs the change wins
+(strictly better in the metric's direction from `BENCHMARK.json`), and the
+median gain next to the parent's interquartile range.  The record is merged
+into `--out` (default `BENCH.json` in the current directory) under the
+workload's name, so one file can hold several workloads.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ONE_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                               "MKL_NUM_THREADS")}
+# perfbench/run.py's fixed measurement settings, as `gridmc run` options
+FIXED_OPTIONS = ["--policy", "scada", "--fraction", "0.5", "--noise-pct", "1.0",
+                 "--runs", "1"]
+
+
+def load_perfbench(root: Path):
+    """perfbench/run.py of a checkout, imported for its workload table."""
+    bench_dir = root / "perfbench"
+    sys.path.insert(0, str(bench_dir))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", bench_dir / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(bench_dir))
+    return module
+
+
+def run_options(bench, workload: str) -> list[str]:
+    wl = bench.WORKLOADS[workload]
+    tuned = bench.TUNED
+    return [
+        "--feeder", wl.feeder, "--buses", str(wl.n_buses),
+        "--time-steps", str(wl.time_steps), "--areas", str(wl.areas),
+        "--max-iters", str(wl.max_iters), "--seed", str(bench.INSTANCE_SEED),
+        "--mu", repr(tuned["mu"]), "--nu", repr(tuned["nu"]),
+        "--gamma", repr(tuned["gamma"]), "--lambda", repr(tuned["lam"]),
+        "--rank", str(tuned["rank"]), *FIXED_OPTIONS,
+    ]
+
+
+def gridmc_run(root: Path, options: list[str], out: Path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), **ONE_THREAD)
+    subprocess.run([sys.executable, "-m", "gridmc.cli", "run", *options,
+                    "--out", str(out)], env=env, cwd=root, check=True,
+                   stdout=subprocess.DEVNULL)
+
+
+def describe(root: Path) -> str:
+    """The checkout's commit, marked "+dirty" if its working tree differs."""
+    def git(*cmd):
+        return subprocess.run(["git", "-C", str(root), *cmd], capture_output=True,
+                              text=True).stdout.strip()
+    commit = git("rev-parse", "--short", "HEAD") or "unknown"
+    return commit + ("+dirty" if git("status", "--porcelain", "--untracked-files=no")
+                     else "")
+
+
+def trace_without_timing(path: Path) -> list[list[str]]:
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    drop = rows[0].index("max_area_ms")
+    return [row[:drop] + row[drop + 1:] for row in rows]
+
+
+def compare_outputs(parent: Path, change: Path, options: list[str]) -> dict[str, bool]:
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = {}
+        for side, root in (("parent", parent), ("change", change)):
+            outs[side] = Path(tmp) / side
+            gridmc_run(root, options, outs[side])
+        a, b = outs["parent"], outs["change"]
+        return {
+            "results.json": (a / "results.json").read_bytes()
+            == (b / "results.json").read_bytes(),
+            "spectrum.csv": (a / "spectrum.csv").read_bytes()
+            == (b / "spectrum.csv").read_bytes(),
+            "trace.csv without max_area_ms": trace_without_timing(a / "trace.csv")
+            == trace_without_timing(b / "trace.csv"),
+        }
+
+
+def perfbench(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """(final JSON line, environment record) of one benchmark run."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True, check=True,
+    )
+    lines = proc.stdout.splitlines()
+    env = next((json.loads(line[len("# env "):]) for line in lines
+                if line.startswith("# env ")), {})
+    return json.loads(lines[-1]), env
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4)
+    return q1, statistics.median(values), q3
+
+
+def summarize(name: str, better: str, unit: str, parent: list[float],
+              change: list[float]) -> dict:
+    sign = 1.0 if better == "lower" else -1.0
+    p_q1, p_med, p_q3 = quartiles(parent)
+    c_q1, c_med, c_q3 = quartiles(change)
+    gain = sign * (p_med - c_med)
+    return {
+        "unit": unit,
+        "better": better,
+        "parent": parent,
+        "change": change,
+        "parent_median": p_med, "parent_q1": p_q1, "parent_q3": p_q3,
+        "change_median": c_med, "change_q1": c_q1, "change_q3": c_q3,
+        "change_wins": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
+        "median_gain": gain,
+        "median_gain_pct": 100.0 * gain / p_med if p_med else None,
+        "parent_iqr": p_q3 - p_q1,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_root", type=Path)
+    parser.add_argument("change_root", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=8.0)
+    parser.add_argument("--seed", type=int, default=401)
+    parser.add_argument("--out", type=Path, default=Path("BENCH.json"))
+    args = parser.parse_args(argv)
+    if args.pairs < 1 or args.seconds <= 0:
+        parser.error("--pairs must be >= 1 and --seconds > 0")
+    roots = {"parent": args.parent_root.resolve(), "change": args.change_root.resolve()}
+    bench = load_perfbench(roots["change"])
+    if args.workload not in bench.WORKLOADS:
+        parser.error(f"unknown workload {args.workload!r}; "
+                     f"choose from {sorted(bench.WORKLOADS)}")
+    declared = json.loads((roots["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+
+    identical = compare_outputs(roots["parent"], roots["change"],
+                                run_options(bench, args.workload))
+    print(f"# {args.workload} outputs identical: {identical}", flush=True)
+    if not all(identical.values()):
+        print("error: the two trees give different outputs; no pairs run",
+              file=sys.stderr)
+        return 1
+
+    values = {side: {m["name"]: [] for m in declared} for side in roots}
+    failed = {side: [] for side in roots}
+    firsts, environment = [], {}
+    for i in range(args.pairs):
+        seed = args.seed + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        firsts.append(order[0])
+        for side in order:
+            result, env = perfbench(roots[side], args.workload, seed, args.seconds)
+            environment = environment or env
+            failed[side].append(result["failed"])
+            for m in declared:
+                values[side][m["name"]].append(result["metrics"][m["name"]]["value"])
+        est = {side: values[side]["estimate_s"][-1] for side in roots}
+        print(f"# pair {i + 1}/{args.pairs} seed {seed}: estimate_s parent "
+              f"{est['parent']:.4g} change {est['change']:.4g}", flush=True)
+
+    record = {
+        "parent": describe(roots["parent"]),
+        "change": describe(roots["change"]),
+        "pairs": args.pairs,
+        "seconds": args.seconds,
+        "seeds": [args.seed + i for i in range(args.pairs)],
+        "first": firsts,
+        "outputs_identical": identical,
+        "failed": failed,
+        "environment": environment,
+        "metrics": {m["name"]: summarize(m["name"], m["better"], m["unit"],
+                                         values["parent"][m["name"]],
+                                         values["change"][m["name"]])
+                    for m in declared},
+    }
+    merged = json.loads(args.out.read_text()) if args.out.exists() else {}
+    merged[args.workload] = record
+    tmp = args.out.with_suffix(".tmp")
+    tmp.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+    shutil.move(tmp, args.out)
+    for name, s in record["metrics"].items():
+        print(f"# {name:15s} parent {s['parent_median']:.6g} [{s['parent_q1']:.6g}, "
+              f"{s['parent_q3']:.6g}] -> change {s['change_median']:.6g}; "
+              f"change wins {s['change_wins']}/{args.pairs}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -8,6 +8,8 @@ Every function here takes the observation mask as a boolean m x n array
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -46,6 +48,8 @@ class AdmmConfig:
             raise CompletionError("penalty parameters must be positive")
         if self.prox_c < 0 or self.tol <= 0:
             raise CompletionError("prox_c must be >= 0 and tol > 0")
+        if self.max_iters < 1:
+            raise CompletionError(f"max_iters must be >= 1, got {self.max_iters}")
 
     def resolve_rank(self, m: int) -> int:
         return self.rank if self.rank is not None else min(10, m)
@@ -80,6 +84,9 @@ class AreaState:
     x: np.ndarray  # X_l = U_l V_l, formed once per iteration
     e_ll: np.ndarray | None = None  # E_ll(X_l), set by each iteration with flow maps
     s: dict[int, np.ndarray] = field(default_factory=dict)  # S_lj
+    # S_lj - Gamma_lj, the point the consensus term pulls U_l to; formed where
+    # S and Gamma change (round B), read by the next U update
+    pull: dict[int, np.ndarray] = field(default_factory=dict)
     q: dict[int, np.ndarray] = field(default_factory=dict)  # q_lj
     gamma: dict[int, np.ndarray] = field(default_factory=dict)  # dual for U_l = S_lj
     lam: dict[int, np.ndarray] = field(default_factory=dict)  # dual for E_lj = q_lj
@@ -138,6 +145,17 @@ class SolveResult:
 
 # --- objective --------------------------------------------------------------
 
+def _sum_squares(a: np.ndarray) -> float:
+    """np.sum(a * a), the same pairwise sum, without np.sum's Python wrapper."""
+    return float(np.add.reduce(a * a, axis=None))
+
+
+def _norm(a: np.ndarray) -> float:
+    """np.linalg.norm(a) (Frobenius), from one dot product as numpy forms it."""
+    flat = a.reshape(-1)
+    return math.sqrt(flat @ flat)
+
+
 def _objective_decentralized(problems, states, config) -> float:
     """Area-wise objective with the communicated q terms in place of the
     neighbor flow contributions."""
@@ -145,13 +163,13 @@ def _objective_decentralized(problems, states, config) -> float:
     n_areas = len(problems)
     for l, prob in problems.items():
         st = states[l]
-        val += 0.5 * (np.sum(st.u * st.u) / n_areas + np.sum(st.v * st.v))
+        val += 0.5 * (_sum_squares(st.u) / n_areas + _sum_squares(st.v))
         diff = np.where(prob.mask, st.x - prob.m_l, 0.0)
-        val += 0.5 * config.mu * np.sum(diff * diff)
+        val += 0.5 * config.mu * _sum_squares(diff)
         if prob.maps is not None:
             res = st.e_ll - prob.f_l
             for j in prob.neighbors:
-                res = res + st.q[j]
+                res += st.q[j]
             val += 0.5 * config.nu * float(res @ res)
     return val
 
@@ -210,6 +228,8 @@ class AreaProblem:
     b_from: dict[int, np.ndarray]  # j -> B_jl, rho_jl x 5n_l
     h_u: np.ndarray | None  # H as (col, (row, row', col')): n_l x 25 n_l
     h_v: np.ndarray | None  # H as ((col, col'), (row, row')): n_l^2 x 25
+    _diagonal_index: dict[tuple[int, int, int], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -222,6 +242,17 @@ class AreaProblem:
     @property
     def deg(self) -> int:
         return len(self.neighbors)
+
+    def diagonal_blocks(self, n_sys: int, k: int, r: int) -> np.ndarray:
+        """Flat indices of the k r x r diagonal blocks of each of n_sys
+        stacked kr x kr matrices, in (system, block, row, column) order;
+        built on first use and kept for the run."""
+        key = (n_sys, k, r)
+        if key not in self._diagonal_index:
+            s, b, i, j = np.ix_(*(np.arange(n) for n in (n_sys, k, r, r)))
+            index = (((s * k + b) * r + i) * k + b) * r + j
+            self._diagonal_index[key] = index.ravel()
+        return self._diagonal_index[key]
 
 
 def _build_problems(
@@ -303,22 +334,26 @@ def _solve_checked(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     solution, over the whole stack of systems."""
     sol = _solve_quadratic(h, rhs)
     grad = (h @ sol[..., None])[..., 0] - rhs
-    # the Frobenius norms of h, sol, rhs and grad, from one squared sum each
-    h_n, sol_n, rhs_n, grad_n = np.sqrt([np.vdot(a, a) for a in (h, sol, rhs, grad)])
-    if not grad_n <= 1e-9 * (1.0 + (h_n * sol_n + rhs_n)):
+    if not _norm(grad) <= 1e-9 * (1.0 + (_norm(h) * _norm(sol) + _norm(rhs))):
         raise CompletionError("block update does not solve its normal equations")
     return sol
 
 
-def _block_diag(blocks: np.ndarray, base: float) -> np.ndarray:
-    """(n_sys, k, r, r) -> (n_sys, k, r, k, r): each system's k blocks on its
-    block diagonal, plus base on its main diagonal."""
-    n_sys, k, r, _ = blocks.shape
-    out = np.zeros((n_sys, k, r, k, r))
-    diag = np.arange(k)
-    out[:, diag, :, diag, :] = blocks.transpose(1, 0, 2, 3)
-    out.reshape(n_sys, -1)[:, :: k * r + 1] += base
-    return out
+def _normal_matrix(prob: AreaProblem, flow: np.ndarray | None, data: np.ndarray,
+                   base: float) -> np.ndarray:
+    """(n_sys, kr, kr) stacked normal matrices: the flow part (k, r, k, r),
+    the same for every system, written once, plus each system's k data
+    blocks (data: (n_sys, k, r, r), overwritten) with base added to their
+    diagonal first."""
+    n_sys, k, r, _ = data.shape
+    data.reshape(-1, r * r)[:, :: r + 1] += base
+    if flow is None:
+        h = np.zeros((n_sys, k * r, k * r))
+    else:
+        h = np.empty((n_sys, k * r, k * r))
+        h.reshape(n_sys, k, r, k, r)[...] = flow
+    h.reshape(-1)[prob.diagonal_blocks(n_sys, k, r)] += data.reshape(-1)
+    return h
 
 
 def update_u(prob: AreaProblem, st: AreaState, config: AdmmConfig,
@@ -333,17 +368,17 @@ def update_u(prob: AreaProblem, st: AreaState, config: AdmmConfig,
     base = 1.0 / prob.n_areas + config.prox_c + config.gamma * prob.deg
     rhs = config.prox_c * st.u + config.mu * (prob.m_obs @ v.T)
     for j in prob.neighbors:
-        rhs += config.gamma * (st.s[j] - st.gamma[j])
+        rhs += config.gamma * st.pull[j]
     # data Gram of row i: mu sum over observed columns c of v_c v_c^T
     data = config.mu * (prob.mask @ _outer_rows(v.T))
     rows = ROWS_PER_STEP if prob.maps is not None else 1
-    h = _block_diag(data.reshape(m // rows, rows, r, r), base)
+    flow = None
     if prob.maps is not None:
         rhs += z @ v.T
         # (V^T kron I_5)^T H (V^T kron I_5), the same for every step
         flow = ((v @ prob.h_u).reshape(-1, prob.n_l) @ v.T).reshape(r, rows, rows, r)
-        h += flow.transpose(1, 0, 2, 3)  # (k, j, k', j')
-    h = h.reshape(-1, rows * r, rows * r)
+        flow = flow.transpose(1, 0, 2, 3)  # (k, j, k', j')
+    h = _normal_matrix(prob, flow, data.reshape(m // rows, rows, r, r), base)
     return _solve_checked(h, rhs.reshape(m // rows, rows * r)).reshape(m, r)
 
 
@@ -356,15 +391,15 @@ def update_v(prob: AreaProblem, st: AreaState, u_new: np.ndarray,
     n_l = prob.n_l
     rhs = config.prox_c * st.v + config.mu * (u_new.T @ prob.m_obs)
     data = config.mu * (prob.mask.T @ _outer_rows(u_new))
-    h = _block_diag(data.reshape(1, n_l, r, r), 1.0 + config.prox_c)[0]
+    flow = None
     if prob.maps is not None:
         rhs += u_new.T @ z
         u_steps = u_new.reshape(prob.maps.n_steps, ROWS_PER_STEP * r)
         w = (u_steps.T @ u_steps).reshape(ROWS_PER_STEP, r, ROWS_PER_STEP, r)
         w = w.transpose(0, 2, 1, 3)  # (k, k', j, j')
         flow = (prob.h_v @ w.reshape(ROWS_PER_STEP**2, r * r)).reshape(n_l, n_l, r, r)
-        h += flow.transpose(0, 2, 1, 3)  # (c, j, c', j')
-    h = h.reshape(n_l * r, n_l * r)
+        flow = flow.transpose(0, 2, 1, 3)  # (c, j, c', j')
+    h = _normal_matrix(prob, flow, data.reshape(1, n_l, r, r), 1.0 + config.prox_c)[0]
     return _solve_checked(h, rhs.T.ravel()).reshape(n_l, r).T
 
 
@@ -383,17 +418,14 @@ def update_q(
     """Simultaneous closed-form solve of the coupled q system at one area."""
     if config.lam == 0:
         raise CompletionError("unsupported config: q update requires lambda > 0")
-    lam, nu = config.lam, config.nu
-    deg = prob.deg
-    rhs = {
-        j: lam * (e_in[j] - lam_duals[j]) + nu * (prob.f_l - e_ll_val)
-        for j in prob.neighbors
-    }
-    if not rhs:
+    if not prob.neighbors:
         return {}
-    total = np.sum(list(rhs.values()), axis=0)
-    factor = nu / (lam + nu * deg)
-    return {j: (rhs[j] - factor * total) / lam for j in prob.neighbors}
+    lam, nu = config.lam, config.nu
+    own = nu * (prob.f_l - e_ll_val)
+    rhs = {j: lam * (e_in[j] - lam_duals[j]) + own for j in prob.neighbors}
+    total = functools.reduce(np.add, rhs.values())  # summed in neighbor order
+    shift = (nu / (lam + nu * prob.deg)) * total
+    return {j: (rhs[j] - shift) / lam for j in prob.neighbors}
 
 
 def update_duals(
@@ -428,6 +460,7 @@ def _init_states(
         for j in prob.neighbors:
             st.s[j] = u.copy()
             st.gamma[j] = np.zeros_like(u)
+            st.pull[j] = st.s[j] - st.gamma[j]
             if prob.maps is not None:
                 st.lam[j] = np.zeros(prob.maps.residual_dim(l))
                 st.lam_in[j] = np.zeros_like(st.e_out[j])
@@ -454,7 +487,7 @@ def _consensus_residual(problems, states) -> float:
     for l, prob in problems.items():
         for j in prob.neighbors:
             if j > l:
-                worst = max(worst, float(np.linalg.norm(states[l].u - states[j].u)))
+                worst = max(worst, _norm(states[l].u - states[j].u))
     return worst
 
 
@@ -518,8 +551,9 @@ def run_decentralized(
             if prob.neighbors:
                 if prob.maps is not None:
                     st.e_out = _flow_coords(prob, st.x)
+                u_flat = u_new.reshape(-1)
                 for j in prob.neighbors:
-                    sends.append(Message(dest=j, tag="factor", payload=u_new))
+                    sends.append(Message(dest=j, tag="factor", payload=u_flat))
                     if prob.maps is not None:
                         sends.append(
                             Message(dest=j, tag="flow-term", payload=st.e_out[j])
@@ -549,6 +583,7 @@ def run_decentralized(
                 s_new = {j: update_s(st.u, st.u_in[j]) for j in prob.neighbors}
                 gamma_new, lam_new = update_duals(st, st.u, s_new, q_new, e_full)
                 st.s, st.gamma = s_new, gamma_new
+                st.pull = {j: s_new[j] - gamma_new[j] for j in prob.neighbors}
                 if prob.maps is not None:
                     st.q, st.lam = q_new, lam_new
                     for j in prob.neighbors:
@@ -561,18 +596,20 @@ def run_decentralized(
 
         return fn
 
+    nodes_a = {l: node_a(l) for l in part.areas}
+    nodes_b = {l: node_b(l) for l in part.areas}
     x_prev = None
     converged = False
     for k in range(config.max_iters):
         order_a = order.get(2 * k) if order else None
         order_b = order.get(2 * k + 1) if order else None
-        bus.run_round({l: node_a(l) for l in part.areas}, order=order_a)
-        bus.run_round({l: node_b(l) for l in part.areas}, order=order_b)
+        bus.run_round(nodes_a, order=order_a)
+        bus.run_round(nodes_b, order=order_b)
 
         x_full = np.empty_like(m_data)
         for l, prob in problems.items():
             x_full[:, prob.cols] = states[l].x
-        if not np.all(np.isfinite(x_full)):
+        if not np.isfinite(x_full).all():
             raise DivergenceError(iteration=k)
 
         consensus = _consensus_residual(problems, states)
@@ -580,15 +617,13 @@ def run_decentralized(
         trace.objective.append(_objective_decentralized(problems, states, config))
         trace.max_area_seconds.append(max(timings.values()))
         if reference is not None:
-            trace.rmse.append(
-                float(np.sqrt(np.mean((x_full - reference) ** 2)))
-            )
+            err = x_full - reference
+            trace.rmse.append(math.sqrt(_sum_squares(err) / err.size))
         if keep_history:
             history.append({l: states[l].u.copy() for l in part.areas})
 
         if x_prev is not None:
-            denom = max(np.linalg.norm(x_prev), 1e-30)
-            change = np.linalg.norm(x_full - x_prev) / denom
+            change = _norm(x_full - x_prev) / max(_norm(x_prev), 1e-30)
             if consensus < config.tol and change < config.tol:
                 converged = True
                 break

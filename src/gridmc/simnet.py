@@ -29,8 +29,11 @@ class Message:
     payload: np.ndarray
 
     def __post_init__(self):
-        payload = np.ascontiguousarray(np.asarray(self.payload, dtype=float).ravel())
-        object.__setattr__(self, "payload", payload)
+        payload = self.payload
+        if not (type(payload) is np.ndarray and payload.dtype == np.float64
+                and payload.ndim == 1 and payload.flags.c_contiguous):
+            payload = np.ascontiguousarray(np.asarray(payload, dtype=float).ravel())
+            object.__setattr__(self, "payload", payload)
 
 
 # Inbox maps (source area, tag) -> payload.

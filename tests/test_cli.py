@@ -261,6 +261,14 @@ class TestCommands:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_run_rejects_zero_iterations(self, tmp_path, capsys):
+        """An empty solve has no final residual to report: the command ends
+        with an error line and exit code 1 before building anything."""
+        rc = cli.main(["run", *FAST, "--max-iters", "0", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "error: max_iters must be >= 1, got 0" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("param", ["time-steps", "areas"])
     def test_sweep_rejects_non_integral_counts(self, tmp_path, param):
         with pytest.raises(cli.CliError, match="integers"):

@@ -13,6 +13,7 @@ from gridmc import completion as cp
 from gridmc import datamatrix as dm
 from gridmc import gridmodel as gm
 from gridmc import linflow as lf
+from gridmc import simnet as sn
 
 # Independently pinned optimum of the seeded nuclear-norm problem below,
 # computed once with an interior-point style convex solver at eps 1e-10.
@@ -41,7 +42,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [{"mu": 0.0}, {"nu": -1.0}, {"gamma": 0.0}, {"lam": 0.0},
-         {"prox_c": -0.1}, {"tol": 0.0}],
+         {"prox_c": -0.1}, {"tol": 0.0}, {"max_iters": 0}, {"max_iters": -1}],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(cp.CompletionError):
@@ -157,7 +158,9 @@ def _perturbed_states(problems, m_data, mask, r, seed):
         st = states[l]
         for j in prob.neighbors:
             st.gamma[j] = 0.1 * rng.standard_normal(st.u.shape)
-            st.lam_in[j] = 0.1 * rng.standard_normal(st.lam_in[j].shape)
+            st.pull[j] = st.s[j] - st.gamma[j]
+            if prob.maps is not None:
+                st.lam_in[j] = 0.1 * rng.standard_normal(st.lam_in[j].shape)
     return states
 
 
@@ -361,6 +364,88 @@ class TestSubproblems:
         assert not np.any(off_diagonal)
 
 
+def _block_diag(blocks, base):
+    """(n_sys, k, r, r) -> (n_sys, k, r, k, r): each system's k blocks on its
+    block diagonal, plus base on its main diagonal (the assembly the U and V
+    updates used before they wrote their normal matrices in place)."""
+    n_sys, k, r, _ = blocks.shape
+    out = np.zeros((n_sys, k, r, k, r))
+    diag = np.arange(k)
+    out[:, diag, :, diag, :] = blocks.transpose(1, 0, 2, 3)
+    out.reshape(n_sys, -1)[:, :: k * r + 1] += base
+    return out
+
+
+def _reference_u_system(prob, st, config, z):
+    """update_u's normal matrices and right-hand side, zero-filled and summed
+    in the reference order: base, then the flow block."""
+    m, r = st.u.shape
+    v = st.v
+    base = 1.0 / prob.n_areas + config.prox_c + config.gamma * prob.deg
+    rhs = config.prox_c * st.u + config.mu * (prob.m_obs @ v.T)
+    for j in prob.neighbors:
+        rhs += config.gamma * (st.s[j] - st.gamma[j])
+    data = config.mu * (prob.mask @ cp._outer_rows(v.T))
+    rows = 5 if prob.maps is not None else 1
+    h = _block_diag(data.reshape(m // rows, rows, r, r), base)
+    if prob.maps is not None:
+        rhs += z @ v.T
+        flow = ((v @ prob.h_u).reshape(-1, prob.n_l) @ v.T).reshape(r, rows, rows, r)
+        h += flow.transpose(1, 0, 2, 3)
+    return h.reshape(-1, rows * r, rows * r), rhs.reshape(m // rows, rows * r)
+
+
+def _reference_v_system(prob, st, u_new, config, z):
+    """update_v's normal matrix and right-hand side, assembled the same way."""
+    r, n_l = u_new.shape[1], prob.n_l
+    rhs = config.prox_c * st.v + config.mu * (u_new.T @ prob.m_obs)
+    data = config.mu * (prob.mask.T @ cp._outer_rows(u_new))
+    h = _block_diag(data.reshape(1, n_l, r, r), 1.0 + config.prox_c)[0]
+    if prob.maps is not None:
+        rhs += u_new.T @ z
+        u_steps = u_new.reshape(prob.maps.n_steps, 5 * r)
+        w = (u_steps.T @ u_steps).reshape(5, r, 5, r).transpose(0, 2, 1, 3)
+        flow = (prob.h_v @ w.reshape(25, r * r)).reshape(n_l, n_l, r, r)
+        h += flow.transpose(0, 2, 1, 3)
+    return h.reshape(n_l * r, n_l * r), rhs.T.ravel()
+
+
+class TestNormalMatrixAssembly:
+    """The U and V normal matrices, written in place, equal bit for bit the
+    zero-filled block-diagonal assembly; so do their right-hand sides."""
+
+    @pytest.mark.parametrize("areas", ["three", "single"])
+    @pytest.mark.parametrize("with_maps", [True, False])
+    def test_bit_equal_to_block_diag_assembly(self, three_step_setup, monkeypatch,
+                                              areas, with_maps):
+        m_data, mask, maps, part, _ = three_step_setup
+        if areas == "single":
+            # the same T=3 feeder as one area
+            net, _ = gm.generate_radial_feeder(9, branching=0.5, seed=2, n_steps=3)
+            part = gm.AreaPartition.single_area(net.n_phases)
+            model = lf.build_linear_model(net, n_steps=3)
+            maps = lf.build_area_maps(lf.truncate_model(model, part))
+        config = cp.AdmmConfig(rank=3, mu=3.0, nu=2.0, gamma=1.5, lam=0.5)
+        problems = cp._build_problems(m_data, mask, maps if with_maps else None,
+                                      part, config)
+        states = _perturbed_states(problems, m_data, mask, 3, 5)
+        solved = []
+        solve = cp._solve_quadratic
+        monkeypatch.setattr(cp, "_solve_quadratic",
+                            lambda h, rhs: solved.append((h, rhs)) or solve(h, rhs))
+        for l, prob in problems.items():
+            st = states[l]
+            z = _z(prob, st, config)
+            u_new = cp.update_u(prob, st, config, z)
+            cp.update_v(prob, st, u_new, config, z)
+            (h_u, rhs_u), (h_v, rhs_v) = solved[-2:]
+            ref_h_u, ref_rhs_u = _reference_u_system(prob, st, config, z)
+            ref_h_v, ref_rhs_v = _reference_v_system(prob, st, u_new, config, z)
+            assert np.array_equal(h_u, ref_h_u) and np.array_equal(rhs_u, ref_rhs_u)
+            assert np.array_equal(h_v, ref_h_v) and np.array_equal(rhs_v, ref_rhs_v)
+        assert len(solved) == 2 * len(problems)
+
+
 class TestQUpdate:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 5000), lam=st.floats(0.1, 100.0),
@@ -494,6 +579,35 @@ class TestOncePerIteration:
             assert np.array_equal(st.x, st.u @ st.v)
             assert np.array_equal(st.e_ll, maps.apply(l, l, st.x))
             assert result.x_blocks[l] is st.x
+
+
+class TestMessagePayloads:
+    def test_delivered_payloads_never_change(self, three_step_setup, monkeypatch):
+        """A message holds the sender's array, not a copy, so no area may
+        update a sent array in place: every payload delivered so far still
+        has its bytes at the start of each later round and after the run."""
+        m_data, mask, maps, part, _ = three_step_setup
+        delivered = []  # (payload, its bytes when delivered)
+
+        def unchanged():
+            return all(payload.tobytes() == snapshot for payload, snapshot in delivered)
+
+        run_round = sn.MessageBus.run_round
+
+        def checked_round(bus, nodes, order=None):
+            assert unchanged(), f"a payload changed before round {bus.round_index}"
+            out = run_round(bus, nodes, order=order)
+            delivered.extend((payload, payload.tobytes())
+                             for inbox in bus._pending.values()
+                             for payload in inbox.values())
+            return out
+
+        monkeypatch.setattr(sn.MessageBus, "run_round", checked_round)
+        config = cp.AdmmConfig(rank=3, max_iters=5, tol=1e-14)
+        result = cp.run_decentralized(m_data, mask, maps, part, config)
+        assert result.trace.iterations == 5 and part.n_areas == 3
+        assert result.bus.round_index == 10 and len(delivered) > 0
+        assert unchanged(), "a payload changed after the last round"
 
 
 class TestSvtOracle:
