@@ -172,10 +172,10 @@ class CertificateReport:
         }
 
 
-def theorem1_check(x_bar: np.ndarray, op: StackedOperator, mu: float,
-                   seed: int = 0) -> CertificateReport:
-    """Spectral-norm global-optimality test on the assembled estimate."""
-    norm = spectral_norm(residual_matrix(op, x_bar, mu), seed=seed)
+def theorem1_check(r: np.ndarray, mu: float, seed: int = 0) -> CertificateReport:
+    """Spectral-norm global-optimality test on the residual matrix
+    r = `residual_matrix` of the assembled estimate."""
+    norm = spectral_norm(r, seed=seed)
     return CertificateReport(
         spectral_norm=norm,
         theorem1_pass=norm <= 1.0 + 1e-9,
@@ -184,11 +184,11 @@ def theorem1_check(x_bar: np.ndarray, op: StackedOperator, mu: float,
 
 
 def stationarity_and_traces(
-    u: np.ndarray, v: np.ndarray, op: StackedOperator, mu: float
+    u: np.ndarray, v: np.ndarray, r: np.ndarray
 ) -> tuple[float, float, tuple[float, float]]:
-    """First-order residual norms and the two trace-identity residuals."""
+    """First-order residual norms and the two trace-identity residuals, for
+    the residual matrix r of X = UV."""
     x = u @ v
-    r = residual_matrix(op, x, mu)
     grad_u = np.linalg.norm(r @ v.T + u)
     grad_v = np.linalg.norm(r.T @ u + v.T)
     cross = float(np.sum(r * x))
@@ -196,25 +196,20 @@ def stationarity_and_traces(
     return float(grad_u), float(grad_v), traces
 
 
-def complementary_slackness(
-    u: np.ndarray, v: np.ndarray, op: StackedOperator, mu: float
-) -> float:
+def complementary_slackness(u: np.ndarray, v: np.ndarray, r: np.ndarray) -> float:
     """|<W, M>| for the candidate primal block matrix (UU^T, UV; (UV)^T, V^TV)
-    and the dual built from the scaled residual matrix."""
+    and the dual built from the residual matrix r of X = UV."""
     x = u @ v
-    r = residual_matrix(op, x, mu)
     return float(abs(
         0.5 * np.sum(u * u) + 0.5 * np.sum(v * v) + np.sum(r * x)
     ))
 
 
-def dual_feasibility_min_eig(
-    u: np.ndarray, v: np.ndarray, op: StackedOperator, mu: float
-) -> float:
+def dual_feasibility_min_eig(r: np.ndarray) -> float:
     """Minimum eigenvalue of the Schur complement 0.5 I - 2 M2 M2^T with
-    M2 = (mu/2) B^*(B(UV) - d); nonnegative iff the dual candidate is
-    feasible."""
-    m2 = 0.5 * residual_matrix(op, u @ v, mu)
+    M2 = r / 2 = (mu/2) B^*(B(UV) - d); nonnegative iff the dual candidate
+    is feasible."""
+    m2 = 0.5 * r
     schur = 0.5 * np.eye(m2.shape[0]) - 2.0 * (m2 @ m2.T)
     return float(np.linalg.eigvalsh(schur)[0])
 
@@ -222,11 +217,13 @@ def dual_feasibility_min_eig(
 def full_report(
     u: np.ndarray, v: np.ndarray, op: StackedOperator, mu: float, seed: int = 0
 ) -> CertificateReport:
-    report = theorem1_check(u @ v, op, mu, seed=seed)
-    gu, gv, traces = stationarity_and_traces(u, v, op, mu)
+    """All checks at X = UV, from one residual matrix."""
+    r = residual_matrix(op, u @ v, mu)
+    report = theorem1_check(r, mu, seed=seed)
+    gu, gv, traces = stationarity_and_traces(u, v, r)
     report.grad_u_norm = gu
     report.grad_v_norm = gv
     report.trace_residuals = traces
-    report.comp_slack_residual = complementary_slackness(u, v, op, mu)
-    report.dual_feasibility_min_eig = dual_feasibility_min_eig(u, v, op, mu)
+    report.comp_slack_residual = complementary_slackness(u, v, r)
+    report.dual_feasibility_min_eig = dual_feasibility_min_eig(r)
     return report

@@ -67,7 +67,7 @@ def _build_instance(config: ExperimentConfig, seed: int):
     v_true = gm.solve_exact_flow(net, scen.s)
     mat = dm.build_matrix(v_true, scen.s)
     model = lf.build_linear_model(net, n_steps=config.time_steps)
-    maps = lf.build_area_maps(lf.truncate_model(model, part))
+    maps = lf.build_area_maps(model, part)
     return net, scen, part, v_true, mat, model, maps
 
 

@@ -119,7 +119,6 @@ class SolveResult:
     partition: AreaPartition
     bus: MessageBus
     converged: bool  # stopped by the tolerance test, not the iteration cap
-    u_history: list[dict[int, np.ndarray]] | None = None
 
     @property
     def x(self) -> np.ndarray:
@@ -213,9 +212,11 @@ class AreaProblem:
     through vec_F(X_t): the own-area block G_ll and the coupling factor B_jl
     of each neighbor (see `AreaMaps`).  The flow Hessian of one step,
     H = nu G_ll^T G_ll + lam sum_j B_jl^T B_jl, is weighted once per run and
-    stored in the two layouts the U and V contractions consume."""
+    stored in the two layouts the U and V contractions consume.  The
+    updates read their weights from `config`, the one H was weighted with."""
 
     area: int
+    config: AdmmConfig
     cols: np.ndarray
     m_l: np.ndarray  # m x n_l data block
     mask: np.ndarray  # boolean m x n_l
@@ -280,6 +281,7 @@ def _build_problems(
             h_v = h.transpose(0, 2, 1, 3).reshape(n_l * n_l, -1)
         problems[l] = AreaProblem(
             area=l,
+            config=config,
             cols=cols,
             m_l=m_data[:, cols],
             mask=mask[:, cols],
@@ -296,16 +298,10 @@ def _build_problems(
     return problems
 
 
-def _flow_coords(prob: AreaProblem, x_l: np.ndarray) -> dict[int, np.ndarray]:
-    """j -> coordinates B_jl vec_F(X_t) of E_jl(X_l), step major."""
-    x_steps = prob.maps.steps(x_l)
-    return {j: (x_steps @ b.T).ravel() for j, b in prob.b_from.items()}
-
-
-def _flow_target(prob: AreaProblem, st: AreaState, config: AdmmConfig) -> np.ndarray:
+def _flow_target(prob: AreaProblem, st: AreaState) -> np.ndarray:
     """Z (m x n_l): the flow terms are sum_t 0.5 vec(X_t)^T H vec(X_t) - <Z, X_l>
     plus a constant, so Z V^T and U^T Z enter the right-hand sides."""
-    t_steps = prob.maps.n_steps
+    config, t_steps = prob.config, prob.maps.n_steps
     target = prob.f_l.copy()
     for j in prob.neighbors:
         target -= st.q[j]
@@ -356,13 +352,13 @@ def _normal_matrix(prob: AreaProblem, flow: np.ndarray | None, data: np.ndarray,
     return h
 
 
-def update_u(prob: AreaProblem, st: AreaState, config: AdmmConfig,
-             z: np.ndarray | None) -> np.ndarray:
+def update_u(prob: AreaProblem, st: AreaState, z: np.ndarray | None) -> np.ndarray:
     """Exact minimizer of the Lagrangian restricted to U_l plus the proximal
     term, given the flow target z = `_flow_target` (None without flow maps).
     Rows of U couple only through the flow terms, which act within one time
     step, so the normal equations split into T systems of size 5r (m systems
     of size r without flow maps) on the row-major blocks U_t."""
+    config = prob.config
     m, r = st.u.shape
     v = st.v
     base = 1.0 / prob.n_areas + config.prox_c + config.gamma * prob.deg
@@ -383,10 +379,11 @@ def update_u(prob: AreaProblem, st: AreaState, config: AdmmConfig,
 
 
 def update_v(prob: AreaProblem, st: AreaState, u_new: np.ndarray,
-             config: AdmmConfig, z: np.ndarray | None) -> np.ndarray:
+             z: np.ndarray | None) -> np.ndarray:
     """Exact minimizer over V_l, given the same z as `update_u`: one system
     on vec_F(V_l), block diagonal per column in its data part, with the flow
     Hessian contracted against W = sum_t vec(U_t) vec(U_t)^T."""
+    config = prob.config
     m, r = u_new.shape
     n_l = prob.n_l
     rhs = config.prox_c * st.v + config.mu * (u_new.T @ prob.m_obs)
@@ -413,14 +410,11 @@ def update_q(
     e_ll_val: np.ndarray,
     e_in: dict[int, np.ndarray],
     lam_duals: dict[int, np.ndarray],
-    config: AdmmConfig,
 ) -> dict[int, np.ndarray]:
     """Simultaneous closed-form solve of the coupled q system at one area."""
-    if config.lam == 0:
-        raise CompletionError("unsupported config: q update requires lambda > 0")
     if not prob.neighbors:
         return {}
-    lam, nu = config.lam, config.nu
+    lam, nu = prob.config.lam, prob.config.nu
     own = nu * (prob.f_l - e_ll_val)
     rhs = {j: lam * (e_in[j] - lam_duals[j]) + own for j in prob.neighbors}
     total = functools.reduce(np.add, rhs.values())  # summed in neighbor order
@@ -456,7 +450,7 @@ def _init_states(
         v = pair.v[:, prob.cols].copy()
         st = AreaState(u=u, v=v, x=u @ v)
         if prob.maps is not None:
-            st.e_out = _flow_coords(prob, st.x)
+            st.e_out = prob.maps.coordinates(l, st.x)
         for j in prob.neighbors:
             st.s[j] = u.copy()
             st.gamma[j] = np.zeros_like(u)
@@ -500,7 +494,6 @@ def run_decentralized(
     reference: np.ndarray | None = None,
     bus: MessageBus | None = None,
     order: dict[int, list[int]] | None = None,
-    keep_history: bool = False,
 ) -> SolveResult:
     """Proximal ADMM over the area graph, two bus rounds per iteration.
 
@@ -527,7 +520,6 @@ def run_decentralized(
     if bus is None:
         bus = MessageBus(part.areas, part.adjacency)
     trace = ConvergenceTrace()
-    history: list[dict[int, np.ndarray]] = [] if keep_history else None
     timings: dict[int, float] = {}
 
     def node_a(l: int):
@@ -541,16 +533,16 @@ def run_decentralized(
                     q_jl = inbox[key]
                     st.lam_in[j] = st.lam_in[j] + (q_jl - st.e_out[j])
                     st.q_in[j] = q_jl
-            z = _flow_target(prob, st, config) if prob.maps is not None else None
-            u_new = update_u(prob, st, config, z)
-            v_new = update_v(prob, st, u_new, config, z)
+            z = _flow_target(prob, st) if prob.maps is not None else None
+            u_new = update_u(prob, st, z)
+            v_new = update_v(prob, st, u_new, z)
             st.u, st.v, st.x = u_new, v_new, u_new @ v_new
             if prob.maps is not None:
                 st.e_ll = prob.maps.apply(l, l, st.x)
             sends = []
             if prob.neighbors:
                 if prob.maps is not None:
-                    st.e_out = _flow_coords(prob, st.x)
+                    st.e_out = prob.maps.coordinates(l, st.x)
                 u_flat = u_new.reshape(-1)
                 for j in prob.neighbors:
                     sends.append(Message(dest=j, tag="factor", payload=u_flat))
@@ -577,7 +569,7 @@ def run_decentralized(
                 if prob.maps is not None:
                     e_full = {j: prob.maps.expand(l, j, st.e_in[j])
                               for j in prob.neighbors}
-                    q_new = update_q(prob, st.e_ll, e_full, st.lam, config)
+                    q_new = update_q(prob, st.e_ll, e_full, st.lam)
                 else:
                     e_full, q_new = {}, {}
                 s_new = {j: update_s(st.u, st.u_in[j]) for j in prob.neighbors}
@@ -619,8 +611,6 @@ def run_decentralized(
         if reference is not None:
             err = x_full - reference
             trace.rmse.append(math.sqrt(_sum_squares(err) / err.size))
-        if keep_history:
-            history.append({l: states[l].u.copy() for l in part.areas})
 
         if x_prev is not None:
             change = _norm(x_full - x_prev) / max(_norm(x_prev), 1e-30)
@@ -636,7 +626,6 @@ def run_decentralized(
         partition=part,
         bus=bus,
         converged=converged,
-        u_history=history,
     )
 
 

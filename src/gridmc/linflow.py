@@ -33,15 +33,6 @@ class LinearFlowModel:
         return self.w.shape[0]
 
 
-@dataclass(frozen=True)
-class TruncatedFlowModel(LinearFlowModel):
-    partition: AreaPartition = None
-
-    def __post_init__(self):
-        if self.partition is None:
-            raise LinFlowError("truncated model requires a partition")
-
-
 def build_linear_model(net: NetworkModel, n_steps: int = 1) -> LinearFlowModel:
     """First fixed-point iterate around the no-load profile w."""
     w = net.no_load_voltage
@@ -80,20 +71,20 @@ def _coupling_mask(part: AreaPartition) -> np.ndarray:
     return keep
 
 
-def truncate_model(model: LinearFlowModel, part: AreaPartition) -> TruncatedFlowModel:
+def truncate_model(model: LinearFlowModel, part: AreaPartition) -> LinearFlowModel:
     """Zero all couplings outside same-area/neighbor-area blocks (applied to
-    both N and K)."""
+    both N and K): the dense model the area maps and `decentralized_flow`
+    evaluate, kept as the reference for `truncation_error`."""
     n = model.n_phases
     if part.assignment.shape[0] != n:
         raise LinFlowError("partition does not cover the model's phases")
     keep = _coupling_mask(part)
     keep2 = np.hstack([keep, keep])  # N columns pair up (Re s, Im s) per phase
-    return TruncatedFlowModel(
+    return LinearFlowModel(
         n_mat=np.where(keep2, model.n_mat, 0.0),
         k_mat=np.where(keep2, model.k_mat, 0.0),
         w=model.w,
         n_steps=model.n_steps,
-        partition=part,
     )
 
 
@@ -105,105 +96,6 @@ def truncation_error(model: LinearFlowModel, truncated: LinearFlowModel) -> floa
     if denom == 0:
         raise LinFlowError("undefined metric: N is zero")
     return float(np.linalg.norm(model.n_mat - truncated.n_mat) / denom)
-
-
-@dataclass(frozen=True)
-class FlowTerm:
-    """Aggregated contribution of one area's injections to one phase: complex
-    phasor part p and real magnitude part q, per time step."""
-
-    p: np.ndarray  # complex, (T,)
-    q: np.ndarray  # real, (T,)
-
-    def stacked(self) -> np.ndarray:
-        """Flat real layout [Re p; Im p; q] used on the wire."""
-        return np.concatenate([self.p.real, self.p.imag, self.q])
-
-    @classmethod
-    def from_stacked(cls, payload: np.ndarray) -> "FlowTerm":
-        t = payload.size // 3
-        return cls(p=payload[:t] + 1j * payload[t : 2 * t], q=payload[2 * t :])
-
-    def __add__(self, other: "FlowTerm") -> "FlowTerm":
-        return FlowTerm(p=self.p + other.p, q=self.q + other.q)
-
-
-def area_flow_terms(
-    model: TruncatedFlowModel, h: np.ndarray, area: int
-) -> dict[int, FlowTerm]:
-    """T_{area,i} for every phase i in the given area or an adjacent area."""
-    part = model.partition
-    if area not in part.areas:
-        raise LinFlowError(f"unknown area id {area}")
-    h = np.atleast_2d(h)
-    n = model.n_phases
-    src = part.phases_in(area)
-    cols = np.concatenate([src, src + n])
-    targets = list(part.phases_in(area))
-    for k in part.neighbors(area):
-        targets.extend(part.phases_in(k))
-    out = {}
-    for i in sorted(targets):
-        p = h[:, cols] @ model.n_mat[i, cols]
-        q = h[:, cols] @ model.k_mat[i, cols]
-        out[int(i)] = FlowTerm(p=p, q=q)
-    return out
-
-
-def decentralized_flow(
-    model: TruncatedFlowModel,
-    h: np.ndarray,
-    part: AreaPartition | None = None,
-    bus: MessageBus | None = None,
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Evaluate the truncated model by the per-area exchange protocol.
-
-    Each area sends the aggregated flow terms for its neighbors' phases, then
-    assembles its own voltages.  Returns per-area (v, |v|) arrays of shape
-    (T, n_l); identical to dense evaluation of the truncated model.
-    """
-    part = part if part is not None else model.partition
-    h = np.atleast_2d(h)
-    n_steps = h.shape[0]
-    if bus is None:
-        bus = MessageBus(part.areas, part.adjacency)
-
-    local_terms = {l: area_flow_terms(model, h, l) for l in part.areas}
-
-    def send_node(area: int):
-        def fn(inbox):
-            sends = []
-            for k in part.neighbors(area):
-                for i in part.phases_in(k):
-                    sends.append(
-                        Message(
-                            dest=k,
-                            tag=f"flow-term:{i}",
-                            payload=local_terms[area][int(i)].stacked(),
-                        )
-                    )
-            return None, sends
-
-        return fn
-
-    def recv_node(area: int):
-        def fn(inbox):
-            own = part.phases_in(area)
-            v = np.empty((n_steps, own.size), dtype=complex)
-            vmag = np.empty((n_steps, own.size))
-            for pos, i in enumerate(own):
-                total = local_terms[area][int(i)]
-                for src in part.neighbors(area):
-                    payload = inbox[(src, f"flow-term:{i}")]
-                    total = total + FlowTerm.from_stacked(payload)
-                v[:, pos] = model.w[i] + total.p
-                vmag[:, pos] = np.abs(model.w[i]) + total.q
-            return (v, vmag), []
-
-        return fn
-
-    bus.run_round({l: send_node(l) for l in part.areas})
-    return bus.run_round({l: recv_node(l) for l in part.areas})
 
 
 # --- per-area linear maps over the measurement matrix -----------------------
@@ -223,8 +115,8 @@ class AreaMaps:
     `apply_adjoint` apply it step by step.  For neighbors l != j,
     coupling[(l, j)] = (A, B) factors it exactly as G_lj = A B with A
     orthonormal (3n_l x rho) and rho = rank(G_lj).  The coordinates of
-    E_lj(X_j) are B applied per step (T * rho reals, step major); `expand`
-    maps them back into the residual space of l."""
+    E_lj(X_j) are B applied per step (T * rho reals, step major), formed by
+    `coordinates`; `expand` maps them back into the residual space of l."""
 
     partition: AreaPartition
     n_steps: int
@@ -299,6 +191,14 @@ class AreaMaps:
         the adjoint of `expand`."""
         return (self.to_steps(y) @ self.coupling[(l, j)][0]).ravel()
 
+    def coordinates(self, l: int, x_l: np.ndarray) -> dict[int, np.ndarray]:
+        """j -> coordinates (I_T kron B_jl) vec_F(X_l) of E_jl(X_l), step
+        major, for every neighbor j of l (every coupling block out of l):
+        what area l sends j."""
+        x_steps = self.steps(x_l)
+        return {j: (x_steps @ b.T).ravel()
+                for (j, src), (_, b) in self.coupling.items() if src == l}
+
 
 def _factor_step_block(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact rank factorization g = A B with orthonormal A, at the default
@@ -310,7 +210,7 @@ def _factor_step_block(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _step_block(
-    model: TruncatedFlowModel, own: np.ndarray, src: np.ndarray, same_area: bool
+    model: LinearFlowModel, own: np.ndarray, src: np.ndarray, same_area: bool
 ) -> np.ndarray:
     """Per-step block of E_lj: rows (target phase, [Re v, Im v, |v|]), columns
     (source phase, row of one time step); within one area the target phase's
@@ -344,8 +244,10 @@ def _repeat_steps(g: np.ndarray, n_src: int, t_steps: int, n_groups: int) -> np.
     return out.reshape(t_steps * g.shape[0], n_src * t_steps * ROWS_PER_STEP)
 
 
-def build_area_maps(model: TruncatedFlowModel, part: AreaPartition | None = None) -> AreaMaps:
-    part = part if part is not None else model.partition
+def build_area_maps(model: LinearFlowModel, part: AreaPartition) -> AreaMaps:
+    """Per-step blocks of the truncated model: they read only the same-area
+    and neighbor-area couplings, which truncation keeps, so the full model
+    and its truncation give the same maps."""
     t_steps = model.n_steps
     cols = {l: part.phases_in(l) for l in part.areas}
     w3 = np.stack([model.w.real, model.w.imag, np.abs(model.w)], axis=1)
@@ -370,3 +272,52 @@ def build_area_maps(model: TruncatedFlowModel, part: AreaPartition | None = None
         step_blocks=step_blocks,
         coupling=coupling,
     )
+
+
+def decentralized_flow(
+    maps: AreaMaps, h: np.ndarray, bus: MessageBus | None = None
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Evaluate the truncated model v = w + N h, |v| = |w| + K h by the
+    solver's exchange protocol.
+
+    Area l holds X_l, whose voltage rows are zero and whose injection rows
+    are its own columns of h, so its flow residual E(X) - f_l is -v.  In
+    the first bus round it sends each neighbor j the coordinates of
+    E_jl(X_l) (`AreaMaps.coordinates`, T rho_jl reals, tag "flow-term");
+    in the second it returns f_l - E_ll(X_l) - sum_j expand(l, j, received).
+    Returns per-area (v, |v|) arrays of shape (T, n_l)."""
+    part = maps.partition
+    h = np.atleast_2d(h)
+    if h.shape != (maps.n_steps, 2 * maps.n_phases):
+        raise LinFlowError(f"injections of shape {h.shape} do not match maps "
+                           f"of {maps.n_steps} steps and {maps.n_phases} phases")
+    if bus is None:
+        bus = MessageBus(part.areas, part.adjacency)
+    x = {}
+    for l in part.areas:
+        cols = maps.cols[l]
+        x_l = np.zeros((maps.n_steps, ROWS_PER_STEP, cols.size))
+        x_l[:, 3] = h[:, cols]
+        x_l[:, 4] = h[:, cols + maps.n_phases]
+        x[l] = x_l.reshape(maps.m, cols.size)
+
+    def send_node(l: int):
+        def fn(inbox):
+            coords = maps.coordinates(l, x[l])
+            return None, [Message(dest=j, tag="flow-term", payload=c)
+                          for j, c in coords.items()]
+
+        return fn
+
+    def recv_node(l: int):
+        def fn(inbox):
+            v = maps.f[l] - maps.apply(l, l, x[l])
+            for j in part.neighbors(l):
+                v -= maps.expand(l, j, inbox[(j, "flow-term")])
+            v = v.reshape(-1, maps.n_steps, 3)  # (phase, step, [Re v, Im v, |v|])
+            return (v[..., 0].T + 1j * v[..., 1].T, v[..., 2].T), []
+
+        return fn
+
+    bus.run_round({l: send_node(l) for l in part.areas})
+    return bus.run_round({l: recv_node(l) for l in part.areas})

@@ -10,7 +10,6 @@ counts one unit per real number.
 
 from __future__ import annotations
 
-import csv
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -46,9 +45,6 @@ class CommLedger:
 
     counts: dict[tuple[frozenset[int], int, str], int] = field(default_factory=dict)
 
-    def record(self, src: int, dest: int, round_index: int, tag: str, units: int) -> None:
-        self.record_pair(frozenset((src, dest)), round_index, tag, units)
-
     def record_pair(self, pair: frozenset[int], round_index: int, tag: str,
                     units: int) -> None:
         key = (pair, round_index, tag)
@@ -78,16 +74,6 @@ class CommLedger:
 
     def pairs(self) -> set[frozenset[int]]:
         return {p for (p, _, _) in self.counts}
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["area_a", "area_b", "round", "tag", "count"])
-            for (pair, rnd, tag), units in sorted(
-                self.counts.items(), key=lambda kv: (sorted(kv[0][0]), kv[0][1], kv[0][2])
-            ):
-                a, b = sorted(pair)
-                writer.writerow([a, b, rnd, tag, units])
 
 
 class MessageBus:

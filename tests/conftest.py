@@ -24,7 +24,7 @@ def small_instance(small_feeder):
     mat = dm.build_matrix(v, scen.s)
     model = lf.build_linear_model(net, n_steps=scen.n_steps)
     trunc = lf.truncate_model(model, part)
-    maps = lf.build_area_maps(trunc)
+    maps = lf.build_area_maps(model, part)
     return {
         "net": net, "scen": scen, "part": part, "v": v, "mat": mat,
         "model": model, "trunc": trunc, "maps": maps,

@@ -22,12 +22,13 @@ PINNED_CONVEX_OBJECTIVE = 41.46865834462826
 
 @pytest.fixture(scope="module")
 def small_setup(small_instance):
-    """Masked data, maps, and per-area problems for the 9-bus instance."""
+    """Masked data, maps, and per-area problems for the 9-bus instance,
+    built with the rank-2 config the subproblem tests solve with."""
     mat = small_instance["mat"]
     part = small_instance["part"]
     maps = small_instance["maps"]
     mask = dm.sample_mask(*mat.shape, 0.6, policy="uniform", seed=4).observed
-    problems = cp._build_problems(mat.data, mask, maps, part, cp.AdmmConfig())
+    problems = cp._build_problems(mat.data, mask, maps, part, cp.AdmmConfig(rank=2))
     return mat.data, mask, maps, part, problems
 
 
@@ -139,15 +140,15 @@ def three_step_setup():
     part = gm.AreaPartition.contiguous(net.n_phases, 3)
     mat = dm.build_matrix(gm.solve_exact_flow(net, scen.s), scen.s)
     model = lf.build_linear_model(net, n_steps=3)
-    maps = lf.build_area_maps(lf.truncate_model(model, part))
+    maps = lf.build_area_maps(model, part)
     mask = dm.sample_mask(*mat.shape, 0.6, policy="uniform", seed=4).observed
     return mat.data, mask, maps, part, cp._build_problems(
         mat.data, mask, maps, part, cp.AdmmConfig())
 
 
-def _z(prob, st, config):
+def _z(prob, st):
     """The flow target run_decentralized passes to both updates."""
-    return cp._flow_target(prob, st, config) if prob.maps is not None else None
+    return cp._flow_target(prob, st) if prob.maps is not None else None
 
 
 def _perturbed_states(problems, m_data, mask, r, seed):
@@ -165,10 +166,10 @@ def _perturbed_states(problems, m_data, mask, r, seed):
 
 
 class TestSubproblems:
-    def _lagrangian(self, prob, st, config, u, v):
+    def _lagrangian(self, prob, st, u, v):
         """Explicit scalar objective, from the dense maps E_ll and E_jl,
         whose exact minimizers the U and V updates claim to return."""
-        maps = prob.maps
+        maps, config = prob.maps, prob.config
         l = prob.area
         val = 0.5 * np.sum(u * u) / prob.n_areas + 0.5 * np.sum(v * v)
         val += 0.5 * config.prox_c * (np.sum((u - st.u) ** 2)
@@ -205,37 +206,36 @@ class TestSubproblems:
 
     def test_update_u_minimizes_lagrangian(self, small_setup):
         m_data, mask, maps, part, problems = small_setup
-        config = cp.AdmmConfig(rank=2)
         states = _perturbed_states(problems, m_data, mask, 2, 8)
         rng = np.random.default_rng(8)
         for l in part.areas:
             prob, st = problems[l], states[l]
-            u_new = cp.update_u(prob, st, config, _z(prob, st, config))
+            u_new = cp.update_u(prob, st, _z(prob, st))
             self._assert_minimizer(
-                lambda u: self._lagrangian(prob, st, config, u, st.v), u_new, rng)
+                lambda u: self._lagrangian(prob, st, u, st.v), u_new, rng)
 
     def test_update_v_minimizes_lagrangian(self, small_setup):
         m_data, mask, maps, part, problems = small_setup
-        config = cp.AdmmConfig(rank=2)
         states = _perturbed_states(problems, m_data, mask, 2, 9)
         rng = np.random.default_rng(9)
         for l in part.areas:
             prob, st = problems[l], states[l]
-            z = _z(prob, st, config)
-            u_new = cp.update_u(prob, st, config, z)
-            v_new = cp.update_v(prob, st, u_new, config, z)
+            z = _z(prob, st)
+            u_new = cp.update_u(prob, st, z)
+            v_new = cp.update_v(prob, st, u_new, z)
             self._assert_minimizer(
-                lambda v: self._lagrangian(prob, st, config, u_new, v), v_new, rng)
+                lambda v: self._lagrangian(prob, st, u_new, v), v_new, rng)
 
     def test_huge_prox_freezes_update(self, small_setup):
-        m_data, mask, maps, part, problems = small_setup
+        m_data, mask, maps, part, _ = small_setup
         config = cp.AdmmConfig(rank=2, prox_c=1e12)
+        problems = cp._build_problems(m_data, mask, maps, part, config)
         states = cp._init_states(problems, m_data, mask, 2, 0)
         for l in part.areas:
             prob, st = problems[l], states[l]
-            z = _z(prob, st, config)
-            u_new = cp.update_u(prob, st, config, z)
-            v_new = cp.update_v(prob, st, u_new, config, z)
+            z = _z(prob, st)
+            u_new = cp.update_u(prob, st, z)
+            v_new = cp.update_v(prob, st, u_new, z)
             assert np.max(np.abs(u_new - st.u)) < 1e-6
             assert np.max(np.abs(v_new - st.v)) < 1e-6
 
@@ -243,17 +243,16 @@ class TestSubproblems:
         """The post-solve gradient check is a typed error, so it also holds
         under python -O."""
         m_data, mask, maps, part, problems = small_setup
-        config = cp.AdmmConfig(rank=2)
         states = cp._init_states(problems, m_data, mask, 2, 0)
         prob, st = problems[2], states[2]
         solve = cp._solve_quadratic
         monkeypatch.setattr(cp, "_solve_quadratic",
                             lambda h, rhs: solve(h, rhs) + 1.0)
-        z = _z(prob, st, config)
+        z = _z(prob, st)
         with pytest.raises(cp.CompletionError):
-            cp.update_u(prob, st, config, z)
+            cp.update_u(prob, st, z)
         with pytest.raises(cp.CompletionError):
-            cp.update_v(prob, st, st.u, config, z)
+            cp.update_v(prob, st, st.u, z)
 
     def test_normal_equation_check_survives_optimize_flag(self):
         """The same check in a `python -O` interpreter, which strips
@@ -275,7 +274,7 @@ class TestSubproblems:
             solve = cp._solve_quadratic
             cp._solve_quadratic = lambda h, rhs: solve(h, rhs) + 1.0
             try:
-                cp.update_u(prob, st, config, None)
+                cp.update_u(prob, st, None)
             except cp.CompletionError:
                 sys.exit(0)
             sys.exit(1)
@@ -301,9 +300,9 @@ class TestSubproblems:
         l = 2
         prob, st = problems[l], states[l]
         m, r, n_l, t_steps = prob.m, 3, prob.n_l, maps.n_steps
-        z = _z(prob, st, config)
-        u_new = cp.update_u(prob, st, config, z)
-        cp.update_v(prob, st, u_new, config, z)
+        z = _z(prob, st)
+        u_new = cp.update_u(prob, st, z)
+        cp.update_v(prob, st, u_new, z)
         h_u, h_v = solved
 
         local_cols, rows = np.nonzero(mask[:, prob.cols].T)
@@ -348,7 +347,7 @@ class TestSubproblems:
         solve = cp._solve_quadratic
         monkeypatch.setattr(cp, "_solve_quadratic",
                             lambda h, rhs: solved.append(h) or solve(h, rhs))
-        cp.update_u(prob, st, config, None)
+        cp.update_u(prob, st, None)
         m, r = st.u.shape
         local_cols, rows = np.nonzero(mask.T)
         sampled = (np.eye(m * prob.n_l)[local_cols * m + rows]
@@ -424,7 +423,7 @@ class TestNormalMatrixAssembly:
             net, _ = gm.generate_radial_feeder(9, branching=0.5, seed=2, n_steps=3)
             part = gm.AreaPartition.single_area(net.n_phases)
             model = lf.build_linear_model(net, n_steps=3)
-            maps = lf.build_area_maps(lf.truncate_model(model, part))
+            maps = lf.build_area_maps(model, part)
         config = cp.AdmmConfig(rank=3, mu=3.0, nu=2.0, gamma=1.5, lam=0.5)
         problems = cp._build_problems(m_data, mask, maps if with_maps else None,
                                       part, config)
@@ -435,9 +434,9 @@ class TestNormalMatrixAssembly:
                             lambda h, rhs: solved.append((h, rhs)) or solve(h, rhs))
         for l, prob in problems.items():
             st = states[l]
-            z = _z(prob, st, config)
-            u_new = cp.update_u(prob, st, config, z)
-            cp.update_v(prob, st, u_new, config, z)
+            z = _z(prob, st)
+            u_new = cp.update_u(prob, st, z)
+            cp.update_v(prob, st, u_new, z)
             (h_u, rhs_u), (h_v, rhs_v) = solved[-2:]
             ref_h_u, ref_rhs_u = _reference_u_system(prob, st, config, z)
             ref_h_v, ref_rhs_v = _reference_v_system(prob, st, u_new, config, z)
@@ -453,15 +452,15 @@ class TestQUpdate:
     def test_solves_coupled_system(self, small_setup, seed, lam, nu):
         """The closed form satisfies the defining normal equations
         lam*q_j + nu*sum_i q_i = rhs_j for every neighbor j."""
-        m_data, mask, maps, part, problems = small_setup
-        prob = problems[2]  # middle area, degree 2
+        m_data, mask, maps, part, _ = small_setup
         config = cp.AdmmConfig(lam=lam, nu=nu)
+        prob = cp._build_problems(m_data, mask, maps, part, config)[2]  # degree 2
         rng = np.random.default_rng(seed)
         d = maps.residual_dim(2)
         e_ll_val = rng.standard_normal(d)
         e_in = {j: rng.standard_normal(d) for j in prob.neighbors}
         duals = {j: rng.standard_normal(d) for j in prob.neighbors}
-        q = cp.update_q(prob, e_ll_val, e_in, duals, config)
+        q = cp.update_q(prob, e_ll_val, e_in, duals)
         total = sum(q.values())
         for j in prob.neighbors:
             rhs = lam * (e_in[j] - duals[j]) + nu * (prob.f_l - e_ll_val)
@@ -475,29 +474,41 @@ class TestQUpdate:
             m_data, mask, None, gm.AreaPartition.single_area(m_data.shape[1]),
             cp.AdmmConfig(),
         )[1]
-        assert cp.update_q(single, np.zeros(0), {}, {}, cp.AdmmConfig()) == {}
+        assert cp.update_q(single, np.zeros(0), {}, {}) == {}
 
 
 @pytest.fixture(scope="module")
 def short_run(small_setup):
+    """20 iterations, plus the (area, U) of every U update of the run."""
     m_data, mask, maps, part, problems = small_setup
     config = cp.AdmmConfig(rank=2, max_iters=20, tol=1e-14)
-    return cp.run_decentralized(
-        m_data, mask, maps, part, config,
-        reference=m_data, keep_history=True,
-    ), m_data, part
+    solved = []
+    update_u = cp.update_u
+
+    def recorded(prob, st, z):
+        solved.append((prob.area, update_u(prob, st, z)))
+        return solved[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cp, "update_u", recorded)
+        result = cp.run_decentralized(m_data, mask, maps, part, config,
+                                      reference=m_data)
+    return result, m_data, part, solved
 
 
 class TestDecentralizedRun:
     def test_trace_lengths(self, short_run):
-        result, m_data, part = short_run
+        result, m_data, part, solved = short_run
         assert result.trace.iterations == 20
         assert len(result.trace.rmse) == 20
         assert len(result.trace.consensus) == 20
-        assert len(result.u_history) == 20
+        assert len(solved) == 20 * part.n_areas
+        for l in part.areas:  # the last U each area solved is the one it kept
+            last = [u for area, u in solved if area == l][-1]
+            assert last is result.states[l].u
 
     def test_assembled_x_matches_blocks(self, short_run):
-        result, m_data, part = short_run
+        result, m_data, part, _ = short_run
         x = result.x
         assert x.shape == m_data.shape
         for l in part.areas:
@@ -506,7 +517,7 @@ class TestDecentralizedRun:
     def test_consensus_dual_antisymmetry(self, short_run):
         """Opposite-direction basis duals stay exact negatives of each other,
         the invariant that makes the pairwise average the consensus point."""
-        result, m_data, part = short_run
+        result, m_data, part, _ = short_run
         for l in part.areas:
             for j in part.neighbors(l):
                 g_lj = result.states[l].gamma[j]
@@ -515,7 +526,7 @@ class TestDecentralizedRun:
 
     def test_flow_mirrors_consistent(self, short_run):
         """Every received flow term equals what the sender computed."""
-        result, m_data, part = short_run
+        result, m_data, part, _ = short_run
         for l in part.areas:
             for j in part.neighbors(l):
                 sent = result.states[j].e_out[l]
@@ -523,7 +534,7 @@ class TestDecentralizedRun:
                 assert np.array_equal(sent, got)
 
     def test_objective_decreases_overall(self, short_run):
-        result, _, _ = short_run
+        result, _, _, _ = short_run
         obj = result.trace.objective
         assert obj[-1] < obj[0]
 
@@ -540,25 +551,26 @@ class TestOncePerIteration:
         computed once per area per iteration; the stored X_l and E_ll(X_l)
         are those of the final factors."""
         m_data, mask, maps, part, _ = small_setup
-        counts = {"_flow_target": 0, "own_flow": 0, "_flow_coords": 0}
+        counts = {"_flow_target": 0, "own_flow": 0, "coordinates": 0}
 
-        def counted(name):
-            fn = getattr(cp, name)
+        flow_target = cp._flow_target
+        apply, coordinates = lf.AreaMaps.apply, lf.AreaMaps.coordinates
 
-            def wrapper(*args):
-                counts[name] += 1
-                return fn(*args)
-            return wrapper
-
-        for name in ("_flow_target", "_flow_coords"):
-            monkeypatch.setattr(cp, name, counted(name))
-        apply = lf.AreaMaps.apply
+        def flow_target_counted(prob, st):
+            counts["_flow_target"] += 1
+            return flow_target(prob, st)
 
         def apply_counted(self, l, j, x_j):
             counts["own_flow"] += l == j  # E_ll(X_l)
             return apply(self, l, j, x_j)
 
+        def coordinates_counted(self, l, x_l):
+            counts["coordinates"] += 1
+            return coordinates(self, l, x_l)
+
+        monkeypatch.setattr(cp, "_flow_target", flow_target_counted)
         monkeypatch.setattr(lf.AreaMaps, "apply", apply_counted)
+        monkeypatch.setattr(lf.AreaMaps, "coordinates", coordinates_counted)
         at_init = {}
         init = cp._init_states
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gridmc import gridmodel as gm
 from gridmc import linflow as lf
+from gridmc import simnet as sn
 
 
 class TestBuildLinearModel:
@@ -103,33 +104,53 @@ class TestTruncation:
             lf.truncate_model(model, gm.AreaPartition.single_area(3))
 
 
+@pytest.fixture(scope="module")
+def three_phase_instance():
+    """Three-phase 29-bus radial feeder, T=2, in 4 contiguous areas."""
+    net, scen = gm.generate_radial_feeder(29, seed=3, n_steps=2, three_phase=True)
+    part = gm.AreaPartition.contiguous(net.n_phases, 4)
+    model = lf.build_linear_model(net, n_steps=2)
+    return {"model": model, "part": part, "maps": lf.build_area_maps(model, part)}
+
+
 class TestDecentralizedFlow:
-    def test_matches_dense_truncated_evaluation(self, small_instance):
-        trunc, part = small_instance["trunc"], small_instance["part"]
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            h = 0.01 * rng.standard_normal((2, 2 * trunc.n_phases))
-            v_dense, vmag_dense = lf.predict(trunc, h)
-            per_area = lf.decentralized_flow(trunc, h)
-            for area in part.areas:
-                v_l, vmag_l = per_area[area]
-                cols = part.phases_in(area)
-                assert np.max(np.abs(v_l - v_dense[:, cols])) < 1e-12
-                assert np.max(np.abs(vmag_l - vmag_dense[:, cols])) < 1e-12
+    def test_matches_dense_truncated_evaluation(self, small_instance,
+                                                three_phase_instance):
+        """On the 3-area chain and on the three-phase feeder."""
+        for inst in (small_instance, three_phase_instance):
+            model, part, maps = inst["model"], inst["part"], inst["maps"]
+            trunc = lf.truncate_model(model, part)
+            rng = np.random.default_rng(11)
+            for _ in range(10):
+                h = 0.01 * rng.standard_normal((model.n_steps, 2 * model.n_phases))
+                v_dense, vmag_dense = lf.predict(trunc, h)
+                per_area = lf.decentralized_flow(maps, h)
+                for area in part.areas:
+                    v_l, vmag_l = per_area[area]
+                    cols = part.phases_in(area)
+                    assert np.max(np.abs(v_l - v_dense[:, cols])) < 1e-12
+                    assert np.max(np.abs(vmag_l - vmag_dense[:, cols])) < 1e-12
 
-    def test_flow_term_wire_round_trip(self):
-        rng = np.random.default_rng(0)
-        term = lf.FlowTerm(
-            p=rng.standard_normal(4) + 1j * rng.standard_normal(4),
-            q=rng.standard_normal(4),
-        )
-        again = lf.FlowTerm.from_stacked(term.stacked())
-        assert np.allclose(again.p, term.p)
-        assert np.allclose(again.q, term.q)
-
-    def test_unknown_area(self, small_instance):
+    def test_rejects_injections_of_another_window(self, small_instance):
+        """One step of injections is not broadcast over the maps' two."""
+        maps = small_instance["maps"]
         with pytest.raises(lf.LinFlowError):
-            lf.area_flow_terms(small_instance["trunc"], np.zeros((1, 16)), 99)
+            lf.decentralized_flow(maps, np.zeros((1, 2 * maps.n_phases)))
+
+    def test_sends_the_coupling_coordinates_once(self, maps):
+        """Round 0 carries, per adjacent pair, the T rho reals of each
+        direction's coupling coordinates under "flow-term"; round 1 sends
+        nothing."""
+        part = maps.partition
+        bus = sn.MessageBus(part.areas, part.adjacency)
+        lf.decentralized_flow(maps, np.zeros((maps.n_steps, 2 * maps.n_phases)), bus)
+        assert bus.round_index == 2
+        for pair in part.adjacency:
+            l, j = sorted(pair)
+            sent = maps.n_steps * (maps.coupling_rank(l, j) + maps.coupling_rank(j, l))
+            assert bus.ledger.count(pair, rounds=0, tag="flow-term") == sent
+            assert bus.ledger.count(pair, rounds=0) == sent
+            assert bus.ledger.count(pair, rounds=1) == 0
 
 
 def flow_residual(maps, l, x):
@@ -218,7 +239,7 @@ class TestAreaMaps:
 def feeder33_maps():
     net, scen, part = gm.feeder33_analog(seed=0, n_steps=2, n_areas=5)
     model = lf.build_linear_model(net, n_steps=2)
-    return lf.build_area_maps(lf.truncate_model(model, part))
+    return lf.build_area_maps(model, part)
 
 
 @pytest.fixture(params=["small", "feeder33"])

@@ -125,24 +125,6 @@ class TestCommLedger:
         assert bus.ledger.count({1, 2}) == 20
         assert bus.ledger.pairs() == {frozenset({1, 2})}
 
-    def test_record_by_areas_matches_bus(self):
-        ledger = sn.CommLedger()
-        for rnd in (0, 1):
-            ledger.record(1, 2, rnd, "a", 3)
-            ledger.record(1, 2, rnd, "b", 5)
-            ledger.record(2, 1, rnd, "a", 2)
-        assert ledger.counts == self._run_traffic().ledger.counts
-
-    def test_csv_export(self, tmp_path):
-        bus = self._run_traffic()
-        path = tmp_path / "ledger.csv"
-        bus.ledger.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "area_a,area_b,round,tag,count"
-        assert "1,2,0,b,5" in lines
-        assert "1,2,0,a,5" in lines  # both directions merge per pair: 3 + 2
-        assert len(lines) == 5  # header + 2 tags x 2 rounds
-
 
 class TestFormulas:
     def test_claimed_count(self):
