@@ -3,7 +3,7 @@ matrix completion.
 
 The package is organized around the pipeline:
 
-    gridmodel   network data, synthetic feeders, exact power-flow ground truth
+    gridmodel   network model, area partitions, synthetic feeders, exact power flow
     linflow     linear voltage model, area truncation, per-area linear maps
     datamatrix  multi-period measurement matrix, observation masks, noise
     completion  factored completion objective and the proximal ADMM driver

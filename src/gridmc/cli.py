@@ -73,7 +73,8 @@ def _build_instance(config: ExperimentConfig, seed: int):
 
 def _single_run(config: ExperimentConfig, instance, seed: int, order=None):
     """One estimation run on an instance from `_build_instance`; `seed` draws
-    the noise, the mask and the solver initialization."""
+    the noise, the mask and the solver initialization.  Returns the solve,
+    its error report, the mask and the noisy matrix the solver was given."""
     net, scen, part, v_true, mat, model, maps = instance
     data = dm.add_noise(mat, config.noise_pct, seed=seed)
     mask = dm.sample_mask(
@@ -84,7 +85,7 @@ def _single_run(config: ExperimentConfig, instance, seed: int, order=None):
         data.data, mask.observed, maps, part, admm, reference=mat.data, order=order
     )
     report = mt.evaluate_estimate(mt.voltage_from_matrix(result.x), v_true)
-    return result, report, mask
+    return result, report, mask, data
 
 
 def _comm_summary(result, maps, config: ExperimentConfig) -> list[dict]:
@@ -136,15 +137,17 @@ def run_experiment(config: ExperimentConfig, out_dir: Path, order=None) -> dict:
     written: list[Path] = []
     try:
         instance = _build_instance(config, config.seed)
-        net, scen, part, v_true, mat, model, maps = instance
+        *_, maps = instance
         reports = []
         for k in range(config.runs):
-            result, report, mask = _single_run(config, instance, config.seed + k, order)
+            result, report, mask, data = _single_run(config, instance,
+                                                     config.seed + k, order)
             reports.append(report)
         aggregate = mt.aggregate_reports(reports)
 
+        # the certificate checks the last run's problem: its factors, mask and data
         fp = result.factors()
-        op = ce.build_B_d(mask.observed, mat.data, maps, config.admm.mu, config.admm.nu)
+        op = ce.build_B_d(mask.observed, data.data, maps, config.admm.mu, config.admm.nu)
         cert = ce.full_report(fp.u, fp.v, op, config.admm.mu)
 
         payload = {
@@ -184,23 +187,26 @@ def run_experiment(config: ExperimentConfig, out_dir: Path, order=None) -> dict:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--feeder", default="feeder33", choices=["feeder33", "random"])
-    parser.add_argument("--buses", type=int, default=33)
-    parser.add_argument("--time-steps", type=int, default=5)
-    parser.add_argument("--areas", type=int, default=1)
-    parser.add_argument("--policy", default="scada", choices=["scada", "uniform"])
-    parser.add_argument("--fraction", type=float, default=0.5)
-    parser.add_argument("--noise-pct", type=float, default=1.0)
-    parser.add_argument("--rank", type=int, default=None)
-    parser.add_argument("--mu", type=float, default=1e4)
-    parser.add_argument("--nu", type=float, default=1e4)
-    parser.add_argument("--gamma", type=float, default=1e3)
-    parser.add_argument("--lambda", dest="lam", type=float, default=1e3)
-    parser.add_argument("--prox-c", type=float, default=0.1)
-    parser.add_argument("--max-iters", type=int, default=500)
-    parser.add_argument("--tol", type=float, default=1e-6)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--runs", type=int, default=1)
+    """The experiment options; every default is the `ExperimentConfig` one."""
+    config = ExperimentConfig()
+    admm = config.admm
+    parser.add_argument("--feeder", default=config.feeder, choices=["feeder33", "random"])
+    parser.add_argument("--buses", type=int, default=config.n_buses)
+    parser.add_argument("--time-steps", type=int, default=config.time_steps)
+    parser.add_argument("--areas", type=int, default=config.areas)
+    parser.add_argument("--policy", default=config.policy, choices=["scada", "uniform"])
+    parser.add_argument("--fraction", type=float, default=config.fraction)
+    parser.add_argument("--noise-pct", type=float, default=config.noise_pct)
+    parser.add_argument("--rank", type=int, default=admm.rank)
+    parser.add_argument("--mu", type=float, default=admm.mu)
+    parser.add_argument("--nu", type=float, default=admm.nu)
+    parser.add_argument("--gamma", type=float, default=admm.gamma)
+    parser.add_argument("--lambda", dest="lam", type=float, default=admm.lam)
+    parser.add_argument("--prox-c", type=float, default=admm.prox_c)
+    parser.add_argument("--max-iters", type=int, default=admm.max_iters)
+    parser.add_argument("--tol", type=float, default=admm.tol)
+    parser.add_argument("--seed", type=int, default=config.seed)
+    parser.add_argument("--runs", type=int, default=config.runs)
     parser.add_argument("--out", type=Path, default=Path("results"))
 
 
@@ -222,7 +228,7 @@ def cmd_gen_feeder(args) -> int:
     v = gm.solve_exact_flow(net, scen.s)
     mat = dm.build_matrix(v, scen.s)
     args.out.mkdir(parents=True, exist_ok=True)
-    dm.export_matrix_csv(mat, args.out / "matrix.csv")
+    np.savetxt(args.out / "matrix.csv", mat.data, delimiter=",")
     np.savetxt(args.out / "assignment.csv", part.assignment, fmt="%d")
     print(f"wrote {args.out}/matrix.csv ({mat.shape[0]}x{mat.shape[1]}) "
           f"and assignment.csv ({part.n_areas} areas)")
@@ -231,7 +237,8 @@ def cmd_gen_feeder(args) -> int:
 
 def cmd_build_model(args) -> int:
     config = _config_from_args(args)
-    net, scen, part, v_true, mat, model, maps = _build_instance(config, args.seed)
+    net, scen, part = _build_feeder(config, args.seed)
+    model = lf.build_linear_model(net, n_steps=config.time_steps)
     trunc = lf.truncate_model(model, part)
     err = lf.truncation_error(model, trunc)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -328,7 +335,9 @@ def cmd_certify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     config = _config_from_args(args)
-    net, scen, part, v_true, mat, model, maps = _build_instance(config, args.seed)
+    net, scen, part = _build_feeder(config, args.seed)
+    v = gm.solve_exact_flow(net, scen.s)
+    mat = dm.build_matrix(v, scen.s)
     mask = dm.sample_mask(*mat.shape, config.fraction, policy=config.policy,
                           seed=args.seed)
     args.out.mkdir(parents=True, exist_ok=True)

@@ -1,7 +1,6 @@
 """Factored matrix-completion objective and its solvers: the per-area
-proximal ADMM updates, the driver that runs them over the message bus (a
-single area is the same driver with no neighbors), and an independent
-singular-value-thresholding oracle for the convex problem.
+proximal ADMM updates and the driver that runs them over the message bus (a
+single area is the same driver with no neighbors).
 
 Every function here takes the observation mask as a boolean m x n array
 (`ObservationMask.observed`)."""
@@ -33,10 +32,12 @@ class DivergenceError(CompletionError):
 
 @dataclass(frozen=True)
 class AdmmConfig:
-    mu: float = 10.0
-    nu: float = 1.0
-    gamma: float = 1.0
-    lam: float = 1.0
+    # the paper's weights: mu data fit, nu flow model, and the ADMM penalties
+    # gamma (basis consensus) and lam (flow-term consensus)
+    mu: float = 1e4
+    nu: float = 1e4
+    gamma: float = 1e3
+    lam: float = 1e3
     prox_c: float = 0.1
     rank: int | None = None  # default min(10, m)
     max_iters: int = 500
@@ -628,36 +629,3 @@ def run_decentralized(
         converged=converged,
     )
 
-
-# --- independent convex oracle ----------------------------------------------
-
-def svt_objective(x: np.ndarray, m_data: np.ndarray, mb: np.ndarray,
-                  mu: float) -> float:
-    sv = np.linalg.svd(x, compute_uv=False)
-    diff = np.where(mb, x - m_data, 0.0)
-    return float(np.sum(sv) + 0.5 * mu * np.sum(diff * diff))
-
-
-def svt_oracle(
-    m_data: np.ndarray,
-    mask: np.ndarray,
-    mu: float,
-    max_iters: int = 20000,
-) -> np.ndarray:
-    """Proximal gradient with singular-value soft-thresholding for the convex
-    nuclear-norm problem; certified reference for the nu = 0 case."""
-    if mu <= 0:
-        raise CompletionError("mu must be positive")
-    m_data = np.asarray(m_data, dtype=float)
-    x = np.zeros_like(m_data)
-    prev_obj = svt_objective(x, m_data, mask, mu)
-    for _ in range(max_iters):
-        grad_step = x - np.where(mask, x - m_data, 0.0)
-        uu, sv, vt = np.linalg.svd(grad_step, full_matrices=False)
-        sv = np.maximum(sv - 1.0 / mu, 0.0)
-        x = (uu * sv[None, :]) @ vt
-        obj = svt_objective(x, m_data, mask, mu)
-        if prev_obj - obj < 1e-10:
-            break
-        prev_obj = obj
-    return x

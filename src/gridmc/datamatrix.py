@@ -138,6 +138,3 @@ def is_low_observability(mask: ObservationMask) -> bool:
     eligible = eligible_rows(m, "scada").size * n
     return len(mask) < (2.0 / 3.0) * eligible
 
-
-def export_matrix_csv(mat: MeasurementMatrix, path) -> None:
-    np.savetxt(path, mat.data, delimiter=",")

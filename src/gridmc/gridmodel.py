@@ -1,12 +1,9 @@
-"""Network data model, manifest ingestion, synthetic radial feeders, and an
+"""Network data model, area partitions, synthetic radial feeders, and an
 exact fixed-point power-flow solver used to produce ground-truth voltages."""
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -165,10 +162,6 @@ class AreaPartition:
         return sorted(out)
 
     @classmethod
-    def single_area(cls, n_phases: int) -> "AreaPartition":
-        return cls(assignment=np.ones(n_phases, dtype=int), n_areas=1)
-
-    @classmethod
     def contiguous(cls, n_phases: int, n_areas: int) -> "AreaPartition":
         """Split phases into n_areas contiguous index ranges, chain adjacency."""
         assignment = 1 + (np.arange(n_phases) * n_areas) // n_phases
@@ -176,95 +169,6 @@ class AreaPartition:
             frozenset((a, a + 1)) for a in range(1, n_areas)
         )
         return cls(assignment=assignment, n_areas=n_areas, adjacency=adjacency)
-
-
-def _read_complex_csv_loads(path: Path, n_phases: int) -> np.ndarray:
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.reader(fh):
-            if not rec:
-                continue
-            vals = [float(x) for x in rec]
-            if len(vals) != 2 * n_phases:
-                raise GridModelError(
-                    f"load row has {len(vals)} columns, expected {2 * n_phases}"
-                )
-            re = np.array(vals[0::2])
-            im = np.array(vals[1::2])
-            rows.append(re + 1j * im)
-    if not rows:
-        raise GridModelError("empty load file")
-    return np.array(rows)
-
-
-def load_network(manifest_path) -> tuple[NetworkModel, LoadScenario, AreaPartition]:
-    """Load a network, load scenario, and area partition from a JSON manifest.
-
-    The manifest references Matrix Market files for the admittance blocks and
-    CSV files for phases, area assignment, and loads; see the README for the
-    exact schema.
-    """
-    # Imported here: only manifests need scipy.io, so no estimation run loads it.
-    from scipy.io import mmread
-
-    manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise GridModelError(f"missing manifest file: {manifest_path}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    base = manifest_path.parent
-
-    def resolve(key: str) -> Path:
-        p = base / manifest[key]
-        if not p.exists():
-            raise GridModelError(f"missing file for '{key}': {p}")
-        return p
-
-    def read_matrix(key: str) -> np.ndarray:
-        mat = mmread(resolve(key))
-        if hasattr(mat, "todense"):
-            mat = mat.todense()
-        return np.asarray(mat, dtype=complex)
-
-    y_ll = read_matrix("y_ll")
-    y_l0 = read_matrix("y_l0")
-    v0 = np.array([complex(re, im) for re, im in manifest["v0"]])
-
-    entries = []
-    with open(resolve("phases"), newline="") as fh:
-        for rec in csv.reader(fh):
-            if rec:
-                entries.append((rec[0].strip(), rec[1].strip()))
-    index = PhaseIndex(entries=tuple(entries), slack_phases=len(v0))
-    n = len(index)
-
-    if np.count_nonzero(y_ll) == 0:
-        raise SingularAdmittanceError("singular admittance: y_ll is all zeros")
-    net = NetworkModel(y_ll=y_ll, y_l0=y_l0, v0=v0, index=index)
-
-    assignment = np.zeros(n, dtype=int)
-    with open(resolve("areas"), newline="") as fh:
-        for rec in csv.reader(fh):
-            if not rec:
-                continue
-            idx, area = int(rec[0]), int(rec[1])
-            if not 0 <= idx < n:
-                raise GridModelError(f"area file references unknown phase {idx}")
-            assignment[idx] = area
-    if np.any(assignment == 0):
-        missing = np.flatnonzero(assignment == 0).tolist()
-        raise GridModelError(f"unassigned phase(s): {missing}")
-    adjacency = frozenset(
-        frozenset((int(a), int(b))) for a, b in manifest.get("adjacency", [])
-    )
-    part = AreaPartition(
-        assignment=assignment, n_areas=int(assignment.max()), adjacency=adjacency
-    )
-
-    loads = LoadScenario(s=_read_complex_csv_loads(resolve("loads"), n))
-    if loads.s.shape[1] != n:
-        raise GridModelError("load column count inconsistent with phase index")
-    return net, loads, part
 
 
 def _sample_complex(rng: np.random.Generator, lo: complex, hi: complex,

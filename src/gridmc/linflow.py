@@ -46,20 +46,6 @@ def build_linear_model(net: NetworkModel, n_steps: int = 1) -> LinearFlowModel:
     return LinearFlowModel(n_mat=n_mat, k_mat=k_mat, w=w, n_steps=n_steps)
 
 
-def h_from_loads(s: np.ndarray) -> np.ndarray:
-    """Stack [Re s, Im s] per time step into a (T, 2|P|) real array."""
-    s = np.atleast_2d(np.asarray(s, dtype=complex))
-    return np.hstack([s.real, s.imag])
-
-
-def predict(model: LinearFlowModel, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centralized evaluation: returns (v, |v|) of shape (T, |P|)."""
-    h = np.atleast_2d(h)
-    v = model.w[None, :] + h @ model.n_mat.T
-    vmag = np.abs(model.w)[None, :] + h @ model.k_mat.T
-    return v, vmag
-
-
 def _coupling_mask(part: AreaPartition) -> np.ndarray:
     """Boolean |P| x |P|: True where phases share an area or adjacent areas."""
     a = part.assignment

@@ -17,6 +17,8 @@ from gridmc import gridmodel as gm
 from gridmc import linflow as lf
 from gridmc import metrics as mt
 from gridmc import simnet as sn
+from reference import (admm_config, h_from_loads, predict, svt_objective,
+                       svt_oracle)
 
 TUNED = dict(mu=1e4, nu=1e4, gamma=1e3, lam=1e3, rank=5)
 
@@ -47,9 +49,9 @@ def analog_instance():
 
 @pytest.fixture(scope="module")
 def converged_run(analog_instance):
-    """Noise-free decentralized solve at the default weights, run to tol."""
+    """Noise-free decentralized solve at the test weights, run to tol."""
     inst = analog_instance
-    config = cp.AdmmConfig(rank=5, max_iters=500, tol=1e-6)
+    config = admm_config(rank=5, max_iters=500, tol=1e-6)
     return cp.run_decentralized(
         inst["mat"].data, inst["mask"], inst["maps"], inst["part"], config,
         reference=inst["mat"].data,
@@ -60,7 +62,7 @@ def converged_run(analog_instance):
 def certified_run(analog_instance):
     """Same instance driven to a tight tolerance for the certificate checks."""
     inst = analog_instance
-    config = cp.AdmmConfig(rank=5, max_iters=1000, tol=1e-10)
+    config = admm_config(rank=5, max_iters=1000, tol=1e-10)
     return cp.run_decentralized(
         inst["mat"].data, inst["mask"], inst["maps"], inst["part"], config,
     ), config
@@ -106,13 +108,13 @@ def test_03_convex_oracle_equivalence():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((20, 3)) @ rng.standard_normal((3, 15))
     mb = dm.sample_mask(20, 15, 0.5, policy="uniform", seed=7).observed
-    config = cp.AdmmConfig(mu=50.0, rank=10, max_iters=2000, tol=1e-12)
+    config = admm_config(mu=50.0, rank=10, max_iters=2000, tol=1e-12)
     factored = cp.run_decentralized(
-        a, mb, None, gm.AreaPartition.single_area(15), config
+        a, mb, None, gm.AreaPartition.contiguous(15, 1), config
     ).x
-    oracle = cp.svt_oracle(a, mb, 50.0)
-    obj_f = cp.svt_objective(factored, a, mb, 50.0)
-    obj_o = cp.svt_objective(oracle, a, mb, 50.0)
+    oracle = svt_oracle(a, mb, 50.0)
+    obj_f = svt_objective(factored, a, mb, 50.0)
+    obj_o = svt_objective(oracle, a, mb, 50.0)
     obj_gap = abs(obj_f - obj_o) / obj_o
     rmse_gap = np.linalg.norm(factored - oracle) / np.linalg.norm(oracle)
     elapsed = time.perf_counter() - t0
@@ -125,10 +127,10 @@ def test_03_convex_oracle_equivalence():
 def test_04_single_area_equivalence(small_instance, monkeypatch):
     mat = small_instance["mat"]
     model = small_instance["model"]
-    part = gm.AreaPartition.single_area(model.n_phases)
+    part = gm.AreaPartition.contiguous(model.n_phases, 1)
     maps = lf.build_area_maps(model, part)
     mask = dm.sample_mask(*mat.shape, 0.6, policy="uniform", seed=3).observed
-    config = cp.AdmmConfig(rank=3, max_iters=100, tol=1e-16)
+    config = admm_config(rank=3, max_iters=100, tol=1e-16)
     # run_decentralized's U of each iteration, recorded as its one area solves it
     dec_u = []
     update_u = cp.update_u
@@ -163,7 +165,7 @@ def test_05_truncation_metric(analog_instance):
     t0 = time.perf_counter()
     model = analog_instance["model"]
     single = lf.truncate_model(
-        model, gm.AreaPartition.single_area(model.n_phases)
+        model, gm.AreaPartition.contiguous(model.n_phases, 1)
     )
     err_single = lf.truncation_error(model, single)
     _, _, part4 = gm.feeder33_analog(seed=0, n_steps=2, n_areas=4)
@@ -183,7 +185,7 @@ def test_06_decentralized_flow(small_instance):
     worst = 0.0
     for _ in range(10):
         h = 0.02 * rng.standard_normal((trunc.n_steps, 2 * trunc.n_phases))
-        v_dense, vmag_dense = lf.predict(trunc, h)
+        v_dense, vmag_dense = predict(trunc, h)
         per_area = lf.decentralized_flow(maps, h)
         for area in part.areas:
             v_l, vmag_l = per_area[area]
@@ -198,7 +200,7 @@ def test_06_decentralized_flow(small_instance):
 def test_07_linear_model_accuracy(analog_instance):
     t0 = time.perf_counter()
     inst = analog_instance
-    v_lin, _ = lf.predict(inst["model"], lf.h_from_loads(inst["scen"].s))
+    v_lin, _ = predict(inst["model"], h_from_loads(inst["scen"].s))
     mape = 100.0 * np.mean(
         np.abs(np.abs(v_lin) - np.abs(inst["v"])) / np.abs(inst["v"])
     )
@@ -217,7 +219,7 @@ def test_08_end_to_end_estimation():
     instance = cli._build_instance(config, config.seed)
     reports = []
     for k in range(5):
-        _, report, mask = cli._single_run(config, instance, config.seed + k)
+        _, report, mask, _ = cli._single_run(config, instance, config.seed + k)
         assert dm.is_low_observability(mask)
         reports.append(report)
     agg = mt.aggregate_reports(reports)
@@ -240,7 +242,7 @@ def test_09_time_window_trend():
         instance = cli._build_instance(config, config.seed)
         mapes = []
         for k in range(5):
-            _, report, _ = cli._single_run(config, instance, k)
+            _, report, *_ = cli._single_run(config, instance, k)
             mapes.append(report.mape_magnitude)
         means.append(float(np.mean(mapes)))
     elapsed = time.perf_counter() - t0
@@ -342,7 +344,7 @@ def test_13_scheduling_determinism(tmp_path):
     config_kwargs = dict(
         feeder="feeder33", time_steps=2, areas=5, policy="scada",
         fraction=0.5, noise_pct=1.0, seed=0,
-        admm=cp.AdmmConfig(rank=5, max_iters=40),
+        admm=admm_config(rank=5, max_iters=40),
     )
     baseline = cli.run_experiment(
         cli.ExperimentConfig(**config_kwargs), tmp_path / "base"

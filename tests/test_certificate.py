@@ -9,6 +9,7 @@ from gridmc import certificate as ct
 from gridmc import datamatrix as dm
 from gridmc import gridmodel as gm
 from gridmc import linflow as lf
+from reference import h_from_loads, predict
 
 
 @pytest.fixture(scope="module")
@@ -62,10 +63,9 @@ class TestBuildOperator:
         """On a matrix that satisfies the linear flow model exactly, only the
         entry rows are active: B(X) - d is zero past the observed block."""
         op, m_data, mask, maps = flow_operator
-        from gridmc import linflow as lf
         trunc = small_instance["trunc"]
         scen = small_instance["scen"]
-        v_lin, vmag_lin = lf.predict(trunc, lf.h_from_loads(scen.s))
+        v_lin, vmag_lin = predict(trunc, h_from_loads(scen.s))
         x = np.empty(op.shape)
         for t in range(trunc.n_steps):
             x[5 * t] = v_lin[t].real

@@ -14,6 +14,7 @@ from gridmc import datamatrix as dm
 from gridmc import gridmodel as gm
 from gridmc import linflow as lf
 from gridmc import simnet as sn
+from reference import admm_config, svt_objective, svt_oracle
 
 # Independently pinned optimum of the seeded nuclear-norm problem below,
 # computed once with an interior-point style convex solver at eps 1e-10.
@@ -28,14 +29,15 @@ def small_setup(small_instance):
     part = small_instance["part"]
     maps = small_instance["maps"]
     mask = dm.sample_mask(*mat.shape, 0.6, policy="uniform", seed=4).observed
-    problems = cp._build_problems(mat.data, mask, maps, part, cp.AdmmConfig(rank=2))
+    problems = cp._build_problems(mat.data, mask, maps, part, admm_config(rank=2))
     return mat.data, mask, maps, part, problems
 
 
 class TestConfig:
     def test_defaults(self):
         cfg = cp.AdmmConfig()
-        assert cfg.mu == 10.0 and cfg.prox_c == 0.1
+        assert (cfg.mu, cfg.nu, cfg.gamma, cfg.lam) == (1e4, 1e4, 1e3, 1e3)
+        assert cfg.prox_c == 0.1
         assert cfg.resolve_rank(25) == 10
         assert cfg.resolve_rank(5) == 5
         assert cp.AdmmConfig(rank=3).resolve_rank(25) == 3
@@ -143,7 +145,7 @@ def three_step_setup():
     maps = lf.build_area_maps(model, part)
     mask = dm.sample_mask(*mat.shape, 0.6, policy="uniform", seed=4).observed
     return mat.data, mask, maps, part, cp._build_problems(
-        mat.data, mask, maps, part, cp.AdmmConfig())
+        mat.data, mask, maps, part, admm_config())
 
 
 def _z(prob, st):
@@ -228,7 +230,7 @@ class TestSubproblems:
 
     def test_huge_prox_freezes_update(self, small_setup):
         m_data, mask, maps, part, _ = small_setup
-        config = cp.AdmmConfig(rank=2, prox_c=1e12)
+        config = admm_config(rank=2, prox_c=1e12)
         problems = cp._build_problems(m_data, mask, maps, part, config)
         states = cp._init_states(problems, m_data, mask, 2, 0)
         for l in part.areas:
@@ -262,13 +264,14 @@ class TestSubproblems:
             import numpy as np
             from gridmc import completion as cp
             from gridmc import gridmodel as gm
+            from reference import admm_config
             if not sys.flags.optimize:
                 sys.exit(2)
             rng = np.random.default_rng(0)
             m_data = rng.standard_normal((6, 4))
             mask = rng.random((6, 4)) < 0.7
-            config = cp.AdmmConfig(rank=2)
-            part = gm.AreaPartition.single_area(4)
+            config = admm_config(rank=2)
+            part = gm.AreaPartition.contiguous(4, 1)
             prob = cp._build_problems(m_data, mask, None, part, config)[1]
             st = cp._init_states({1: prob}, m_data, mask, 2, 0)[1]
             solve = cp._solve_quadratic
@@ -279,8 +282,9 @@ class TestSubproblems:
                 sys.exit(0)
             sys.exit(1)
         """)
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
         proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -338,9 +342,9 @@ class TestSubproblems:
         """Without flow maps the U blocks are the r x r diagonal blocks of
         the textbook normal matrix, one per row of U."""
         m_data, mask, *_ = three_step_setup
-        config = cp.AdmmConfig(rank=3, mu=3.0)
+        config = admm_config(rank=3, mu=3.0)
         prob = cp._build_problems(
-            m_data, mask, None, gm.AreaPartition.single_area(m_data.shape[1]), config
+            m_data, mask, None, gm.AreaPartition.contiguous(m_data.shape[1], 1), config
         )[1]
         st = cp._init_states({1: prob}, m_data, mask, 3, 0)[1]
         solved = []
@@ -421,7 +425,7 @@ class TestNormalMatrixAssembly:
         if areas == "single":
             # the same T=3 feeder as one area
             net, _ = gm.generate_radial_feeder(9, branching=0.5, seed=2, n_steps=3)
-            part = gm.AreaPartition.single_area(net.n_phases)
+            part = gm.AreaPartition.contiguous(net.n_phases, 1)
             model = lf.build_linear_model(net, n_steps=3)
             maps = lf.build_area_maps(model, part)
         config = cp.AdmmConfig(rank=3, mu=3.0, nu=2.0, gamma=1.5, lam=0.5)
@@ -453,7 +457,7 @@ class TestQUpdate:
         """The closed form satisfies the defining normal equations
         lam*q_j + nu*sum_i q_i = rhs_j for every neighbor j."""
         m_data, mask, maps, part, _ = small_setup
-        config = cp.AdmmConfig(lam=lam, nu=nu)
+        config = admm_config(lam=lam, nu=nu)
         prob = cp._build_problems(m_data, mask, maps, part, config)[2]  # degree 2
         rng = np.random.default_rng(seed)
         d = maps.residual_dim(2)
@@ -471,8 +475,8 @@ class TestQUpdate:
     def test_no_neighbors(self, small_setup):
         m_data, mask, maps, part, problems = small_setup
         single = cp._build_problems(
-            m_data, mask, None, gm.AreaPartition.single_area(m_data.shape[1]),
-            cp.AdmmConfig(),
+            m_data, mask, None, gm.AreaPartition.contiguous(m_data.shape[1], 1),
+            admm_config(),
         )[1]
         assert cp.update_q(single, np.zeros(0), {}, {}) == {}
 
@@ -481,7 +485,7 @@ class TestQUpdate:
 def short_run(small_setup):
     """20 iterations, plus the (area, U) of every U update of the run."""
     m_data, mask, maps, part, problems = small_setup
-    config = cp.AdmmConfig(rank=2, max_iters=20, tol=1e-14)
+    config = admm_config(rank=2, max_iters=20, tol=1e-14)
     solved = []
     update_u = cp.update_u
 
@@ -581,7 +585,7 @@ class TestOncePerIteration:
 
         monkeypatch.setattr(cp, "_init_states", init_counted)
         k = 4
-        config = cp.AdmmConfig(rank=2, max_iters=k, tol=1e-14)
+        config = admm_config(rank=2, max_iters=k, tol=1e-14)
         result = cp.run_decentralized(m_data, mask, maps, part, config)
         assert result.trace.iterations == k and part.n_areas == 3
         per_iteration = {name: counts[name] - at_init[name] for name in counts}
@@ -615,7 +619,7 @@ class TestMessagePayloads:
             return out
 
         monkeypatch.setattr(sn.MessageBus, "run_round", checked_round)
-        config = cp.AdmmConfig(rank=3, max_iters=5, tol=1e-14)
+        config = admm_config(rank=3, max_iters=5, tol=1e-14)
         result = cp.run_decentralized(m_data, mask, maps, part, config)
         assert result.trace.iterations == 5 and part.n_areas == 3
         assert result.bus.round_index == 10 and len(delivered) > 0
@@ -627,16 +631,16 @@ class TestSvtOracle:
         rng = np.random.default_rng(7)
         a = rng.standard_normal((20, 3)) @ rng.standard_normal((3, 15))
         mb = rng.random((20, 15)) < 0.6
-        x = cp.svt_oracle(a, mb, 50.0)
-        obj = cp.svt_objective(x, a, mb, 50.0)
+        x = svt_oracle(a, mb, 50.0)
+        obj = svt_objective(x, a, mb, 50.0)
         assert abs(obj - PINNED_CONVEX_OBJECTIVE) < 1e-6 * PINNED_CONVEX_OBJECTIVE
 
     def test_rejects_nonpositive_mu(self):
         with pytest.raises(cp.CompletionError):
-            cp.svt_oracle(np.zeros((3, 3)), np.ones((3, 3), bool), 0.0)
+            svt_oracle(np.zeros((3, 3)), np.ones((3, 3), bool), 0.0)
 
     def test_full_observation_large_mu_recovers_data(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((8, 5))
-        x = cp.svt_oracle(a, np.ones((8, 5), bool), 1e8)
+        x = svt_oracle(a, np.ones((8, 5), bool), 1e8)
         assert np.max(np.abs(x - a)) < 1e-6

@@ -1,4 +1,3 @@
-import json
 import os
 import subprocess
 import sys
@@ -6,7 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.io import mmwrite
 from scipy.optimize import fsolve
 
 from gridmc import gridmodel as gm
@@ -172,7 +170,7 @@ class TestAreaPartition:
         assert min(sizes) >= 1
 
     def test_single_area_has_no_neighbors(self):
-        part = gm.AreaPartition.single_area(5)
+        part = gm.AreaPartition.contiguous(5, 1)
         assert part.neighbors(1) == []
 
 
@@ -303,75 +301,3 @@ print(batched.shape == scen.s.shape and np.array_equal(batched, rows))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["True"]
 
-
-class TestLoadNetwork:
-    def _write_manifest(self, tmp_path, net, loads, assignment, adjacency):
-        mmwrite(tmp_path / "y_ll.mtx", net.y_ll)
-        mmwrite(tmp_path / "y_l0.mtx", net.y_l0)
-        with open(tmp_path / "phases.csv", "w") as fh:
-            for bus, ph in net.index.entries:
-                fh.write(f"{bus},{ph}\n")
-        with open(tmp_path / "areas.csv", "w") as fh:
-            for i, a in enumerate(assignment):
-                fh.write(f"{i},{a}\n")
-        with open(tmp_path / "loads.csv", "w") as fh:
-            for row in loads.s:
-                fh.write(",".join(f"{c.real},{c.imag}" for c in row) + "\n")
-        manifest = {
-            "y_ll": "y_ll.mtx",
-            "y_l0": "y_l0.mtx",
-            "v0": [[c.real, c.imag] for c in net.v0],
-            "phases": "phases.csv",
-            "areas": "areas.csv",
-            "loads": "loads.csv",
-            "adjacency": [sorted(p) for p in adjacency],
-        }
-        path = tmp_path / "manifest.json"
-        with open(path, "w") as fh:
-            json.dump(manifest, fh)
-        return path
-
-    def test_round_trip(self, tmp_path, small_feeder):
-        net, loads, part = small_feeder
-        path = self._write_manifest(
-            tmp_path, net, loads, part.assignment, part.adjacency
-        )
-        net2, loads2, part2 = gm.load_network(path)
-        assert np.allclose(net2.y_ll, net.y_ll)
-        assert np.allclose(loads2.s, loads.s)
-        assert np.array_equal(part2.assignment, part.assignment)
-        assert part2.adjacency == part.adjacency
-
-    def test_missing_manifest(self, tmp_path):
-        with pytest.raises(gm.GridModelError, match="missing"):
-            gm.load_network(tmp_path / "nope.json")
-
-    def test_missing_referenced_file(self, tmp_path, small_feeder):
-        net, loads, part = small_feeder
-        path = self._write_manifest(
-            tmp_path, net, loads, part.assignment, part.adjacency
-        )
-        (tmp_path / "loads.csv").unlink()
-        with pytest.raises(gm.GridModelError, match="missing file"):
-            gm.load_network(path)
-
-    def test_unassigned_phase(self, tmp_path, small_feeder):
-        net, loads, part = small_feeder
-        assignment = part.assignment.copy()
-        path = self._write_manifest(
-            tmp_path, net, loads, assignment, part.adjacency
-        )
-        with open(tmp_path / "areas.csv", "w") as fh:
-            for i, a in enumerate(assignment[:-1]):
-                fh.write(f"{i},{a}\n")
-        with pytest.raises(gm.GridModelError, match="unassigned"):
-            gm.load_network(path)
-
-    def test_singular_admittance_file(self, tmp_path, small_feeder):
-        net, loads, part = small_feeder
-        path = self._write_manifest(
-            tmp_path, net, loads, part.assignment, part.adjacency
-        )
-        mmwrite(tmp_path / "y_ll.mtx", np.zeros_like(net.y_ll))
-        with pytest.raises(gm.SingularAdmittanceError):
-            gm.load_network(path)
