@@ -138,11 +138,14 @@ def run_experiment(config: ExperimentConfig, out_dir: Path, order=None) -> dict:
     try:
         instance = _build_instance(config, config.seed)
         *_, maps = instance
-        reports = []
+        reports, per_run = [], []
         for k in range(config.runs):
-            result, report, mask, data = _single_run(config, instance,
-                                                     config.seed + k, order)
+            seed = config.seed + k
+            result, report, mask, data = _single_run(config, instance, seed, order)
             reports.append(report)
+            per_run.append({**report.to_dict(), "seed": seed,
+                            "iterations": result.trace.iterations,
+                            "converged": result.converged})
         aggregate = mt.aggregate_reports(reports)
 
         # the certificate checks the last run's problem: its factors, mask and data
@@ -154,7 +157,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Path, order=None) -> dict:
             "version": __version__,
             "config": config.to_dict(),
             "estimate": aggregate.to_dict(),
-            "per_run": [r.to_dict() for r in reports],
+            "per_run": per_run,
             "certificate": cert.to_dict(),
             "communication": _comm_summary(result, maps, config),
             "iterations": result.trace.iterations,

@@ -78,26 +78,24 @@ class FactorPair:
 
 @dataclass
 class AreaState:
-    """Per-area ADMM variables plus mirror copies of neighbor quantities."""
+    """One area's ADMM variables: the quantities it owns, and the points its
+    neighbors send it that a later round reads.  Each quantity is held once,
+    by one area."""
 
     u: np.ndarray
     v: np.ndarray
     x: np.ndarray  # X_l = U_l V_l, formed once per iteration
     e_ll: np.ndarray | None = None  # E_ll(X_l), set by each iteration with flow maps
-    s: dict[int, np.ndarray] = field(default_factory=dict)  # S_lj
     # S_lj - Gamma_lj, the point the consensus term pulls U_l to; formed where
     # S and Gamma change (round B), read by the next U update
     pull: dict[int, np.ndarray] = field(default_factory=dict)
-    q: dict[int, np.ndarray] = field(default_factory=dict)  # q_lj
     gamma: dict[int, np.ndarray] = field(default_factory=dict)  # dual for U_l = S_lj
+    q: dict[int, np.ndarray] = field(default_factory=dict)  # q_lj
     lam: dict[int, np.ndarray] = field(default_factory=dict)  # dual for E_lj = q_lj
-    # mirrors of the neighbor-owned quantities this area's updates need, in
-    # the coupling coordinates of AreaMaps (A_jl^T q_jl, B_jl X_l, ...)
-    q_in: dict[int, np.ndarray] = field(default_factory=dict)  # q_jl
-    lam_in: dict[int, np.ndarray] = field(default_factory=dict)  # Lambda_jl
-    e_out: dict[int, np.ndarray] = field(default_factory=dict)  # E_jl(X_l), last sent
-    e_in: dict[int, np.ndarray] = field(default_factory=dict)  # E_lj(X_j), last received
-    u_in: dict[int, np.ndarray] = field(default_factory=dict)  # U_j, last received
+    # A_jl^T (q_jl + Lambda_jl), sent by area j, the owner of q_jl and
+    # Lambda_jl: the point the flow term pulls B_jl X_l to, in the coupling
+    # coordinates of AreaMaps
+    flow_pull: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 @dataclass
@@ -114,22 +112,12 @@ class ConvergenceTrace:
 
 @dataclass
 class SolveResult:
-    x_blocks: dict[int, np.ndarray]
+    x: np.ndarray  # the estimate X, assembled from the areas' last X_l
     states: dict[int, AreaState]
     trace: ConvergenceTrace
     partition: AreaPartition
     bus: MessageBus
     converged: bool  # stopped by the tolerance test, not the iteration cap
-
-    @property
-    def x(self) -> np.ndarray:
-        part = self.partition
-        any_block = next(iter(self.x_blocks.values()))
-        n = part.assignment.size
-        out = np.empty((any_block.shape[0], n))
-        for l, block in self.x_blocks.items():
-            out[:, part.phases_in(l)] = block
-        return out
 
     def factors(self) -> FactorPair:
         """Assembled (U, V): consensus average of the basis factors and the
@@ -299,17 +287,19 @@ def _build_problems(
     return problems
 
 
-def _flow_target(prob: AreaProblem, st: AreaState) -> np.ndarray:
+def _flow_target(prob: AreaProblem, st: AreaState) -> np.ndarray | None:
     """Z (m x n_l): the flow terms are sum_t 0.5 vec(X_t)^T H vec(X_t) - <Z, X_l>
-    plus a constant, so Z V^T and U^T Z enter the right-hand sides."""
+    plus a constant, so Z V^T and U^T Z enter the right-hand sides.  None
+    without flow maps."""
+    if prob.maps is None:
+        return None
     config, t_steps = prob.config, prob.maps.n_steps
     target = prob.f_l.copy()
     for j in prob.neighbors:
         target -= st.q[j]
     z = config.nu * (prob.maps.to_steps(target) @ prob.g_ll)
     for j, b in prob.b_from.items():
-        coords = (st.q_in[j] + st.lam_in[j]).reshape(t_steps, b.shape[0])
-        z += config.lam * (coords @ b)
+        z += config.lam * (st.flow_pull[j].reshape(t_steps, b.shape[0]) @ b)
     return prob.maps.unsteps(z)
 
 
@@ -449,30 +439,24 @@ def _init_states(
     for l, prob in problems.items():
         u = pair.u.copy()
         v = pair.v[:, prob.cols].copy()
-        st = AreaState(u=u, v=v, x=u @ v)
-        if prob.maps is not None:
-            st.e_out = prob.maps.coordinates(l, st.x)
+        st = states[l] = AreaState(u=u, v=v, x=u @ v)
         for j in prob.neighbors:
-            st.s[j] = u.copy()
             st.gamma[j] = np.zeros_like(u)
-            st.pull[j] = st.s[j] - st.gamma[j]
-            if prob.maps is not None:
-                st.lam[j] = np.zeros(prob.maps.residual_dim(l))
-                st.lam_in[j] = np.zeros_like(st.e_out[j])
-        states[l] = st
-    # q_lj and its mirrors start at the corresponding E values so the first
-    # primal solve sees a consistent decentralized model
-    for l, prob in problems.items():
-        st = states[l]
-        for j in prob.neighbors:
-            if prob.maps is not None:
-                e_lj = states[j].e_out[l]  # coordinates of E_lj(X_j), from area j
-                st.q[j] = prob.maps.expand(l, j, e_lj)
-                st.e_in[j] = e_lj.copy()
+            st.pull[j] = u.copy()  # S_lj starts at U_l
+    maps = next(iter(problems.values())).maps
+    if maps is None:
+        return states
+    # q_lj starts at E_lj(X_j) and Lambda_lj at 0, so the first primal solve
+    # sees a consistent decentralized model
+    sent = {l: maps.coordinates(l, st.x) for l, st in states.items()}
     for l, prob in problems.items():
         for j in prob.neighbors:
-            if prob.maps is not None:
-                states[l].q_in[j] = prob.maps.project(j, l, states[j].q[l])
+            states[l].q[j] = maps.expand(l, j, sent[j][l])
+            states[l].lam[j] = np.zeros(maps.residual_dim(l))
+    for l, prob in problems.items():
+        for j in prob.neighbors:
+            owner = states[j]
+            states[l].flow_pull[j] = maps.project(j, l, owner.q[l] + owner.lam[l])
     return states
 
 
@@ -493,33 +477,33 @@ def run_decentralized(
     part: AreaPartition,
     config: AdmmConfig,
     reference: np.ndarray | None = None,
-    bus: MessageBus | None = None,
     order: dict[int, list[int]] | None = None,
 ) -> SolveResult:
     """Proximal ADMM over the area graph, two bus rounds per iteration.
 
-    Round A delivers last iteration's q terms, then every area solves its
-    U/V subproblems and sends its basis factor and the flow terms its
-    neighbors need.  Round B computes q, the consensus average, and the dual
-    ascent steps, then sends q.  Stops when both the consensus residual and
-    the relative iterate change fall below tol (`converged`), or after
-    max_iters iterations.  With a single area nothing is sent, the
-    consensus residual is 0, and the iteration is the plain block U/V
-    update of the whole matrix.
+    Round A delivers the flow pull points of the last round B, then every
+    area solves its U/V subproblems and sends its basis factor and the flow
+    terms its neighbors need.  Round B computes q, the consensus average,
+    and the dual ascent steps, then sends each neighbor the point its flow
+    term pulls to.  Stops when both the consensus residual and the relative
+    iterate change fall below tol (`converged`), or after max_iters
+    iterations.  With a single area nothing is sent, the consensus residual
+    is 0, and the iteration is the plain block U/V update of the whole
+    matrix.
 
-    Flow and q terms travel in the coupling coordinates of `AreaMaps`: area
-    l sends B_jl X_l (T rho_jl reals) and area j expands it with A_jl; area
-    j sends A_jl^T q_jl back.  A_jl has orthonormal columns, so
-    |A B x - y|^2 = |B x - A^T y|^2 + const and every update keeps the
-    minimizer it has with full residual-space vectors.
+    Flow terms travel in the coupling coordinates of `AreaMaps`: area l
+    sends B_jl X_l (T rho_jl reals) and area j expands it with A_jl; area j,
+    which owns q_jl and Lambda_jl, sends back A_jl^T (q_jl + Lambda_jl).
+    A_jl has orthonormal columns, so |A B x - y|^2 = |B x - A^T y|^2 + const
+    and every update keeps the minimizer it has with full residual-space
+    vectors.
     """
     m_data = np.asarray(m_data, dtype=float)
     m = m_data.shape[0]
     r = config.resolve_rank(m)
     problems = _build_problems(m_data, mask, area_maps, part, config)
     states = _init_states(problems, m_data, mask, r, config.seed)
-    if bus is None:
-        bus = MessageBus(part.areas, part.adjacency)
+    bus = MessageBus(part.areas, part.adjacency)
     trace = ConvergenceTrace()
     timings: dict[int, float] = {}
 
@@ -528,29 +512,19 @@ def run_decentralized(
 
         def fn(inbox):
             t0 = time.perf_counter()
-            for j in prob.neighbors:
-                key = (j, "q-term")
-                if key in inbox:  # refresh mirrors of the neighbor-owned duals
-                    q_jl = inbox[key]
-                    st.lam_in[j] = st.lam_in[j] + (q_jl - st.e_out[j])
-                    st.q_in[j] = q_jl
-            z = _flow_target(prob, st) if prob.maps is not None else None
+            for (j, _), pull in inbox.items():  # only round B's flow pull points
+                st.flow_pull[j] = pull
+            z = _flow_target(prob, st)
             u_new = update_u(prob, st, z)
             v_new = update_v(prob, st, u_new, z)
             st.u, st.v, st.x = u_new, v_new, u_new @ v_new
+            u_flat = u_new.reshape(-1)
+            sends = [Message(dest=j, tag="factor", payload=u_flat)
+                     for j in prob.neighbors]
             if prob.maps is not None:
                 st.e_ll = prob.maps.apply(l, l, st.x)
-            sends = []
-            if prob.neighbors:
-                if prob.maps is not None:
-                    st.e_out = prob.maps.coordinates(l, st.x)
-                u_flat = u_new.reshape(-1)
-                for j in prob.neighbors:
-                    sends.append(Message(dest=j, tag="factor", payload=u_flat))
-                    if prob.maps is not None:
-                        sends.append(
-                            Message(dest=j, tag="flow-term", payload=st.e_out[j])
-                        )
+                sends += [Message(dest=j, tag="flow-term", payload=coords)
+                          for j, coords in prob.maps.coordinates(l, st.x).items()]
             timings[l] = time.perf_counter() - t0
             return None, sends
 
@@ -560,30 +534,22 @@ def run_decentralized(
         prob, st = problems[l], states[l]
 
         def fn(inbox):
+            if not prob.neighbors:  # a single area exchanges nothing
+                return None, []
             t0 = time.perf_counter()
-            sends = []
-            if prob.neighbors:
-                for j in prob.neighbors:
-                    st.u_in[j] = inbox[(j, "factor")].reshape(st.u.shape)
-                    if prob.maps is not None:
-                        st.e_in[j] = inbox[(j, "flow-term")]
-                if prob.maps is not None:
-                    e_full = {j: prob.maps.expand(l, j, st.e_in[j])
-                              for j in prob.neighbors}
-                    q_new = update_q(prob, st.e_ll, e_full, st.lam)
-                else:
-                    e_full, q_new = {}, {}
-                s_new = {j: update_s(st.u, st.u_in[j]) for j in prob.neighbors}
-                gamma_new, lam_new = update_duals(st, st.u, s_new, q_new, e_full)
-                st.s, st.gamma = s_new, gamma_new
-                st.pull = {j: s_new[j] - gamma_new[j] for j in prob.neighbors}
-                if prob.maps is not None:
-                    st.q, st.lam = q_new, lam_new
-                    for j in prob.neighbors:
-                        sends.append(Message(
-                            dest=j, tag="q-term",
-                            payload=prob.maps.project(l, j, q_new[j]),
-                        ))
+            e_in, q_new = {}, {}
+            if prob.maps is not None:
+                e_in = {j: prob.maps.expand(l, j, inbox[(j, "flow-term")])
+                        for j in prob.neighbors}
+                q_new = update_q(prob, st.e_ll, e_in, st.lam)
+            s_new = {j: update_s(st.u, inbox[(j, "factor")].reshape(st.u.shape))
+                     for j in prob.neighbors}
+            st.gamma, lam_new = update_duals(st, st.u, s_new, q_new, e_in)
+            st.pull = {j: s_new[j] - st.gamma[j] for j in prob.neighbors}
+            st.q, st.lam = q_new, lam_new
+            sends = [Message(dest=j, tag="flow-pull",
+                             payload=prob.maps.project(l, j, q_new[j] + lam_new[j]))
+                     for j in q_new]  # no q terms without flow maps
             timings[l] += time.perf_counter() - t0
             return None, sends
 
@@ -621,11 +587,10 @@ def run_decentralized(
         x_prev = x_full
 
     return SolveResult(
-        x_blocks={l: states[l].x for l in part.areas},
+        x=x_full,
         states=states,
         trace=trace,
         partition=part,
         bus=bus,
         converged=converged,
     )
-

@@ -25,25 +25,6 @@ class DivergedFlowError(GridModelError):
         )
 
 
-@dataclass(frozen=True)
-class PhaseIndex:
-    """Ordering of the non-slack bus-phases (the matrix column unit)."""
-
-    entries: tuple[tuple[str, str], ...]
-    slack_phases: int = 1
-
-    def __post_init__(self):
-        if len(self.entries) < 1:
-            raise GridModelError("phase index must contain at least one phase")
-        if len(set(self.entries)) != len(self.entries):
-            raise GridModelError("duplicate (bus, phase) entries in phase index")
-        if self.slack_phases not in (1, 3):
-            raise GridModelError("slack bus must have 1 or 3 phases")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 # Largest 1-norm condition number of y_ll accepted as nonsingular.  Beyond
 # it a solve keeps fewer than four significant digits (eps * cond > 1e-4),
 # far too few for the flow's 1e-10 residual tolerance to mean anything.
@@ -61,24 +42,23 @@ class NetworkModel:
     is not finite.
     """
 
-    y_ll: np.ndarray
-    y_l0: np.ndarray
-    v0: np.ndarray
-    index: PhaseIndex
+    y_ll: np.ndarray  # |P| x |P|, over the non-slack bus-phases
+    y_l0: np.ndarray  # |P| x slack phases
+    v0: np.ndarray  # slack voltage, one entry per slack phase
 
     def __post_init__(self):
-        n = len(self.index)
+        n, n_slack = self.n_phases, self.v0.size
+        if n < 1:
+            raise GridModelError("network must have at least one non-slack phase")
         if self.y_ll.shape != (n, n):
+            raise GridModelError(f"y_ll shape {self.y_ll.shape} is not square")
+        if self.v0.shape != (n_slack,) or n_slack not in (1, 3):
+            raise GridModelError("slack bus must have 1 or 3 phases")
+        if self.y_l0.shape != (n, n_slack):
             raise GridModelError(
-                f"y_ll shape {self.y_ll.shape} inconsistent with |P|={n}"
+                f"y_l0 shape {self.y_l0.shape} inconsistent with |P|={n} and "
+                f"{n_slack} slack phases"
             )
-        if self.y_l0.shape != (n, self.index.slack_phases):
-            raise GridModelError(
-                f"y_l0 shape {self.y_l0.shape} inconsistent with "
-                f"{self.index.slack_phases} slack phases"
-            )
-        if self.v0.shape != (self.index.slack_phases,):
-            raise GridModelError("v0 length inconsistent with slack phase count")
         try:
             w = -self.solve_y_ll(self.y_l0 @ self.v0)
         except np.linalg.LinAlgError as exc:
@@ -93,7 +73,7 @@ class NetworkModel:
 
     @property
     def n_phases(self) -> int:
-        return len(self.index)
+        return len(self.y_ll)
 
     def solve_y_ll(self, rhs: np.ndarray) -> np.ndarray:
         """Solve y_ll @ x = rhs by LAPACK getrf + getrs.  With one BLAS
@@ -197,11 +177,18 @@ def _radial_admittance(parents: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return y_full
 
 
+def _load_scenario(rng: np.random.Generator, n: int, n_steps: int) -> LoadScenario:
+    """Consumption at n phases over n_steps: a base value per phase, a
+    smooth ramp and 1% process noise, drawn from rng in that order."""
+    base = _sample_complex(rng, 0.002 + 0.0005j, 0.01 + 0.004j, n)
+    t = np.arange(n_steps) / max(n_steps, 1)
+    ramp = 1.0 + 0.2 * t[:, None]  # smooth loading increase over the window
+    noise = 1.0 + 0.01 * rng.standard_normal((n_steps, n))
+    return LoadScenario(s=-base[None, :] * ramp * noise)  # negative: consumption
+
+
 def generate_radial_feeder(
     n_buses: int,
-    branching: float = 0.5,
-    impedance_range: tuple[complex, complex] = (0.01 + 0.01j, 0.04 + 0.03j),
-    load_range: tuple[complex, complex] = (0.002 + 0.0005j, 0.01 + 0.004j),
     seed: int = 0,
     n_steps: int = 1,
     three_phase: bool = False,
@@ -209,10 +196,10 @@ def generate_radial_feeder(
     """Generate a connected radial feeder rooted at the slack bus.
 
     Bus 0 is the slack bus.  Each new bus attaches to the previous bus with
-    probability 1 - branching, otherwise to a uniformly random earlier bus.
-    In three-phase mode the tree is replicated per phase with inter-phase
-    mutual impedance at 0.3x the self impedance.  Loads follow a base value
-    plus a smooth ramp and 1% process noise over ``n_steps``.
+    probability 1/2, otherwise to a uniformly random earlier bus.  In
+    three-phase mode the tree is replicated per phase with inter-phase
+    mutual impedance at 0.3x the self impedance.  Loads follow
+    `_load_scenario` over ``n_steps``.
     """
     if n_buses < 2:
         raise GridModelError("need at least 2 buses (slack + one load bus)")
@@ -220,19 +207,14 @@ def generate_radial_feeder(
 
     parents = np.zeros(n_buses, dtype=int)
     for b in range(1, n_buses):
-        if b == 1 or rng.random() > branching:
+        if b == 1 or rng.random() > 0.5:
             parents[b] = b - 1
         else:
             parents[b] = int(rng.integers(0, b))
 
-    z_lines = _sample_complex(rng, *impedance_range, n_buses)
+    z_lines = _sample_complex(rng, 0.01 + 0.01j, 0.04 + 0.03j, n_buses)
 
     n_ph = 3 if three_phase else 1
-    phase_labels = ("a", "b", "c")[:n_ph]
-    entries = tuple(
-        (f"bus{b}", ph) for b in range(1, n_buses) for ph in phase_labels
-    )
-    index = PhaseIndex(entries=entries, slack_phases=n_ph)
 
     def phase_block(z: complex) -> np.ndarray:
         if n_ph == 1:
@@ -240,23 +222,14 @@ def generate_radial_feeder(
         zmat = z * (np.eye(3) + 0.3 * (np.ones((3, 3)) - np.eye(3)))
         return np.linalg.inv(zmat)
 
-    n = len(index)
     blocks = np.stack([phase_block(z) for z in z_lines[1:]])
     y_full = _radial_admittance(parents[1:], blocks)
-    y_ll = y_full[n_ph:, n_ph:]
-    y_l0 = y_full[n_ph:, :n_ph]
     if n_ph == 1:
         v0 = np.array([1.0 + 0.0j])
     else:
         v0 = np.exp(-2j * np.pi * np.arange(3) / 3)
-    net = NetworkModel(y_ll=y_ll, y_l0=y_l0, v0=v0, index=index)
-
-    base = _sample_complex(rng, *load_range, n)
-    t = np.arange(n_steps) / max(n_steps, 1)
-    ramp = 1.0 + 0.2 * t[:, None]  # smooth loading increase over the window
-    noise = 1.0 + 0.01 * rng.standard_normal((n_steps, n))
-    loads = LoadScenario(s=-base[None, :] * ramp * noise)  # negative: consumption
-    return net, loads
+    net = NetworkModel(y_ll=y_full[n_ph:, n_ph:], y_l0=y_full[n_ph:, :n_ph], v0=v0)
+    return net, _load_scenario(rng, net.n_phases, n_steps)
 
 
 # Parent bus of buses 2..33 in the classic 33-bus radial feeder: a main
@@ -286,35 +259,25 @@ def feeder33_analog(
     seed: int = 0,
     n_steps: int = 1,
     n_areas: int = 4,
-    impedance_range: tuple[complex, complex] = (0.02 + 0.01j, 0.06 + 0.04j),
-    load_range: tuple[complex, complex] = (0.002 + 0.0005j, 0.01 + 0.004j),
 ) -> tuple[NetworkModel, LoadScenario, AreaPartition]:
     """Desk-scale stand-in for the 33-bus feeder with its canonical 4-area
     contiguous partition.  Topology is fixed; impedances and loads are
-    sampled per seed.  Loads follow the same base + ramp + 1% noise process
-    as generate_radial_feeder."""
+    sampled per seed.  Loads follow the same `_load_scenario` as
+    generate_radial_feeder."""
     if n_areas not in _FEEDER33_PARTITIONS:
         raise GridModelError(f"no canonical partition with {n_areas} areas")
     rng = np.random.default_rng(seed)
     n = len(_FEEDER33_PARENTS)  # 32 non-slack buses
-    entries = tuple((f"bus{b}", "a") for b in range(2, 2 + n))
-    index = PhaseIndex(entries=entries, slack_phases=1)
 
-    z = _sample_complex(rng, *impedance_range, n)
+    z = _sample_complex(rng, 0.02 + 0.01j, 0.06 + 0.04j, n)
     y_full = _radial_admittance(np.array(_FEEDER33_PARENTS) - 1,
                                 np.array([1.0 / zk for zk in z])[:, None, None])
     net = NetworkModel(
         y_ll=y_full[1:, 1:],
         y_l0=y_full[1:, :1],
         v0=np.array([1.0 + 0.0j]),
-        index=index,
     )
-
-    base = _sample_complex(rng, *load_range, n)
-    t = np.arange(n_steps) / max(n_steps, 1)
-    ramp = 1.0 + 0.2 * t[:, None]
-    noise = 1.0 + 0.01 * rng.standard_normal((n_steps, n))
-    loads = LoadScenario(s=-base[None, :] * ramp * noise)
+    loads = _load_scenario(rng, n, n_steps)
 
     sizes, adjacency = _FEEDER33_PARTITIONS[n_areas]
     assignment = np.concatenate(

@@ -134,27 +134,18 @@ def paper_comm_formula(n_l: int, n_j: int, m: int, r: int) -> int:
     return n_l + n_j + m * r
 
 
-def protocol_comm_formula(
-    n_l: int,
-    n_j: int,
-    m: int,
-    r: int,
-    rank_lj: int | None = None,
-    rank_jl: int | None = None,
-) -> int:
+def protocol_comm_formula(n_l: int, n_j: int, m: int, r: int, rank_lj: int,
+                          rank_jl: int) -> int:
     """Exact per-pair per-ADMM-iteration real-number count of the implemented
     protocol (m = 5T): the basis factor each way (2mr), plus the flow term
-    and the q term of each direction, T * rank reals each.
+    and the flow pull point of each direction, T * rank reals each.
 
     rank_lj is the rank of the per-step coupling block from area j into the
-    residual of area l, rank_jl the reverse.  They default to the residual
-    rows 3n_l and 3n_j, the count of sending full residual-space vectors:
-    2mr + 6T(n_l + n_j)."""
+    residual of area l (`AreaMaps.coupling_rank(l, j)`), rank_jl the
+    reverse."""
     if m % 5 != 0:
         raise ValueError("m must be 5T")
     t_steps = m // 5
-    rank_lj = 3 * n_l if rank_lj is None else rank_lj
-    rank_jl = 3 * n_j if rank_jl is None else rank_jl
     return 2 * m * r + 2 * t_steps * (rank_lj + rank_jl)
 
 
@@ -174,8 +165,8 @@ def comm_count(
     n_j: int,
     m: int,
     r: int,
-    rank_lj: int | None = None,
-    rank_jl: int | None = None,
+    rank_lj: int,
+    rank_jl: int,
 ) -> CommComparison:
     """Measured count for one ADMM iteration (its bus rounds) next to the
     claimed formula, our exact protocol formula, and the full-data baseline.

@@ -11,7 +11,7 @@ from gridmc import linflow as lf
 @pytest.fixture(scope="session")
 def small_feeder():
     """9-bus single-phase radial feeder with a 3-area chain partition."""
-    net, scen = gm.generate_radial_feeder(9, branching=0.5, seed=2, n_steps=2)
+    net, scen = gm.generate_radial_feeder(9, seed=2, n_steps=2)
     part = gm.AreaPartition.contiguous(net.n_phases, 3)
     return net, scen, part
 

@@ -60,6 +60,19 @@ class TestRunExperiment:
         for c in payload["communication"]:
             assert c["per_iteration_measured"] == c["protocol_formula"]
 
+    def test_per_run_entries_describe_their_own_run(self, tmp_path):
+        """With --runs 2 each per_run entry names its seed and reports its
+        own iterations and stop; the top-level fields are the last run's."""
+        payload = cli.run_experiment(fast_config(runs=2, areas=1), tmp_path)
+        first, last = payload["per_run"]
+        assert (first["seed"], last["seed"]) == (0, 1)
+        assert first["converged"] and last["converged"]
+        assert first["iterations"] != last["iterations"]
+        assert payload["iterations"] == last["iterations"]
+        assert payload["converged"] == last["converged"]
+        trace = (tmp_path / "trace.csv").read_text().splitlines()
+        assert len(trace) == 1 + last["iterations"]
+
     def test_centralized_has_no_communication(self, tmp_path):
         payload = cli.run_experiment(fast_config(areas=1), tmp_path)
         assert payload["communication"] == []

@@ -138,7 +138,7 @@ class TestObjective:
 @pytest.fixture(scope="module")
 def three_step_setup():
     """Masked data, maps, and per-area problems for a T=3 three-area feeder."""
-    net, scen = gm.generate_radial_feeder(9, branching=0.5, seed=2, n_steps=3)
+    net, scen = gm.generate_radial_feeder(9, seed=2, n_steps=3)
     part = gm.AreaPartition.contiguous(net.n_phases, 3)
     mat = dm.build_matrix(gm.solve_exact_flow(net, scen.s), scen.s)
     model = lf.build_linear_model(net, n_steps=3)
@@ -146,11 +146,6 @@ def three_step_setup():
     mask = dm.sample_mask(*mat.shape, 0.6, policy="uniform", seed=4).observed
     return mat.data, mask, maps, part, cp._build_problems(
         mat.data, mask, maps, part, admm_config())
-
-
-def _z(prob, st):
-    """The flow target run_decentralized passes to both updates."""
-    return cp._flow_target(prob, st) if prob.maps is not None else None
 
 
 def _perturbed_states(problems, m_data, mask, r, seed):
@@ -161,9 +156,10 @@ def _perturbed_states(problems, m_data, mask, r, seed):
         st = states[l]
         for j in prob.neighbors:
             st.gamma[j] = 0.1 * rng.standard_normal(st.u.shape)
-            st.pull[j] = st.s[j] - st.gamma[j]
+            st.pull[j] = st.u - st.gamma[j]  # S_lj starts at U_l
             if prob.maps is not None:
-                st.lam_in[j] = 0.1 * rng.standard_normal(st.lam_in[j].shape)
+                noise = 0.1 * rng.standard_normal(st.flow_pull[j].shape)
+                st.flow_pull[j] = st.flow_pull[j] + noise
     return states
 
 
@@ -177,9 +173,7 @@ class TestSubproblems:
         val += 0.5 * config.prox_c * (np.sum((u - st.u) ** 2)
                                       + np.sum((v - st.v) ** 2))
         for j in prob.neighbors:
-            val += 0.5 * config.gamma * np.sum(
-                (u - (st.s[j] - st.gamma[j])) ** 2
-            )
+            val += 0.5 * config.gamma * np.sum((u - st.pull[j]) ** 2)
         x = u @ v
         diff = np.where(prob.mask, x - prob.m_l, 0.0)
         val += 0.5 * config.mu * np.sum(diff * diff)
@@ -190,7 +184,7 @@ class TestSubproblems:
         for j in prob.neighbors:
             # |B x - c| = |A B x - A c|: A_jl has orthonormal columns
             res_j = (maps.e_mats[(j, l)] @ x_vec
-                     - maps.expand(j, l, st.q_in[j] + st.lam_in[j]))
+                     - maps.expand(j, l, st.flow_pull[j]))
             val += 0.5 * config.lam * float(res_j @ res_j)
         return val
 
@@ -212,7 +206,7 @@ class TestSubproblems:
         rng = np.random.default_rng(8)
         for l in part.areas:
             prob, st = problems[l], states[l]
-            u_new = cp.update_u(prob, st, _z(prob, st))
+            u_new = cp.update_u(prob, st, cp._flow_target(prob, st))
             self._assert_minimizer(
                 lambda u: self._lagrangian(prob, st, u, st.v), u_new, rng)
 
@@ -222,7 +216,7 @@ class TestSubproblems:
         rng = np.random.default_rng(9)
         for l in part.areas:
             prob, st = problems[l], states[l]
-            z = _z(prob, st)
+            z = cp._flow_target(prob, st)
             u_new = cp.update_u(prob, st, z)
             v_new = cp.update_v(prob, st, u_new, z)
             self._assert_minimizer(
@@ -235,7 +229,7 @@ class TestSubproblems:
         states = cp._init_states(problems, m_data, mask, 2, 0)
         for l in part.areas:
             prob, st = problems[l], states[l]
-            z = _z(prob, st)
+            z = cp._flow_target(prob, st)
             u_new = cp.update_u(prob, st, z)
             v_new = cp.update_v(prob, st, u_new, z)
             assert np.max(np.abs(u_new - st.u)) < 1e-6
@@ -250,7 +244,7 @@ class TestSubproblems:
         solve = cp._solve_quadratic
         monkeypatch.setattr(cp, "_solve_quadratic",
                             lambda h, rhs: solve(h, rhs) + 1.0)
-        z = _z(prob, st)
+        z = cp._flow_target(prob, st)
         with pytest.raises(cp.CompletionError):
             cp.update_u(prob, st, z)
         with pytest.raises(cp.CompletionError):
@@ -304,7 +298,7 @@ class TestSubproblems:
         l = 2
         prob, st = problems[l], states[l]
         m, r, n_l, t_steps = prob.m, 3, prob.n_l, maps.n_steps
-        z = _z(prob, st)
+        z = cp._flow_target(prob, st)
         u_new = cp.update_u(prob, st, z)
         cp.update_v(prob, st, u_new, z)
         h_u, h_v = solved
@@ -387,7 +381,7 @@ def _reference_u_system(prob, st, config, z):
     base = 1.0 / prob.n_areas + config.prox_c + config.gamma * prob.deg
     rhs = config.prox_c * st.u + config.mu * (prob.m_obs @ v.T)
     for j in prob.neighbors:
-        rhs += config.gamma * (st.s[j] - st.gamma[j])
+        rhs += config.gamma * st.pull[j]
     data = config.mu * (prob.mask @ cp._outer_rows(v.T))
     rows = 5 if prob.maps is not None else 1
     h = _block_diag(data.reshape(m // rows, rows, r, r), base)
@@ -424,7 +418,7 @@ class TestNormalMatrixAssembly:
         m_data, mask, maps, part, _ = three_step_setup
         if areas == "single":
             # the same T=3 feeder as one area
-            net, _ = gm.generate_radial_feeder(9, branching=0.5, seed=2, n_steps=3)
+            net, _ = gm.generate_radial_feeder(9, seed=2, n_steps=3)
             part = gm.AreaPartition.contiguous(net.n_phases, 1)
             model = lf.build_linear_model(net, n_steps=3)
             maps = lf.build_area_maps(model, part)
@@ -438,7 +432,7 @@ class TestNormalMatrixAssembly:
                             lambda h, rhs: solved.append((h, rhs)) or solve(h, rhs))
         for l, prob in problems.items():
             st = states[l]
-            z = _z(prob, st)
+            z = cp._flow_target(prob, st)
             u_new = cp.update_u(prob, st, z)
             cp.update_v(prob, st, u_new, z)
             (h_u, rhs_u), (h_v, rhs_v) = solved[-2:]
@@ -516,7 +510,7 @@ class TestDecentralizedRun:
         x = result.x
         assert x.shape == m_data.shape
         for l in part.areas:
-            assert np.array_equal(x[:, part.phases_in(l)], result.x_blocks[l])
+            assert np.array_equal(x[:, part.phases_in(l)], result.states[l].x)
 
     def test_consensus_dual_antisymmetry(self, short_run):
         """Opposite-direction basis duals stay exact negatives of each other,
@@ -528,14 +522,36 @@ class TestDecentralizedRun:
                 g_jl = result.states[j].gamma[l]
                 assert np.max(np.abs(g_lj + g_jl)) < 1e-10
 
-    def test_flow_mirrors_consistent(self, short_run):
-        """Every received flow term equals what the sender computed."""
-        result, m_data, part, _ = short_run
-        for l in part.areas:
-            for j in part.neighbors(l):
-                sent = result.states[j].e_out[l]
-                got = result.states[l].e_in[j]
-                assert np.array_equal(sent, got)
+    def test_flow_pull_is_the_owners_projection(self, small_setup, monkeypatch):
+        """Every U update reads, for each neighbor j, the pull point
+        A_jl^T (q_jl + Lambda_jl) of area j's own q and dual, bit for bit:
+        no area keeps a copy of a neighbor's dual."""
+        m_data, mask, maps, part, _ = small_setup
+        states, checked = {}, []
+        init, update_u = cp._init_states, cp.update_u
+
+        def init_kept(*args):
+            states.update(init(*args))
+            return states
+
+        def update_u_checked(prob, st, z):
+            l = prob.area
+            for j in prob.neighbors:
+                owner = states[j]
+                sent = maps.project(j, l, owner.q[l] + owner.lam[l])
+                checked.append((np.array_equal(st.flow_pull[j], sent),
+                                bool(np.any(owner.lam[l]))))
+            return update_u(prob, st, z)
+
+        monkeypatch.setattr(cp, "_init_states", init_kept)
+        monkeypatch.setattr(cp, "update_u", update_u_checked)
+        k = 20
+        cp.run_decentralized(m_data, mask, maps, part,
+                             admm_config(rank=2, max_iters=k, tol=1e-14))
+        pairs = sum(len(part.neighbors(l)) for l in part.areas)
+        assert len(checked) == k * pairs
+        assert all(same for same, _ in checked)
+        assert sum(moved for _, moved in checked) == (k - 1) * pairs  # duals start at 0
 
     def test_objective_decreases_overall(self, short_run):
         result, _, _, _ = short_run
@@ -594,7 +610,7 @@ class TestOncePerIteration:
             st = result.states[l]
             assert np.array_equal(st.x, st.u @ st.v)
             assert np.array_equal(st.e_ll, maps.apply(l, l, st.x))
-            assert result.x_blocks[l] is st.x
+            assert np.array_equal(result.x[:, part.phases_in(l)], st.x)
 
 
 class TestMessagePayloads:

@@ -28,40 +28,38 @@ def newton_flow_oracle(net, s):
     return x[:n] + 1j * x[n:]
 
 
-class TestPhaseIndex:
+class TestNetworkModel:
     def test_rejects_empty(self):
-        with pytest.raises(gm.GridModelError):
-            gm.PhaseIndex(entries=())
-
-    def test_rejects_duplicates(self):
-        with pytest.raises(gm.GridModelError):
-            gm.PhaseIndex(entries=(("b1", "a"), ("b1", "a")))
+        with pytest.raises(gm.GridModelError, match="at least one"):
+            gm.NetworkModel(
+                y_ll=np.zeros((0, 0), dtype=complex),
+                y_l0=np.zeros((0, 1), dtype=complex),
+                v0=np.array([1.0 + 0j]),
+            )
 
     def test_rejects_bad_slack_count(self):
-        with pytest.raises(gm.GridModelError):
-            gm.PhaseIndex(entries=(("b1", "a"),), slack_phases=2)
+        with pytest.raises(gm.GridModelError, match="1 or 3 phases"):
+            gm.NetworkModel(
+                y_ll=np.eye(1, dtype=complex),
+                y_l0=np.zeros((1, 2), dtype=complex),
+                v0=np.ones(2, dtype=complex),
+            )
 
-
-class TestNetworkModel:
     def test_singular_admittance_rejected(self):
-        index = gm.PhaseIndex(entries=(("b1", "a"), ("b2", "a")))
         y_ll = np.ones((2, 2), dtype=complex)  # rank 1
         with pytest.raises(gm.SingularAdmittanceError):
             gm.NetworkModel(
                 y_ll=y_ll,
                 y_l0=np.zeros((2, 1), dtype=complex),
                 v0=np.array([1.0 + 0j]),
-                index=index,
             )
 
     def test_exactly_singular_raises_through_lapack(self):
-        index = gm.PhaseIndex(entries=(("b1", "a"), ("b2", "a")))
         with pytest.raises(gm.SingularAdmittanceError) as excinfo:
             gm.NetworkModel(
                 y_ll=np.ones((2, 2), dtype=complex),
                 y_l0=np.zeros((2, 1), dtype=complex),
                 v0=np.array([1.0 + 0j]),
-                index=index,
             )
         assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
 
@@ -72,13 +70,11 @@ class TestNetworkModel:
         v = np.array([0.9 - 0.4j, 1.1 + 0.3j, -0.6 + 0.8j])
         y_ll = np.outer(u, u) + np.outer(v, v)
         np.linalg.solve(y_ll, np.ones(3))
-        index = gm.PhaseIndex(entries=(("b1", "a"), ("b2", "a"), ("b3", "a")))
         with pytest.raises(gm.SingularAdmittanceError, match="condition"):
             gm.NetworkModel(
                 y_ll=y_ll,
                 y_l0=np.zeros((3, 1), dtype=complex),
                 v0=np.array([1.0 + 0j]),
-                index=index,
             )
 
     def test_no_load_voltage_is_read_only(self, small_feeder):
@@ -88,24 +84,20 @@ class TestNetworkModel:
             net.no_load_voltage[0] = 0.0
 
     def test_shape_validation(self):
-        index = gm.PhaseIndex(entries=(("b1", "a"),))
         with pytest.raises(gm.GridModelError):
             gm.NetworkModel(
                 y_ll=np.eye(2, dtype=complex),
                 y_l0=np.zeros((1, 1), dtype=complex),
                 v0=np.array([1.0 + 0j]),
-                index=index,
             )
 
     def test_no_load_voltage_two_bus(self):
         # single line of impedance z from slack at 1.0 pu: w = v0 exactly
         z = 0.03 + 0.02j
-        index = gm.PhaseIndex(entries=(("b2", "a"),))
         net = gm.NetworkModel(
             y_ll=np.array([[1 / z]]),
             y_l0=np.array([[-1 / z]]),
             v0=np.array([1.0 + 0j]),
-            index=index,
         )
         assert np.allclose(net.no_load_voltage, [1.0 + 0j], atol=1e-14)
 
@@ -238,12 +230,10 @@ class TestSolveExactFlow:
         # quadratic with closed-form root
         z = 0.05 + 0.03j
         s = -0.04 - 0.01j
-        index = gm.PhaseIndex(entries=(("b2", "a"),))
         net = gm.NetworkModel(
             y_ll=np.array([[1 / z]]),
             y_l0=np.array([[-1 / z]]),
             v0=np.array([1.0 + 0j]),
-            index=index,
         )
         v = gm.solve_exact_flow(net, np.array([s]))[0]
         # verify against the quadratic v^2 - v0 v - z conj(s) scaled form

@@ -44,12 +44,10 @@ class TestBuildLinearModel:
         assert np.max(np.abs(vmag_lin - np.abs(v_exact))) < 0.01
 
     def test_degenerate_profile_rejected(self):
-        index = gm.PhaseIndex(entries=(("b2", "a"),))
         net = gm.NetworkModel(
             y_ll=np.array([[1.0 + 0j]]),
             y_l0=np.array([[0.0 + 0j]]),  # isolated from slack: w = 0
             v0=np.array([1.0 + 0j]),
-            index=index,
         )
         with pytest.raises(lf.LinFlowError, match="degenerate"):
             lf.build_linear_model(net)

@@ -132,8 +132,9 @@ class TestFormulas:
         assert sn.paper_comm_formula(40, 60, 25, 5) == 225
 
     def test_protocol_count(self):
-        # m=25 means 5 time steps: 2*25*5 + 6*5*(40+60)
-        assert sn.protocol_comm_formula(40, 60, 25, 5) == 250 + 3000
+        # m=25 means 5 time steps: 2*25*5 + 2*5*(120+180) at the full
+        # residual ranks 3n_l and 3n_j
+        assert sn.protocol_comm_formula(40, 60, 25, 5, 120, 180) == 250 + 3000
 
     def test_protocol_count_with_coupling_ranks(self):
         # flow and q terms carry T reals per coupling rank and direction;
@@ -143,9 +144,9 @@ class TestFormulas:
 
     def test_protocol_count_requires_block_rows(self):
         with pytest.raises(ValueError):
-            sn.protocol_comm_formula(4, 6, 13, 2)
+            sn.protocol_comm_formula(4, 6, 13, 2, 1, 1)
 
     def test_comm_count_missing_pair(self):
         bus = make_bus(2)
         with pytest.raises(KeyError):
-            sn.comm_count(bus.ledger, {1, 2}, 0, 4, 6, 10, 2)
+            sn.comm_count(bus.ledger, {1, 2}, 0, 4, 6, 10, 2, 1, 1)
