@@ -218,8 +218,6 @@ class AreaProblem:
     b_from: dict[int, np.ndarray]  # j -> B_jl, rho_jl x 5n_l
     h_u: np.ndarray | None  # H as (col, (row, row', col')): n_l x 25 n_l
     h_v: np.ndarray | None  # H as ((col, col'), (row, row')): n_l^2 x 25
-    _diagonal_index: dict[tuple[int, int, int], np.ndarray] = field(
-        default_factory=dict, init=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -232,17 +230,6 @@ class AreaProblem:
     @property
     def deg(self) -> int:
         return len(self.neighbors)
-
-    def diagonal_blocks(self, n_sys: int, k: int, r: int) -> np.ndarray:
-        """Flat indices of the k r x r diagonal blocks of each of n_sys
-        stacked kr x kr matrices, in (system, block, row, column) order;
-        built on first use and kept for the run."""
-        key = (n_sys, k, r)
-        if key not in self._diagonal_index:
-            s, b, i, j = np.ix_(*(np.arange(n) for n in (n_sys, k, r, r)))
-            index = (((s * k + b) * r + i) * k + b) * r + j
-            self._diagonal_index[key] = index.ravel()
-        return self._diagonal_index[key]
 
 
 def _build_problems(
@@ -297,7 +284,7 @@ def _flow_target(prob: AreaProblem, st: AreaState) -> np.ndarray | None:
     target = prob.f_l.copy()
     for j in prob.neighbors:
         target -= st.q[j]
-    z = config.nu * (prob.maps.to_steps(target) @ prob.g_ll)
+    z = config.nu * (target.reshape(t_steps, -1) @ prob.g_ll)
     for j, b in prob.b_from.items():
         z += config.lam * (st.flow_pull[j].reshape(t_steps, b.shape[0]) @ b)
     return prob.maps.unsteps(z)
@@ -326,20 +313,18 @@ def _solve_checked(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
-def _normal_matrix(prob: AreaProblem, flow: np.ndarray | None, data: np.ndarray,
-                   base: float) -> np.ndarray:
+def _normal_matrix(flow: np.ndarray | None, data: np.ndarray, base: float) -> np.ndarray:
     """(n_sys, kr, kr) stacked normal matrices: the flow part (k, r, k, r),
     the same for every system, written once, plus each system's k data
     blocks (data: (n_sys, k, r, r), overwritten) with base added to their
     diagonal first."""
     n_sys, k, r, _ = data.shape
     data.reshape(-1, r * r)[:, :: r + 1] += base
-    if flow is None:
-        h = np.zeros((n_sys, k * r, k * r))
-    else:
-        h = np.empty((n_sys, k * r, k * r))
-        h.reshape(n_sys, k, r, k, r)[...] = flow
-    h.reshape(-1)[prob.diagonal_blocks(n_sys, k, r)] += data.reshape(-1)
+    h = np.zeros((n_sys, k * r, k * r)) if flow is None else np.empty((n_sys, k * r, k * r))
+    h5 = h.reshape(n_sys, k, r, k, r)
+    if flow is not None:
+        h5[...] = flow
+    np.einsum("sbibj->sbij", h5)[...] += data  # a writeable view of the diagonal blocks
     return h
 
 
@@ -365,7 +350,7 @@ def update_u(prob: AreaProblem, st: AreaState, z: np.ndarray | None) -> np.ndarr
         # (V^T kron I_5)^T H (V^T kron I_5), the same for every step
         flow = ((v @ prob.h_u).reshape(-1, prob.n_l) @ v.T).reshape(r, rows, rows, r)
         flow = flow.transpose(1, 0, 2, 3)  # (k, j, k', j')
-    h = _normal_matrix(prob, flow, data.reshape(m // rows, rows, r, r), base)
+    h = _normal_matrix(flow, data.reshape(m // rows, rows, r, r), base)
     return _solve_checked(h, rhs.reshape(m // rows, rows * r)).reshape(m, r)
 
 
@@ -387,7 +372,7 @@ def update_v(prob: AreaProblem, st: AreaState, u_new: np.ndarray,
         w = w.transpose(0, 2, 1, 3)  # (k, k', j, j')
         flow = (prob.h_v @ w.reshape(ROWS_PER_STEP**2, r * r)).reshape(n_l, n_l, r, r)
         flow = flow.transpose(0, 2, 1, 3)  # (c, j, c', j')
-    h = _normal_matrix(prob, flow, data.reshape(1, n_l, r, r), 1.0 + config.prox_c)[0]
+    h = _normal_matrix(flow, data.reshape(1, n_l, r, r), 1.0 + config.prox_c)[0]
     return _solve_checked(h, rhs.T.ravel()).reshape(n_l, r).T
 
 

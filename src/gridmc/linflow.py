@@ -91,9 +91,10 @@ class AreaMaps:
     """Linear maps E_lj from area-j measurement columns to the area-l residual
     space, plus the affine targets f_l.
 
-    The residual space of area l stacks, for each of its phases (in phase
-    order) and each time step, the real rows [Re v, Im v, |v|], giving
-    3T * n_l entries.
+    The residual space of area l stacks, for each time step and each of its
+    phases (in phase order), the real rows [Re v, Im v, |v|], giving 3T * n_l
+    entries: entry t 3n_l + 3 phase + c, so y.reshape(T, 3n_l) has one row
+    per step in the row order of G_lj.
 
     E_lj repeats one per-step block G_lj = step_blocks[(l, j)] (3n_l x 5n_j)
     on every time step; it acts on vec_F of the step's 5 x n_j row block of
@@ -128,8 +129,7 @@ class AreaMaps:
         matrix acting on the column-major flattening of X_j.  Assembled on
         first read; no estimation step reads them."""
         return {
-            (l, j): _repeat_steps(g, self.cols[j].size, self.n_steps,
-                                  n_groups=self.cols[l].size)
+            (l, j): _repeat_steps(g, self.cols[j].size, self.n_steps)
             for (l, j), g in self.step_blocks.items()
         }
 
@@ -147,43 +147,32 @@ class AreaMaps:
 
     def apply(self, l: int, j: int, x_j: np.ndarray) -> np.ndarray:
         """E_lj(X_j) for the m x n_j block x_j, in the residual order of l."""
-        return self.from_steps(self.steps(x_j) @ self.step_blocks[(l, j)].T)
+        return (self.steps(x_j) @ self.step_blocks[(l, j)].T).ravel()
 
     def apply_adjoint(self, l: int, j: int, y: np.ndarray) -> np.ndarray:
         """E_lj^T y for a residual-order vector y of l, as an m x n_j block."""
-        return self.unsteps(self.to_steps(y) @ self.step_blocks[(l, j)])
+        return self.unsteps(y.reshape(self.n_steps, -1) @ self.step_blocks[(l, j)])
 
     def coupling_rank(self, l: int, j: int) -> int:
         """rank(G_lj): reals per time step that carry E_lj(X_j)."""
         return self.coupling[(l, j)][1].shape[0]
 
-    def to_steps(self, y: np.ndarray) -> np.ndarray:
-        """Residual-space vector of an area as rows of per-step blocks,
-        (T, 3n_l), in the row order of G_lj."""
-        per_step = y.reshape(-1, self.n_steps, 3).transpose(1, 0, 2)
-        return per_step.reshape(self.n_steps, -1)
-
-    def from_steps(self, y: np.ndarray) -> np.ndarray:
-        """Inverse of `to_steps`."""
-        return y.reshape(self.n_steps, -1, 3).transpose(1, 0, 2).ravel()
-
     def expand(self, l: int, j: int, coords: np.ndarray) -> np.ndarray:
         """Residual-space vector (I_T kron A_lj) coords, in residual order."""
         a = self.coupling[(l, j)][0]
-        return self.from_steps(coords.reshape(self.n_steps, a.shape[1]) @ a.T)
+        return (coords.reshape(self.n_steps, a.shape[1]) @ a.T).ravel()
 
     def project(self, l: int, j: int, y: np.ndarray) -> np.ndarray:
         """Coordinates (I_T kron A_lj)^T y of a residual-space vector of l;
         the adjoint of `expand`."""
-        return (self.to_steps(y) @ self.coupling[(l, j)][0]).ravel()
+        return (y.reshape(self.n_steps, -1) @ self.coupling[(l, j)][0]).ravel()
 
     def coordinates(self, l: int, x_l: np.ndarray) -> dict[int, np.ndarray]:
         """j -> coordinates (I_T kron B_jl) vec_F(X_l) of E_jl(X_l), step
-        major, for every neighbor j of l (every coupling block out of l):
-        what area l sends j."""
+        major, for every neighbor j of l: what area l sends j."""
         x_steps = self.steps(x_l)
-        return {j: (x_steps @ b.T).ravel()
-                for (j, src), (_, b) in self.coupling.items() if src == l}
+        return {j: (x_steps @ self.coupling[(j, l)][1].T).ravel()
+                for j in self.partition.neighbors(l)}
 
 
 def _factor_step_block(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,15 +207,13 @@ def _step_block(
     return g.reshape(3 * own.size, ROWS_PER_STEP * src.size)
 
 
-def _repeat_steps(g: np.ndarray, n_src: int, t_steps: int, n_groups: int) -> np.ndarray:
+def _repeat_steps(g: np.ndarray, n_src: int, t_steps: int) -> np.ndarray:
     """Dense map applying the per-step block g on every time step of
-    vec_F(X_src) (an m x n_src block).  The rows of g split into n_groups
-    equal groups, and the output rows are ordered (group, step, row)."""
-    per_group = g.shape[0] // n_groups
-    out = np.zeros((n_groups, t_steps, per_group, n_src, t_steps, ROWS_PER_STEP))
-    g4 = g.reshape(n_groups, per_group, n_src, ROWS_PER_STEP)
+    vec_F(X_src) (an m x n_src block); the output rows are (step, row)."""
+    out = np.zeros((t_steps, g.shape[0], n_src, t_steps, ROWS_PER_STEP))
+    g3 = g.reshape(g.shape[0], n_src, ROWS_PER_STEP)
     for t in range(t_steps):
-        out[:, t, :, :, t, :] = g4
+        out[t, :, :, t, :] = g3
     return out.reshape(t_steps * g.shape[0], n_src * t_steps * ROWS_PER_STEP)
 
 
@@ -243,7 +230,7 @@ def build_area_maps(model: LinearFlowModel, part: AreaPartition) -> AreaMaps:
     f: dict[int, np.ndarray] = {}
     for l in part.areas:
         own = cols[l]
-        f[l] = np.repeat(w3[own], t_steps, axis=0).ravel()
+        f[l] = np.tile(w3[own].ravel(), t_steps)
         for j in [l] + part.neighbors(l):
             g = step_blocks[(l, j)] = _step_block(model, own, cols[j], same_area=j == l)
             if j != l:
@@ -300,8 +287,8 @@ def decentralized_flow(
             v = maps.f[l] - maps.apply(l, l, x[l])
             for j in part.neighbors(l):
                 v -= maps.expand(l, j, inbox[(j, "flow-term")])
-            v = v.reshape(-1, maps.n_steps, 3)  # (phase, step, [Re v, Im v, |v|])
-            return (v[..., 0].T + 1j * v[..., 1].T, v[..., 2].T), []
+            v = v.reshape(maps.n_steps, -1, 3)  # (step, phase, [Re v, Im v, |v|])
+            return (v[..., 0] + 1j * v[..., 1], v[..., 2]), []
 
         return fn
 

@@ -134,8 +134,7 @@ def paper_comm_formula(n_l: int, n_j: int, m: int, r: int) -> int:
     return n_l + n_j + m * r
 
 
-def protocol_comm_formula(n_l: int, n_j: int, m: int, r: int, rank_lj: int,
-                          rank_jl: int) -> int:
+def protocol_comm_formula(m: int, r: int, rank_lj: int, rank_jl: int) -> int:
     """Exact per-pair per-ADMM-iteration real-number count of the implemented
     protocol (m = 5T): the basis factor each way (2mr), plus the flow term
     and the flow pull point of each direction, T * rank reals each.
@@ -177,6 +176,6 @@ def comm_count(
     return CommComparison(
         measured=ledger.count(pair, rounds),
         paper_formula=paper_comm_formula(n_l, n_j, m, r),
-        protocol_formula=protocol_comm_formula(n_l, n_j, m, r, rank_lj, rank_jl),
+        protocol_formula=protocol_comm_formula(m, r, rank_lj, rank_jl),
         full_exchange=(n_l + n_j) * m,
     )

@@ -442,6 +442,25 @@ class TestNormalMatrixAssembly:
             assert np.array_equal(h_v, ref_h_v) and np.array_equal(rhs_v, ref_rhs_v)
         assert len(solved) == 2 * len(problems)
 
+    @pytest.mark.parametrize("n_sys, k, with_flow", [
+        (4, 5, True),  # U: one 5r system per step, with flow maps
+        (20, 1, False),  # U: one r system per row, without
+        (1, 6, True),  # V: one n_l r system
+        (1, 6, False),
+    ])
+    def test_normal_matrix_equals_zero_filled_blocks(self, n_sys, k, with_flow):
+        """`_normal_matrix`, whose data blocks go in through a diagonal-block
+        view, equals the zero-filled assembly plus the flow part bit for bit."""
+        rng = np.random.default_rng(7)
+        r, base = 3, 0.7
+        data = rng.standard_normal((n_sys, k, r, r))
+        flow = rng.standard_normal((k, r, k, r)) if with_flow else None
+        want = _block_diag(data.copy(), base)
+        if with_flow:
+            want += flow
+        got = cp._normal_matrix(flow, data.copy(), base)
+        assert np.array_equal(got, want.reshape(n_sys, k * r, k * r))
+
 
 class TestQUpdate:
     @settings(max_examples=25, deadline=None)

@@ -174,8 +174,8 @@ class TestAreaMaps:
                 part.assignment, [l] + part.neighbors(l)
             )
             expected = []
-            for c in part.phases_in(l):
-                for t in range(t_steps):
+            for t in range(t_steps):
+                for c in part.phases_in(l):
                     vr, vi, vm = x[5 * t, c], x[5 * t + 1, c], x[5 * t + 2, c]
                     h_re = np.where(keep, x[5 * t + 3], 0.0)
                     h_im = np.where(keep, x[5 * t + 4], 0.0)
@@ -234,6 +234,34 @@ class TestAreaMaps:
             assert maps.f[l].shape == (3 * maps.n_steps * n_l,)
 
 
+class TestResidualLayout:
+    """Residual vectors are step major: row t of y.reshape(T, 3n_l) is step
+    t, in the row order of the per-step blocks G_lj."""
+
+    def test_step_rows_follow_the_step_blocks(self, small_instance,
+                                              three_phase_instance):
+        """Each unit matrix X_j, one entry k of vec_F(X_t) set, maps to
+        G_lj vec_F(X_t) in row t and to zero in the other rows, exactly."""
+        for inst in (small_instance, three_phase_instance):
+            model, maps = inst["model"], inst["maps"]
+            t_steps = maps.n_steps
+            w3 = np.column_stack([model.w.real, model.w.imag, np.abs(model.w)])
+            for l in maps.partition.areas:
+                f_steps = maps.f[l].reshape(t_steps, -1)
+                for t in range(t_steps):
+                    assert np.array_equal(f_steps[t], w3[maps.cols[l]].ravel())
+                for j in maps.sources(l):
+                    g, n_j = maps.step_blocks[(l, j)], maps.cols[j].size
+                    for t in range(t_steps):
+                        for k in range(5 * n_j):
+                            x_j = np.zeros((maps.m, n_j))
+                            x_j[5 * t + k % 5, k // 5] = 1.0
+                            want = np.zeros((t_steps, g.shape[0]))
+                            want[t] = g @ x_j[5 * t : 5 * t + 5].ravel(order="F")
+                            got = maps.apply(l, j, x_j).reshape(t_steps, -1)
+                            assert np.array_equal(got, want)
+
+
 @pytest.fixture(scope="module")
 def feeder33_maps():
     net, scen, part = gm.feeder33_analog(seed=0, n_steps=2, n_areas=5)
@@ -259,7 +287,7 @@ class TestCouplingFactors:
             e = maps.e_mats[(j, l)]
             n_j, n_l = maps.cols[j].size, maps.cols[l].size
             for t in range(t_steps):
-                rows = [3 * (pos * t_steps + t) + c
+                rows = [3 * (t * n_j + pos) + c
                         for pos in range(n_j) for c in range(3)]
                 cols = [dpos * m + 5 * t + k
                         for dpos in range(n_l) for k in range(5)]

@@ -133,18 +133,18 @@ class TestFormulas:
 
     def test_protocol_count(self):
         # m=25 means 5 time steps: 2*25*5 + 2*5*(120+180) at the full
-        # residual ranks 3n_l and 3n_j
-        assert sn.protocol_comm_formula(40, 60, 25, 5, 120, 180) == 250 + 3000
+        # residual ranks 3n_l and 3n_j of n_l=40, n_j=60
+        assert sn.protocol_comm_formula(25, 5, 120, 180) == 250 + 3000
 
     def test_protocol_count_with_coupling_ranks(self):
         # flow and q terms carry T reals per coupling rank and direction;
         # a pair whose coupling has rank 0 sends only the basis factors
-        assert sn.protocol_comm_formula(40, 60, 25, 5, 2, 3) == 250 + 50
-        assert sn.protocol_comm_formula(40, 60, 25, 5, 0, 0) == 250
+        assert sn.protocol_comm_formula(25, 5, 2, 3) == 250 + 50
+        assert sn.protocol_comm_formula(25, 5, 0, 0) == 250
 
     def test_protocol_count_requires_block_rows(self):
         with pytest.raises(ValueError):
-            sn.protocol_comm_formula(4, 6, 13, 2, 1, 1)
+            sn.protocol_comm_formula(13, 2, 1, 1)
 
     def test_comm_count_missing_pair(self):
         bus = make_bus(2)
