@@ -9,9 +9,18 @@ Each root is a checkout holding `src/gridmc`, `perfbench/` and
 
 1. It checks that both trees compute the same thing.  Each side runs
    `gridmc run` once at the workload's settings (those of `perfbench/run.py`)
-   with one BLAS thread.  `results.json` and `spectrum.csv` must match byte
-   for byte, and `trace.csv` must match apart from its `max_area_ms` timing
-   column.  If they differ it stops with exit code 1 and benchmarks nothing.
+   with one BLAS thread.  The first verdict, `outputs_identical`, asks
+   whether `results.json` and `spectrum.csv` match byte for byte and
+   `trace.csv` matches apart from its `max_area_ms` timing column.  If not,
+   the outputs still pass as a rounding change (`rounding_only`) when every
+   non-float value of `results.json` is equal (config, iterations,
+   converged, communication counts, theorem1_pass, low_observability, ...),
+   `trace.csv` and `spectrum.csv` have the same row counts on both sides,
+   and the estimate's `mape_magnitude_pct` and `mae_angle_deg` agree within
+   1e-8 relative.  The largest relative difference of every float field that
+   differs is recorded and printed as `output_drift`.  Outputs that pass
+   neither check stop the script with exit code 1, and nothing is
+   benchmarked.
 2. It runs `perfbench/run.py --trace 0` of each tree in turn, `--pairs`
    times with the seeds `--seed`, `--seed` + 1, ...  The side that runs
    first alternates from pair to pair, so a drift in machine speed does not
@@ -30,6 +39,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import os
 import shutil
 import statistics
@@ -94,21 +104,106 @@ def trace_without_timing(path: Path) -> list[list[str]]:
     return [row[:drop] + row[drop + 1:] for row in rows]
 
 
-def compare_outputs(parent: Path, change: Path, options: list[str]) -> dict[str, bool]:
+# estimate fields that must agree to this relative tolerance for a rounding
+# change to pass
+ESTIMATE_REL_TOL = 1e-8
+ESTIMATE_FIELDS = ("mape_magnitude_pct", "mae_angle_deg")
+
+
+def rel_diff(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if math.isfinite(scale) else math.inf
+
+
+def json_drift(a, b, path: str, drift: dict[str, float]) -> list[str]:
+    """Record in `drift` the relative difference of each float leaf of two
+    JSON values that differs, under its dotted path; return the paths where
+    anything else (a key, a length, a type, a non-float value) differs."""
+    if isinstance(a, float) and isinstance(b, float):
+        diff = rel_diff(a, b)
+        if diff:
+            drift[path] = max(drift.get(path, 0.0), diff)
+        return []
+    if type(a) is not type(b):
+        return [path]
+    if isinstance(a, dict):
+        if a.keys() != b.keys():
+            return [path]
+        return [bad for k in a
+                for bad in json_drift(a[k], b[k], f"{path}.{k}" if path else k, drift)]
+    if isinstance(a, list):
+        if len(a) != len(b):
+            return [path]
+        # list items share one path, so drift keeps the largest over them
+        return [bad for x, y in zip(a, b) for bad in json_drift(x, y, f"{path}[]", drift)]
+    return [] if a == b else [path]
+
+
+def csv_drift(a: Path, b: Path, drift: dict[str, float]) -> bool:
+    """Record the largest relative difference of each numeric column of two
+    CSV files under "file:column"; False if their headers or row counts
+    differ."""
+    rows_a = [line.split(",") for line in a.read_text().splitlines()]
+    rows_b = [line.split(",") for line in b.read_text().splitlines()]
+    if len(rows_a) != len(rows_b) or rows_a[:1] != rows_b[:1]:
+        return False
+    for i, column in enumerate(rows_a[0]):
+        for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+            if row_a[i] == row_b[i]:
+                continue
+            try:
+                diff = rel_diff(float(row_a[i]), float(row_b[i]))
+            except ValueError:
+                diff = math.inf
+            key = f"{a.name}:{column}"
+            drift[key] = max(drift.get(key, 0.0), diff)
+    return True
+
+
+def output_verdict(a: Path, b: Path) -> dict:
+    """Compare two `gridmc run` output directories: `outputs_identical`
+    (bytes, timing column aside), then `rounding_only` and `output_drift`
+    (see the module docstring), and `problems` naming what refused them."""
+    identical = {
+        "results.json": (a / "results.json").read_bytes()
+        == (b / "results.json").read_bytes(),
+        "spectrum.csv": (a / "spectrum.csv").read_bytes()
+        == (b / "spectrum.csv").read_bytes(),
+        "trace.csv without max_area_ms": trace_without_timing(a / "trace.csv")
+        == trace_without_timing(b / "trace.csv"),
+    }
+    drift: dict[str, float] = {}
+    results_a = json.loads((a / "results.json").read_text())
+    results_b = json.loads((b / "results.json").read_text())
+    problems = [f"results.json {path or 'layout'} differs beyond rounding"
+                for path in json_drift(results_a, results_b, "", drift)]
+    if results_a.get("config") != results_b.get("config"):
+        problems.append("results.json config differs")
+    for name in ("trace.csv", "spectrum.csv"):
+        if not csv_drift(a / name, b / name, drift):
+            problems.append(f"{name} header or row count differs")
+    drift.pop("trace.csv:max_area_ms", None)
+    for field in ESTIMATE_FIELDS:
+        diff = drift.get(f"estimate.{field}", 0.0)
+        if not diff <= ESTIMATE_REL_TOL:
+            problems.append(f"estimate.{field} differs by {diff:.3g} relative")
+    return {
+        "outputs_identical": identical,
+        "rounding_only": not problems,
+        "output_drift": dict(sorted(drift.items())),
+        "problems": problems,
+    }
+
+
+def compare_outputs(parent: Path, change: Path, options: list[str]) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         outs = {}
         for side, root in (("parent", parent), ("change", change)):
             outs[side] = Path(tmp) / side
             gridmc_run(root, options, outs[side])
-        a, b = outs["parent"], outs["change"]
-        return {
-            "results.json": (a / "results.json").read_bytes()
-            == (b / "results.json").read_bytes(),
-            "spectrum.csv": (a / "spectrum.csv").read_bytes()
-            == (b / "spectrum.csv").read_bytes(),
-            "trace.csv without max_area_ms": trace_without_timing(a / "trace.csv")
-            == trace_without_timing(b / "trace.csv"),
-        }
+        return output_verdict(outs["parent"], outs["change"])
 
 
 def perfbench(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -170,12 +265,15 @@ def main(argv=None) -> int:
                      f"choose from {sorted(bench.WORKLOADS)}")
     declared = json.loads((roots["change"] / "BENCHMARK.json").read_text())["end_to_end"]
 
-    identical = compare_outputs(roots["parent"], roots["change"],
-                                run_options(bench, args.workload))
-    print(f"# {args.workload} outputs identical: {identical}", flush=True)
-    if not all(identical.values()):
-        print("error: the two trees give different outputs; no pairs run",
-              file=sys.stderr)
+    verdict = compare_outputs(roots["parent"], roots["change"],
+                              run_options(bench, args.workload))
+    print(f"# {args.workload} outputs identical: {verdict['outputs_identical']}",
+          flush=True)
+    for name, diff in verdict["output_drift"].items():
+        print(f"# output drift {name}: {diff:.3g} relative")
+    if not verdict["rounding_only"]:
+        print("error: the two trees give different outputs ("
+              + "; ".join(verdict["problems"]) + "); no pairs run", file=sys.stderr)
         return 1
 
     values = {side: {m["name"]: [] for m in declared} for side in roots}
@@ -202,7 +300,9 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "seeds": [args.seed + i for i in range(args.pairs)],
         "first": firsts,
-        "outputs_identical": identical,
+        "outputs_identical": verdict["outputs_identical"],
+        "rounding_only": verdict["rounding_only"],
+        "output_drift": verdict["output_drift"],
         "failed": failed,
         "environment": environment,
         "metrics": {m["name"]: summarize(m["name"], m["better"], m["unit"],

@@ -9,6 +9,7 @@ import csv
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,30 +62,53 @@ def _build_feeder(config: ExperimentConfig, seed: int):
     raise CliError(f"unknown feeder kind: {config.feeder!r}")
 
 
-def _build_instance(config: ExperimentConfig, seed: int):
-    """Ground truth, measurement matrix, partition, and area maps."""
-    net, scen, part = _build_feeder(config, seed)
-    v_true = gm.solve_exact_flow(net, scen.s)
-    mat = dm.build_matrix(v_true, scen.s)
-    model = lf.build_linear_model(net, n_steps=config.time_steps)
-    maps = lf.build_area_maps(model, part)
+@contextmanager
+def _layer(wall: dict[str, float], name: str):
+    """Add the block's wall seconds (`time.perf_counter`) to wall[name]."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        wall[name] = wall.get(name, 0.0) + time.perf_counter() - start
+
+
+def _build_instance(config: ExperimentConfig, seed: int, wall=None):
+    """Ground truth, measurement matrix, partition, and area maps.  Each
+    layer's wall seconds are added to the dict `wall`, if given."""
+    wall = {} if wall is None else wall
+    with _layer(wall, "gridmodel.feeder"):
+        net, scen, part = _build_feeder(config, seed)
+    with _layer(wall, "gridmodel.flow"):
+        v_true = gm.solve_exact_flow(net, scen.s)
+    with _layer(wall, "datamatrix.sample"):
+        mat = dm.build_matrix(v_true, scen.s)
+    with _layer(wall, "linflow.model"):
+        model = lf.build_linear_model(net, n_steps=config.time_steps)
+    with _layer(wall, "linflow.maps"):
+        maps = lf.build_area_maps(model, part)
     return net, scen, part, v_true, mat, model, maps
 
 
-def _single_run(config: ExperimentConfig, instance, seed: int, order=None):
+def _single_run(config: ExperimentConfig, instance, seed: int, order=None,
+                wall=None):
     """One estimation run on an instance from `_build_instance`; `seed` draws
     the noise, the mask and the solver initialization.  Returns the solve,
-    its error report, the mask and the noisy matrix the solver was given."""
+    its error report, the mask and the noisy matrix the solver was given.
+    Each layer's wall seconds are added to the dict `wall`, if given."""
+    wall = {} if wall is None else wall
     net, scen, part, v_true, mat, model, maps = instance
-    data = dm.add_noise(mat, config.noise_pct, seed=seed)
-    mask = dm.sample_mask(
-        *mat.shape, config.fraction, policy=config.policy, seed=seed
-    )
+    with _layer(wall, "datamatrix.sample"):
+        data = dm.add_noise(mat, config.noise_pct, seed=seed)
+        mask = dm.sample_mask(
+            *mat.shape, config.fraction, policy=config.policy, seed=seed
+        )
     admm = cp.AdmmConfig(**{**vars(config.admm), "seed": seed})
-    result = cp.run_decentralized(
-        data.data, mask.observed, maps, part, admm, reference=mat.data, order=order
-    )
-    report = mt.evaluate_estimate(mt.voltage_from_matrix(result.x), v_true)
+    with _layer(wall, "completion.solve"):
+        result = cp.run_decentralized(
+            data.data, mask.observed, maps, part, admm, reference=mat.data, order=order
+        )
+    with _layer(wall, "metrics.evaluate"):
+        report = mt.evaluate_estimate(mt.voltage_from_matrix(result.x), v_true)
     return result, report, mask, data
 
 
@@ -132,26 +156,34 @@ def write_spectrum_csv(x: np.ndarray, path: Path) -> None:
 
 def run_experiment(config: ExperimentConfig, out_dir: Path, order=None) -> dict:
     """Full pipeline for one configuration; writes results.json, trace.csv,
-    and spectrum.csv into out_dir.  Removes partial outputs on error."""
+    spectrum.csv and metadata.json into out_dir.  Removes partial outputs on
+    error.  metadata.json holds the completion time and the wall seconds of
+    each layer, under the span names of perfbench/tracer.py; results.json
+    holds no timing."""
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
+    wall: dict[str, float] = {}
     try:
-        instance = _build_instance(config, config.seed)
+        instance = _build_instance(config, config.seed, wall)
         *_, maps = instance
         reports, per_run = [], []
         for k in range(config.runs):
             seed = config.seed + k
-            result, report, mask, data = _single_run(config, instance, seed, order)
+            result, report, mask, data = _single_run(config, instance, seed, order, wall)
             reports.append(report)
             per_run.append({**report.to_dict(), "seed": seed,
                             "iterations": result.trace.iterations,
                             "converged": result.converged})
-        aggregate = mt.aggregate_reports(reports)
+        with _layer(wall, "metrics.evaluate"):
+            aggregate = mt.aggregate_reports(reports)
 
         # the certificate checks the last run's problem: its factors, mask and data
         fp = result.factors()
-        op = ce.build_B_d(mask.observed, data.data, maps, config.admm.mu, config.admm.nu)
-        cert = ce.full_report(fp.u, fp.v, op, config.admm.mu)
+        with _layer(wall, "certificate.build"):
+            op = ce.build_B_d(mask.observed, data.data, maps, config.admm.mu,
+                              config.admm.nu)
+        with _layer(wall, "certificate.report"):
+            cert = ce.full_report(fp.u, fp.v, op, config.admm.mu)
 
         payload = {
             "version": __version__,
@@ -166,22 +198,24 @@ def run_experiment(config: ExperimentConfig, out_dir: Path, order=None) -> dict:
             "final_objective": result.trace.objective[-1],
             "low_observability": dm.is_low_observability(mask),
         }
-        results_path = out_dir / "results.json"
-        written.append(results_path)
-        with open(results_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with _layer(wall, "cli.write"):
+            results_path = out_dir / "results.json"
+            written.append(results_path)
+            with open(results_path, "w") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            trace_path = out_dir / "trace.csv"
+            written.append(trace_path)
+            write_trace_csv(result.trace, trace_path)
+            spectrum_path = out_dir / "spectrum.csv"
+            written.append(spectrum_path)
+            write_spectrum_csv(result.x, spectrum_path)
         meta_path = out_dir / "metadata.json"
         written.append(meta_path)
         with open(meta_path, "w") as fh:
-            json.dump({"completed_at": time.strftime("%Y-%m-%dT%H:%M:%S")}, fh)
+            json.dump({"completed_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+                       "layer_wall_s": wall}, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        trace_path = out_dir / "trace.csv"
-        written.append(trace_path)
-        write_trace_csv(result.trace, trace_path)
-        spectrum_path = out_dir / "spectrum.csv"
-        written.append(spectrum_path)
-        write_spectrum_csv(result.x, spectrum_path)
         return payload
     except Exception:
         for path in written:

@@ -35,11 +35,13 @@ MAX_ADMITTANCE_COND = 1e12
 class NetworkModel:
     """Bus-admittance blocks and slack voltage, all per-unit.
 
-    Construction rejects a singular ``y_ll`` with SingularAdmittanceError:
-    exactly singular when LAPACK's LU meets a zero pivot
-    (``np.linalg.LinAlgError``), numerically singular when
-    ``cond_1(y_ll) = |y_ll|_1 |y_ll^-1|_1`` exceeds MAX_ADMITTANCE_COND or
-    is not finite.
+    Construction forms the Z-bus ``z_bus = y_ll^-1`` once, by LAPACK getrf +
+    getri, and every ``y_ll`` solve is a product with it.  It rejects a
+    singular ``y_ll`` with SingularAdmittanceError: exactly singular when
+    the LU meets a zero pivot (``np.linalg.LinAlgError``), numerically
+    singular when ``cond_1(y_ll) = |y_ll|_1 |z_bus|_1`` (the number
+    ``np.linalg.cond(y_ll, 1)`` returns) exceeds MAX_ADMITTANCE_COND or is
+    not finite.
     """
 
     y_ll: np.ndarray  # |P| x |P|, over the non-slack bus-phases
@@ -60,14 +62,17 @@ class NetworkModel:
                 f"{n_slack} slack phases"
             )
         try:
-            w = -self.solve_y_ll(self.y_l0 @ self.v0)
+            z = np.linalg.inv(self.y_ll)
         except np.linalg.LinAlgError as exc:
             raise SingularAdmittanceError(f"singular admittance: {exc}") from exc
-        if not np.linalg.cond(self.y_ll, 1) <= MAX_ADMITTANCE_COND:
+        if not np.linalg.norm(self.y_ll, 1) * np.linalg.norm(z, 1) <= MAX_ADMITTANCE_COND:
             raise SingularAdmittanceError(
                 "singular admittance matrix y_ll: 1-norm condition number above "
                 f"{MAX_ADMITTANCE_COND:.0e}"
             )
+        z.flags.writeable = False
+        object.__setattr__(self, "_z_bus", z)
+        w = -self.solve_y_ll(self.y_l0 @ self.v0)
         w.flags.writeable = False
         object.__setattr__(self, "_no_load_voltage", w)
 
@@ -75,16 +80,24 @@ class NetworkModel:
     def n_phases(self) -> int:
         return len(self.y_ll)
 
+    @property
+    def z_bus(self) -> np.ndarray:
+        """Z = y_ll^-1, formed once, at construction; read-only."""
+        return self._z_bus
+
     def solve_y_ll(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve y_ll @ x = rhs by LAPACK getrf + getrs.  With one BLAS
-        thread each column of a multi-column rhs comes out bit for bit as
-        if solved alone."""
-        return np.linalg.solve(self.y_ll, rhs)
+        """x = Z rhs, the solution of y_ll @ x = rhs, for a vector or for
+        each column of a matrix.  A matrix rhs goes through one stacked
+        product that applies Z to one column at a time, so each column comes
+        out bit for bit as if it were passed alone."""
+        if rhs.ndim == 1:
+            return self._z_bus @ rhs
+        return (self._z_bus @ rhs.T[:, :, None])[:, :, 0].T
 
     @property
     def no_load_voltage(self) -> np.ndarray:
         """w = -Y_LL^{-1} Y_L0 v0, the zero-injection voltage profile
-        (solved once, at construction; read-only)."""
+        (formed once, at construction; read-only)."""
         return self._no_load_voltage
 
 
@@ -177,10 +190,12 @@ def _radial_admittance(parents: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return y_full
 
 
-def _load_scenario(rng: np.random.Generator, n: int, n_steps: int) -> LoadScenario:
-    """Consumption at n phases over n_steps: a base value per phase, a
-    smooth ramp and 1% process noise, drawn from rng in that order."""
-    base = _sample_complex(rng, 0.002 + 0.0005j, 0.01 + 0.004j, n)
+def _load_scenario(rng: np.random.Generator, n: int, n_steps: int,
+                   scale: float = 1.0) -> LoadScenario:
+    """Consumption at n phases over n_steps: a base value per phase (times
+    ``scale``), a smooth ramp and 1% process noise, drawn from rng in that
+    order."""
+    base = scale * _sample_complex(rng, 0.002 + 0.0005j, 0.01 + 0.004j, n)
     t = np.arange(n_steps) / max(n_steps, 1)
     ramp = 1.0 + 0.2 * t[:, None]  # smooth loading increase over the window
     noise = 1.0 + 0.01 * rng.standard_normal((n_steps, n))
@@ -199,7 +214,10 @@ def generate_radial_feeder(
     probability 1/2, otherwise to a uniformly random earlier bus.  In
     three-phase mode the tree is replicated per phase with inter-phase
     mutual impedance at 0.3x the self impedance.  Loads follow
-    `_load_scenario` over ``n_steps``.
+    `_load_scenario` over ``n_steps``, scaled by ``min(1, 129 / n_buses)``:
+    the chain to the deepest bus grows with the feeder, so a fixed per-bus
+    load would collapse the voltage of a large one.  Feeders of at most 129
+    buses keep their unscaled loads.
     """
     if n_buses < 2:
         raise GridModelError("need at least 2 buses (slack + one load bus)")
@@ -229,7 +247,8 @@ def generate_radial_feeder(
     else:
         v0 = np.exp(-2j * np.pi * np.arange(3) / 3)
     net = NetworkModel(y_ll=y_full[n_ph:, n_ph:], y_l0=y_full[n_ph:, :n_ph], v0=v0)
-    return net, _load_scenario(rng, net.n_phases, n_steps)
+    return net, _load_scenario(rng, net.n_phases, n_steps,
+                               scale=min(1.0, 129 / n_buses))
 
 
 # Parent bus of buses 2..33 in the classic 33-bus radial feeder: a main
@@ -301,9 +320,10 @@ def solve_exact_flow(
 
     Returns v with v = w + Y_LL^{-1} diag(conj(v))^{-1} conj(s) to residual
     infinity-norm <= tol, for one injection vector or for each row of a
-    T x |P| matrix.  The rows are swept together: each sweep is one solve
-    with a column per row not yet converged, and a row stops on its own
-    residual.  A sweep's residual solve is the next sweep's iterate, so it
+    T x |P| matrix.  The rows are swept together: each sweep is one product
+    with the network's Z-bus (`NetworkModel.solve_y_ll`), with a column per
+    row not yet converged, so no sweep factors y_ll; a row stops on its own
+    residual.  A sweep's residual product is the next sweep's iterate, so it
     is never repeated.  Raises DivergedFlowError, with the number of sweeps
     run and the residual of the earliest failing row, when a row's voltage
     turns non-finite or collapses, or when a row has not converged after

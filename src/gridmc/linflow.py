@@ -14,6 +14,11 @@ from .gridmodel import AreaPartition, NetworkModel
 from .simnet import Message, MessageBus
 
 
+# Re s, Im s within each time block: the only measurement rows an area's
+# flow residual reads from a neighbor's columns.
+_INJECTION_ROWS = slice(3, 5)
+
+
 class LinFlowError(Exception):
     pass
 
@@ -34,11 +39,12 @@ class LinearFlowModel:
 
 
 def build_linear_model(net: NetworkModel, n_steps: int = 1) -> LinearFlowModel:
-    """First fixed-point iterate around the no-load profile w."""
+    """First fixed-point iterate around the no-load profile w:
+    Y_LL^{-1} diag(1 / conj w) is the Z-bus with its columns scaled."""
     w = net.no_load_voltage
     if np.min(np.abs(w)) < 1e-9:
         raise LinFlowError("degenerate linearization: no-load voltage has a zero entry")
-    g = net.solve_y_ll(np.diag(1.0 / np.conj(w)))
+    g = net.z_bus * (1.0 / np.conj(w))
     n_mat = np.hstack([g, -1j * g])
     # first-order expansion of |w + delta| around w
     phase = (np.conj(w) / np.abs(w))[:, None]
@@ -177,11 +183,18 @@ class AreaMaps:
 
 def _factor_step_block(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact rank factorization g = A B with orthonormal A, at the default
-    rank tolerance of np.linalg.matrix_rank."""
-    u, s, vt = np.linalg.svd(g, full_matrices=False)
+    rank tolerance of np.linalg.matrix_rank, of an off-diagonal step block.
+    Only its injection-row columns are nonzero, so the SVD is taken over
+    those 2 n_j columns and B is zero on the others; the tolerance uses the
+    full block's shape."""
+    n_rows, n_src = g.shape[0], g.shape[1] // ROWS_PER_STEP
+    live = g.reshape(n_rows, n_src, ROWS_PER_STEP)[:, :, _INJECTION_ROWS]
+    u, s, vt = np.linalg.svd(live.reshape(n_rows, -1), full_matrices=False)
     tol = s[0] * max(g.shape) * np.finfo(g.dtype).eps if s.size else 0.0
     rho = int(np.sum(s > tol))
-    return u[:, :rho], s[:rho, None] * vt[:rho]
+    b = np.zeros((rho, n_src, ROWS_PER_STEP))
+    b[:, :, _INJECTION_ROWS] = (s[:rho, None] * vt[:rho]).reshape(rho, *live.shape[1:])
+    return u[:, :rho], b.reshape(rho, g.shape[1])
 
 
 def _step_block(

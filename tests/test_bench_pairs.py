@@ -1,0 +1,125 @@
+"""The output comparison of scripts/bench_pairs.py, on `gridmc run` output
+directories edited the way a rounding change or a real change edits them."""
+
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+from gridmc import cli
+from gridmc import completion as cp
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("parent")
+    admm = cp.AdmmConfig(mu=100.0, nu=100.0, gamma=10.0, lam=10.0, rank=2, max_iters=25)
+    cli.run_experiment(cli.ExperimentConfig(feeder="random", n_buses=8, time_steps=1,
+                                            areas=3, policy="uniform", fraction=0.8,
+                                            admm=admm), out)
+    return out
+
+
+@pytest.fixture
+def pair(run_dir, tmp_path):
+    """(parent, change) directories; the change starts as a copy."""
+    change = tmp_path / "change"
+    shutil.copytree(run_dir, change)
+    return run_dir, change
+
+
+def edit_results(path: Path, edit) -> None:
+    results = json.loads((path / "results.json").read_text())
+    edit(results)
+    (path / "results.json").write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+
+
+def edit_csv(path: Path, row: int, column: str, value: str) -> None:
+    lines = path.read_text().splitlines()
+    i = lines[0].split(",").index(column)
+    cells = lines[row].split(",")
+    cells[i] = value
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def scale(results: dict, section: str, field: str, factor: float) -> None:
+    results[section][field] *= factor
+
+
+class TestOutputVerdict:
+    def test_identical_outputs(self, pair):
+        parent, change = pair
+        edit_csv(change / "trace.csv", 1, "max_area_ms", "123.0")  # timing only
+        verdict = bench_pairs.output_verdict(parent, change)
+        assert all(verdict["outputs_identical"].values())
+        assert verdict["rounding_only"]
+        assert verdict["output_drift"] == {} and verdict["problems"] == []
+
+    def test_rounding_change_passes_and_reports_its_drift(self, pair):
+        parent, change = pair
+
+        def edit(results):
+            scale(results, "estimate", "mape_magnitude_pct", 1 + 1e-12)
+            scale(results, "certificate", "grad_v_norm", 1 + 1e-4)
+            for run in results["per_run"]:
+                run["rmse"] *= 1 + 3e-13
+
+        edit_results(change, edit)
+        objective = (parent / "trace.csv").read_text().splitlines()[2].split(",")[3]
+        edit_csv(change / "trace.csv", 2, "objective", repr(float(objective) * (1 + 2e-15)))
+        verdict = bench_pairs.output_verdict(parent, change)
+        assert verdict["outputs_identical"] == {
+            "results.json": False, "spectrum.csv": True,
+            "trace.csv without max_area_ms": False,
+        }
+        assert verdict["rounding_only"], verdict["problems"]
+        drift = verdict["output_drift"]
+        assert set(drift) == {"estimate.mape_magnitude_pct", "certificate.grad_v_norm",
+                              "per_run[].rmse", "trace.csv:objective"}
+        assert drift["estimate.mape_magnitude_pct"] == pytest.approx(1e-12, rel=1e-3)
+        assert drift["certificate.grad_v_norm"] == pytest.approx(1e-4, rel=1e-3)
+        assert drift["trace.csv:objective"] == pytest.approx(2e-15, rel=0.2)
+
+    @pytest.mark.parametrize("field", ["mape_magnitude_pct", "mae_angle_deg"])
+    def test_estimate_beyond_tolerance_is_refused(self, pair, field):
+        parent, change = pair
+        edit_results(change, lambda r: scale(r, "estimate", field, 1 + 1e-7))
+        verdict = bench_pairs.output_verdict(parent, change)
+        assert not verdict["rounding_only"]
+        assert verdict["problems"] == [f"estimate.{field} differs by 1e-07 relative"]
+        assert verdict["output_drift"][f"estimate.{field}"] == pytest.approx(1e-7, rel=1e-6)
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: r.update(iterations=r["iterations"] + 1),
+        lambda r: r.update(converged=not r["converged"]),
+        lambda r: r["communication"][0].update(per_iteration_measured=0),
+        lambda r: r["certificate"].update(theorem1_pass=not r["certificate"]["theorem1_pass"]),
+        lambda r: r.update(low_observability=not r["low_observability"]),
+        lambda r: r["config"]["admm"].update(mu=r["config"]["admm"]["mu"] * (1 + 1e-15)),
+        lambda r: r.pop("final_objective"),
+    ], ids=["iterations", "converged", "communication", "theorem1_pass",
+            "low_observability", "config", "missing-field"])
+    def test_non_float_change_is_refused(self, pair, edit):
+        parent, change = pair
+        edit_results(change, edit)
+        verdict = bench_pairs.output_verdict(parent, change)
+        assert not verdict["outputs_identical"]["results.json"]
+        assert not verdict["rounding_only"]
+        assert verdict["problems"]
+
+    @pytest.mark.parametrize("name", ["trace.csv", "spectrum.csv"])
+    def test_row_count_change_is_refused(self, pair, name):
+        parent, change = pair
+        lines = (change / name).read_text().splitlines()
+        (change / name).write_text("\n".join(lines[:-1]) + "\n")
+        verdict = bench_pairs.output_verdict(parent, change)
+        assert not verdict["rounding_only"]
+        assert verdict["problems"] == [f"{name} header or row count differs"]

@@ -45,6 +45,19 @@ class TestRunExperiment:
         assert "completed_at" in json.loads((p1 / "metadata.json").read_text())
         assert "completed_at" not in (p1 / "results.json").read_text()
 
+    def test_metadata_reports_wall_time_per_layer(self, tmp_path):
+        """metadata.json times every layer of the run under the span names
+        of perfbench/tracer.py; results.json stays timing-free."""
+        cli.run_experiment(fast_config(runs=2), tmp_path)
+        wall = json.loads((tmp_path / "metadata.json").read_text())["layer_wall_s"]
+        assert set(wall) == {
+            "gridmodel.feeder", "gridmodel.flow", "linflow.model", "linflow.maps",
+            "datamatrix.sample", "completion.solve", "metrics.evaluate",
+            "certificate.build", "certificate.report", "cli.write",
+        }
+        assert all(isinstance(s, float) and s >= 0.0 for s in wall.values())
+        assert "wall" not in (tmp_path / "results.json").read_text()
+
     def test_payload_schema(self, tmp_path):
         payload = cli.run_experiment(fast_config(runs=2), tmp_path)
         assert set(payload) == {
@@ -181,6 +194,28 @@ print(json.dumps({"loaded": [m for m in ("scipy.linalg", "scipy.stats", "scipy.i
             assert all(math.isfinite(v) for v in out["ci95"].values())
 
 
+class TestInstanceBuild:
+    FACTORING = ("inv", "solve", "cond", "lstsq", "pinv", "svd", "eig", "eigh",
+                 "det", "slogdet", "qr", "cholesky", "matrix_rank")
+
+    def test_y_ll_is_factored_once(self, monkeypatch):
+        """At the random128-t5-a5 settings the whole instance build (flow,
+        linear model, area maps) makes one np.linalg call on a Y_LL-shaped
+        matrix: the inversion that forms the Z-bus.  It solves nothing."""
+        config = cli.ExperimentConfig(feeder="random", n_buses=129, time_steps=5,
+                                      areas=5)
+        calls = []
+        for name in self.FACTORING:
+            def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+                if np.shape(a) == (128, 128):
+                    calls.append(_name)
+                return _fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        cli._build_instance(config, config.seed)
+        assert calls == ["inv"]
+
+
 class TestPinnedReference:
     # feeder33, T=10, one area, paper weights, rank 5, instance seed 0, as
     # estimated by the dense (5T r)^2 normal equations of the U/V updates
@@ -194,12 +229,12 @@ class TestPinnedReference:
     PINNED_MAE_DEG = 0.12392865891293595
     # its certificate, evaluated on the noisy data the run solved
     PINNED_CERTIFICATE = {
-        "spectral_norm": 319.76464721219116,
-        "grad_u_norm": 31.913466104888773,
-        "grad_v_norm": 3.72519569951276e-05,
-        "trace_residuals": [-9.047628243052941e-06, 18.761888245629514],
-        "comp_slack_residual": 9.380939599000634,
-        "dual_feasibility_min_eig": -51124.21730989528,
+        "spectral_norm": 319.7646472121772,
+        "grad_u_norm": 31.91346609602517,
+        "grad_v_norm": 3.725195881070199e-05,
+        "trace_residuals": [-9.047554328844853e-06, 18.76188824571247],
+        "comp_slack_residual": 9.38093959907907,
+        "dual_feasibility_min_eig": -51124.21730989083,
     }
 
     def test_feeder33_t10_single_area(self):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -195,6 +196,35 @@ class TestGenerateRadialFeeder:
         assert np.max(np.abs(rows)) < 1e-12
 
 
+class TestFeederPins:
+    # sha256 over the bytes of y_ll, y_l0, v0 and s, in that order, as
+    # generated before loads were scaled with feeder size
+    PINNED = {
+        (9, 2, 2, False): "5144e4eaa9a6f8061f2bdebb67cd3da5c3758e301044a98bdcbdf1c5796a2019",
+        (33, 0, 5, False): "168f26b23d48ac5d74243a98eecb408ec8d3fb4ef2eb30564f2d170b7e344fe4",
+        (129, 0, 5, False): "49b7556fd2591d9a75e818519b2ae51988bf53e872b3803240e4b184ab91cc66",
+        (29, 1, 3, True): "cc0966a93961c0025d4f0a4cd4392f680fc7bfac8573e294c7ed849cae0d3a5c",
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_feeders_up_to_129_buses_are_unchanged(self, key):
+        n_buses, seed, n_steps, three_phase = key
+        net, scen = gm.generate_radial_feeder(n_buses, seed=seed, n_steps=n_steps,
+                                              three_phase=three_phase)
+        digest = hashlib.sha256()
+        for a in (net.y_ll, net.y_l0, net.v0, scen.s):
+            digest.update(np.ascontiguousarray(a).tobytes())
+        assert digest.hexdigest() == self.PINNED[key]
+
+    @pytest.mark.parametrize("n_buses", [385, 513])
+    def test_large_feeders_solve(self, n_buses):
+        """Unscaled, these loads collapsed the flow (DivergedFlowError at
+        residuals 0.38 and 0.73)."""
+        net, scen = gm.generate_radial_feeder(n_buses, seed=0, n_steps=2)
+        v = gm.solve_exact_flow(net, scen.s)
+        assert np.min(np.abs(v)) > 0.8
+
+
 class TestFeeder33Analog:
     def test_partition_sizes(self):
         _, _, part = gm.feeder33_analog(n_areas=4)
@@ -218,6 +248,21 @@ class TestSolveExactFlow:
         w = net.no_load_voltage
         residual = v - (w + net.solve_y_ll(np.conj(scen.s[0]) / np.conj(v)))
         assert np.max(np.abs(residual)) <= 1e-10
+
+    @pytest.mark.parametrize("feeder", ["feeder33", "random129"])
+    def test_admittance_form_residual(self, feeder):
+        """The flow equations in admittance form, Y_LL (v - w) = conj(s) /
+        conj(v), checked with Y_LL itself rather than through the Z-bus the
+        solver uses.  The last sweep moves v by at most tol, so the residual
+        is at most |Y_LL|_inf tol plus rounding."""
+        if feeder == "feeder33":
+            net, scen, _ = gm.feeder33_analog(seed=0, n_steps=5, n_areas=5)
+        else:
+            net, scen = gm.generate_radial_feeder(129, seed=0, n_steps=5)
+        tol = 1e-10
+        v = gm.solve_exact_flow(net, scen.s, tol=tol)
+        residual = (v - net.no_load_voltage) @ net.y_ll.T - np.conj(scen.s) / np.conj(v)
+        assert np.max(np.abs(residual)) <= 2 * np.linalg.norm(net.y_ll, np.inf) * tol
 
     def test_matches_newton_oracle(self, small_feeder):
         net, scen, _ = small_feeder

@@ -320,6 +320,36 @@ class TestCouplingFactors:
             assert feeder33_maps.coupling_rank(j, l) == 2
 
 
+class TestCouplingFactorPins:
+    """Every coupling block of two 5-area instances: the factorization over
+    the injection columns is exact, and each rank is the block's numerical
+    rank and the one the full-block SVD gave."""
+
+    RANKS = {
+        "feeder33": {(1, 2): 2, (1, 3): 2, (1, 4): 2, (1, 5): 2, (2, 1): 2,
+                     (2, 5): 2, (3, 1): 2, (4, 1): 2, (5, 1): 2, (5, 2): 2},
+        "random129": {(1, 2): 18, (2, 1): 18, (2, 3): 18, (3, 2): 18,
+                      (3, 4): 18, (4, 3): 18, (4, 5): 16, (5, 4): 16},
+    }
+
+    @pytest.mark.parametrize("feeder", sorted(RANKS))
+    def test_factors_and_ranks(self, feeder):
+        if feeder == "feeder33":
+            net, _, part = gm.feeder33_analog(seed=0, n_steps=5, n_areas=5)
+        else:
+            net, _ = gm.generate_radial_feeder(129, seed=0, n_steps=5)
+            part = gm.AreaPartition.contiguous(net.n_phases, 5)
+        maps = lf.build_area_maps(lf.build_linear_model(net, n_steps=5), part)
+        ranks = {}
+        for (l, j), (a, b) in maps.coupling.items():
+            g = maps.step_blocks[(l, j)]
+            assert np.max(np.abs(a.T @ a - np.eye(a.shape[1]))) < 1e-12
+            assert np.linalg.norm(g - a @ b) <= 1e-12 * np.linalg.norm(g)
+            assert a.shape[1] == b.shape[0] == np.linalg.matrix_rank(g)
+            ranks[(l, j)] = maps.coupling_rank(l, j)
+        assert ranks == self.RANKS[feeder]
+
+
 class TestPerStepApply:
     def test_matches_dense_reference(self, maps):
         """`apply` and `apply_adjoint`, step by step, equal the dense E_lj
