@@ -15,12 +15,12 @@ Each root is a checkout holding `src/gridmc`, `perfbench/` and
    the outputs still pass as a rounding change (`rounding_only`) when every
    non-float value of `results.json` is equal (config, iterations,
    converged, communication counts, theorem1_pass, low_observability, ...),
-   `trace.csv` and `spectrum.csv` have the same row counts on both sides,
-   and the estimate's `mape_magnitude_pct` and `mae_angle_deg` agree within
-   1e-8 relative.  The largest relative difference of every float field that
-   differs is recorded and printed as `output_drift`.  Outputs that pass
-   neither check stop the script with exit code 1, and nothing is
-   benchmarked.
+   `trace.csv` and `spectrum.csv` have the same header and row count on
+   both sides, and the estimate's `mape_magnitude_pct` and `mae_angle_deg`
+   agree within 1e-8 relative.  The largest relative difference of every
+   float field that differs is recorded and printed as `output_drift`.
+   Outputs that pass neither check stop the script with exit code 1, and
+   nothing is benchmarked.
 2. It runs `perfbench/run.py --trace 0` of each tree in turn, `--pairs`
    times with the seeds `--seed`, `--seed` + 1, ...  The side that runs
    first alternates from pair to pair, so a drift in machine speed does not
