@@ -80,20 +80,22 @@ class FactorPair:
 class AreaState:
     """One area's ADMM variables: the quantities it owns, and the points its
     neighbors send it that a later round reads.  Each quantity is held once,
-    by one area."""
+    by one area, in the form the updates read it."""
 
     u: np.ndarray
     v: np.ndarray
     x: np.ndarray  # X_l = U_l V_l, formed once per iteration
+    # sum_j (S_lj - Gamma_lj), all the U update reads of the consensus terms;
+    # formed where S and Gamma change (round B)
+    pull: np.ndarray
     e_ll: np.ndarray | None = None  # E_ll(X_l), set by each iteration with flow maps
-    # S_lj - Gamma_lj, the point the consensus term pulls U_l to; formed where
-    # S and Gamma change (round B), read by the next U update
-    pull: dict[int, np.ndarray] = field(default_factory=dict)
     gamma: dict[int, np.ndarray] = field(default_factory=dict)  # dual for U_l = S_lj
-    q: dict[int, np.ndarray] = field(default_factory=dict)  # q_lj
-    lam: dict[int, np.ndarray] = field(default_factory=dict)  # dual for E_lj = q_lj
-    # A_jl^T (q_jl + Lambda_jl), sent by area j, the owner of q_jl and
-    # Lambda_jl: the point the flow term pulls B_jl X_l to, in the coupling
+    # with flow maps: sum_j q_lj, and Lambda_l, the one dual of every
+    # E_lj(X_j) = q_lj (see `update_q`)
+    q: np.ndarray | None = None
+    lam: np.ndarray | None = None
+    # A_jl^T (q_jl + Lambda_j), sent by area j, the owner of q_jl and
+    # Lambda_j: the point the flow term pulls B_jl X_l to, in the coupling
     # coordinates of AreaMaps
     flow_pull: dict[int, np.ndarray] = field(default_factory=dict)
 
@@ -155,9 +157,7 @@ def _objective_decentralized(problems, states, config) -> float:
         diff = np.where(prob.mask, st.x - prob.m_l, 0.0)
         val += 0.5 * config.mu * _sum_squares(diff)
         if prob.maps is not None:
-            res = st.e_ll - prob.f_l
-            for j in prob.neighbors:
-                res += st.q[j]
+            res = st.e_ll - prob.f_l + st.q
             val += 0.5 * config.nu * float(res @ res)
     return val
 
@@ -281,10 +281,7 @@ def _flow_target(prob: AreaProblem, st: AreaState) -> np.ndarray | None:
     if prob.maps is None:
         return None
     config, t_steps = prob.config, prob.maps.n_steps
-    target = prob.f_l.copy()
-    for j in prob.neighbors:
-        target -= st.q[j]
-    z = config.nu * (target.reshape(t_steps, -1) @ prob.g_ll)
+    z = config.nu * ((prob.f_l - st.q).reshape(t_steps, -1) @ prob.g_ll)
     for j, b in prob.b_from.items():
         z += config.lam * (st.flow_pull[j].reshape(t_steps, b.shape[0]) @ b)
     return prob.maps.unsteps(z)
@@ -339,8 +336,7 @@ def update_u(prob: AreaProblem, st: AreaState, z: np.ndarray | None) -> np.ndarr
     v = st.v
     base = 1.0 / prob.n_areas + config.prox_c + config.gamma * prob.deg
     rhs = config.prox_c * st.u + config.mu * (prob.m_obs @ v.T)
-    for j in prob.neighbors:
-        rhs += config.gamma * st.pull[j]
+    rhs += config.gamma * st.pull
     # data Gram of row i: mu sum over observed columns c of v_c v_c^T
     data = config.mu * (prob.mask @ _outer_rows(v.T))
     rows = ROWS_PER_STEP if prob.maps is not None else 1
@@ -385,29 +381,35 @@ def update_q(
     prob: AreaProblem,
     e_ll_val: np.ndarray,
     e_in: dict[int, np.ndarray],
-    lam_duals: dict[int, np.ndarray],
-) -> dict[int, np.ndarray]:
-    """Simultaneous closed-form solve of the coupled q system at one area."""
-    if not prob.neighbors:
-        return {}
-    lam, nu = prob.config.lam, prob.config.nu
-    own = nu * (prob.f_l - e_ll_val)
-    rhs = {j: lam * (e_in[j] - lam_duals[j]) + own for j in prob.neighbors}
-    total = functools.reduce(np.add, rhs.values())  # summed in neighbor order
-    shift = (nu / (lam + nu * prob.deg)) * total
-    return {j: (rhs[j] - shift) / lam for j in prob.neighbors}
+    lam_dual: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
+    """Closed-form q step and flow dual ascent at area l, from E_ll(X_l), the
+    terms e_lj = A_lj c_j its neighbors sent, and its dual Lambda_l.  Returns
+    sum_j q_lj, Lambda_l' and, per neighbor j, the pull point
+    A_lj^T (q_lj + Lambda_l') that area l sends j.
+
+    Per edge, the q_lj minimize 0.5 nu |f_l - E_ll X_l - sum_j q_lj|^2
+    + 0.5 lam sum_j |q_lj - e_lj + Lambda_lj|^2, and then
+    Lambda_lj' = Lambda_lj + q_lj - e_lj = (nu / lam)(f_l - E_ll X_l - sum_i q_li)
+    takes one value for every j; from Lambda_lj = 0 the duals are one vector.
+    So q_lj = e_lj + Lambda_l' - Lambda_l, sum_j q_lj = sum_j e_lj
+    + d (Lambda_l' - Lambda_l) with d = deg l, and substituting the sum,
+    Lambda_l' = nu (f_l - E_ll X_l - sum_j e_lj + d Lambda_l) / (lam + nu d)."""
+    lam, nu, d = prob.config.lam, prob.config.nu, prob.deg
+    e_sum = functools.reduce(np.add, e_in.values())  # summed in neighbor order
+    lam_new = (nu / (lam + nu * d)) * (prob.f_l - e_ll_val - e_sum + d * lam_dual)
+    step = 2.0 * lam_new - lam_dual  # q_lj + Lambda_l' = e_lj + step
+    pulls = {j: prob.maps.project(prob.area, j, e + step) for j, e in e_in.items()}
+    return e_sum + d * (lam_new - lam_dual), lam_new, pulls
 
 
 def update_duals(
     st: AreaState,
     u_new: np.ndarray,
     s_new: dict[int, np.ndarray],
-    q_new: dict[int, np.ndarray],
-    e_in: dict[int, np.ndarray],
-) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    gamma_new = {j: st.gamma[j] + u_new - s_new[j] for j in s_new}
-    lam_new = {j: st.lam[j] + (q_new[j] - e_in[j]) for j in q_new}
-    return gamma_new, lam_new
+) -> dict[int, np.ndarray]:
+    """Basis dual ascent Gamma_lj += U_l - S_lj (`update_q` steps Lambda_l)."""
+    return {j: st.gamma[j] + u_new - s_new[j] for j in s_new}
 
 
 # --- drivers ----------------------------------------------------------------
@@ -424,24 +426,22 @@ def _init_states(
     for l, prob in problems.items():
         u = pair.u.copy()
         v = pair.v[:, prob.cols].copy()
-        st = states[l] = AreaState(u=u, v=v, x=u @ v)
-        for j in prob.neighbors:
-            st.gamma[j] = np.zeros_like(u)
-            st.pull[j] = u.copy()  # S_lj starts at U_l
+        # S_lj starts at U_l and Gamma_lj at 0
+        states[l] = AreaState(u=u, v=v, x=u @ v, pull=prob.deg * u,
+                              gamma={j: np.zeros_like(u) for j in prob.neighbors})
     maps = next(iter(problems.values())).maps
     if maps is None:
         return states
-    # q_lj starts at E_lj(X_j) and Lambda_lj at 0, so the first primal solve
-    # sees a consistent decentralized model
+    # q_lj starts at e_lj = E_lj(X_j) and Lambda_l at 0, so the first primal
+    # solve sees a consistent decentralized model
     sent = {l: maps.coordinates(l, st.x) for l, st in states.items()}
     for l, prob in problems.items():
-        for j in prob.neighbors:
-            states[l].q[j] = maps.expand(l, j, sent[j][l])
-            states[l].lam[j] = np.zeros(maps.residual_dim(l))
-    for l, prob in problems.items():
-        for j in prob.neighbors:
-            owner = states[j]
-            states[l].flow_pull[j] = maps.project(j, l, owner.q[l] + owner.lam[l])
+        st = states[l]
+        e_in = {j: maps.expand(l, j, sent[j][l]) for j in prob.neighbors}
+        st.q = sum(e_in.values(), np.zeros(maps.residual_dim(l)))
+        st.lam = np.zeros(maps.residual_dim(l))
+        for j, e in e_in.items():
+            states[j].flow_pull[l] = maps.project(l, j, e)
     return states
 
 
@@ -478,7 +478,7 @@ def run_decentralized(
 
     Flow terms travel in the coupling coordinates of `AreaMaps`: area l
     sends B_jl X_l (T rho_jl reals) and area j expands it with A_jl; area j,
-    which owns q_jl and Lambda_jl, sends back A_jl^T (q_jl + Lambda_jl).
+    which owns q_jl and Lambda_j, sends back A_jl^T (q_jl + Lambda_j).
     A_jl has orthonormal columns, so |A B x - y|^2 = |B x - A^T y|^2 + const
     and every update keeps the minimizer it has with full residual-space
     vectors.
@@ -522,19 +522,17 @@ def run_decentralized(
             if not prob.neighbors:  # a single area exchanges nothing
                 return None, []
             t0 = time.perf_counter()
-            e_in, q_new = {}, {}
-            if prob.maps is not None:
+            sends = []
+            if prob.maps is not None:  # no q terms without flow maps
                 e_in = {j: prob.maps.expand(l, j, inbox[(j, "flow-term")])
                         for j in prob.neighbors}
-                q_new = update_q(prob, st.e_ll, e_in, st.lam)
+                st.q, st.lam, pulls = update_q(prob, st.e_ll, e_in, st.lam)
+                sends = [Message(dest=j, tag="flow-pull", payload=pull)
+                         for j, pull in pulls.items()]
             s_new = {j: update_s(st.u, inbox[(j, "factor")].reshape(st.u.shape))
                      for j in prob.neighbors}
-            st.gamma, lam_new = update_duals(st, st.u, s_new, q_new, e_in)
-            st.pull = {j: s_new[j] - st.gamma[j] for j in prob.neighbors}
-            st.q, st.lam = q_new, lam_new
-            sends = [Message(dest=j, tag="flow-pull",
-                             payload=prob.maps.project(l, j, q_new[j] + lam_new[j]))
-                     for j in q_new]  # no q terms without flow maps
+            st.gamma = update_duals(st, st.u, s_new)
+            st.pull = sum(s_new[j] - st.gamma[j] for j in prob.neighbors)
             timings[l] += time.perf_counter() - t0
             return None, sends
 

@@ -26,7 +26,7 @@ class MeasurementMatrix:
     def __post_init__(self):
         m, _ = self.data.shape
         if m % ROWS_PER_STEP != 0:
-            raise DataMatrixError(f"row count {m} is not a multiple of 5")
+            raise DataMatrixError(f"row count {m} is not a multiple of {ROWS_PER_STEP}")
 
     @property
     def n_steps(self) -> int:
@@ -70,15 +70,8 @@ def build_matrix(v: np.ndarray, s: np.ndarray) -> MeasurementMatrix:
     if v.shape != s.shape:
         raise DataMatrixError(f"shape mismatch: v {v.shape} vs s {s.shape}")
     n_steps, n = v.shape
-    data = np.empty((ROWS_PER_STEP * n_steps, n))
-    for t in range(n_steps):
-        r = ROWS_PER_STEP * t
-        data[r] = v[t].real
-        data[r + 1] = v[t].imag
-        data[r + 2] = np.abs(v[t])
-        data[r + 3] = s[t].real
-        data[r + 4] = s[t].imag
-    return MeasurementMatrix(data=data)
+    blocks = np.stack([v.real, v.imag, np.abs(v), s.real, s.imag], axis=1)
+    return MeasurementMatrix(data=blocks.reshape(ROWS_PER_STEP * n_steps, n))
 
 
 def eligible_rows(m: int, policy: str) -> np.ndarray:

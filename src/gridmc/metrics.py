@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datamatrix import ROWS_PER_STEP
+
 
 class MetricsError(Exception):
     pass
@@ -103,10 +105,7 @@ def voltage_from_matrix(x: np.ndarray) -> np.ndarray:
     """Complex voltage time series (T, |P|) from the first two rows of each
     time block of a measurement-shaped matrix."""
     m = x.shape[0]
-    if m % 5 != 0:
-        raise MetricsError("row count is not a multiple of 5")
-    t_steps = m // 5
-    v = np.empty((t_steps, x.shape[1]), dtype=complex)
-    for t in range(t_steps):
-        v[t] = x[5 * t] + 1j * x[5 * t + 1]
-    return v
+    if m % ROWS_PER_STEP != 0:
+        raise MetricsError(f"row count is not a multiple of {ROWS_PER_STEP}")
+    blocks = x.reshape(m // ROWS_PER_STEP, ROWS_PER_STEP, x.shape[1])
+    return blocks[:, 0] + 1j * blocks[:, 1]

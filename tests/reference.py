@@ -6,9 +6,13 @@ the unit tests are written against.
   nu = 0 case.
 - `predict`/`h_from_loads`: the centralized evaluation of a linear flow
   model, the dense reference for the per-area maps and `decentralized_flow`.
+- `update_q_per_edge`: the q step and flow dual ascent with one q_lj and one
+  dual Lambda_lj per neighbor, the reference for `completion.update_q`.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -70,3 +74,22 @@ def predict(model: LinearFlowModel, h: np.ndarray) -> tuple[np.ndarray, np.ndarr
     v = model.w[None, :] + h @ model.n_mat.T
     vmag = np.abs(model.w)[None, :] + h @ model.k_mat.T
     return v, vmag
+
+
+def update_q_per_edge(
+    prob: cp.AreaProblem,
+    e_ll_val: np.ndarray,
+    e_in: dict[int, np.ndarray],
+    lam_duals: dict[int, np.ndarray],
+) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """Simultaneous closed-form solve of the coupled q system at one area,
+    lam q_lj + nu sum_i q_li = lam (e_lj - Lambda_lj) + nu (f_l - E_ll X_l),
+    then the dual steps Lambda_lj' = Lambda_lj + q_lj - e_lj.  Returns
+    (j -> q_lj, j -> Lambda_lj')."""
+    lam, nu = prob.config.lam, prob.config.nu
+    own = nu * (prob.f_l - e_ll_val)
+    rhs = {j: lam * (e_in[j] - lam_duals[j]) + own for j in prob.neighbors}
+    total = functools.reduce(np.add, rhs.values())  # summed in neighbor order
+    shift = (nu / (lam + nu * prob.deg)) * total
+    q = {j: (rhs[j] - shift) / lam for j in prob.neighbors}
+    return q, {j: lam_duals[j] + (q[j] - e_in[j]) for j in prob.neighbors}

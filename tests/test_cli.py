@@ -236,6 +236,14 @@ class TestPinnedReference:
         "comp_slack_residual": 9.38093959907907,
         "dual_feasibility_min_eig": -51124.21730989083,
     }
+    # 0.5(|U|^2 + |V|^2) of its factors, the size of the order-one terms
+    # whose rounding residuals grad_v_norm and the first trace residual are;
+    # test_feeder33_t10_single_area checks it against the run
+    FACTOR_SCALE = 26.088515612644784
+    # two BLAS threads move the first trace residual by up to 2.0e-9 and
+    # grad_v_norm by up to 5e-11, so 3e-10 * FACTOR_SCALE = 7.8e-9 bounds
+    # them with a margin of four
+    RESIDUAL_TOL = 3e-10 * FACTOR_SCALE
 
     def test_feeder33_t10_single_area(self):
         config = self.CONFIG
@@ -244,6 +252,9 @@ class TestPinnedReference:
         assert result.converged
         assert report.mape_magnitude == pytest.approx(self.PINNED_MAPE_PCT, rel=1e-8)
         assert report.mae_angle == pytest.approx(self.PINNED_MAE_DEG, rel=1e-8)
+        fp = result.factors()
+        scale = 0.5 * (np.linalg.norm(fp.u) ** 2 + np.linalg.norm(fp.v) ** 2)
+        assert scale == pytest.approx(self.FACTOR_SCALE, rel=1e-8)
 
     def test_certificate_checks_the_data_solved(self, tmp_path, monkeypatch):
         """V is the last block the solver updates, so at the solved data only
@@ -266,10 +277,11 @@ class TestPinnedReference:
 
     def test_feeder33_t10_single_area_certificate(self, tmp_path):
         """The certificate of the same configuration, as `gridmc run` writes
-        it, run with one BLAS thread.  The thread count moves the solver's
-        rounding: two threads move the order-one fields by up to 3e-10
-        relative, and grad_v_norm and the first trace residual, which are
-        rounding residuals, by up to 3e-4."""
+        it, run with one BLAS thread.  The order-one fields match within 1e-12
+        relative.  grad_v_norm and the first trace residual are rounding
+        residuals of order-one terms, which any change of summation order
+        moves (two BLAS threads: by up to 3e-4 relative), so they match
+        within RESIDUAL_TOL absolute."""
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -284,8 +296,16 @@ class TestPinnedReference:
         assert payload["converged"]
         cert = payload["certificate"]
         assert not cert["theorem1_pass"] and cert["mu"] == 1e4
-        for key, want in self.PINNED_CERTIFICATE.items():
-            assert cert[key] == pytest.approx(want, rel=1e-12), key
+        pinned = self.PINNED_CERTIFICATE
+        assert cert["grad_v_norm"] == pytest.approx(pinned["grad_v_norm"],
+                                                    abs=self.RESIDUAL_TOL)
+        got_0, got_1 = cert["trace_residuals"]
+        want_0, want_1 = pinned["trace_residuals"]
+        assert got_0 == pytest.approx(want_0, abs=self.RESIDUAL_TOL)
+        assert got_1 == pytest.approx(want_1, rel=1e-12)
+        for key in ("spectral_norm", "grad_u_norm", "comp_slack_residual",
+                    "dual_feasibility_min_eig"):
+            assert cert[key] == pytest.approx(pinned[key], rel=1e-12), key
 
 
 class TestParserDefaults:

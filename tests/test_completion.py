@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from gridmc import datamatrix as dm
 from gridmc import gridmodel as gm
 from gridmc import linflow as lf
 from gridmc import simnet as sn
-from reference import admm_config, svt_objective, svt_oracle
+from reference import admm_config, svt_objective, svt_oracle, update_q_per_edge
 
 # Independently pinned optimum of the seeded nuclear-norm problem below,
 # computed once with an interior-point style convex solver at eps 1e-10.
@@ -156,10 +157,11 @@ def _perturbed_states(problems, m_data, mask, r, seed):
         st = states[l]
         for j in prob.neighbors:
             st.gamma[j] = 0.1 * rng.standard_normal(st.u.shape)
-            st.pull[j] = st.u - st.gamma[j]  # S_lj starts at U_l
             if prob.maps is not None:
                 noise = 0.1 * rng.standard_normal(st.flow_pull[j].shape)
                 st.flow_pull[j] = st.flow_pull[j] + noise
+        # S_lj starts at U_l
+        st.pull = sum((st.u - st.gamma[j] for j in prob.neighbors), np.zeros_like(st.u))
     return states
 
 
@@ -172,13 +174,15 @@ class TestSubproblems:
         val = 0.5 * np.sum(u * u) / prob.n_areas + 0.5 * np.sum(v * v)
         val += 0.5 * config.prox_c * (np.sum((u - st.u) ** 2)
                                       + np.sum((v - st.v) ** 2))
-        for j in prob.neighbors:
-            val += 0.5 * config.gamma * np.sum((u - st.pull[j]) ** 2)
+        # sum_j 0.5 gamma |u - pull_j|^2 up to a constant: only the sum of
+        # the pull points enters the U minimizer
+        val += 0.5 * config.gamma * (prob.deg * np.sum(u * u)
+                                     - 2.0 * np.sum(u * st.pull))
         x = u @ v
         diff = np.where(prob.mask, x - prob.m_l, 0.0)
         val += 0.5 * config.mu * np.sum(diff * diff)
         x_vec = x.ravel(order="F")
-        target = maps.f[l] - sum(st.q[j] for j in prob.neighbors)
+        target = maps.f[l] - st.q
         res = maps.e_mats[(l, l)] @ x_vec - target
         val += 0.5 * config.nu * float(res @ res)
         for j in prob.neighbors:
@@ -380,8 +384,7 @@ def _reference_u_system(prob, st, config, z):
     v = st.v
     base = 1.0 / prob.n_areas + config.prox_c + config.gamma * prob.deg
     rhs = config.prox_c * st.u + config.mu * (prob.m_obs @ v.T)
-    for j in prob.neighbors:
-        rhs += config.gamma * st.pull[j]
+    rhs += config.gamma * st.pull
     data = config.mu * (prob.mask @ cp._outer_rows(v.T))
     rows = 5 if prob.maps is not None else 1
     h = _block_diag(data.reshape(m // rows, rows, r, r), base)
@@ -462,13 +465,29 @@ class TestNormalMatrixAssembly:
         assert np.array_equal(got, want.reshape(n_sys, k * r, k * r))
 
 
+@pytest.fixture(scope="module")
+def star_setup(small_instance):
+    """Area maps of the 9-bus feeder in five areas, area 1 adjacent to the
+    other four, and area 1's problem.  Phases 0 and 3-6 lie on one branch,
+    so every coupling block of area 1 has positive rank."""
+    mat, model = small_instance["mat"], small_instance["model"]
+    part = gm.AreaPartition(
+        assignment=np.array([1, 1, 1, 2, 3, 4, 5, 1]), n_areas=5,
+        adjacency=frozenset(frozenset((1, j)) for j in range(2, 6)),
+    )
+    maps = lf.build_area_maps(model, part)
+    mask = np.ones(mat.data.shape, dtype=bool)
+    return maps, cp._build_problems(mat.data, mask, maps, part, admm_config())[1]
+
+
 class TestQUpdate:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 5000), lam=st.floats(0.1, 100.0),
            nu=st.floats(0.1, 100.0))
     def test_solves_coupled_system(self, small_setup, seed, lam, nu):
-        """The closed form satisfies the defining normal equations
-        lam*q_j + nu*sum_i q_i = rhs_j for every neighbor j."""
+        """q_lj = e_lj - Lambda_l + Lambda_l' and the returned sum satisfy
+        the defining normal equations lam*q_j + nu*sum_i q_i = rhs_j for
+        every neighbor j."""
         m_data, mask, maps, part, _ = small_setup
         config = admm_config(lam=lam, nu=nu)
         prob = cp._build_problems(m_data, mask, maps, part, config)[2]  # degree 2
@@ -476,22 +495,63 @@ class TestQUpdate:
         d = maps.residual_dim(2)
         e_ll_val = rng.standard_normal(d)
         e_in = {j: rng.standard_normal(d) for j in prob.neighbors}
-        duals = {j: rng.standard_normal(d) for j in prob.neighbors}
-        q = cp.update_q(prob, e_ll_val, e_in, duals)
-        total = sum(q.values())
+        dual = rng.standard_normal(d)
+        total, dual_new, _ = cp.update_q(prob, e_ll_val, e_in, dual)
         for j in prob.neighbors:
-            rhs = lam * (e_in[j] - duals[j]) + nu * (prob.f_l - e_ll_val)
-            assert np.max(np.abs(lam * q[j] + nu * total - rhs)) < 1e-7 * (
+            q_j = e_in[j] - dual + dual_new
+            rhs = lam * (e_in[j] - dual) + nu * (prob.f_l - e_ll_val)
+            assert np.max(np.abs(lam * q_j + nu * total - rhs)) < 1e-7 * (
                 1 + np.max(np.abs(rhs))
             )
 
-    def test_no_neighbors(self, small_setup):
-        m_data, mask, maps, part, problems = small_setup
-        single = cp._build_problems(
-            m_data, mask, None, gm.AreaPartition.contiguous(m_data.shape[1], 1),
-            admm_config(),
-        )[1]
-        assert cp.update_q(single, np.zeros(0), {}, {}) == {}
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 5000), lam=st.floats(0.1, 100.0),
+           nu=st.floats(0.1, 100.0), deg=st.integers(1, 4))
+    def test_matches_per_edge_update(self, star_setup, seed, lam, nu, deg):
+        """From a common dual Lambda_lj = Lambda_l, the per-edge update gives
+        every Lambda_lj' the returned Lambda_l', sum_j q_lj the returned sum,
+        and A_lj^T (q_lj + Lambda_lj') the returned pull point for each j,
+        within 1e-12 relative.  The per-edge form forms q_lj as a difference
+        of terms of size |rhs_j| / lam (see `test_solves_coupled_system`), so
+        its rounding is relative to the largest of them when they exceed the
+        result."""
+        maps, prob = star_setup
+        prob = dataclasses.replace(prob, config=admm_config(lam=lam, nu=nu),
+                                   neighbors=prob.neighbors[:deg])
+        rng = np.random.default_rng(seed)
+        d = maps.residual_dim(prob.area)
+        e_ll_val = rng.standard_normal(d)
+        e_in = {j: rng.standard_normal(d) for j in prob.neighbors}
+        dual = rng.standard_normal(d)
+        total, dual_new, pulls = cp.update_q(prob, e_ll_val, e_in, dual)
+        q, duals = update_q_per_edge(prob, e_ll_val, e_in,
+                                     {j: dual for j in prob.neighbors})
+
+        own = nu * (prob.f_l - e_ll_val)
+        cancelled = max(np.linalg.norm(lam * (e_in[j] - dual) + own)
+                        for j in prob.neighbors) / lam
+
+        def close(got, want):
+            return np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want),
+                                                             cancelled)
+
+        assert list(pulls) == prob.neighbors
+        assert close(total, sum(q.values()))
+        for j in prob.neighbors:
+            assert close(dual_new, duals[j])
+            assert close(pulls[j], maps.project(prob.area, j, q[j] + duals[j]))
+
+    def test_no_neighbors(self, small_instance, small_setup, monkeypatch):
+        """A single area has no q terms: a run with flow maps never calls
+        `update_q`."""
+        m_data, mask, *_ = small_setup
+        part = gm.AreaPartition.contiguous(m_data.shape[1], 1)
+        maps = lf.build_area_maps(small_instance["model"], part)
+        calls = []
+        monkeypatch.setattr(cp, "update_q", lambda *args: calls.append(args))
+        result = cp.run_decentralized(m_data, mask, maps, part,
+                                      admm_config(rank=2, max_iters=5, tol=1e-14))
+        assert result.trace.iterations == 5 and calls == []
 
 
 @pytest.fixture(scope="module")
@@ -543,26 +603,35 @@ class TestDecentralizedRun:
 
     def test_flow_pull_is_the_owners_projection(self, small_setup, monkeypatch):
         """Every U update reads, for each neighbor j, the pull point
-        A_jl^T (q_jl + Lambda_jl) of area j's own q and dual, bit for bit:
-        no area keeps a copy of a neighbor's dual."""
+        A_jl^T (q_jl + Lambda_j) = A_jl^T (e_jl + 2 Lambda_j - Lambda_j^prev)
+        of area j's own dual, before and after its last q update, and of the
+        term e_jl = E_jl(X_l) area l sent, bit for bit: no area keeps a copy
+        of a neighbor's dual."""
         m_data, mask, maps, part, _ = small_setup
-        states, checked = {}, []
-        init, update_u = cp._init_states, cp.update_u
+        states, before, checked = {}, {}, []
+        init, update_q, update_u = cp._init_states, cp.update_q, cp.update_u
 
         def init_kept(*args):
             states.update(init(*args))
             return states
 
+        def update_q_kept(prob, e_ll_val, e_in, dual):
+            before[prob.area] = dual
+            return update_q(prob, e_ll_val, e_in, dual)
+
         def update_u_checked(prob, st, z):
             l = prob.area
             for j in prob.neighbors:
                 owner = states[j]
-                sent = maps.project(j, l, owner.q[l] + owner.lam[l])
+                e_jl = maps.expand(j, l, maps.coordinates(l, st.x)[j])
+                step = 2.0 * owner.lam - before.get(j, owner.lam)
+                sent = maps.project(j, l, e_jl + step)
                 checked.append((np.array_equal(st.flow_pull[j], sent),
-                                bool(np.any(owner.lam[l]))))
+                                bool(np.any(owner.lam))))
             return update_u(prob, st, z)
 
         monkeypatch.setattr(cp, "_init_states", init_kept)
+        monkeypatch.setattr(cp, "update_q", update_q_kept)
         monkeypatch.setattr(cp, "update_u", update_u_checked)
         k = 20
         cp.run_decentralized(m_data, mask, maps, part,

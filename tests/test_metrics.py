@@ -143,7 +143,7 @@ class TestVoltageFromMatrix:
         s = np.zeros_like(true_voltage)
         mat = dm.build_matrix(true_voltage, s)
         v = mt.voltage_from_matrix(mat.data)
-        assert np.allclose(v, true_voltage)
+        assert np.array_equal(v, true_voltage)
 
     def test_bad_row_count(self):
         with pytest.raises(mt.MetricsError):
