@@ -18,7 +18,9 @@ Each root is a checkout holding `src/gridmc`, `perfbench/` and
    `trace.csv` and `spectrum.csv` have the same header and row count on
    both sides, and the estimate's `mape_magnitude_pct` and `mae_angle_deg`
    agree within 1e-8 relative.  The largest relative difference of every
-   float field that differs is recorded and printed as `output_drift`.
+   float field that differs is recorded and printed as `output_drift`;
+   a singular value of `spectrum.csv` is measured relative to sigma_0 of
+   the same file, since those below the rank of X are rounding noise.
    Outputs that pass neither check stop the script with exit code 1, and
    nothing is benchmarked.
 2. It runs `perfbench/run.py --trace 0` of each tree in turn, `--pairs`
@@ -141,23 +143,34 @@ def json_drift(a, b, path: str, drift: dict[str, float]) -> list[str]:
     return [] if a == b else [path]
 
 
+# The singular values drift relative to sigma_0 (the larger of the two
+# files'), not to themselves: those below the rank of X sit near 1e-18, where
+# rounding noise is their whole value.
+SIGMA_COLUMN = "spectrum.csv:sigma"
+
+
 def csv_drift(a: Path, b: Path, drift: dict[str, float]) -> bool:
     """Record the largest relative difference of each numeric column of two
-    CSV files under "file:column"; False if their headers or row counts
-    differ."""
+    CSV files under "file:column" (see `SIGMA_COLUMN`); False if their
+    headers or row counts differ."""
     rows_a = [line.split(",") for line in a.read_text().splitlines()]
     rows_b = [line.split(",") for line in b.read_text().splitlines()]
     if len(rows_a) != len(rows_b) or rows_a[:1] != rows_b[:1]:
         return False
     for i, column in enumerate(rows_a[0]):
+        key = f"{a.name}:{column}"
         for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
             if row_a[i] == row_b[i]:
                 continue
             try:
-                diff = rel_diff(float(row_a[i]), float(row_b[i]))
+                x, y = float(row_a[i]), float(row_b[i])
+                if key == SIGMA_COLUMN:
+                    scale = max(abs(float(rows_a[1][i])), abs(float(rows_b[1][i])))
+                    diff = abs(x - y) / scale
+                else:
+                    diff = rel_diff(x, y)
             except ValueError:
                 diff = math.inf
-            key = f"{a.name}:{column}"
             drift[key] = max(drift.get(key, 0.0), diff)
     return True
 

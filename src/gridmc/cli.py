@@ -51,6 +51,8 @@ class ExperimentConfig:
 def _build_feeder(config: ExperimentConfig, seed: int):
     """Network, load scenario, and area partition of the configured feeder."""
     if config.feeder == "feeder33":
+        if config.n_buses != 33:
+            raise CliError(f"feeder33 has 33 buses, got --buses {config.n_buses}")
         return gm.feeder33_analog(
             seed=seed, n_steps=config.time_steps, n_areas=config.areas
         )
@@ -353,6 +355,10 @@ def cmd_certify(args) -> int:
     solve at the smaller weights, so every certificate is evaluated at the
     estimate its own weights produced; no earlier estimate is re-evaluated.
     Each attempt overwrites the files in ``--out``."""
+    if not 0.0 < args.shrink < 1.0:
+        raise CliError(f"--shrink must lie in (0, 1), got {args.shrink:g}")
+    if args.max_shrinks < 0:
+        raise CliError(f"--max-shrinks must be >= 0, got {args.max_shrinks}")
     config = _config_from_args(args)
     mu = config.admm.mu
     nu = config.admm.nu

@@ -197,12 +197,13 @@ def init_factors(
 class AreaProblem:
     """Constant data for one area's subproblems.
 
-    The flow terms act on each time step's 5 x n_l row block X_t of X_l
-    through vec_F(X_t): the own-area block G_ll and the coupling factor B_jl
-    of each neighbor (see `AreaMaps`).  The flow Hessian of one step,
-    H = nu G_ll^T G_ll + lam sum_j B_jl^T B_jl, is weighted once per run and
-    stored in the two layouts the U and V contractions consume.  The
-    updates read their weights from `config`, the one H was weighted with."""
+    The flow terms act on each step's 5 x n_l row block X_t of X_l, read
+    row-major as x_t (row t of X_l.reshape(T, 5n_l)): the own-area block
+    G_ll and the coupling factor B_jl of each neighbor (see `AreaMaps`).
+    The flow Hessian of one step, H = nu G_ll^T G_ll + lam sum_j B_jl^T B_jl,
+    is weighted once per run and stored in the two layouts the U and V
+    contractions consume.  The updates read their weights from `config`,
+    the one H was weighted with."""
 
     area: int
     config: AdmmConfig
@@ -252,9 +253,9 @@ def _build_problems(
             gram_own = g_ll.T @ g_ll
             gram_nb = sum((b.T @ b for b in b_from.values()), np.zeros_like(gram_own))
             h = config.nu * gram_own + config.lam * gram_nb
-            h = h.reshape(n_l, ROWS_PER_STEP, n_l, ROWS_PER_STEP)  # (c, k, c', k')
-            h_u = h.transpose(0, 1, 3, 2).reshape(n_l, -1)
-            h_v = h.transpose(0, 2, 1, 3).reshape(n_l * n_l, -1)
+            h = h.reshape(ROWS_PER_STEP, n_l, ROWS_PER_STEP, n_l)  # (k, c, k', c')
+            h_u = h.transpose(1, 0, 2, 3).reshape(n_l, -1)
+            h_v = h.transpose(1, 3, 0, 2).reshape(n_l * n_l, -1)
         problems[l] = AreaProblem(
             area=l,
             config=config,
@@ -275,16 +276,16 @@ def _build_problems(
 
 
 def _flow_target(prob: AreaProblem, st: AreaState) -> np.ndarray | None:
-    """Z (m x n_l): the flow terms are sum_t 0.5 vec(X_t)^T H vec(X_t) - <Z, X_l>
-    plus a constant, so Z V^T and U^T Z enter the right-hand sides.  None
-    without flow maps."""
+    """Z (m x n_l): the flow terms are sum_t 0.5 x_t^T H x_t - <Z, X_l> plus
+    a constant, x_t as in `AreaProblem`, so Z V^T and U^T Z enter the
+    right-hand sides.  None without flow maps."""
     if prob.maps is None:
         return None
     config, t_steps = prob.config, prob.maps.n_steps
     z = config.nu * ((prob.f_l - st.q).reshape(t_steps, -1) @ prob.g_ll)
     for j, b in prob.b_from.items():
         z += config.lam * (st.flow_pull[j].reshape(t_steps, b.shape[0]) @ b)
-    return prob.maps.unsteps(z)
+    return z.reshape(-1, prob.n_l)
 
 
 def _outer_rows(a: np.ndarray) -> np.ndarray:
@@ -354,7 +355,7 @@ def update_v(prob: AreaProblem, st: AreaState, u_new: np.ndarray,
              z: np.ndarray | None) -> np.ndarray:
     """Exact minimizer over V_l, given the same z as `update_u`: one system
     on vec_F(V_l), block diagonal per column in its data part, with the flow
-    Hessian contracted against W = sum_t vec(U_t) vec(U_t)^T."""
+    Hessian contracted against W = sum_t u_t u_t^T, u_t the row-major U_t."""
     config = prob.config
     m, r = u_new.shape
     n_l = prob.n_l

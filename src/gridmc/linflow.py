@@ -1,6 +1,5 @@
-"""Linear voltage model (N, K, w), area truncation, Algorithm-2 style
-decentralized evaluation, and the per-area linear maps feeding the
-completion objective."""
+"""Linear voltage model (N, K, w), area truncation, and the per-area linear
+maps feeding the completion objective."""
 
 from __future__ import annotations
 
@@ -11,7 +10,6 @@ import numpy as np
 
 from .datamatrix import ROWS_PER_STEP
 from .gridmodel import AreaPartition, NetworkModel
-from .simnet import Message, MessageBus
 
 
 # Re s, Im s within each time block: the only measurement rows an area's
@@ -65,8 +63,8 @@ def _coupling_mask(part: AreaPartition) -> np.ndarray:
 
 def truncate_model(model: LinearFlowModel, part: AreaPartition) -> LinearFlowModel:
     """Zero all couplings outside same-area/neighbor-area blocks (applied to
-    both N and K): the dense model the area maps and `decentralized_flow`
-    evaluate, kept as the reference for `truncation_error`."""
+    both N and K): the dense model the area maps evaluate, kept as the
+    reference for `truncation_error`."""
     n = model.n_phases
     if part.assignment.shape[0] != n:
         raise LinFlowError("partition does not cover the model's phases")
@@ -103,13 +101,14 @@ class AreaMaps:
     per step in the row order of G_lj.
 
     E_lj repeats one per-step block G_lj = step_blocks[(l, j)] (3n_l x 5n_j)
-    on every time step; it acts on vec_F of the step's 5 x n_j row block of
-    X_j, and its rows are (phase, [Re v, Im v, |v|]).  `apply` and
-    `apply_adjoint` apply it step by step.  For neighbors l != j,
-    coupling[(l, j)] = (A, B) factors it exactly as G_lj = A B with A
-    orthonormal (3n_l x rho) and rho = rank(G_lj).  The coordinates of
-    E_lj(X_j) are B applied per step (T * rho reals, step major), formed by
-    `coordinates`; `expand` maps them back into the residual space of l."""
+    on every time step.  Its rows are (phase, [Re v, Im v, |v|]); its
+    columns read the step's 5 x n_j row block of X_j row-major, (row,
+    phase), so X_j.reshape(T, 5n_j) is the per-step matrix with no copy.
+    For neighbors l != j, coupling[(l, j)] = (A, B) factors it exactly as
+    G_lj = A B with A orthonormal (3n_l x rho) and rho = rank(G_lj).  The
+    coordinates of E_lj(X_j) are B applied per step (T * rho reals, step
+    major), formed by `coordinates`; `expand` maps them back into the
+    residual space of l."""
 
     partition: AreaPartition
     n_steps: int
@@ -139,25 +138,13 @@ class AreaMaps:
             for (l, j), g in self.step_blocks.items()
         }
 
-    def steps(self, x: np.ndarray) -> np.ndarray:
-        """(T, 5n) rows vec_F(X_t) of the 5 x n row blocks of an m x n matrix."""
-        n = x.shape[1]
-        per_step = x.reshape(self.n_steps, ROWS_PER_STEP, n).transpose(0, 2, 1)
-        return per_step.reshape(self.n_steps, -1)
-
-    def unsteps(self, y: np.ndarray) -> np.ndarray:
-        """Inverse of `steps`: (T, 5n) rows back to the m x n matrix."""
-        n = y.shape[1] // ROWS_PER_STEP
-        per_step = y.reshape(self.n_steps, n, ROWS_PER_STEP).transpose(0, 2, 1)
-        return per_step.reshape(self.m, n)
-
     def apply(self, l: int, j: int, x_j: np.ndarray) -> np.ndarray:
         """E_lj(X_j) for the m x n_j block x_j, in the residual order of l."""
-        return (self.steps(x_j) @ self.step_blocks[(l, j)].T).ravel()
+        return (x_j.reshape(self.n_steps, -1) @ self.step_blocks[(l, j)].T).ravel()
 
     def apply_adjoint(self, l: int, j: int, y: np.ndarray) -> np.ndarray:
         """E_lj^T y for a residual-order vector y of l, as an m x n_j block."""
-        return self.unsteps(y.reshape(self.n_steps, -1) @ self.step_blocks[(l, j)])
+        return (y.reshape(self.n_steps, -1) @ self.step_blocks[(l, j)]).reshape(self.m, -1)
 
     def coupling_rank(self, l: int, j: int) -> int:
         """rank(G_lj): reals per time step that carry E_lj(X_j)."""
@@ -174,9 +161,10 @@ class AreaMaps:
         return (y.reshape(self.n_steps, -1) @ self.coupling[(l, j)][0]).ravel()
 
     def coordinates(self, l: int, x_l: np.ndarray) -> dict[int, np.ndarray]:
-        """j -> coordinates (I_T kron B_jl) vec_F(X_l) of E_jl(X_l), step
-        major, for every neighbor j of l: what area l sends j."""
-        x_steps = self.steps(x_l)
+        """j -> coordinates B_jl x_t of E_jl(X_l), x_t the row-major step
+        blocks of X_l, step major, for every neighbor j of l: what area l
+        sends j."""
+        x_steps = x_l.reshape(self.n_steps, -1)
         return {j: (x_steps @ self.coupling[(j, l)][1].T).ravel()
                 for j in self.partition.neighbors(l)}
 
@@ -184,47 +172,48 @@ class AreaMaps:
 def _factor_step_block(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact rank factorization g = A B with orthonormal A, at the default
     rank tolerance of np.linalg.matrix_rank, of an off-diagonal step block.
-    Only its injection-row columns are nonzero, so the SVD is taken over
-    those 2 n_j columns and B is zero on the others; the tolerance uses the
+    Only its injection-row columns, the last 2 n_j, are nonzero, so the SVD
+    is taken over those and B is zero on the others; the tolerance uses the
     full block's shape."""
-    n_rows, n_src = g.shape[0], g.shape[1] // ROWS_PER_STEP
-    live = g.reshape(n_rows, n_src, ROWS_PER_STEP)[:, :, _INJECTION_ROWS]
-    u, s, vt = np.linalg.svd(live.reshape(n_rows, -1), full_matrices=False)
+    first = _INJECTION_ROWS.start * (g.shape[1] // ROWS_PER_STEP)
+    u, s, vt = np.linalg.svd(g[:, first:], full_matrices=False)
     tol = s[0] * max(g.shape) * np.finfo(g.dtype).eps if s.size else 0.0
     rho = int(np.sum(s > tol))
-    b = np.zeros((rho, n_src, ROWS_PER_STEP))
-    b[:, :, _INJECTION_ROWS] = (s[:rho, None] * vt[:rho]).reshape(rho, *live.shape[1:])
-    return u[:, :rho], b.reshape(rho, g.shape[1])
+    b = np.zeros((rho, g.shape[1]))
+    b[:, first:] = s[:rho, None] * vt[:rho]
+    return u[:, :rho], b
 
 
 def _step_block(
     model: LinearFlowModel, own: np.ndarray, src: np.ndarray, same_area: bool
 ) -> np.ndarray:
     """Per-step block of E_lj: rows (target phase, [Re v, Im v, |v|]), columns
-    (source phase, row of one time step); within one area the target phase's
-    own voltage rows enter with +1."""
+    (row of one time step, source phase), the row-major order of the step's
+    5 x n_j block; within one area the target phase's own voltage rows
+    enter with +1."""
     n = model.n_phases
-    g = np.zeros((own.size, 3, src.size, ROWS_PER_STEP))
+    g = np.zeros((own.size, 3, ROWS_PER_STEP, src.size))
     n_re = model.n_mat[np.ix_(own, src)]
     n_im = model.n_mat[np.ix_(own, src + n)]
-    g[:, 0, :, 3] -= n_re.real
-    g[:, 0, :, 4] -= n_im.real
-    g[:, 1, :, 3] -= n_re.imag
-    g[:, 1, :, 4] -= n_im.imag
-    g[:, 2, :, 3] -= model.k_mat[np.ix_(own, src)]
-    g[:, 2, :, 4] -= model.k_mat[np.ix_(own, src + n)]
+    g[:, 0, 3] -= n_re.real
+    g[:, 0, 4] -= n_im.real
+    g[:, 1, 3] -= n_re.imag
+    g[:, 1, 4] -= n_im.imag
+    g[:, 2, 3] -= model.k_mat[np.ix_(own, src)]
+    g[:, 2, 4] -= model.k_mat[np.ix_(own, src + n)]
     if same_area:
         pos = np.arange(own.size)
         for c in range(3):
-            g[pos, c, pos, c] = 1.0
+            g[pos, c, c, pos] = 1.0
     return g.reshape(3 * own.size, ROWS_PER_STEP * src.size)
 
 
 def _repeat_steps(g: np.ndarray, n_src: int, t_steps: int) -> np.ndarray:
     """Dense map applying the per-step block g on every time step of
-    vec_F(X_src) (an m x n_src block); the output rows are (step, row)."""
+    vec_F(X_src) (an m x n_src block); the output rows are (step, row).  The
+    one place the row-major step order of g meets the column-major vec_F."""
     out = np.zeros((t_steps, g.shape[0], n_src, t_steps, ROWS_PER_STEP))
-    g3 = g.reshape(g.shape[0], n_src, ROWS_PER_STEP)
+    g3 = g.reshape(g.shape[0], ROWS_PER_STEP, n_src).transpose(0, 2, 1)
     for t in range(t_steps):
         out[t, :, :, t, :] = g3
     return out.reshape(t_steps * g.shape[0], n_src * t_steps * ROWS_PER_STEP)
@@ -259,51 +248,3 @@ def build_area_maps(model: LinearFlowModel, part: AreaPartition) -> AreaMaps:
         coupling=coupling,
     )
 
-
-def decentralized_flow(
-    maps: AreaMaps, h: np.ndarray, bus: MessageBus | None = None
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Evaluate the truncated model v = w + N h, |v| = |w| + K h by the
-    solver's exchange protocol.
-
-    Area l holds X_l, whose voltage rows are zero and whose injection rows
-    are its own columns of h, so its flow residual E(X) - f_l is -v.  In
-    the first bus round it sends each neighbor j the coordinates of
-    E_jl(X_l) (`AreaMaps.coordinates`, T rho_jl reals, tag "flow-term");
-    in the second it returns f_l - E_ll(X_l) - sum_j expand(l, j, received).
-    Returns per-area (v, |v|) arrays of shape (T, n_l)."""
-    part = maps.partition
-    h = np.atleast_2d(h)
-    if h.shape != (maps.n_steps, 2 * maps.n_phases):
-        raise LinFlowError(f"injections of shape {h.shape} do not match maps "
-                           f"of {maps.n_steps} steps and {maps.n_phases} phases")
-    if bus is None:
-        bus = MessageBus(part.areas, part.adjacency)
-    x = {}
-    for l in part.areas:
-        cols = maps.cols[l]
-        x_l = np.zeros((maps.n_steps, ROWS_PER_STEP, cols.size))
-        x_l[:, 3] = h[:, cols]
-        x_l[:, 4] = h[:, cols + maps.n_phases]
-        x[l] = x_l.reshape(maps.m, cols.size)
-
-    def send_node(l: int):
-        def fn(inbox):
-            coords = maps.coordinates(l, x[l])
-            return None, [Message(dest=j, tag="flow-term", payload=c)
-                          for j, c in coords.items()]
-
-        return fn
-
-    def recv_node(l: int):
-        def fn(inbox):
-            v = maps.f[l] - maps.apply(l, l, x[l])
-            for j in part.neighbors(l):
-                v -= maps.expand(l, j, inbox[(j, "flow-term")])
-            v = v.reshape(maps.n_steps, -1, 3)  # (step, phase, [Re v, Im v, |v|])
-            return (v[..., 0] + 1j * v[..., 1], v[..., 2]), []
-
-        return fn
-
-    bus.run_round({l: send_node(l) for l in part.areas})
-    return bus.run_round({l: recv_node(l) for l in part.areas})

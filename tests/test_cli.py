@@ -230,10 +230,10 @@ class TestPinnedReference:
     # its certificate, evaluated on the noisy data the run solved
     PINNED_CERTIFICATE = {
         "spectral_norm": 319.7646472121772,
-        "grad_u_norm": 31.91346609602517,
+        "grad_u_norm": 31.913466096064706,
         "grad_v_norm": 3.725195881070199e-05,
-        "trace_residuals": [-9.047554328844853e-06, 18.76188824571247],
-        "comp_slack_residual": 9.38093959907907,
+        "trace_residuals": [-9.047554328844853e-06, 18.76188824564467],
+        "comp_slack_residual": 9.38093959901127,
         "dual_feasibility_min_eig": -51124.21730989083,
     }
     # 0.5(|U|^2 + |V|^2) of its factors, the size of the order-one terms
@@ -409,6 +409,32 @@ class TestCommands:
                        "--out", str(tmp_path)])
         assert rc == 1
         assert "error: --values entry 'x' is not a number" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_feeder33_rejects_another_bus_count(self, tmp_path, capsys):
+        """feeder33 has a fixed topology: a --buses it would ignore, and
+        then record in results.json, is an error, and nothing is written."""
+        rc = cli.main(["run", "--feeder", "feeder33", "--buses", "129",
+                       "--out", str(tmp_path)])
+        assert rc == 1
+        assert "error: feeder33 has 33 buses, got --buses 129" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--shrink", "1"], "--shrink must lie in (0, 1), got 1"),
+        (["--shrink", "-1"], "--shrink must lie in (0, 1), got -1"),
+        (["--shrink", "0"], "--shrink must lie in (0, 1), got 0"),
+        (["--max-shrinks", "-1"], "--max-shrinks must be >= 0, got -1"),
+    ])
+    def test_certify_checks_its_shrink_options_before_any_run(
+            self, tmp_path, capsys, monkeypatch, flags, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("certify ran a solve with invalid shrink options")
+
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+        rc = cli.main(["certify", *FAST, *flags, "--out", str(tmp_path)])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_unknown_sweep_param_rejected(self, tmp_path):
