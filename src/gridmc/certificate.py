@@ -2,9 +2,10 @@
 
 Stacks the observed-entry samplers and the scaled flow-consistency rows into
 one linear operator so the data and flow penalties collapse into a single
-least-squares term, then evaluates the spectral-norm optimality condition,
-the first-order stationarity residuals, the trace identities, complementary
-slackness, and the Schur-complement dual-feasibility check.
+least-squares term, then evaluates, in one pass over one residual matrix, the
+spectral-norm optimality condition, the first-order stationarity residuals,
+the trace identities, complementary slackness, and the Schur-complement
+dual-feasibility check.
 """
 
 from __future__ import annotations
@@ -124,14 +125,14 @@ def residual_matrix(op: StackedOperator, x: np.ndarray, mu: float) -> np.ndarray
     return mu * apply_B_adjoint(op, apply_B(op, x) - op.d)
 
 
-def spectral_norm(a: np.ndarray, tol: float = 1e-8, max_iters: int = 10000,
-                  seed: int = 0) -> float:
-    """Largest singular value by power iteration on a^T a with a seeded start."""
-    rng = np.random.default_rng(seed)
+def spectral_norm(a: np.ndarray) -> float:
+    """Largest singular value by power iteration on a^T a from a seeded start
+    (seed 0), stopped when two estimates agree to 1e-8 relative."""
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(a.shape[1])
     v /= np.linalg.norm(v)
     sigma_prev = 0.0
-    for _ in range(max_iters):
+    for _ in range(10000):
         u = a @ v
         sigma = np.linalg.norm(u)
         if sigma == 0.0:
@@ -141,89 +142,54 @@ def spectral_norm(a: np.ndarray, tol: float = 1e-8, max_iters: int = 10000,
         if nv == 0.0:
             return 0.0
         v /= nv
-        if abs(nv - sigma_prev) <= tol * max(nv, 1.0):
+        if abs(nv - sigma_prev) <= 1e-8 * max(nv, 1.0):
             return float(nv)
         sigma_prev = nv
     raise CertificateError("power iteration did not converge")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CertificateReport:
     spectral_norm: float
     theorem1_pass: bool
-    grad_u_norm: float | None = None
-    grad_v_norm: float | None = None
-    trace_residuals: tuple[float, float] | None = None
-    comp_slack_residual: float | None = None
-    dual_feasibility_min_eig: float | None = None
-    mu: float | None = None
+    grad_u_norm: float
+    grad_v_norm: float
+    trace_residuals: tuple[float, float]
+    comp_slack_residual: float
+    dual_feasibility_min_eig: float
+    mu: float
 
     def to_dict(self) -> dict:
-        return {
-            "spectral_norm": self.spectral_norm,
-            "theorem1_pass": self.theorem1_pass,
-            "grad_u_norm": self.grad_u_norm,
-            "grad_v_norm": self.grad_v_norm,
-            "trace_residuals": list(self.trace_residuals)
-            if self.trace_residuals is not None else None,
-            "comp_slack_residual": self.comp_slack_residual,
-            "dual_feasibility_min_eig": self.dual_feasibility_min_eig,
-            "mu": self.mu,
-        }
+        return {**vars(self), "trace_residuals": list(self.trace_residuals)}
 
 
-def theorem1_check(r: np.ndarray, mu: float, seed: int = 0) -> CertificateReport:
-    """Spectral-norm global-optimality test on the residual matrix
-    r = `residual_matrix` of the assembled estimate."""
-    norm = spectral_norm(r, seed=seed)
+def full_report(u: np.ndarray, v: np.ndarray, op: StackedOperator,
+                mu: float) -> CertificateReport:
+    """Every check at X = UV, from R = mu B^*(B(X) - d) formed once.
+
+    sigma_1(R) <= 1 (with 1e-9 slack) certifies X as a global optimum of the
+    convex problem (`theorem1_pass`).  ||R V^T + U|| and ||R^T U + V^T|| are
+    the first-order residuals of 1/2 (||U||^2 + ||V||^2) + mu/2 ||B(UV) - d||^2.
+    At a stationary point the trace identities <R, X> + ||V||^2 = 0 and
+    <R, X> + ||U||^2 = 0 hold, and so does complementary slackness:
+    |<W, M>| = |1/2 ||U||^2 + 1/2 ||V||^2 + <R, X>| vanishes for the primal
+    M = (UU^T, UV; (UV)^T, V^T V) and the dual W built from R.  That dual is
+    feasible iff the Schur complement 1/2 I - 2 M2 M2^T with M2 = R / 2 is
+    positive semidefinite; its least eigenvalue is reported."""
+    x = u @ v
+    r = residual_matrix(op, x, mu)
+    norm = spectral_norm(r)
+    cross = float(np.sum(r * x))
+    uu, vv = float(np.sum(u * u)), float(np.sum(v * v))
+    m2 = 0.5 * r
+    schur = 0.5 * np.eye(m2.shape[0]) - 2.0 * (m2 @ m2.T)
     return CertificateReport(
         spectral_norm=norm,
         theorem1_pass=norm <= 1.0 + 1e-9,
+        grad_u_norm=float(np.linalg.norm(r @ v.T + u)),
+        grad_v_norm=float(np.linalg.norm(r.T @ u + v.T)),
+        trace_residuals=(cross + vv, cross + uu),
+        comp_slack_residual=abs(0.5 * uu + 0.5 * vv + cross),
+        dual_feasibility_min_eig=float(np.linalg.eigvalsh(schur)[0]),
         mu=mu,
     )
-
-
-def stationarity_and_traces(
-    u: np.ndarray, v: np.ndarray, r: np.ndarray
-) -> tuple[float, float, tuple[float, float]]:
-    """First-order residual norms and the two trace-identity residuals, for
-    the residual matrix r of X = UV."""
-    x = u @ v
-    grad_u = np.linalg.norm(r @ v.T + u)
-    grad_v = np.linalg.norm(r.T @ u + v.T)
-    cross = float(np.sum(r * x))
-    traces = (cross + float(np.sum(v * v)), cross + float(np.sum(u * u)))
-    return float(grad_u), float(grad_v), traces
-
-
-def complementary_slackness(u: np.ndarray, v: np.ndarray, r: np.ndarray) -> float:
-    """|<W, M>| for the candidate primal block matrix (UU^T, UV; (UV)^T, V^TV)
-    and the dual built from the residual matrix r of X = UV."""
-    x = u @ v
-    return float(abs(
-        0.5 * np.sum(u * u) + 0.5 * np.sum(v * v) + np.sum(r * x)
-    ))
-
-
-def dual_feasibility_min_eig(r: np.ndarray) -> float:
-    """Minimum eigenvalue of the Schur complement 0.5 I - 2 M2 M2^T with
-    M2 = r / 2 = (mu/2) B^*(B(UV) - d); nonnegative iff the dual candidate
-    is feasible."""
-    m2 = 0.5 * r
-    schur = 0.5 * np.eye(m2.shape[0]) - 2.0 * (m2 @ m2.T)
-    return float(np.linalg.eigvalsh(schur)[0])
-
-
-def full_report(
-    u: np.ndarray, v: np.ndarray, op: StackedOperator, mu: float, seed: int = 0
-) -> CertificateReport:
-    """All checks at X = UV, from one residual matrix."""
-    r = residual_matrix(op, u @ v, mu)
-    report = theorem1_check(r, mu, seed=seed)
-    gu, gv, traces = stationarity_and_traces(u, v, r)
-    report.grad_u_norm = gu
-    report.grad_v_norm = gv
-    report.trace_residuals = traces
-    report.comp_slack_residual = complementary_slackness(u, v, r)
-    report.dual_feasibility_min_eig = dual_feasibility_min_eig(r)
-    return report

@@ -22,7 +22,7 @@ from . import datamatrix as dm
 from . import gridmodel as gm
 from . import linflow as lf
 from . import metrics as mt
-from .simnet import comm_count
+from . import simnet as sn
 
 
 class CliError(Exception):
@@ -114,24 +114,22 @@ def _single_run(config: ExperimentConfig, instance, seed: int, order=None,
     return result, report, mask, data
 
 
-def _comm_summary(result, maps, config: ExperimentConfig) -> list[dict]:
-    ledger = result.bus.ledger
-    part = result.partition
+def _comm_summary(ledger, part, maps, r: int) -> list[dict]:
+    """Per area pair a < b, the reals the pair exchanged in one ADMM
+    iteration (bus rounds 0 and 1) next to the source analysis's formula,
+    the exact protocol formula and the full-data exchange (n_a + n_b) m."""
     m = maps.m
-    r = config.admm.resolve_rank(m)
     out = []
     for pair in sorted(ledger.pairs(), key=sorted):
         a, b = sorted(pair)
-        n_l, n_j = part.phases_in(a).size, part.phases_in(b).size
-        cmp_ = comm_count(ledger, pair, rounds=[0, 1], n_l=n_l, n_j=n_j, m=m, r=r,
-                          rank_lj=maps.coupling_rank(a, b),
-                          rank_jl=maps.coupling_rank(b, a))
+        n_a, n_b = part.phases_in(a).size, part.phases_in(b).size
         out.append({
             "pair": [int(a), int(b)],
-            "per_iteration_measured": cmp_.measured,
-            "paper_formula": cmp_.paper_formula,
-            "protocol_formula": cmp_.protocol_formula,
-            "full_exchange": cmp_.full_exchange,
+            "per_iteration_measured": ledger.count(pair, rounds=[0, 1]),
+            "paper_formula": sn.paper_comm_formula(n_a, n_b, m, r),
+            "protocol_formula": sn.protocol_comm_formula(
+                m, r, maps.coupling_rank(a, b), maps.coupling_rank(b, a)),
+            "full_exchange": (n_a + n_b) * m,
         })
     return out
 
@@ -193,7 +191,8 @@ def run_experiment(config: ExperimentConfig, out_dir: Path, order=None) -> dict:
             "estimate": aggregate.to_dict(),
             "per_run": per_run,
             "certificate": cert.to_dict(),
-            "communication": _comm_summary(result, maps, config),
+            "communication": _comm_summary(result.bus.ledger, result.partition, maps,
+                                           config.admm.resolve_rank(maps.m)),
             "iterations": result.trace.iterations,
             "converged": result.converged,
             "final_consensus": result.trace.consensus[-1],
@@ -250,6 +249,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> ExperimentConfig:
+    if args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
+    if args.runs < 1:
+        raise CliError(f"--runs must be >= 1, got {args.runs}")
     admm = cp.AdmmConfig(
         mu=args.mu, nu=args.nu, gamma=args.gamma, lam=args.lam,
         prox_c=args.prox_c, rank=args.rank, max_iters=args.max_iters,
@@ -436,7 +439,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (CliError, gm.GridModelError, dm.DataMatrixError, lf.LinFlowError,
             cp.CompletionError, ce.CertificateError, mt.MetricsError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -45,6 +45,9 @@ class AdmmConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("mu", "nu", "gamma", "lam", "prox_c", "tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise CompletionError(f"{name} must be finite, got {getattr(self, name)}")
         if min(self.mu, self.nu, self.gamma, self.lam) <= 0:
             raise CompletionError("penalty parameters must be positive")
         if self.prox_c < 0 or self.tol <= 0:

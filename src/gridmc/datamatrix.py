@@ -7,6 +7,7 @@ one column per non-slack bus-phase.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,8 +114,9 @@ def apply_mask(x: np.ndarray, observed: np.ndarray) -> np.ndarray:
 
 def add_noise(mat: MeasurementMatrix, percent: float, seed: int = 0) -> MeasurementMatrix:
     """Perturb each entry by Gaussian noise with std = percent/100 * |entry|."""
-    if percent < 0:
-        raise DataMatrixError("noise percent must be nonnegative")
+    if not 0 <= percent < math.inf:
+        raise DataMatrixError(
+            f"noise percent must be finite and nonnegative, got {percent}")
     rng = np.random.default_rng(seed)
     scale = (percent / 100.0) * np.abs(mat.data)
     return MeasurementMatrix(data=mat.data + scale * rng.standard_normal(mat.data.shape))

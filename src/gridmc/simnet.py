@@ -147,35 +147,3 @@ def protocol_comm_formula(m: int, r: int, rank_lj: int, rank_jl: int) -> int:
     t_steps = m // 5
     return 2 * m * r + 2 * t_steps * (rank_lj + rank_jl)
 
-
-@dataclass(frozen=True)
-class CommComparison:
-    measured: int
-    paper_formula: int
-    protocol_formula: int
-    full_exchange: int
-
-
-def comm_count(
-    ledger: CommLedger,
-    pair: Iterable[int],
-    rounds: Iterable[int] | int,
-    n_l: int,
-    n_j: int,
-    m: int,
-    r: int,
-    rank_lj: int,
-    rank_jl: int,
-) -> CommComparison:
-    """Measured count for one ADMM iteration (its bus rounds) next to the
-    claimed formula, our exact protocol formula, and the full-data baseline.
-    The coupling ranks are those of `protocol_comm_formula`."""
-    pair = frozenset(pair)
-    if pair not in ledger.pairs():
-        raise KeyError(f"pair {sorted(pair)} was never simulated")
-    return CommComparison(
-        measured=ledger.count(pair, rounds),
-        paper_formula=paper_comm_formula(n_l, n_j, m, r),
-        protocol_formula=protocol_comm_formula(m, r, rank_lj, rank_jl),
-        full_exchange=(n_l + n_j) * m,
-    )

@@ -16,7 +16,6 @@ from gridmc import datamatrix as dm
 from gridmc import gridmodel as gm
 from gridmc import linflow as lf
 from gridmc import metrics as mt
-from gridmc import simnet as sn
 from reference import (admm_config, decentralized_flow, h_from_loads, predict,
                        svt_objective, svt_oracle)
 
@@ -306,23 +305,17 @@ def test_converged_flag(analog_instance, converged_run):
 def test_12_communication_ledger(analog_instance, converged_run):
     result, config = converged_run
     maps = analog_instance["maps"]
-    part = result.partition
-    m = analog_instance["mat"].shape[0]
-    r = config.resolve_rank(m)
+    r = config.resolve_rank(analog_instance["mat"].shape[0])
     exact_match = True
     measured_total = full_total = 0
     per_pair = []
-    for pair in sorted(result.bus.ledger.pairs(), key=sorted):
-        a, b = sorted(pair)
-        n_l, n_j = part.phases_in(a).size, part.phases_in(b).size
-        cmp_ = sn.comm_count(result.bus.ledger, pair, rounds=[0, 1],
-                             n_l=n_l, n_j=n_j, m=m, r=r,
-                             rank_lj=maps.coupling_rank(a, b),
-                             rank_jl=maps.coupling_rank(b, a))
-        exact_match &= cmp_.measured == cmp_.protocol_formula
-        measured_total += cmp_.measured
-        full_total += cmp_.full_exchange
-        per_pair.append(f"{a}-{b} {cmp_.measured}/{cmp_.full_exchange}")
+    for row in cli._comm_summary(result.bus.ledger, result.partition, maps, r):
+        measured, full = row["per_iteration_measured"], row["full_exchange"]
+        exact_match &= measured == row["protocol_formula"]
+        measured_total += measured
+        full_total += full
+        a, b = row["pair"]
+        per_pair.append(f"{a}-{b} {measured}/{full}")
     below = measured_total < full_total
     ok = exact_match and below
     verdict(12, "communication-ledger", ok,

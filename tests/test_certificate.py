@@ -174,13 +174,16 @@ class TestTheorem:
         """A matrix matching every observed entry has zero residual and a
         passing certificate."""
         op, m_data, mask = sampling_operator
-        report = ct.theorem1_check(ct.residual_matrix(op, m_data, 5.0), mu=5.0)
+        u, v = np.linalg.qr(m_data)
+        fit = dataclasses.replace(op, d=ct.apply_B(op, u @ v))
+        report = ct.full_report(u, v, fit, mu=5.0)
         assert report.spectral_norm == 0.0
         assert report.theorem1_pass
 
     def test_gross_misfit_fails(self, sampling_operator):
         op, m_data, mask = sampling_operator
-        report = ct.theorem1_check(ct.residual_matrix(op, m_data + 10.0, 5.0), mu=5.0)
+        u, v = np.linalg.qr(m_data + 10.0)
+        report = ct.full_report(u, v, op, mu=5.0)
         assert report.spectral_norm > 1.0
         assert not report.theorem1_pass
 
@@ -204,9 +207,9 @@ class TestStationarity:
         rng = np.random.default_rng(3)
         u = rng.standard_normal((op.shape[0], 3))
         v = rng.standard_normal((3, op.shape[1]))
-        gu, gv, traces = ct.stationarity_and_traces(
-            u, v, ct.residual_matrix(op, u @ v, 10.0))
-        assert gu > 1e-6 and gv > 1e-6
+        report = ct.full_report(u, v, op, mu=10.0)
+        assert report.grad_u_norm > 1e-6 and report.grad_v_norm > 1e-6
+        traces = report.trace_residuals
         assert abs(traces[0]) > 1e-6 and abs(traces[1]) > 1e-6
 
     def test_gradients_match_finite_difference(self, sampling_operator):
@@ -247,7 +250,7 @@ class TestComplementarySlackness:
         v = rng.standard_normal((r, n))
         mask = dm.sample_mask(m, n, 1.0, policy="uniform")
         op = ct.build_B_d(mask.observed, u @ v, None, mu=3.0, nu=0.0)
-        got = ct.complementary_slackness(u, v, ct.residual_matrix(op, u @ v, 3.0))
+        got = ct.full_report(u, v, op, mu=3.0).comp_slack_residual
         expected = 0.5 * (np.sum(u * u) + np.sum(v * v))
         assert abs(got - expected) < 1e-10
 
@@ -256,9 +259,9 @@ class TestComplementarySlackness:
         zero_op = dataclasses.replace(op, d=np.zeros(op.n_rows))
         u = np.zeros((10, 2))
         v = np.zeros((2, 6))
-        r = ct.residual_matrix(zero_op, u @ v, 5.0)
-        assert ct.complementary_slackness(u, v, r) == 0.0
-        assert ct.dual_feasibility_min_eig(r) == 0.5
+        report = ct.full_report(u, v, zero_op, mu=5.0)
+        assert report.comp_slack_residual == 0.0
+        assert report.dual_feasibility_min_eig == 0.5
 
 
 class TestDualFeasibility:
@@ -274,11 +277,11 @@ class TestDualFeasibility:
         v = np.sqrt(sv)[:, None] * vt
         # full-rank balanced factors: the product is exactly x
         assert np.max(np.abs(u @ v - x)) < 1e-10
-        assert ct.dual_feasibility_min_eig(ct.residual_matrix(op, u @ v, 5.0)) > 0.0
+        assert ct.full_report(u, v, op, mu=5.0).dual_feasibility_min_eig > 0.0
 
     def test_large_residual_is_infeasible(self, sampling_operator):
         op, m_data, mask = sampling_operator
         rng = np.random.default_rng(1)
         u = 10.0 * rng.standard_normal((10, 2))
         v = 10.0 * rng.standard_normal((2, 6))
-        assert ct.dual_feasibility_min_eig(ct.residual_matrix(op, u @ v, 5.0)) < 0.0
+        assert ct.full_report(u, v, op, mu=5.0).dual_feasibility_min_eig < 0.0

@@ -395,6 +395,51 @@ class TestCommands:
         assert "error: max_iters must be >= 1, got 0" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flags, message", [
+        # a NaN tolerance would run to the cap and write NaN, which is not
+        # JSON, into results.json
+        (["--tol", "nan"], "tol must be finite, got nan"),
+        (["--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["--runs", "0"], "--runs must be >= 1, got 0"),
+    ])
+    def test_run_checks_its_options_before_building(
+            self, tmp_path, capsys, monkeypatch, flags, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run built an instance with invalid options")
+
+        monkeypatch.setattr(cli, "_build_instance", refuse)
+        rc = cli.main(["run", *FAST, *flags, "--out", str(tmp_path)])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_run_reports_an_out_path_that_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        rc = cli.main(["run", *FAST, "--out", str(out)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert out.read_text() == "keep\n"
+
+    def test_certify_shrinks_until_its_budget_is_spent(self, tmp_path, capsys):
+        """Two attempts, both far from passing (spectral norms about 34 and
+        10): the second re-runs at mu = nu = 0.3 * 10000, its files are the
+        ones left in --out, and the command exits 1."""
+        rc = cli.main(["certify", *FAST, "--mu", "10000", "--nu", "10000",
+                       "--max-shrinks", "1", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        attempts = [line for line in captured.out.splitlines()
+                    if line.startswith("mu=")]
+        assert [line.split(":")[0] for line in attempts] == ["mu=10000", "mu=3000"]
+        assert all(line.endswith("pass=False") for line in attempts)
+        assert "did not pass" in captured.err
+        payload = json.loads((tmp_path / "results.json").read_text())
+        assert payload["certificate"]["mu"] == 3000.0
+        assert payload["config"]["admm"]["mu"] == 3000.0
+        assert payload["config"]["admm"]["nu"] == 3000.0
+        assert payload["certificate"]["spectral_norm"] > 1.0
+
     @pytest.mark.parametrize("param", ["time-steps", "areas"])
     def test_sweep_rejects_non_integral_counts(self, tmp_path, param):
         with pytest.raises(cli.CliError, match="integers"):

@@ -46,7 +46,9 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [{"mu": 0.0}, {"nu": -1.0}, {"gamma": 0.0}, {"lam": 0.0},
-         {"prox_c": -0.1}, {"tol": 0.0}, {"max_iters": 0}, {"max_iters": -1}],
+         {"prox_c": -0.1}, {"tol": 0.0}, {"max_iters": 0}, {"max_iters": -1},
+         *({name: bad} for name in ("mu", "nu", "gamma", "lam", "prox_c", "tol")
+           for bad in (float("nan"), float("inf")))],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(cp.CompletionError):

@@ -133,6 +133,12 @@ class TestNoise:
         with pytest.raises(dm.DataMatrixError):
             dm.add_noise(mat, -1.0)
 
+    @pytest.mark.parametrize("percent", [float("nan"), float("inf")])
+    def test_non_finite_percent_rejected(self, sample_vs, percent):
+        mat = dm.build_matrix(*sample_vs)
+        with pytest.raises(dm.DataMatrixError, match="finite"):
+            dm.add_noise(mat, percent)
+
 
 class TestDiagnostics:
     def test_spectrum_sorted(self, sample_vs):

@@ -145,8 +145,3 @@ class TestFormulas:
     def test_protocol_count_requires_block_rows(self):
         with pytest.raises(ValueError):
             sn.protocol_comm_formula(13, 2, 1, 1)
-
-    def test_comm_count_missing_pair(self):
-        bus = make_bus(2)
-        with pytest.raises(KeyError):
-            sn.comm_count(bus.ledger, {1, 2}, 0, 4, 6, 10, 2, 1, 1)
