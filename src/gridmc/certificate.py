@@ -126,8 +126,7 @@ def residual_matrix(op: StackedOperator, x: np.ndarray, mu: float) -> np.ndarray
 
 
 def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value by power iteration on a^T a from a seeded start
-    (seed 0), stopped when two estimates agree to 1e-8 relative."""
+    """Largest singular value: power iteration on a^T a from seed 0 to 1e-8."""
     rng = np.random.default_rng(0)
     v = rng.standard_normal(a.shape[1])
     v /= np.linalg.norm(v)
