@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ class CliError(Exception):
     pass
 
 
-@dataclass
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     feeder: str = "feeder33"  # feeder33 | random
     n_buses: int = 33
@@ -40,7 +41,18 @@ class ExperimentConfig:
     noise_pct: float = 1.0
     runs: int = 1
     seed: int = 0
-    admm: cp.AdmmConfig = field(default_factory=cp.AdmmConfig)
+    admm: cp.AdmmConfig = dataclasses.field(default_factory=cp.AdmmConfig)
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise CliError(f"--seed must be >= 0, got {self.seed}")
+        if self.runs < 1:
+            raise CliError(f"--runs must be >= 1, got {self.runs}")
+        if not 0.0 <= self.fraction <= 1.0:
+            raise CliError(f"--fraction must lie in [0, 1], got {self.fraction:g}")
+        if not 0.0 <= self.noise_pct < math.inf:
+            raise CliError(
+                f"--noise-pct must be finite and nonnegative, got {self.noise_pct:g}")
 
     def to_dict(self) -> dict:
         d = {k: v for k, v in vars(self).items() if k != "admm"}
@@ -48,17 +60,17 @@ class ExperimentConfig:
         return d
 
 
-def _build_feeder(config: ExperimentConfig, seed: int):
+def _build_feeder(config: ExperimentConfig):
     """Network, load scenario, and area partition of the configured feeder."""
     if config.feeder == "feeder33":
         if config.n_buses != 33:
             raise CliError(f"feeder33 has 33 buses, got --buses {config.n_buses}")
         return gm.feeder33_analog(
-            seed=seed, n_steps=config.time_steps, n_areas=config.areas
+            seed=config.seed, n_steps=config.time_steps, n_areas=config.areas
         )
     if config.feeder == "random":
         net, scen = gm.generate_radial_feeder(
-            config.n_buses, seed=seed, n_steps=config.time_steps
+            config.n_buses, seed=config.seed, n_steps=config.time_steps
         )
         return net, scen, gm.AreaPartition.contiguous(net.n_phases, config.areas)
     raise CliError(f"unknown feeder kind: {config.feeder!r}")
@@ -74,12 +86,13 @@ def _layer(wall: dict[str, float], name: str):
         wall[name] = wall.get(name, 0.0) + time.perf_counter() - start
 
 
-def _build_instance(config: ExperimentConfig, seed: int, wall=None):
-    """Ground truth, measurement matrix, partition, and area maps.  Each
-    layer's wall seconds are added to the dict `wall`, if given."""
+def _build_instance(config: ExperimentConfig, wall=None):
+    """Network, load scenario, partition, ground truth, measurement matrix,
+    linear model and area maps: the one path from a config to an instance.
+    Each layer's wall seconds are added to the dict `wall`, if given."""
     wall = {} if wall is None else wall
     with _layer(wall, "gridmodel.feeder"):
-        net, scen, part = _build_feeder(config, seed)
+        net, scen, part = _build_feeder(config)
     with _layer(wall, "gridmodel.flow"):
         v_true = gm.solve_exact_flow(net, scen.s)
     with _layer(wall, "datamatrix.sample"):
@@ -104,10 +117,10 @@ def _single_run(config: ExperimentConfig, instance, seed: int, order=None,
         mask = dm.sample_mask(
             *mat.shape, config.fraction, policy=config.policy, seed=seed
         )
-    admm = cp.AdmmConfig(**{**vars(config.admm), "seed": seed})
+    admm = dataclasses.replace(config.admm, seed=seed)
     with _layer(wall, "completion.solve"):
         result = cp.run_decentralized(
-            data.data, mask.observed, maps, part, admm, reference=mat.data, order=order
+            data, mask.observed, maps, part, admm, reference=mat, order=order
         )
     with _layer(wall, "metrics.evaluate"):
         report = mt.evaluate_estimate(mt.voltage_from_matrix(result.x), v_true)
@@ -139,9 +152,8 @@ def write_trace_csv(trace: cp.ConvergenceTrace, path: Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["iter", "rmse", "consensus", "objective", "max_area_ms"])
         for k in range(trace.iterations):
-            rmse = trace.rmse[k] if k < len(trace.rmse) else ""
             writer.writerow([
-                k, rmse, trace.consensus[k], trace.objective[k],
+                k, trace.rmse[k], trace.consensus[k], trace.objective[k],
                 1000.0 * trace.max_area_seconds[k],
             ])
 
@@ -155,17 +167,25 @@ def write_spectrum_csv(x: np.ndarray, path: Path) -> None:
 
 
 def run_experiment(config: ExperimentConfig, out_dir: Path, order=None) -> dict:
-    """Full pipeline for one configuration; writes results.json, trace.csv,
-    spectrum.csv and metadata.json into out_dir.  Removes partial outputs on
-    error.  metadata.json holds the completion time and the wall seconds of
-    each layer, under the span names of perfbench/tracer.py; results.json
-    holds no timing."""
+    """Full pipeline for one configuration: `_build_instance`, then
+    `_estimate_and_write`."""
+    wall: dict[str, float] = {}
+    instance = _build_instance(config, wall)
+    return _estimate_and_write(config, instance, out_dir, order, wall)
+
+
+def _estimate_and_write(config: ExperimentConfig, instance, out_dir: Path,
+                        order, wall: dict[str, float]) -> dict:
+    """`config.runs` estimation runs on an instance from `_build_instance`;
+    writes results.json, trace.csv, spectrum.csv and metadata.json into
+    out_dir and returns the results.json payload.  Removes partial outputs
+    on error.  metadata.json holds the completion time and the wall seconds
+    of each layer, under the span names of perfbench/tracer.py, added to
+    those already in `wall`; results.json holds no timing."""
+    *_, maps = instance
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    wall: dict[str, float] = {}
     try:
-        instance = _build_instance(config, config.seed, wall)
-        *_, maps = instance
         reports, per_run = [], []
         for k in range(config.runs):
             seed = config.seed + k
@@ -180,7 +200,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Path, order=None) -> dict:
         # the certificate checks the last run's problem: its factors, mask and data
         fp = result.factors()
         with _layer(wall, "certificate.build"):
-            op = ce.build_B_d(mask.observed, data.data, maps, config.admm.mu,
+            op = ce.build_B_d(mask.observed, data, maps, config.admm.mu,
                               config.admm.nu)
         with _layer(wall, "certificate.report"):
             cert = ce.full_report(fp.u, fp.v, op, config.admm.mu)
@@ -249,10 +269,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    if args.seed < 0:
-        raise CliError(f"--seed must be >= 0, got {args.seed}")
-    if args.runs < 1:
-        raise CliError(f"--runs must be >= 1, got {args.runs}")
     admm = cp.AdmmConfig(
         mu=args.mu, nu=args.nu, gamma=args.gamma, lam=args.lam,
         prox_c=args.prox_c, rank=args.rank, max_iters=args.max_iters,
@@ -266,11 +282,9 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def cmd_gen_feeder(args) -> int:
-    net, scen, part = _build_feeder(_config_from_args(args), args.seed)
-    v = gm.solve_exact_flow(net, scen.s)
-    mat = dm.build_matrix(v, scen.s)
+    _, _, part, _, mat, _, _ = _build_instance(_config_from_args(args))
     args.out.mkdir(parents=True, exist_ok=True)
-    np.savetxt(args.out / "matrix.csv", mat.data, delimiter=",")
+    np.savetxt(args.out / "matrix.csv", mat, delimiter=",")
     np.savetxt(args.out / "assignment.csv", part.assignment, fmt="%d")
     print(f"wrote {args.out}/matrix.csv ({mat.shape[0]}x{mat.shape[1]}) "
           f"and assignment.csv ({part.n_areas} areas)")
@@ -278,9 +292,7 @@ def cmd_gen_feeder(args) -> int:
 
 
 def cmd_build_model(args) -> int:
-    config = _config_from_args(args)
-    net, scen, part = _build_feeder(config, args.seed)
-    model = lf.build_linear_model(net, n_steps=config.time_steps)
+    _, _, part, _, _, model, _ = _build_instance(_config_from_args(args))
     trunc = lf.truncate_model(model, part)
     err = lf.truncation_error(model, trunc)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -317,23 +329,22 @@ def _parse_sweep_values(text: str) -> list[float]:
     return values
 
 
+# the ExperimentConfig field, and its type, that each `gridmc sweep --param` varies
+SWEEP_FIELDS = {"fraction": ("fraction", float), "time-steps": ("time_steps", int),
+                "areas": ("areas", int)}
+
+
 def cmd_sweep(args) -> int:
-    values = _parse_sweep_values(args.values)
-    if args.param in ("time-steps", "areas"):
-        for value in values:
-            if not value.is_integer():
-                raise CliError(f"--param {args.param} takes integers, got {value:g}")
+    """Every point's config is built, and so checked, before the first run."""
+    base = _config_from_args(args)
+    name, kind = SWEEP_FIELDS[args.param]
+    points = []
+    for value in _parse_sweep_values(args.values):
+        if kind is int and not value.is_integer():
+            raise CliError(f"--param {args.param} takes integers, got {value:g}")
+        points.append((value, dataclasses.replace(base, **{name: kind(value)})))
     rows = []
-    for value in values:
-        config = _config_from_args(args)
-        if args.param == "fraction":
-            config.fraction = value
-        elif args.param == "time-steps":
-            config.time_steps = int(value)
-        elif args.param == "areas":
-            config.areas = int(value)
-        else:
-            raise CliError(f"unknown sweep parameter: {args.param!r}")
+    for value, config in points:
         sub = args.out / f"{args.param.replace('-', '_')}_{value:g}"
         payload = run_experiment(config, sub)
         est = payload["estimate"]
@@ -354,41 +365,42 @@ def cmd_certify(args) -> int:
     """Run, then shrink the penalty weights until the spectral condition
     certifies global optimality.
 
-    Each shrink multiplies mu and nu by ``--shrink`` and re-runs the whole
-    solve at the smaller weights, so every certificate is evaluated at the
+    The instance is built once; the weights do not enter it.  Each shrink
+    multiplies mu and nu by ``--shrink`` and re-runs the solve on that
+    instance at the smaller weights, so every certificate is evaluated at the
     estimate its own weights produced; no earlier estimate is re-evaluated.
-    Each attempt overwrites the files in ``--out``."""
+    Each attempt overwrites the files in ``--out``; its metadata.json holds
+    the one build's layer seconds plus those of its own solve."""
     if not 0.0 < args.shrink < 1.0:
         raise CliError(f"--shrink must lie in (0, 1), got {args.shrink:g}")
     if args.max_shrinks < 0:
         raise CliError(f"--max-shrinks must be >= 0, got {args.max_shrinks}")
     config = _config_from_args(args)
-    mu = config.admm.mu
-    nu = config.admm.nu
-    for attempt in range(args.max_shrinks + 1):
-        config.admm = cp.AdmmConfig(**{**vars(config.admm), "mu": mu, "nu": nu})
-        payload = run_experiment(config, args.out)
+    build_wall: dict[str, float] = {}
+    instance = _build_instance(config, build_wall)
+    for _ in range(args.max_shrinks + 1):
+        payload = _estimate_and_write(config, instance, args.out, None,
+                                      dict(build_wall))
         cert = payload["certificate"]
-        print(f"mu={mu:g}: spectral norm {cert['spectral_norm']:.6f} "
+        print(f"mu={config.admm.mu:g}: spectral norm {cert['spectral_norm']:.6f} "
               f"pass={cert['theorem1_pass']}")
         if cert["theorem1_pass"]:
             return 0
-        mu *= args.shrink
-        nu *= args.shrink
+        admm = dataclasses.replace(config.admm, mu=config.admm.mu * args.shrink,
+                                   nu=config.admm.nu * args.shrink)
+        config = dataclasses.replace(config, admm=admm)
     print("certificate did not pass within the shrink budget", file=sys.stderr)
     return 1
 
 
 def cmd_spectrum(args) -> int:
     config = _config_from_args(args)
-    net, scen, part = _build_feeder(config, args.seed)
-    v = gm.solve_exact_flow(net, scen.s)
-    mat = dm.build_matrix(v, scen.s)
+    _, _, _, _, mat, _, _ = _build_instance(config)
     mask = dm.sample_mask(*mat.shape, config.fraction, policy=config.policy,
-                          seed=args.seed)
+                          seed=config.seed)
     args.out.mkdir(parents=True, exist_ok=True)
-    write_spectrum_csv(mat.data, args.out / "spectrum.csv")
-    write_spectrum_csv(dm.apply_mask(mat.data, mask.observed),
+    write_spectrum_csv(mat, args.out / "spectrum.csv")
+    write_spectrum_csv(dm.apply_mask(mat, mask.observed),
                        args.out / "spectrum_observed.csv")
     print(f"wrote {args.out}/spectrum.csv and spectrum_observed.csv")
     return 0
@@ -416,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sweep one parameter over a value list")
     _add_common(p)
     p.add_argument("--param", required=True,
-                   choices=["fraction", "time-steps", "areas"])
+                   choices=list(SWEEP_FIELDS))
     p.add_argument("--values", required=True,
                    help="comma-separated list of values")
     p.set_defaults(fn=cmd_sweep)

@@ -20,24 +20,6 @@ class DataMatrixError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class MeasurementMatrix:
-    data: np.ndarray
-
-    def __post_init__(self):
-        m, _ = self.data.shape
-        if m % ROWS_PER_STEP != 0:
-            raise DataMatrixError(f"row count {m} is not a multiple of {ROWS_PER_STEP}")
-
-    @property
-    def n_steps(self) -> int:
-        return self.data.shape[0] // ROWS_PER_STEP
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
-
-
 @dataclass(frozen=True, eq=False)
 class ObservationMask:
     """Observed cells as a read-only boolean m x n array."""
@@ -64,7 +46,7 @@ class ObservationMask:
         return int(np.count_nonzero(self.observed))
 
 
-def build_matrix(v: np.ndarray, s: np.ndarray) -> MeasurementMatrix:
+def build_matrix(v: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Assemble the 5T x |P| matrix from voltage and injection time series."""
     v = np.atleast_2d(np.asarray(v, dtype=complex))
     s = np.atleast_2d(np.asarray(s, dtype=complex))
@@ -72,7 +54,7 @@ def build_matrix(v: np.ndarray, s: np.ndarray) -> MeasurementMatrix:
         raise DataMatrixError(f"shape mismatch: v {v.shape} vs s {s.shape}")
     n_steps, n = v.shape
     blocks = np.stack([v.real, v.imag, np.abs(v), s.real, s.imag], axis=1)
-    return MeasurementMatrix(data=blocks.reshape(ROWS_PER_STEP * n_steps, n))
+    return blocks.reshape(ROWS_PER_STEP * n_steps, n)
 
 
 def eligible_rows(m: int, policy: str) -> np.ndarray:
@@ -112,14 +94,14 @@ def apply_mask(x: np.ndarray, observed: np.ndarray) -> np.ndarray:
     return np.where(observed, x, 0.0)
 
 
-def add_noise(mat: MeasurementMatrix, percent: float, seed: int = 0) -> MeasurementMatrix:
+def add_noise(x: np.ndarray, percent: float, seed: int = 0) -> np.ndarray:
     """Perturb each entry by Gaussian noise with std = percent/100 * |entry|."""
     if not 0 <= percent < math.inf:
         raise DataMatrixError(
             f"noise percent must be finite and nonnegative, got {percent}")
     rng = np.random.default_rng(seed)
-    scale = (percent / 100.0) * np.abs(mat.data)
-    return MeasurementMatrix(data=mat.data + scale * rng.standard_normal(mat.data.shape))
+    scale = (percent / 100.0) * np.abs(x)
+    return x + scale * rng.standard_normal(x.shape)
 
 
 def sv_spectrum(x: np.ndarray) -> np.ndarray:

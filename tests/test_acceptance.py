@@ -52,8 +52,8 @@ def converged_run(analog_instance):
     inst = analog_instance
     config = admm_config(rank=5, max_iters=500, tol=1e-6)
     return cp.run_decentralized(
-        inst["mat"].data, inst["mask"], inst["maps"], inst["part"], config,
-        reference=inst["mat"].data,
+        inst["mat"], inst["mask"], inst["maps"], inst["part"], config,
+        reference=inst["mat"],
     ), config
 
 
@@ -63,14 +63,14 @@ def certified_run(analog_instance):
     inst = analog_instance
     config = admm_config(rank=5, max_iters=1000, tol=1e-10)
     return cp.run_decentralized(
-        inst["mat"].data, inst["mask"], inst["maps"], inst["part"], config,
+        inst["mat"], inst["mask"], inst["maps"], inst["part"], config,
     ), config
 
 
 def test_01_adjoint_identity(analog_instance):
     inst = analog_instance
     t0 = time.perf_counter()
-    op = ct.build_B_d(inst["mask"], inst["mat"].data, inst["maps"],
+    op = ct.build_B_d(inst["mask"], inst["mat"], inst["maps"],
                       mu=10.0, nu=1.0)
     rng = np.random.default_rng(0)
     worst = 0.0
@@ -140,10 +140,10 @@ def test_04_single_area_equivalence(small_instance, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(cp, "update_u", recorded)
-        dec = cp.run_decentralized(mat.data, mask, maps, part, config)
+        dec = cp.run_decentralized(mat, mask, maps, part, config)
     # the plain block iteration of the whole matrix, without the bus
-    problems = cp._build_problems(mat.data, mask, maps, part, config)
-    states = cp._init_states(problems, mat.data, mask,
+    problems = cp._build_problems(mat, mask, maps, part, config)
+    states = cp._init_states(problems, mat, mask,
                              config.resolve_rank(mat.shape[0]), config.seed)
     prob, st = problems[1], states[1]
     plain_u = []
@@ -215,7 +215,7 @@ def test_08_end_to_end_estimation():
         fraction=0.5, noise_pct=1.0, seed=0,
         admm=cp.AdmmConfig(max_iters=500, **TUNED),
     )
-    instance = cli._build_instance(config, config.seed)
+    instance = cli._build_instance(config)
     reports = []
     for k in range(5):
         _, report, mask, _ = cli._single_run(config, instance, config.seed + k)
@@ -238,7 +238,7 @@ def test_09_time_window_trend():
             policy="scada", fraction=0.5, noise_pct=1.0, seed=0,
             admm=cp.AdmmConfig(max_iters=500, **TUNED),
         )
-        instance = cli._build_instance(config, config.seed)
+        instance = cli._build_instance(config)
         mapes = []
         for k in range(5):
             _, report, *_ = cli._single_run(config, instance, k)
@@ -255,7 +255,7 @@ def test_10_optimality_certificate(analog_instance, certified_run):
     inst = analog_instance
     result, config = certified_run
     fp = result.factors()
-    op = ct.build_B_d(inst["mask"], inst["mat"].data, inst["maps"],
+    op = ct.build_B_d(inst["mask"], inst["mat"], inst["maps"],
                       config.mu, config.nu)
     mu = config.mu
     report = ct.full_report(fp.u, fp.v, op, mu)
@@ -295,7 +295,7 @@ def test_converged_flag(analog_instance, converged_run):
     result, config = converged_run
     inst = analog_instance
     capped = cp.run_decentralized(
-        inst["mat"].data, inst["mask"], inst["maps"], inst["part"],
+        inst["mat"], inst["mask"], inst["maps"], inst["part"],
         dataclasses.replace(config, max_iters=3),
     )
     assert result.converged and result.trace.iterations < config.max_iters

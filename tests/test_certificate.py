@@ -18,8 +18,8 @@ def flow_operator(small_instance):
     mat = small_instance["mat"]
     maps = small_instance["maps"]
     mask = dm.sample_mask(*mat.shape, 0.5, policy="uniform", seed=9)
-    op = ct.build_B_d(mask.observed, mat.data, maps, mu=10.0, nu=2.0)
-    return op, mat.data, mask, maps
+    op = ct.build_B_d(mask.observed, mat, maps, mu=10.0, nu=2.0)
+    return op, mat, mask, maps
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +38,7 @@ def feeder33_operator():
     model = lf.build_linear_model(net, n_steps=2)
     maps = lf.build_area_maps(model, part)
     mask = dm.sample_mask(*mat.shape, 0.5, policy="scada", seed=0)
-    return ct.build_B_d(mask.observed, mat.data, maps, mu=10.0, nu=1.0)
+    return ct.build_B_d(mask.observed, mat, maps, mu=10.0, nu=1.0)
 
 
 class TestBuildOperator:
@@ -99,12 +99,12 @@ class TestBuildOperator:
         mat = small_instance["mat"]
         mask = dm.sample_mask(*mat.shape, 0.5, seed=0)
         with pytest.raises(ct.CertificateError):
-            ct.build_B_d(mask.observed, mat.data, None, mu=0.0, nu=1.0)
+            ct.build_B_d(mask.observed, mat, None, mu=0.0, nu=1.0)
 
     def test_empty_mask(self, small_instance):
         mat = small_instance["mat"]
         maps = small_instance["maps"]
-        op = ct.build_B_d(np.zeros(mat.shape, dtype=bool), mat.data, maps,
+        op = ct.build_B_d(np.zeros(mat.shape, dtype=bool), mat, maps,
                           mu=1.0, nu=1.0)
         assert op.n_observed == 0
         assert op.n_rows > 0

@@ -93,7 +93,7 @@ class TestRunExperiment:
 
     def test_unknown_feeder_kind_rejected(self):
         with pytest.raises(cli.CliError):
-            cli._build_instance(fast_config(feeder="bogus"), 0)
+            cli._build_instance(fast_config(feeder="bogus"))
 
     def test_csv_outputs(self, tmp_path):
         payload = cli.run_experiment(fast_config(), tmp_path)
@@ -104,12 +104,18 @@ class TestRunExperiment:
         assert spectrum[0] == "index,sigma"
         assert len(spectrum) == 1 + 5  # min(5 rows, 7 phases) singular values
 
-    def test_partial_outputs_removed_on_error(self, tmp_path):
-        config = fast_config(fraction=2.0)  # rejected by the mask sampler
-        with pytest.raises(Exception):
-            cli.run_experiment(config, tmp_path)
-        assert not (tmp_path / "results.json").exists()
-        assert not (tmp_path / "trace.csv").exists()
+    def test_partial_outputs_removed_on_error(self, tmp_path, monkeypatch):
+        """A failure after results.json and trace.csv are written removes
+        both."""
+        def fail(x, path):
+            assert (tmp_path / "results.json").exists()
+            assert (tmp_path / "trace.csv").exists()
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_spectrum_csv", fail)
+        with pytest.raises(OSError, match="disk full"):
+            cli.run_experiment(fast_config(), tmp_path)
+        assert not any(tmp_path.iterdir())
 
     def test_execution_order_does_not_change_results(self, tmp_path):
         """A fixed permutation schedule yields the same payload as the
@@ -212,7 +218,7 @@ class TestInstanceBuild:
                 return _fn(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        cli._build_instance(config, config.seed)
+        cli._build_instance(config)
         assert calls == ["inv"]
 
 
@@ -248,7 +254,7 @@ class TestPinnedReference:
     def test_feeder33_t10_single_area(self):
         config = self.CONFIG
         result, report, *_ = cli._single_run(
-            config, cli._build_instance(config, config.seed), config.seed)
+            config, cli._build_instance(config), config.seed)
         assert result.converged
         assert report.mape_magnitude == pytest.approx(self.PINNED_MAPE_PCT, rel=1e-8)
         assert report.mae_angle == pytest.approx(self.PINNED_MAE_DEG, rel=1e-8)
@@ -401,6 +407,8 @@ class TestCommands:
         (["--tol", "nan"], "tol must be finite, got nan"),
         (["--seed", "-1"], "--seed must be >= 0, got -1"),
         (["--runs", "0"], "--runs must be >= 1, got 0"),
+        (["--fraction", "2.0"], "--fraction must lie in [0, 1], got 2"),
+        (["--noise-pct", "nan"], "--noise-pct must be finite and nonnegative, got nan"),
     ])
     def test_run_checks_its_options_before_building(
             self, tmp_path, capsys, monkeypatch, flags, message):
@@ -440,6 +448,30 @@ class TestCommands:
         assert payload["config"]["admm"]["nu"] == 3000.0
         assert payload["certificate"]["spectral_norm"] > 1.0
 
+    def test_certify_builds_its_instance_once(self, tmp_path, monkeypatch):
+        """Every attempt re-solves the one instance: the weights do not
+        enter it."""
+        builds = []
+        build = cli._build_instance
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_build_instance", counted)
+        rc = cli.main(["certify", *FAST, "--mu", "10000", "--nu", "10000",
+                       "--max-shrinks", "1", "--out", str(tmp_path)])
+        assert rc == 1
+        assert len(builds) == 1
+
+    def test_sweep_checks_every_point_before_the_first_run(self, tmp_path, capsys):
+        """A bad value anywhere in --values fails before any point runs."""
+        rc = cli.main(["sweep", *FAST, "--param", "fraction", "--values", "0.5,2.0",
+                       "--out", str(tmp_path)])
+        assert rc == 1
+        assert "error: --fraction must lie in [0, 1], got 2" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("param", ["time-steps", "areas"])
     def test_sweep_rejects_non_integral_counts(self, tmp_path, param):
         with pytest.raises(cli.CliError, match="integers"):
@@ -474,9 +506,9 @@ class TestCommands:
     def test_certify_checks_its_shrink_options_before_any_run(
             self, tmp_path, capsys, monkeypatch, flags, message):
         def refuse(*args, **kwargs):
-            raise AssertionError("certify ran a solve with invalid shrink options")
+            raise AssertionError("certify built an instance with invalid shrink options")
 
-        monkeypatch.setattr(cli, "run_experiment", refuse)
+        monkeypatch.setattr(cli, "_build_instance", refuse)
         rc = cli.main(["certify", *FAST, *flags, "--out", str(tmp_path)])
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err

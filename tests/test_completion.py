@@ -30,8 +30,8 @@ def small_setup(small_instance):
     part = small_instance["part"]
     maps = small_instance["maps"]
     mask = dm.sample_mask(*mat.shape, 0.6, policy="uniform", seed=4).observed
-    problems = cp._build_problems(mat.data, mask, maps, part, admm_config(rank=2))
-    return mat.data, mask, maps, part, problems
+    problems = cp._build_problems(mat, mask, maps, part, admm_config(rank=2))
+    return mat, mask, maps, part, problems
 
 
 class TestConfig:
@@ -147,8 +147,8 @@ def three_step_setup():
     model = lf.build_linear_model(net, n_steps=3)
     maps = lf.build_area_maps(model, part)
     mask = dm.sample_mask(*mat.shape, 0.6, policy="uniform", seed=4).observed
-    return mat.data, mask, maps, part, cp._build_problems(
-        mat.data, mask, maps, part, admm_config())
+    return mat, mask, maps, part, cp._build_problems(
+        mat, mask, maps, part, admm_config())
 
 
 def _perturbed_states(problems, m_data, mask, r, seed):
@@ -478,8 +478,8 @@ def star_setup(small_instance):
         adjacency=frozenset(frozenset((1, j)) for j in range(2, 6)),
     )
     maps = lf.build_area_maps(model, part)
-    mask = np.ones(mat.data.shape, dtype=bool)
-    return maps, cp._build_problems(mat.data, mask, maps, part, admm_config())[1]
+    mask = np.ones(mat.shape, dtype=bool)
+    return maps, cp._build_problems(mat, mask, maps, part, admm_config())[1]
 
 
 class TestQUpdate:

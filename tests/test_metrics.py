@@ -142,7 +142,7 @@ class TestVoltageFromMatrix:
         from gridmc import datamatrix as dm
         s = np.zeros_like(true_voltage)
         mat = dm.build_matrix(true_voltage, s)
-        v = mt.voltage_from_matrix(mat.data)
+        v = mt.voltage_from_matrix(mat)
         assert np.array_equal(v, true_voltage)
 
     def test_bad_row_count(self):
