@@ -48,16 +48,15 @@ class ExperimentConfig:
             raise CliError(f"--seed must be >= 0, got {self.seed}")
         if self.runs < 1:
             raise CliError(f"--runs must be >= 1, got {self.runs}")
+        if self.time_steps < 1:
+            raise CliError(f"--time-steps must be >= 1, got {self.time_steps}")
+        if self.areas < 1:
+            raise CliError(f"--areas must be >= 1, got {self.areas}")
         if not 0.0 <= self.fraction <= 1.0:
             raise CliError(f"--fraction must lie in [0, 1], got {self.fraction:g}")
         if not 0.0 <= self.noise_pct < math.inf:
             raise CliError(
                 f"--noise-pct must be finite and nonnegative, got {self.noise_pct:g}")
-
-    def to_dict(self) -> dict:
-        d = {k: v for k, v in vars(self).items() if k != "admm"}
-        d["admm"] = {k: v for k, v in vars(self.admm).items()}
-        return d
 
 
 def _build_feeder(config: ExperimentConfig):
@@ -207,7 +206,7 @@ def _estimate_and_write(config: ExperimentConfig, instance, out_dir: Path,
 
         payload = {
             "version": __version__,
-            "config": config.to_dict(),
+            "config": dataclasses.asdict(config),
             "estimate": aggregate.to_dict(),
             "per_run": per_run,
             "certificate": cert.to_dict(),

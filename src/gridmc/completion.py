@@ -54,6 +54,8 @@ class AdmmConfig:
             raise CompletionError("prox_c must be >= 0 and tol > 0")
         if self.max_iters < 1:
             raise CompletionError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.rank is not None and self.rank < 1:
+            raise CompletionError(f"rank must be >= 1, got {self.rank}")
 
     def resolve_rank(self, m: int) -> int:
         return self.rank if self.rank is not None else min(10, m)
@@ -88,11 +90,11 @@ class AreaState:
     u: np.ndarray
     v: np.ndarray
     x: np.ndarray  # X_l = U_l V_l, formed once per iteration
-    # sum_j (S_lj - Gamma_lj), all the U update reads of the consensus terms;
-    # formed where S and Gamma change (round B)
+    # sum_j (U_j - Gamma_lj) over the factors received and the duals before
+    # their step, all the U update reads of the consensus terms (round B)
     pull: np.ndarray
     e_ll: np.ndarray | None = None  # E_ll(X_l), set by each iteration with flow maps
-    gamma: dict[int, np.ndarray] = field(default_factory=dict)  # dual for U_l = S_lj
+    gamma: dict[int, np.ndarray] = field(default_factory=dict)  # U_l = U_j, per edge
     # with flow maps: sum_j q_lj, and Lambda_l, the one dual of every
     # E_lj(X_j) = q_lj (see `update_q`)
     q: np.ndarray | None = None
@@ -376,21 +378,16 @@ def update_v(prob: AreaProblem, st: AreaState, u_new: np.ndarray,
     return _solve_checked(h, rhs.T.ravel()).reshape(n_l, r).T
 
 
-def update_s(u_l: np.ndarray, u_j: np.ndarray) -> np.ndarray:
-    """Consensus average for the shared-basis auxiliary variable."""
-    return 0.5 * (u_l + u_j)
-
-
 def update_q(
     prob: AreaProblem,
     e_ll_val: np.ndarray,
-    e_in: dict[int, np.ndarray],
+    coords_in: dict[int, np.ndarray],
     lam_dual: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
     """Closed-form q step and flow dual ascent at area l, from E_ll(X_l), the
-    terms e_lj = A_lj c_j its neighbors sent, and its dual Lambda_l.  Returns
-    sum_j q_lj, Lambda_l' and, per neighbor j, the pull point
-    A_lj^T (q_lj + Lambda_l') that area l sends j.
+    coordinates c_lj of e_lj = E_lj(X_j) = A_lj c_lj its neighbors sent, and
+    its dual Lambda_l.  Returns sum_j q_lj, Lambda_l' and, per neighbor j,
+    the pull point A_lj^T (q_lj + Lambda_l') that area l sends j.
 
     Per edge, the q_lj minimize 0.5 nu |f_l - E_ll X_l - sum_j q_lj|^2
     + 0.5 lam sum_j |q_lj - e_lj + Lambda_lj|^2, and then
@@ -398,22 +395,27 @@ def update_q(
     takes one value for every j; from Lambda_lj = 0 the duals are one vector.
     So q_lj = e_lj + Lambda_l' - Lambda_l, sum_j q_lj = sum_j e_lj
     + d (Lambda_l' - Lambda_l) with d = deg l, and substituting the sum,
-    Lambda_l' = nu (f_l - E_ll X_l - sum_j e_lj + d Lambda_l) / (lam + nu d)."""
-    lam, nu, d = prob.config.lam, prob.config.nu, prob.deg
-    e_sum = functools.reduce(np.add, e_in.values())  # summed in neighbor order
+    Lambda_l' = nu (f_l - E_ll X_l - sum_j e_lj + d Lambda_l) / (lam + nu d).
+    A_lj is orthonormal, so each pull point is c_lj + A_lj^T (2 Lambda_l' - Lambda_l)."""
+    lam, nu, d, maps, l = prob.config.lam, prob.config.nu, prob.deg, prob.maps, prob.area
+    # summed in neighbor order, whatever order the areas run in
+    e_sum = functools.reduce(np.add, (maps.expand(l, j, c) for j, c in coords_in.items()))
     lam_new = (nu / (lam + nu * d)) * (prob.f_l - e_ll_val - e_sum + d * lam_dual)
     step = 2.0 * lam_new - lam_dual  # q_lj + Lambda_l' = e_lj + step
-    pulls = {j: prob.maps.project(prob.area, j, e + step) for j, e in e_in.items()}
+    pulls = {j: c + maps.project(l, j, step) for j, c in coords_in.items()}
     return e_sum + d * (lam_new - lam_dual), lam_new, pulls
 
 
 def update_duals(
-    st: AreaState,
-    u_new: np.ndarray,
-    s_new: dict[int, np.ndarray],
-) -> dict[int, np.ndarray]:
-    """Basis dual ascent Gamma_lj += U_l - S_lj (`update_q` steps Lambda_l)."""
-    return {j: st.gamma[j] + u_new - s_new[j] for j in s_new}
+    st: AreaState, u_in: dict[int, np.ndarray]
+) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """Basis dual ascent at area l from the factors U_j its neighbors sent
+    (`update_q` steps Lambda_l): Gamma_lj' = Gamma_lj + (U_l - U_j) / 2 and the
+    pull sum_j (U_j - Gamma_lj), which are Gamma_lj + U_l - S_lj and
+    sum_j (S_lj - Gamma_lj') at S_lj = (U_l + U_j) / 2, never formed.  Area j's
+    step negates area l's bit for bit, so Gamma_lj = -Gamma_jl exactly."""
+    gamma = {j: st.gamma[j] + 0.5 * (st.u - u_j) for j, u_j in u_in.items()}
+    return gamma, sum(u_j - st.gamma[j] for j, u_j in u_in.items())
 
 
 # --- drivers ----------------------------------------------------------------
@@ -430,22 +432,22 @@ def _init_states(
     for l, prob in problems.items():
         u = pair.u.copy()
         v = pair.v[:, prob.cols].copy()
-        # S_lj starts at U_l and Gamma_lj at 0
+        # every U_j starts at U_l and Gamma_lj at 0
         states[l] = AreaState(u=u, v=v, x=u @ v, pull=prob.deg * u,
                               gamma={j: np.zeros_like(u) for j in prob.neighbors})
     maps = next(iter(problems.values())).maps
     if maps is None:
         return states
     # q_lj starts at e_lj = E_lj(X_j) and Lambda_l at 0, so the first primal
-    # solve sees a consistent decentralized model
+    # solve sees a consistent decentralized model; A_lj^T e_lj is what j sent
     sent = {l: maps.coordinates(l, st.x) for l, st in states.items()}
     for l, prob in problems.items():
         st = states[l]
-        e_in = {j: maps.expand(l, j, sent[j][l]) for j in prob.neighbors}
-        st.q = sum(e_in.values(), np.zeros(maps.residual_dim(l)))
+        st.q = sum((maps.expand(l, j, sent[j][l]) for j in prob.neighbors),
+                   np.zeros(maps.residual_dim(l)))
         st.lam = np.zeros(maps.residual_dim(l))
-        for j, e in e_in.items():
-            states[j].flow_pull[l] = maps.project(l, j, e)
+        for j in prob.neighbors:
+            states[j].flow_pull[l] = sent[j][l]
     return states
 
 
@@ -472,17 +474,17 @@ def run_decentralized(
 
     Round A delivers the flow pull points of the last round B, then every
     area solves its U/V subproblems and sends its basis factor and the flow
-    terms its neighbors need.  Round B computes q, the consensus average,
-    and the dual ascent steps, then sends each neighbor the point its flow
-    term pulls to.  Stops when both the consensus residual and the relative
+    terms its neighbors need.  Round B computes q and the dual ascent steps
+    from what it received, then sends each neighbor the point its flow term
+    pulls to.  Stops when both the consensus residual and the relative
     iterate change fall below tol (`converged`), or after max_iters
     iterations.  With a single area nothing is sent, the consensus residual
     is 0, and the iteration is the plain block U/V update of the whole
     matrix.
 
     Flow terms travel in the coupling coordinates of `AreaMaps`: area l
-    sends B_jl X_l (T rho_jl reals) and area j expands it with A_jl; area j,
-    which owns q_jl and Lambda_j, sends back A_jl^T (q_jl + Lambda_j).
+    sends c_jl = B_jl X_l (T rho_jl reals) and area j expands it with A_jl;
+    area j, which owns q_jl and Lambda_j, sends back A_jl^T (q_jl + Lambda_j).
     A_jl has orthonormal columns, so |A B x - y|^2 = |B x - A^T y|^2 + const
     and every update keeps the minimizer it has with full residual-space
     vectors.
@@ -528,15 +530,12 @@ def run_decentralized(
             t0 = time.perf_counter()
             sends = []
             if prob.maps is not None:  # no q terms without flow maps
-                e_in = {j: prob.maps.expand(l, j, inbox[(j, "flow-term")])
-                        for j in prob.neighbors}
-                st.q, st.lam, pulls = update_q(prob, st.e_ll, e_in, st.lam)
+                coords_in = {j: inbox[(j, "flow-term")] for j in prob.neighbors}
+                st.q, st.lam, pulls = update_q(prob, st.e_ll, coords_in, st.lam)
                 sends = [Message(dest=j, tag="flow-pull", payload=pull)
                          for j, pull in pulls.items()]
-            s_new = {j: update_s(st.u, inbox[(j, "factor")].reshape(st.u.shape))
-                     for j in prob.neighbors}
-            st.gamma = update_duals(st, st.u, s_new)
-            st.pull = sum(s_new[j] - st.gamma[j] for j in prob.neighbors)
+            u_in = {j: inbox[(j, "factor")].reshape(st.u.shape) for j in prob.neighbors}
+            st.gamma, st.pull = update_duals(st, u_in)
             timings[l] += time.perf_counter() - t0
             return None, sends
 

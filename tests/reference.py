@@ -10,6 +10,8 @@ the unit tests are written against.
   exchange protocol over the message bus (Algorithm-2 style).
 - `update_q_per_edge`: the q step and flow dual ascent with one q_lj and one
   dual Lambda_lj per neighbor, the reference for `completion.update_q`.
+- `update_duals_per_edge`: the basis dual ascent through the consensus point
+  S_lj of each edge, the reference for `completion.update_duals`.
 """
 
 from __future__ import annotations
@@ -146,3 +148,17 @@ def update_q_per_edge(
     shift = (nu / (lam + nu * prob.deg)) * total
     q = {j: (rhs[j] - shift) / lam for j in prob.neighbors}
     return q, {j: lam_duals[j] + (q[j] - e_in[j]) for j in prob.neighbors}
+
+
+def update_duals_per_edge(
+    gamma: dict[int, np.ndarray],
+    u_l: np.ndarray,
+    u_in: dict[int, np.ndarray],
+) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """The basis consensus step of area l in its textbook form: the
+    consensus point S_lj = (U_l + U_j) / 2 of each edge, the dual ascent
+    Gamma_lj' = Gamma_lj + U_l - S_lj, and the point sum_j (S_lj - Gamma_lj')
+    the next U update is pulled to.  Returns (j -> Gamma_lj', the pull)."""
+    s = {j: 0.5 * (u_l + u_j) for j, u_j in u_in.items()}
+    gamma_new = {j: gamma[j] + u_l - s[j] for j in s}
+    return gamma_new, sum(s[j] - gamma_new[j] for j in s)

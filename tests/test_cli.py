@@ -409,6 +409,11 @@ class TestCommands:
         (["--runs", "0"], "--runs must be >= 1, got 0"),
         (["--fraction", "2.0"], "--fraction must lie in [0, 1], got 2"),
         (["--noise-pct", "nan"], "--noise-pct must be finite and nonnegative, got nan"),
+        # a negative step count reached numpy's "negative dimensions" error
+        (["--time-steps", "-1"], "--time-steps must be >= 1, got -1"),
+        (["--time-steps", "0"], "--time-steps must be >= 1, got 0"),
+        (["--areas", "0"], "--areas must be >= 1, got 0"),
+        (["--rank", "0"], "rank must be >= 1, got 0"),
     ])
     def test_run_checks_its_options_before_building(
             self, tmp_path, capsys, monkeypatch, flags, message):

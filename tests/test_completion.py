@@ -15,7 +15,8 @@ from gridmc import datamatrix as dm
 from gridmc import gridmodel as gm
 from gridmc import linflow as lf
 from gridmc import simnet as sn
-from reference import admm_config, svt_objective, svt_oracle, update_q_per_edge
+from reference import (admm_config, svt_objective, svt_oracle, update_duals_per_edge,
+                       update_q_per_edge)
 
 # Independently pinned optimum of the seeded nuclear-norm problem below,
 # computed once with an interior-point style convex solver at eps 1e-10.
@@ -48,7 +49,8 @@ class TestConfig:
         [{"mu": 0.0}, {"nu": -1.0}, {"gamma": 0.0}, {"lam": 0.0},
          {"prox_c": -0.1}, {"tol": 0.0}, {"max_iters": 0}, {"max_iters": -1},
          *({name: bad} for name in ("mu", "nu", "gamma", "lam", "prox_c", "tol")
-           for bad in (float("nan"), float("inf")))],
+           for bad in (float("nan"), float("inf"))),
+         {"rank": 0}, {"rank": -1}],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(cp.CompletionError):
@@ -162,7 +164,7 @@ def _perturbed_states(problems, m_data, mask, r, seed):
             if prob.maps is not None:
                 noise = 0.1 * rng.standard_normal(st.flow_pull[j].shape)
                 st.flow_pull[j] = st.flow_pull[j] + noise
-        # S_lj starts at U_l
+        # every U_j starts at U_l
         st.pull = sum((st.u - st.gamma[j] for j in prob.neighbors), np.zeros_like(st.u))
     return states
 
@@ -496,9 +498,11 @@ class TestQUpdate:
         rng = np.random.default_rng(seed)
         d = maps.residual_dim(2)
         e_ll_val = rng.standard_normal(d)
-        e_in = {j: rng.standard_normal(d) for j in prob.neighbors}
+        coords = {j: rng.standard_normal(maps.n_steps * maps.coupling_rank(2, j))
+                  for j in prob.neighbors}
+        e_in = {j: maps.expand(2, j, c) for j, c in coords.items()}
         dual = rng.standard_normal(d)
-        total, dual_new, _ = cp.update_q(prob, e_ll_val, e_in, dual)
+        total, dual_new, _ = cp.update_q(prob, e_ll_val, coords, dual)
         for j in prob.neighbors:
             q_j = e_in[j] - dual + dual_new
             rhs = lam * (e_in[j] - dual) + nu * (prob.f_l - e_ll_val)
@@ -521,11 +525,13 @@ class TestQUpdate:
         prob = dataclasses.replace(prob, config=admm_config(lam=lam, nu=nu),
                                    neighbors=prob.neighbors[:deg])
         rng = np.random.default_rng(seed)
-        d = maps.residual_dim(prob.area)
+        l, d = prob.area, maps.residual_dim(prob.area)
         e_ll_val = rng.standard_normal(d)
-        e_in = {j: rng.standard_normal(d) for j in prob.neighbors}
+        coords = {j: rng.standard_normal(maps.n_steps * maps.coupling_rank(l, j))
+                  for j in prob.neighbors}
+        e_in = {j: maps.expand(l, j, c) for j, c in coords.items()}
         dual = rng.standard_normal(d)
-        total, dual_new, pulls = cp.update_q(prob, e_ll_val, e_in, dual)
+        total, dual_new, pulls = cp.update_q(prob, e_ll_val, coords, dual)
         q, duals = update_q_per_edge(prob, e_ll_val, e_in,
                                      {j: dual for j in prob.neighbors})
 
@@ -541,7 +547,7 @@ class TestQUpdate:
         assert close(total, sum(q.values()))
         for j in prob.neighbors:
             assert close(dual_new, duals[j])
-            assert close(pulls[j], maps.project(prob.area, j, q[j] + duals[j]))
+            assert close(pulls[j], maps.project(l, j, q[j] + duals[j]))
 
     def test_no_neighbors(self, small_instance, small_setup, monkeypatch):
         """A single area has no q terms: a run with flow maps never calls
@@ -554,6 +560,35 @@ class TestQUpdate:
         result = cp.run_decentralized(m_data, mask, maps, part,
                                       admm_config(rank=2, max_iters=5, tol=1e-14))
         assert result.trace.iterations == 5 and calls == []
+
+
+class TestDualUpdate:
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 5000), deg=st.integers(1, 4),
+           scale=st.floats(1e-3, 1e3))
+    def test_matches_per_edge_update(self, seed, deg, scale):
+        """For random per-edge duals Gamma_lj (not one another's negations)
+        and received factors U_j, the returned Gamma_lj' and pull match the
+        form through S_lj = (U_l + U_j) / 2 within 1e-12 relative to the
+        largest input, the size of the terms both forms add."""
+        rng = np.random.default_rng(seed)
+        shape = (10, 3)
+        u_l = scale * rng.standard_normal(shape)
+        u_in = {j: scale * rng.standard_normal(shape) for j in range(deg)}
+        gamma = {j: scale * rng.standard_normal(shape) for j in range(deg)}
+        st = cp.AreaState(u=u_l, v=None, x=None, pull=None, gamma=gamma)
+        got_gamma, got_pull = cp.update_duals(st, u_in)
+        want_gamma, want_pull = update_duals_per_edge(gamma, u_l, u_in)
+        size = max(np.linalg.norm(a) for a in [u_l, *u_in.values(), *gamma.values()])
+
+        def close(got, want):
+            return np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), size)
+
+        assert list(got_gamma) == list(u_in)
+        assert close(got_pull, want_pull)
+        for j in u_in:
+            assert close(got_gamma[j], want_gamma[j])
+        assert st.gamma is gamma and all(gamma[j] is not got_gamma[j] for j in u_in)
 
 
 @pytest.fixture(scope="module")
@@ -595,20 +630,21 @@ class TestDecentralizedRun:
 
     def test_consensus_dual_antisymmetry(self, short_run):
         """Opposite-direction basis duals stay exact negatives of each other,
-        the invariant that makes the pairwise average the consensus point."""
+        bit for bit: each end of an edge steps its dual by the negation of
+        the other end's step."""
         result, m_data, part, _ = short_run
         for l in part.areas:
             for j in part.neighbors(l):
                 g_lj = result.states[l].gamma[j]
                 g_jl = result.states[j].gamma[l]
-                assert np.max(np.abs(g_lj + g_jl)) < 1e-10
+                assert np.any(g_lj) and np.array_equal(g_lj, -g_jl)
 
     def test_flow_pull_is_the_owners_projection(self, small_setup, monkeypatch):
         """Every U update reads, for each neighbor j, the pull point
-        A_jl^T (q_jl + Lambda_j) = A_jl^T (e_jl + 2 Lambda_j - Lambda_j^prev)
+        A_jl^T (q_jl + Lambda_j) = c_jl + A_jl^T (2 Lambda_j - Lambda_j^prev)
         of area j's own dual, before and after its last q update, and of the
-        term e_jl = E_jl(X_l) area l sent, bit for bit: no area keeps a copy
-        of a neighbor's dual."""
+        coordinates c_jl of E_jl(X_l) area l sent, bit for bit: no area keeps
+        a copy of a neighbor's dual."""
         m_data, mask, maps, part, _ = small_setup
         states, before, checked = {}, {}, []
         init, update_q, update_u = cp._init_states, cp.update_q, cp.update_u
@@ -617,17 +653,16 @@ class TestDecentralizedRun:
             states.update(init(*args))
             return states
 
-        def update_q_kept(prob, e_ll_val, e_in, dual):
+        def update_q_kept(prob, e_ll_val, coords_in, dual):
             before[prob.area] = dual
-            return update_q(prob, e_ll_val, e_in, dual)
+            return update_q(prob, e_ll_val, coords_in, dual)
 
         def update_u_checked(prob, st, z):
             l = prob.area
             for j in prob.neighbors:
                 owner = states[j]
-                e_jl = maps.expand(j, l, maps.coordinates(l, st.x)[j])
                 step = 2.0 * owner.lam - before.get(j, owner.lam)
-                sent = maps.project(j, l, e_jl + step)
+                sent = maps.coordinates(l, st.x)[j] + maps.project(j, l, step)
                 checked.append((np.array_equal(st.flow_pull[j], sent),
                                 bool(np.any(owner.lam))))
             return update_u(prob, st, z)
