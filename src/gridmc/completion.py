@@ -94,7 +94,7 @@ class AreaState:
     # their step, all the U update reads of the consensus terms (round B)
     pull: np.ndarray
     e_ll: np.ndarray | None = None  # E_ll(X_l), set by each iteration with flow maps
-    gamma: dict[int, np.ndarray] = field(default_factory=dict)  # U_l = U_j, per edge
+    gamma: dict[int, np.ndarray] = field(default_factory=dict)  # dual of U_l = U_j per edge
     # with flow maps: sum_j q_lj, and Lambda_l, the one dual of every
     # E_lj(X_j) = q_lj (see `update_q`)
     q: np.ndarray | None = None
