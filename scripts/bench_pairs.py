@@ -21,8 +21,12 @@ Each root is a checkout holding `src/gridmc`, `perfbench/` and
    float field that differs is recorded and printed as `output_drift`;
    a singular value of `spectrum.csv` is measured relative to sigma_0 of
    the same file, since those below the rank of X are rounding noise.
-   Outputs that pass neither check stop the script with exit code 1, and
-   nothing is benchmarked.
+   A `results.json` key found only on the change side is listed under
+   `added_fields` and refuses nothing; a key the change drops is a problem.
+   Each side's `iterations`, `converged`, MAPE and angle MAE are recorded
+   under `outputs`.  Outputs that pass neither check stop the script with
+   exit code 1, and nothing is benchmarked, unless `--expect-changed-outputs`
+   says the change alters what the run computes on purpose.
 2. It runs `perfbench/run.py --trace 0` of each tree in turn, `--pairs`
    times with the seeds `--seed`, `--seed` + 1, ...  The side that runs
    first alternates from pair to pair, so a drift in machine speed does not
@@ -119,10 +123,11 @@ def rel_diff(a: float, b: float) -> float:
     return abs(a - b) / scale if math.isfinite(scale) else math.inf
 
 
-def json_drift(a, b, path: str, drift: dict[str, float]) -> list[str]:
+def json_drift(a, b, path: str, drift: dict[str, float], added: set[str]) -> list[str]:
     """Record in `drift` the relative difference of each float leaf of two
-    JSON values that differs, under its dotted path; return the paths where
-    anything else (a key, a length, a type, a non-float value) differs."""
+    JSON values that differs, under its dotted path, and in `added` the path
+    of each key only `b` has; return the paths where anything else (a
+    missing key, a length, a type, a non-float value) differs."""
     if isinstance(a, float) and isinstance(b, float):
         diff = rel_diff(a, b)
         if diff:
@@ -131,15 +136,19 @@ def json_drift(a, b, path: str, drift: dict[str, float]) -> list[str]:
     if type(a) is not type(b):
         return [path]
     if isinstance(a, dict):
-        if a.keys() != b.keys():
+        def key_path(k):
+            return f"{path}.{k}" if path else k
+        added.update(key_path(k) for k in b.keys() - a.keys())
+        if not a.keys() <= b.keys():
             return [path]
         return [bad for k in a
-                for bad in json_drift(a[k], b[k], f"{path}.{k}" if path else k, drift)]
+                for bad in json_drift(a[k], b[k], key_path(k), drift, added)]
     if isinstance(a, list):
         if len(a) != len(b):
             return [path]
         # list items share one path, so drift keeps the largest over them
-        return [bad for x, y in zip(a, b) for bad in json_drift(x, y, f"{path}[]", drift)]
+        return [bad for x, y in zip(a, b)
+                for bad in json_drift(x, y, f"{path}[]", drift, added)]
     return [] if a == b else [path]
 
 
@@ -175,10 +184,17 @@ def csv_drift(a: Path, b: Path, drift: dict[str, float]) -> bool:
     return True
 
 
+def run_summary(results: dict) -> dict:
+    """What a `results.json` says of the run: its stop and its accuracy."""
+    return {"iterations": results["iterations"], "converged": results["converged"],
+            **{field: results["estimate"][field] for field in ESTIMATE_FIELDS}}
+
+
 def output_verdict(a: Path, b: Path) -> dict:
     """Compare two `gridmc run` output directories: `outputs_identical`
-    (bytes, timing column aside), then `rounding_only` and `output_drift`
-    (see the module docstring), and `problems` naming what refused them."""
+    (bytes, timing column aside), then `rounding_only`, `output_drift` and
+    `added_fields` (see the module docstring), `problems` naming what
+    refused them, and each side's `run_summary` under `outputs`."""
     identical = {
         "results.json": (a / "results.json").read_bytes()
         == (b / "results.json").read_bytes(),
@@ -188,10 +204,11 @@ def output_verdict(a: Path, b: Path) -> dict:
         == trace_without_timing(b / "trace.csv"),
     }
     drift: dict[str, float] = {}
+    added: set[str] = set()
     results_a = json.loads((a / "results.json").read_text())
     results_b = json.loads((b / "results.json").read_text())
     problems = [f"results.json {path or 'layout'} differs beyond rounding"
-                for path in json_drift(results_a, results_b, "", drift)]
+                for path in json_drift(results_a, results_b, "", drift, added)]
     if results_a.get("config") != results_b.get("config"):
         problems.append("results.json config differs")
     for name in ("trace.csv", "spectrum.csv"):
@@ -206,7 +223,9 @@ def output_verdict(a: Path, b: Path) -> dict:
         "outputs_identical": identical,
         "rounding_only": not problems,
         "output_drift": dict(sorted(drift.items())),
+        "added_fields": sorted(added),
         "problems": problems,
+        "outputs": {"parent": run_summary(results_a), "change": run_summary(results_b)},
     }
 
 
@@ -268,6 +287,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--seed", type=int, default=401)
     parser.add_argument("--out", type=Path, default=Path("BENCH.json"))
+    parser.add_argument("--expect-changed-outputs", action="store_true",
+                        help="run the pairs even when the outputs differ beyond "
+                             "rounding, for a change that alters the result on purpose")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs must be >= 1 and --seconds > 0")
@@ -284,10 +306,17 @@ def main(argv=None) -> int:
           flush=True)
     for name, diff in verdict["output_drift"].items():
         print(f"# output drift {name}: {diff:.3g} relative")
+    for path in verdict["added_fields"]:
+        print(f"# added field {path}")
     if not verdict["rounding_only"]:
-        print("error: the two trees give different outputs ("
-              + "; ".join(verdict["problems"]) + "); no pairs run", file=sys.stderr)
-        return 1
+        problems = "; ".join(verdict["problems"])
+        if not args.expect_changed_outputs:
+            print(f"error: the two trees give different outputs ({problems}); "
+                  "no pairs run", file=sys.stderr)
+            return 1
+        for side, summary in verdict["outputs"].items():
+            print(f"# {side} outputs: {summary}")
+        print(f"# outputs differ as expected ({problems})", flush=True)
 
     values = {side: {m["name"]: [] for m in declared} for side in roots}
     failed = {side: [] for side in roots}
@@ -316,6 +345,9 @@ def main(argv=None) -> int:
         "outputs_identical": verdict["outputs_identical"],
         "rounding_only": verdict["rounding_only"],
         "output_drift": verdict["output_drift"],
+        "added_fields": verdict["added_fields"],
+        "expect_changed_outputs": args.expect_changed_outputs,
+        "outputs": verdict["outputs"],
         "failed": failed,
         "environment": environment,
         "metrics": {m["name"]: summarize(m["name"], m["better"], m["unit"],

@@ -153,6 +153,8 @@ class CertificateReport:
     theorem1_pass: bool
     grad_u_norm: float
     grad_v_norm: float
+    stationarity_u: float
+    stationarity_v: float
     trace_residuals: tuple[float, float]
     comp_slack_residual: float
     dual_feasibility_min_eig: float
@@ -168,7 +170,9 @@ def full_report(u: np.ndarray, v: np.ndarray, op: StackedOperator,
 
     sigma_1(R) <= 1 (with 1e-9 slack) certifies X as a global optimum of the
     convex problem (`theorem1_pass`).  ||R V^T + U|| and ||R^T U + V^T|| are
-    the first-order residuals of 1/2 (||U||^2 + ||V||^2) + mu/2 ||B(UV) - d||^2.
+    the first-order residuals of 1/2 (||U||^2 + ||V||^2) + mu/2 ||B(UV) - d||^2;
+    the stationarity fields divide each by the size of its two terms,
+    ||R V^T|| + ||U|| and ||R^T U|| + ||V||.
     At a stationary point the trace identities <R, X> + ||V||^2 = 0 and
     <R, X> + ||U||^2 = 0 hold, and so does complementary slackness:
     |<W, M>| = |1/2 ||U||^2 + 1/2 ||V||^2 + <R, X>| vanishes for the primal
@@ -180,13 +184,22 @@ def full_report(u: np.ndarray, v: np.ndarray, op: StackedOperator,
     norm = spectral_norm(r)
     cross = float(np.sum(r * x))
     uu, vv = float(np.sum(u * u)), float(np.sum(v * v))
+    rv, ru = r @ v.T, r.T @ u
+    grad_u, grad_v = float(np.linalg.norm(rv + u)), float(np.linalg.norm(ru + v.T))
+
+    def relative(grad, a, b):  # grad <= |a| + |b|, so 0 where both are 0
+        size = float(np.linalg.norm(a) + np.linalg.norm(b))
+        return grad / size if size else 0.0
+
     m2 = 0.5 * r
     schur = 0.5 * np.eye(m2.shape[0]) - 2.0 * (m2 @ m2.T)
     return CertificateReport(
         spectral_norm=norm,
         theorem1_pass=norm <= 1.0 + 1e-9,
-        grad_u_norm=float(np.linalg.norm(r @ v.T + u)),
-        grad_v_norm=float(np.linalg.norm(r.T @ u + v.T)),
+        grad_u_norm=grad_u,
+        grad_v_norm=grad_v,
+        stationarity_u=relative(grad_u, rv, u),
+        stationarity_v=relative(grad_v, ru, v),
         trace_residuals=(cross + vv, cross + uu),
         comp_slack_residual=abs(0.5 * uu + 0.5 * vv + cross),
         dual_feasibility_min_eig=float(np.linalg.eigvalsh(schur)[0]),

@@ -92,6 +92,10 @@ def _build_instance(config: ExperimentConfig, wall=None):
     wall = {} if wall is None else wall
     with _layer(wall, "gridmodel.feeder"):
         net, scen, part = _build_feeder(config)
+    m, n = dm.ROWS_PER_STEP * config.time_steps, net.n_phases
+    if config.admm.resolve_rank(m, n) > min(m, n):
+        raise CliError(f"--rank must be <= {min(m, n)}, the smaller of the data's "
+                       f"{m} rows and {n} columns, got {config.admm.rank}")
     with _layer(wall, "gridmodel.flow"):
         v_true = gm.solve_exact_flow(net, scen.s)
     with _layer(wall, "datamatrix.sample"):
@@ -211,7 +215,7 @@ def _estimate_and_write(config: ExperimentConfig, instance, out_dir: Path,
             "per_run": per_run,
             "certificate": cert.to_dict(),
             "communication": _comm_summary(result.bus.ledger, result.partition, maps,
-                                           config.admm.resolve_rank(maps.m)),
+                                           config.admm.resolve_rank(*result.x.shape)),
             "iterations": result.trace.iterations,
             "converged": result.converged,
             "final_consensus": result.trace.consensus[-1],

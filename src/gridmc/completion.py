@@ -39,7 +39,7 @@ class AdmmConfig:
     gamma: float = 1e3
     lam: float = 1e3
     prox_c: float = 0.1
-    rank: int | None = None  # default min(10, m)
+    rank: int | None = None  # default min(10, m, n)
     max_iters: int = 500
     tol: float = 1e-6
     seed: int = 0
@@ -57,8 +57,8 @@ class AdmmConfig:
         if self.rank is not None and self.rank < 1:
             raise CompletionError(f"rank must be >= 1, got {self.rank}")
 
-    def resolve_rank(self, m: int) -> int:
-        return self.rank if self.rank is not None else min(10, m)
+    def resolve_rank(self, m: int, n: int) -> int:
+        return self.rank if self.rank is not None else min(10, m, n)
 
 
 @dataclass
@@ -194,6 +194,22 @@ def init_factors(
             vt[k] = -vt[k]
     root = np.sqrt(sv)
     return FactorPair(u=uu * root[None, :], v=root[:, None] * vt)
+
+
+def balance(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The balanced pair with the same product: U = Q_u R_u, V^T = Q_v R_v
+    and R_u R_v^T = A S B^T give U' = Q_u A S^(1/2) and V' = S^(1/2) B^T Q_v^T,
+    so U'V' = UV, U'^T U' = V' V'^T = S and 0.5 (|U'|^2 + |V'|^2) = tr S,
+    the least over all factor pairs of UV.  Exact for rank-deficient
+    factors, whose zero singular values zero the columns the QR leaves
+    arbitrary.  Both QRs are one batched call on the zero-padded stack."""
+    (m, r), n = u.shape, v.shape[1]
+    stack = np.zeros((2, max(m, n), r))
+    stack[0, :m], stack[1, :n] = u, v.T
+    q, rr = np.linalg.qr(stack)
+    a, s, bt = np.linalg.svd(rr[0] @ rr[1].T)
+    root = np.sqrt(s)
+    return q[0, :m] @ (a * root), (root[:, None] * bt) @ q[1, :n].T
 
 
 # --- per-area subproblem machinery ------------------------------------------
@@ -480,7 +496,7 @@ def run_decentralized(
     iterate change fall below tol (`converged`), or after max_iters
     iterations.  With a single area nothing is sent, the consensus residual
     is 0, and the iteration is the plain block U/V update of the whole
-    matrix.
+    matrix followed by `balance`, so the stop comes near a stationary point.
 
     Flow terms travel in the coupling coordinates of `AreaMaps`: area l
     sends c_jl = B_jl X_l (T rho_jl reals) and area j expands it with A_jl;
@@ -490,8 +506,7 @@ def run_decentralized(
     vectors.
     """
     m_data = np.asarray(m_data, dtype=float)
-    m = m_data.shape[0]
-    r = config.resolve_rank(m)
+    r = config.resolve_rank(*m_data.shape)
     problems = _build_problems(m_data, mask, area_maps, part, config)
     states = _init_states(problems, m_data, mask, r, config.seed)
     bus = MessageBus(part.areas, part.adjacency)
@@ -508,6 +523,11 @@ def run_decentralized(
             z = _flow_target(prob, st)
             u_new = update_u(prob, st, z)
             v_new = update_v(prob, st, u_new, z)
+            if not prob.neighbors:
+                # U -> UD, V -> D^-1 V keeps X, and the block updates only
+                # creep along it to the balanced pair; balancing several
+                # areas needs the Gram sum_l V_l V_l^T of all of them
+                u_new, v_new = balance(u_new, v_new)
             st.u, st.v, st.x = u_new, v_new, u_new @ v_new
             u_flat = u_new.reshape(-1)
             sends = [Message(dest=j, tag="factor", payload=u_flat)

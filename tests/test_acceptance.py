@@ -141,18 +141,19 @@ def test_04_single_area_equivalence(small_instance, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(cp, "update_u", recorded)
         dec = cp.run_decentralized(mat, mask, maps, part, config)
-    # the plain block iteration of the whole matrix, without the bus
+    # the plain block iteration of the whole matrix, without the bus, each
+    # V update followed by the balancing step
     problems = cp._build_problems(mat, mask, maps, part, config)
     states = cp._init_states(problems, mat, mask,
-                             config.resolve_rank(mat.shape[0]), config.seed)
+                             config.resolve_rank(*mat.shape), config.seed)
     prob, st = problems[1], states[1]
     plain_u = []
     for _ in range(config.max_iters):
         z = cp._flow_target(prob, st)
         u_new = cp.update_u(prob, st, z)
         v_new = cp.update_v(prob, st, u_new, z)
-        st.u, st.v = u_new, v_new
-        plain_u.append(st.u.copy())
+        plain_u.append(u_new)
+        st.u, st.v = cp.balance(u_new, v_new)
     worst = max(float(np.linalg.norm(u - d)) for u, d in zip(plain_u, dec_u))
     worst = max(worst, float(np.linalg.norm(st.u @ st.v - dec.x)))
     ok = len(dec_u) == 100 and worst <= 1e-10
@@ -305,7 +306,7 @@ def test_converged_flag(analog_instance, converged_run):
 def test_12_communication_ledger(analog_instance, converged_run):
     result, config = converged_run
     maps = analog_instance["maps"]
-    r = config.resolve_rank(analog_instance["mat"].shape[0])
+    r = config.resolve_rank(*analog_instance["mat"].shape)
     exact_match = True
     measured_total = full_total = 0
     per_pair = []

@@ -1,6 +1,7 @@
 """The output comparison of scripts/bench_pairs.py, on `gridmc run` output
 directories edited the way a rounding change or a real change edits them."""
 
+import collections
 import importlib.util
 import json
 import shutil
@@ -11,7 +12,8 @@ import pytest
 from gridmc import cli
 from gridmc import completion as cp
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
@@ -138,3 +140,51 @@ class TestOutputVerdict:
         verdict = bench_pairs.output_verdict(parent, change)
         assert not verdict["rounding_only"]
         assert verdict["problems"] == [f"{name} header or row count differs"]
+
+    def test_added_field_is_listed_not_refused(self, pair):
+        """A key only the change writes (a new report field) passes; the
+        reverse, a key the change drops, is the missing-field case above."""
+        parent, change = pair
+        edit_results(change, lambda r: r["certificate"].update(new_residual=0.01))
+        verdict = bench_pairs.output_verdict(parent, change)
+        assert verdict["rounding_only"], verdict["problems"]
+        assert verdict["added_fields"] == ["certificate.new_residual"]
+        assert verdict["output_drift"] == {}
+
+
+class TestExpectChangedOutputs:
+    @pytest.fixture
+    def fake_runs(self, pair, monkeypatch, tmp_path):
+        """main() on outputs whose iteration count differs, with
+        `compare_outputs` and `perfbench` replaced by the pair's verdict and
+        a constant benchmark line; returns main's arguments."""
+        parent, change = pair
+        edit_results(change, lambda r: r.update(iterations=r["iterations"] + 1))
+        monkeypatch.setattr(bench_pairs, "compare_outputs",
+                            lambda *args: bench_pairs.output_verdict(parent, change))
+        line = {"failed": 0, "metrics": collections.defaultdict(lambda: {"value": 1.0})}
+        monkeypatch.setattr(bench_pairs, "perfbench", lambda *args: (line, {}))
+        for var in bench_pairs.ONE_THREAD:  # perfbench/run.py sets them on import
+            monkeypatch.setenv(var, "1")
+        out = tmp_path / "BENCH.json"
+        return [str(ROOT), str(ROOT), "--workload", "feeder33-t10-a1",
+                "--pairs", "2", "--out", str(out)], out
+
+    def test_changed_outputs_are_refused_by_default(self, fake_runs, capsys):
+        argv, out = fake_runs
+        assert bench_pairs.main(argv) == 1
+        assert "no pairs run" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_expected_change_records_both_runs_and_runs_the_pairs(self, fake_runs, pair):
+        argv, out = fake_runs
+        assert bench_pairs.main([*argv, "--expect-changed-outputs"]) == 0
+        record = json.loads(out.read_text())["feeder33-t10-a1"]
+        assert record["expect_changed_outputs"] and not record["rounding_only"]
+        parent = json.loads((pair[0] / "results.json").read_text())
+        assert record["outputs"]["parent"] == {
+            "iterations": parent["iterations"], "converged": parent["converged"],
+            "mape_magnitude_pct": parent["estimate"]["mape_magnitude_pct"],
+            "mae_angle_deg": parent["estimate"]["mae_angle_deg"]}
+        assert record["outputs"]["change"]["iterations"] == parent["iterations"] + 1
+        assert record["metrics"]["estimate_s"]["parent"] == [1.0, 1.0]

@@ -195,7 +195,7 @@ class TestTheorem:
         d = ct.full_report(u, v, op, mu=5.0).to_dict()
         assert set(d) == {
             "spectral_norm", "theorem1_pass", "grad_u_norm", "grad_v_norm",
-            "trace_residuals", "comp_slack_residual",
+            "stationarity_u", "stationarity_v", "trace_residuals", "comp_slack_residual",
             "dual_feasibility_min_eig", "mu",
         }
         assert isinstance(d["trace_residuals"], list)
@@ -209,6 +209,12 @@ class TestStationarity:
         v = rng.standard_normal((3, op.shape[1]))
         report = ct.full_report(u, v, op, mu=10.0)
         assert report.grad_u_norm > 1e-6 and report.grad_v_norm > 1e-6
+        # each relative figure is its gradient over the size of its two terms
+        assert 1e-3 < report.stationarity_u <= 1.0
+        assert 1e-3 < report.stationarity_v <= 1.0
+        r = ct.residual_matrix(op, u @ v, 10.0)
+        assert report.stationarity_u == pytest.approx(
+            report.grad_u_norm / (np.linalg.norm(r @ v.T) + np.linalg.norm(u)), rel=1e-12)
         traces = report.trace_residuals
         assert abs(traces[0]) > 1e-6 and abs(traces[1]) > 1e-6
 
@@ -261,6 +267,7 @@ class TestComplementarySlackness:
         v = np.zeros((2, 6))
         report = ct.full_report(u, v, zero_op, mu=5.0)
         assert report.comp_slack_residual == 0.0
+        assert report.stationarity_u == report.stationarity_v == 0.0
         assert report.dual_feasibility_min_eig == 0.5
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -224,32 +225,37 @@ class TestInstanceBuild:
 
 class TestPinnedReference:
     # feeder33, T=10, one area, paper weights, rank 5, instance seed 0, as
-    # estimated by the dense (5T r)^2 normal equations of the U/V updates
+    # estimated by the exact U/V block updates, each followed by `balance`
     CONFIG = cli.ExperimentConfig(
         feeder="feeder33", time_steps=10, areas=1, policy="scada",
         fraction=0.5, noise_pct=1.0, seed=0,
         admm=cp.AdmmConfig(mu=1e4, nu=1e4, gamma=1e3, lam=1e3, rank=5,
                            max_iters=500, seed=0),
     )
-    PINNED_MAPE_PCT = 0.18232450410989448
-    PINNED_MAE_DEG = 0.12392865891293595
+    PINNED_MAPE_PCT = 0.1806140735539416
+    PINNED_MAE_DEG = 0.12317828216826551
     # its certificate, evaluated on the noisy data the run solved
     PINNED_CERTIFICATE = {
-        "spectral_norm": 319.7646472121772,
-        "grad_u_norm": 31.913466096064706,
-        "grad_v_norm": 3.725195881070199e-05,
-        "trace_residuals": [-9.047554328844853e-06, 18.76188824564467],
-        "comp_slack_residual": 9.38093959901127,
-        "dual_feasibility_min_eig": -51124.21730989083,
+        "spectral_norm": 350.1634442402203,
+        "grad_u_norm": 0.13911459136595497,
+        "grad_v_norm": 1.9818537154075837e-05,
+        "stationarity_u": 0.014105999522635282,
+        "stationarity_v": 2.0099682617541602e-06,
+        "trace_residuals": [1.5901368222159817e-06, 1.5901368470849775e-06],
+        "comp_slack_residual": 1.5901368328741228e-06,
+        "dual_feasibility_min_eig": -61306.720947755864,
     }
     # 0.5(|U|^2 + |V|^2) of its factors, the size of the order-one terms
-    # whose rounding residuals grad_v_norm and the first trace residual are;
-    # test_feeder33_t10_single_area checks it against the run
-    FACTOR_SCALE = 26.088515612644784
-    # two BLAS threads move the first trace residual by up to 2.0e-9 and
-    # grad_v_norm by up to 5e-11, so 3e-10 * FACTOR_SCALE = 7.8e-9 bounds
-    # them with a margin of four
+    # whose rounding residuals the gradients, the stationarity fields, the
+    # trace residuals and the slack are; test_feeder33_t10_single_area
+    # checks it against the run
+    FACTOR_SCALE = 24.305515016122186
+    # two BLAS threads move the trace residuals and the slack by up to
+    # 4.3e-9 and grad_u_norm by up to 4e-10, inside 3e-10 * FACTOR_SCALE =
+    # 7.3e-9
     RESIDUAL_TOL = 3e-10 * FACTOR_SCALE
+    RESIDUAL_FIELDS = ("grad_u_norm", "grad_v_norm", "stationarity_u",
+                       "stationarity_v", "comp_slack_residual")
 
     def test_feeder33_t10_single_area(self):
         config = self.CONFIG
@@ -263,11 +269,10 @@ class TestPinnedReference:
         assert scale == pytest.approx(self.FACTOR_SCALE, rel=1e-8)
 
     def test_certificate_checks_the_data_solved(self, tmp_path, monkeypatch):
-        """V is the last block the solver updates, so at the solved data only
-        its proximal term is left in the V gradient: the certificate's
-        grad_v_norm is a rounding residual against |V| (3.7e-5 against 4.09).
-        Evaluated at the noise-free matrix, which the solver never saw, it
-        reads 1,573."""
+        """The run stops near a stationary point of the data it solved, so
+        the certificate's grad_v_norm is small against |V| (2.0e-5 against
+        4.93).  Evaluated at the noise-free matrix, which the solver never
+        saw, it reads 1,301."""
         factors = {}
         full_report = ce.full_report
 
@@ -284,10 +289,10 @@ class TestPinnedReference:
     def test_feeder33_t10_single_area_certificate(self, tmp_path):
         """The certificate of the same configuration, as `gridmc run` writes
         it, run with one BLAS thread.  The order-one fields match within 1e-12
-        relative.  grad_v_norm and the first trace residual are rounding
-        residuals of order-one terms, which any change of summation order
-        moves (two BLAS threads: by up to 3e-4 relative), so they match
-        within RESIDUAL_TOL absolute."""
+        relative.  At a near-stationary point the gradients, the trace
+        residuals and the slack are differences of order-one terms, which any
+        change of summation order moves, so they match within RESIDUAL_TOL
+        absolute."""
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -303,15 +308,23 @@ class TestPinnedReference:
         cert = payload["certificate"]
         assert not cert["theorem1_pass"] and cert["mu"] == 1e4
         pinned = self.PINNED_CERTIFICATE
-        assert cert["grad_v_norm"] == pytest.approx(pinned["grad_v_norm"],
-                                                    abs=self.RESIDUAL_TOL)
-        got_0, got_1 = cert["trace_residuals"]
-        want_0, want_1 = pinned["trace_residuals"]
-        assert got_0 == pytest.approx(want_0, abs=self.RESIDUAL_TOL)
-        assert got_1 == pytest.approx(want_1, rel=1e-12)
-        for key in ("spectral_norm", "grad_u_norm", "comp_slack_residual",
-                    "dual_feasibility_min_eig"):
+        for key in self.RESIDUAL_FIELDS:
+            assert cert[key] == pytest.approx(pinned[key], abs=self.RESIDUAL_TOL), key
+        for got, want in zip(cert["trace_residuals"], pinned["trace_residuals"]):
+            assert got == pytest.approx(want, abs=self.RESIDUAL_TOL)
+        for key in ("spectral_norm", "dual_feasibility_min_eig"):
             assert cert[key] == pytest.approx(pinned[key], rel=1e-12), key
+
+    def test_tight_tolerance_stops_at_a_stationary_point(self, tmp_path):
+        """With the balanced factors, `converged` at tol 1e-10 means the U
+        gradient is 1.4e-6 of its two terms' size (without them the run
+        read 0.79 after 3,000 iterations)."""
+        config = dataclasses.replace(
+            self.CONFIG, admm=dataclasses.replace(self.CONFIG.admm, tol=1e-10))
+        payload = cli.run_experiment(config, tmp_path)
+        assert payload["converged"]
+        assert payload["certificate"]["stationarity_u"] <= 1e-5
+        assert payload["certificate"]["stationarity_v"] <= 1e-5
 
 
 class TestParserDefaults:
@@ -425,6 +438,30 @@ class TestCommands:
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_run_checks_its_rank_before_the_power_flow(self, tmp_path, capsys,
+                                                       monkeypatch):
+        """A rank above the data's 5T rows or phase columns is known once the
+        network exists; it used to surface after the whole build as "rank
+        bound exceeds matrix dimensions", which names no option."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("run solved the power flow with an impossible rank")
+
+        monkeypatch.setattr(cli.gm, "solve_exact_flow", refuse)
+        rc = cli.main(["run", "--feeder", "feeder33", "--time-steps", "1",
+                       "--rank", "40", "--out", str(tmp_path)])
+        assert rc == 1
+        assert ("error: --rank must be <= 5, the smaller of the data's 5 rows "
+                "and 32 columns, got 40") in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_default_rank_fits_a_one_column_network(self, tmp_path):
+        """Two buses make one phase column; the default rank is min(10, 5T, n)
+        = 1, where the run used to fail with the default rank 5."""
+        rc = cli.main(["run", "--feeder", "random", "--buses", "2",
+                       "--time-steps", "1", "--out", str(tmp_path)])
+        assert rc == 0
+        assert json.loads((tmp_path / "results.json").read_text())["converged"]
 
     def test_run_reports_an_out_path_that_is_a_file(self, tmp_path, capsys):
         out = tmp_path / "taken"

@@ -40,9 +40,11 @@ class TestConfig:
         cfg = cp.AdmmConfig()
         assert (cfg.mu, cfg.nu, cfg.gamma, cfg.lam) == (1e4, 1e4, 1e3, 1e3)
         assert cfg.prox_c == 0.1
-        assert cfg.resolve_rank(25) == 10
-        assert cfg.resolve_rank(5) == 5
-        assert cp.AdmmConfig(rank=3).resolve_rank(25) == 3
+        assert cfg.resolve_rank(25, 33) == 10
+        assert cfg.resolve_rank(5, 33) == 5
+        # a one-column matrix has no rank-5 factors
+        assert cfg.resolve_rank(5, 1) == 1
+        assert cp.AdmmConfig(rank=3).resolve_rank(25, 33) == 3
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -104,6 +106,65 @@ class TestInitFactors:
     def test_rejects_bad_rank(self):
         with pytest.raises(cp.CompletionError):
             cp.init_factors(np.zeros((3, 3)), np.ones((3, 3), bool), 0)
+
+
+def _half_norms(u, v):
+    return 0.5 * (np.linalg.norm(u) ** 2 + np.linalg.norm(v) ** 2)
+
+
+class TestBalance:
+    def check(self, u, v):
+        """balance keeps X and balances the Grams within 1e-12 relative, and
+        0.5(|U|^2 + |V|^2) falls to the nuclear norm of X."""
+        bu, bv = cp.balance(u, v)
+        assert bu.shape == u.shape and bv.shape == v.shape
+        assert np.isfinite(bu).all() and np.isfinite(bv).all()
+        x = u @ v
+        assert np.linalg.norm(bu @ bv - x) <= 1e-12 * np.linalg.norm(x)
+        gram = bu.T @ bu
+        assert np.linalg.norm(gram - bv @ bv.T) <= 1e-12 * np.linalg.norm(gram)
+        half = _half_norms(bu, bv)
+        assert half <= (1 + 1e-12) * _half_norms(u, v)
+        nuclear = np.sum(np.linalg.svd(x, compute_uv=False))
+        assert half == pytest.approx(nuclear, rel=1e-12)
+        return bu, bv
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 5000), m=st.integers(1, 30), n=st.integers(1, 30),
+           r=st.integers(1, 10), spread=st.floats(0.0, 3.0))
+    def test_random_factors(self, seed, m, n, r, spread):
+        """Factors whose columns differ in scale by up to 10^spread either
+        way, the imbalance U -> UD, V -> D^-1 V that leaves X unchanged."""
+        r = min(r, m, n)
+        rng = np.random.default_rng(seed)
+        d = 10.0 ** rng.uniform(-spread, spread, r)
+        self.check(rng.standard_normal((m, r)) * d,
+                   rng.standard_normal((r, n)) / d[:, None])
+
+    def test_zero_column(self):
+        rng = np.random.default_rng(3)
+        u, v = rng.standard_normal((12, 4)), rng.standard_normal((4, 9))
+        u[:, 1] = 0.0
+        bu, bv = self.check(u, v)
+        sigma = np.linalg.svd(bu.T @ bu, compute_uv=False)
+        assert sigma[3] <= 1e-12 * sigma[0]
+
+    def test_rank_one_factors(self):
+        """Rank-1 factors of rank bound 3: the Gram of either factor is
+        singular, and the QR leaves two columns of Q arbitrary."""
+        rng = np.random.default_rng(4)
+        u = np.outer(rng.standard_normal(15), [1.0, 2.0, -1.0])
+        v = np.outer([0.5, 1.0, 3.0], rng.standard_normal(20))
+        bu, bv = self.check(u, v)
+        sigma = np.linalg.svd(bu.T @ bu, compute_uv=False)
+        assert sigma[1] <= 1e-12 * sigma[0]
+
+    def test_balanced_input_keeps_its_product_and_norms(self):
+        pair = cp.init_factors(np.random.default_rng(5).standard_normal((10, 7)),
+                               np.ones((10, 7), dtype=bool), 3)
+        bu, bv = self.check(pair.u, pair.v)
+        assert _half_norms(bu, bv) == pytest.approx(_half_norms(pair.u, pair.v),
+                                                    rel=1e-12)
 
 
 def objective_factored(u, v, m_data, mask, area_maps, mu, nu):
