@@ -5,7 +5,11 @@
         --workload feeder33-t5-a5 --pairs 10 --seconds 8 --seed 401
 
 Each root is a checkout holding `src/gridmc`, `perfbench/` and
-`BENCHMARK.json`.  The script does two things, and changes neither tree:
+`BENCHMARK.json`.  Make the parent with `git worktree add --detach PATH
+COMMIT` (or a `git clone` checked out at COMMIT), so the record names its
+commit; a root that is not the top of its own git work tree (a `git
+archive` copy, say) is recorded as `unknown`.
+The script does two things, and changes neither tree:
 
 1. It checks that both trees compute the same thing.  Each side runs
    `gridmc run` once at the workload's settings (those of `perfbench/run.py`)
@@ -95,10 +99,15 @@ def gridmc_run(root: Path, options: list[str], out: Path) -> None:
 
 
 def describe(root: Path) -> str:
-    """The checkout's commit, marked "+dirty" if its working tree differs."""
+    """The checkout's commit, marked "+dirty" if its working tree differs.
+    A directory that is not the top of its own work tree (a plain copy, even
+    one inside another checkout) is "unknown"."""
     def git(*cmd):
         return subprocess.run(["git", "-C", str(root), *cmd], capture_output=True,
                               text=True).stdout.strip()
+    top = git("rev-parse", "--show-toplevel")
+    if not top or Path(top).resolve() != root.resolve():
+        return "unknown"
     commit = git("rev-parse", "--short", "HEAD") or "unknown"
     return commit + ("+dirty" if git("status", "--porcelain", "--untracked-files=no")
                      else "")

@@ -2,10 +2,10 @@
 
 Stacks the observed-entry samplers and the scaled flow-consistency rows into
 one linear operator so the data and flow penalties collapse into a single
-least-squares term, then evaluates, in one pass over one residual matrix, the
-spectral-norm optimality condition, the first-order stationarity residuals,
-the trace identities, complementary slackness, and the Schur-complement
-dual-feasibility check.
+least-squares term, then evaluates, in one pass over one residual matrix R,
+the spectral-norm optimality condition and dual feasibility from one SVD of
+R, the first-order stationarity residuals, the trace identities and
+complementary slackness.
 """
 
 from __future__ import annotations
@@ -125,28 +125,6 @@ def residual_matrix(op: StackedOperator, x: np.ndarray, mu: float) -> np.ndarray
     return mu * apply_B_adjoint(op, apply_B(op, x) - op.d)
 
 
-def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value: power iteration on a^T a from seed 0 to 1e-8."""
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(a.shape[1])
-    v /= np.linalg.norm(v)
-    sigma_prev = 0.0
-    for _ in range(10000):
-        u = a @ v
-        sigma = np.linalg.norm(u)
-        if sigma == 0.0:
-            return 0.0
-        v = a.T @ (u / sigma)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return 0.0
-        v /= nv
-        if abs(nv - sigma_prev) <= 1e-8 * max(nv, 1.0):
-            return float(nv)
-        sigma_prev = nv
-    raise CertificateError("power iteration did not converge")
-
-
 @dataclass(frozen=True)
 class CertificateReport:
     spectral_norm: float
@@ -168,20 +146,24 @@ def full_report(u: np.ndarray, v: np.ndarray, op: StackedOperator,
                 mu: float) -> CertificateReport:
     """Every check at X = UV, from R = mu B^*(B(X) - d) formed once.
 
-    sigma_1(R) <= 1 (with 1e-9 slack) certifies X as a global optimum of the
-    convex problem (`theorem1_pass`).  ||R V^T + U|| and ||R^T U + V^T|| are
-    the first-order residuals of 1/2 (||U||^2 + ||V||^2) + mu/2 ||B(UV) - d||^2;
-    the stationarity fields divide each by the size of its two terms,
-    ||R V^T|| + ||U|| and ||R^T U|| + ||V||.
-    At a stationary point the trace identities <R, X> + ||V||^2 = 0 and
-    <R, X> + ||U||^2 = 0 hold, and so does complementary slackness:
-    |<W, M>| = |1/2 ||U||^2 + 1/2 ||V||^2 + <R, X>| vanishes for the primal
-    M = (UU^T, UV; (UV)^T, V^T V) and the dual W built from R.  That dual is
-    feasible iff the Schur complement 1/2 I - 2 M2 M2^T with M2 = R / 2 is
-    positive semidefinite; its least eigenvalue is reported."""
+    sigma_1(R), the exact largest singular value from one SVD of R, is
+    `spectral_norm`; sigma_1 <= 1 (with 1e-9 slack) certifies X as a global
+    optimum of the convex problem (`theorem1_pass`).  The dual W built from
+    R is feasible iff I/2 - R R^T / 2 is positive semidefinite, and the least
+    eigenvalue of that matrix is 1/2 (1 - sigma_1^2), reported as
+    `dual_feasibility_min_eig`.
+    grad_U = R V^T + U and grad_V = R^T U + V^T are the first-order residuals
+    of 1/2 (||U||^2 + ||V||^2) + mu/2 ||B(UV) - d||^2; `grad_u_norm` and
+    `grad_v_norm` are their norms, and the stationarity fields divide each by
+    the size of its two terms, ||R V^T|| + ||U|| and ||R^T U|| + ||V||.
+    The trace residuals are the gradients' inner products with the factors,
+    <grad_V, V^T> = <R, X> + ||V||^2 and <grad_U, U> = <R, X> + ||U||^2, so
+    both vanish at a stationary point.  `comp_slack_residual` is half the
+    absolute value of their sum, |<W, M>| = |1/2 ||U||^2 + 1/2 ||V||^2 +
+    <R, X>| for the primal M = (UU^T, UV; (UV)^T, V^T V)."""
     x = u @ v
     r = residual_matrix(op, x, mu)
-    norm = spectral_norm(r)
+    sigma1 = float(np.linalg.svd(r, compute_uv=False)[0])
     cross = float(np.sum(r * x))
     uu, vv = float(np.sum(u * u)), float(np.sum(v * v))
     rv, ru = r @ v.T, r.T @ u
@@ -191,17 +173,15 @@ def full_report(u: np.ndarray, v: np.ndarray, op: StackedOperator,
         size = float(np.linalg.norm(a) + np.linalg.norm(b))
         return grad / size if size else 0.0
 
-    m2 = 0.5 * r
-    schur = 0.5 * np.eye(m2.shape[0]) - 2.0 * (m2 @ m2.T)
     return CertificateReport(
-        spectral_norm=norm,
-        theorem1_pass=norm <= 1.0 + 1e-9,
+        spectral_norm=sigma1,
+        theorem1_pass=sigma1 <= 1.0 + 1e-9,
         grad_u_norm=grad_u,
         grad_v_norm=grad_v,
         stationarity_u=relative(grad_u, rv, u),
         stationarity_v=relative(grad_v, ru, v),
         trace_residuals=(cross + vv, cross + uu),
         comp_slack_residual=abs(0.5 * uu + 0.5 * vv + cross),
-        dual_feasibility_min_eig=float(np.linalg.eigvalsh(schur)[0]),
+        dual_feasibility_min_eig=0.5 * (1.0 - sigma1 ** 2),
         mu=mu,
     )

@@ -59,9 +59,11 @@ def converged_run(analog_instance):
 
 @pytest.fixture(scope="module")
 def certified_run(analog_instance):
-    """Same instance driven to a tight tolerance for the certificate checks."""
+    """Same instance driven to its optimum for the certificate checks: there
+    sigma_1(R) = 1 holds on the span of the estimate, so the exact sigma_1
+    meets its 1e-9 slack only at a tolerance of 1e-12."""
     inst = analog_instance
-    config = admm_config(rank=5, max_iters=1000, tol=1e-10)
+    config = admm_config(rank=5, max_iters=1000, tol=1e-12)
     return cp.run_decentralized(
         inst["mat"], inst["mask"], inst["maps"], inst["part"], config,
     ), config

@@ -5,6 +5,7 @@ import collections
 import importlib.util
 import json
 import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -188,3 +189,30 @@ class TestExpectChangedOutputs:
             "mae_angle_deg": parent["estimate"]["mae_angle_deg"]}
         assert record["outputs"]["change"]["iterations"] == parent["iterations"] + 1
         assert record["metrics"]["estimate_s"]["parent"] == [1.0, 1.0]
+
+
+class TestDescribe:
+    @pytest.fixture
+    def repo(self, tmp_path):
+        """A one-commit repository; returns its root and that commit."""
+        def git(*cmd):
+            return subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t",
+                                   "-c", "user.email=t@t", *cmd], check=True,
+                                  capture_output=True, text=True).stdout.strip()
+        git("init", "-q")
+        (tmp_path / "f.txt").write_text("x\n")
+        git("add", "f.txt")
+        git("commit", "-q", "-m", "one")
+        return tmp_path, git("rev-parse", "--short", "HEAD")
+
+    def test_top_of_a_work_tree_records_its_commit(self, repo):
+        root, commit = repo
+        assert bench_pairs.describe(root) == commit
+
+    def test_plain_directory_inside_a_repository_is_unknown(self, repo):
+        """A copy placed inside another checkout is not recorded under that
+        checkout's commit."""
+        root, _ = repo
+        plain = root / "parent"
+        plain.mkdir()
+        assert bench_pairs.describe(plain) == "unknown"

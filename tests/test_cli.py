@@ -234,16 +234,17 @@ class TestPinnedReference:
     )
     PINNED_MAPE_PCT = 0.1806140735539416
     PINNED_MAE_DEG = 0.12317828216826551
-    # its certificate, evaluated on the noisy data the run solved
+    # its certificate, evaluated on the noisy data the run solved; the
+    # spectral norm is the exact sigma_1 of one SVD of R
     PINNED_CERTIFICATE = {
-        "spectral_norm": 350.1634442402203,
+        "spectral_norm": 350.16345025646507,
         "grad_u_norm": 0.13911459136595497,
         "grad_v_norm": 1.9818537154075837e-05,
         "stationarity_u": 0.014105999522635282,
         "stationarity_v": 2.0099682617541602e-06,
         "trace_residuals": [1.5901368222159817e-06, 1.5901368470849775e-06],
         "comp_slack_residual": 1.5901368328741228e-06,
-        "dual_feasibility_min_eig": -61306.720947755864,
+        "dual_feasibility_min_eig": -61306.720947755945,
     }
     # 0.5(|U|^2 + |V|^2) of its factors, the size of the order-one terms
     # whose rounding residuals the gradients, the stationarity fields, the
@@ -489,6 +490,24 @@ class TestCommands:
         assert payload["config"]["admm"]["mu"] == 3000.0
         assert payload["config"]["admm"]["nu"] == 3000.0
         assert payload["certificate"]["spectral_norm"] > 1.0
+
+    def test_certify_does_not_pass_a_capped_run(self, tmp_path, capsys):
+        """At mu = nu = 0.01 sigma_1(R) is about 0.07 after two iterations
+        as after the 22 that converge, but the spectral condition speaks only
+        for a stationary point: the run stopped by --max-iters 2 does not
+        pass, and the same run given its 22 iterations does."""
+        small = [*FAST, "--mu", "0.01", "--nu", "0.01", "--max-shrinks", "0"]
+        rc = cli.main(["certify", *small, "--max-iters", "2", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        payload = json.loads((tmp_path / "results.json").read_text())
+        assert payload["certificate"]["theorem1_pass"] and not payload["converged"]
+        assert rc == 1
+        assert captured.out.splitlines()[0].endswith("converged=False pass=False")
+        assert "did not pass" in captured.err
+
+        rc = cli.main(["certify", *small, "--out", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith("converged=True pass=True")
 
     def test_certify_builds_its_instance_once(self, tmp_path, monkeypatch):
         """Every attempt re-solves the one instance: the weights do not
