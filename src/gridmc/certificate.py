@@ -78,16 +78,16 @@ class StackedOperator:
 def build_B_d(
     observed: np.ndarray,
     m_data: np.ndarray,
-    area_maps: AreaMaps | None,
+    maps: AreaMaps | None,
     mu: float,
     nu: float,
 ) -> StackedOperator:
     """Stacked operator for the boolean observation array `observed`; its
-    entry rows follow the observed cells in row-major order."""
+    entry rows follow the observed cells in row-major order.  `maps` is None
+    when there are no flow rows."""
     if mu <= 0:
         raise CertificateError("mu must be positive")
     obs = np.nonzero(observed)
-    maps = area_maps if nu != 0.0 else None
     scale = np.sqrt(nu / mu)
     flow = [scale * maps.f[l] for l in maps.partition.areas] if maps is not None else []
     return StackedOperator(obs=obs, maps=maps, scale=scale,

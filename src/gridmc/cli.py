@@ -141,7 +141,7 @@ def _comm_summary(ledger, part, maps, r: int) -> list[dict]:
         n_a, n_b = part.phases_in(a).size, part.phases_in(b).size
         out.append({
             "pair": [int(a), int(b)],
-            "per_iteration_measured": ledger.count(pair, rounds=[0, 1]),
+            "per_iteration_measured": ledger.count(pair, [0, 1]),
             "paper_formula": sn.paper_comm_formula(n_a, n_b, m, r),
             "protocol_formula": sn.protocol_comm_formula(
                 m, r, maps.coupling_rank(a, b), maps.coupling_rank(b, a)),
@@ -296,8 +296,7 @@ def cmd_gen_feeder(args) -> int:
 
 def cmd_build_model(args) -> int:
     _, _, part, _, _, model, _ = _build_instance(_config_from_args(args))
-    trunc = lf.truncate_model(model, part)
-    err = lf.truncation_error(model, trunc)
+    err = lf.truncation_error(model, part)
     args.out.mkdir(parents=True, exist_ok=True)
     with open(args.out / "model.json", "w") as fh:
         json.dump({
@@ -388,7 +387,7 @@ def cmd_certify(args) -> int:
                                       dict(build_wall))
         cert = payload["certificate"]
         passed = cert["theorem1_pass"] and payload["converged"]
-        print(f"mu={config.admm.mu:g}: spectral norm {cert['spectral_norm']:.6f} "
+        print(f"mu={config.admm.mu:g}: spectral norm {cert['spectral_norm']!r} "
               f"converged={payload['converged']} pass={passed}")
         if passed:
             return 0

@@ -509,7 +509,7 @@ def run_decentralized(
     r = config.resolve_rank(*m_data.shape)
     problems = _build_problems(m_data, mask, area_maps, part, config)
     states = _init_states(problems, m_data, mask, r, config.seed)
-    bus = MessageBus(part.areas, part.adjacency)
+    bus = MessageBus(part.adjacency)
     trace = ConvergenceTrace()
     timings: dict[int, float] = {}
 

@@ -32,8 +32,8 @@ class ObservationMask:
         if observed.dtype != bool or observed.ndim != 2:
             raise DataMatrixError("mask must be a two-dimensional boolean array")
         if self.policy == "scada":
-            phasor = np.arange(observed.shape[0]) % ROWS_PER_STEP < 2
-            if observed[phasor].any():
+            seen = np.flatnonzero(observed.any(axis=1))
+            if np.setdiff1d(seen, eligible_rows(observed.shape[0], "scada")).size:
                 raise DataMatrixError("scada mask may not contain voltage-phasor rows")
         observed.flags.writeable = False
         object.__setattr__(self, "observed", observed)

@@ -1,5 +1,5 @@
-"""Linear voltage model (N, K, w), area truncation, and the per-area linear
-maps feeding the completion objective."""
+"""Linear voltage model (N, K, w), its area truncation error, and the
+per-area linear maps feeding the completion objective."""
 
 from __future__ import annotations
 
@@ -61,31 +61,19 @@ def _coupling_mask(part: AreaPartition) -> np.ndarray:
     return keep
 
 
-def truncate_model(model: LinearFlowModel, part: AreaPartition) -> LinearFlowModel:
-    """Zero all couplings outside same-area/neighbor-area blocks (applied to
-    both N and K): the dense model the area maps evaluate, kept as the
-    reference for `truncation_error`."""
-    n = model.n_phases
-    if part.assignment.shape[0] != n:
+def truncation_error(model: LinearFlowModel, part: AreaPartition) -> float:
+    """Relative Frobenius error of N truncated to the same-area and
+    neighbor-area couplings of `part`: the norm of the dropped entries over
+    that of N."""
+    if part.assignment.shape[0] != model.n_phases:
         raise LinFlowError("partition does not cover the model's phases")
-    keep = _coupling_mask(part)
-    keep2 = np.hstack([keep, keep])  # N columns pair up (Re s, Im s) per phase
-    return LinearFlowModel(
-        n_mat=np.where(keep2, model.n_mat, 0.0),
-        k_mat=np.where(keep2, model.k_mat, 0.0),
-        w=model.w,
-        n_steps=model.n_steps,
-    )
-
-
-def truncation_error(model: LinearFlowModel, truncated: LinearFlowModel) -> float:
-    """Relative Frobenius error between the full and truncated N matrices."""
-    if model.n_mat.shape != truncated.n_mat.shape:
-        raise LinFlowError("model shapes do not match")
     denom = np.linalg.norm(model.n_mat)
     if denom == 0:
         raise LinFlowError("undefined metric: N is zero")
-    return float(np.linalg.norm(model.n_mat - truncated.n_mat) / denom)
+    keep = _coupling_mask(part)
+    # N's columns pair up (Re s, Im s) per phase
+    dropped = np.where(np.hstack([keep, keep]), 0.0, model.n_mat)
+    return float(np.linalg.norm(dropped) / denom)
 
 
 # --- per-area linear maps over the measurement matrix -----------------------

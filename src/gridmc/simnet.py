@@ -4,15 +4,15 @@ per-edge communication-volume ledger.
 Nodes are closures invoked once per round with the messages delivered to them
 from the previous round; every send of round k is delivered before any node
 observes round k+1.  Outputs are therefore independent of the order in which
-node closures run within a round.  Payloads are flat real arrays; the ledger
-counts one unit per real number.
+node closures run within a round.  The bus delivers each payload array as it
+was sent; the ledger counts one unit per array entry.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,18 +21,10 @@ class ProtocolViolationError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     dest: int
     tag: str
     payload: np.ndarray
-
-    def __post_init__(self):
-        payload = self.payload
-        if not (type(payload) is np.ndarray and payload.dtype == np.float64
-                and payload.ndim == 1 and payload.flags.c_contiguous):
-            payload = np.ascontiguousarray(np.asarray(payload, dtype=float).ravel())
-            object.__setattr__(self, "payload", payload)
 
 
 # Inbox maps (source area, tag) -> payload.
@@ -41,7 +33,7 @@ NodeFn = Callable[[Mapping[tuple[int, str], np.ndarray]], tuple[Any, list[Messag
 
 @dataclass
 class CommLedger:
-    """Real-number counts per (area pair, round, tag)."""
+    """Payload entry counts per (area pair, round, tag)."""
 
     counts: dict[tuple[frozenset[int], int, str], int] = field(default_factory=dict)
 
@@ -50,27 +42,11 @@ class CommLedger:
         key = (pair, round_index, tag)
         self.counts[key] = self.counts.get(key, 0) + units
 
-    def count(
-        self,
-        pair: Iterable[int],
-        rounds: Iterable[int] | int | None = None,
-        tag: str | None = None,
-    ) -> int:
-        pair = frozenset(pair)
-        if isinstance(rounds, int):
-            rounds = {rounds}
-        elif rounds is not None:
-            rounds = set(rounds)
-        total = 0
-        for (p, r, t), units in self.counts.items():
-            if p != pair:
-                continue
-            if rounds is not None and r not in rounds:
-                continue
-            if tag is not None and t != tag:
-                continue
-            total += units
-        return total
+    def count(self, pair: Iterable[int], rounds: Iterable[int]) -> int:
+        """Units the pair exchanged over `rounds`, summed over every tag."""
+        pair, rounds = frozenset(pair), set(rounds)
+        return sum(units for (p, r, _), units in self.counts.items()
+                   if p == pair and r in rounds)
 
     def pairs(self) -> set[frozenset[int]]:
         return {p for (p, _, _) in self.counts}
@@ -79,8 +55,7 @@ class CommLedger:
 class MessageBus:
     """Bulk-synchronous bus over a fixed area adjacency graph."""
 
-    def __init__(self, areas: Iterable[int], adjacency: Iterable[frozenset[int]]):
-        self.areas = sorted(areas)
+    def __init__(self, adjacency: Iterable[frozenset[int]]):
         self.adjacency = {frozenset(p) for p in adjacency}
         self.ledger = CommLedger()
         self.round_index = 0

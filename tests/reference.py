@@ -6,6 +6,9 @@ the unit tests are written against.
   nu = 0 case.
 - `predict`/`h_from_loads`: the centralized evaluation of a linear flow
   model, the dense reference for the per-area maps and `decentralized_flow`.
+- `truncate_model`: the dense model truncated to an area partition's
+  couplings, which `predict` evaluates and `linflow.truncation_error` is
+  measured against.
 - `decentralized_flow`: the same evaluation, area by area, by the solver's
   exchange protocol over the message bus (Algorithm-2 style).
 - `update_q_per_edge`: the q step and flow dual ascent with one q_lj and one
@@ -22,6 +25,7 @@ import numpy as np
 
 from gridmc import completion as cp
 from gridmc.datamatrix import ROWS_PER_STEP
+from gridmc.gridmodel import AreaPartition
 from gridmc.linflow import AreaMaps, LinearFlowModel, LinFlowError
 from gridmc.simnet import Message, MessageBus
 
@@ -82,6 +86,24 @@ def predict(model: LinearFlowModel, h: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return v, vmag
 
 
+def truncate_model(model: LinearFlowModel, part: AreaPartition) -> LinearFlowModel:
+    """Zero all couplings outside same-area/neighbor-area blocks (applied to
+    both N and K): the dense model the area maps evaluate."""
+    a = part.assignment
+    if a.shape[0] != model.n_phases:
+        raise LinFlowError("partition does not cover the model's phases")
+    coupled = {(x, x) for x in part.areas}
+    coupled |= {(x, y) for pair in part.adjacency for x in pair for y in pair}
+    keep = np.array([[(x, y) in coupled for y in a] for x in a])
+    keep2 = np.hstack([keep, keep])  # N columns pair up (Re s, Im s) per phase
+    return LinearFlowModel(
+        n_mat=np.where(keep2, model.n_mat, 0.0),
+        k_mat=np.where(keep2, model.k_mat, 0.0),
+        w=model.w,
+        n_steps=model.n_steps,
+    )
+
+
 def decentralized_flow(
     maps: AreaMaps, h: np.ndarray, bus: MessageBus | None = None
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -100,7 +122,7 @@ def decentralized_flow(
         raise LinFlowError(f"injections of shape {h.shape} do not match maps "
                            f"of {maps.n_steps} steps and {maps.n_phases} phases")
     if bus is None:
-        bus = MessageBus(part.areas, part.adjacency)
+        bus = MessageBus(part.adjacency)
     x = {}
     for l in part.areas:
         cols = maps.cols[l]

@@ -269,6 +269,15 @@ class TestPinnedReference:
         scale = 0.5 * (np.linalg.norm(fp.u) ** 2 + np.linalg.norm(fp.v) ** 2)
         assert scale == pytest.approx(self.FACTOR_SCALE, rel=1e-8)
 
+    def test_single_area_factors_multiply_to_the_estimate(self):
+        """With one area the consensus-averaged pair the certificate reads
+        is the area's own (U, V), so its product is the estimate x bit for
+        bit."""
+        config = self.CONFIG
+        result, *_ = cli._single_run(config, cli._build_instance(config), config.seed)
+        fp = result.factors()
+        assert np.array_equal(fp.u @ fp.v, result.x)
+
     def test_certificate_checks_the_data_solved(self, tmp_path, monkeypatch):
         """The run stops near a stationary point of the data it solved, so
         the certificate's grad_v_norm is small against |V| (2.0e-5 against
@@ -486,6 +495,9 @@ class TestCommands:
         assert all(line.endswith("pass=False") for line in attempts)
         assert "did not pass" in captured.err
         payload = json.loads((tmp_path / "results.json").read_text())
+        # the printed sigma_1 is the one the bound decided on, to the last bit
+        printed = attempts[-1].split("spectral norm ")[1].split()[0]
+        assert float(printed) == payload["certificate"]["spectral_norm"]
         assert payload["certificate"]["mu"] == 3000.0
         assert payload["config"]["admm"]["mu"] == 3000.0
         assert payload["config"]["admm"]["nu"] == 3000.0

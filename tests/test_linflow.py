@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from gridmc import gridmodel as gm
 from gridmc import linflow as lf
 from gridmc import simnet as sn
-from reference import decentralized_flow, h_from_loads, predict
+from reference import decentralized_flow, h_from_loads, predict, truncate_model
 
 
 class TestBuildLinearModel:
@@ -57,15 +57,17 @@ class TestTruncation:
     def test_single_area_is_exact(self, small_instance):
         model = small_instance["model"]
         part = gm.AreaPartition.contiguous(model.n_phases, 1)
-        trunc = lf.truncate_model(model, part)
-        assert lf.truncation_error(model, trunc) == 0.0
+        assert lf.truncation_error(model, part) == 0.0
 
     def test_idempotent(self, small_instance):
+        """Truncating twice changes nothing, and the truncated model has no
+        coupling left for `truncation_error` to count."""
         model, part = small_instance["model"], small_instance["part"]
-        once = lf.truncate_model(model, part)
-        twice = lf.truncate_model(once, part)
+        once = truncate_model(model, part)
+        twice = truncate_model(once, part)
         assert np.array_equal(once.n_mat, twice.n_mat)
         assert np.array_equal(once.k_mat, twice.k_mat)
+        assert lf.truncation_error(once, part) == 0.0
 
     def test_extra_adjacency_reduces_error(self, small_instance):
         """Keeping more couplings can only shrink the truncation metric."""
@@ -75,8 +77,8 @@ class TestTruncation:
             n_areas=part.n_areas,
             adjacency=part.adjacency | {frozenset({1, 3})},
         )
-        e_chain = lf.truncation_error(model, lf.truncate_model(model, part))
-        e_rich = lf.truncation_error(model, lf.truncate_model(model, richer))
+        e_chain = lf.truncation_error(model, part)
+        e_rich = lf.truncation_error(model, richer)
         # with three areas the extra pair makes the coupling graph complete,
         # so the richer truncation is exact
         assert e_chain > 0
@@ -84,7 +86,7 @@ class TestTruncation:
 
     def test_zeroes_only_cross_area_blocks(self, small_instance):
         model, part = small_instance["model"], small_instance["part"]
-        trunc = lf.truncate_model(model, part)
+        trunc = truncate_model(model, part)
         a = part.assignment
         n = model.n_phases
         adj = {tuple(sorted(p)) for p in part.adjacency}
@@ -97,10 +99,31 @@ class TestTruncation:
                     else:
                         assert trunc.n_mat[i, col] == 0.0
 
+    @pytest.mark.parametrize("feeder, areas", [("feeder33", 4), ("feeder33", 5),
+                                               ("random129", 5)])
+    def test_equals_the_dense_truncation_bit_for_bit(self, feeder, areas):
+        """||N - N_trunc|| / ||N|| with N_trunc the dense truncated model,
+        to the last bit: the kept entries of N - N_trunc are x - x = 0 and
+        the dropped ones x - 0 = x."""
+        if feeder == "feeder33":
+            net, _, part = gm.feeder33_analog(seed=0, n_steps=1, n_areas=areas)
+        else:
+            net, _ = gm.generate_radial_feeder(129, seed=0, n_steps=1)
+            part = gm.AreaPartition.contiguous(net.n_phases, areas)
+        model = lf.build_linear_model(net)
+        trunc = truncate_model(model, part)
+        dense = float(np.linalg.norm(model.n_mat - trunc.n_mat)
+                      / np.linalg.norm(model.n_mat))
+        assert dense > 0.0
+        assert lf.truncation_error(model, part) == dense
+        with pytest.raises(lf.LinFlowError):
+            lf.truncation_error(
+                model, gm.AreaPartition.contiguous(model.n_phases - 1, areas))
+
     def test_partition_size_mismatch(self, small_instance):
         model = small_instance["model"]
         with pytest.raises(lf.LinFlowError):
-            lf.truncate_model(model, gm.AreaPartition.contiguous(3, 1))
+            lf.truncation_error(model, gm.AreaPartition.contiguous(3, 1))
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +141,7 @@ class TestDecentralizedFlow:
         """On the 3-area chain and on the three-phase feeder."""
         for inst in (small_instance, three_phase_instance):
             model, part, maps = inst["model"], inst["part"], inst["maps"]
-            trunc = lf.truncate_model(model, part)
+            trunc = truncate_model(model, part)
             rng = np.random.default_rng(11)
             for _ in range(10):
                 h = 0.01 * rng.standard_normal((model.n_steps, 2 * model.n_phases))
@@ -141,15 +164,15 @@ class TestDecentralizedFlow:
         direction's coupling coordinates under "flow-term"; round 1 sends
         nothing."""
         part = maps.partition
-        bus = sn.MessageBus(part.areas, part.adjacency)
+        bus = sn.MessageBus(part.adjacency)
         decentralized_flow(maps, np.zeros((maps.n_steps, 2 * maps.n_phases)), bus)
         assert bus.round_index == 2
         for pair in part.adjacency:
             l, j = sorted(pair)
             sent = maps.n_steps * (maps.coupling_rank(l, j) + maps.coupling_rank(j, l))
-            assert bus.ledger.count(pair, rounds=0, tag="flow-term") == sent
-            assert bus.ledger.count(pair, rounds=0) == sent
-            assert bus.ledger.count(pair, rounds=1) == 0
+            assert bus.ledger.counts[(pair, 0, "flow-term")] == sent
+            assert bus.ledger.count(pair, [0]) == sent
+            assert bus.ledger.count(pair, [1]) == 0
 
 
 def flow_residual(maps, l, x):

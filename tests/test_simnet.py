@@ -7,21 +7,13 @@ from gridmc import simnet as sn
 
 
 def make_bus(n=2):
-    areas = list(range(1, n + 1))
-    adjacency = {frozenset((a, a + 1)) for a in areas[:-1]}
-    return sn.MessageBus(areas, adjacency)
-
-
-class TestMessage:
-    def test_payload_flattened_to_float(self):
-        msg = sn.Message(dest=2, tag="x", payload=np.arange(6).reshape(2, 3))
-        assert msg.payload.shape == (6,)
-        assert msg.payload.dtype == np.float64
+    return sn.MessageBus({frozenset((a, a + 1)) for a in range(1, n)})
 
 
 class TestMessageBus:
     def test_two_node_echo(self):
-        """A value sent in round k arrives in round k+1 and nowhere earlier."""
+        """A value sent in round k arrives in round k+1 and nowhere earlier,
+        as the array that was sent."""
         bus = make_bus(2)
         sent = np.array([1.5, -2.0])
         received = {}
@@ -36,7 +28,7 @@ class TestMessageBus:
         bus.run_round({1: node1, 2: node2})
         assert received == {}
         bus.run_round({1: lambda i: (None, []), 2: node2})
-        assert np.array_equal(received[(1, "ping")], sent)
+        assert received[(1, "ping")] is sent
 
     def test_non_neighbor_send_rejected(self):
         bus = make_bus(3)  # chain 1-2-3: areas 1 and 3 are not adjacent
@@ -71,7 +63,7 @@ class TestMessageBus:
         ring = {frozenset((a, a % 5 + 1)) for a in areas}
 
         def run(orders):
-            bus = sn.MessageBus(areas, ring)
+            bus = sn.MessageBus(ring)
             state = {a: float(a) for a in areas}
 
             def make_node(a):
@@ -118,12 +110,16 @@ class TestCommLedger:
         return bus
 
     def test_counts_by_round_and_tag(self):
+        """`count` sums a pair's rounds over every tag; `counts` keeps each
+        (pair, round, tag) volume."""
         bus = self._run_traffic()
-        assert bus.ledger.count({1, 2}, rounds=0) == 10
-        assert bus.ledger.count({1, 2}, rounds=0, tag="a") == 5
-        assert bus.ledger.count({1, 2}, rounds=[0, 1]) == 20
-        assert bus.ledger.count({1, 2}) == 20
-        assert bus.ledger.pairs() == {frozenset({1, 2})}
+        pair = frozenset({1, 2})
+        assert bus.ledger.count({1, 2}, [0]) == 10
+        assert bus.ledger.count({1, 2}, [0, 1]) == 20
+        assert bus.ledger.count({1, 2}, []) == 0
+        assert bus.ledger.counts == {(pair, k, "a"): 5 for k in (0, 1)} | {
+            (pair, k, "b"): 5 for k in (0, 1)}
+        assert bus.ledger.pairs() == {pair}
 
 
 class TestFormulas:
