@@ -86,9 +86,10 @@ def _layer(wall: dict[str, float], name: str):
 
 
 def _build_instance(config: ExperimentConfig, wall=None):
-    """Network, load scenario, partition, ground truth, measurement matrix,
-    linear model and area maps: the one path from a config to an instance.
-    Each layer's wall seconds are added to the dict `wall`, if given."""
+    """Partition, ground truth, measurement matrix (its rows 3-4 per step
+    are the true injections), linear model and area maps: the one path from
+    a config to an instance.  Each layer's wall seconds are added to the
+    dict `wall`, if given."""
     wall = {} if wall is None else wall
     with _layer(wall, "gridmodel.feeder"):
         net, scen, part = _build_feeder(config)
@@ -104,7 +105,7 @@ def _build_instance(config: ExperimentConfig, wall=None):
         model = lf.build_linear_model(net, n_steps=config.time_steps)
     with _layer(wall, "linflow.maps"):
         maps = lf.build_area_maps(model, part)
-    return net, scen, part, v_true, mat, model, maps
+    return part, v_true, mat, model, maps
 
 
 def _single_run(config: ExperimentConfig, instance, seed: int, order=None,
@@ -114,7 +115,7 @@ def _single_run(config: ExperimentConfig, instance, seed: int, order=None,
     its error report, the mask and the noisy matrix the solver was given.
     Each layer's wall seconds are added to the dict `wall`, if given."""
     wall = {} if wall is None else wall
-    net, scen, part, v_true, mat, model, maps = instance
+    part, v_true, mat, _, maps = instance
     with _layer(wall, "datamatrix.sample"):
         data = dm.add_noise(mat, config.noise_pct, seed=seed)
         mask = dm.sample_mask(
@@ -194,7 +195,7 @@ def _estimate_and_write(config: ExperimentConfig, instance, out_dir: Path,
             seed = config.seed + k
             result, report, mask, data = _single_run(config, instance, seed, order, wall)
             reports.append(report)
-            per_run.append({**report.to_dict(), "seed": seed,
+            per_run.append({**dataclasses.asdict(report), "seed": seed,
                             "iterations": result.trace.iterations,
                             "converged": result.converged})
         with _layer(wall, "metrics.evaluate"):
@@ -211,7 +212,7 @@ def _estimate_and_write(config: ExperimentConfig, instance, out_dir: Path,
         payload = {
             "version": __version__,
             "config": dataclasses.asdict(config),
-            "estimate": aggregate.to_dict(),
+            "estimate": dataclasses.asdict(aggregate),
             "per_run": per_run,
             "certificate": cert.to_dict(),
             "communication": _comm_summary(result.bus.ledger, result.partition, maps,
@@ -248,11 +249,12 @@ def _estimate_and_write(config: ExperimentConfig, instance, out_dir: Path,
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    """The experiment options; every default is the `ExperimentConfig` one."""
+    """The experiment options; each dest names, and each default is, an
+    `ExperimentConfig` or `AdmmConfig` field."""
     config = ExperimentConfig()
     admm = config.admm
     parser.add_argument("--feeder", default=config.feeder, choices=["feeder33", "random"])
-    parser.add_argument("--buses", type=int, default=config.n_buses)
+    parser.add_argument("--buses", dest="n_buses", type=int, default=config.n_buses)
     parser.add_argument("--time-steps", type=int, default=config.time_steps)
     parser.add_argument("--areas", type=int, default=config.areas)
     parser.add_argument("--policy", default=config.policy, choices=["scada", "uniform"])
@@ -272,20 +274,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    admm = cp.AdmmConfig(
-        mu=args.mu, nu=args.nu, gamma=args.gamma, lam=args.lam,
-        prox_c=args.prox_c, rank=args.rank, max_iters=args.max_iters,
-        tol=args.tol, seed=args.seed,
-    )
-    return ExperimentConfig(
-        feeder=args.feeder, n_buses=args.buses, time_steps=args.time_steps,
-        areas=args.areas, policy=args.policy, fraction=args.fraction,
-        noise_pct=args.noise_pct, runs=args.runs, seed=args.seed, admm=admm,
-    )
+    """Each config field from the option of that dest; --seed seeds both."""
+    def build(cls, **given):
+        return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+                      if f.name not in given}, **given)
+    return build(ExperimentConfig, admm=build(cp.AdmmConfig))
 
 
 def cmd_gen_feeder(args) -> int:
-    _, _, part, _, mat, _, _ = _build_instance(_config_from_args(args))
+    part, _, mat, _, _ = _build_instance(_config_from_args(args))
     args.out.mkdir(parents=True, exist_ok=True)
     np.savetxt(args.out / "matrix.csv", mat, delimiter=",")
     np.savetxt(args.out / "assignment.csv", part.assignment, fmt="%d")
@@ -295,7 +292,7 @@ def cmd_gen_feeder(args) -> int:
 
 
 def cmd_build_model(args) -> int:
-    _, _, part, _, _, model, _ = _build_instance(_config_from_args(args))
+    part, _, _, model, _ = _build_instance(_config_from_args(args))
     err = lf.truncation_error(model, part)
     args.out.mkdir(parents=True, exist_ok=True)
     with open(args.out / "model.json", "w") as fh:
@@ -331,24 +328,27 @@ def _parse_sweep_values(text: str) -> list[float]:
     return values
 
 
-# the ExperimentConfig field, and its type, that each `gridmc sweep --param` varies
-SWEEP_FIELDS = {"fraction": ("fraction", float), "time-steps": ("time_steps", int),
-                "areas": ("areas", int)}
-
-
 def cmd_sweep(args) -> int:
-    """Every point's config is built, and so checked, before the first run."""
+    """Every point's config and instance are built, and so checked, and its
+    output directory is known to be its own, before the first run."""
     base = _config_from_args(args)
-    name, kind = SWEEP_FIELDS[args.param]
-    points = []
+    name = args.param.replace("-", "_")  # the swept ExperimentConfig field
+    kind = type(getattr(base, name))
+    values: dict[Path, float] = {}  # output directory -> the value it holds
     for value in _parse_sweep_values(args.values):
         if kind is int and not value.is_integer():
             raise CliError(f"--param {args.param} takes integers, got {value:g}")
-        points.append((value, dataclasses.replace(base, **{name: kind(value)})))
+        sub = args.out / f"{name}_{value:g}"
+        if sub in values:
+            raise CliError(f"--values {values[sub]!r} and {value!r} both write {sub}")
+        values[sub] = value
+    points = []
+    for sub, value in values.items():
+        config, wall = dataclasses.replace(base, **{name: kind(value)}), {}
+        points.append((value, config, sub, _build_instance(config, wall), wall))
     rows = []
-    for value, config in points:
-        sub = args.out / f"{args.param.replace('-', '_')}_{value:g}"
-        payload = run_experiment(config, sub)
+    for value, config, sub, instance, wall in points:
+        payload = _estimate_and_write(config, instance, sub, None, wall)
         est = payload["estimate"]
         rows.append([value, est["mape_magnitude_pct"], est["mae_angle_deg"],
                      est["rmse"]])
@@ -400,7 +400,7 @@ def cmd_certify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     config = _config_from_args(args)
-    _, _, _, _, mat, _, _ = _build_instance(config)
+    _, _, mat, _, _ = _build_instance(config)
     mask = dm.sample_mask(*mat.shape, config.fraction, policy=config.policy,
                           seed=config.seed)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -432,8 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep one parameter over a value list")
     _add_common(p)
-    p.add_argument("--param", required=True,
-                   choices=list(SWEEP_FIELDS))
+    p.add_argument("--param", required=True, choices=["fraction", "time-steps", "areas"])
     p.add_argument("--values", required=True,
                    help="comma-separated list of values")
     p.set_defaults(fn=cmd_sweep)

@@ -76,10 +76,6 @@ class FactorPair:
     def rank(self) -> int:
         return self.u.shape[1]
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.u @ self.v
-
 
 @dataclass
 class AreaState:
@@ -159,7 +155,7 @@ def _objective_decentralized(problems, states, config) -> float:
     for l, prob in problems.items():
         st = states[l]
         val += 0.5 * (_sum_squares(st.u) / n_areas + _sum_squares(st.v))
-        diff = np.where(prob.mask, st.x - prob.m_l, 0.0)
+        diff = np.where(prob.mask, st.x, 0.0) - prob.m_obs
         val += 0.5 * config.mu * _sum_squares(diff)
         if prob.maps is not None:
             res = st.e_ll - prob.f_l + st.q
@@ -229,9 +225,8 @@ class AreaProblem:
     area: int
     config: AdmmConfig
     cols: np.ndarray
-    m_l: np.ndarray  # m x n_l data block
     mask: np.ndarray  # boolean m x n_l
-    m_obs: np.ndarray  # m_l with unobserved entries set to 0
+    m_obs: np.ndarray  # m x n_l data block, unobserved entries set to 0
     neighbors: list[int]
     n_areas: int
     maps: AreaMaps | None
@@ -242,12 +237,8 @@ class AreaProblem:
     h_v: np.ndarray | None  # H as ((col, col'), (row, row')): n_l^2 x 25
 
     @property
-    def m(self) -> int:
-        return self.m_l.shape[0]
-
-    @property
     def n_l(self) -> int:
-        return self.m_l.shape[1]
+        return self.m_obs.shape[1]
 
     @property
     def deg(self) -> int:
@@ -281,7 +272,6 @@ def _build_problems(
             area=l,
             config=config,
             cols=cols,
-            m_l=m_data[:, cols],
             mask=mask[:, cols],
             m_obs=np.where(mask[:, cols], m_data[:, cols], 0.0),
             neighbors=neighbors,
@@ -318,7 +308,10 @@ def _solve_quadratic(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve h x = rhs, or a stack of such systems (h: (..., n, n), rhs: (..., n))."""
     try:
         return np.linalg.solve(h, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:  # cannot occur for prox_c>0 or gamma>0
+    except np.linalg.LinAlgError as exc:
+        # unreachable for any AdmmConfig: a U system adds 1/L + prox_c +
+        # gamma deg >= 1/L, a V system 1 + prox_c, to the diagonal of
+        # positive semidefinite blocks, so every system is positive definite
         raise CompletionError(f"singular normal matrix in block update: {exc}")
 
 
@@ -505,6 +498,10 @@ def run_decentralized(
     and every update keeps the minimizer it has with full residual-space
     vectors.
     """
+    if area_maps is not None and not (
+            np.array_equal(area_maps.partition.assignment, part.assignment)
+            and area_maps.partition.adjacency == part.adjacency):
+        raise CompletionError("area_maps were built for another partition")
     m_data = np.asarray(m_data, dtype=float)
     r = config.resolve_rank(*m_data.shape)
     problems = _build_problems(m_data, mask, area_maps, part, config)

@@ -111,10 +111,6 @@ class LoadScenario:
         if self.s.ndim != 2 or self.s.shape[0] < 1:
             raise GridModelError("load scenario must be a T x |P| matrix, T >= 1")
 
-    @property
-    def n_steps(self) -> int:
-        return self.s.shape[0]
-
 
 @dataclass(frozen=True)
 class AreaPartition:
@@ -190,6 +186,14 @@ def _radial_admittance(parents: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return y_full
 
 
+def _radial_network(parents: np.ndarray, blocks: np.ndarray,
+                    v0: np.ndarray) -> NetworkModel:
+    """The network of `_radial_admittance`, its first v0.size phases, the
+    slack bus's, split off as y_l0."""
+    y_full, k = _radial_admittance(parents, blocks), v0.size
+    return NetworkModel(y_ll=y_full[k:, k:], y_l0=y_full[k:, :k], v0=v0)
+
+
 def _load_scenario(rng: np.random.Generator, n: int, n_steps: int,
                    scale: float = 1.0) -> LoadScenario:
     """Consumption at n phases over n_steps: a base value per phase (times
@@ -241,12 +245,11 @@ def generate_radial_feeder(
         return np.linalg.inv(zmat)
 
     blocks = np.stack([phase_block(z) for z in z_lines[1:]])
-    y_full = _radial_admittance(parents[1:], blocks)
     if n_ph == 1:
         v0 = np.array([1.0 + 0.0j])
     else:
         v0 = np.exp(-2j * np.pi * np.arange(3) / 3)
-    net = NetworkModel(y_ll=y_full[n_ph:, n_ph:], y_l0=y_full[n_ph:, :n_ph], v0=v0)
+    net = _radial_network(parents[1:], blocks, v0)
     return net, _load_scenario(rng, net.n_phases, n_steps,
                                scale=min(1.0, 129 / n_buses))
 
@@ -289,13 +292,9 @@ def feeder33_analog(
     n = len(_FEEDER33_PARENTS)  # 32 non-slack buses
 
     z = _sample_complex(rng, 0.02 + 0.01j, 0.06 + 0.04j, n)
-    y_full = _radial_admittance(np.array(_FEEDER33_PARENTS) - 1,
-                                np.array([1.0 / zk for zk in z])[:, None, None])
-    net = NetworkModel(
-        y_ll=y_full[1:, 1:],
-        y_l0=y_full[1:, :1],
-        v0=np.array([1.0 + 0.0j]),
-    )
+    net = _radial_network(np.array(_FEEDER33_PARENTS) - 1,
+                          np.array([1.0 / zk for zk in z])[:, None, None],
+                          np.array([1.0 + 0.0j]))
     loads = _load_scenario(rng, n, n_steps)
 
     sizes, adjacency = _FEEDER33_PARTITIONS[n_areas]

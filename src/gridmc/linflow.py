@@ -100,7 +100,6 @@ class AreaMaps:
 
     partition: AreaPartition
     n_steps: int
-    n_phases: int
     cols: dict[int, np.ndarray]
     f: dict[int, np.ndarray]
     step_blocks: dict[tuple[int, int], np.ndarray]
@@ -229,7 +228,6 @@ def build_area_maps(model: LinearFlowModel, part: AreaPartition) -> AreaMaps:
     return AreaMaps(
         partition=part,
         n_steps=t_steps,
-        n_phases=model.n_phases,
         cols=cols,
         f=f,
         step_blocks=step_blocks,

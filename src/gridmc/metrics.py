@@ -4,7 +4,7 @@ confidence intervals over repeated runs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -17,26 +17,17 @@ class MetricsError(Exception):
 
 @dataclass(frozen=True)
 class EstimateReport:
-    mape_magnitude: float  # percent
-    mae_angle: float  # degrees
+    mape_magnitude_pct: float
+    mae_angle_deg: float
     rmse: float  # per-unit
     n_runs: int = 1
     ci95: dict[str, float] | None = None
 
     def __post_init__(self):
-        if min(self.mape_magnitude, self.mae_angle, self.rmse) < 0:
+        if min(self.mape_magnitude_pct, self.mae_angle_deg, self.rmse) < 0:
             raise MetricsError("metrics must be nonnegative")
         if self.ci95 is not None and self.n_runs < 2:
             raise MetricsError("confidence intervals require at least two runs")
-
-    def to_dict(self) -> dict:
-        return {
-            "mape_magnitude_pct": self.mape_magnitude,
-            "mae_angle_deg": self.mae_angle,
-            "rmse": self.rmse,
-            "n_runs": self.n_runs,
-            "ci95": self.ci95,
-        }
 
 
 def wrap_degrees(delta: np.ndarray) -> np.ndarray:
@@ -59,7 +50,7 @@ def evaluate_estimate(v_est: np.ndarray, v_true: np.ndarray) -> EstimateReport:
     diff = v_est - v_true
     rmse = np.sqrt(np.mean(diff.real**2 + diff.imag**2))
     return EstimateReport(
-        mape_magnitude=float(mape), mae_angle=float(mae), rmse=float(rmse)
+        mape_magnitude_pct=float(mape), mae_angle_deg=float(mae), rmse=float(rmse)
     )
 
 
@@ -84,21 +75,11 @@ def aggregate_reports(reports: list[EstimateReport]) -> EstimateReport:
         raise MetricsError("no reports to aggregate")
     if len(reports) == 1:
         return reports[0]
-    fields = {
-        "mape_magnitude_pct": [r.mape_magnitude for r in reports],
-        "mae_angle_deg": [r.mae_angle for r in reports],
-        "rmse": [r.rmse for r in reports],
-    }
     means, ci = {}, {}
-    for name, vals in fields.items():
-        means[name], ci[name] = confidence_interval(vals)
-    return EstimateReport(
-        mape_magnitude=means["mape_magnitude_pct"],
-        mae_angle=means["mae_angle_deg"],
-        rmse=means["rmse"],
-        n_runs=len(reports),
-        ci95=ci,
-    )
+    for f in fields(EstimateReport)[:3]:  # the three metrics
+        means[f.name], ci[f.name] = confidence_interval(
+            [getattr(r, f.name) for r in reports])
+    return EstimateReport(**means, n_runs=len(reports), ci95=ci)
 
 
 def voltage_from_matrix(x: np.ndarray) -> np.ndarray:

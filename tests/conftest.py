@@ -23,7 +23,7 @@ def small_instance(small_feeder):
     net, scen, part = small_feeder
     v = gm.solve_exact_flow(net, scen.s)
     mat = dm.build_matrix(v, scen.s)
-    model = lf.build_linear_model(net, n_steps=scen.n_steps)
+    model = lf.build_linear_model(net, n_steps=scen.s.shape[0])
     trunc = truncate_model(model, part)
     maps = lf.build_area_maps(model, part)
     return {

@@ -117,10 +117,11 @@ def decentralized_flow(
     in the second it returns f_l - E_ll(X_l) - sum_j expand(l, j, received).
     Returns per-area (v, |v|) arrays of shape (T, n_l)."""
     part = maps.partition
+    n = part.assignment.size
     h = np.atleast_2d(h)
-    if h.shape != (maps.n_steps, 2 * maps.n_phases):
+    if h.shape != (maps.n_steps, 2 * n):
         raise LinFlowError(f"injections of shape {h.shape} do not match maps "
-                           f"of {maps.n_steps} steps and {maps.n_phases} phases")
+                           f"of {maps.n_steps} steps and {n} phases")
     if bus is None:
         bus = MessageBus(part.adjacency)
     x = {}
@@ -128,7 +129,7 @@ def decentralized_flow(
         cols = maps.cols[l]
         x_l = np.zeros((maps.n_steps, ROWS_PER_STEP, cols.size))
         x_l[:, 3] = h[:, cols]
-        x_l[:, 4] = h[:, cols + maps.n_phases]
+        x_l[:, 4] = h[:, cols + n]
         x[l] = x_l.reshape(maps.m, cols.size)
 
     def send_node(l: int):

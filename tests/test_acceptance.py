@@ -224,10 +224,10 @@ def test_08_end_to_end_estimation():
         reports.append(report)
     agg = mt.aggregate_reports(reports)
     elapsed = time.perf_counter() - t0
-    ok = agg.mape_magnitude < 1.5 and agg.mae_angle < 0.5 and elapsed < 120.0
+    ok = agg.mape_magnitude_pct < 1.5 and agg.mae_angle_deg < 0.5 and elapsed < 120.0
     assert verdict(8, "end-to-end-estimation", ok,
-                   f"MAPE {agg.mape_magnitude:.3f}%, "
-                   f"MAE {agg.mae_angle:.3f} deg, {elapsed:.0f}s")
+                   f"MAPE {agg.mape_magnitude_pct:.3f}%, "
+                   f"MAE {agg.mae_angle_deg:.3f} deg, {elapsed:.0f}s")
 
 
 def test_09_time_window_trend():
@@ -243,7 +243,7 @@ def test_09_time_window_trend():
         mapes = []
         for k in range(5):
             _, report, *_ = cli._single_run(config, instance, k)
-            mapes.append(report.mape_magnitude)
+            mapes.append(report.mape_magnitude_pct)
         means.append(float(np.mean(mapes)))
     elapsed = time.perf_counter() - t0
     ok = means[0] >= means[1] >= means[2] and elapsed < 180.0

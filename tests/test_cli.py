@@ -263,8 +263,8 @@ class TestPinnedReference:
         result, report, *_ = cli._single_run(
             config, cli._build_instance(config), config.seed)
         assert result.converged
-        assert report.mape_magnitude == pytest.approx(self.PINNED_MAPE_PCT, rel=1e-8)
-        assert report.mae_angle == pytest.approx(self.PINNED_MAE_DEG, rel=1e-8)
+        assert report.mape_magnitude_pct == pytest.approx(self.PINNED_MAPE_PCT, rel=1e-8)
+        assert report.mae_angle_deg == pytest.approx(self.PINNED_MAE_DEG, rel=1e-8)
         fp = result.factors()
         scale = 0.5 * (np.linalg.norm(fp.u) ** 2 + np.linalg.norm(fp.v) ** 2)
         assert scale == pytest.approx(self.FACTOR_SCALE, rel=1e-8)
@@ -339,13 +339,13 @@ class TestPinnedReference:
 
 class TestParserDefaults:
     def test_run_flags_default_to_the_config(self):
-        """Every `gridmc run` option defaults to its `ExperimentConfig` or
-        `AdmmConfig` field, so each default is written once."""
+        """Every `gridmc run` option's dest is an `ExperimentConfig` or
+        `AdmmConfig` field and its default is that field's, so each name and
+        each default is written once."""
         args = vars(cli.build_parser().parse_args(["run"]))
         config = cli.ExperimentConfig()
         fields = {**vars(config.admm), **vars(config)}
         del fields["admm"]
-        fields["buses"] = fields.pop("n_buses")
         flags = set(args) - {"command", "fn", "out"}
         assert flags == set(fields)
         for flag in sorted(flags):
@@ -543,6 +543,34 @@ class TestCommands:
                        "--out", str(tmp_path)])
         assert rc == 1
         assert "error: --fraction must lie in [0, 1], got 2" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags, message", [
+        # feeder33 has no 6-area partition
+        (["--param", "areas", "--values", "1,6", "--rank", "5"],
+         "no canonical partition with 6 areas"),
+        # one step gives 5 rows, too few for rank 6
+        ([*FAST, "--param", "time-steps", "--values", "2,1", "--rank", "6"],
+         "--rank must be <= 5"),
+    ])
+    def test_sweep_builds_every_instance_before_the_first_run(
+            self, tmp_path, capsys, flags, message):
+        """A value whose instance cannot be built fails before any point
+        runs; the first point's directory used to be written already."""
+        rc = cli.main(["sweep", *flags, "--max-iters", "2", "--out", str(tmp_path)])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_sweep_refuses_values_that_share_a_directory(self, tmp_path, capsys):
+        """Two values that print alike would write one directory, the second
+        run over the first, while sweep.csv listed both."""
+        rc = cli.main(["sweep", *FAST, "--param", "fraction",
+                       "--values", "0.1234561,0.1234562", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "0.1234561 and 0.1234562 both write" in err
+        assert str(tmp_path / "fraction_0.123456") in err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("param", ["time-steps", "areas"])

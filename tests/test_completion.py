@@ -90,7 +90,7 @@ class TestInitFactors:
         pair = cp.init_factors(a, mb, 3)
         uu, sv, vt = np.linalg.svd(a)
         best = (uu[:, :3] * sv[:3]) @ vt[:3]
-        assert np.max(np.abs(pair.x - best)) < 1e-10
+        assert np.max(np.abs(pair.u @ pair.v - best)) < 1e-10
 
     def test_gaussian_fallback_on_rank_deficient(self):
         a = np.outer(np.arange(1.0, 7.0), np.ones(4))  # rank 1
@@ -244,7 +244,7 @@ class TestSubproblems:
         val += 0.5 * config.gamma * (prob.deg * np.sum(u * u)
                                      - 2.0 * np.sum(u * st.pull))
         x = u @ v
-        diff = np.where(prob.mask, x - prob.m_l, 0.0)
+        diff = np.where(prob.mask, x, 0.0) - prob.m_obs
         val += 0.5 * config.mu * np.sum(diff * diff)
         x_vec = x.ravel(order="F")
         target = maps.f[l] - st.q
@@ -366,7 +366,7 @@ class TestSubproblems:
                             lambda h, rhs: solved.append(h) or solve(h, rhs))
         l = 2
         prob, st = problems[l], states[l]
-        m, r, n_l, t_steps = prob.m, 3, prob.n_l, maps.n_steps
+        m, r, n_l, t_steps = prob.m_obs.shape[0], 3, prob.n_l, maps.n_steps
         z = cp._flow_target(prob, st)
         u_new = cp.update_u(prob, st, z)
         cp.update_v(prob, st, u_new, z)
@@ -743,6 +743,27 @@ class TestDecentralizedRun:
         result, _, _, _ = short_run
         obj = result.trace.objective
         assert obj[-1] < obj[0]
+
+    def test_maps_of_another_partition_are_refused(self):
+        """Maps built for another partition, one with a different assignment
+        or one with the same assignment and another adjacency, are refused
+        with a typed error (they used to raise a bare KeyError); an equal
+        partition built anew is accepted."""
+        net, _, part = gm.feeder33_analog(seed=0, n_steps=1, n_areas=4)
+        maps = lf.build_area_maps(lf.build_linear_model(net, n_steps=1), part)
+        five = gm.feeder33_analog(seed=0, n_steps=1, n_areas=5)[2]
+        chain = gm.AreaPartition(assignment=part.assignment, n_areas=4,
+                                 adjacency=gm.AreaPartition.contiguous(32, 4).adjacency)
+        rng = np.random.default_rng(0)
+        m_data, mask = rng.standard_normal((5, 32)), np.ones((5, 32), dtype=bool)
+        config = admm_config(rank=2, max_iters=1)
+        for other in (five, chain):
+            with pytest.raises(cp.CompletionError, match="another partition"):
+                cp.run_decentralized(m_data, mask, maps, other, config)
+        rebuilt = gm.feeder33_analog(seed=1, n_steps=1, n_areas=4)[2]
+        assert rebuilt is not part
+        result = cp.run_decentralized(m_data, mask, maps, rebuilt, config)
+        assert result.trace.iterations == 1
 
     def test_divergence_error_reports_iteration(self):
         err = cp.DivergenceError(iteration=7)

@@ -157,7 +157,7 @@ class TestDecentralizedFlow:
         """One step of injections is not broadcast over the maps' two."""
         maps = small_instance["maps"]
         with pytest.raises(lf.LinFlowError):
-            decentralized_flow(maps, np.zeros((1, 2 * maps.n_phases)))
+            decentralized_flow(maps, np.zeros((1, 2 * maps.partition.assignment.size)))
 
     def test_sends_the_coupling_coordinates_once(self, maps):
         """Round 0 carries, per adjacent pair, the T rho reals of each
@@ -165,7 +165,7 @@ class TestDecentralizedFlow:
         nothing."""
         part = maps.partition
         bus = sn.MessageBus(part.adjacency)
-        decentralized_flow(maps, np.zeros((maps.n_steps, 2 * maps.n_phases)), bus)
+        decentralized_flow(maps, np.zeros((maps.n_steps, 2 * part.assignment.size)), bus)
         assert bus.round_index == 2
         for pair in part.adjacency:
             l, j = sorted(pair)
@@ -239,7 +239,7 @@ class TestAreaMaps:
         maps = small_instance["maps"]
         part = small_instance["part"]
         rng = np.random.default_rng(seed)
-        shape = (maps.m, maps.n_phases)
+        shape = (maps.m, part.assignment.size)
         x, y = rng.standard_normal(shape), rng.standard_normal(shape)
         for l in part.areas:
             for j in maps.sources(l):

@@ -35,20 +35,20 @@ class TestWrapDegrees:
 class TestEvaluateEstimate:
     def test_perfect_estimate(self, true_voltage):
         rep = mt.evaluate_estimate(true_voltage, true_voltage)
-        assert rep.mape_magnitude == 0.0
-        assert rep.mae_angle == 0.0
+        assert rep.mape_magnitude_pct == 0.0
+        assert rep.mae_angle_deg == 0.0
         assert rep.rmse == 0.0
 
     def test_pure_magnitude_scaling(self, true_voltage):
         rep = mt.evaluate_estimate(1.01 * true_voltage, true_voltage)
-        assert abs(rep.mape_magnitude - 1.0) < 1e-10
-        assert rep.mae_angle < 1e-10
+        assert abs(rep.mape_magnitude_pct - 1.0) < 1e-10
+        assert rep.mae_angle_deg < 1e-10
 
     def test_pure_rotation(self, true_voltage):
         rot = np.exp(1j * np.radians(1.0))
         rep = mt.evaluate_estimate(rot * true_voltage, true_voltage)
-        assert rep.mape_magnitude < 1e-10
-        assert abs(rep.mae_angle - 1.0) < 1e-9
+        assert rep.mape_magnitude_pct < 1e-10
+        assert abs(rep.mae_angle_deg - 1.0) < 1e-9
 
     def test_rmse_known_offset(self):
         v = np.ones((2, 4), dtype=complex)
@@ -59,7 +59,7 @@ class TestEvaluateEstimate:
         v_true = np.array([[np.exp(1j * np.radians(179.5))]])
         v_est = np.array([[np.exp(1j * np.radians(-179.5))]])
         rep = mt.evaluate_estimate(v_est, v_true)
-        assert abs(rep.mae_angle - 1.0) < 1e-9
+        assert abs(rep.mae_angle_deg - 1.0) < 1e-9
 
     def test_shape_mismatch(self, true_voltage):
         with pytest.raises(mt.MetricsError):
@@ -107,7 +107,7 @@ class TestConfidenceInterval:
 
 class TestAggregate:
     def _report(self, a, b, c):
-        return mt.EstimateReport(mape_magnitude=a, mae_angle=b, rmse=c)
+        return mt.EstimateReport(mape_magnitude_pct=a, mae_angle_deg=b, rmse=c)
 
     def test_single_passthrough(self):
         rep = self._report(1.0, 2.0, 3.0)
@@ -118,8 +118,8 @@ class TestAggregate:
             [self._report(1.0, 2.0, 3.0), self._report(3.0, 4.0, 5.0)]
         )
         assert agg.n_runs == 2
-        assert agg.mape_magnitude == 2.0
-        assert agg.mae_angle == 3.0
+        assert agg.mape_magnitude_pct == 2.0
+        assert agg.mae_angle_deg == 3.0
         assert agg.rmse == 4.0
         assert set(agg.ci95) == {"mape_magnitude_pct", "mae_angle_deg", "rmse"}
 
@@ -129,10 +129,10 @@ class TestAggregate:
 
     def test_report_validation(self):
         with pytest.raises(mt.MetricsError):
-            mt.EstimateReport(mape_magnitude=-1.0, mae_angle=0.0, rmse=0.0)
+            mt.EstimateReport(mape_magnitude_pct=-1.0, mae_angle_deg=0.0, rmse=0.0)
         with pytest.raises(mt.MetricsError):
             mt.EstimateReport(
-                mape_magnitude=0.0, mae_angle=0.0, rmse=0.0,
+                mape_magnitude_pct=0.0, mae_angle_deg=0.0, rmse=0.0,
                 n_runs=1, ci95={"rmse": 0.1},
             )
 
