@@ -39,9 +39,19 @@ The script does two things, and changes neither tree:
 Per workload it records each end-to-end metric's per-pair values, the
 median and quartiles of each side, the number of pairs the change wins
 (strictly better in the metric's direction from `BENCHMARK.json`), and the
-median gain next to the parent's interquartile range.  The record is merged
-into `--out` (default `BENCH.json` in the current directory) under the
-workload's name, so one file can hold several workloads.
+median gain next to the parent's interquartile range.  Two verdicts are
+recorded and printed per metric:
+
+- `gain_shown`: the change wins at least nine tenths of the pairs (a tie
+  counts for neither side) and its median gain exceeds the parent's
+  interquartile range, the rule a claimed gain must meet;
+- `within_bound`: the change's median is no worse than the parent's by
+  more than the metric's `bound` in `BENCHMARK.json`, a fraction of the
+  parent's median.
+
+The record is merged into `--out` (default `BENCH.json` in the current
+directory) under the workload's name, so one file can hold several
+workloads.
 """
 
 from __future__ import annotations
@@ -267,12 +277,16 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, statistics.median(values), q3
 
 
-def summarize(name: str, better: str, unit: str, parent: list[float],
+def summarize(better: str, unit: str, bound: float, parent: list[float],
               change: list[float]) -> dict:
+    """One metric's pairs: each side's median and quartiles, the change's
+    wins and median gain, and the `gain_shown` and `within_bound` verdicts
+    (see the module docstring)."""
     sign = 1.0 if better == "lower" else -1.0
     p_q1, p_med, p_q3 = quartiles(parent)
     c_q1, c_med, c_q3 = quartiles(change)
     gain = sign * (p_med - c_med)
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     return {
         "unit": unit,
         "better": better,
@@ -280,10 +294,13 @@ def summarize(name: str, better: str, unit: str, parent: list[float],
         "change": change,
         "parent_median": p_med, "parent_q1": p_q1, "parent_q3": p_q3,
         "change_median": c_med, "change_q1": c_q1, "change_q3": c_q3,
-        "change_wins": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
+        "change_wins": wins,
         "median_gain": gain,
         "median_gain_pct": 100.0 * gain / p_med if p_med else None,
         "parent_iqr": p_q3 - p_q1,
+        "bound": bound,
+        "gain_shown": 10 * wins >= 9 * len(parent) and gain > p_q3 - p_q1,
+        "within_bound": -gain <= bound * abs(p_med),
     }
 
 
@@ -359,7 +376,7 @@ def main(argv=None) -> int:
         "outputs": verdict["outputs"],
         "failed": failed,
         "environment": environment,
-        "metrics": {m["name"]: summarize(m["name"], m["better"], m["unit"],
+        "metrics": {m["name"]: summarize(m["better"], m["unit"], m["bound"],
                                          values["parent"][m["name"]],
                                          values["change"][m["name"]])
                     for m in declared},
@@ -372,7 +389,8 @@ def main(argv=None) -> int:
     for name, s in record["metrics"].items():
         print(f"# {name:15s} parent {s['parent_median']:.6g} [{s['parent_q1']:.6g}, "
               f"{s['parent_q3']:.6g}] -> change {s['change_median']:.6g}; "
-              f"change wins {s['change_wins']}/{args.pairs}")
+              f"change wins {s['change_wins']}/{args.pairs}; "
+              f"gain_shown {s['gain_shown']}; within_bound {s['within_bound']}")
     return 0
 
 

@@ -186,7 +186,7 @@ def _estimate_and_write(config: ExperimentConfig, instance, out_dir: Path,
     on error.  metadata.json holds the completion time and the wall seconds
     of each layer, under the span names of perfbench/tracer.py, added to
     those already in `wall`; results.json holds no timing."""
-    *_, maps = instance
+    part, _, _, model, maps = instance
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
@@ -222,6 +222,7 @@ def _estimate_and_write(config: ExperimentConfig, instance, out_dir: Path,
             "final_consensus": result.trace.consensus[-1],
             "final_objective": result.trace.objective[-1],
             "low_observability": dm.is_low_observability(mask),
+            "truncation_error": lf.truncation_error(model, part),
         }
         with _layer(wall, "cli.write"):
             results_path = out_dir / "results.json"

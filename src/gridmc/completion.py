@@ -7,7 +7,6 @@ Every function here takes the observation mask as a boolean m x n array
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -89,16 +88,18 @@ class AreaState:
     # sum_j (U_j - Gamma_lj) over the factors received and the duals before
     # their step, all the U update reads of the consensus terms (round B)
     pull: np.ndarray
-    e_ll: np.ndarray | None = None  # E_ll(X_l), set by each iteration with flow maps
-    gamma: dict[int, np.ndarray] = field(default_factory=dict)  # dual of U_l = U_j per edge
-    # with flow maps: sum_j q_lj, and Lambda_l, the one dual of every
-    # E_lj(X_j) = q_lj (see `update_q`)
-    q: np.ndarray | None = None
+    # the duals Gamma_lj of U_l = U_j, one (m, r) slice per neighbor in
+    # `AreaProblem.neighbors` order
+    gamma: np.ndarray
+    # with flow maps: E_ll(X_l) of the current X_l, and Lambda_l, the one
+    # dual of every E_lj(X_j) = q_lj (see `update_q`)
+    e_ll: np.ndarray | None = None
     lam: np.ndarray | None = None
-    # A_jl^T (q_jl + Lambda_j), sent by area j, the owner of q_jl and
-    # Lambda_j: the point the flow term pulls B_jl X_l to, in the coupling
-    # coordinates of AreaMaps
-    flow_pull: dict[int, np.ndarray] = field(default_factory=dict)
+    # with flow maps, (T, rows of S_l): the point each row of S_l x_t is
+    # pulled to.  Its G_ll columns hold f_l - sum_j q_lj; the B_jl columns
+    # of neighbor j hold A_jl^T (q_jl + Lambda_j), which j, the owner of
+    # q_jl and Lambda_j, sends (see `AreaProblem`)
+    row_targets: np.ndarray | None = None
 
 
 @dataclass
@@ -158,8 +159,8 @@ def _objective_decentralized(problems, states, config) -> float:
         diff = np.where(prob.mask, st.x, 0.0) - prob.m_obs
         val += 0.5 * config.mu * _sum_squares(diff)
         if prob.maps is not None:
-            res = st.e_ll - prob.f_l + st.q
-            val += 0.5 * config.nu * float(res @ res)
+            own = st.row_targets[:, :3 * prob.n_l]  # f_l - sum_j q_lj
+            val += 0.5 * config.nu * _sum_squares(st.e_ll.reshape(own.shape) - own)
     return val
 
 
@@ -215,24 +216,34 @@ class AreaProblem:
     """Constant data for one area's subproblems.
 
     The flow terms act on each step's 5 x n_l row block X_t of X_l, read
-    row-major as x_t (row t of X_l.reshape(T, 5n_l)): the own-area block
-    G_ll and the coupling factor B_jl of each neighbor (see `AreaMaps`).
-    The flow Hessian of one step, H = nu G_ll^T G_ll + lam sum_j B_jl^T B_jl,
-    is weighted once per run and stored in the two layouts the U and V
+    row-major as x_t (row t of X_l.reshape(T, 5n_l)), through the rows of
+    S_l = `AreaMaps.stacks[l]`: G_ll, weighted by nu, and the coupling
+    factor B_jl of each neighbor, weighted by lam.  They are
+    sum_t 0.5 |W^(1/2) (S_l x_t - y_t)|^2, y_t row t of
+    `AreaState.row_targets` and W = diag(`row_weights`).  The flow Hessian
+    of one step, H = S_l^T W S_l = nu G_ll^T G_ll + lam sum_j B_jl^T B_jl,
+    is formed once per run and stored in the two layouts the U and V
     contractions consume.  The updates read their weights from `config`,
-    the one H was weighted with."""
+    the one H and the data terms were weighted with."""
 
     area: int
     config: AdmmConfig
     cols: np.ndarray
     mask: np.ndarray  # boolean m x n_l
     m_obs: np.ndarray  # m x n_l data block, unobserved entries set to 0
+    mu_mask: np.ndarray  # mu * mask as floats
+    mu_m_obs: np.ndarray  # mu * m_obs, the data part of the U and V right-hand sides
     neighbors: list[int]
     n_areas: int
     maps: AreaMaps | None
     f_l: np.ndarray | None
-    g_ll: np.ndarray | None  # G_ll, 3n_l x 5n_l
-    b_from: dict[int, np.ndarray]  # j -> B_jl, rho_jl x 5n_l
+    stack: np.ndarray | None  # S_l
+    basis: np.ndarray | None  # A_l = [A_lj ...], the bases of the coordinates received
+    row_weights: np.ndarray | None  # W, per row of S_l
+    # j -> the rows of B_jl in S_l (columns of `AreaState.row_targets`), and
+    # the columns of A_lj in A_l
+    stack_rows: dict[int, slice]
+    basis_cols: dict[int, slice]
     h_u: np.ndarray | None  # H as (col, (row, row', col')): n_l x 25 n_l
     h_v: np.ndarray | None  # H as ((col, col'), (row, row')): n_l^2 x 25
 
@@ -243,6 +254,12 @@ class AreaProblem:
     @property
     def deg(self) -> int:
         return len(self.neighbors)
+
+
+def _slices(sizes: list[int], start: int = 0) -> list[slice]:
+    """Consecutive slices of the given sizes from `start`."""
+    ends = np.cumsum([start] + sizes).tolist()
+    return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
 
 def _build_problems(
@@ -257,14 +274,20 @@ def _build_problems(
         cols = part.phases_in(l)
         neighbors = part.neighbors(l)
         n_l = cols.size
-        g_ll = h_u = h_v = None
-        b_from = {}
+        m_obs = np.where(mask[:, cols], m_data[:, cols], 0.0)
+        stack = basis = weights = h_u = h_v = None
+        stack_rows, basis_cols = {}, {}
         if area_maps is not None:
-            g_ll = area_maps.step_blocks[(l, l)]
-            b_from = {j: area_maps.coupling[(j, l)][1] for j in neighbors}
-            gram_own = g_ll.T @ g_ll
-            gram_nb = sum((b.T @ b for b in b_from.values()), np.zeros_like(gram_own))
-            h = config.nu * gram_own + config.lam * gram_nb
+            stack, basis = area_maps.stacks[l], area_maps.bases[l]
+            own = 3 * n_l
+            weights = np.full(stack.shape[0], config.lam)
+            weights[:own] = config.nu
+            stack_rows = dict(zip(neighbors, _slices(
+                [area_maps.coupling_rank(j, l) for j in neighbors], own)))
+            basis_cols = dict(zip(neighbors, _slices(
+                [area_maps.coupling_rank(l, j) for j in neighbors])))
+            g_ll, b_in = stack[:own], stack[own:]
+            h = config.nu * (g_ll.T @ g_ll) + config.lam * (b_in.T @ b_in)
             h = h.reshape(ROWS_PER_STEP, n_l, ROWS_PER_STEP, n_l)  # (k, c, k', c')
             h_u = h.transpose(1, 0, 2, 3).reshape(n_l, -1)
             h_v = h.transpose(1, 3, 0, 2).reshape(n_l * n_l, -1)
@@ -273,30 +296,42 @@ def _build_problems(
             config=config,
             cols=cols,
             mask=mask[:, cols],
-            m_obs=np.where(mask[:, cols], m_data[:, cols], 0.0),
+            m_obs=m_obs,
+            mu_mask=config.mu * mask[:, cols],
+            mu_m_obs=config.mu * m_obs,
             neighbors=neighbors,
             n_areas=part.n_areas,
             maps=area_maps,
             f_l=area_maps.f[l] if area_maps is not None else None,
-            g_ll=g_ll,
-            b_from=b_from,
+            stack=stack,
+            basis=basis,
+            row_weights=weights,
+            stack_rows=stack_rows,
+            basis_cols=basis_cols,
             h_u=h_u,
             h_v=h_v,
         )
     return problems
 
 
-def _flow_target(prob: AreaProblem, st: AreaState) -> np.ndarray | None:
-    """Z (m x n_l): the flow terms are sum_t 0.5 x_t^T H x_t - <Z, X_l> plus
-    a constant, x_t as in `AreaProblem`, so Z V^T and U^T Z enter the
-    right-hand sides.  None without flow maps."""
+def _flow_target(prob: AreaProblem, st: AreaState) -> np.ndarray:
+    """Z + mu P_Omega(M_l) (m x n_l): the flow terms are
+    sum_t 0.5 x_t^T H x_t - <Z, X_l> plus a constant, x_t as in
+    `AreaProblem`, so Z = sum_t (W y_t)^T S_l, one product over every row,
+    and the linear parts of the U and V right-hand sides are this sum times
+    V^T and U^T.  Without flow maps, mu P_Omega(M_l) alone."""
     if prob.maps is None:
-        return None
-    config, t_steps = prob.config, prob.maps.n_steps
-    z = config.nu * ((prob.f_l - st.q).reshape(t_steps, -1) @ prob.g_ll)
-    for j, b in prob.b_from.items():
-        z += config.lam * (st.flow_pull[j].reshape(t_steps, b.shape[0]) @ b)
-    return z.reshape(-1, prob.n_l)
+        return prob.mu_m_obs
+    z = (st.row_targets * prob.row_weights) @ prob.stack
+    return z.reshape(-1, prob.n_l) + prob.mu_m_obs
+
+
+def _flow_terms(prob: AreaProblem, x: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """E_ll(X_l) and, per neighbor j, the coordinates B_jl x_t of E_jl(X_l)
+    (step major, what area l sends j), from one product with S_l."""
+    rows = x.reshape(prob.maps.n_steps, -1) @ prob.stack.T
+    own = rows[:, :3 * prob.n_l].ravel()
+    return own, {j: rows[:, s].ravel() for j, s in prob.stack_rows.items()}
 
 
 def _outer_rows(a: np.ndarray) -> np.ndarray:
@@ -340,9 +375,9 @@ def _normal_matrix(flow: np.ndarray | None, data: np.ndarray, base: float) -> np
     return h
 
 
-def update_u(prob: AreaProblem, st: AreaState, z: np.ndarray | None) -> np.ndarray:
+def update_u(prob: AreaProblem, st: AreaState, z: np.ndarray) -> np.ndarray:
     """Exact minimizer of the Lagrangian restricted to U_l plus the proximal
-    term, given the flow target z = `_flow_target` (None without flow maps).
+    term, given z = `_flow_target`.
     Rows of U couple only through the flow terms, which act within one time
     step, so the normal equations split into T systems of size 5r (m systems
     of size r without flow maps) on the row-major blocks U_t."""
@@ -350,14 +385,14 @@ def update_u(prob: AreaProblem, st: AreaState, z: np.ndarray | None) -> np.ndarr
     m, r = st.u.shape
     v = st.v
     base = 1.0 / prob.n_areas + config.prox_c + config.gamma * prob.deg
-    rhs = config.prox_c * st.u + config.mu * (prob.m_obs @ v.T)
+    rhs = z @ v.T
+    rhs += config.prox_c * st.u
     rhs += config.gamma * st.pull
     # data Gram of row i: mu sum over observed columns c of v_c v_c^T
-    data = config.mu * (prob.mask @ _outer_rows(v.T))
+    data = prob.mu_mask @ _outer_rows(v.T)
     rows = ROWS_PER_STEP if prob.maps is not None else 1
     flow = None
     if prob.maps is not None:
-        rhs += z @ v.T
         # (V^T kron I_5)^T H (V^T kron I_5), the same for every step
         flow = ((v @ prob.h_u).reshape(-1, prob.n_l) @ v.T).reshape(r, rows, rows, r)
         flow = flow.transpose(1, 0, 2, 3)  # (k, j, k', j')
@@ -366,18 +401,18 @@ def update_u(prob: AreaProblem, st: AreaState, z: np.ndarray | None) -> np.ndarr
 
 
 def update_v(prob: AreaProblem, st: AreaState, u_new: np.ndarray,
-             z: np.ndarray | None) -> np.ndarray:
+             z: np.ndarray) -> np.ndarray:
     """Exact minimizer over V_l, given the same z as `update_u`: one system
     on vec_F(V_l), block diagonal per column in its data part, with the flow
     Hessian contracted against W = sum_t u_t u_t^T, u_t the row-major U_t."""
     config = prob.config
     m, r = u_new.shape
     n_l = prob.n_l
-    rhs = config.prox_c * st.v + config.mu * (u_new.T @ prob.m_obs)
-    data = config.mu * (prob.mask.T @ _outer_rows(u_new))
+    rhs = u_new.T @ z
+    rhs += config.prox_c * st.v
+    data = prob.mu_mask.T @ _outer_rows(u_new)
     flow = None
     if prob.maps is not None:
-        rhs += u_new.T @ z
         u_steps = u_new.reshape(prob.maps.n_steps, ROWS_PER_STEP * r)
         w = (u_steps.T @ u_steps).reshape(ROWS_PER_STEP, r, ROWS_PER_STEP, r)
         w = w.transpose(0, 2, 1, 3)  # (k, k', j, j')
@@ -405,26 +440,32 @@ def update_q(
     So q_lj = e_lj + Lambda_l' - Lambda_l, sum_j q_lj = sum_j e_lj
     + d (Lambda_l' - Lambda_l) with d = deg l, and substituting the sum,
     Lambda_l' = nu (f_l - E_ll X_l - sum_j e_lj + d Lambda_l) / (lam + nu d).
-    A_lj is orthonormal, so each pull point is c_lj + A_lj^T (2 Lambda_l' - Lambda_l)."""
-    lam, nu, d, maps, l = prob.config.lam, prob.config.nu, prob.deg, prob.maps, prob.area
-    # summed in neighbor order, whatever order the areas run in
-    e_sum = functools.reduce(np.add, (maps.expand(l, j, c) for j, c in coords_in.items()))
+    A_lj is orthonormal, so each pull point is c_lj + A_lj^T (2 Lambda_l' - Lambda_l).
+    With the c_lj side by side per step, in neighbor order whatever order
+    the areas run in, sum_j e_lj and every A_lj^T are one product with A_l."""
+    lam, nu, d = prob.config.lam, prob.config.nu, prob.deg
+    t_steps = prob.maps.n_steps
+    coords = np.concatenate([coords_in[j].reshape(t_steps, -1) for j in prob.neighbors],
+                            axis=1)
+    e_sum = (coords @ prob.basis.T).ravel()
     lam_new = (nu / (lam + nu * d)) * (prob.f_l - e_ll_val - e_sum + d * lam_dual)
     step = 2.0 * lam_new - lam_dual  # q_lj + Lambda_l' = e_lj + step
-    pulls = {j: c + maps.project(l, j, step) for j, c in coords_in.items()}
-    return e_sum + d * (lam_new - lam_dual), lam_new, pulls
+    pulls = coords + step.reshape(t_steps, -1) @ prob.basis
+    return (e_sum + d * (lam_new - lam_dual), lam_new,
+            {j: pulls[:, c].ravel() for j, c in prob.basis_cols.items()})
 
 
 def update_duals(
-    st: AreaState, u_in: dict[int, np.ndarray]
-) -> tuple[dict[int, np.ndarray], np.ndarray]:
-    """Basis dual ascent at area l from the factors U_j its neighbors sent
-    (`update_q` steps Lambda_l): Gamma_lj' = Gamma_lj + (U_l - U_j) / 2 and the
-    pull sum_j (U_j - Gamma_lj), which are Gamma_lj + U_l - S_lj and
-    sum_j (S_lj - Gamma_lj') at S_lj = (U_l + U_j) / 2, never formed.  Area j's
-    step negates area l's bit for bit, so Gamma_lj = -Gamma_jl exactly."""
-    gamma = {j: st.gamma[j] + 0.5 * (st.u - u_j) for j, u_j in u_in.items()}
-    return gamma, sum(u_j - st.gamma[j] for j, u_j in u_in.items())
+    st: AreaState, u_in: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Basis dual ascent at area l from the factors U_j its neighbors sent,
+    stacked (d, m, r) in neighbor order (`update_q` steps Lambda_l):
+    Gamma_lj' = Gamma_lj + (U_l - U_j) / 2 and the pull sum_j (U_j - Gamma_lj),
+    which are Gamma_lj + U_l - S_lj and sum_j (S_lj - Gamma_lj') at
+    S_lj = (U_l + U_j) / 2, never formed.  Every step is elementwise, so area
+    j's step negates area l's bit for bit and Gamma_lj = -Gamma_jl exactly;
+    the pull sums over the neighbors in order."""
+    return st.gamma + 0.5 * (st.u - u_in), np.add.reduce(u_in - st.gamma, axis=0)
 
 
 # --- drivers ----------------------------------------------------------------
@@ -443,20 +484,23 @@ def _init_states(
         v = pair.v[:, prob.cols].copy()
         # every U_j starts at U_l and Gamma_lj at 0
         states[l] = AreaState(u=u, v=v, x=u @ v, pull=prob.deg * u,
-                              gamma={j: np.zeros_like(u) for j in prob.neighbors})
+                              gamma=np.zeros((prob.deg, *u.shape)))
     maps = next(iter(problems.values())).maps
     if maps is None:
         return states
     # q_lj starts at e_lj = E_lj(X_j) and Lambda_l at 0, so the first primal
-    # solve sees a consistent decentralized model; A_lj^T e_lj is what j sent
-    sent = {l: maps.coordinates(l, st.x) for l, st in states.items()}
+    # solve sees a consistent decentralized model, and the first pull point
+    # A_jl^T (q_jl + Lambda_j) = A_jl^T e_jl is B_jl x_t, what l sends j
+    sent = {l: _flow_terms(prob, states[l].x)[1] for l, prob in problems.items()}
     for l, prob in problems.items():
-        st = states[l]
-        st.q = sum((maps.expand(l, j, sent[j][l]) for j in prob.neighbors),
-                   np.zeros(maps.residual_dim(l)))
+        st, t_steps = states[l], maps.n_steps
+        coords = [sent[j][l].reshape(t_steps, -1) for j in prob.neighbors]
+        e_sum = np.concatenate([np.empty((t_steps, 0))] + coords, axis=1) @ prob.basis.T
         st.lam = np.zeros(maps.residual_dim(l))
-        for j in prob.neighbors:
-            states[j].flow_pull[l] = sent[j][l]
+        st.row_targets = np.empty((t_steps, prob.stack.shape[0]))
+        st.row_targets[:, :3 * prob.n_l] = prob.f_l.reshape(t_steps, -1) - e_sum
+        for j, rows in prob.stack_rows.items():
+            st.row_targets[:, rows] = sent[l][j].reshape(t_steps, -1)
     return states
 
 
@@ -516,7 +560,8 @@ def run_decentralized(
         def fn(inbox):
             t0 = time.perf_counter()
             for (j, _), pull in inbox.items():  # only round B's flow pull points
-                st.flow_pull[j] = pull
+                rows = st.row_targets[:, prob.stack_rows[j]]
+                rows[...] = pull.reshape(rows.shape)
             z = _flow_target(prob, st)
             u_new = update_u(prob, st, z)
             v_new = update_v(prob, st, u_new, z)
@@ -530,9 +575,9 @@ def run_decentralized(
             sends = [Message(dest=j, tag="factor", payload=u_flat)
                      for j in prob.neighbors]
             if prob.maps is not None:
-                st.e_ll = prob.maps.apply(l, l, st.x)
-                sends += [Message(dest=j, tag="flow-term", payload=coords)
-                          for j, coords in prob.maps.coordinates(l, st.x).items()]
+                st.e_ll, coords = _flow_terms(prob, st.x)
+                sends += [Message(dest=j, tag="flow-term", payload=c)
+                          for j, c in coords.items()]
             timings[l] = time.perf_counter() - t0
             return None, sends
 
@@ -548,11 +593,13 @@ def run_decentralized(
             sends = []
             if prob.maps is not None:  # no q terms without flow maps
                 coords_in = {j: inbox[(j, "flow-term")] for j in prob.neighbors}
-                st.q, st.lam, pulls = update_q(prob, st.e_ll, coords_in, st.lam)
+                q_sum, st.lam, pulls = update_q(prob, st.e_ll, coords_in, st.lam)
+                own = st.row_targets[:, :3 * prob.n_l]
+                own[...] = (prob.f_l - q_sum).reshape(own.shape)
                 sends = [Message(dest=j, tag="flow-pull", payload=pull)
                          for j, pull in pulls.items()]
-            u_in = {j: inbox[(j, "factor")].reshape(st.u.shape) for j in prob.neighbors}
-            st.gamma, st.pull = update_duals(st, u_in)
+            u_in = np.stack([inbox[(j, "factor")] for j in prob.neighbors])
+            st.gamma, st.pull = update_duals(st, u_in.reshape(-1, *st.u.shape))
             timings[l] += time.perf_counter() - t0
             return None, sends
 

@@ -95,8 +95,14 @@ class AreaMaps:
     For neighbors l != j, coupling[(l, j)] = (A, B) factors it exactly as
     G_lj = A B with A orthonormal (3n_l x rho) and rho = rank(G_lj).  The
     coordinates of E_lj(X_j) are B applied per step (T * rho reals, step
-    major), formed by `coordinates`; `expand` maps them back into the
-    residual space of l."""
+    major); A maps them back into the residual space of l.
+
+    Each area's blocks are held once, stacked in `partition.neighbors`
+    order j1 ... jd: stacks[l] = S_l = [G_ll; B_{j1 l}; ...; B_{jd l}], the
+    rows every flow term applies to X_l, and bases[l] = A_l = [A_{l j1} ...
+    A_{l jd}], the bases of what l receives.  step_blocks[(l, l)] and each
+    B_jl are row-block views of S_l, and each A_lj a column-block view of
+    A_l."""
 
     partition: AreaPartition
     n_steps: int
@@ -104,6 +110,8 @@ class AreaMaps:
     f: dict[int, np.ndarray]
     step_blocks: dict[tuple[int, int], np.ndarray]
     coupling: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
+    stacks: dict[int, np.ndarray]  # S_l, (3n_l + sum_j rho_jl) x 5n_l
+    bases: dict[int, np.ndarray]  # A_l, 3n_l x sum_j rho_lj
 
     @property
     def m(self) -> int:
@@ -136,24 +144,6 @@ class AreaMaps:
     def coupling_rank(self, l: int, j: int) -> int:
         """rank(G_lj): reals per time step that carry E_lj(X_j)."""
         return self.coupling[(l, j)][1].shape[0]
-
-    def expand(self, l: int, j: int, coords: np.ndarray) -> np.ndarray:
-        """Residual-space vector (I_T kron A_lj) coords, in residual order."""
-        a = self.coupling[(l, j)][0]
-        return (coords.reshape(self.n_steps, a.shape[1]) @ a.T).ravel()
-
-    def project(self, l: int, j: int, y: np.ndarray) -> np.ndarray:
-        """Coordinates (I_T kron A_lj)^T y of a residual-space vector of l;
-        the adjoint of `expand`."""
-        return (y.reshape(self.n_steps, -1) @ self.coupling[(l, j)][0]).ravel()
-
-    def coordinates(self, l: int, x_l: np.ndarray) -> dict[int, np.ndarray]:
-        """j -> coordinates B_jl x_t of E_jl(X_l), x_t the row-major step
-        blocks of X_l, step major, for every neighbor j of l: what area l
-        sends j."""
-        x_steps = x_l.reshape(self.n_steps, -1)
-        return {j: (x_steps @ self.coupling[(j, l)][1].T).ravel()
-                for j in self.partition.neighbors(l)}
 
 
 def _factor_step_block(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,7 +205,7 @@ def build_area_maps(model: LinearFlowModel, part: AreaPartition) -> AreaMaps:
     w3 = np.stack([model.w.real, model.w.imag, np.abs(model.w)], axis=1)
 
     step_blocks: dict[tuple[int, int], np.ndarray] = {}
-    coupling: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    factors: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     f: dict[int, np.ndarray] = {}
     for l in part.areas:
         own = cols[l]
@@ -223,7 +213,22 @@ def build_area_maps(model: LinearFlowModel, part: AreaPartition) -> AreaMaps:
         for j in [l] + part.neighbors(l):
             g = step_blocks[(l, j)] = _step_block(model, own, cols[j], same_area=j == l)
             if j != l:
-                coupling[(l, j)] = _factor_step_block(g)
+                factors[(l, j)] = _factor_step_block(g)
+
+    # each area's blocks stacked once; the per-pair names are views of the stacks
+    stacks, bases, a_views, b_views = {}, {}, {}, {}
+    for l in part.areas:
+        nbrs = part.neighbors(l)
+        rows = [step_blocks[(l, l)]] + [factors[(j, l)][1] for j in nbrs]
+        stacks[l] = np.concatenate(rows)
+        own, *b_l = np.split(stacks[l], np.cumsum([b.shape[0] for b in rows])[:-1])
+        step_blocks[(l, l)] = own
+        b_views.update(zip([(j, l) for j in nbrs], b_l))
+        cols_in = [factors[(l, j)][0] for j in nbrs]
+        bases[l] = np.concatenate([np.empty((own.shape[0], 0))] + cols_in, axis=1)
+        a_l = np.split(bases[l], np.cumsum([a.shape[1] for a in cols_in])[:-1], axis=1)
+        a_views.update(zip([(l, j) for j in nbrs], a_l))
+    coupling = {pair: (a_views[pair], b_views[pair]) for pair in factors}
 
     return AreaMaps(
         partition=part,
@@ -232,5 +237,7 @@ def build_area_maps(model: LinearFlowModel, part: AreaPartition) -> AreaMaps:
         f=f,
         step_blocks=step_blocks,
         coupling=coupling,
+        stacks=stacks,
+        bases=bases,
     )
 

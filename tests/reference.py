@@ -9,6 +9,9 @@ the unit tests are written against.
 - `truncate_model`: the dense model truncated to an area partition's
   couplings, which `predict` evaluates and `linflow.truncation_error` is
   measured against.
+- `expand`/`project`/`coordinates`: one coupling block of `AreaMaps` at a
+  time, the per-neighbor reference for the solver's products with the
+  stacked S_l and A_l.
 - `decentralized_flow`: the same evaluation, area by area, by the solver's
   exchange protocol over the message bus (Algorithm-2 style).
 - `update_q_per_edge`: the q step and flow dual ascent with one q_lj and one
@@ -104,6 +107,26 @@ def truncate_model(model: LinearFlowModel, part: AreaPartition) -> LinearFlowMod
     )
 
 
+def expand(maps: AreaMaps, l: int, j: int, coords: np.ndarray) -> np.ndarray:
+    """Residual-space vector (I_T kron A_lj) coords of area l, in residual order."""
+    a = maps.coupling[(l, j)][0]
+    return (coords.reshape(maps.n_steps, a.shape[1]) @ a.T).ravel()
+
+
+def project(maps: AreaMaps, l: int, j: int, y: np.ndarray) -> np.ndarray:
+    """Coordinates (I_T kron A_lj)^T y of a residual-space vector of l; the
+    adjoint of `expand`."""
+    return (y.reshape(maps.n_steps, -1) @ maps.coupling[(l, j)][0]).ravel()
+
+
+def coordinates(maps: AreaMaps, l: int, x_l: np.ndarray) -> dict[int, np.ndarray]:
+    """j -> coordinates B_jl x_t of E_jl(X_l), x_t the row-major step blocks
+    of X_l, step major, for every neighbor j of l: what area l sends j."""
+    x_steps = x_l.reshape(maps.n_steps, -1)
+    return {j: (x_steps @ maps.coupling[(j, l)][1].T).ravel()
+            for j in maps.partition.neighbors(l)}
+
+
 def decentralized_flow(
     maps: AreaMaps, h: np.ndarray, bus: MessageBus | None = None
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -113,8 +136,8 @@ def decentralized_flow(
     Area l holds X_l, whose voltage rows are zero and whose injection rows
     are its own columns of h, so its flow residual E(X) - f_l is -v.  In
     the first bus round it sends each neighbor j the coordinates of
-    E_jl(X_l) (`AreaMaps.coordinates`, T rho_jl reals, tag "flow-term");
-    in the second it returns f_l - E_ll(X_l) - sum_j expand(l, j, received).
+    E_jl(X_l) (`coordinates`, T rho_jl reals, tag "flow-term"); in the
+    second it returns f_l - E_ll(X_l) - sum_j expand(l, j, received).
     Returns per-area (v, |v|) arrays of shape (T, n_l)."""
     part = maps.partition
     n = part.assignment.size
@@ -134,7 +157,7 @@ def decentralized_flow(
 
     def send_node(l: int):
         def fn(inbox):
-            coords = maps.coordinates(l, x[l])
+            coords = coordinates(maps, l, x[l])
             return None, [Message(dest=j, tag="flow-term", payload=c)
                           for j, c in coords.items()]
 
@@ -144,7 +167,7 @@ def decentralized_flow(
         def fn(inbox):
             v = maps.f[l] - maps.apply(l, l, x[l])
             for j in part.neighbors(l):
-                v -= maps.expand(l, j, inbox[(j, "flow-term")])
+                v -= expand(maps, l, j, inbox[(j, "flow-term")])
             v = v.reshape(maps.n_steps, -1, 3)  # (step, phase, [Re v, Im v, |v|])
             return (v[..., 0] + 1j * v[..., 1], v[..., 2]), []
 

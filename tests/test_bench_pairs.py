@@ -189,6 +189,62 @@ class TestExpectChangedOutputs:
             "mae_angle_deg": parent["estimate"]["mae_angle_deg"]}
         assert record["outputs"]["change"]["iterations"] == parent["iterations"] + 1
         assert record["metrics"]["estimate_s"]["parent"] == [1.0, 1.0]
+        # equal sides: no gain, and nothing worse than its bound
+        for m in record["metrics"].values():
+            assert not m["gain_shown"] and m["within_bound"]
+
+
+class TestVerdicts:
+    """`gain_shown` and `within_bound` on synthetic pairs of a lower-is-better
+    timing (bound 0.25) and a higher-is-better fraction (bound 0.1)."""
+
+    PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+
+    def summary(self, change, better="lower", bound=0.25, parent=PARENT):
+        return bench_pairs.summarize(better, "s", bound, parent, change)
+
+    def test_nine_wins_beyond_the_iqr_show_a_gain(self):
+        change = [p - 0.1 for p in self.PARENT]
+        change[3] = self.PARENT[3] + 0.1  # one loss
+        s = self.summary(change)
+        assert s["change_wins"] == 9
+        assert s["median_gain"] > s["parent_iqr"]
+        assert s["gain_shown"] and s["within_bound"]
+
+    def test_eight_wins_show_no_gain(self):
+        change = [p - 0.1 for p in self.PARENT]
+        change[3] = change[5] = 2.0
+        s = self.summary(change)
+        assert s["change_wins"] == 8 and s["median_gain"] > s["parent_iqr"]
+        assert not s["gain_shown"]
+
+    def test_ties_count_for_neither_side(self):
+        """Nine wins and a tie meet the 9/10 rule; eight wins and two ties
+        do not."""
+        change = [p - 0.1 for p in self.PARENT]
+        change[3] = self.PARENT[3]
+        assert self.summary(change)["gain_shown"]
+        change[5] = self.PARENT[5]
+        s = self.summary(change)
+        assert s["change_wins"] == 8 and not s["gain_shown"]
+
+    def test_a_gain_inside_the_parent_iqr_is_not_shown(self):
+        change = [p - 0.005 for p in self.PARENT]
+        s = self.summary(change)
+        assert s["change_wins"] == 10 and 0 < s["median_gain"] <= s["parent_iqr"]
+        assert not s["gain_shown"] and s["within_bound"]
+
+    @pytest.mark.parametrize("worse, inside", [(0.2, True), (0.25, True), (0.3, False)])
+    def test_within_bound_is_relative_to_the_parent_median(self, worse, inside):
+        s = self.summary([1.0 + worse] * 10, parent=[1.0] * 10)
+        assert s["within_bound"] is inside and not s["gain_shown"]
+
+    def test_higher_is_better_metrics_turn_the_verdicts_round(self):
+        parent = [0.5] * 10
+        up = self.summary([0.6] * 10, better="higher", bound=0.1, parent=parent)
+        assert up["change_wins"] == 10 and up["gain_shown"] and up["within_bound"]
+        down = self.summary([0.44] * 10, better="higher", bound=0.1, parent=parent)
+        assert down["change_wins"] == 0 and not down["within_bound"]
 
 
 class TestDescribe:

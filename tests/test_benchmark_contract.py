@@ -16,8 +16,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-# one area with the balance step; five areas with the bus and its ledger
-@pytest.mark.parametrize("workload", ["feeder33-t10-a1", "random128-t5-a5"])
+# one area with the balance step; five areas with the bus and its ledger; and
+# the README quick start, the one workload with an area of degree 4
+@pytest.mark.parametrize("workload", ["feeder33-t10-a1", "random128-t5-a5",
+                                      "feeder33-t5-a5"])
 def test_short_traced_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",

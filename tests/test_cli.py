@@ -64,7 +64,7 @@ class TestRunExperiment:
         assert set(payload) == {
             "version", "config", "estimate", "per_run", "certificate",
             "communication", "iterations", "converged", "final_consensus",
-            "final_objective", "low_observability",
+            "final_objective", "low_observability", "truncation_error",
         }
         assert len(payload["per_run"]) == 2
         assert payload["estimate"]["n_runs"] == 2
@@ -91,6 +91,12 @@ class TestRunExperiment:
         payload = cli.run_experiment(fast_config(areas=1), tmp_path)
         assert payload["communication"] == []
         assert payload["final_consensus"] == 0.0
+
+    def test_one_area_reports_no_truncation(self, tmp_path):
+        """One area keeps every coupling of N, so the run's model is the
+        network's."""
+        payload = cli.run_experiment(fast_config(areas=1), tmp_path)
+        assert payload["truncation_error"] == 0.0
 
     def test_unknown_feeder_kind_rejected(self):
         with pytest.raises(cli.CliError):
@@ -386,6 +392,19 @@ class TestCommands:
         model = json.loads((tmp_path / "model.json").read_text())
         assert model["areas"] == 3
         assert model["truncation_error"] >= 0.0
+
+    def test_run_reports_the_build_model_truncation(self, tmp_path):
+        """A 5-area feeder33 run writes the truncation error of its model
+        and partition, the figure `gridmc build-model` writes for the same
+        options."""
+        options = ["--feeder", "feeder33", "--time-steps", "1", "--areas", "5",
+                   "--rank", "2", "--max-iters", "2"]
+        assert cli.main(["build-model", *options, "--out", str(tmp_path / "m")]) == 0
+        assert cli.main(["run", *options, "--out", str(tmp_path / "r")]) == 0
+        model = json.loads((tmp_path / "m" / "model.json").read_text())
+        results = json.loads((tmp_path / "r" / "results.json").read_text())
+        assert model["truncation_error"] > 0.1
+        assert results["truncation_error"] == model["truncation_error"]
 
     def test_run_command(self, tmp_path, capsys):
         rc = cli.main(["run", *FAST, "--areas", "3", "--out", str(tmp_path)])

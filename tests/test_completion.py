@@ -15,8 +15,8 @@ from gridmc import datamatrix as dm
 from gridmc import gridmodel as gm
 from gridmc import linflow as lf
 from gridmc import simnet as sn
-from reference import (admm_config, svt_objective, svt_oracle, update_duals_per_edge,
-                       update_q_per_edge)
+from reference import (admm_config, coordinates, expand, project, svt_objective,
+                       svt_oracle, update_duals_per_edge, update_q_per_edge)
 
 # Independently pinned optimum of the seeded nuclear-norm problem below,
 # computed once with an interior-point style convex solver at eps 1e-10.
@@ -220,13 +220,13 @@ def _perturbed_states(problems, m_data, mask, r, seed):
     rng = np.random.default_rng(seed)
     for l, prob in problems.items():
         st = states[l]
-        for j in prob.neighbors:
-            st.gamma[j] = 0.1 * rng.standard_normal(st.u.shape)
+        for i, j in enumerate(prob.neighbors):
+            st.gamma[i] = 0.1 * rng.standard_normal(st.u.shape)
             if prob.maps is not None:
-                noise = 0.1 * rng.standard_normal(st.flow_pull[j].shape)
-                st.flow_pull[j] = st.flow_pull[j] + noise
+                pull = st.row_targets[:, prob.stack_rows[j]]  # a view: noise goes in place
+                pull += 0.1 * rng.standard_normal(pull.shape)
         # every U_j starts at U_l
-        st.pull = sum((st.u - st.gamma[j] for j in prob.neighbors), np.zeros_like(st.u))
+        st.pull = np.sum(st.u - st.gamma, axis=0)
     return states
 
 
@@ -247,13 +247,14 @@ class TestSubproblems:
         diff = np.where(prob.mask, x, 0.0) - prob.m_obs
         val += 0.5 * config.mu * np.sum(diff * diff)
         x_vec = x.ravel(order="F")
-        target = maps.f[l] - st.q
+        # f_l - sum_j q_lj, and the pull point of each neighbor j
+        target = st.row_targets[:, :3 * prob.n_l].ravel()
         res = maps.e_mats[(l, l)] @ x_vec - target
         val += 0.5 * config.nu * float(res @ res)
         for j in prob.neighbors:
             # |B x - c| = |A B x - A c|: A_jl has orthonormal columns
-            res_j = (maps.e_mats[(j, l)] @ x_vec
-                     - maps.expand(j, l, st.flow_pull[j]))
+            pull = st.row_targets[:, prob.stack_rows[j]].ravel()
+            res_j = maps.e_mats[(j, l)] @ x_vec - expand(maps, j, l, pull)
             val += 0.5 * config.lam * float(res_j @ res_j)
         return val
 
@@ -340,7 +341,7 @@ class TestSubproblems:
             solve = cp._solve_quadratic
             cp._solve_quadratic = lambda h, rhs: solve(h, rhs) + 1.0
             try:
-                cp.update_u(prob, st, None)
+                cp.update_u(prob, st, cp._flow_target(prob, st))
             except cp.CompletionError:
                 sys.exit(0)
             sys.exit(1)
@@ -414,7 +415,7 @@ class TestSubproblems:
         solve = cp._solve_quadratic
         monkeypatch.setattr(cp, "_solve_quadratic",
                             lambda h, rhs: solved.append(h) or solve(h, rhs))
-        cp.update_u(prob, st, None)
+        cp.update_u(prob, st, cp._flow_target(prob, st))
         m, r = st.u.shape
         local_cols, rows = np.nonzero(mask.T)
         sampled = (np.eye(m * prob.n_l)[local_cols * m + rows]
@@ -448,13 +449,11 @@ def _reference_u_system(prob, st, config, z):
     m, r = st.u.shape
     v = st.v
     base = 1.0 / prob.n_areas + config.prox_c + config.gamma * prob.deg
-    rhs = config.prox_c * st.u + config.mu * (prob.m_obs @ v.T)
-    rhs += config.gamma * st.pull
-    data = config.mu * (prob.mask @ cp._outer_rows(v.T))
+    rhs = z @ v.T + config.prox_c * st.u + config.gamma * st.pull
+    data = (config.mu * prob.mask) @ cp._outer_rows(v.T)
     rows = 5 if prob.maps is not None else 1
     h = _block_diag(data.reshape(m // rows, rows, r, r), base)
     if prob.maps is not None:
-        rhs += z @ v.T
         flow = ((v @ prob.h_u).reshape(-1, prob.n_l) @ v.T).reshape(r, rows, rows, r)
         h += flow.transpose(1, 0, 2, 3)
     return h.reshape(-1, rows * r, rows * r), rhs.reshape(m // rows, rows * r)
@@ -463,11 +462,10 @@ def _reference_u_system(prob, st, config, z):
 def _reference_v_system(prob, st, u_new, config, z):
     """update_v's normal matrix and right-hand side, assembled the same way."""
     r, n_l = u_new.shape[1], prob.n_l
-    rhs = config.prox_c * st.v + config.mu * (u_new.T @ prob.m_obs)
-    data = config.mu * (prob.mask.T @ cp._outer_rows(u_new))
+    rhs = u_new.T @ z + config.prox_c * st.v
+    data = (config.mu * prob.mask.T) @ cp._outer_rows(u_new)
     h = _block_diag(data.reshape(1, n_l, r, r), 1.0 + config.prox_c)[0]
     if prob.maps is not None:
-        rhs += u_new.T @ z
         u_steps = u_new.reshape(prob.maps.n_steps, 5 * r)
         w = (u_steps.T @ u_steps).reshape(5, r, 5, r).transpose(0, 2, 1, 3)
         flow = (prob.h_v @ w.reshape(25, r * r)).reshape(n_l, n_l, r, r)
@@ -530,19 +528,26 @@ class TestNormalMatrixAssembly:
         assert np.array_equal(got, want.reshape(n_sys, k * r, k * r))
 
 
-@pytest.fixture(scope="module")
-def star_setup(small_instance):
-    """Area maps of the 9-bus feeder in five areas, area 1 adjacent to the
-    other four, and area 1's problem.  Phases 0 and 3-6 lie on one branch,
-    so every coupling block of area 1 has positive rank."""
+def _star(small_instance, deg: int = 4):
+    """The 9-bus feeder in five areas, area 1 adjacent to areas 2 .. deg + 1:
+    its partition, area maps and per-area problems.  Phases 0 and 3-6 lie
+    on one branch, so every coupling block of area 1 has positive rank."""
     mat, model = small_instance["mat"], small_instance["model"]
     part = gm.AreaPartition(
         assignment=np.array([1, 1, 1, 2, 3, 4, 5, 1]), n_areas=5,
-        adjacency=frozenset(frozenset((1, j)) for j in range(2, 6)),
+        adjacency=frozenset(frozenset((1, j)) for j in range(2, deg + 2)),
     )
     maps = lf.build_area_maps(model, part)
     mask = np.ones(mat.shape, dtype=bool)
-    return maps, cp._build_problems(mat, mask, maps, part, admm_config())[1]
+    return part, maps, cp._build_problems(mat, mask, maps, part, admm_config())
+
+
+@pytest.fixture(scope="module")
+def star_setup(small_instance):
+    """deg -> (area maps, area 1's problem) of `_star` with area 1 of that
+    degree, for degrees 1 to 4."""
+    stars = {deg: _star(small_instance, deg) for deg in range(1, 5)}
+    return {deg: (maps, problems[1]) for deg, (_, maps, problems) in stars.items()}
 
 
 class TestQUpdate:
@@ -561,7 +566,7 @@ class TestQUpdate:
         e_ll_val = rng.standard_normal(d)
         coords = {j: rng.standard_normal(maps.n_steps * maps.coupling_rank(2, j))
                   for j in prob.neighbors}
-        e_in = {j: maps.expand(2, j, c) for j, c in coords.items()}
+        e_in = {j: expand(maps, 2, j, c) for j, c in coords.items()}
         dual = rng.standard_normal(d)
         total, dual_new, _ = cp.update_q(prob, e_ll_val, coords, dual)
         for j in prob.neighbors:
@@ -582,15 +587,15 @@ class TestQUpdate:
         of terms of size |rhs_j| / lam (see `test_solves_coupled_system`), so
         its rounding is relative to the largest of them when they exceed the
         result."""
-        maps, prob = star_setup
-        prob = dataclasses.replace(prob, config=admm_config(lam=lam, nu=nu),
-                                   neighbors=prob.neighbors[:deg])
+        maps, prob = star_setup[deg]
+        prob = dataclasses.replace(prob, config=admm_config(lam=lam, nu=nu))
+        assert prob.deg == deg
         rng = np.random.default_rng(seed)
         l, d = prob.area, maps.residual_dim(prob.area)
         e_ll_val = rng.standard_normal(d)
         coords = {j: rng.standard_normal(maps.n_steps * maps.coupling_rank(l, j))
                   for j in prob.neighbors}
-        e_in = {j: maps.expand(l, j, c) for j, c in coords.items()}
+        e_in = {j: expand(maps, l, j, c) for j, c in coords.items()}
         dual = rng.standard_normal(d)
         total, dual_new, pulls = cp.update_q(prob, e_ll_val, coords, dual)
         q, duals = update_q_per_edge(prob, e_ll_val, e_in,
@@ -608,7 +613,7 @@ class TestQUpdate:
         assert close(total, sum(q.values()))
         for j in prob.neighbors:
             assert close(dual_new, duals[j])
-            assert close(pulls[j], maps.project(l, j, q[j] + duals[j]))
+            assert close(pulls[j], project(maps, l, j, q[j] + duals[j]))
 
     def test_no_neighbors(self, small_instance, small_setup, monkeypatch):
         """A single area has no q terms: a run with flow maps never calls
@@ -635,21 +640,25 @@ class TestDualUpdate:
         rng = np.random.default_rng(seed)
         shape = (10, 3)
         u_l = scale * rng.standard_normal(shape)
-        u_in = {j: scale * rng.standard_normal(shape) for j in range(deg)}
-        gamma = {j: scale * rng.standard_normal(shape) for j in range(deg)}
+        u_in = scale * rng.standard_normal((deg, *shape))  # stacked in neighbor order
+        gamma = scale * rng.standard_normal((deg, *shape))
+        before = gamma.copy()
         st = cp.AreaState(u=u_l, v=None, x=None, pull=None, gamma=gamma)
         got_gamma, got_pull = cp.update_duals(st, u_in)
-        want_gamma, want_pull = update_duals_per_edge(gamma, u_l, u_in)
-        size = max(np.linalg.norm(a) for a in [u_l, *u_in.values(), *gamma.values()])
+        want_gamma, want_pull = update_duals_per_edge(dict(enumerate(before)), u_l,
+                                                      dict(enumerate(u_in)))
+        size = max(np.linalg.norm(a) for a in [u_l, *u_in, *gamma])
 
         def close(got, want):
             return np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), size)
 
-        assert list(got_gamma) == list(u_in)
+        assert got_gamma.shape == gamma.shape
         assert close(got_pull, want_pull)
-        for j in u_in:
+        for j in range(deg):
             assert close(got_gamma[j], want_gamma[j])
-        assert st.gamma is gamma and all(gamma[j] is not got_gamma[j] for j in u_in)
+        # a new array: the state's duals are not stepped in place
+        assert st.gamma is gamma and np.array_equal(gamma, before)
+        assert not np.shares_memory(got_gamma, gamma)
 
 
 @pytest.fixture(scope="module")
@@ -696,16 +705,17 @@ class TestDecentralizedRun:
         result, m_data, part, _ = short_run
         for l in part.areas:
             for j in part.neighbors(l):
-                g_lj = result.states[l].gamma[j]
-                g_jl = result.states[j].gamma[l]
+                g_lj = result.states[l].gamma[part.neighbors(l).index(j)]
+                g_jl = result.states[j].gamma[part.neighbors(j).index(l)]
                 assert np.any(g_lj) and np.array_equal(g_lj, -g_jl)
 
     def test_flow_pull_is_the_owners_projection(self, small_setup, monkeypatch):
         """Every U update reads, for each neighbor j, the pull point
         A_jl^T (q_jl + Lambda_j) = c_jl + A_jl^T (2 Lambda_j - Lambda_j^prev)
         of area j's own dual, before and after its last q update, and of the
-        coordinates c_jl of E_jl(X_l) area l sent, bit for bit: no area keeps
-        a copy of a neighbor's dual."""
+        coordinates c_jl of E_jl(X_l) area l sent, formed one block at a time
+        (`reference.coordinates`, `reference.project`), within 1e-13 of the
+        size of those two terms: no area keeps a copy of a neighbor's dual."""
         m_data, mask, maps, part, _ = small_setup
         states, before, checked = {}, {}, []
         init, update_q, update_u = cp._init_states, cp.update_q, cp.update_u
@@ -723,8 +733,10 @@ class TestDecentralizedRun:
             for j in prob.neighbors:
                 owner = states[j]
                 step = 2.0 * owner.lam - before.get(j, owner.lam)
-                sent = maps.coordinates(l, st.x)[j] + maps.project(j, l, step)
-                checked.append((np.array_equal(st.flow_pull[j], sent),
+                c, a_step = coordinates(maps, l, st.x)[j], project(maps, j, l, step)
+                read = st.row_targets[:, prob.stack_rows[j]].ravel()
+                gap = np.linalg.norm(read - (c + a_step))
+                checked.append((gap <= 1e-13 * (np.linalg.norm(c) + np.linalg.norm(a_step)),
                                 bool(np.any(owner.lam))))
             return update_u(prob, st, z)
 
@@ -774,30 +786,23 @@ class TestDecentralizedRun:
 class TestOncePerIteration:
     def test_area_work_runs_once_per_area_per_iteration(self, small_setup,
                                                         monkeypatch):
-        """The flow target Z, E_ll(X_l) and the sent flow coordinates are
-        computed once per area per iteration; the stored X_l and E_ll(X_l)
-        are those of the final factors."""
+        """The flow target Z, and E_ll(X_l) with the sent flow coordinates
+        (one product with S_l), are computed once per area per iteration;
+        the stored X_l and E_ll(X_l) are those of the final factors."""
         m_data, mask, maps, part, _ = small_setup
-        counts = {"_flow_target": 0, "own_flow": 0, "coordinates": 0}
+        counts = {"_flow_target": 0, "_flow_terms": 0}
 
-        flow_target = cp._flow_target
-        apply, coordinates = lf.AreaMaps.apply, lf.AreaMaps.coordinates
+        def counted(name):
+            fn = getattr(cp, name)
 
-        def flow_target_counted(prob, st):
-            counts["_flow_target"] += 1
-            return flow_target(prob, st)
+            def call(*args):
+                counts[name] += 1
+                return fn(*args)
 
-        def apply_counted(self, l, j, x_j):
-            counts["own_flow"] += l == j  # E_ll(X_l)
-            return apply(self, l, j, x_j)
+            return call
 
-        def coordinates_counted(self, l, x_l):
-            counts["coordinates"] += 1
-            return coordinates(self, l, x_l)
-
-        monkeypatch.setattr(cp, "_flow_target", flow_target_counted)
-        monkeypatch.setattr(lf.AreaMaps, "apply", apply_counted)
-        monkeypatch.setattr(lf.AreaMaps, "coordinates", coordinates_counted)
+        for name in counts:
+            monkeypatch.setattr(cp, name, counted(name))
         at_init = {}
         init = cp._init_states
 
@@ -816,8 +821,73 @@ class TestOncePerIteration:
         for l in part.areas:
             st = result.states[l]
             assert np.array_equal(st.x, st.u @ st.v)
-            assert np.array_equal(st.e_ll, maps.apply(l, l, st.x))
+            want = maps.apply(l, l, st.x)
+            assert np.linalg.norm(st.e_ll - want) <= 1e-13 * np.linalg.norm(want)
             assert np.array_equal(result.x[:, part.phases_in(l)], st.x)
+
+
+class TestStackedFlowProducts:
+    def test_star_matches_the_per_neighbor_formulas(self, small_instance, monkeypatch):
+        """On the degree-4 star, the row blocks of S_1 are bit-equal to G_11
+        and to each B_j1 built one pair at a time.  In every iteration after
+        the first, the Z of area 1 equals nu (f_1 - sum_j q_1j) G_11 + sum_j
+        lam y_j B_j1 + mu P_Omega(M_1) per step, from the q sum its last q
+        update returned and the pull points y_j its neighbors' q updates
+        returned; and at the end E_11(X_1) and the coordinates each neighbor
+        received equal `AreaMaps.apply` and `reference.coordinates`; all
+        within 1e-13 relative."""
+        part, maps, problems = _star(small_instance)
+        model, mat = small_instance["model"], small_instance["mat"]
+        prob, n_steps = problems[1], maps.n_steps
+        own = maps.cols[1]
+        s_1 = maps.stacks[1]
+        assert prob.neighbors == [2, 3, 4, 5] and s_1 is prob.stack
+        blocks = np.split(s_1, np.cumsum([3 * own.size] + [
+            maps.coupling_rank(j, 1) for j in prob.neighbors])[:-1])
+        assert np.array_equal(blocks[0], lf._step_block(model, own, own, True))
+        for j, block in zip(prob.neighbors, blocks[1:]):
+            g_j1 = lf._step_block(model, maps.cols[j], own, False)
+            assert np.array_equal(block, lf._factor_step_block(g_j1)[1])
+
+        config = prob.config
+        q_sum, pulls, received, checked = {}, {}, {}, []
+        update_q, update_u = cp.update_q, cp.update_u
+
+        def update_q_kept(p, e_ll_val, coords_in, dual):
+            out = update_q(p, e_ll_val, coords_in, dual)
+            if p.area == 1:
+                q_sum["last"] = out[0]
+            else:
+                pulls[p.area], received[p.area] = out[2][1], coords_in[1]
+            return out
+
+        def relative_gap(got, want):
+            return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+        def update_u_checked(p, st, z):
+            if p.area == 1 and "last" in q_sum:
+                want = config.nu * ((maps.f[1] - q_sum["last"]).reshape(n_steps, -1)
+                                    @ maps.step_blocks[(1, 1)])
+                for j in p.neighbors:
+                    want += config.lam * (pulls[j].reshape(n_steps, -1)
+                                          @ maps.coupling[(j, 1)][1])
+                want = want.reshape(-1, p.n_l) + config.mu * p.m_obs
+                checked.append(relative_gap(z, want))
+            return update_u(p, st, z)
+
+        monkeypatch.setattr(cp, "update_q", update_q_kept)
+        monkeypatch.setattr(cp, "update_u", update_u_checked)
+        k = 5
+        result = cp.run_decentralized(mat, np.ones(mat.shape, dtype=bool), maps, part,
+                                      dataclasses.replace(config, max_iters=k, tol=1e-14))
+        assert result.trace.iterations == k and len(checked) == k - 1
+        assert max(checked) <= 1e-13
+        st = result.states[1]
+        assert relative_gap(st.e_ll, maps.apply(1, 1, st.x)) <= 1e-13
+        sent = coordinates(maps, 1, st.x)
+        assert set(received) == set(sent)
+        for j, c in sent.items():
+            assert relative_gap(received[j], c) <= 1e-13
 
 
 class TestMessagePayloads:

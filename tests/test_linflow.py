@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from gridmc import gridmodel as gm
 from gridmc import linflow as lf
 from gridmc import simnet as sn
-from reference import decentralized_flow, h_from_loads, predict, truncate_model
+from reference import (decentralized_flow, expand, h_from_loads, predict, project,
+                       truncate_model)
 
 
 class TestBuildLinearModel:
@@ -335,10 +336,36 @@ class TestCouplingFactors:
             for t in range(t_steps):
                 coords[t, :, :, t, :] = b.reshape(b.shape[0], 5, n_l).transpose(0, 2, 1)
             coords = coords.reshape(t_steps * b.shape[0], n_l * m)
-            recon = np.column_stack([maps.expand(j, l, c) for c in coords.T])
+            recon = np.column_stack([expand(maps, j, l, c) for c in coords.T])
             assert np.linalg.norm(recon - e) <= 1e-12 * np.linalg.norm(e)
             c = rng.standard_normal(coords.shape[0])
-            assert np.max(np.abs(maps.project(j, l, maps.expand(j, l, c)) - c)) < 1e-12
+            assert np.max(np.abs(project(maps, j, l, expand(maps, j, l, c)) - c)) < 1e-12
+
+    def test_stacks_hold_every_block_once(self, small_instance):
+        """S_l stacks G_ll and each B_jl, and A_l each A_lj, in neighbor
+        order; the per-pair names are views into the stacks, bit-equal to
+        the blocks built and factored one pair at a time (the 3-area chain,
+        and feeder33 in 5 areas, whose area 1 has degree 4)."""
+        net, _, part5 = gm.feeder33_analog(seed=0, n_steps=2, n_areas=5)
+        for model, part in [(small_instance["model"], small_instance["part"]),
+                            (lf.build_linear_model(net, n_steps=2), part5)]:
+            maps = lf.build_area_maps(model, part)
+            for l in part.areas:
+                nbrs, own = part.neighbors(l), maps.cols[l]
+                s_l, a_l = maps.stacks[l], maps.bases[l]
+                rows = [maps.step_blocks[(l, l)]] + [maps.coupling[(j, l)][1] for j in nbrs]
+                cols = [maps.coupling[(l, j)][0] for j in nbrs]
+                assert np.array_equal(s_l, np.concatenate(rows))
+                assert np.array_equal(a_l, np.concatenate(cols, axis=1))
+                assert all(np.shares_memory(b, s_l) for b in rows)
+                assert all(np.shares_memory(a, a_l) for a in cols)
+                assert np.array_equal(rows[0], lf._step_block(model, own, own, True))
+                for j, b, a in zip(nbrs, rows[1:], cols):
+                    src = maps.cols[j]
+                    assert np.array_equal(a, lf._factor_step_block(
+                        lf._step_block(model, own, src, False))[0])
+                    assert np.array_equal(b, lf._factor_step_block(
+                        lf._step_block(model, src, own, False))[1])
 
     def test_radial_feeder_couples_through_the_boundary_bus(self, feeder33_maps):
         for j, l in self._adjacent(feeder33_maps):
