@@ -241,7 +241,7 @@ class AreaProblem:
     basis: np.ndarray | None  # A_l = [A_lj ...], the bases of the coordinates received
     row_weights: np.ndarray | None  # W, per row of S_l
     # j -> the rows of B_jl in S_l (columns of `AreaState.row_targets`), and
-    # the columns of A_lj in A_l
+    # the columns of A_lj in A_l (see `AreaMaps`)
     stack_rows: dict[int, slice]
     basis_cols: dict[int, slice]
     h_u: np.ndarray | None  # H as (col, (row, row', col')): n_l x 25 n_l
@@ -254,12 +254,6 @@ class AreaProblem:
     @property
     def deg(self) -> int:
         return len(self.neighbors)
-
-
-def _slices(sizes: list[int], start: int = 0) -> list[slice]:
-    """Consecutive slices of the given sizes from `start`."""
-    ends = np.cumsum([start] + sizes).tolist()
-    return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
 
 def _build_problems(
@@ -279,13 +273,10 @@ def _build_problems(
         stack_rows, basis_cols = {}, {}
         if area_maps is not None:
             stack, basis = area_maps.stacks[l], area_maps.bases[l]
+            stack_rows, basis_cols = area_maps.stack_rows[l], area_maps.basis_cols[l]
             own = 3 * n_l
             weights = np.full(stack.shape[0], config.lam)
             weights[:own] = config.nu
-            stack_rows = dict(zip(neighbors, _slices(
-                [area_maps.coupling_rank(j, l) for j in neighbors], own)))
-            basis_cols = dict(zip(neighbors, _slices(
-                [area_maps.coupling_rank(l, j) for j in neighbors])))
             g_ll, b_in = stack[:own], stack[own:]
             h = config.nu * (g_ll.T @ g_ll) + config.lam * (b_in.T @ b_in)
             h = h.reshape(ROWS_PER_STEP, n_l, ROWS_PER_STEP, n_l)  # (k, c, k', c')

@@ -100,9 +100,9 @@ class AreaMaps:
     Each area's blocks are held once, stacked in `partition.neighbors`
     order j1 ... jd: stacks[l] = S_l = [G_ll; B_{j1 l}; ...; B_{jd l}], the
     rows every flow term applies to X_l, and bases[l] = A_l = [A_{l j1} ...
-    A_{l jd}], the bases of what l receives.  step_blocks[(l, l)] and each
-    B_jl are row-block views of S_l, and each A_lj a column-block view of
-    A_l."""
+    A_{l jd}], the bases of what l receives.  step_blocks[(l, l)] is the
+    first 3n_l rows of S_l; each B_jl is the rows stack_rows[l][j] of S_l
+    and each A_lj the columns basis_cols[l][j] of A_l, as views."""
 
     partition: AreaPartition
     n_steps: int
@@ -112,6 +112,8 @@ class AreaMaps:
     coupling: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
     stacks: dict[int, np.ndarray]  # S_l, (3n_l + sum_j rho_jl) x 5n_l
     bases: dict[int, np.ndarray]  # A_l, 3n_l x sum_j rho_lj
+    stack_rows: dict[int, dict[int, slice]]
+    basis_cols: dict[int, dict[int, slice]]
 
     @property
     def m(self) -> int:
@@ -144,6 +146,12 @@ class AreaMaps:
     def coupling_rank(self, l: int, j: int) -> int:
         """rank(G_lj): reals per time step that carry E_lj(X_j)."""
         return self.coupling[(l, j)][1].shape[0]
+
+
+def _slices(sizes: list[int], start: int = 0) -> list[slice]:
+    """Consecutive slices of the given sizes from `start`."""
+    ends = np.cumsum([start] + sizes).tolist()
+    return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
 
 def _factor_step_block(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,19 +224,18 @@ def build_area_maps(model: LinearFlowModel, part: AreaPartition) -> AreaMaps:
                 factors[(l, j)] = _factor_step_block(g)
 
     # each area's blocks stacked once; the per-pair names are views of the stacks
-    stacks, bases, a_views, b_views = {}, {}, {}, {}
+    stacks, bases, stack_rows, basis_cols = {}, {}, {}, {}
     for l in part.areas:
-        nbrs = part.neighbors(l)
-        rows = [step_blocks[(l, l)]] + [factors[(j, l)][1] for j in nbrs]
-        stacks[l] = np.concatenate(rows)
-        own, *b_l = np.split(stacks[l], np.cumsum([b.shape[0] for b in rows])[:-1])
-        step_blocks[(l, l)] = own
-        b_views.update(zip([(j, l) for j in nbrs], b_l))
-        cols_in = [factors[(l, j)][0] for j in nbrs]
-        bases[l] = np.concatenate([np.empty((own.shape[0], 0))] + cols_in, axis=1)
-        a_l = np.split(bases[l], np.cumsum([a.shape[1] for a in cols_in])[:-1], axis=1)
-        a_views.update(zip([(l, j) for j in nbrs], a_l))
-    coupling = {pair: (a_views[pair], b_views[pair]) for pair in factors}
+        nbrs, own = part.neighbors(l), 3 * cols[l].size
+        b_in = [factors[(j, l)][1] for j in nbrs]
+        a_in = [factors[(l, j)][0] for j in nbrs]
+        stacks[l] = np.concatenate([step_blocks[(l, l)]] + b_in)
+        bases[l] = np.concatenate([np.empty((own, 0))] + a_in, axis=1)
+        step_blocks[(l, l)] = stacks[l][:own]
+        stack_rows[l] = dict(zip(nbrs, _slices([b.shape[0] for b in b_in], own)))
+        basis_cols[l] = dict(zip(nbrs, _slices([a.shape[1] for a in a_in])))
+    coupling = {(l, j): (bases[l][:, basis_cols[l][j]], stacks[j][stack_rows[j][l]])
+                for l, j in factors}
 
     return AreaMaps(
         partition=part,
@@ -239,5 +246,7 @@ def build_area_maps(model: LinearFlowModel, part: AreaPartition) -> AreaMaps:
         coupling=coupling,
         stacks=stacks,
         bases=bases,
+        stack_rows=stack_rows,
+        basis_cols=basis_cols,
     )
 

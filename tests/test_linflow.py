@@ -359,6 +359,9 @@ class TestCouplingFactors:
                 assert np.array_equal(a_l, np.concatenate(cols, axis=1))
                 assert all(np.shares_memory(b, s_l) for b in rows)
                 assert all(np.shares_memory(a, a_l) for a in cols)
+                for j, b, a in zip(nbrs, rows[1:], cols):
+                    assert np.array_equal(s_l[maps.stack_rows[l][j]], b)
+                    assert np.array_equal(a_l[:, maps.basis_cols[l][j]], a)
                 assert np.array_equal(rows[0], lf._step_block(model, own, own, True))
                 for j, b, a in zip(nbrs, rows[1:], cols):
                     src = maps.cols[j]
