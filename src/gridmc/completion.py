@@ -138,14 +138,15 @@ class SolveResult:
 # --- objective --------------------------------------------------------------
 
 def _sum_squares(a: np.ndarray) -> float:
-    """np.sum(a * a), the same pairwise sum, without np.sum's Python wrapper."""
-    return float(np.add.reduce(a * a, axis=None))
+    """The sum of squares of a's entries, as one BLAS dot product: the
+    ndarray method, which skips the dispatch of `@` and `np.dot`."""
+    flat = a.reshape(-1)
+    return float(flat.dot(flat))
 
 
 def _norm(a: np.ndarray) -> float:
-    """np.linalg.norm(a) (Frobenius), from one dot product as numpy forms it."""
-    flat = a.reshape(-1)
-    return math.sqrt(flat @ flat)
+    """np.linalg.norm(a) (Frobenius), from the same dot product."""
+    return math.sqrt(_sum_squares(a))
 
 
 def _objective_decentralized(problems, states, config) -> float:
