@@ -213,29 +213,30 @@ def build_area_maps(model: LinearFlowModel, part: AreaPartition) -> AreaMaps:
     w3 = np.stack([model.w.real, model.w.imag, np.abs(model.w)], axis=1)
 
     step_blocks: dict[tuple[int, int], np.ndarray] = {}
-    factors: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    coupling: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     f: dict[int, np.ndarray] = {}
     for l in part.areas:
         own = cols[l]
         f[l] = np.tile(w3[own].ravel(), t_steps)
-        for j in [l] + part.neighbors(l):
-            g = step_blocks[(l, j)] = _step_block(model, own, cols[j], same_area=j == l)
-            if j != l:
-                factors[(l, j)] = _factor_step_block(g)
+        for j in part.neighbors(l):
+            g = step_blocks[(l, j)] = _step_block(model, own, cols[j], same_area=False)
+            coupling[(l, j)] = _factor_step_block(g)
 
-    # each area's blocks stacked once; the per-pair names are views of the stacks
+    # Stack each area's blocks once, then point the per-pair names at views of
+    # the stack, which frees the blocks it copied before the next area's.
     stacks, bases, stack_rows, basis_cols = {}, {}, {}, {}
     for l in part.areas:
-        nbrs, own = part.neighbors(l), 3 * cols[l].size
-        b_in = [factors[(j, l)][1] for j in nbrs]
-        a_in = [factors[(l, j)][0] for j in nbrs]
-        stacks[l] = np.concatenate([step_blocks[(l, l)]] + b_in)
-        bases[l] = np.concatenate([np.empty((own, 0))] + a_in, axis=1)
-        step_blocks[(l, l)] = stacks[l][:own]
-        stack_rows[l] = dict(zip(nbrs, _slices([b.shape[0] for b in b_in], own)))
+        nbrs, own = part.neighbors(l), cols[l]
+        b_in = [coupling[(j, l)][1] for j in nbrs]
+        a_in = [coupling[(l, j)][0] for j in nbrs]
+        stacks[l] = np.concatenate([_step_block(model, own, own, same_area=True)] + b_in)
+        bases[l] = np.concatenate([np.empty((3 * own.size, 0))] + a_in, axis=1)
+        step_blocks[(l, l)] = stacks[l][:3 * own.size]
+        stack_rows[l] = dict(zip(nbrs, _slices([b.shape[0] for b in b_in], 3 * own.size)))
         basis_cols[l] = dict(zip(nbrs, _slices([a.shape[1] for a in a_in])))
-    coupling = {(l, j): (bases[l][:, basis_cols[l][j]], stacks[j][stack_rows[j][l]])
-                for l, j in factors}
+        for j in nbrs:
+            coupling[(j, l)] = (coupling[(j, l)][0], stacks[l][stack_rows[l][j]])
+            coupling[(l, j)] = (bases[l][:, basis_cols[l][j]], coupling[(l, j)][1])
 
     return AreaMaps(
         partition=part,
