@@ -38,13 +38,15 @@ The script does two things, and changes neither tree:
 
 Per workload it records each end-to-end metric's per-pair values, the
 median and quartiles of each side, the number of pairs the change wins
-(strictly better in the metric's direction from `BENCHMARK.json`), and the
+(better in the metric's direction from `BENCHMARK.json` by more than the
+rounding tolerance 1e-8 relative; a pair within it is a tie), and the
 median gain next to the parent's interquartile range.  Two verdicts are
 recorded and printed per metric:
 
 - `gain_shown`: the change wins at least nine tenths of the pairs (a tie
-  counts for neither side) and its median gain exceeds the parent's
-  interquartile range, the rule a claimed gain must meet;
+  counts for neither side) and its median gain exceeds both the parent's
+  interquartile range and the rounding tolerance, the rule a claimed gain
+  must meet;
 - `within_bound`: the change's median is no worse than the parent's by
   more than the metric's `bound` in `BENCHMARK.json`, a fraction of the
   parent's median.
@@ -130,7 +132,7 @@ def trace_without_timing(path: Path) -> list[list[str]]:
 
 
 # estimate fields that must agree to this relative tolerance for a rounding
-# change to pass
+# change to pass; two values of a metric this close are a tie
 ESTIMATE_REL_TOL = 1e-8
 ESTIMATE_FIELDS = ("mape_magnitude_pct", "mae_angle_deg")
 
@@ -286,7 +288,8 @@ def summarize(better: str, unit: str, bound: float, parent: list[float],
     p_q1, p_med, p_q3 = quartiles(parent)
     c_q1, c_med, c_q3 = quartiles(change)
     gain = sign * (p_med - c_med)
-    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    wins = sum(sign * (p - c) > 0 and rel_diff(p, c) > ESTIMATE_REL_TOL
+               for p, c in zip(parent, change))
     return {
         "unit": unit,
         "better": better,
@@ -299,7 +302,8 @@ def summarize(better: str, unit: str, bound: float, parent: list[float],
         "median_gain_pct": 100.0 * gain / p_med if p_med else None,
         "parent_iqr": p_q3 - p_q1,
         "bound": bound,
-        "gain_shown": 10 * wins >= 9 * len(parent) and gain > p_q3 - p_q1,
+        "gain_shown": (10 * wins >= 9 * len(parent) and gain > p_q3 - p_q1
+                       and rel_diff(p_med, c_med) > ESTIMATE_REL_TOL),
         "within_bound": -gain <= bound * abs(p_med),
     }
 

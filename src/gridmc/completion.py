@@ -223,17 +223,22 @@ class AreaProblem:
     sum_t 0.5 |W^(1/2) (S_l x_t - y_t)|^2, y_t row t of
     `AreaState.row_targets` and W = diag(`row_weights`).  The flow Hessian
     of one step, H = S_l^T W S_l = nu G_ll^T G_ll + lam sum_j B_jl^T B_jl,
-    is formed once per run and stored in the two layouts the U and V
-    contractions consume.  The updates read their weights from `config`,
-    the one H and the data terms were weighted with."""
+    has 5 x 5 blocks H_kk' of n_l x n_l, one per pair of rows of the step;
+    the 16 of `_FLOW_BLOCKS` are formed once per run and stored, the other
+    9 are nu I and 0.  The updates read their weights from `config`, the
+    one H and the data terms were weighted with."""
 
     area: int
     config: AdmmConfig
     cols: np.ndarray
     mask: np.ndarray  # boolean m x n_l
     m_obs: np.ndarray  # m x n_l data block, unobserved entries set to 0
-    mu_mask: np.ndarray  # mu * mask as floats
     mu_m_obs: np.ndarray  # mu * m_obs, the data part of the U and V right-hand sides
+    # m x n_l: the weight of v_c v_c^T in the diagonal block of row i of U,
+    # and of u_i u_i^T in that of column c of V: mu on the observed cells,
+    # plus nu on the voltage rows with flow maps, which is how H's diagonal
+    # blocks nu I enter (as nu V_l V_l^T and nu (W_00 + W_11 + W_22))
+    gram_weights: np.ndarray
     neighbors: list[int]
     n_areas: int
     maps: AreaMaps | None
@@ -245,8 +250,15 @@ class AreaProblem:
     # the columns of A_lj in A_l (see `AreaMaps`)
     stack_rows: dict[int, slice]
     basis_cols: dict[int, slice]
-    h_u: np.ndarray | None  # H as (col, (row, row', col')): n_l x 25 n_l
-    h_v: np.ndarray | None  # H as ((col, col'), (row, row')): n_l^2 x 25
+    h_blocks: np.ndarray | None  # the H_kk' of `_FLOW_BLOCKS`, each row-major: (16, n_l^2)
+    # flat positions of the blocks (k, k') of `_FLOW_BLOCKS` in the 5r x 5r
+    # U matrix of one step (unknowns U_t row-major, (k, j)), (16, r, r); of
+    # the diagonal blocks of the T stacked U matrices, (T 5 r^2,); and of the
+    # column blocks of the r n_l x r n_l V matrix (unknowns V_l row-major,
+    # (j, c)), (n_l, r^2)
+    u_blocks: np.ndarray | None
+    u_diag: np.ndarray | None
+    v_diag: np.ndarray
 
     @property
     def n_l(self) -> int:
@@ -257,6 +269,32 @@ class AreaProblem:
         return len(self.neighbors)
 
 
+# The rows Re v, Im v, |v| come first in each step (`datamatrix`).  G_ll's
+# columns on them are unit vectors and every B_jl is zero on them, so the
+# blocks H_kk' of two voltage rows are nu I (k = k') and 0: the flow Hessian's
+# other blocks, those with an injection row k or k', are `_FLOW_BLOCKS`.
+_VOLTAGE_ROWS = 3
+_FLOW_BLOCKS = np.array([(k, kk) for k in range(ROWS_PER_STEP)
+                         for kk in range(ROWS_PER_STEP) if max(k, kk) >= _VOLTAGE_ROWS]).T
+
+
+def _diagonal_blocks(k: int, r: int, interleaved: bool = False) -> np.ndarray:
+    """Flat positions, (k, r^2), of the k diagonal r x r blocks of a kr x kr
+    matrix: block i acts on the unknowns i r + j, or on j k + i when
+    `interleaved` (column i of a row-major r x k matrix)."""
+    i, j = np.arange(k)[:, None], np.arange(r)
+    pos = j * k + i if interleaved else i * r + j
+    return (pos[:, :, None] * (k * r) + pos[:, None, :]).reshape(k, r * r)
+
+
+def _flow_block_positions(r: int) -> np.ndarray:
+    """Flat positions, (16, r, r), of the blocks (k, k') of `_FLOW_BLOCKS` in
+    a 5r x 5r matrix on the unknowns (k, j), k r + j."""
+    j = np.arange(r)
+    rows, cols = (k[:, None] * r + j for k in _FLOW_BLOCKS)
+    return rows[:, :, None] * (ROWS_PER_STEP * r) + cols[:, None, :]
+
+
 def _build_problems(
     m_data: np.ndarray,
     mask: np.ndarray,
@@ -264,13 +302,22 @@ def _build_problems(
     part: AreaPartition,
     config: AdmmConfig,
 ) -> dict[int, AreaProblem]:
+    m, r = m_data.shape[0], config.resolve_rank(*m_data.shape)
+    u_blocks = u_diag = None
+    # nu on the voltage rows of each step (see `AreaProblem.gram_weights`)
+    voltage_weight = np.zeros((m, 1))
+    if area_maps is not None:
+        u_blocks = _flow_block_positions(r)
+        steps = np.arange(m // ROWS_PER_STEP)[:, None, None] * (ROWS_PER_STEP * r) ** 2
+        u_diag = (steps + _diagonal_blocks(ROWS_PER_STEP, r)).reshape(-1)
+        voltage_weight.reshape(-1, ROWS_PER_STEP)[:, :_VOLTAGE_ROWS] = config.nu
     problems = {}
     for l in part.areas:
         cols = part.phases_in(l)
         neighbors = part.neighbors(l)
         n_l = cols.size
         m_obs = np.where(mask[:, cols], m_data[:, cols], 0.0)
-        stack = basis = weights = h_u = h_v = None
+        stack = basis = weights = h_blocks = None
         stack_rows, basis_cols = {}, {}
         if area_maps is not None:
             stack, basis = area_maps.stacks[l], area_maps.bases[l]
@@ -280,17 +327,20 @@ def _build_problems(
             weights[:own] = config.nu
             g_ll, b_in = stack[:own], stack[own:]
             h = config.nu * (g_ll.T @ g_ll) + config.lam * (b_in.T @ b_in)
-            h = h.reshape(ROWS_PER_STEP, n_l, ROWS_PER_STEP, n_l)  # (k, c, k', c')
-            h_u = h.transpose(1, 0, 2, 3).reshape(n_l, -1)
-            h_v = h.transpose(1, 3, 0, 2).reshape(n_l * n_l, -1)
+            h = h.reshape(ROWS_PER_STEP, n_l, ROWS_PER_STEP, n_l).transpose(0, 2, 1, 3)
+            voltage = config.nu * np.eye(_VOLTAGE_ROWS)[:, :, None, None] * np.eye(n_l)
+            if not np.array_equal(h[:_VOLTAGE_ROWS, :_VOLTAGE_ROWS], voltage):
+                raise CompletionError(
+                    f"area {l}: the flow Hessian's voltage blocks are not nu I and 0")
+            h_blocks = h[tuple(_FLOW_BLOCKS)].reshape(-1, n_l * n_l)
         problems[l] = AreaProblem(
             area=l,
             config=config,
             cols=cols,
             mask=mask[:, cols],
             m_obs=m_obs,
-            mu_mask=config.mu * mask[:, cols],
             mu_m_obs=config.mu * m_obs,
+            gram_weights=config.mu * mask[:, cols] + voltage_weight,
             neighbors=neighbors,
             n_areas=part.n_areas,
             maps=area_maps,
@@ -300,8 +350,10 @@ def _build_problems(
             row_weights=weights,
             stack_rows=stack_rows,
             basis_cols=basis_cols,
-            h_u=h_u,
-            h_v=h_v,
+            h_blocks=h_blocks,
+            u_blocks=u_blocks,
+            u_diag=u_diag,
+            v_diag=_diagonal_blocks(n_l, r, interleaved=True),
         )
     return problems
 
@@ -352,21 +404,6 @@ def _solve_checked(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
-def _normal_matrix(flow: np.ndarray | None, data: np.ndarray, base: float) -> np.ndarray:
-    """(n_sys, kr, kr) stacked normal matrices: the flow part (k, r, k, r),
-    the same for every system, written once, plus each system's k data
-    blocks (data: (n_sys, k, r, r), overwritten) with base added to their
-    diagonal first."""
-    n_sys, k, r, _ = data.shape
-    data.reshape(-1, r * r)[:, :: r + 1] += base
-    h = np.zeros((n_sys, k * r, k * r)) if flow is None else np.empty((n_sys, k * r, k * r))
-    h5 = h.reshape(n_sys, k, r, k, r)
-    if flow is not None:
-        h5[...] = flow
-    np.einsum("sbibj->sbij", h5)[...] += data  # a writeable view of the diagonal blocks
-    return h
-
-
 def update_u(prob: AreaProblem, st: AreaState, z: np.ndarray) -> np.ndarray:
     """Exact minimizer of the Lagrangian restricted to U_l plus the proximal
     term, given z = `_flow_target`.
@@ -376,42 +413,54 @@ def update_u(prob: AreaProblem, st: AreaState, z: np.ndarray) -> np.ndarray:
     config = prob.config
     m, r = st.u.shape
     v = st.v
-    base = 1.0 / prob.n_areas + config.prox_c + config.gamma * prob.deg
     rhs = z @ v.T
     rhs += config.prox_c * st.u
     rhs += config.gamma * st.pull
-    # data Gram of row i: mu sum over observed columns c of v_c v_c^T
-    data = prob.mu_mask @ _outer_rows(v.T)
-    rows = ROWS_PER_STEP if prob.maps is not None else 1
-    flow = None
-    if prob.maps is not None:
-        # (V^T kron I_5)^T H (V^T kron I_5), the same for every step
-        flow = ((v @ prob.h_u).reshape(-1, prob.n_l) @ v.T).reshape(r, rows, rows, r)
-        flow = flow.transpose(1, 0, 2, 3)  # (k, j, k', j')
-    h = _normal_matrix(flow, data.reshape(m // rows, rows, r, r), base)
-    return _solve_checked(h, rhs.reshape(m // rows, rows * r)).reshape(m, r)
+    # diagonal block of row i: sum_c gram_weights[i, c] v_c v_c^T + base I
+    data = prob.gram_weights @ _outer_rows(v.T)
+    data[:, :: r + 1] += 1.0 / prob.n_areas + config.prox_c + config.gamma * prob.deg
+    if prob.maps is None:
+        return _solve_checked(data.reshape(m, r, r), rhs)
+    # (V^T kron I_5)^T H (V^T kron I_5), the same for every step: the blocks
+    # V H_kk' V^T of `_FLOW_BLOCKS` from two products, 0 between two voltage
+    # rows; nu V V^T on the voltage diagonal comes with the data blocks
+    n_blocks, n_l = prob.h_blocks.shape[0], prob.n_l
+    hv = (prob.h_blocks.reshape(-1, n_l) @ v.T).reshape(n_blocks, n_l, r)
+    flow = np.zeros((ROWS_PER_STEP * r) ** 2)
+    flow[prob.u_blocks] = np.matmul(v, hv)
+    h = np.empty((m // ROWS_PER_STEP, flow.size))
+    h[...] = flow
+    h.reshape(-1)[prob.u_diag] += data.reshape(-1)
+    h = h.reshape(-1, ROWS_PER_STEP * r, ROWS_PER_STEP * r)
+    return _solve_checked(h, rhs.reshape(h.shape[:2])).reshape(m, r)
 
 
 def update_v(prob: AreaProblem, st: AreaState, u_new: np.ndarray,
              z: np.ndarray) -> np.ndarray:
     """Exact minimizer over V_l, given the same z as `update_u`: one system
-    on vec_F(V_l), block diagonal per column in its data part, with the flow
-    Hessian contracted against W = sum_t u_t u_t^T, u_t the row-major U_t."""
+    on V_l row-major, block diagonal over the columns in its data part, with
+    the flow Hessian contracted against W = sum_t u_t u_t^T, u_t the
+    row-major U_t."""
     config = prob.config
-    m, r = u_new.shape
-    n_l = prob.n_l
-    rhs = u_new.T @ z
-    rhs += config.prox_c * st.v
-    data = prob.mu_mask.T @ _outer_rows(u_new)
-    flow = None
-    if prob.maps is not None:
+    r, n_l = st.v.shape
+    rhs = (u_new.T @ z).ravel()
+    rhs += config.prox_c * st.v.ravel()
+    # block of column c: sum_i gram_weights[i, c] u_i u_i^T + (1 + prox_c) I
+    data = prob.gram_weights.T @ _outer_rows(u_new)
+    data[:, :: r + 1] += 1.0 + config.prox_c
+    if prob.maps is None:
+        h = np.zeros((r * n_l, r * n_l))
+    else:
+        # sum_kk' W_kk' kron H_kk' over `_FLOW_BLOCKS`: one product gives
+        # ((j, j'), (c, c')), copied to (j, c, j', c') in runs of n_l;
+        # nu (W_00 + W_11 + W_22) on every column block comes with the data
         u_steps = u_new.reshape(prob.maps.n_steps, ROWS_PER_STEP * r)
-        w = (u_steps.T @ u_steps).reshape(ROWS_PER_STEP, r, ROWS_PER_STEP, r)
-        w = w.transpose(0, 2, 1, 3)  # (k, k', j, j')
-        flow = (prob.h_v @ w.reshape(ROWS_PER_STEP**2, r * r)).reshape(n_l, n_l, r, r)
-        flow = flow.transpose(0, 2, 1, 3)  # (c, j, c', j')
-    h = _normal_matrix(flow, data.reshape(1, n_l, r, r), 1.0 + config.prox_c)[0]
-    return _solve_checked(h, rhs.T.ravel()).reshape(n_l, r).T
+        w = (u_steps.T @ u_steps).reshape(-1)  # (k, j, k', j')
+        flow = w[prob.u_blocks].reshape(prob.h_blocks.shape[0], -1).T @ prob.h_blocks
+        h = np.empty((r * n_l, r * n_l))
+        h.reshape(r, n_l, r, n_l)[...] = flow.reshape(r, r, n_l, n_l).transpose(0, 2, 1, 3)
+    h.reshape(-1)[prob.v_diag] += data
+    return _solve_checked(h, rhs).reshape(r, n_l)
 
 
 def update_q(

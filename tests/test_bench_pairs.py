@@ -228,6 +228,19 @@ class TestVerdicts:
         s = self.summary(change)
         assert s["change_wins"] == 8 and not s["gain_shown"]
 
+    def test_rounding_differences_are_ties(self):
+        """An accuracy metric the same in every run of a side (parent IQR 0)
+        that rounding moves by 1e-11 relative the favourable way is tied in
+        every pair, and shows no gain; a real timing gain still shows."""
+        parent = [0.441817909488997] * 10
+        rounding = self.summary([p * (1 - 1e-11) for p in parent], bound=0.02,
+                                parent=parent)
+        assert rounding["parent_iqr"] == 0 and rounding["median_gain"] > 0
+        assert rounding["change_wins"] == 0
+        assert not rounding["gain_shown"] and rounding["within_bound"]
+        timing = self.summary([p * 0.9 for p in self.PARENT])
+        assert timing["change_wins"] == 10 and timing["gain_shown"]
+
     def test_a_gain_inside_the_parent_iqr_is_not_shown(self):
         change = [p - 0.005 for p in self.PARENT]
         s = self.summary(change)

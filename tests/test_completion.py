@@ -399,7 +399,10 @@ class TestSubproblems:
             assembled[np.ix_(idx, idx)] = h_u[t]
         assert np.max(np.abs(assembled - full_u)) < 1e-10 * np.max(np.abs(full_u))
 
-        full_v = normal(np.kron(np.eye(n_l), u_new), 1.0 + config.prox_c)
+        full_v = normal(np.kron(np.eye(n_l), u_new), 1.0 + config.prox_c)  # on vec_F(V)
+        # the V matrix acts on V row-major: unknown (j, c) is entry c r + j of vec_F(V)
+        order = np.arange(r * n_l).reshape(n_l, r).T.ravel()
+        full_v = full_v[np.ix_(order, order)]
         assert np.max(np.abs(h_v - full_v)) < 1e-10 * np.max(np.abs(full_v))
 
     def test_unmapped_u_splits_per_row(self, three_step_setup, monkeypatch):
@@ -433,8 +436,8 @@ class TestSubproblems:
 
 def _block_diag(blocks, base):
     """(n_sys, k, r, r) -> (n_sys, k, r, k, r): each system's k blocks on its
-    block diagonal, plus base on its main diagonal (the assembly the U and V
-    updates used before they wrote their normal matrices in place)."""
+    block diagonal, plus base on its main diagonal, all else zero: the data
+    part of the U and V normal matrices, assembled without an index."""
     n_sys, k, r, _ = blocks.shape
     out = np.zeros((n_sys, k, r, k, r))
     diag = np.arange(k)
@@ -443,9 +446,19 @@ def _block_diag(blocks, base):
     return out
 
 
+def _flow_hessian(prob, config):
+    """One step's flow Hessian nu G_ll^T G_ll + lam sum_j B_jl^T B_jl of
+    the area, all 25 of its blocks, as (k, c, k', c')."""
+    own, n_l = 3 * prob.n_l, prob.n_l
+    g_ll, b_in = prob.stack[:own], prob.stack[own:]
+    h = config.nu * (g_ll.T @ g_ll) + config.lam * (b_in.T @ b_in)
+    return h.reshape(5, n_l, 5, n_l)
+
+
 def _reference_u_system(prob, st, config, z):
-    """update_u's normal matrices and right-hand side, zero-filled and summed
-    in the reference order: base, then the flow block."""
+    """update_u's normal matrices and right-hand side: the zero-filled data
+    blocks plus base, then the flow part contracted from all 25 blocks of
+    H, V H_kk' V^T at (k, k')."""
     m, r = st.u.shape
     v = st.v
     base = 1.0 / prob.n_areas + config.prox_c + config.gamma * prob.deg
@@ -454,28 +467,32 @@ def _reference_u_system(prob, st, config, z):
     rows = 5 if prob.maps is not None else 1
     h = _block_diag(data.reshape(m // rows, rows, r, r), base)
     if prob.maps is not None:
-        flow = ((v @ prob.h_u).reshape(-1, prob.n_l) @ v.T).reshape(r, rows, rows, r)
-        h += flow.transpose(1, 0, 2, 3)
+        h += np.einsum("jc,kcKd,Jd->kjKJ", v, _flow_hessian(prob, config), v)
     return h.reshape(-1, rows * r, rows * r), rhs.reshape(m // rows, rows * r)
 
 
 def _reference_v_system(prob, st, u_new, config, z):
-    """update_v's normal matrix and right-hand side, assembled the same way."""
+    """update_v's normal matrix and right-hand side on V row-major, (j, c):
+    the zero-filled data block of each column c plus base, then
+    sum_kk' W_kk' kron H_kk' over all 25 blocks of H."""
     r, n_l = u_new.shape[1], prob.n_l
     rhs = u_new.T @ z + config.prox_c * st.v
     data = (config.mu * prob.mask.T) @ cp._outer_rows(u_new)
     h = _block_diag(data.reshape(1, n_l, r, r), 1.0 + config.prox_c)[0]
+    h = h.transpose(1, 0, 3, 2)  # (c, j, c', j') -> (j, c, j', c')
     if prob.maps is not None:
-        u_steps = u_new.reshape(prob.maps.n_steps, 5 * r)
-        w = (u_steps.T @ u_steps).reshape(5, r, 5, r).transpose(0, 2, 1, 3)
-        flow = (prob.h_v @ w.reshape(25, r * r)).reshape(n_l, n_l, r, r)
-        h += flow.transpose(0, 2, 1, 3)
-    return h.reshape(n_l * r, n_l * r), rhs.T.ravel()
+        u_steps = u_new.reshape(prob.maps.n_steps, 5, r)
+        w = np.einsum("tkj,tKJ->kjKJ", u_steps, u_steps)
+        h = h + np.einsum("kjKJ,kcKd->jcJd", w, _flow_hessian(prob, config))
+    return h.reshape(r * n_l, r * n_l), rhs.ravel()
 
 
 class TestNormalMatrixAssembly:
-    """The U and V normal matrices, written in place, equal bit for bit the
-    zero-filled block-diagonal assembly; so do their right-hand sides."""
+    """The U and V normal matrices, written through flat block positions,
+    equal the zero-filled assembly with the flow part from all of H: bit
+    for bit without flow maps, and within 1e-12 relative with them, whose
+    flow blocks and voltage diagonal sum in another order.  Their
+    right-hand sides are equal bit for bit."""
 
     @pytest.mark.parametrize("areas", ["three", "single"])
     @pytest.mark.parametrize("with_maps", [True, False])
@@ -496,6 +513,13 @@ class TestNormalMatrixAssembly:
         solve = cp._solve_quadratic
         monkeypatch.setattr(cp, "_solve_quadratic",
                             lambda h, rhs: solved.append((h, rhs)) or solve(h, rhs))
+
+        def assert_matches(h, ref):
+            if with_maps:
+                assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
+            else:
+                assert np.array_equal(h, ref)
+
         for l, prob in problems.items():
             st = states[l]
             z = cp._flow_target(prob, st)
@@ -504,8 +528,10 @@ class TestNormalMatrixAssembly:
             (h_u, rhs_u), (h_v, rhs_v) = solved[-2:]
             ref_h_u, ref_rhs_u = _reference_u_system(prob, st, config, z)
             ref_h_v, ref_rhs_v = _reference_v_system(prob, st, u_new, config, z)
-            assert np.array_equal(h_u, ref_h_u) and np.array_equal(rhs_u, ref_rhs_u)
-            assert np.array_equal(h_v, ref_h_v) and np.array_equal(rhs_v, ref_rhs_v)
+            assert h_u.shape == ref_h_u.shape and h_v.shape == ref_h_v.shape
+            assert_matches(h_u, ref_h_u)
+            assert_matches(h_v, ref_h_v)
+            assert np.array_equal(rhs_u, ref_rhs_u) and np.array_equal(rhs_v, ref_rhs_v)
         assert len(solved) == 2 * len(problems)
 
     @pytest.mark.parametrize("n_sys, k, with_flow", [
@@ -515,17 +541,71 @@ class TestNormalMatrixAssembly:
         (1, 6, False),
     ])
     def test_normal_matrix_equals_zero_filled_blocks(self, n_sys, k, with_flow):
-        """`_normal_matrix`, whose data blocks go in through a diagonal-block
-        view, equals the zero-filled assembly plus the flow part bit for bit."""
+        """Data blocks added at the flat positions of `_diagonal_blocks`,
+        over a flow part the same for every system, equal the zero-filled
+        assembly plus the flow part bit for bit, whether block i holds the
+        unknowns i r + j (U_t row-major) or j k + i (column i of V row-major)."""
         rng = np.random.default_rng(7)
         r, base = 3, 0.7
         data = rng.standard_normal((n_sys, k, r, r))
-        flow = rng.standard_normal((k, r, k, r)) if with_flow else None
-        want = _block_diag(data.copy(), base)
-        if with_flow:
-            want += flow
-        got = cp._normal_matrix(flow, data.copy(), base)
-        assert np.array_equal(got, want.reshape(n_sys, k * r, k * r))
+        flow = rng.standard_normal((k, r, k, r)) if with_flow else np.zeros((k, r, k, r))
+        want = _block_diag(data, base) + flow  # (n_sys, block, j, block', j')
+        blocks = data.reshape(n_sys, k, r * r).copy()
+        blocks[:, :, :: r + 1] += base
+        for interleaved, axes in ((False, (0, 1, 2, 3, 4)), (True, (0, 2, 1, 4, 3))):
+            got = np.empty((n_sys, (k * r) ** 2))
+            got[...] = flow[None].transpose(axes).reshape(1, -1)
+            got[:, cp._diagonal_blocks(k, r, interleaved)] += blocks
+            assert np.array_equal(got, want.transpose(axes).reshape(n_sys, -1))
+
+
+def _flow_instance(kind: str, n_areas: int):
+    """Partition and area maps, T=2, of feeder33, the 129-bus random feeder
+    or a 33-bus three-phase random feeder."""
+    if kind == "feeder33":
+        net, _, part = gm.feeder33_analog(seed=0, n_steps=2, n_areas=n_areas)
+    else:
+        net, _ = gm.generate_radial_feeder(129 if kind == "random128" else 33, seed=0,
+                                           n_steps=2, three_phase=kind == "three-phase")
+        part = gm.AreaPartition.contiguous(net.n_phases, n_areas)
+    return part, lf.build_area_maps(lf.build_linear_model(net, n_steps=2), part)
+
+
+class TestFlowHessianBlocks:
+    @pytest.mark.parametrize("kind, n_areas", [
+        ("feeder33", 1), ("feeder33", 5), ("random128", 5), ("three-phase", 3),
+    ])
+    def test_voltage_blocks_are_nu_identity(self, kind, n_areas):
+        """On every area, the 9 blocks of H between two voltage rows are
+        exactly nu I and 0, as `_build_problems` checks, and `h_blocks`
+        holds the 16 others exactly."""
+        part, maps = _flow_instance(kind, n_areas)
+        config = admm_config(rank=3, nu=3.0, lam=0.5)
+        m, n = 10, part.assignment.size
+        problems = cp._build_problems(np.zeros((m, n)), np.zeros((m, n), dtype=bool),
+                                      maps, part, config)
+        assert len(problems) == n_areas
+        fixed = [(k, kk) for k in range(3) for kk in range(3)]
+        assert sorted(fixed + [tuple(b) for b in cp._FLOW_BLOCKS.T.tolist()]) == [
+            (k, kk) for k in range(5) for kk in range(5)]
+        for prob in problems.values():
+            h, n_l = _flow_hessian(prob, config), prob.n_l
+            for k, kk in fixed:
+                assert np.array_equal(h[k, :, kk, :], config.nu * (k == kk) * np.eye(n_l))
+            for block, (k, kk) in zip(prob.h_blocks, cp._FLOW_BLOCKS.T):
+                assert np.array_equal(block.reshape(n_l, n_l), h[k, :, kk, :])
+
+    @pytest.mark.parametrize("row", ["own", "neighbor"])
+    def test_voltage_column_entry_is_refused(self, small_instance, row):
+        """A stack with a nonzero off the unit entries of the voltage columns,
+        in G_ll or in a B_jl, is refused with a typed error."""
+        mat, maps = small_instance["mat"], small_instance["maps"]
+        stack = maps.stacks[2].copy()
+        stack[1 if row == "own" else 3 * maps.cols[2].size, 0] = 0.25
+        broken = dataclasses.replace(maps, stacks={**maps.stacks, 2: stack})
+        mask = np.ones(mat.shape, dtype=bool)
+        with pytest.raises(cp.CompletionError, match="area 2"):
+            cp._build_problems(mat, mask, broken, small_instance["part"], admm_config())
 
 
 def _star(small_instance, deg: int = 4):
