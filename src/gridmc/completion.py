@@ -278,21 +278,17 @@ _FLOW_BLOCKS = np.array([(k, kk) for k in range(ROWS_PER_STEP)
                          for kk in range(ROWS_PER_STEP) if max(k, kk) >= _VOLTAGE_ROWS]).T
 
 
-def _diagonal_blocks(k: int, r: int, interleaved: bool = False) -> np.ndarray:
-    """Flat positions, (k, r^2), of the k diagonal r x r blocks of a kr x kr
-    matrix: block i acts on the unknowns i r + j, or on j k + i when
-    `interleaved` (column i of a row-major r x k matrix)."""
-    i, j = np.arange(k)[:, None], np.arange(r)
-    pos = j * k + i if interleaved else i * r + j
-    return (pos[:, :, None] * (k * r) + pos[:, None, :]).reshape(k, r * r)
-
-
-def _flow_block_positions(r: int) -> np.ndarray:
-    """Flat positions, (16, r, r), of the blocks (k, k') of `_FLOW_BLOCKS` in
-    a 5r x 5r matrix on the unknowns (k, j), k r + j."""
+def _block_positions(rows: np.ndarray, cols: np.ndarray, k: int, r: int,
+                     interleaved: bool = False) -> np.ndarray:
+    """Flat positions, (len(rows), r, r), of the r x r blocks (rows[b],
+    cols[b]) of a kr x kr matrix whose block i acts on the unknowns i r + j,
+    or on j k + i when `interleaved` (column i of a row-major r x k matrix)."""
     j = np.arange(r)
-    rows, cols = (k[:, None] * r + j for k in _FLOW_BLOCKS)
-    return rows[:, :, None] * (ROWS_PER_STEP * r) + cols[:, None, :]
+
+    def unknowns(i):
+        return j * k + i[:, None] if interleaved else i[:, None] * r + j
+
+    return unknowns(rows)[:, :, None] * (k * r) + unknowns(cols)[:, None, :]
 
 
 def _build_problems(
@@ -307,9 +303,10 @@ def _build_problems(
     # nu on the voltage rows of each step (see `AreaProblem.gram_weights`)
     voltage_weight = np.zeros((m, 1))
     if area_maps is not None:
-        u_blocks = _flow_block_positions(r)
-        steps = np.arange(m // ROWS_PER_STEP)[:, None, None] * (ROWS_PER_STEP * r) ** 2
-        u_diag = (steps + _diagonal_blocks(ROWS_PER_STEP, r)).reshape(-1)
+        u_blocks = _block_positions(*_FLOW_BLOCKS, ROWS_PER_STEP, r)
+        rows = np.arange(ROWS_PER_STEP)
+        steps = np.arange(m // ROWS_PER_STEP)[:, None, None, None] * (ROWS_PER_STEP * r) ** 2
+        u_diag = (steps + _block_positions(rows, rows, ROWS_PER_STEP, r)).reshape(-1)
         voltage_weight.reshape(-1, ROWS_PER_STEP)[:, :_VOLTAGE_ROWS] = config.nu
     problems = {}
     for l in part.areas:
@@ -353,7 +350,8 @@ def _build_problems(
             h_blocks=h_blocks,
             u_blocks=u_blocks,
             u_diag=u_diag,
-            v_diag=_diagonal_blocks(n_l, r, interleaved=True),
+            v_diag=_block_positions(np.arange(n_l), np.arange(n_l), n_l, r,
+                                    interleaved=True).reshape(n_l, r * r),
         )
     return problems
 
@@ -424,8 +422,7 @@ def update_u(prob: AreaProblem, st: AreaState, z: np.ndarray) -> np.ndarray:
     # (V^T kron I_5)^T H (V^T kron I_5), the same for every step: the blocks
     # V H_kk' V^T of `_FLOW_BLOCKS` from two products, 0 between two voltage
     # rows; nu V V^T on the voltage diagonal comes with the data blocks
-    n_blocks, n_l = prob.h_blocks.shape[0], prob.n_l
-    hv = (prob.h_blocks.reshape(-1, n_l) @ v.T).reshape(n_blocks, n_l, r)
+    hv = (prob.h_blocks.reshape(-1, prob.n_l) @ v.T).reshape(-1, prob.n_l, r)
     flow = np.zeros((ROWS_PER_STEP * r) ** 2)
     flow[prob.u_blocks] = np.matmul(v, hv)
     h = np.empty((m // ROWS_PER_STEP, flow.size))
@@ -456,7 +453,7 @@ def update_v(prob: AreaProblem, st: AreaState, u_new: np.ndarray,
         # nu (W_00 + W_11 + W_22) on every column block comes with the data
         u_steps = u_new.reshape(prob.maps.n_steps, ROWS_PER_STEP * r)
         w = (u_steps.T @ u_steps).reshape(-1)  # (k, j, k', j')
-        flow = w[prob.u_blocks].reshape(prob.h_blocks.shape[0], -1).T @ prob.h_blocks
+        flow = w[prob.u_blocks].reshape(-1, r * r).T @ prob.h_blocks
         h = np.empty((r * n_l, r * n_l))
         h.reshape(r, n_l, r, n_l)[...] = flow.reshape(r, r, n_l, n_l).transpose(0, 2, 1, 3)
     h.reshape(-1)[prob.v_diag] += data

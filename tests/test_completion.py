@@ -541,21 +541,22 @@ class TestNormalMatrixAssembly:
         (1, 6, False),
     ])
     def test_normal_matrix_equals_zero_filled_blocks(self, n_sys, k, with_flow):
-        """Data blocks added at the flat positions of `_diagonal_blocks`,
-        over a flow part the same for every system, equal the zero-filled
-        assembly plus the flow part bit for bit, whether block i holds the
-        unknowns i r + j (U_t row-major) or j k + i (column i of V row-major)."""
+        """Data blocks added at the flat positions `_block_positions` gives
+        the diagonal blocks, over a flow part the same for every system,
+        equal the zero-filled assembly plus the flow part bit for bit,
+        whether block i holds the unknowns i r + j (U_t row-major) or j k + i
+        (column i of V row-major)."""
         rng = np.random.default_rng(7)
         r, base = 3, 0.7
         data = rng.standard_normal((n_sys, k, r, r))
         flow = rng.standard_normal((k, r, k, r)) if with_flow else np.zeros((k, r, k, r))
         want = _block_diag(data, base) + flow  # (n_sys, block, j, block', j')
-        blocks = data.reshape(n_sys, k, r * r).copy()
-        blocks[:, :, :: r + 1] += base
+        blocks = data + base * np.eye(r)
+        diag = np.arange(k)
         for interleaved, axes in ((False, (0, 1, 2, 3, 4)), (True, (0, 2, 1, 4, 3))):
             got = np.empty((n_sys, (k * r) ** 2))
             got[...] = flow[None].transpose(axes).reshape(1, -1)
-            got[:, cp._diagonal_blocks(k, r, interleaved)] += blocks
+            got[:, cp._block_positions(diag, diag, k, r, interleaved)] += blocks
             assert np.array_equal(got, want.transpose(axes).reshape(n_sys, -1))
 
 
