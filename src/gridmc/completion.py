@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datamatrix import ROWS_PER_STEP
+from .datamatrix import ROWS_PER_STEP, VOLTAGE_ROWS
 from .gridmodel import AreaPartition
 from .linflow import AreaMaps
 from .simnet import Message, MessageBus
@@ -273,9 +273,8 @@ class AreaProblem:
 # columns on them are unit vectors and every B_jl is zero on them, so the
 # blocks H_kk' of two voltage rows are nu I (k = k') and 0: the flow Hessian's
 # other blocks, those with an injection row k or k', are `_FLOW_BLOCKS`.
-_VOLTAGE_ROWS = 3
 _FLOW_BLOCKS = np.array([(k, kk) for k in range(ROWS_PER_STEP)
-                         for kk in range(ROWS_PER_STEP) if max(k, kk) >= _VOLTAGE_ROWS]).T
+                         for kk in range(ROWS_PER_STEP) if max(k, kk) >= VOLTAGE_ROWS]).T
 
 
 def _block_positions(rows: np.ndarray, cols: np.ndarray, k: int, r: int,
@@ -307,7 +306,7 @@ def _build_problems(
         rows = np.arange(ROWS_PER_STEP)
         steps = np.arange(m // ROWS_PER_STEP)[:, None, None, None] * (ROWS_PER_STEP * r) ** 2
         u_diag = (steps + _block_positions(rows, rows, ROWS_PER_STEP, r)).reshape(-1)
-        voltage_weight.reshape(-1, ROWS_PER_STEP)[:, :_VOLTAGE_ROWS] = config.nu
+        voltage_weight.reshape(-1, ROWS_PER_STEP)[:, :VOLTAGE_ROWS] = config.nu
     problems = {}
     for l in part.areas:
         cols = part.phases_in(l)
@@ -325,8 +324,8 @@ def _build_problems(
             g_ll, b_in = stack[:own], stack[own:]
             h = config.nu * (g_ll.T @ g_ll) + config.lam * (b_in.T @ b_in)
             h = h.reshape(ROWS_PER_STEP, n_l, ROWS_PER_STEP, n_l).transpose(0, 2, 1, 3)
-            voltage = config.nu * np.eye(_VOLTAGE_ROWS)[:, :, None, None] * np.eye(n_l)
-            if not np.array_equal(h[:_VOLTAGE_ROWS, :_VOLTAGE_ROWS], voltage):
+            voltage = config.nu * np.eye(VOLTAGE_ROWS)[:, :, None, None] * np.eye(n_l)
+            if not np.array_equal(h[:VOLTAGE_ROWS, :VOLTAGE_ROWS], voltage):
                 raise CompletionError(
                     f"area {l}: the flow Hessian's voltage blocks are not nu I and 0")
             h_blocks = h[tuple(_FLOW_BLOCKS)].reshape(-1, n_l * n_l)

@@ -13,6 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 ROWS_PER_STEP = 5
+# Re(v), Im(v), |v| are the first rows of each time block; the rest, Re(s)
+# and Im(s), are the injection rows, the only rows an area's flow residual
+# reads from a neighbor's columns.
+VOLTAGE_ROWS = 3
 _SCADA_ROWS = (2, 3, 4)  # |v|, Re(s), Im(s) within each time block
 
 

@@ -8,13 +8,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .datamatrix import ROWS_PER_STEP
+from .datamatrix import ROWS_PER_STEP, VOLTAGE_ROWS
 from .gridmodel import AreaPartition, NetworkModel
-
-
-# Re s, Im s within each time block: the only measurement rows an area's
-# flow residual reads from a neighbor's columns.
-_INJECTION_ROWS = slice(3, 5)
 
 
 class LinFlowError(Exception):
@@ -160,7 +155,7 @@ def _factor_step_block(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Only its injection-row columns, the last 2 n_j, are nonzero, so the SVD
     is taken over those and B is zero on the others; the tolerance uses the
     full block's shape."""
-    first = _INJECTION_ROWS.start * (g.shape[1] // ROWS_PER_STEP)
+    first = VOLTAGE_ROWS * (g.shape[1] // ROWS_PER_STEP)
     u, s, vt = np.linalg.svd(g[:, first:], full_matrices=False)
     tol = s[0] * max(g.shape) * np.finfo(g.dtype).eps if s.size else 0.0
     rho = int(np.sum(s > tol))

@@ -144,28 +144,31 @@ def test_04_single_area_equivalence(small_instance, monkeypatch):
         mp.setattr(cp, "update_u", recorded)
         dec = cp.run_decentralized(mat, mask, maps, part, config)
     # the plain block iteration of the whole matrix, without the bus, each
-    # V update followed by the balancing step, and the driver's stop: the
-    # relative change of X below tol (1e-16 leaves only an X that rounding
-    # no longer moves)
+    # V update followed by the balancing step, run to max_iters with no stop
     problems = cp._build_problems(mat, mask, maps, part, config)
     states = cp._init_states(problems, mat, mask,
                              config.resolve_rank(*mat.shape), config.seed)
     prob, st = problems[1], states[1]
-    plain_u, x_prev = [], None
+    plain_u, plain_x = [], []
     for _ in range(config.max_iters):
         z = cp._flow_target(prob, st)
         u_new = cp.update_u(prob, st, z)
         v_new = cp.update_v(prob, st, u_new, z)
         plain_u.append(u_new)
         st.u, st.v = cp.balance(u_new, v_new)
-        x = st.u @ st.v
-        if x_prev is not None and (np.linalg.norm(x - x_prev)
-                                   / max(np.linalg.norm(x_prev), 1e-30)) < config.tol:
-            break
-        x_prev = x
+        plain_x.append(st.u @ st.v)
+    # the stop rule on the plain iterates: the first iteration whose relative
+    # change of X falls below tol (with 1e-16, only an X that rounding no
+    # longer moves), else the max_iters cap; from there on X must stay at
+    # the driver's result
+    stop = next((k + 1 for k in range(1, config.max_iters)
+                 if np.linalg.norm(plain_x[k] - plain_x[k - 1])
+                 / max(np.linalg.norm(plain_x[k - 1]), 1e-30) < config.tol),
+                config.max_iters)
     worst = max(float(np.linalg.norm(u - d)) for u, d in zip(plain_u, dec_u))
-    worst = max(worst, float(np.linalg.norm(st.u @ st.v - dec.x)))
-    ok = len(dec_u) == len(plain_u) == dec.trace.iterations and worst <= 1e-10
+    worst = max([worst] + [float(np.linalg.norm(x - dec.x))
+                           for x in plain_x[stop - 1:]])
+    ok = len(dec_u) == stop and worst <= 1e-10
     assert verdict(4, "single-area-equivalence", ok,
                    f"max per-iteration gap {worst:.2e}")
 
