@@ -29,8 +29,9 @@ class StackedOperator:
 
     The first rows read the observed cells `obs` (`np.nonzero` of the mask,
     row-major order); the remaining rows are, area by area, the flow maps
-    sum_j E_lj(X_j) of `maps` scaled by `scale` = sqrt(nu/mu).  `maps` is
-    None when there are no flow rows."""
+    E_ll(X_l) + sum_j E_lj(X_j) of `maps` scaled by `scale` = sqrt(nu/mu),
+    applied through each area's stack S_l and basis A_l, the operator the
+    solver minimizes.  `maps` is None when there are no flow rows."""
 
     obs: tuple[np.ndarray, np.ndarray]
     maps: AreaMaps | None
@@ -68,7 +69,7 @@ class StackedOperator:
         start = obs_i.size
         for l in self.areas:
             band = b_mat[start : start + self.maps.residual_dim(l)]
-            for j in self.maps.sources(l):
+            for j in [l] + self.maps.partition.neighbors(l):
                 cols = (self.maps.cols[j][:, None] * m + np.arange(m)).ravel()
                 band[:, cols] = self.scale * self.maps.e_mats[(l, j)]
             start += band.shape[0]
@@ -95,27 +96,45 @@ def build_B_d(
 
 
 def apply_B(op: StackedOperator, x: np.ndarray) -> np.ndarray:
+    """B(X).  One product X_l S_l^T per area gives E_ll(X_l) and the
+    coordinates B_jl x_t it sends each neighbor j; area l's flow rows are
+    E_ll(X_l) plus the coordinates it receives, side by side in neighbor
+    order, times A_l^T."""
     if x.shape != op.shape:
         raise CertificateError(f"matrix {x.shape} does not match operator {op.shape}")
     out = [x[op.obs]]
+    maps = op.maps
+    rows = {l: x[:, maps.cols[l]].reshape(maps.n_steps, -1) @ maps.stacks[l].T
+            for l in op.areas}
     for l in op.areas:
-        flow = sum(op.maps.apply(l, j, x[:, op.maps.cols[j]]) for j in op.maps.sources(l))
-        out.append(op.scale * flow)
+        nbrs = maps.partition.neighbors(l)
+        received = [rows[j][:, maps.stack_rows[j][l]] for j in nbrs]
+        coords = np.concatenate([np.empty((maps.n_steps, 0))] + received, axis=1)
+        flow = rows[l][:, :3 * maps.cols[l].size] + coords @ maps.bases[l].T
+        out.append(op.scale * flow.ravel())
     return np.concatenate(out)
 
 
 def apply_B_adjoint(op: StackedOperator, z: np.ndarray) -> np.ndarray:
+    """B^*(z).  Area j's columns are [y_j, y_l A_lj ...] S_j per step, one
+    product over its own flow rows y_j and the projections y_l A_lj of its
+    neighbors' rows, in the order of S_j."""
     z = np.asarray(z, dtype=float).ravel()
     if z.size != op.n_rows:
         raise CertificateError(f"vector length {z.size} does not match {op.n_rows} rows")
     out = np.zeros(op.shape)
     out[op.obs] = z[: op.n_observed]
+    maps, y = op.maps, {}
     start = op.n_observed
     for l in op.areas:
-        y = op.scale * z[start : start + op.maps.residual_dim(l)]
-        for j in op.maps.sources(l):
-            out[:, op.maps.cols[j]] += op.maps.apply_adjoint(l, j, y)
-        start += y.size
+        y[l] = op.scale * z[start : start + maps.residual_dim(l)].reshape(maps.n_steps, -1)
+        start += y[l].size
+    projected = {l: y[l] @ maps.bases[l] for l in op.areas}
+    for j in op.areas:
+        nbrs = maps.partition.neighbors(j)
+        coords = [y[j]] + [projected[l][:, maps.basis_cols[l][j]] for l in nbrs]
+        out[:, maps.cols[j]] += (np.concatenate(coords, axis=1) @ maps.stacks[j]).reshape(
+            maps.m, -1)
     return out
 
 

@@ -83,32 +83,34 @@ class AreaMaps:
     entries: entry t 3n_l + 3 phase + c, so y.reshape(T, 3n_l) has one row
     per step in the row order of G_lj.
 
-    E_lj repeats one per-step block G_lj = step_blocks[(l, j)] (3n_l x 5n_j)
-    on every time step.  Its rows are (phase, [Re v, Im v, |v|]); its
-    columns read the step's 5 x n_j row block of X_j row-major, (row,
-    phase), so X_j.reshape(T, 5n_j) is the per-step matrix with no copy.
-    For neighbors l != j, coupling[(l, j)] = (A, B) factors it exactly as
-    G_lj = A B with A orthonormal (3n_l x rho) and rho = rank(G_lj).  The
-    coordinates of E_lj(X_j) are B applied per step (T * rho reals, step
-    major); A maps them back into the residual space of l.
+    E_lj repeats one per-step block G_lj (3n_l x 5n_j) on every time step.
+    Its rows are (phase, [Re v, Im v, |v|]); its columns read the step's
+    5 x n_j row block of X_j row-major, (row, phase), so X_j.reshape(T, 5n_j)
+    is the per-step matrix with no copy.  For neighbors l != j, G_lj = A_lj
+    B_lj exactly, with A_lj orthonormal (3n_l x rho) and rho = rank(G_lj).
+    The coordinates of E_lj(X_j) are B_lj applied per step (T * rho reals,
+    step major); A_lj maps them back into the residual space of l.
 
-    Each area's blocks are held once, stacked in `partition.neighbors`
-    order j1 ... jd: stacks[l] = S_l = [G_ll; B_{j1 l}; ...; B_{jd l}], the
-    rows every flow term applies to X_l, and bases[l] = A_l = [A_{l j1} ...
-    A_{l jd}], the bases of what l receives.  step_blocks[(l, l)] is the
-    first 3n_l rows of S_l; each B_jl is the rows stack_rows[l][j] of S_l
-    and each A_lj the columns basis_cols[l][j] of A_l, as views."""
+    The flow model is held in one form, each area's blocks stacked in
+    `partition.neighbors` order j1 ... jd: stacks[l] = S_l = [G_ll; B_{j1 l};
+    ...; B_{jd l}], the rows every flow term applies to X_l, and bases[l] =
+    A_l = [A_{l j1} ... A_{l jd}], the bases of what l receives.  Each B_jl
+    is the rows stack_rows[l][j] of S_l and each A_lj the columns
+    basis_cols[l][j] of A_l.  `model` is the linear model they were built
+    from, read only by the dense reference view `e_mats`."""
 
     partition: AreaPartition
-    n_steps: int
+    model: LinearFlowModel
     cols: dict[int, np.ndarray]
     f: dict[int, np.ndarray]
-    step_blocks: dict[tuple[int, int], np.ndarray]
-    coupling: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
     stacks: dict[int, np.ndarray]  # S_l, (3n_l + sum_j rho_jl) x 5n_l
     bases: dict[int, np.ndarray]  # A_l, 3n_l x sum_j rho_lj
     stack_rows: dict[int, dict[int, slice]]
     basis_cols: dict[int, dict[int, slice]]
+
+    @property
+    def n_steps(self) -> int:
+        return self.model.n_steps
 
     @property
     def m(self) -> int:
@@ -117,30 +119,23 @@ class AreaMaps:
     def residual_dim(self, area: int) -> int:
         return 3 * self.n_steps * self.cols[area].size
 
-    def sources(self, area: int) -> list[int]:
-        return [area] + self.partition.neighbors(area)
-
     @cached_property
     def e_mats(self) -> dict[tuple[int, int], np.ndarray]:
         """Dense reference views: e_mats[(l, j)] is E_lj as a 3T n_l x m n_j
-        matrix acting on the column-major flattening of X_j.  Assembled on
-        first read; no estimation step reads them."""
+        matrix acting on the column-major flattening of X_j, for j = l and
+        each neighbor.  Assembled from the model on first read; no
+        estimation step and no certificate product reads them."""
         return {
-            (l, j): _repeat_steps(g, self.cols[j].size, self.n_steps)
-            for (l, j), g in self.step_blocks.items()
+            (l, j): _repeat_steps(
+                _step_block(self.model, self.cols[l], self.cols[j], same_area=l == j),
+                self.cols[j].size, self.n_steps)
+            for l in self.partition.areas for j in [l] + self.partition.neighbors(l)
         }
-
-    def apply(self, l: int, j: int, x_j: np.ndarray) -> np.ndarray:
-        """E_lj(X_j) for the m x n_j block x_j, in the residual order of l."""
-        return (x_j.reshape(self.n_steps, -1) @ self.step_blocks[(l, j)].T).ravel()
-
-    def apply_adjoint(self, l: int, j: int, y: np.ndarray) -> np.ndarray:
-        """E_lj^T y for a residual-order vector y of l, as an m x n_j block."""
-        return (y.reshape(self.n_steps, -1) @ self.step_blocks[(l, j)]).reshape(self.m, -1)
 
     def coupling_rank(self, l: int, j: int) -> int:
         """rank(G_lj): reals per time step that carry E_lj(X_j)."""
-        return self.coupling[(l, j)][1].shape[0]
+        rows = self.stack_rows[j][l]
+        return rows.stop - rows.start
 
 
 def _slices(sizes: list[int], start: int = 0) -> list[slice]:
@@ -203,46 +198,29 @@ def build_area_maps(model: LinearFlowModel, part: AreaPartition) -> AreaMaps:
     """Per-step blocks of the truncated model: they read only the same-area
     and neighbor-area couplings, which truncation keeps, so the full model
     and its truncation give the same maps."""
-    t_steps = model.n_steps
     cols = {l: part.phases_in(l) for l in part.areas}
     w3 = np.stack([model.w.real, model.w.imag, np.abs(model.w)], axis=1)
+    f = {l: np.tile(w3[cols[l]].ravel(), model.n_steps) for l in part.areas}
+    factors = {(l, j): _factor_step_block(_step_block(model, cols[l], cols[j], same_area=False))
+               for l in part.areas for j in part.neighbors(l)}
 
-    step_blocks: dict[tuple[int, int], np.ndarray] = {}
-    coupling: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    f: dict[int, np.ndarray] = {}
-    for l in part.areas:
-        own = cols[l]
-        f[l] = np.tile(w3[own].ravel(), t_steps)
-        for j in part.neighbors(l):
-            g = step_blocks[(l, j)] = _step_block(model, own, cols[j], same_area=False)
-            coupling[(l, j)] = _factor_step_block(g)
-
-    # Stack each area's blocks once, then point the per-pair names at views of
-    # the stack, which frees the blocks it copied before the next area's.
     stacks, bases, stack_rows, basis_cols = {}, {}, {}, {}
     for l in part.areas:
         nbrs, own = part.neighbors(l), cols[l]
-        b_in = [coupling[(j, l)][1] for j in nbrs]
-        a_in = [coupling[(l, j)][0] for j in nbrs]
+        b_in = [factors[(j, l)][1] for j in nbrs]
+        a_in = [factors[(l, j)][0] for j in nbrs]
         stacks[l] = np.concatenate([_step_block(model, own, own, same_area=True)] + b_in)
         bases[l] = np.concatenate([np.empty((3 * own.size, 0))] + a_in, axis=1)
-        step_blocks[(l, l)] = stacks[l][:3 * own.size]
         stack_rows[l] = dict(zip(nbrs, _slices([b.shape[0] for b in b_in], 3 * own.size)))
         basis_cols[l] = dict(zip(nbrs, _slices([a.shape[1] for a in a_in])))
-        for j in nbrs:
-            coupling[(j, l)] = (coupling[(j, l)][0], stacks[l][stack_rows[l][j]])
-            coupling[(l, j)] = (bases[l][:, basis_cols[l][j]], coupling[(l, j)][1])
 
     return AreaMaps(
         partition=part,
-        n_steps=t_steps,
+        model=model,
         cols=cols,
         f=f,
-        step_blocks=step_blocks,
-        coupling=coupling,
         stacks=stacks,
         bases=bases,
         stack_rows=stack_rows,
         basis_cols=basis_cols,
     )
-

@@ -9,9 +9,13 @@ the unit tests are written against.
 - `truncate_model`: the dense model truncated to an area partition's
   couplings, which `predict` evaluates and `linflow.truncation_error` is
   measured against.
-- `expand`/`project`/`coordinates`: one coupling block of `AreaMaps` at a
-  time, the per-neighbor reference for the solver's products with the
-  stacked S_l and A_l.
+- `sources`/`step_block`/`apply`/`apply_adjoint`: the per-step block G_lj
+  of E_lj, built from the linear model alone, not from the coupling
+  factors, and E_lj and its adjoint applied through it: the dense per-pair
+  reference for the stacked S_l and A_l of `AreaMaps`.
+- `factors`/`expand`/`project`/`coordinates`: one coupling block of
+  `AreaMaps` at a time, read out of the stacks, the per-neighbor reference
+  for the solver's products with the whole S_l and A_l.
 - `decentralized_flow`: the same evaluation, area by area, by the solver's
   exchange protocol over the message bus (Algorithm-2 style).
 - `update_q_per_edge`: the q step and flow dual ascent with one q_lj and one
@@ -27,6 +31,7 @@ import functools
 import numpy as np
 
 from gridmc import completion as cp
+from gridmc import linflow as lf
 from gridmc.datamatrix import ROWS_PER_STEP
 from gridmc.gridmodel import AreaPartition
 from gridmc.linflow import AreaMaps, LinearFlowModel, LinFlowError
@@ -107,23 +112,49 @@ def truncate_model(model: LinearFlowModel, part: AreaPartition) -> LinearFlowMod
     )
 
 
+def sources(maps: AreaMaps, l: int) -> list[int]:
+    """Area l and its neighbors: the areas whose columns E_l reads."""
+    return [l] + maps.partition.neighbors(l)
+
+
+def step_block(maps: AreaMaps, l: int, j: int) -> np.ndarray:
+    """G_lj (3n_l x 5n_j), built from the model the maps hold."""
+    return lf._step_block(maps.model, maps.cols[l], maps.cols[j], same_area=l == j)
+
+
+def apply(maps: AreaMaps, l: int, j: int, x_j: np.ndarray) -> np.ndarray:
+    """E_lj(X_j) for the m x n_j block x_j, in the residual order of l."""
+    return (x_j.reshape(maps.n_steps, -1) @ step_block(maps, l, j).T).ravel()
+
+
+def apply_adjoint(maps: AreaMaps, l: int, j: int, y: np.ndarray) -> np.ndarray:
+    """E_lj^T y for a residual-order vector y of l, as an m x n_j block."""
+    return (y.reshape(maps.n_steps, -1) @ step_block(maps, l, j)).reshape(maps.m, -1)
+
+
+def factors(maps: AreaMaps, l: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A_lj, B_lj) with G_lj = A_lj B_lj: A_lj from the basis of l, B_lj from
+    the stack of j."""
+    return maps.bases[l][:, maps.basis_cols[l][j]], maps.stacks[j][maps.stack_rows[j][l]]
+
+
 def expand(maps: AreaMaps, l: int, j: int, coords: np.ndarray) -> np.ndarray:
     """Residual-space vector (I_T kron A_lj) coords of area l, in residual order."""
-    a = maps.coupling[(l, j)][0]
+    a = factors(maps, l, j)[0]
     return (coords.reshape(maps.n_steps, a.shape[1]) @ a.T).ravel()
 
 
 def project(maps: AreaMaps, l: int, j: int, y: np.ndarray) -> np.ndarray:
     """Coordinates (I_T kron A_lj)^T y of a residual-space vector of l; the
     adjoint of `expand`."""
-    return (y.reshape(maps.n_steps, -1) @ maps.coupling[(l, j)][0]).ravel()
+    return (y.reshape(maps.n_steps, -1) @ factors(maps, l, j)[0]).ravel()
 
 
 def coordinates(maps: AreaMaps, l: int, x_l: np.ndarray) -> dict[int, np.ndarray]:
     """j -> coordinates B_jl x_t of E_jl(X_l), x_t the row-major step blocks
     of X_l, step major, for every neighbor j of l: what area l sends j."""
     x_steps = x_l.reshape(maps.n_steps, -1)
-    return {j: (x_steps @ maps.coupling[(j, l)][1].T).ravel()
+    return {j: (x_steps @ factors(maps, j, l)[1].T).ravel()
             for j in maps.partition.neighbors(l)}
 
 
@@ -137,7 +168,8 @@ def decentralized_flow(
     are its own columns of h, so its flow residual E(X) - f_l is -v.  In
     the first bus round it sends each neighbor j the coordinates of
     E_jl(X_l) (`coordinates`, T rho_jl reals, tag "flow-term"); in the
-    second it returns f_l - E_ll(X_l) - sum_j expand(l, j, received).
+    second it returns f_l - E_ll(X_l) - sum_j expand(l, j, received), E_ll
+    from the first rows of its stack S_l.
     Returns per-area (v, |v|) arrays of shape (T, n_l)."""
     part = maps.partition
     n = part.assignment.size
@@ -165,7 +197,8 @@ def decentralized_flow(
 
     def recv_node(l: int):
         def fn(inbox):
-            v = maps.f[l] - maps.apply(l, l, x[l])
+            g_ll = maps.stacks[l][:3 * maps.cols[l].size]  # E_ll's rows of S_l
+            v = maps.f[l] - (x[l].reshape(maps.n_steps, -1) @ g_ll.T).ravel()
             for j in part.neighbors(l):
                 v -= expand(maps, l, j, inbox[(j, "flow-term")])
             v = v.reshape(maps.n_steps, -1, 3)  # (step, phase, [Re v, Im v, |v|])

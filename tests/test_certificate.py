@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridmc import certificate as ct
+from gridmc import completion as cp
 from gridmc import datamatrix as dm
 from gridmc import gridmodel as gm
 from gridmc import linflow as lf
-from reference import h_from_loads, predict
+from reference import admm_config, h_from_loads, predict, sources
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +38,18 @@ def feeder33_operator():
     mat = dm.build_matrix(gm.solve_exact_flow(net, scen.s), scen.s)
     model = lf.build_linear_model(net, n_steps=2)
     maps = lf.build_area_maps(model, part)
+    mask = dm.sample_mask(*mat.shape, 0.5, policy="scada", seed=0)
+    return ct.build_B_d(mask.observed, mat, maps, mu=10.0, nu=1.0)
+
+
+@pytest.fixture(scope="module")
+def random129_operator():
+    """Stacked operator over the 129-bus random feeder in 5 contiguous
+    areas, T=2, whose coupling blocks have rank 16 to 18."""
+    net, scen = gm.generate_radial_feeder(129, seed=0, n_steps=2)
+    part = gm.AreaPartition.contiguous(net.n_phases, 5)
+    mat = dm.build_matrix(gm.solve_exact_flow(net, scen.s), scen.s)
+    maps = lf.build_area_maps(lf.build_linear_model(net, n_steps=2), part)
     mask = dm.sample_mask(*mat.shape, 0.5, policy="scada", seed=0)
     return ct.build_B_d(mask.observed, mat, maps, mu=10.0, nu=1.0)
 
@@ -87,7 +100,7 @@ class TestBuildOperator:
         rows[0][np.arange(obs_i.size), obs_j * m + obs_i] = 1.0
         for l in maps.partition.areas:
             block = np.zeros((maps.residual_dim(l), m * n))
-            for j in maps.sources(l):
+            for j in sources(maps, l):
                 g = maps.e_mats[(l, j)]
                 for pos, c in enumerate(maps.cols[j]):
                     block[:, c * m:(c + 1) * m] += g[:, pos * m:(pos + 1) * m]
@@ -337,3 +350,101 @@ class TestDualFeasibility:
         u = 10.0 * rng.standard_normal((10, 2))
         v = 10.0 * rng.standard_normal((2, 6))
         assert ct.full_report(u, v, op, mu=5.0).dual_feasibility_min_eig < 0.0
+
+
+class TestSolverOperator:
+    """The certificate applies the operator the solver minimizes: the
+    stacks S_l and bases A_l of `AreaMaps`, on two 5-area instances."""
+
+    @pytest.fixture(params=["feeder33", "random129"])
+    def op(self, request, feeder33_operator, random129_operator):
+        return {"feeder33": feeder33_operator, "random129": random129_operator}[request.param]
+
+    @staticmethod
+    def bands(op, b):
+        """Area -> its flow rows of the operator output b."""
+        ends = np.cumsum([op.n_observed] + [op.maps.residual_dim(l) for l in op.areas])
+        return {l: b[start:end] for l, start, end in zip(op.areas, ends, ends[1:])}
+
+    def test_flow_rows_are_the_solver_products(self, op):
+        """Each area's flow rows are scale (E_ll(X_l) + the coordinates its
+        neighbors send, times A_l^T), from `completion._flow_terms`."""
+        maps = op.maps
+        problems = cp._build_problems(np.zeros(op.shape), np.ones(op.shape, dtype=bool),
+                                      maps, maps.partition, admm_config())
+        x = np.random.default_rng(3).standard_normal(op.shape)
+        terms = {l: cp._flow_terms(prob, x[:, prob.cols]) for l, prob in problems.items()}
+        got = self.bands(op, ct.apply_B(op, x))
+        for l, prob in problems.items():
+            received = [terms[j][1][l].reshape(maps.n_steps, -1) for j in prob.neighbors]
+            e_sum = np.concatenate(received, axis=1) @ prob.basis.T
+            want = op.scale * (terms[l][0] + e_sum.ravel())
+            assert np.linalg.norm(got[l] - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_reads_the_stacked_factors(self, op):
+        """Changing one row of B_jl inside S_l moves area j's flow rows of
+        B(X) and area l's columns of B^*(z), and nothing else."""
+        maps = op.maps
+        l = maps.partition.areas[0]
+        j = maps.partition.neighbors(l)[0]
+        stack = maps.stacks[l].copy()
+        stack[maps.stack_rows[l][j].start, 3 * maps.cols[l].size:] += 1.0  # injection columns
+        moved = dataclasses.replace(
+            op, maps=dataclasses.replace(maps, stacks={**maps.stacks, l: stack}))
+        rng = np.random.default_rng(4)
+        x, z = rng.standard_normal(op.shape), rng.standard_normal(op.n_rows)
+        before = self.bands(op, ct.apply_B(op, x))
+        after = self.bands(moved, ct.apply_B(moved, x))
+        for k in op.areas:
+            assert np.array_equal(before[k], after[k]) == (k != j)
+        before, after = ct.apply_B_adjoint(op, z), ct.apply_B_adjoint(moved, z)
+        for k in op.areas:
+            cols = maps.cols[k]
+            assert np.array_equal(before[:, cols], after[:, cols]) == (k != l)
+
+    def test_inner_product_identity(self, op):
+        """<B(X), z> == <X, B*(z)>, within rounding of |B(X)| |z|."""
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            x, z = rng.standard_normal(op.shape), rng.standard_normal(op.n_rows)
+            bx = ct.apply_B(op, x)
+            gap = abs(float(bx @ z) - float(np.sum(x * ct.apply_B_adjoint(op, z))))
+            assert gap <= 1e-14 * np.linalg.norm(bx) * np.linalg.norm(z)
+
+    def test_report_matches_the_dense_operator(self, op, monkeypatch):
+        """At a stationary pair the certificate equals the one read through
+        the dense reference B.  Fully observed data with d = B(UV) - z and
+        mu B^*(z) = R = -P Q^T + 2 p q^T, for U = P S^(1/2), V = S^(1/2) Q^T
+        and unit p, q orthogonal to P, Q, make R V^T + U and R^T U + V^T
+        vanish, and sigma_1(R) = 2.  The order-one fields match within 1e-12
+        relative.  The gradients, the trace residuals and the slack are then
+        rounding residuals of order-one terms, which a change of summation
+        order moves by up to 90% of themselves, so they match within an
+        absolute tolerance scaled by 0.5 (|U|^2 + |V|^2), and the
+        stationarity fields, their ratios to order-one sizes, within 1e-12
+        absolute."""
+        rng = np.random.default_rng(6)
+        (m, n), r, mu = op.shape, 3, 10.0
+        p, _ = np.linalg.qr(rng.standard_normal((m, r + 1)))
+        q, _ = np.linalg.qr(rng.standard_normal((n, r + 1)))
+        s = rng.uniform(1.0, 3.0, r)
+        u, v = p[:, :r] * np.sqrt(s), np.sqrt(s)[:, None] * q[:, :r].T
+        resid = -p[:, :r] @ q[:, :r].T + 2.0 * np.outer(p[:, r], q[:, r])
+        full = ct.build_B_d(np.ones(op.shape, dtype=bool), np.zeros(op.shape), op.maps,
+                            mu=mu, nu=1.0)
+        z = np.concatenate([resid.ravel() / mu, np.zeros(full.n_rows - full.n_observed)])
+        full = dataclasses.replace(full, d=ct.apply_B(full, u @ v) - z)
+        got = ct.full_report(u, v, full, mu).to_dict()
+        b = full.b_mat
+        monkeypatch.setattr(ct, "apply_B", lambda o, x: b @ x.ravel(order="F"))
+        monkeypatch.setattr(ct, "apply_B_adjoint",
+                            lambda o, y: (b.T @ y).reshape(o.shape, order="F"))
+        want = ct.full_report(u, v, full, mu).to_dict()
+        assert want["spectral_norm"] == pytest.approx(2.0, rel=1e-12)
+        tol = 1e-12 * 0.5 * (np.sum(u * u) + np.sum(v * v))
+        assert max(want["grad_u_norm"], want["grad_v_norm"]) <= tol
+        for name in ("grad_u_norm", "grad_v_norm", "trace_residuals", "comp_slack_residual"):
+            assert got.pop(name) == pytest.approx(want.pop(name), rel=0, abs=tol), name
+        for name in ("stationarity_u", "stationarity_v"):
+            assert got.pop(name) == pytest.approx(want.pop(name), rel=0, abs=1e-12), name
+        assert got == pytest.approx(want, rel=1e-12)

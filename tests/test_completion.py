@@ -15,8 +15,8 @@ from gridmc import datamatrix as dm
 from gridmc import gridmodel as gm
 from gridmc import linflow as lf
 from gridmc import simnet as sn
-from reference import (admm_config, coordinates, expand, project, svt_objective,
-                       svt_oracle, update_duals_per_edge, update_q_per_edge)
+from reference import (admm_config, apply, coordinates, expand, project, sources,
+                       svt_objective, svt_oracle, update_duals_per_edge, update_q_per_edge)
 
 # Independently pinned optimum of the seeded nuclear-norm problem below,
 # computed once with an interior-point style convex solver at eps 1e-10.
@@ -177,8 +177,8 @@ def objective_factored(u, v, m_data, mask, area_maps, mu, nu):
     val += 0.5 * mu * np.sum(diff * diff)
     if area_maps is not None and nu != 0.0:
         for l in area_maps.partition.areas:
-            res = sum(area_maps.apply(l, j, x[:, area_maps.cols[j]])
-                      for j in area_maps.sources(l)) - area_maps.f[l]
+            res = sum(apply(area_maps, l, j, x[:, area_maps.cols[j]])
+                      for j in sources(area_maps, l)) - area_maps.f[l]
             val += 0.5 * nu * float(res @ res)
     return val
 
@@ -902,7 +902,7 @@ class TestOncePerIteration:
         for l in part.areas:
             st = result.states[l]
             assert np.array_equal(st.x, st.u @ st.v)
-            want = maps.apply(l, l, st.x)
+            want = apply(maps, l, l, st.x)
             assert np.linalg.norm(st.e_ll - want) <= 1e-13 * np.linalg.norm(want)
             assert np.array_equal(result.x[:, part.phases_in(l)], st.x)
 
@@ -915,7 +915,7 @@ class TestStackedFlowProducts:
         lam y_j B_j1 + mu P_Omega(M_1) per step, from the q sum its last q
         update returned and the pull points y_j its neighbors' q updates
         returned; and at the end E_11(X_1) and the coordinates each neighbor
-        received equal `AreaMaps.apply` and `reference.coordinates`; all
+        received equal `reference.apply` and `reference.coordinates`; all
         within 1e-13 relative."""
         part, maps, problems = _star(small_instance)
         model, mat = small_instance["model"], small_instance["mat"]
@@ -925,10 +925,12 @@ class TestStackedFlowProducts:
         assert prob.neighbors == [2, 3, 4, 5] and s_1 is prob.stack
         blocks = np.split(s_1, np.cumsum([3 * own.size] + [
             maps.coupling_rank(j, 1) for j in prob.neighbors])[:-1])
-        assert np.array_equal(blocks[0], lf._step_block(model, own, own, True))
+        g_11 = lf._step_block(model, own, own, True)
+        assert np.array_equal(blocks[0], g_11)
+        b_in = {j: lf._factor_step_block(lf._step_block(model, maps.cols[j], own, False))[1]
+                for j in prob.neighbors}
         for j, block in zip(prob.neighbors, blocks[1:]):
-            g_j1 = lf._step_block(model, maps.cols[j], own, False)
-            assert np.array_equal(block, lf._factor_step_block(g_j1)[1])
+            assert np.array_equal(block, b_in[j])
 
         config = prob.config
         q_sum, pulls, received, checked = {}, {}, {}, []
@@ -948,10 +950,9 @@ class TestStackedFlowProducts:
         def update_u_checked(p, st, z):
             if p.area == 1 and "last" in q_sum:
                 want = config.nu * ((maps.f[1] - q_sum["last"]).reshape(n_steps, -1)
-                                    @ maps.step_blocks[(1, 1)])
+                                    @ g_11)
                 for j in p.neighbors:
-                    want += config.lam * (pulls[j].reshape(n_steps, -1)
-                                          @ maps.coupling[(j, 1)][1])
+                    want += config.lam * (pulls[j].reshape(n_steps, -1) @ b_in[j])
                 want = want.reshape(-1, p.n_l) + config.mu * p.m_obs
                 checked.append(relative_gap(z, want))
             return update_u(p, st, z)
@@ -964,7 +965,7 @@ class TestStackedFlowProducts:
         assert result.trace.iterations == k and len(checked) == k - 1
         assert max(checked) <= 1e-13
         st = result.states[1]
-        assert relative_gap(st.e_ll, maps.apply(1, 1, st.x)) <= 1e-13
+        assert relative_gap(st.e_ll, apply(maps, 1, 1, st.x)) <= 1e-13
         sent = coordinates(maps, 1, st.x)
         assert set(received) == set(sent)
         for j, c in sent.items():

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from gridmc import gridmodel as gm
 from gridmc import linflow as lf
 from gridmc import simnet as sn
-from reference import (decentralized_flow, expand, h_from_loads, predict, project,
+from reference import (apply, apply_adjoint, decentralized_flow, expand, factors,
+                       h_from_loads, predict, project, sources, step_block,
                        truncate_model)
 
 
@@ -178,7 +179,7 @@ class TestDecentralizedFlow:
 
 def flow_residual(maps, l, x):
     """E_ll(X) + sum_j E_lj(X) - f_l on the full m x |P| matrix x."""
-    return sum(maps.apply(l, j, x[:, maps.cols[j]]) for j in maps.sources(l)) - maps.f[l]
+    return sum(apply(maps, l, j, x[:, maps.cols[j]]) for j in sources(maps, l)) - maps.f[l]
 
 
 class TestAreaMaps:
@@ -243,10 +244,10 @@ class TestAreaMaps:
         shape = (maps.m, part.assignment.size)
         x, y = rng.standard_normal(shape), rng.standard_normal(shape)
         for l in part.areas:
-            for j in maps.sources(l):
-                lhs = maps.apply(l, j, (scale * x + y)[:, maps.cols[j]])
-                rhs = (scale * maps.apply(l, j, x[:, maps.cols[j]])
-                       + maps.apply(l, j, y[:, maps.cols[j]]))
+            for j in sources(maps, l):
+                lhs = apply(maps, l, j, (scale * x + y)[:, maps.cols[j]])
+                rhs = (scale * apply(maps, l, j, x[:, maps.cols[j]])
+                       + apply(maps, l, j, y[:, maps.cols[j]]))
                 assert np.max(np.abs(lhs - rhs)) < 1e-9 * (1 + scale)
 
     def test_residual_dims(self, small_instance):
@@ -275,15 +276,15 @@ class TestResidualLayout:
                 f_steps = maps.f[l].reshape(t_steps, -1)
                 for t in range(t_steps):
                     assert np.array_equal(f_steps[t], w3[maps.cols[l]].ravel())
-                for j in maps.sources(l):
-                    g, n_j = maps.step_blocks[(l, j)], maps.cols[j].size
+                for j in sources(maps, l):
+                    g, n_j = step_block(maps, l, j), maps.cols[j].size
                     for t in range(t_steps):
                         for k in range(5 * n_j):
                             x_j = np.zeros((maps.m, n_j))
                             x_j[5 * t + k // n_j, k % n_j] = 1.0
                             want = np.zeros((t_steps, g.shape[0]))
                             want[t] = g @ x_j[5 * t : 5 * t + 5].ravel()
-                            got = maps.apply(l, j, x_j).reshape(t_steps, -1)
+                            got = apply(maps, l, j, x_j).reshape(t_steps, -1)
                             assert np.array_equal(got, want)
 
 
@@ -307,7 +308,7 @@ class TestCouplingFactors:
     def test_factors_reproduce_every_step_block(self, maps):
         t_steps, m = maps.n_steps, maps.m
         for j, l in self._adjacent(maps):
-            a, b = maps.coupling[(j, l)]
+            a, b = factors(maps, j, l)
             assert np.max(np.abs(a.T @ a - np.eye(a.shape[1]))) < 1e-12
             e = maps.e_mats[(j, l)]
             n_j, n_l = maps.cols[j].size, maps.cols[l].size
@@ -317,7 +318,7 @@ class TestCouplingFactors:
                 cols = [dpos * m + 5 * t + k
                         for k in range(5) for dpos in range(n_l)]
                 g = e[np.ix_(rows, cols)]
-                assert np.array_equal(maps.step_blocks[(j, l)], g)
+                assert np.array_equal(step_block(maps, j, l), g)
                 assert np.linalg.norm(a @ b - g) <= 1e-12 * np.linalg.norm(g)
 
     def test_coordinates_expand_to_dense_map(self, maps):
@@ -328,7 +329,7 @@ class TestCouplingFactors:
         t_steps, m = maps.n_steps, maps.m
         for j, l in self._adjacent(maps):
             e = maps.e_mats[(j, l)]
-            b = maps.coupling[(j, l)][1]
+            b = factors(maps, j, l)[1]
             n_l = maps.cols[l].size
             # rows (step, coordinate), columns vec_F(X_l) = (phase, step, row);
             # the columns of B_jl are (row, phase)
@@ -343,9 +344,9 @@ class TestCouplingFactors:
 
     def test_stacks_hold_every_block_once(self, small_instance):
         """S_l stacks G_ll and each B_jl, and A_l each A_lj, in neighbor
-        order; the per-pair names are views into the stacks, bit-equal to
-        the blocks built and factored one pair at a time (the 3-area chain,
-        and feeder33 in 5 areas, whose area 1 has degree 4)."""
+        order, bit-equal to the blocks built and factored one pair at a time
+        (the 3-area chain, and feeder33 in 5 areas, whose area 1 has degree
+        4); `stack_rows` and `basis_cols` name each block's place."""
         net, _, part5 = gm.feeder33_analog(seed=0, n_steps=2, n_areas=5)
         for model, part in [(small_instance["model"], small_instance["part"]),
                             (lf.build_linear_model(net, n_steps=2), part5)]:
@@ -353,22 +354,18 @@ class TestCouplingFactors:
             for l in part.areas:
                 nbrs, own = part.neighbors(l), maps.cols[l]
                 s_l, a_l = maps.stacks[l], maps.bases[l]
-                rows = [maps.step_blocks[(l, l)]] + [maps.coupling[(j, l)][1] for j in nbrs]
-                cols = [maps.coupling[(l, j)][0] for j in nbrs]
+                rows = [lf._step_block(model, own, own, True)] + [
+                    lf._factor_step_block(lf._step_block(model, maps.cols[j], own, False))[1]
+                    for j in nbrs]
+                cols = [lf._factor_step_block(lf._step_block(model, own, maps.cols[j], False))[0]
+                        for j in nbrs]
                 assert np.array_equal(s_l, np.concatenate(rows))
-                assert np.array_equal(a_l, np.concatenate(cols, axis=1))
-                assert all(np.shares_memory(b, s_l) for b in rows)
-                assert all(np.shares_memory(a, a_l) for a in cols)
+                assert np.array_equal(a_l, np.concatenate([np.empty((3 * own.size, 0))] + cols,
+                                                          axis=1))
                 for j, b, a in zip(nbrs, rows[1:], cols):
                     assert np.array_equal(s_l[maps.stack_rows[l][j]], b)
                     assert np.array_equal(a_l[:, maps.basis_cols[l][j]], a)
-                assert np.array_equal(rows[0], lf._step_block(model, own, own, True))
-                for j, b, a in zip(nbrs, rows[1:], cols):
-                    src = maps.cols[j]
-                    assert np.array_equal(a, lf._factor_step_block(
-                        lf._step_block(model, own, src, False))[0])
-                    assert np.array_equal(b, lf._factor_step_block(
-                        lf._step_block(model, src, own, False))[1])
+                    assert maps.coupling_rank(j, l) == b.shape[0]
 
     def test_radial_feeder_couples_through_the_boundary_bus(self, feeder33_maps):
         for j, l in self._adjacent(feeder33_maps):
@@ -396,8 +393,9 @@ class TestCouplingFactorPins:
             part = gm.AreaPartition.contiguous(net.n_phases, 5)
         maps = lf.build_area_maps(lf.build_linear_model(net, n_steps=5), part)
         ranks = {}
-        for (l, j), (a, b) in maps.coupling.items():
-            g = maps.step_blocks[(l, j)]
+        for l, j in [(l, j) for l in part.areas for j in part.neighbors(l)]:
+            a, b = factors(maps, l, j)
+            g = step_block(maps, l, j)
             assert np.max(np.abs(a.T @ a - np.eye(a.shape[1]))) < 1e-12
             assert np.linalg.norm(g - a @ b) <= 1e-12 * np.linalg.norm(g)
             assert a.shape[1] == b.shape[0] == np.linalg.matrix_rank(g)
@@ -407,17 +405,17 @@ class TestCouplingFactorPins:
 
 class TestPerStepApply:
     def test_matches_dense_reference(self, maps):
-        """`apply` and `apply_adjoint`, step by step, equal the dense E_lj
-        and its transpose on every block of the reference view."""
+        """The reference `apply` and `apply_adjoint`, step by step, equal the
+        dense E_lj of the view `e_mats` and its transpose on every block."""
         rng = np.random.default_rng(1)
-        pairs = [(l, j) for l in maps.partition.areas for j in maps.sources(l)]
+        pairs = [(l, j) for l in maps.partition.areas for j in sources(maps, l)]
         assert sorted(maps.e_mats) == sorted(pairs)
         for (l, j), e in maps.e_mats.items():
             x_j = rng.standard_normal((maps.m, maps.cols[j].size))
             want = e @ x_j.ravel(order="F")
-            got = maps.apply(l, j, x_j)
+            got = apply(maps, l, j, x_j)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
             y = rng.standard_normal(maps.residual_dim(l))
             want = (e.T @ y).reshape(x_j.shape, order="F")
-            got = maps.apply_adjoint(l, j, y)
+            got = apply_adjoint(maps, l, j, y)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
