@@ -30,11 +30,13 @@ class StackedOperator:
     The first rows read the observed cells `obs` (`np.nonzero` of the mask,
     row-major order); the remaining rows are, area by area, the flow maps
     E_ll(X_l) + sum_j E_lj(X_j) of `maps` scaled by `scale` = sqrt(nu/mu),
-    applied through each area's stack S_l and basis A_l, the operator the
-    solver minimizes.  `maps` is None when there are no flow rows."""
+    applied through each area's stack S_l and basis A_l: the operator the
+    solver minimizes, at the one data weight `mu` the residual matrix uses.
+    `maps` is None when there are no flow rows."""
 
     obs: tuple[np.ndarray, np.ndarray]
     maps: AreaMaps | None
+    mu: float
     scale: float
     d: np.ndarray
     shape: tuple[int, int]
@@ -90,8 +92,8 @@ def build_B_d(
         raise CertificateError("mu must be positive")
     obs = np.nonzero(observed)
     scale = np.sqrt(nu / mu)
-    flow = [scale * maps.f[l] for l in maps.partition.areas] if maps is not None else []
-    return StackedOperator(obs=obs, maps=maps, scale=scale,
+    flow = [scale * maps.f[l].ravel() for l in maps.partition.areas] if maps is not None else []
+    return StackedOperator(obs=obs, maps=maps, mu=mu, scale=scale,
                            d=np.concatenate([m_data[obs], *flow]), shape=m_data.shape)
 
 
@@ -138,10 +140,10 @@ def apply_B_adjoint(op: StackedOperator, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def residual_matrix(op: StackedOperator, x: np.ndarray, mu: float) -> np.ndarray:
-    """mu * B^*(B(X) - d), the matrix whose spectral norm Theorem-style
-    optimality bounds by one."""
-    return mu * apply_B_adjoint(op, apply_B(op, x) - op.d)
+def residual_matrix(op: StackedOperator, x: np.ndarray) -> np.ndarray:
+    """mu B^*(B(X) - d) at the operator's own `mu`, the matrix whose spectral
+    norm Theorem-style optimality bounds by one."""
+    return op.mu * apply_B_adjoint(op, apply_B(op, x) - op.d)
 
 
 @dataclass(frozen=True)
@@ -161,9 +163,9 @@ class CertificateReport:
         return {**vars(self), "trace_residuals": list(self.trace_residuals)}
 
 
-def full_report(u: np.ndarray, v: np.ndarray, op: StackedOperator,
-                mu: float) -> CertificateReport:
-    """Every check at X = UV, from R = mu B^*(B(X) - d) formed once.
+def full_report(u: np.ndarray, v: np.ndarray, op: StackedOperator) -> CertificateReport:
+    """Every check at X = UV, from R = mu B^*(B(X) - d) formed once at the
+    operator's own mu, which the report repeats as `mu`.
 
     sigma_1(R), the exact largest singular value from one SVD of R, is
     `spectral_norm`; sigma_1 <= 1 (with 1e-9 slack) certifies X as a global
@@ -181,7 +183,7 @@ def full_report(u: np.ndarray, v: np.ndarray, op: StackedOperator,
     absolute value of their sum, |<W, M>| = |1/2 ||U||^2 + 1/2 ||V||^2 +
     <R, X>| for the primal M = (UU^T, UV; (UV)^T, V^T V)."""
     x = u @ v
-    r = residual_matrix(op, x, mu)
+    r = residual_matrix(op, x)
     sigma1 = float(np.linalg.svd(r, compute_uv=False)[0])
     cross = float(np.sum(r * x))
     uu, vv = float(np.sum(u * u)), float(np.sum(v * v))
@@ -202,5 +204,5 @@ def full_report(u: np.ndarray, v: np.ndarray, op: StackedOperator,
         trace_residuals=(cross + vv, cross + uu),
         comp_slack_residual=abs(0.5 * uu + 0.5 * vv + cross),
         dual_feasibility_min_eig=0.5 * (1.0 - sigma1 ** 2),
-        mu=mu,
+        mu=op.mu,
     )

@@ -207,7 +207,7 @@ def _estimate_and_write(config: ExperimentConfig, instance, out_dir: Path,
             op = ce.build_B_d(mask.observed, data, maps, config.admm.mu,
                               config.admm.nu)
         with _layer(wall, "certificate.report"):
-            cert = ce.full_report(fp.u, fp.v, op, config.admm.mu)
+            cert = ce.full_report(fp.u, fp.v, op)
 
         payload = {
             "version": __version__,

@@ -91,8 +91,8 @@ class AreaState:
     # the duals Gamma_lj of U_l = U_j, one (m, r) slice per neighbor in
     # `AreaProblem.neighbors` order
     gamma: np.ndarray
-    # with flow maps: E_ll(X_l) of the current X_l, and Lambda_l, the one
-    # dual of every E_lj(X_j) = q_lj (see `update_q`)
+    # with flow maps, (T, 3n_l): E_ll(X_l) of the current X_l, and Lambda_l,
+    # the one dual of every E_lj(X_j) = q_lj (see `update_q`)
     e_ll: np.ndarray | None = None
     lam: np.ndarray | None = None
     # with flow maps, (T, rows of S_l): the point each row of S_l x_t is
@@ -161,7 +161,7 @@ def _objective_decentralized(problems, states, config) -> float:
         val += 0.5 * config.mu * _sum_squares(diff)
         if prob.maps is not None:
             own = st.row_targets[:, :3 * prob.n_l]  # f_l - sum_j q_lj
-            val += 0.5 * config.nu * _sum_squares(st.e_ll.reshape(own.shape) - own)
+            val += 0.5 * config.nu * _sum_squares(st.e_ll - own)
     return val
 
 
@@ -242,7 +242,7 @@ class AreaProblem:
     neighbors: list[int]
     n_areas: int
     maps: AreaMaps | None
-    f_l: np.ndarray | None
+    f_l: np.ndarray | None  # (T, 3n_l)
     stack: np.ndarray | None  # S_l
     basis: np.ndarray | None  # A_l = [A_lj ...], the bases of the coordinates received
     row_weights: np.ndarray | None  # W, per row of S_l
@@ -368,11 +368,10 @@ def _flow_target(prob: AreaProblem, st: AreaState) -> np.ndarray:
 
 
 def _flow_terms(prob: AreaProblem, x: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """E_ll(X_l) and, per neighbor j, the coordinates B_jl x_t of E_jl(X_l)
-    (step major, what area l sends j), from one product with S_l."""
+    """E_ll(X_l), (T, 3n_l), and per neighbor j the (T, rho_jl) coordinates
+    B_jl x_t of E_jl(X_l) it sends j: column blocks of one product X_l S_l^T."""
     rows = x.reshape(prob.maps.n_steps, -1) @ prob.stack.T
-    own = rows[:, :3 * prob.n_l].ravel()
-    return own, {j: rows[:, s].ravel() for j, s in prob.stack_rows.items()}
+    return rows[:, :3 * prob.n_l], {j: rows[:, s] for j, s in prob.stack_rows.items()}
 
 
 def _outer_rows(a: np.ndarray) -> np.ndarray:
@@ -466,9 +465,10 @@ def update_q(
     lam_dual: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
     """Closed-form q step and flow dual ascent at area l, from E_ll(X_l), the
-    coordinates c_lj of e_lj = E_lj(X_j) = A_lj c_lj its neighbors sent, and
-    its dual Lambda_l.  Returns sum_j q_lj, Lambda_l' and, per neighbor j,
-    the pull point A_lj^T (q_lj + Lambda_l') that area l sends j.
+    (T, rho_lj) coordinates c_lj of e_lj = E_lj(X_j) = A_lj c_lj its
+    neighbors sent, and its dual Lambda_l.  Returns sum_j q_lj, Lambda_l'
+    (both (T, 3n_l)) and, per neighbor j, the (T, rho_lj) pull point
+    A_lj^T (q_lj + Lambda_l') that area l sends j.
 
     Per edge, the q_lj minimize 0.5 nu |f_l - E_ll X_l - sum_j q_lj|^2
     + 0.5 lam sum_j |q_lj - e_lj + Lambda_lj|^2, and then
@@ -478,18 +478,16 @@ def update_q(
     + d (Lambda_l' - Lambda_l) with d = deg l, and substituting the sum,
     Lambda_l' = nu (f_l - E_ll X_l - sum_j e_lj + d Lambda_l) / (lam + nu d).
     A_lj is orthonormal, so each pull point is c_lj + A_lj^T (2 Lambda_l' - Lambda_l).
-    With the c_lj side by side per step, in neighbor order whatever order
-    the areas run in, sum_j e_lj and every A_lj^T are one product with A_l."""
+    With the c_lj side by side, in neighbor order whatever order the areas
+    run in, sum_j e_lj and every A_lj^T are one product with A_l."""
     lam, nu, d = prob.config.lam, prob.config.nu, prob.deg
-    t_steps = prob.maps.n_steps
-    coords = np.concatenate([coords_in[j].reshape(t_steps, -1) for j in prob.neighbors],
-                            axis=1)
-    e_sum = (coords @ prob.basis.T).ravel()
+    coords = np.concatenate([coords_in[j] for j in prob.neighbors], axis=1)
+    e_sum = coords @ prob.basis.T
     lam_new = (nu / (lam + nu * d)) * (prob.f_l - e_ll_val - e_sum + d * lam_dual)
     step = 2.0 * lam_new - lam_dual  # q_lj + Lambda_l' = e_lj + step
-    pulls = coords + step.reshape(t_steps, -1) @ prob.basis
+    pulls = coords + step @ prob.basis
     return (e_sum + d * (lam_new - lam_dual), lam_new,
-            {j: pulls[:, c].ravel() for j, c in prob.basis_cols.items()})
+            {j: pulls[:, c] for j, c in prob.basis_cols.items()})
 
 
 def update_duals(
@@ -530,14 +528,14 @@ def _init_states(
     # A_jl^T (q_jl + Lambda_j) = A_jl^T e_jl is B_jl x_t, what l sends j
     sent = {l: _flow_terms(prob, states[l].x)[1] for l, prob in problems.items()}
     for l, prob in problems.items():
-        st, t_steps = states[l], maps.n_steps
-        coords = [sent[j][l].reshape(t_steps, -1) for j in prob.neighbors]
-        e_sum = np.concatenate([np.empty((t_steps, 0))] + coords, axis=1) @ prob.basis.T
-        st.lam = np.zeros(maps.residual_dim(l))
-        st.row_targets = np.empty((t_steps, prob.stack.shape[0]))
-        st.row_targets[:, :3 * prob.n_l] = prob.f_l.reshape(t_steps, -1) - e_sum
+        st = states[l]
+        coords = [sent[j][l] for j in prob.neighbors]
+        e_sum = np.concatenate([np.empty((maps.n_steps, 0))] + coords, axis=1) @ prob.basis.T
+        st.lam = np.zeros_like(prob.f_l)
+        st.row_targets = np.empty((maps.n_steps, prob.stack.shape[0]))
+        st.row_targets[:, :3 * prob.n_l] = prob.f_l - e_sum
         for j, rows in prob.stack_rows.items():
-            st.row_targets[:, rows] = sent[l][j].reshape(t_steps, -1)
+            st.row_targets[:, rows] = sent[l][j]
     return states
 
 
@@ -563,21 +561,21 @@ def run_decentralized(
     """Proximal ADMM over the area graph, two bus rounds per iteration.
 
     Round A delivers the flow pull points of the last round B, then every
-    area solves its U/V subproblems and sends its basis factor and the flow
-    terms its neighbors need.  Round B computes q and the dual ascent steps
-    from what it received, then sends each neighbor the point its flow term
-    pulls to.  Stops when both the consensus residual and the relative
-    iterate change fall below tol (`converged`), or after max_iters
+    area solves its U/V subproblems and sends its basis factor U_l, (m, r),
+    and the flow terms its neighbors need.  Round B computes q and the dual
+    ascent steps from what it received, then sends each neighbor the point
+    its flow term pulls to.  Stops when both the consensus residual and the
+    relative iterate change fall below tol (`converged`), or after max_iters
     iterations.  With a single area nothing is sent, the consensus residual
     is 0, and the iteration is the plain block U/V update of the whole
     matrix followed by `balance`, so the stop comes near a stationary point.
 
     Flow terms travel in the coupling coordinates of `AreaMaps`: area l
-    sends c_jl = B_jl X_l (T rho_jl reals) and area j expands it with A_jl;
-    area j, which owns q_jl and Lambda_j, sends back A_jl^T (q_jl + Lambda_j).
+    sends c_jl = B_jl X_l, (T, rho_jl), area j expands it with A_jl and, as
+    owner of q_jl and Lambda_j, returns A_jl^T (q_jl + Lambda_j), (T, rho_jl).
     A_jl has orthonormal columns, so |A B x - y|^2 = |B x - A^T y|^2 + const
     and every update keeps the minimizer it has with full residual-space
-    vectors.
+    blocks.
     """
     if area_maps is not None and not (
             np.array_equal(area_maps.partition.assignment, part.assignment)
@@ -597,8 +595,7 @@ def run_decentralized(
         def fn(inbox):
             t0 = time.perf_counter()
             for (j, _), pull in inbox.items():  # only round B's flow pull points
-                rows = st.row_targets[:, prob.stack_rows[j]]
-                rows[...] = pull.reshape(rows.shape)
+                st.row_targets[:, prob.stack_rows[j]] = pull
             z = _flow_target(prob, st)
             u_new = update_u(prob, st, z)
             v_new = update_v(prob, st, u_new, z)
@@ -608,8 +605,7 @@ def run_decentralized(
                 # areas needs the Gram sum_l V_l V_l^T of all of them
                 u_new, v_new = balance(u_new, v_new)
             st.u, st.v, st.x = u_new, v_new, u_new @ v_new
-            u_flat = u_new.reshape(-1)
-            sends = [Message(dest=j, tag="factor", payload=u_flat)
+            sends = [Message(dest=j, tag="factor", payload=u_new)
                      for j in prob.neighbors]
             if prob.maps is not None:
                 st.e_ll, coords = _flow_terms(prob, st.x)
@@ -631,12 +627,11 @@ def run_decentralized(
             if prob.maps is not None:  # no q terms without flow maps
                 coords_in = {j: inbox[(j, "flow-term")] for j in prob.neighbors}
                 q_sum, st.lam, pulls = update_q(prob, st.e_ll, coords_in, st.lam)
-                own = st.row_targets[:, :3 * prob.n_l]
-                own[...] = (prob.f_l - q_sum).reshape(own.shape)
+                st.row_targets[:, :3 * prob.n_l] = prob.f_l - q_sum
                 sends = [Message(dest=j, tag="flow-pull", payload=pull)
                          for j, pull in pulls.items()]
             u_in = np.stack([inbox[(j, "factor")] for j in prob.neighbors])
-            st.gamma, st.pull = update_duals(st, u_in.reshape(-1, *st.u.shape))
+            st.gamma, st.pull = update_duals(st, u_in)
             timings[l] += time.perf_counter() - t0
             return None, sends
 

@@ -78,18 +78,19 @@ class AreaMaps:
     """Linear maps E_lj from area-j measurement columns to the area-l residual
     space, plus the affine targets f_l.
 
-    The residual space of area l stacks, for each time step and each of its
-    phases (in phase order), the real rows [Re v, Im v, |v|], giving 3T * n_l
-    entries: entry t 3n_l + 3 phase + c, so y.reshape(T, 3n_l) has one row
-    per step in the row order of G_lj.
+    The residual space of area l holds, per time step and per phase (in
+    phase order), the real rows [Re v, Im v, |v|]: a (T, 3n_l) block, row t
+    the step's rows in the row order of G_lj.  `f[l]` and the solver's
+    residual-space quantities are such blocks; the certificate's flat B(X)
+    reads them row-major.
 
     E_lj repeats one per-step block G_lj (3n_l x 5n_j) on every time step.
     Its rows are (phase, [Re v, Im v, |v|]); its columns read the step's
     5 x n_j row block of X_j row-major, (row, phase), so X_j.reshape(T, 5n_j)
     is the per-step matrix with no copy.  For neighbors l != j, G_lj = A_lj
     B_lj exactly, with A_lj orthonormal (3n_l x rho) and rho = rank(G_lj).
-    The coordinates of E_lj(X_j) are B_lj applied per step (T * rho reals,
-    step major); A_lj maps them back into the residual space of l.
+    The coordinates of E_lj(X_j) are B_lj applied per step, a (T, rho)
+    block; A_lj maps them back into the residual space of l.
 
     The flow model is held in one form, each area's blocks stacked in
     `partition.neighbors` order j1 ... jd: stacks[l] = S_l = [G_ll; B_{j1 l};
@@ -102,7 +103,7 @@ class AreaMaps:
     partition: AreaPartition
     model: LinearFlowModel
     cols: dict[int, np.ndarray]
-    f: dict[int, np.ndarray]
+    f: dict[int, np.ndarray]  # f_l, (T, 3n_l)
     stacks: dict[int, np.ndarray]  # S_l, (3n_l + sum_j rho_jl) x 5n_l
     bases: dict[int, np.ndarray]  # A_l, 3n_l x sum_j rho_lj
     stack_rows: dict[int, dict[int, slice]]
@@ -200,7 +201,7 @@ def build_area_maps(model: LinearFlowModel, part: AreaPartition) -> AreaMaps:
     and its truncation give the same maps."""
     cols = {l: part.phases_in(l) for l in part.areas}
     w3 = np.stack([model.w.real, model.w.imag, np.abs(model.w)], axis=1)
-    f = {l: np.tile(w3[cols[l]].ravel(), model.n_steps) for l in part.areas}
+    f = {l: np.tile(w3[cols[l]].ravel(), (model.n_steps, 1)) for l in part.areas}
     factors = {(l, j): _factor_step_block(_step_block(model, cols[l], cols[j], same_area=False))
                for l in part.areas for j in part.neighbors(l)}
 

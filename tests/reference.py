@@ -123,13 +123,13 @@ def step_block(maps: AreaMaps, l: int, j: int) -> np.ndarray:
 
 
 def apply(maps: AreaMaps, l: int, j: int, x_j: np.ndarray) -> np.ndarray:
-    """E_lj(X_j) for the m x n_j block x_j, in the residual order of l."""
-    return (x_j.reshape(maps.n_steps, -1) @ step_block(maps, l, j).T).ravel()
+    """E_lj(X_j) for the m x n_j block x_j, a (T, 3n_l) residual block of l."""
+    return x_j.reshape(maps.n_steps, -1) @ step_block(maps, l, j).T
 
 
 def apply_adjoint(maps: AreaMaps, l: int, j: int, y: np.ndarray) -> np.ndarray:
-    """E_lj^T y for a residual-order vector y of l, as an m x n_j block."""
-    return (y.reshape(maps.n_steps, -1) @ step_block(maps, l, j)).reshape(maps.m, -1)
+    """E_lj^T y for a (T, 3n_l) residual block y of l, as an m x n_j block."""
+    return (y @ step_block(maps, l, j)).reshape(maps.m, -1)
 
 
 def factors(maps: AreaMaps, l: int, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -139,23 +139,23 @@ def factors(maps: AreaMaps, l: int, j: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def expand(maps: AreaMaps, l: int, j: int, coords: np.ndarray) -> np.ndarray:
-    """Residual-space vector (I_T kron A_lj) coords of area l, in residual order."""
-    a = factors(maps, l, j)[0]
-    return (coords.reshape(maps.n_steps, a.shape[1]) @ a.T).ravel()
+    """The (T, 3n_l) residual block coords A_lj^T of area l, from the
+    (T, rho_lj) coordinates coords."""
+    return coords @ factors(maps, l, j)[0].T
 
 
 def project(maps: AreaMaps, l: int, j: int, y: np.ndarray) -> np.ndarray:
-    """Coordinates (I_T kron A_lj)^T y of a residual-space vector of l; the
-    adjoint of `expand`."""
-    return (y.reshape(maps.n_steps, -1) @ factors(maps, l, j)[0]).ravel()
+    """The (T, rho_lj) coordinates y A_lj of a (T, 3n_l) residual block y of
+    l; the adjoint of `expand`."""
+    return y @ factors(maps, l, j)[0]
 
 
 def coordinates(maps: AreaMaps, l: int, x_l: np.ndarray) -> dict[int, np.ndarray]:
-    """j -> coordinates B_jl x_t of E_jl(X_l), x_t the row-major step blocks
-    of X_l, step major, for every neighbor j of l: what area l sends j."""
+    """j -> the (T, rho_jl) coordinates B_jl x_t of E_jl(X_l), x_t the
+    row-major step blocks of X_l, for every neighbor j of l: what area l
+    sends j."""
     x_steps = x_l.reshape(maps.n_steps, -1)
-    return {j: (x_steps @ factors(maps, j, l)[1].T).ravel()
-            for j in maps.partition.neighbors(l)}
+    return {j: x_steps @ factors(maps, j, l)[1].T for j in maps.partition.neighbors(l)}
 
 
 def decentralized_flow(
@@ -167,7 +167,7 @@ def decentralized_flow(
     Area l holds X_l, whose voltage rows are zero and whose injection rows
     are its own columns of h, so its flow residual E(X) - f_l is -v.  In
     the first bus round it sends each neighbor j the coordinates of
-    E_jl(X_l) (`coordinates`, T rho_jl reals, tag "flow-term"); in the
+    E_jl(X_l) (`coordinates`, a (T, rho_jl) block, tag "flow-term"); in the
     second it returns f_l - E_ll(X_l) - sum_j expand(l, j, received), E_ll
     from the first rows of its stack S_l.
     Returns per-area (v, |v|) arrays of shape (T, n_l)."""
@@ -198,7 +198,7 @@ def decentralized_flow(
     def recv_node(l: int):
         def fn(inbox):
             g_ll = maps.stacks[l][:3 * maps.cols[l].size]  # E_ll's rows of S_l
-            v = maps.f[l] - (x[l].reshape(maps.n_steps, -1) @ g_ll.T).ravel()
+            v = maps.f[l] - x[l].reshape(maps.n_steps, -1) @ g_ll.T
             for j in part.neighbors(l):
                 v -= expand(maps, l, j, inbox[(j, "flow-term")])
             v = v.reshape(maps.n_steps, -1, 3)  # (step, phase, [Re v, Im v, |v|])

@@ -292,9 +292,9 @@ class TestPinnedReference:
         factors = {}
         full_report = ce.full_report
 
-        def keep(u, v, op, mu):
+        def keep(u, v, op):
             factors["v"] = v
-            return full_report(u, v, op, mu)
+            return full_report(u, v, op)
 
         monkeypatch.setattr(ce, "full_report", keep)
         payload = cli.run_experiment(self.CONFIG, tmp_path)

@@ -179,7 +179,7 @@ def objective_factored(u, v, m_data, mask, area_maps, mu, nu):
         for l in area_maps.partition.areas:
             res = sum(apply(area_maps, l, j, x[:, area_maps.cols[j]])
                       for j in sources(area_maps, l)) - area_maps.f[l]
-            val += 0.5 * nu * float(res @ res)
+            val += 0.5 * nu * float(np.sum(res * res))
     return val
 
 
@@ -253,8 +253,8 @@ class TestSubproblems:
         val += 0.5 * config.nu * float(res @ res)
         for j in prob.neighbors:
             # |B x - c| = |A B x - A c|: A_jl has orthonormal columns
-            pull = st.row_targets[:, prob.stack_rows[j]].ravel()
-            res_j = maps.e_mats[(j, l)] @ x_vec - expand(maps, j, l, pull)
+            pull = st.row_targets[:, prob.stack_rows[j]]
+            res_j = maps.e_mats[(j, l)] @ x_vec - expand(maps, j, l, pull).ravel()
             val += 0.5 * config.lam * float(res_j @ res_j)
         return val
 
@@ -643,9 +643,9 @@ class TestQUpdate:
         config = admm_config(lam=lam, nu=nu)
         prob = cp._build_problems(m_data, mask, maps, part, config)[2]  # degree 2
         rng = np.random.default_rng(seed)
-        d = maps.residual_dim(2)
+        d = maps.f[2].shape
         e_ll_val = rng.standard_normal(d)
-        coords = {j: rng.standard_normal(maps.n_steps * maps.coupling_rank(2, j))
+        coords = {j: rng.standard_normal((maps.n_steps, maps.coupling_rank(2, j)))
                   for j in prob.neighbors}
         e_in = {j: expand(maps, 2, j, c) for j, c in coords.items()}
         dual = rng.standard_normal(d)
@@ -672,9 +672,9 @@ class TestQUpdate:
         prob = dataclasses.replace(prob, config=admm_config(lam=lam, nu=nu))
         assert prob.deg == deg
         rng = np.random.default_rng(seed)
-        l, d = prob.area, maps.residual_dim(prob.area)
+        l, d = prob.area, maps.f[prob.area].shape
         e_ll_val = rng.standard_normal(d)
-        coords = {j: rng.standard_normal(maps.n_steps * maps.coupling_rank(l, j))
+        coords = {j: rng.standard_normal((maps.n_steps, maps.coupling_rank(l, j)))
                   for j in prob.neighbors}
         e_in = {j: expand(maps, l, j, c) for j, c in coords.items()}
         dual = rng.standard_normal(d)
@@ -815,7 +815,7 @@ class TestDecentralizedRun:
                 owner = states[j]
                 step = 2.0 * owner.lam - before.get(j, owner.lam)
                 c, a_step = coordinates(maps, l, st.x)[j], project(maps, j, l, step)
-                read = st.row_targets[:, prob.stack_rows[j]].ravel()
+                read = st.row_targets[:, prob.stack_rows[j]]
                 gap = np.linalg.norm(read - (c + a_step))
                 checked.append((gap <= 1e-13 * (np.linalg.norm(c) + np.linalg.norm(a_step)),
                                 bool(np.any(owner.lam))))
@@ -919,7 +919,7 @@ class TestStackedFlowProducts:
         within 1e-13 relative."""
         part, maps, problems = _star(small_instance)
         model, mat = small_instance["model"], small_instance["mat"]
-        prob, n_steps = problems[1], maps.n_steps
+        prob = problems[1]
         own = maps.cols[1]
         s_1 = maps.stacks[1]
         assert prob.neighbors == [2, 3, 4, 5] and s_1 is prob.stack
@@ -949,10 +949,9 @@ class TestStackedFlowProducts:
 
         def update_u_checked(p, st, z):
             if p.area == 1 and "last" in q_sum:
-                want = config.nu * ((maps.f[1] - q_sum["last"]).reshape(n_steps, -1)
-                                    @ g_11)
+                want = config.nu * ((maps.f[1] - q_sum["last"]) @ g_11)
                 for j in p.neighbors:
-                    want += config.lam * (pulls[j].reshape(n_steps, -1) @ b_in[j])
+                    want += config.lam * (pulls[j] @ b_in[j])
                 want = want.reshape(-1, p.n_l) + config.mu * p.m_obs
                 checked.append(relative_gap(z, want))
             return update_u(p, st, z)
@@ -999,6 +998,52 @@ class TestMessagePayloads:
         assert result.trace.iterations == 5 and part.n_areas == 3
         assert result.bus.round_index == 10 and len(delivered) > 0
         assert unchanged(), "a payload changed after the last round"
+
+    def test_payloads_are_the_blocks_the_products_make(self, monkeypatch):
+        """One iteration on feeder33 in 5 areas, T=2: every message the
+        driver builds goes out as the array its product made.  A "factor"
+        is the sender's U_l, (m, r); a "flow-term" from l to j is
+        (T, rank(G_jl)) and a "flow-pull" from l to j is (T, rank(G_lj))."""
+        net, scen, part = gm.feeder33_analog(seed=0, n_steps=2, n_areas=5)
+        mat = dm.build_matrix(gm.solve_exact_flow(net, scen.s), scen.s)
+        maps = lf.build_area_maps(lf.build_linear_model(net, n_steps=2), part)
+        mask = dm.sample_mask(*mat.shape, 0.5, policy="scada", seed=0).observed
+        built, sent = [], []
+
+        def message(*args, **kwargs):
+            built.append(sn.Message(*args, **kwargs))
+            return built[-1]
+
+        run_round = sn.MessageBus.run_round
+
+        def recorded_round(bus, nodes, order=None):
+            def sender(l, fn):
+                def call(inbox):
+                    out, sends = fn(inbox)
+                    sent.extend((l, msg) for msg in sends)
+                    return out, sends
+                return call
+
+            return run_round(bus, {l: sender(l, fn) for l, fn in nodes.items()}, order=order)
+
+        monkeypatch.setattr(cp, "Message", message)
+        monkeypatch.setattr(sn.MessageBus, "run_round", recorded_round)
+        config = admm_config(rank=3, max_iters=1)
+        result = cp.run_decentralized(mat, mask, maps, part, config)
+        assert [id(msg) for _, msg in sent] == [id(msg) for msg in built]
+        edges = sum(len(part.neighbors(l)) for l in part.areas)
+        tags = [msg.tag for _, msg in sent]
+        assert {tag: tags.count(tag) for tag in set(tags)} == {
+            "factor": edges, "flow-term": edges, "flow-pull": edges}
+        for l, msg in sent:
+            j = msg.dest
+            if msg.tag == "factor":
+                assert msg.payload is result.states[l].u
+                assert msg.payload.shape == (maps.m, 3)
+            elif msg.tag == "flow-term":
+                assert msg.payload.shape == (maps.n_steps, maps.coupling_rank(j, l))
+            else:
+                assert msg.payload.shape == (maps.n_steps, maps.coupling_rank(l, j))
 
 
 class TestSvtOracle:

@@ -198,7 +198,7 @@ class TestAreaMaps:
             keep = np.isin(
                 part.assignment, [l] + part.neighbors(l)
             )
-            expected = []
+            expected = [[] for _ in range(t_steps)]
             for t in range(t_steps):
                 for c in part.phases_in(l):
                     vr, vi, vm = x[5 * t, c], x[5 * t + 1, c], x[5 * t + 2, c]
@@ -209,7 +209,7 @@ class TestAreaMaps:
                     pred_mag = (trunc.k_mat[c, :n] @ h_re
                                 + trunc.k_mat[c, n:] @ h_im)
                     w = trunc.w[c]
-                    expected.extend([
+                    expected[t].extend([
                         vr - pred.real - w.real,
                         vi - pred.imag - w.imag,
                         vm - pred_mag - np.abs(w),
@@ -256,12 +256,12 @@ class TestAreaMaps:
         for l in part.areas:
             n_l = part.phases_in(l).size
             assert maps.residual_dim(l) == 3 * maps.n_steps * n_l
-            assert maps.f[l].shape == (3 * maps.n_steps * n_l,)
+            assert maps.f[l].shape == (maps.n_steps, 3 * n_l)
 
 
 class TestResidualLayout:
-    """Residual vectors are step major: row t of y.reshape(T, 3n_l) is step
-    t, in the row order of the per-step blocks G_lj."""
+    """Residual blocks are (T, 3n_l): row t is step t, in the row order of
+    the per-step blocks G_lj."""
 
     def test_step_rows_follow_the_step_blocks(self, small_instance,
                                               three_phase_instance):
@@ -273,9 +273,8 @@ class TestResidualLayout:
             t_steps = maps.n_steps
             w3 = np.column_stack([model.w.real, model.w.imag, np.abs(model.w)])
             for l in maps.partition.areas:
-                f_steps = maps.f[l].reshape(t_steps, -1)
                 for t in range(t_steps):
-                    assert np.array_equal(f_steps[t], w3[maps.cols[l]].ravel())
+                    assert np.array_equal(maps.f[l][t], w3[maps.cols[l]].ravel())
                 for j in sources(maps, l):
                     g, n_j = step_block(maps, l, j), maps.cols[j].size
                     for t in range(t_steps):
@@ -284,8 +283,7 @@ class TestResidualLayout:
                             x_j[5 * t + k // n_j, k % n_j] = 1.0
                             want = np.zeros((t_steps, g.shape[0]))
                             want[t] = g @ x_j[5 * t : 5 * t + 5].ravel()
-                            got = apply(maps, l, j, x_j).reshape(t_steps, -1)
-                            assert np.array_equal(got, want)
+                            assert np.array_equal(apply(maps, l, j, x_j), want)
 
 
 @pytest.fixture(scope="module")
@@ -336,10 +334,11 @@ class TestCouplingFactors:
             coords = np.zeros((t_steps, b.shape[0], n_l, t_steps, 5))
             for t in range(t_steps):
                 coords[t, :, :, t, :] = b.reshape(b.shape[0], 5, n_l).transpose(0, 2, 1)
-            coords = coords.reshape(t_steps * b.shape[0], n_l * m)
-            recon = np.column_stack([expand(maps, j, l, c) for c in coords.T])
+            coords = coords.reshape(t_steps, b.shape[0], n_l * m)
+            recon = np.column_stack([expand(maps, j, l, coords[..., k]).ravel()
+                                     for k in range(n_l * m)])
             assert np.linalg.norm(recon - e) <= 1e-12 * np.linalg.norm(e)
-            c = rng.standard_normal(coords.shape[0])
+            c = rng.standard_normal(coords.shape[:2])
             assert np.max(np.abs(project(maps, j, l, expand(maps, j, l, c)) - c)) < 1e-12
 
     def test_stacks_hold_every_block_once(self, small_instance):
@@ -412,9 +411,9 @@ class TestPerStepApply:
         for (l, j), e in maps.e_mats.items():
             x_j = rng.standard_normal((maps.m, maps.cols[j].size))
             want = e @ x_j.ravel(order="F")
-            got = apply(maps, l, j, x_j)
+            got = apply(maps, l, j, x_j).ravel()
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-            y = rng.standard_normal(maps.residual_dim(l))
-            want = (e.T @ y).reshape(x_j.shape, order="F")
+            y = rng.standard_normal((maps.n_steps, 3 * maps.cols[l].size))
+            want = (e.T @ y.ravel()).reshape(x_j.shape, order="F")
             got = apply_adjoint(maps, l, j, y)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
