@@ -1000,9 +1000,9 @@ class TestMessagePayloads:
         assert unchanged(), "a payload changed after the last round"
 
     def test_payloads_are_the_blocks_the_products_make(self, monkeypatch):
-        """One iteration on feeder33 in 5 areas, T=2: every message the
-        driver builds goes out as the array its product made.  A "factor"
-        is the sender's U_l, (m, r); a "flow-term" from l to j is
+        """One iteration on feeder33 in 5 areas, T=2: every message
+        `run_decentralized` builds goes out as the array its product made.
+        A "factor" is the sender's U_l, (m, r); a "flow-term" from l to j is
         (T, rank(G_jl)) and a "flow-pull" from l to j is (T, rank(G_lj))."""
         net, scen, part = gm.feeder33_analog(seed=0, n_steps=2, n_areas=5)
         mat = dm.build_matrix(gm.solve_exact_flow(net, scen.s), scen.s)
