@@ -259,14 +259,8 @@ class AreaProblem:
     u_blocks: np.ndarray | None
     u_diag: np.ndarray | None
     v_diag: np.ndarray
-
-    @property
-    def n_l(self) -> int:
-        return self.m_obs.shape[1]
-
-    @property
-    def deg(self) -> int:
-        return len(self.neighbors)
+    n_l: int  # the area's phases, the columns of its blocks
+    deg: int  # the number of its neighbors
 
 
 # The rows Re v, Im v, |v| come first in each step (`datamatrix`).  G_ll's
@@ -351,6 +345,8 @@ def _build_problems(
             u_diag=u_diag,
             v_diag=_block_positions(np.arange(n_l), np.arange(n_l), n_l, r,
                                     interleaved=True).reshape(n_l, r * r),
+            n_l=n_l,
+            deg=len(neighbors),
         )
     return problems
 

@@ -234,21 +234,15 @@ def generate_radial_feeder(
         else:
             parents[b] = int(rng.integers(0, b))
 
-    z_lines = _sample_complex(rng, 0.01 + 0.01j, 0.04 + 0.03j, n_buses)
+    z = _sample_complex(rng, 0.01 + 0.01j, 0.04 + 0.03j, n_buses)[1:, None, None]
 
-    n_ph = 3 if three_phase else 1
-
-    def phase_block(z: complex) -> np.ndarray:
-        if n_ph == 1:
-            return np.array([[1.0 / z]])
-        zmat = z * (np.eye(3) + 0.3 * (np.ones((3, 3)) - np.eye(3)))
-        return np.linalg.inv(zmat)
-
-    blocks = np.stack([phase_block(z) for z in z_lines[1:]])
-    if n_ph == 1:
-        v0 = np.array([1.0 + 0.0j])
-    else:
+    if three_phase:
+        mutual = np.eye(3) + 0.3 * (np.ones((3, 3)) - np.eye(3))
+        blocks = np.linalg.inv(z * mutual)
         v0 = np.exp(-2j * np.pi * np.arange(3) / 3)
+    else:
+        blocks = 1.0 / z
+        v0 = np.array([1.0 + 0.0j])
     net = _radial_network(parents[1:], blocks, v0)
     return net, _load_scenario(rng, net.n_phases, n_steps,
                                scale=min(1.0, 129 / n_buses))
@@ -293,7 +287,7 @@ def feeder33_analog(
 
     z = _sample_complex(rng, 0.02 + 0.01j, 0.06 + 0.04j, n)
     net = _radial_network(np.array(_FEEDER33_PARENTS) - 1,
-                          np.array([1.0 / zk for zk in z])[:, None, None],
+                          (1.0 / z)[:, None, None],
                           np.array([1.0 + 0.0j]))
     loads = _load_scenario(rng, n, n_steps)
 

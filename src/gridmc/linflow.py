@@ -167,16 +167,12 @@ def _step_block(
     (row of one time step, source phase), the row-major order of the step's
     5 x n_j block; within one area the target phase's own voltage rows
     enter with +1."""
-    n = model.n_phases
     g = np.zeros((own.size, 3, ROWS_PER_STEP, src.size))
-    n_re = model.n_mat[np.ix_(own, src)]
-    n_im = model.n_mat[np.ix_(own, src + n)]
-    g[:, 0, 3] -= n_re.real
-    g[:, 0, 4] -= n_im.real
-    g[:, 1, 3] -= n_re.imag
-    g[:, 1, 4] -= n_im.imag
-    g[:, 2, 3] -= model.k_mat[np.ix_(own, src)]
-    g[:, 2, 4] -= model.k_mat[np.ix_(own, src + n)]
+    at = (own[:, None], np.concatenate([src, src + model.n_phases]))
+    n_s = model.n_mat[at].reshape(own.size, 2, src.size)  # (Re s, Im s) columns
+    g[:, 0, 3:] -= n_s.real
+    g[:, 1, 3:] -= n_s.imag
+    g[:, 2, 3:] -= model.k_mat[at].reshape(own.size, 2, src.size)
     if same_area:
         pos = np.arange(own.size)
         for c in range(3):

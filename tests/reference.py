@@ -13,6 +13,8 @@ the unit tests are written against.
   of E_lj, built from the linear model alone, not from the coupling
   factors, and E_lj and its adjoint applied through it: the dense per-pair
   reference for the stacked S_l and A_l of `AreaMaps`.
+- `step_block_loop`: G_lj entry by entry from N and K, the reference for
+  `linflow._step_block` itself.
 - `factors`/`expand`/`project`/`coordinates`: one coupling block of
   `AreaMaps` at a time, read out of the stacks, the per-neighbor reference
   for the solver's products with the whole S_l and A_l.
@@ -120,6 +122,29 @@ def sources(maps: AreaMaps, l: int) -> list[int]:
 def step_block(maps: AreaMaps, l: int, j: int) -> np.ndarray:
     """G_lj (3n_l x 5n_j), built from the model the maps hold."""
     return lf._step_block(maps.model, maps.cols[l], maps.cols[j], same_area=l == j)
+
+
+def step_block_loop(model: LinearFlowModel, own: np.ndarray, src: np.ndarray,
+                    same_area: bool) -> np.ndarray:
+    """G_lj one entry at a time, by the layout `linflow._step_block`
+    documents: row (target phase a, [Re v, Im v, |v|]), column (row k of
+    one time step, source phase b).  The injection rows k = 3, 4 (Re s,
+    Im s of phase b) hold 0.0 minus Re N, Im N and K at the column of that
+    injection; within one area the voltage row k of the same component
+    holds 1.0 at a = b."""
+    n = model.n_phases
+    g = np.zeros((3 * own.size, ROWS_PER_STEP * src.size))
+    for a, p in enumerate(own):
+        for b, q in enumerate(src):
+            for k, col in ((3, q), (4, q + n)):
+                entries = (model.n_mat[p, col].real, model.n_mat[p, col].imag,
+                           model.k_mat[p, col])
+                for c, value in enumerate(entries):
+                    g[3 * a + c, k * src.size + b] = 0.0 - value
+            if same_area and a == b:
+                for c in range(3):
+                    g[3 * a + c, c * src.size + b] = 1.0
+    return g
 
 
 def apply(maps: AreaMaps, l: int, j: int, x_j: np.ndarray) -> np.ndarray:

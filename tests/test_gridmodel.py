@@ -103,6 +103,11 @@ class TestNetworkModel:
         assert np.allclose(net.no_load_voltage, [1.0 + 0j], atol=1e-14)
 
 
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a.view(float)),
+                                                   np.signbit(b.view(float)))
+
+
 def line_loop_admittance(parents, blocks):
     """Reference: add each line's blocks one line at a time, in bus order."""
     n_lines, n_ph, _ = blocks.shape
@@ -132,9 +137,52 @@ class TestRadialAdmittance:
                   + 1j * rng.standard_normal((n_lines, n_ph, n_ph)))
         y_full = gm._radial_admittance(parents, blocks)
         reference = line_loop_admittance(parents, blocks)
-        assert np.array_equal(y_full, reference)
-        assert np.array_equal(np.signbit(y_full.view(float)),
-                              np.signbit(reference.view(float)))
+        assert same_bits(y_full, reference)
+
+
+class TestLineBlocks:
+    """The line admittance blocks, built for all lines at once, equal the
+    blocks built one line at a time, and so do the networks they make."""
+
+    MUTUAL = np.eye(3) + 0.3 * (np.ones((3, 3)) - np.eye(3))
+
+    @staticmethod
+    def captured(monkeypatch, build):
+        """Network of `build()` and what made it: the feeder's first
+        `_sample_complex` draw, its line impedances, and the arguments of
+        `_radial_network`."""
+        draws, calls = [], []
+        sample, network = gm._sample_complex, gm._radial_network
+        monkeypatch.setattr(gm, "_sample_complex",
+                            lambda *args: draws.append(sample(*args)) or draws[-1])
+        monkeypatch.setattr(gm, "_radial_network",
+                            lambda *args: calls.append(args) or network(*args))
+        return build()[0], draws[0], calls[0]
+
+    def check(self, net, args, per_line):
+        parents, blocks, v0 = args
+        ref = gm._radial_network(parents, np.stack(per_line), v0)
+        assert same_bits(blocks, np.stack(per_line))
+        for got, want in [(net.y_ll, ref.y_ll), (net.y_l0, ref.y_l0),
+                          (net.z_bus, ref.z_bus)]:
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("three_phase", [False, True])
+    @pytest.mark.parametrize("n_buses", [8, 33, 129])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_radial_feeder(self, monkeypatch, three_phase, n_buses, seed):
+        net, z, args = self.captured(monkeypatch, lambda: gm.generate_radial_feeder(
+            n_buses, seed=seed, three_phase=three_phase))
+        if three_phase:
+            per_line = [np.linalg.inv(zk * self.MUTUAL) for zk in z[1:]]
+        else:
+            per_line = [np.array([[1.0 / zk]]) for zk in z[1:]]
+        self.check(net, args, per_line)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_feeder33_analog(self, monkeypatch, seed):
+        net, z, args = self.captured(monkeypatch, lambda: gm.feeder33_analog(seed=seed))
+        self.check(net, args, [np.array([[1.0 / zk]]) for zk in z])
 
 
 class TestAreaPartition:

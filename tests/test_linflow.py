@@ -8,7 +8,7 @@ from gridmc import linflow as lf
 from gridmc import simnet as sn
 from reference import (apply, apply_adjoint, decentralized_flow, expand, factors,
                        h_from_loads, predict, project, sources, step_block,
-                       truncate_model)
+                       step_block_loop, truncate_model)
 
 
 class TestBuildLinearModel:
@@ -296,6 +296,28 @@ def feeder33_maps():
 @pytest.fixture(params=["small", "feeder33"])
 def maps(request, small_instance, feeder33_maps):
     return small_instance["maps"] if request.param == "small" else feeder33_maps
+
+
+class TestStepBlock:
+    @pytest.mark.parametrize("feeder", ["feeder33", "random129"])
+    def test_matches_the_entrywise_layout(self, feeder):
+        """Every own and neighbor block of a 5-area instance equals the
+        entry-by-entry reference bit for bit, signed zeros included: the
+        129-bus feeder's N and K hold exact zeros of both signs, which 0.0 - x
+        turns into +0.0 and -x would not."""
+        if feeder == "feeder33":
+            net, _, part = gm.feeder33_analog(seed=0, n_steps=2, n_areas=5)
+        else:
+            net, _ = gm.generate_radial_feeder(129, seed=0, n_steps=2)
+            part = gm.AreaPartition.contiguous(net.n_phases, 5)
+        model = lf.build_linear_model(net, n_steps=2)
+        for l in part.areas:
+            for j in [l] + part.neighbors(l):
+                own, src = part.phases_in(l), part.phases_in(j)
+                got = lf._step_block(model, own, src, same_area=l == j)
+                want = step_block_loop(model, own, src, same_area=l == j)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestCouplingFactors:
