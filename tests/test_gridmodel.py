@@ -148,9 +148,8 @@ class TestLineBlocks:
 
     @staticmethod
     def captured(monkeypatch, build):
-        """Network of `build()` and what made it: the feeder's first
-        `_sample_complex` draw, its line impedances, and the arguments of
-        `_radial_network`."""
+        """The network `build()` returns, its line impedances (the feeder's
+        first `_sample_complex` draw) and its `_radial_network` arguments."""
         draws, calls = [], []
         sample, network = gm._sample_complex, gm._radial_network
         monkeypatch.setattr(gm, "_sample_complex",
@@ -161,8 +160,9 @@ class TestLineBlocks:
 
     def check(self, net, args, per_line):
         parents, blocks, v0 = args
-        ref = gm._radial_network(parents, np.stack(per_line), v0)
-        assert same_bits(blocks, np.stack(per_line))
+        per_line = np.stack(per_line)
+        ref = gm._radial_network(parents, per_line, v0)
+        assert same_bits(blocks, per_line)
         for got, want in [(net.y_ll, ref.y_ll), (net.y_l0, ref.y_l0),
                           (net.z_bus, ref.z_bus)]:
             assert same_bits(got, want)

@@ -303,8 +303,8 @@ class TestStepBlock:
     def test_matches_the_entrywise_layout(self, feeder):
         """Every own and neighbor block of a 5-area instance equals the
         entry-by-entry reference bit for bit, signed zeros included: the
-        129-bus feeder's N and K hold exact zeros of both signs, which 0.0 - x
-        turns into +0.0 and -x would not."""
+        129-bus feeder's N and K hold exact zeros of both signs, and 0.0 - x
+        makes each +0.0 where -x would make a +0.0 entry -0.0."""
         if feeder == "feeder33":
             net, _, part = gm.feeder33_analog(seed=0, n_steps=2, n_areas=5)
         else:
