@@ -87,9 +87,9 @@ def _layer(wall: dict[str, float], name: str):
 
 def _build_instance(config: ExperimentConfig, wall=None):
     """Partition, ground truth, measurement matrix (its rows 3-4 per step
-    are the true injections), linear model and area maps: the one path from
-    a config to an instance.  Each layer's wall seconds are added to the
-    dict `wall`, if given."""
+    are the true injections) and area maps, which hold the linear model
+    (`maps.model`): the one path from a config to an instance.  Each layer's
+    wall seconds are added to the dict `wall`, if given."""
     wall = {} if wall is None else wall
     with _layer(wall, "gridmodel.feeder"):
         net, scen, part = _build_feeder(config)
@@ -105,7 +105,7 @@ def _build_instance(config: ExperimentConfig, wall=None):
         model = lf.build_linear_model(net, n_steps=config.time_steps)
     with _layer(wall, "linflow.maps"):
         maps = lf.build_area_maps(model, part)
-    return part, v_true, mat, model, maps
+    return part, v_true, mat, maps
 
 
 def _single_run(config: ExperimentConfig, instance, seed: int, order=None,
@@ -115,7 +115,7 @@ def _single_run(config: ExperimentConfig, instance, seed: int, order=None,
     its error report, the mask and the noisy matrix the solver was given.
     Each layer's wall seconds are added to the dict `wall`, if given."""
     wall = {} if wall is None else wall
-    part, v_true, mat, _, maps = instance
+    part, v_true, mat, maps = instance
     with _layer(wall, "datamatrix.sample"):
         data = dm.add_noise(mat, config.noise_pct, seed=seed)
         mask = dm.sample_mask(
@@ -131,7 +131,7 @@ def _single_run(config: ExperimentConfig, instance, seed: int, order=None,
     return result, report, mask, data
 
 
-def _comm_summary(ledger, part, maps, r: int) -> list[dict]:
+def _comm_summary(ledger, maps, r: int) -> list[dict]:
     """Per area pair a < b, the reals the pair exchanged in one ADMM
     iteration (bus rounds 0 and 1) next to the source analysis's formula,
     the exact protocol formula and the full-data exchange (n_a + n_b) m."""
@@ -139,7 +139,7 @@ def _comm_summary(ledger, part, maps, r: int) -> list[dict]:
     out = []
     for pair in sorted(ledger.pairs(), key=sorted):
         a, b = sorted(pair)
-        n_a, n_b = part.phases_in(a).size, part.phases_in(b).size
+        n_a, n_b = maps.cols[a].size, maps.cols[b].size
         out.append({
             "pair": [int(a), int(b)],
             "per_iteration_measured": ledger.count(pair, [0, 1]),
@@ -186,7 +186,7 @@ def _estimate_and_write(config: ExperimentConfig, instance, out_dir: Path,
     on error.  metadata.json holds the completion time and the wall seconds
     of each layer, under the span names of perfbench/tracer.py, added to
     those already in `wall`; results.json holds no timing."""
-    part, _, _, model, maps = instance
+    part, _, _, maps = instance
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
@@ -215,14 +215,13 @@ def _estimate_and_write(config: ExperimentConfig, instance, out_dir: Path,
             "estimate": dataclasses.asdict(aggregate),
             "per_run": per_run,
             "certificate": cert.to_dict(),
-            "communication": _comm_summary(result.bus.ledger, result.partition, maps,
-                                           config.admm.resolve_rank(*result.x.shape)),
+            "communication": _comm_summary(result.bus.ledger, maps, fp.rank),
             "iterations": result.trace.iterations,
             "converged": result.converged,
             "final_consensus": result.trace.consensus[-1],
             "final_objective": result.trace.objective[-1],
             "low_observability": dm.is_low_observability(mask),
-            "truncation_error": lf.truncation_error(model, part),
+            "truncation_error": lf.truncation_error(maps.model, part),
         }
         with _layer(wall, "cli.write"):
             results_path = out_dir / "results.json"
@@ -283,7 +282,7 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def cmd_gen_feeder(args) -> int:
-    part, _, mat, _, _ = _build_instance(_config_from_args(args))
+    part, _, mat, _ = _build_instance(_config_from_args(args))
     args.out.mkdir(parents=True, exist_ok=True)
     np.savetxt(args.out / "matrix.csv", mat, delimiter=",")
     np.savetxt(args.out / "assignment.csv", part.assignment, fmt="%d")
@@ -293,7 +292,8 @@ def cmd_gen_feeder(args) -> int:
 
 
 def cmd_build_model(args) -> int:
-    part, _, _, model, _ = _build_instance(_config_from_args(args))
+    part, _, _, maps = _build_instance(_config_from_args(args))
+    model = maps.model
     err = lf.truncation_error(model, part)
     args.out.mkdir(parents=True, exist_ok=True)
     with open(args.out / "model.json", "w") as fh:
@@ -401,7 +401,7 @@ def cmd_certify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     config = _config_from_args(args)
-    _, _, mat, _, _ = _build_instance(config)
+    _, _, mat, _ = _build_instance(config)
     mask = dm.sample_mask(*mat.shape, config.fraction, policy=config.policy,
                           seed=config.seed)
     args.out.mkdir(parents=True, exist_ok=True)

@@ -159,7 +159,7 @@ def _objective_decentralized(problems, states, config) -> float:
         val += 0.5 * (_sum_squares(st.u) / n_areas + _sum_squares(st.v))
         diff = np.where(prob.mask, st.x, 0.0) - prob.m_obs
         val += 0.5 * config.mu * _sum_squares(diff)
-        if prob.maps is not None:
+        if prob.stack is not None:
             own = st.row_targets[:, :3 * prob.n_l]  # f_l - sum_j q_lj
             val += 0.5 * config.nu * _sum_squares(st.e_ll - own)
     return val
@@ -226,7 +226,8 @@ class AreaProblem:
     has 5 x 5 blocks H_kk' of n_l x n_l, one per pair of rows of the step;
     the 16 of `_FLOW_BLOCKS` are formed once per run and stored, the other
     9 are nu I and 0.  The updates read their weights from `config`, the
-    one H and the data terms were weighted with."""
+    one H and the data terms were weighted with.  Of `AreaMaps` it holds
+    only area l's own blocks; without flow maps `stack` is None."""
 
     area: int
     config: AdmmConfig
@@ -241,7 +242,6 @@ class AreaProblem:
     gram_weights: np.ndarray
     neighbors: list[int]
     n_areas: int
-    maps: AreaMaps | None
     f_l: np.ndarray | None  # (T, 3n_l)
     stack: np.ndarray | None  # S_l
     basis: np.ndarray | None  # A_l = [A_lj ...], the bases of the coordinates received
@@ -307,10 +307,10 @@ def _build_problems(
         neighbors = part.neighbors(l)
         n_l = cols.size
         m_obs = np.where(mask[:, cols], m_data[:, cols], 0.0)
-        stack = basis = weights = h_blocks = None
+        f_l = stack = basis = weights = h_blocks = None
         stack_rows, basis_cols = {}, {}
         if area_maps is not None:
-            stack, basis = area_maps.stacks[l], area_maps.bases[l]
+            f_l, stack, basis = area_maps.f[l], area_maps.stacks[l], area_maps.bases[l]
             stack_rows, basis_cols = area_maps.stack_rows[l], area_maps.basis_cols[l]
             own = 3 * n_l
             weights = np.full(stack.shape[0], config.lam)
@@ -333,8 +333,7 @@ def _build_problems(
             gram_weights=config.mu * mask[:, cols] + voltage_weight,
             neighbors=neighbors,
             n_areas=part.n_areas,
-            maps=area_maps,
-            f_l=area_maps.f[l] if area_maps is not None else None,
+            f_l=f_l,
             stack=stack,
             basis=basis,
             row_weights=weights,
@@ -357,7 +356,7 @@ def _flow_target(prob: AreaProblem, st: AreaState) -> np.ndarray:
     `AreaProblem`, so Z = sum_t (W y_t)^T S_l, one product over every row,
     and the linear parts of the U and V right-hand sides are this sum times
     V^T and U^T.  Without flow maps, mu P_Omega(M_l) alone."""
-    if prob.maps is None:
+    if prob.stack is None:
         return prob.mu_m_obs
     z = (st.row_targets * prob.row_weights) @ prob.stack
     return z.reshape(-1, prob.n_l) + prob.mu_m_obs
@@ -366,7 +365,7 @@ def _flow_target(prob: AreaProblem, st: AreaState) -> np.ndarray:
 def _flow_terms(prob: AreaProblem, x: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """E_ll(X_l), (T, 3n_l), and per neighbor j the (T, rho_jl) coordinates
     B_jl x_t of E_jl(X_l) it sends j: column blocks of one product X_l S_l^T."""
-    rows = x.reshape(prob.maps.n_steps, -1) @ prob.stack.T
+    rows = x.reshape(-1, ROWS_PER_STEP * prob.n_l) @ prob.stack.T
     return rows[:, :3 * prob.n_l], {j: rows[:, s] for j, s in prob.stack_rows.items()}
 
 
@@ -411,7 +410,7 @@ def update_u(prob: AreaProblem, st: AreaState, z: np.ndarray) -> np.ndarray:
     # diagonal block of row i: sum_c gram_weights[i, c] v_c v_c^T + base I
     data = prob.gram_weights @ _outer_rows(v.T)
     data[:, :: r + 1] += 1.0 / prob.n_areas + config.prox_c + config.gamma * prob.deg
-    if prob.maps is None:
+    if prob.stack is None:
         return _solve_checked(data.reshape(m, r, r), rhs)
     # (V^T kron I_5)^T H (V^T kron I_5), the same for every step: the blocks
     # V H_kk' V^T of `_FLOW_BLOCKS` from two products, 0 between two voltage
@@ -439,13 +438,13 @@ def update_v(prob: AreaProblem, st: AreaState, u_new: np.ndarray,
     # block of column c: sum_i gram_weights[i, c] u_i u_i^T + (1 + prox_c) I
     data = prob.gram_weights.T @ _outer_rows(u_new)
     data[:, :: r + 1] += 1.0 + config.prox_c
-    if prob.maps is None:
+    if prob.stack is None:
         h = np.zeros((r * n_l, r * n_l))
     else:
         # sum_kk' W_kk' kron H_kk' over `_FLOW_BLOCKS`: one product gives
         # ((j, j'), (c, c')), copied to (j, c, j', c') in runs of n_l;
         # nu (W_00 + W_11 + W_22) on every column block comes with the data
-        u_steps = u_new.reshape(prob.maps.n_steps, ROWS_PER_STEP * r)
+        u_steps = u_new.reshape(-1, ROWS_PER_STEP * r)
         w = (u_steps.T @ u_steps).reshape(-1)  # (k, j, k', j')
         flow = w[prob.u_blocks].reshape(-1, r * r).T @ prob.h_blocks
         h = np.empty((r * n_l, r * n_l))
@@ -516,8 +515,7 @@ def _init_states(
         # every U_j starts at U_l and Gamma_lj at 0
         states[l] = AreaState(u=u, v=v, x=u @ v, pull=prob.deg * u,
                               gamma=np.zeros((prob.deg, *u.shape)))
-    maps = next(iter(problems.values())).maps
-    if maps is None:
+    if next(iter(problems.values())).stack is None:
         return states
     # q_lj starts at e_lj = E_lj(X_j) and Lambda_l at 0, so the first primal
     # solve sees a consistent decentralized model, and the first pull point
@@ -525,10 +523,11 @@ def _init_states(
     sent = {l: _flow_terms(prob, states[l].x)[1] for l, prob in problems.items()}
     for l, prob in problems.items():
         st = states[l]
+        t_steps = len(prob.f_l)
         coords = [sent[j][l] for j in prob.neighbors]
-        e_sum = np.concatenate([np.empty((maps.n_steps, 0))] + coords, axis=1) @ prob.basis.T
+        e_sum = np.concatenate([np.empty((t_steps, 0))] + coords, axis=1) @ prob.basis.T
         st.lam = np.zeros_like(prob.f_l)
-        st.row_targets = np.empty((maps.n_steps, prob.stack.shape[0]))
+        st.row_targets = np.empty((t_steps, prob.stack.shape[0]))
         st.row_targets[:, :3 * prob.n_l] = prob.f_l - e_sum
         for j, rows in prob.stack_rows.items():
             st.row_targets[:, rows] = sent[l][j]
@@ -603,7 +602,7 @@ def run_decentralized(
             st.u, st.v, st.x = u_new, v_new, u_new @ v_new
             sends = [Message(dest=j, tag="factor", payload=u_new)
                      for j in prob.neighbors]
-            if prob.maps is not None:
+            if prob.stack is not None:
                 st.e_ll, coords = _flow_terms(prob, st.x)
                 sends += [Message(dest=j, tag="flow-term", payload=c)
                           for j, c in coords.items()]
@@ -620,7 +619,7 @@ def run_decentralized(
                 return None, []
             t0 = time.perf_counter()
             sends = []
-            if prob.maps is not None:  # no q terms without flow maps
+            if prob.stack is not None:  # no q terms without flow maps
                 coords_in = {j: inbox[(j, "flow-term")] for j in prob.neighbors}
                 q_sum, st.lam, pulls = update_q(prob, st.e_ll, coords_in, st.lam)
                 st.row_targets[:, :3 * prob.n_l] = prob.f_l - q_sum

@@ -37,11 +37,6 @@ class CommLedger:
 
     counts: dict[tuple[frozenset[int], int, str], int] = field(default_factory=dict)
 
-    def record_pair(self, pair: frozenset[int], round_index: int, tag: str,
-                    units: int) -> None:
-        key = (pair, round_index, tag)
-        self.counts[key] = self.counts.get(key, 0) + units
-
     def count(self, pair: Iterable[int], rounds: Iterable[int]) -> int:
         """Units the pair exchanged over `rounds`, summed over every tag."""
         pair, rounds = frozenset(pair), set(rounds)
@@ -56,24 +51,15 @@ class MessageBus:
     """Bulk-synchronous bus over a fixed area adjacency graph."""
 
     def __init__(self, adjacency: Iterable[frozenset[int]]):
-        self.adjacency = {frozenset(p) for p in adjacency}
         self.ledger = CommLedger()
         self.round_index = 0
         self._pending: dict[int, dict[tuple[int, str], np.ndarray]] = defaultdict(dict)
-        # (src, dest) -> the edge's ledger key, built once rather than per message
-        self._edge_keys: dict[tuple[int, int], frozenset[int]] = {}
-        for pair in self.adjacency:
+        # (src, dest) -> ledger key of the edge, both ways: the bus's one graph
+        self._edges: dict[tuple[int, int], frozenset[int]] = {}
+        for pair in map(frozenset, adjacency):
             if len(pair) == 2:
                 a, b = pair
-                self._edge_keys[a, b] = self._edge_keys[b, a] = pair
-
-    def _edge_key(self, src: int, dest: int) -> frozenset[int]:
-        key = self._edge_keys.get((src, dest))
-        if key is None:
-            raise ProtocolViolationError(
-                f"area {src} may not message non-neighbor area {dest}"
-            )
-        return key
+                self._edges[a, b] = self._edges[b, a] = pair
 
     def run_round(
         self,
@@ -82,8 +68,9 @@ class MessageBus:
     ) -> dict[int, Any]:
         """Run every node once against the previous round's inbox.
 
-        ``order`` only permutes execution (for determinism tests); delivery
-        still happens after all nodes have run.
+        Each send is checked against the edge table as its node returns;
+        delivery and the ledger counts wait until every node has run, so a
+        refused round changes nothing.  ``order`` only permutes execution.
         """
         schedule = list(order) if order is not None else list(nodes)
         if sorted(schedule) != sorted(nodes):
@@ -95,10 +82,16 @@ class MessageBus:
             out, sends = nodes[area](inbox)
             outputs[area] = out
             for msg in sends:
-                staged.append((area, self._edge_key(area, msg.dest), msg))
+                pair = self._edges.get((area, msg.dest))
+                if pair is None:
+                    raise ProtocolViolationError(
+                        f"area {area} may not message non-neighbor area {msg.dest}")
+                staged.append((area, pair, msg))
         self._pending = defaultdict(dict)
+        counts = self.ledger.counts
         for src, pair, msg in staged:
-            self.ledger.record_pair(pair, self.round_index, msg.tag, msg.payload.size)
+            key = (pair, self.round_index, msg.tag)
+            counts[key] = counts.get(key, 0) + msg.payload.size
             self._pending[msg.dest][(src, msg.tag)] = msg.payload
         self.round_index += 1
         return outputs

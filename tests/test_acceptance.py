@@ -313,7 +313,7 @@ def test_12_communication_ledger(analog_instance, converged_run):
     exact_match = True
     measured_total = full_total = 0
     per_pair = []
-    for row in cli._comm_summary(result.bus.ledger, result.partition, maps, r):
+    for row in cli._comm_summary(result.bus.ledger, maps, r):
         measured, full = row["per_iteration_measured"], row["full_exchange"]
         exact_match &= measured == row["protocol_formula"]
         measured_total += measured

@@ -222,7 +222,7 @@ def _perturbed_states(problems, m_data, mask, r, seed):
         st = states[l]
         for i, j in enumerate(prob.neighbors):
             st.gamma[i] = 0.1 * rng.standard_normal(st.u.shape)
-            if prob.maps is not None:
+            if prob.stack is not None:
                 pull = st.row_targets[:, prob.stack_rows[j]]  # a view: noise goes in place
                 pull += 0.1 * rng.standard_normal(pull.shape)
         # every U_j starts at U_l
@@ -231,10 +231,10 @@ def _perturbed_states(problems, m_data, mask, r, seed):
 
 
 class TestSubproblems:
-    def _lagrangian(self, prob, st, u, v):
+    def _lagrangian(self, maps, prob, st, u, v):
         """Explicit scalar objective, from the dense maps E_ll and E_jl,
         whose exact minimizers the U and V updates claim to return."""
-        maps, config = prob.maps, prob.config
+        config = prob.config
         l = prob.area
         val = 0.5 * np.sum(u * u) / prob.n_areas + 0.5 * np.sum(v * v)
         val += 0.5 * config.prox_c * (np.sum((u - st.u) ** 2)
@@ -278,7 +278,7 @@ class TestSubproblems:
             prob, st = problems[l], states[l]
             u_new = cp.update_u(prob, st, cp._flow_target(prob, st))
             self._assert_minimizer(
-                lambda u: self._lagrangian(prob, st, u, st.v), u_new, rng)
+                lambda u: self._lagrangian(maps, prob, st, u, st.v), u_new, rng)
 
     def test_update_v_minimizes_lagrangian(self, small_setup):
         m_data, mask, maps, part, problems = small_setup
@@ -290,7 +290,7 @@ class TestSubproblems:
             u_new = cp.update_u(prob, st, z)
             v_new = cp.update_v(prob, st, u_new, z)
             self._assert_minimizer(
-                lambda v: self._lagrangian(prob, st, u_new, v), v_new, rng)
+                lambda v: self._lagrangian(maps, prob, st, u_new, v), v_new, rng)
 
     def test_huge_prox_freezes_update(self, small_setup):
         m_data, mask, maps, part, _ = small_setup
@@ -455,7 +455,7 @@ def _flow_hessian(prob, config):
     return h.reshape(5, n_l, 5, n_l)
 
 
-def _reference_u_system(prob, st, config, z):
+def _reference_u_system(maps, prob, st, config, z):
     """update_u's normal matrices and right-hand side: the zero-filled data
     blocks plus base, then the flow part contracted from all 25 blocks of
     H, V H_kk' V^T at (k, k')."""
@@ -464,14 +464,14 @@ def _reference_u_system(prob, st, config, z):
     base = 1.0 / prob.n_areas + config.prox_c + config.gamma * prob.deg
     rhs = z @ v.T + config.prox_c * st.u + config.gamma * st.pull
     data = (config.mu * prob.mask) @ cp._outer_rows(v.T)
-    rows = 5 if prob.maps is not None else 1
+    rows = 5 if maps is not None else 1
     h = _block_diag(data.reshape(m // rows, rows, r, r), base)
-    if prob.maps is not None:
+    if maps is not None:
         h += np.einsum("jc,kcKd,Jd->kjKJ", v, _flow_hessian(prob, config), v)
     return h.reshape(-1, rows * r, rows * r), rhs.reshape(m // rows, rows * r)
 
 
-def _reference_v_system(prob, st, u_new, config, z):
+def _reference_v_system(maps, prob, st, u_new, config, z):
     """update_v's normal matrix and right-hand side on V row-major, (j, c):
     the zero-filled data block of each column c plus base, then
     sum_kk' W_kk' kron H_kk' over all 25 blocks of H."""
@@ -480,8 +480,8 @@ def _reference_v_system(prob, st, u_new, config, z):
     data = (config.mu * prob.mask.T) @ cp._outer_rows(u_new)
     h = _block_diag(data.reshape(1, n_l, r, r), 1.0 + config.prox_c)[0]
     h = h.transpose(1, 0, 3, 2)  # (c, j, c', j') -> (j, c, j', c')
-    if prob.maps is not None:
-        u_steps = u_new.reshape(prob.maps.n_steps, 5, r)
+    if maps is not None:
+        u_steps = u_new.reshape(maps.n_steps, 5, r)
         w = np.einsum("tkj,tKJ->kjKJ", u_steps, u_steps)
         h = h + np.einsum("kjKJ,kcKd->jcJd", w, _flow_hessian(prob, config))
     return h.reshape(r * n_l, r * n_l), rhs.ravel()
@@ -506,8 +506,8 @@ class TestNormalMatrixAssembly:
             model = lf.build_linear_model(net, n_steps=3)
             maps = lf.build_area_maps(model, part)
         config = cp.AdmmConfig(rank=3, mu=3.0, nu=2.0, gamma=1.5, lam=0.5)
-        problems = cp._build_problems(m_data, mask, maps if with_maps else None,
-                                      part, config)
+        maps = maps if with_maps else None
+        problems = cp._build_problems(m_data, mask, maps, part, config)
         states = _perturbed_states(problems, m_data, mask, 3, 5)
         solved = []
         solve = cp._solve_quadratic
@@ -526,8 +526,8 @@ class TestNormalMatrixAssembly:
             u_new = cp.update_u(prob, st, z)
             cp.update_v(prob, st, u_new, z)
             (h_u, rhs_u), (h_v, rhs_v) = solved[-2:]
-            ref_h_u, ref_rhs_u = _reference_u_system(prob, st, config, z)
-            ref_h_v, ref_rhs_v = _reference_v_system(prob, st, u_new, config, z)
+            ref_h_u, ref_rhs_u = _reference_u_system(maps, prob, st, config, z)
+            ref_h_v, ref_rhs_v = _reference_v_system(maps, prob, st, u_new, config, z)
             assert h_u.shape == ref_h_u.shape and h_v.shape == ref_h_v.shape
             assert_matches(h_u, ref_h_u)
             assert_matches(h_v, ref_h_v)
@@ -607,6 +607,23 @@ class TestFlowHessianBlocks:
         mask = np.ones(mat.shape, dtype=bool)
         with pytest.raises(cp.CompletionError, match="area 2"):
             cp._build_problems(mat, mask, broken, small_instance["part"], admm_config())
+
+
+def test_each_problem_holds_only_its_own_blocks():
+    """An area's problem holds its own blocks of the area maps, the very
+    arrays `AreaMaps` holds, so the solver copies nothing, and no field
+    holds the maps themselves, whose other areas' blocks the area's updates
+    must not reach."""
+    part, maps = _flow_instance("feeder33", 5)
+    m, n = 10, part.assignment.size
+    problems = cp._build_problems(np.zeros((m, n)), np.zeros((m, n), dtype=bool),
+                                  maps, part, admm_config(rank=3))
+    assert sorted(problems) == list(part.areas)
+    for l, prob in problems.items():
+        assert not any(isinstance(getattr(prob, f.name), lf.AreaMaps)
+                       for f in dataclasses.fields(prob))
+        assert prob.stack is maps.stacks[l] and prob.basis is maps.bases[l]
+        assert prob.f_l is maps.f[l]
 
 
 def _star(small_instance, deg: int = 4):

@@ -50,6 +50,39 @@ class TestMessageBus:
         with pytest.raises(sn.ProtocolViolationError):
             bus.run_round({1: node1, 2: lambda i: (None, [])})
 
+    def test_refused_round_leaves_the_bus_unchanged(self):
+        """A round with one send off the area graph delivers and counts
+        nothing, not even a valid send staged before it: the ledger, the
+        round index and the inbox the next round reads stay as they were."""
+        bus = make_bus(3)  # chain 1-2-3: areas 1 and 3 are not adjacent
+        sent = np.array([1.5, -2.0])
+
+        def quiet(inbox):
+            return None, []
+
+        def send(dest, tag, payload):
+            return lambda inbox: (None, [sn.Message(dest=dest, tag=tag, payload=payload)])
+
+        bus.run_round({1: send(2, "a", sent), 2: quiet, 3: quiet})
+        counts, round_index = dict(bus.ledger.counts), bus.round_index
+        nodes = {1: send(2, "b", np.ones(3)), 2: quiet, 3: send(1, "b", np.ones(4))}
+        with pytest.raises(sn.ProtocolViolationError,
+                           match="area 3 may not message non-neighbor area 1"):
+            bus.run_round(nodes, order=[1, 2, 3])
+        assert bus.ledger.counts == counts and bus.round_index == round_index
+
+        inboxes = {}
+
+        def record(area):
+            def node(inbox):
+                inboxes[area] = dict(inbox)
+                return None, []
+            return node
+
+        bus.run_round({a: record(a) for a in (1, 2, 3)})
+        assert inboxes[1] == {} and inboxes[3] == {}
+        assert list(inboxes[2]) == [(1, "a")] and inboxes[2][(1, "a")] is sent
+
     def test_bad_order_rejected(self):
         bus = make_bus(2)
         nodes = {a: (lambda i: (None, [])) for a in (1, 2)}
