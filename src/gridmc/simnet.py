@@ -69,8 +69,8 @@ class MessageBus:
         """Run every node once against the previous round's inbox.
 
         Each send is checked against the edge table as its node returns;
-        delivery and the ledger counts wait until every node has run, so a
-        refused round changes nothing.  ``order`` only permutes execution.
+        nothing is delivered or counted until every node has run, so a
+        refused round leaves the bus as it was.  ``order`` only permutes execution.
         """
         schedule = list(order) if order is not None else list(nodes)
         if sorted(schedule) != sorted(nodes):
