@@ -9,6 +9,8 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import platform
 import sys
 import time
 from contextlib import contextmanager
@@ -73,6 +75,20 @@ def _build_feeder(config: ExperimentConfig):
         )
         return net, scen, gm.AreaPartition.contiguous(net.n_phases, config.areas)
     raise CliError(f"unknown feeder kind: {config.feeder!r}")
+
+
+def _numerics() -> dict:
+    """The builds and BLAS thread settings a run's floats depend on: the
+    Python, numpy and BLAS versions and the thread variables (None when
+    unset)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "threads": {v: os.environ.get(v) for v in
+                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+    }
 
 
 @contextmanager
@@ -183,9 +199,10 @@ def _estimate_and_write(config: ExperimentConfig, instance, out_dir: Path,
     """`config.runs` estimation runs on an instance from `_build_instance`;
     writes results.json, trace.csv, spectrum.csv and metadata.json into
     out_dir and returns the results.json payload.  Removes partial outputs
-    on error.  metadata.json holds the completion time and the wall seconds
+    on error.  metadata.json holds the completion time, the wall seconds
     of each layer, under the span names of perfbench/tracer.py, added to
-    those already in `wall`; results.json holds no timing."""
+    those already in `wall`, and the `_numerics` the run's floats depend
+    on; results.json holds no timing."""
     part, _, _, maps = instance
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -239,7 +256,8 @@ def _estimate_and_write(config: ExperimentConfig, instance, out_dir: Path,
         written.append(meta_path)
         with open(meta_path, "w") as fh:
             json.dump({"completed_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                       "layer_wall_s": wall}, fh, indent=2, sort_keys=True)
+                       "layer_wall_s": wall, "numerics": _numerics()},
+                      fh, indent=2, sort_keys=True)
             fh.write("\n")
         return payload
     except Exception:

@@ -12,10 +12,6 @@ class GridModelError(Exception):
     """Base class for network-model failures."""
 
 
-class SingularAdmittanceError(GridModelError):
-    pass
-
-
 class DivergedFlowError(GridModelError):
     def __init__(self, residual: float, iterations: int):
         self.residual = residual
@@ -25,79 +21,77 @@ class DivergedFlowError(GridModelError):
         )
 
 
-# Largest 1-norm condition number of y_ll accepted as nonsingular.  Beyond
-# it a solve keeps fewer than four significant digits (eps * cond > 1e-4),
-# far too few for the flow's 1e-10 residual tolerance to mean anything.
-MAX_ADMITTANCE_COND = 1e12
-
-
 @dataclass(frozen=True)
 class NetworkModel:
-    """Bus-admittance blocks and slack voltage, all per-unit.
+    """A radial feeder without shunts, per-unit.  Bus 0 is the slack bus;
+    bus b >= 1 hangs off bus ``parents[b - 1]`` through a line whose
+    n_ph x n_ph impedance block is ``z_line[b - 1]``.  Phase index
+    ``(b - 1) n_ph + a`` is phase a of bus b.
 
-    Construction forms the Z-bus ``z_bus = y_ll^-1`` once, by LAPACK getrf +
-    getri, and every ``y_ll`` solve is a product with it.  It rejects a
-    singular ``y_ll`` with SingularAdmittanceError: exactly singular when
-    the LU meets a zero pivot (``np.linalg.LinAlgError``), numerically
-    singular when ``cond_1(y_ll) = |y_ll|_1 |z_bus|_1`` (the number
-    ``np.linalg.cond(y_ll, 1)`` returns) exceeds MAX_ADMITTANCE_COND or is
-    not finite.
+    Construction forms the Z-bus once, as ``Z = P D_z P^T``: P is the 0/1
+    bus-by-line path matrix (P[i, e] = 1 when line e lies on bus i's path
+    to the slack bus) and D_z holds the line blocks, so Z_ik sums the
+    impedance of the lines that buses i and k share on their way to the
+    slack bus.  The no-load voltage is v0 at every bus.
     """
 
-    y_ll: np.ndarray  # |P| x |P|, over the non-slack bus-phases
-    y_l0: np.ndarray  # |P| x slack phases
+    parents: np.ndarray  # parent bus of buses 1..n, each parent before its child
+    z_line: np.ndarray  # n x n_ph x n_ph line impedance blocks
     v0: np.ndarray  # slack voltage, one entry per slack phase
 
     def __post_init__(self):
-        n, n_slack = self.n_phases, self.v0.size
+        n, n_ph = self.parents.size, self.v0.size
         if n < 1:
-            raise GridModelError("network must have at least one non-slack phase")
-        if self.y_ll.shape != (n, n):
-            raise GridModelError(f"y_ll shape {self.y_ll.shape} is not square")
-        if self.v0.shape != (n_slack,) or n_slack not in (1, 3):
+            raise GridModelError("network must have at least one line")
+        if self.v0.shape != (n_ph,) or n_ph not in (1, 3):
             raise GridModelError("slack bus must have 1 or 3 phases")
-        if self.y_l0.shape != (n, n_slack):
+        if self.z_line.shape != (n, n_ph, n_ph):
             raise GridModelError(
-                f"y_l0 shape {self.y_l0.shape} inconsistent with |P|={n} and "
-                f"{n_slack} slack phases"
+                f"z_line shape {self.z_line.shape} inconsistent with {n} lines of "
+                f"{n_ph} phases"
             )
-        try:
-            z = np.linalg.inv(self.y_ll)
-        except np.linalg.LinAlgError as exc:
-            raise SingularAdmittanceError(f"singular admittance: {exc}") from exc
-        if not np.linalg.norm(self.y_ll, 1) * np.linalg.norm(z, 1) <= MAX_ADMITTANCE_COND:
-            raise SingularAdmittanceError(
-                "singular admittance matrix y_ll: 1-norm condition number above "
-                f"{MAX_ADMITTANCE_COND:.0e}"
-            )
+        if self.parents.shape != (n,) or not np.all(
+                (0 <= self.parents) & (self.parents <= np.arange(n))):
+            raise GridModelError("each parent must be a bus that precedes its child")
+        if not np.all(np.isfinite(self.z_line)):
+            raise GridModelError("line impedances must be finite")
+        path = np.zeros((n, n))
+        for b, a in enumerate(self.parents):
+            if a:
+                path[b] = path[a - 1]
+            path[b, b] = 1.0
+        # one (n_ph^2 n x n) (n x n) product: block (a, c) is P diag(z_ac) P^T
+        scaled = (self.z_line.transpose(1, 2, 0)[:, :, None, :] * path).reshape(-1, n)
+        z = (scaled @ path.T).reshape(n_ph, n_ph, n, n).transpose(2, 0, 3, 1)
+        z = z.reshape(n * n_ph, n * n_ph)
         z.flags.writeable = False
         object.__setattr__(self, "_z_bus", z)
-        w = -self.solve_y_ll(self.y_l0 @ self.v0)
+        w = np.tile(self.v0, n)
         w.flags.writeable = False
         object.__setattr__(self, "_no_load_voltage", w)
 
     @property
     def n_phases(self) -> int:
-        return len(self.y_ll)
+        return self.z_line.shape[0] * self.v0.size
 
     @property
     def z_bus(self) -> np.ndarray:
-        """Z = y_ll^-1, formed once, at construction; read-only."""
+        """Z, formed once, at construction; read-only."""
         return self._z_bus
 
-    def solve_y_ll(self, rhs: np.ndarray) -> np.ndarray:
-        """x = Z rhs, the solution of y_ll @ x = rhs, for a vector or for
-        each column of a matrix.  A matrix rhs goes through one stacked
-        product that applies Z to one column at a time, so each column comes
-        out bit for bit as if it were passed alone."""
+    def apply_z(self, rhs: np.ndarray) -> np.ndarray:
+        """x = Z rhs, for a vector or for each column of a matrix.  A matrix
+        rhs goes through one stacked product that applies Z to one column at
+        a time, so each column comes out bit for bit as if it were passed
+        alone."""
         if rhs.ndim == 1:
             return self._z_bus @ rhs
         return (self._z_bus @ rhs.T[:, :, None])[:, :, 0].T
 
     @property
     def no_load_voltage(self) -> np.ndarray:
-        """w = -Y_LL^{-1} Y_L0 v0, the zero-injection voltage profile
-        (formed once, at construction; read-only)."""
+        """w, the zero-injection voltage profile: v0 at every bus, since no
+        current flows (formed once, at construction; read-only)."""
         return self._no_load_voltage
 
 
@@ -167,33 +161,6 @@ def _sample_complex(rng: np.random.Generator, lo: complex, hi: complex,
     return re + 1j * im
 
 
-def _radial_admittance(parents: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Bus admittance matrix of a radial network, slack bus 0 first: bus
-    b >= 1 hangs off bus ``parents[b - 1]`` through a line whose
-    n_ph x n_ph admittance block is ``blocks[b - 1]``.  One unbuffered
-    ``np.add.at`` adds the lines in bus order, so every entry sums its terms
-    in the order of a loop over the lines."""
-    n_lines, n_ph, _ = blocks.shape
-    child = np.arange(1, n_lines + 1)
-    # per line: +y at (b, b) and (p, p), -y at (b, p) and (p, b)
-    rows = np.stack([child, parents, child, parents], axis=1)
-    cols = np.stack([child, parents, parents, child], axis=1)
-    vals = np.stack([blocks, blocks, -blocks, -blocks], axis=1)
-    ph = np.arange(n_ph)
-    y_full = np.zeros(((n_lines + 1) * n_ph,) * 2, dtype=complex)
-    np.add.at(y_full, (rows[:, :, None, None] * n_ph + ph[:, None],
-                       cols[:, :, None, None] * n_ph + ph), vals)
-    return y_full
-
-
-def _radial_network(parents: np.ndarray, blocks: np.ndarray,
-                    v0: np.ndarray) -> NetworkModel:
-    """The network of `_radial_admittance`, its first v0.size phases, the
-    slack bus's, split off as y_l0."""
-    y_full, k = _radial_admittance(parents, blocks), v0.size
-    return NetworkModel(y_ll=y_full[k:, k:], y_l0=y_full[k:, :k], v0=v0)
-
-
 def _load_scenario(rng: np.random.Generator, n: int, n_steps: int,
                    scale: float = 1.0) -> LoadScenario:
     """Consumption at n phases over n_steps: a base value per phase (times
@@ -237,13 +204,11 @@ def generate_radial_feeder(
     z = _sample_complex(rng, 0.01 + 0.01j, 0.04 + 0.03j, n_buses)[1:, None, None]
 
     if three_phase:
-        mutual = np.eye(3) + 0.3 * (np.ones((3, 3)) - np.eye(3))
-        blocks = np.linalg.inv(z * mutual)
+        z = z * (np.eye(3) + 0.3 * (np.ones((3, 3)) - np.eye(3)))
         v0 = np.exp(-2j * np.pi * np.arange(3) / 3)
     else:
-        blocks = 1.0 / z
         v0 = np.array([1.0 + 0.0j])
-    net = _radial_network(parents[1:], blocks, v0)
+    net = NetworkModel(parents=parents[1:], z_line=z, v0=v0)
     return net, _load_scenario(rng, net.n_phases, n_steps,
                                scale=min(1.0, 129 / n_buses))
 
@@ -286,9 +251,8 @@ def feeder33_analog(
     n = len(_FEEDER33_PARENTS)  # 32 non-slack buses
 
     z = _sample_complex(rng, 0.02 + 0.01j, 0.06 + 0.04j, n)
-    net = _radial_network(np.array(_FEEDER33_PARENTS) - 1,
-                          (1.0 / z)[:, None, None],
-                          np.array([1.0 + 0.0j]))
+    net = NetworkModel(parents=np.array(_FEEDER33_PARENTS) - 1,
+                       z_line=z[:, None, None], v0=np.array([1.0 + 0.0j]))
     loads = _load_scenario(rng, n, n_steps)
 
     sizes, adjacency = _FEEDER33_PARTITIONS[n_areas]
@@ -311,12 +275,11 @@ def solve_exact_flow(
 ) -> np.ndarray:
     """Solve the nonlinear power flow by the Z-bus fixed-point iteration.
 
-    Returns v with v = w + Y_LL^{-1} diag(conj(v))^{-1} conj(s) to residual
+    Returns v with v = w + Z diag(conj(v))^{-1} conj(s) to residual
     infinity-norm <= tol, for one injection vector or for each row of a
     T x |P| matrix.  The rows are swept together: each sweep is one product
-    with the network's Z-bus (`NetworkModel.solve_y_ll`), with a column per
-    row not yet converged, so no sweep factors y_ll; a row stops on its own
-    residual.  A sweep's residual product is the next sweep's iterate, so it
+    with the network's Z-bus (`NetworkModel.apply_z`), with a column per
+    row not yet converged; a row stops on its own residual.  A sweep's residual product is the next sweep's iterate, so it
     is never repeated.  Raises DivergedFlowError, with the number of sweeps
     run and the residual of the earliest failing row, when a row's voltage
     turns non-finite or collapses, or when a row has not converged after
@@ -327,10 +290,10 @@ def solve_exact_flow(
     w = net.no_load_voltage
     out = np.empty_like(rhs)
     active = np.arange(rhs.shape[0])
-    v = w + net.solve_y_ll((rhs / np.conj(w)).T).T
+    v = w + net.apply_z((rhs / np.conj(w)).T).T
     residual = np.full(rhs.shape[0], np.inf)
     for it in range(max_iters):
-        v_next = w + net.solve_y_ll((rhs[active] / np.conj(v)).T).T
+        v_next = w + net.apply_z((rhs[active] / np.conj(v)).T).T
         residual = np.max(np.abs(v - v_next), axis=1)
         done = residual <= tol
         out[active[done]] = v[done]

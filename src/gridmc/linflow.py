@@ -32,8 +32,8 @@ class LinearFlowModel:
 
 
 def build_linear_model(net: NetworkModel, n_steps: int = 1) -> LinearFlowModel:
-    """First fixed-point iterate around the no-load profile w:
-    Y_LL^{-1} diag(1 / conj w) is the Z-bus with its columns scaled."""
+    """First fixed-point iterate around the no-load profile w: the
+    network's Z-bus with its columns scaled, Z diag(1 / conj w)."""
     w = net.no_load_voltage
     if np.min(np.abs(w)) < 1e-9:
         raise LinFlowError("degenerate linearization: no-load voltage has a zero entry")

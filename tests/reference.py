@@ -1,6 +1,10 @@
 """Reference computations that only the tests use, and the penalty weights
 the unit tests are written against.
 
+- `admittance`/`_radial_admittance`: the bus admittance blocks y_ll and
+  y_l0 of a radial `NetworkModel`, rebuilt from its tree and line
+  impedances, the reference its path-sum Z-bus and no-load voltage are
+  checked against.
 - `svt_oracle`/`svt_objective`: an independent singular-value-thresholding
   solver of the convex nuclear-norm problem, the certified reference for the
   nu = 0 case.
@@ -35,7 +39,7 @@ import numpy as np
 from gridmc import completion as cp
 from gridmc import linflow as lf
 from gridmc.datamatrix import ROWS_PER_STEP
-from gridmc.gridmodel import AreaPartition
+from gridmc.gridmodel import AreaPartition, NetworkModel
 from gridmc.linflow import AreaMaps, LinearFlowModel, LinFlowError
 from gridmc.simnet import Message, MessageBus
 
@@ -48,6 +52,38 @@ TEST_WEIGHTS = dict(mu=10.0, nu=1.0, gamma=1.0, lam=1.0)
 def admm_config(**overrides) -> cp.AdmmConfig:
     """An `AdmmConfig` at `TEST_WEIGHTS`, with the given fields replaced."""
     return cp.AdmmConfig(**{**TEST_WEIGHTS, **overrides})
+
+
+def _radial_admittance(parents: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Bus admittance matrix of a radial network, slack bus 0 first: bus
+    b >= 1 hangs off bus ``parents[b - 1]`` through a line whose
+    n_ph x n_ph admittance block is ``blocks[b - 1]``.  One unbuffered
+    ``np.add.at`` adds the lines in bus order, so every entry sums its terms
+    in the order of a loop over the lines."""
+    n_lines, n_ph, _ = blocks.shape
+    child = np.arange(1, n_lines + 1)
+    # per line: +y at (b, b) and (p, p), -y at (b, p) and (p, b)
+    rows = np.stack([child, parents, child, parents], axis=1)
+    cols = np.stack([child, parents, parents, child], axis=1)
+    vals = np.stack([blocks, blocks, -blocks, -blocks], axis=1)
+    ph = np.arange(n_ph)
+    y_full = np.zeros(((n_lines + 1) * n_ph,) * 2, dtype=complex)
+    np.add.at(y_full, (rows[:, :, None, None] * n_ph + ph[:, None],
+                       cols[:, :, None, None] * n_ph + ph), vals)
+    return y_full
+
+
+def admittance(net: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
+    """(y_ll, y_l0) of `net`: its bus admittance matrix with the slack
+    bus's phases split off as y_l0.  Each line's admittance block is
+    ``1 / z`` on a single-phase network and ``inv(z)`` of its 3 x 3
+    impedance block on a three-phase one."""
+    if net.v0.size == 1:
+        blocks = 1.0 / net.z_line
+    else:
+        blocks = np.linalg.inv(net.z_line)
+    y_full, k = _radial_admittance(net.parents, blocks), net.v0.size
+    return y_full[k:, k:], y_full[k:, :k]
 
 
 def svt_objective(x: np.ndarray, m_data: np.ndarray, mb: np.ndarray,

@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import fsolve
 
 from gridmc import gridmodel as gm
+from reference import _radial_admittance, admittance
 
 
 def newton_flow_oracle(net, s):
@@ -16,10 +17,11 @@ def newton_flow_oracle(net, s):
     s_i = v_i * conj(I_i) with scipy's general-purpose solver."""
 
     n = net.n_phases
+    y_ll, y_l0 = admittance(net)
 
     def residual(x):
         v = x[:n] + 1j * x[n:]
-        i_inj = net.y_ll @ v + net.y_l0 @ net.v0
+        i_inj = y_ll @ v + y_l0 @ net.v0
         mismatch = v * np.conj(i_inj) - s
         return np.concatenate([mismatch.real, mismatch.imag])
 
@@ -29,78 +31,115 @@ def newton_flow_oracle(net, s):
     return x[:n] + 1j * x[n:]
 
 
+def two_bus(z=0.03 + 0.02j, v0=1.0 + 0j):
+    """One line of impedance z from the slack bus at v0."""
+    return gm.NetworkModel(parents=np.array([0]), z_line=np.array([[[z]]]),
+                           v0=np.array([v0]))
+
+
 class TestNetworkModel:
     def test_rejects_empty(self):
-        with pytest.raises(gm.GridModelError, match="at least one"):
+        with pytest.raises(gm.GridModelError, match="at least one line"):
             gm.NetworkModel(
-                y_ll=np.zeros((0, 0), dtype=complex),
-                y_l0=np.zeros((0, 1), dtype=complex),
+                parents=np.zeros(0, dtype=int),
+                z_line=np.zeros((0, 1, 1), dtype=complex),
                 v0=np.array([1.0 + 0j]),
             )
 
     def test_rejects_bad_slack_count(self):
         with pytest.raises(gm.GridModelError, match="1 or 3 phases"):
             gm.NetworkModel(
-                y_ll=np.eye(1, dtype=complex),
-                y_l0=np.zeros((1, 2), dtype=complex),
+                parents=np.array([0]),
+                z_line=np.ones((1, 2, 2), dtype=complex),
                 v0=np.ones(2, dtype=complex),
             )
 
-    def test_singular_admittance_rejected(self):
-        y_ll = np.ones((2, 2), dtype=complex)  # rank 1
-        with pytest.raises(gm.SingularAdmittanceError):
+    @pytest.mark.parametrize("parents", [[0, 2, 1], [0, 1, 3], [0, -1, 1]])
+    def test_rejects_parent_that_does_not_precede_its_child(self, parents):
+        # bus 2 hanging off itself, bus 3 off itself, bus 2 off bus -1
+        with pytest.raises(gm.GridModelError, match="precedes its child"):
             gm.NetworkModel(
-                y_ll=y_ll,
-                y_l0=np.zeros((2, 1), dtype=complex),
+                parents=np.array(parents),
+                z_line=np.full((3, 1, 1), 0.03 + 0.02j),
                 v0=np.array([1.0 + 0j]),
             )
 
-    def test_exactly_singular_raises_through_lapack(self):
-        with pytest.raises(gm.SingularAdmittanceError) as excinfo:
-            gm.NetworkModel(
-                y_ll=np.ones((2, 2), dtype=complex),
-                y_l0=np.zeros((2, 1), dtype=complex),
-                v0=np.array([1.0 + 0j]),
-            )
-        assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
-
-    def test_rank_deficient_up_to_rounding_rejected(self):
-        # rank 2 in exact arithmetic; in floating point the LU's last pivot
-        # is about 3.5e-16, not zero, so LAPACK solves without complaint
-        u = np.array([1.0 + 0.5j, 0.3 - 0.2j, 0.7 + 0.1j])
-        v = np.array([0.9 - 0.4j, 1.1 + 0.3j, -0.6 + 0.8j])
-        y_ll = np.outer(u, u) + np.outer(v, v)
-        np.linalg.solve(y_ll, np.ones(3))
-        with pytest.raises(gm.SingularAdmittanceError, match="condition"):
-            gm.NetworkModel(
-                y_ll=y_ll,
-                y_l0=np.zeros((3, 1), dtype=complex),
-                v0=np.array([1.0 + 0j]),
-            )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.03, np.inf)])
+    def test_rejects_non_finite_line_impedance(self, bad):
+        z_line = np.full((3, 1, 1), 0.03 + 0.02j)
+        z_line[1, 0, 0] = bad
+        with pytest.raises(gm.GridModelError, match="finite"):
+            gm.NetworkModel(parents=np.array([0, 1, 1]), z_line=z_line,
+                            v0=np.array([1.0 + 0j]))
 
     def test_no_load_voltage_is_read_only(self, small_feeder):
         net, _, _ = small_feeder
         assert net.no_load_voltage is net.no_load_voltage
         with pytest.raises(ValueError):
             net.no_load_voltage[0] = 0.0
+        with pytest.raises(ValueError):
+            net.z_bus[0, 0] = 0.0
 
-    def test_shape_validation(self):
-        with pytest.raises(gm.GridModelError):
+    @pytest.mark.parametrize("shape", [(2, 1, 1), (1, 3, 3)])
+    def test_shape_validation(self, shape):
+        # two line blocks for one line; three-phase blocks on a one-phase slack
+        with pytest.raises(gm.GridModelError, match="inconsistent"):
             gm.NetworkModel(
-                y_ll=np.eye(2, dtype=complex),
-                y_l0=np.zeros((1, 1), dtype=complex),
+                parents=np.array([0]),
+                z_line=np.ones(shape, dtype=complex),
                 v0=np.array([1.0 + 0j]),
             )
 
     def test_no_load_voltage_two_bus(self):
         # single line of impedance z from slack at 1.0 pu: w = v0 exactly
-        z = 0.03 + 0.02j
-        net = gm.NetworkModel(
-            y_ll=np.array([[1 / z]]),
-            y_l0=np.array([[-1 / z]]),
-            v0=np.array([1.0 + 0j]),
-        )
-        assert np.allclose(net.no_load_voltage, [1.0 + 0j], atol=1e-14)
+        net = two_bus()
+        assert np.array_equal(net.no_load_voltage, [1.0 + 0j])
+        assert np.array_equal(net.z_bus, [[0.03 + 0.02j]])
+
+    def test_three_phase_bus_major_order(self):
+        """Phase (b - 1) n_ph + a is phase a of bus b: on a chain 0-1-2 the
+        Z-bus blocks of buses (1, 1), (1, 2) and (2, 1) are line 1's block,
+        and (2, 2) is the sum of both lines' blocks."""
+        rng = np.random.default_rng(0)
+        z_line = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+        v0 = np.exp(-2j * np.pi * np.arange(3) / 3)
+        net = gm.NetworkModel(parents=np.array([0, 1]), z_line=z_line, v0=v0)
+        z = net.z_bus
+        assert np.array_equal(z[:3, :3], z_line[0])
+        assert np.array_equal(z[3:, :3], z_line[0])
+        assert np.array_equal(z[:3, 3:], z_line[0])
+        assert np.array_equal(z[3:, 3:], z_line[0] + z_line[1])
+        assert np.array_equal(net.no_load_voltage, np.tile(v0, 2))
+
+
+class TestPathSumZBus:
+    """The path-sum Z-bus and no-load voltage equal inv(y_ll) and
+    -inv(y_ll) y_l0 v0 of the admittance reference, within TOL of the
+    largest |Z| entry (and of |v0| = 1 for w)."""
+
+    TOL = 1e-12
+
+    def check(self, net):
+        y_ll, y_l0 = admittance(net)
+        z_ref = np.linalg.inv(y_ll)
+        w_ref = -z_ref @ (y_l0 @ net.v0)
+        scale = np.max(np.abs(z_ref))
+        assert np.max(np.abs(net.z_bus - z_ref)) <= self.TOL * scale
+        assert np.max(np.abs(net.no_load_voltage - w_ref)) <= self.TOL
+
+    @pytest.mark.parametrize("n_buses", [2, 33, 129, 513])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_single_phase(self, n_buses, seed):
+        self.check(gm.generate_radial_feeder(n_buses, seed=seed)[0])
+
+    @pytest.mark.parametrize("n_buses, seed", [(n, s) for n in (2, 33, 129)
+                                               for s in range(3)] + [(513, 0)])
+    def test_three_phase(self, n_buses, seed):
+        self.check(gm.generate_radial_feeder(n_buses, seed=seed, three_phase=True)[0])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_feeder33_analog(self, seed):
+        self.check(gm.feeder33_analog(seed=seed)[0])
 
 
 def same_bits(a, b):
@@ -135,54 +174,44 @@ class TestRadialAdmittance:
         parents = np.array([rng.integers(0, min(b, 4)) for b in range(1, n_lines + 1)])
         blocks = (rng.standard_normal((n_lines, n_ph, n_ph))
                   + 1j * rng.standard_normal((n_lines, n_ph, n_ph)))
-        y_full = gm._radial_admittance(parents, blocks)
+        y_full = _radial_admittance(parents, blocks)
         reference = line_loop_admittance(parents, blocks)
         assert same_bits(y_full, reference)
 
 
 class TestLineBlocks:
-    """The line admittance blocks, built for all lines at once, equal the
-    blocks built one line at a time, and so do the networks they make."""
+    """Each generator stores its line impedance draws as the network's line
+    blocks, bit for bit: ``z`` on a single-phase feeder and ``z * M`` on a
+    three-phase one, with mutual-impedance pattern M."""
 
     MUTUAL = np.eye(3) + 0.3 * (np.ones((3, 3)) - np.eye(3))
 
     @staticmethod
     def captured(monkeypatch, build):
-        """The network `build()` returns, its line impedances (the feeder's
-        first `_sample_complex` draw) and its `_radial_network` arguments."""
-        draws, calls = [], []
-        sample, network = gm._sample_complex, gm._radial_network
+        """The network `build()` returns and its line impedances (the
+        feeder's first `_sample_complex` draw)."""
+        draws = []
+        sample = gm._sample_complex
         monkeypatch.setattr(gm, "_sample_complex",
                             lambda *args: draws.append(sample(*args)) or draws[-1])
-        monkeypatch.setattr(gm, "_radial_network",
-                            lambda *args: calls.append(args) or network(*args))
-        return build()[0], draws[0], calls[0]
-
-    def check(self, net, args, per_line):
-        parents, blocks, v0 = args
-        per_line = np.stack(per_line)
-        ref = gm._radial_network(parents, per_line, v0)
-        assert same_bits(blocks, per_line)
-        for got, want in [(net.y_ll, ref.y_ll), (net.y_l0, ref.y_l0),
-                          (net.z_bus, ref.z_bus)]:
-            assert same_bits(got, want)
+        return build()[0], draws[0]
 
     @pytest.mark.parametrize("three_phase", [False, True])
     @pytest.mark.parametrize("n_buses", [8, 33, 129])
     @pytest.mark.parametrize("seed", range(3))
     def test_radial_feeder(self, monkeypatch, three_phase, n_buses, seed):
-        net, z, args = self.captured(monkeypatch, lambda: gm.generate_radial_feeder(
+        net, z = self.captured(monkeypatch, lambda: gm.generate_radial_feeder(
             n_buses, seed=seed, three_phase=three_phase))
         if three_phase:
-            per_line = [np.linalg.inv(zk * self.MUTUAL) for zk in z[1:]]
+            per_line = [zk * self.MUTUAL for zk in z[1:]]
         else:
-            per_line = [np.array([[1.0 / zk]]) for zk in z[1:]]
-        self.check(net, args, per_line)
+            per_line = [np.array([[zk]]) for zk in z[1:]]
+        assert same_bits(net.z_line, np.stack(per_line))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_feeder33_analog(self, monkeypatch, seed):
-        net, z, args = self.captured(monkeypatch, lambda: gm.feeder33_analog(seed=seed))
-        self.check(net, args, [np.array([[1.0 / zk]]) for zk in z])
+        net, z = self.captured(monkeypatch, lambda: gm.feeder33_analog(seed=seed))
+        assert same_bits(net.z_line, np.stack([np.array([[zk]]) for zk in z]))
 
 
 class TestAreaPartition:
@@ -219,7 +248,8 @@ class TestGenerateRadialFeeder:
     def test_deterministic_per_seed(self):
         a1, l1 = gm.generate_radial_feeder(10, seed=5, n_steps=3)
         a2, l2 = gm.generate_radial_feeder(10, seed=5, n_steps=3)
-        assert np.array_equal(a1.y_ll, a2.y_ll)
+        assert np.array_equal(a1.parents, a2.parents)
+        assert np.array_equal(a1.z_line, a2.z_line)
         assert np.array_equal(l1.s, l2.s)
 
     def test_shapes(self):
@@ -230,7 +260,8 @@ class TestGenerateRadialFeeder:
     def test_three_phase_mode(self):
         net, loads = gm.generate_radial_feeder(5, three_phase=True)
         assert net.n_phases == 12
-        assert net.y_l0.shape == (12, 3)
+        assert net.z_line.shape == (4, 3, 3)
+        assert net.z_bus.shape == (12, 12)
 
     def test_rejects_single_bus(self):
         with pytest.raises(gm.GridModelError):
@@ -240,13 +271,15 @@ class TestGenerateRadialFeeder:
         # Kirchhoff structure: [y_l0, y_ll] rows sum to zero for a pure
         # line network
         net, _ = gm.generate_radial_feeder(9, seed=1)
-        rows = np.hstack([net.y_l0, net.y_ll]).sum(axis=1)
+        y_ll, y_l0 = admittance(net)
+        rows = np.hstack([y_l0, y_ll]).sum(axis=1)
         assert np.max(np.abs(rows)) < 1e-12
 
 
 class TestFeederPins:
     # sha256 over the bytes of y_ll, y_l0, v0 and s, in that order, as
-    # generated before loads were scaled with feeder size
+    # generated before loads were scaled with feeder size; y_ll and y_l0
+    # are rebuilt from the network's tree and line impedances
     PINNED = {
         (9, 2, 2, False): "5144e4eaa9a6f8061f2bdebb67cd3da5c3758e301044a98bdcbdf1c5796a2019",
         (33, 0, 5, False): "168f26b23d48ac5d74243a98eecb408ec8d3fb4ef2eb30564f2d170b7e344fe4",
@@ -260,7 +293,7 @@ class TestFeederPins:
         net, scen = gm.generate_radial_feeder(n_buses, seed=seed, n_steps=n_steps,
                                               three_phase=three_phase)
         digest = hashlib.sha256()
-        for a in (net.y_ll, net.y_l0, net.v0, scen.s):
+        for a in (*admittance(net), net.v0, scen.s):
             digest.update(np.ascontiguousarray(a).tobytes())
         assert digest.hexdigest() == self.PINNED[key]
 
@@ -294,23 +327,24 @@ class TestSolveExactFlow:
         net, scen, _ = small_feeder
         v = gm.solve_exact_flow(net, scen.s[0])
         w = net.no_load_voltage
-        residual = v - (w + net.solve_y_ll(np.conj(scen.s[0]) / np.conj(v)))
+        residual = v - (w + net.apply_z(np.conj(scen.s[0]) / np.conj(v)))
         assert np.max(np.abs(residual)) <= 1e-10
 
     @pytest.mark.parametrize("feeder", ["feeder33", "random129"])
     def test_admittance_form_residual(self, feeder):
         """The flow equations in admittance form, Y_LL (v - w) = conj(s) /
-        conj(v), checked with Y_LL itself rather than through the Z-bus the
-        solver uses.  The last sweep moves v by at most tol, so the residual
-        is at most |Y_LL|_inf tol plus rounding."""
+        conj(v), checked with the admittance reference's Y_LL rather than
+        through the Z-bus the solver uses.  The last sweep moves v by at
+        most tol, so the residual is at most |Y_LL|_inf tol plus rounding."""
         if feeder == "feeder33":
             net, scen, _ = gm.feeder33_analog(seed=0, n_steps=5, n_areas=5)
         else:
             net, scen = gm.generate_radial_feeder(129, seed=0, n_steps=5)
         tol = 1e-10
         v = gm.solve_exact_flow(net, scen.s, tol=tol)
-        residual = (v - net.no_load_voltage) @ net.y_ll.T - np.conj(scen.s) / np.conj(v)
-        assert np.max(np.abs(residual)) <= 2 * np.linalg.norm(net.y_ll, np.inf) * tol
+        y_ll = admittance(net)[0]
+        residual = (v - net.no_load_voltage) @ y_ll.T - np.conj(scen.s) / np.conj(v)
+        assert np.max(np.abs(residual)) <= 2 * np.linalg.norm(y_ll, np.inf) * tol
 
     def test_matches_newton_oracle(self, small_feeder):
         net, scen, _ = small_feeder
@@ -323,11 +357,7 @@ class TestSolveExactFlow:
         # quadratic with closed-form root
         z = 0.05 + 0.03j
         s = -0.04 - 0.01j
-        net = gm.NetworkModel(
-            y_ll=np.array([[1 / z]]),
-            y_l0=np.array([[-1 / z]]),
-            v0=np.array([1.0 + 0j]),
-        )
+        net = two_bus(z)
         v = gm.solve_exact_flow(net, np.array([s]))[0]
         # verify against the quadratic v^2 - v0 v - z conj(s) scaled form
         assert abs(v * np.conj((v - 1.0) / z) - s) < 1e-8

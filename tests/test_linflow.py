@@ -47,9 +47,9 @@ class TestBuildLinearModel:
 
     def test_degenerate_profile_rejected(self):
         net = gm.NetworkModel(
-            y_ll=np.array([[1.0 + 0j]]),
-            y_l0=np.array([[0.0 + 0j]]),  # isolated from slack: w = 0
-            v0=np.array([1.0 + 0j]),
+            parents=np.array([0]),
+            z_line=np.array([[[0.03 + 0.02j]]]),
+            v0=np.array([0.0 + 0j]),  # dead slack bus: w = 0
         )
         with pytest.raises(lf.LinFlowError, match="degenerate"):
             lf.build_linear_model(net)
