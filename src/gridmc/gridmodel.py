@@ -72,7 +72,7 @@ class NetworkModel:
 
     @property
     def n_phases(self) -> int:
-        return self.z_line.shape[0] * self.v0.size
+        return len(self._z_bus)
 
     @property
     def z_bus(self) -> np.ndarray:

@@ -31,10 +31,10 @@ def newton_flow_oracle(net, s):
     return x[:n] + 1j * x[n:]
 
 
-def two_bus(z=0.03 + 0.02j, v0=1.0 + 0j):
-    """One line of impedance z from the slack bus at v0."""
+def two_bus(z=0.03 + 0.02j):
+    """One line of impedance z from the slack bus at 1.0 pu."""
     return gm.NetworkModel(parents=np.array([0]), z_line=np.array([[[z]]]),
-                           v0=np.array([v0]))
+                           v0=np.array([1.0 + 0j]))
 
 
 class TestNetworkModel:
@@ -54,9 +54,10 @@ class TestNetworkModel:
                 v0=np.ones(2, dtype=complex),
             )
 
-    @pytest.mark.parametrize("parents", [[0, 2, 1], [0, 1, 3], [0, -1, 1]])
+    @pytest.mark.parametrize("parents", [[0, 3, 1], [0, 2, 1], [0, -1, 1]],
+                             ids=["later", "itself", "negative"])
     def test_rejects_parent_that_does_not_precede_its_child(self, parents):
-        # bus 2 hanging off itself, bus 3 off itself, bus 2 off bus -1
+        # bus 2 hanging off bus 3, off itself, off bus -1
         with pytest.raises(gm.GridModelError, match="precedes its child"):
             gm.NetworkModel(
                 parents=np.array(parents),
@@ -64,7 +65,8 @@ class TestNetworkModel:
                 v0=np.array([1.0 + 0j]),
             )
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.03, np.inf)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.03, np.inf)],
+                             ids=["nan", "inf", "inf-imag"])
     def test_rejects_non_finite_line_impedance(self, bad):
         z_line = np.full((3, 1, 1), 0.03 + 0.02j)
         z_line[1, 0, 0] = bad
@@ -80,15 +82,15 @@ class TestNetworkModel:
         with pytest.raises(ValueError):
             net.z_bus[0, 0] = 0.0
 
-    @pytest.mark.parametrize("shape", [(2, 1, 1), (1, 3, 3)])
-    def test_shape_validation(self, shape):
+    def test_shape_validation(self):
         # two line blocks for one line; three-phase blocks on a one-phase slack
-        with pytest.raises(gm.GridModelError, match="inconsistent"):
-            gm.NetworkModel(
-                parents=np.array([0]),
-                z_line=np.ones(shape, dtype=complex),
-                v0=np.array([1.0 + 0j]),
-            )
+        for shape in [(2, 1, 1), (1, 3, 3)]:
+            with pytest.raises(gm.GridModelError, match="inconsistent"):
+                gm.NetworkModel(
+                    parents=np.array([0]),
+                    z_line=np.ones(shape, dtype=complex),
+                    v0=np.array([1.0 + 0j]),
+                )
 
     def test_no_load_voltage_two_bus(self):
         # single line of impedance z from slack at 1.0 pu: w = v0 exactly
