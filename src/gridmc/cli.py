@@ -62,7 +62,8 @@ class ExperimentConfig:
 
 
 def _build_feeder(config: ExperimentConfig):
-    """Network, load scenario, and area partition of the configured feeder."""
+    """Network, T x |P| complex injections, and area partition of the
+    configured feeder."""
     if config.feeder == "feeder33":
         if config.n_buses != 33:
             raise CliError(f"feeder33 has 33 buses, got --buses {config.n_buses}")
@@ -70,10 +71,10 @@ def _build_feeder(config: ExperimentConfig):
             seed=config.seed, n_steps=config.time_steps, n_areas=config.areas
         )
     if config.feeder == "random":
-        net, scen = gm.generate_radial_feeder(
+        net, s = gm.generate_radial_feeder(
             config.n_buses, seed=config.seed, n_steps=config.time_steps
         )
-        return net, scen, gm.AreaPartition.contiguous(net.n_phases, config.areas)
+        return net, s, gm.AreaPartition.contiguous(net.n_phases, config.areas)
     raise CliError(f"unknown feeder kind: {config.feeder!r}")
 
 
@@ -108,15 +109,17 @@ def _build_instance(config: ExperimentConfig, wall=None):
     wall seconds are added to the dict `wall`, if given."""
     wall = {} if wall is None else wall
     with _layer(wall, "gridmodel.feeder"):
-        net, scen, part = _build_feeder(config)
+        net, s, part = _build_feeder(config)
     m, n = dm.ROWS_PER_STEP * config.time_steps, net.n_phases
-    if config.admm.resolve_rank(m, n) > min(m, n):
+    try:
+        config.admm.resolve_rank(m, n)
+    except cp.CompletionError:
         raise CliError(f"--rank must be <= {min(m, n)}, the smaller of the data's "
-                       f"{m} rows and {n} columns, got {config.admm.rank}")
+                       f"{m} rows and {n} columns, got {config.admm.rank}") from None
     with _layer(wall, "gridmodel.flow"):
-        v_true = gm.solve_exact_flow(net, scen.s)
+        v_true = gm.solve_exact_flow(net, s)
     with _layer(wall, "datamatrix.sample"):
-        mat = dm.build_matrix(v_true, scen.s)
+        mat = dm.build_matrix(v_true, s)
     with _layer(wall, "linflow.model"):
         model = lf.build_linear_model(net, n_steps=config.time_steps)
     with _layer(wall, "linflow.maps"):
@@ -152,13 +155,16 @@ def _comm_summary(ledger, maps, r: int) -> list[dict]:
     iteration (bus rounds 0 and 1) next to the source analysis's formula,
     the exact protocol formula and the full-data exchange (n_a + n_b) m."""
     m = maps.m
+    measured: dict[frozenset[int], int] = {}
+    for (pair, rnd, _), units in ledger.counts.items():
+        measured[pair] = measured.get(pair, 0) + (units if rnd < 2 else 0)
     out = []
-    for pair in sorted(ledger.pairs(), key=sorted):
+    for pair in sorted(measured, key=sorted):
         a, b = sorted(pair)
         n_a, n_b = maps.cols[a].size, maps.cols[b].size
         out.append({
             "pair": [int(a), int(b)],
-            "per_iteration_measured": ledger.count(pair, [0, 1]),
+            "per_iteration_measured": measured[pair],
             "paper_formula": sn.paper_comm_formula(n_a, n_b, m, r),
             "protocol_formula": sn.protocol_comm_formula(
                 m, r, maps.coupling_rank(a, b), maps.coupling_rank(b, a)),
@@ -219,12 +225,12 @@ def _estimate_and_write(config: ExperimentConfig, instance, out_dir: Path,
             aggregate = mt.aggregate_reports(reports)
 
         # the certificate checks the last run's problem: its factors, mask and data
-        fp = result.factors()
+        u, v = result.factors()
         with _layer(wall, "certificate.build"):
             op = ce.build_B_d(mask.observed, data, maps, config.admm.mu,
                               config.admm.nu)
         with _layer(wall, "certificate.report"):
-            cert = ce.full_report(fp.u, fp.v, op)
+            cert = ce.full_report(u, v, op)
 
         payload = {
             "version": __version__,
@@ -232,7 +238,7 @@ def _estimate_and_write(config: ExperimentConfig, instance, out_dir: Path,
             "estimate": dataclasses.asdict(aggregate),
             "per_run": per_run,
             "certificate": cert.to_dict(),
-            "communication": _comm_summary(result.bus.ledger, maps, fp.rank),
+            "communication": _comm_summary(result.bus.ledger, maps, u.shape[1]),
             "iterations": result.trace.iterations,
             "converged": result.converged,
             "final_consensus": result.trace.consensus[-1],

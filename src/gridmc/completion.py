@@ -16,7 +16,7 @@ import numpy as np
 from .datamatrix import ROWS_PER_STEP, VOLTAGE_ROWS
 from .gridmodel import AreaPartition
 from .linflow import AreaMaps
-from .simnet import Message, MessageBus
+from .simnet import MessageBus
 
 
 class CompletionError(Exception):
@@ -57,23 +57,14 @@ class AdmmConfig:
             raise CompletionError(f"rank must be >= 1, got {self.rank}")
 
     def resolve_rank(self, m: int, n: int) -> int:
-        return self.rank if self.rank is not None else min(10, m, n)
-
-
-@dataclass
-class FactorPair:
-    u: np.ndarray  # m x r
-    v: np.ndarray  # r x n
-
-    def __post_init__(self):
-        if self.u.shape[1] != self.v.shape[0]:
-            raise CompletionError("factor inner dimensions disagree")
-        if self.rank > min(self.u.shape[0], self.v.shape[1]):
-            raise CompletionError("rank bound exceeds matrix dimensions")
-
-    @property
-    def rank(self) -> int:
-        return self.u.shape[1]
+        """The factor rank r for an m x n matrix; raises CompletionError when
+        the requested rank exceeds min(m, n)."""
+        if self.rank is None:
+            return min(10, m, n)
+        if self.rank > min(m, n):
+            raise CompletionError(
+                f"rank {self.rank} exceeds min(m, n) = {min(m, n)} of a {m} x {n} matrix")
+        return self.rank
 
 
 @dataclass
@@ -123,16 +114,16 @@ class SolveResult:
     bus: MessageBus
     converged: bool  # stopped by the tolerance test, not the iteration cap
 
-    def factors(self) -> FactorPair:
-        """Assembled (U, V): consensus average of the basis factors and the
-        column-concatenated coefficients."""
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Assembled (U, V), (m, r) and (r, n): consensus average of the
+        basis factors and the column-concatenated coefficients."""
         part = self.partition
         u = np.mean([self.states[l].u for l in part.areas], axis=0)
         r = u.shape[1]
         v = np.empty((r, part.assignment.size))
         for l in part.areas:
             v[:, part.phases_in(l)] = self.states[l].v
-        return FactorPair(u=u, v=v)
+        return u, v
 
 
 # --- objective --------------------------------------------------------------
@@ -169,9 +160,9 @@ def _objective_decentralized(problems, states, config) -> float:
 
 def init_factors(
     m_data: np.ndarray, mask: np.ndarray, r: int, seed: int = 0
-) -> FactorPair:
-    """Balanced factors from the rank-r SVD of P_Omega(M); seeded Gaussian
-    fallback when the observed matrix has lower rank."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Balanced factors (U, V) from the rank-r SVD of P_Omega(M); seeded
+    Gaussian fallback when the observed matrix has lower rank."""
     if r < 1:
         raise CompletionError("rank must be >= 1")
     observed = np.where(mask, m_data, 0.0)
@@ -179,10 +170,8 @@ def init_factors(
     if np.sum(sv > 1e-12 * max(1.0, sv[0] if sv.size else 0.0)) < r:
         rng = np.random.default_rng(seed)
         scale = 1.0 / np.sqrt(r)
-        return FactorPair(
-            u=scale * rng.standard_normal((m_data.shape[0], r)),
-            v=scale * rng.standard_normal((r, m_data.shape[1])),
-        )
+        return (scale * rng.standard_normal((m_data.shape[0], r)),
+                scale * rng.standard_normal((r, m_data.shape[1])))
     uu, sv, vt = uu[:, :r], sv[:r], vt[:r]
     # sign convention: largest-magnitude entry of each left vector positive
     for k in range(r):
@@ -191,7 +180,7 @@ def init_factors(
             uu[:, k] = -uu[:, k]
             vt[k] = -vt[k]
     root = np.sqrt(sv)
-    return FactorPair(u=uu * root[None, :], v=root[:, None] * vt)
+    return uu * root[None, :], root[:, None] * vt
 
 
 def balance(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -507,11 +496,11 @@ def _init_states(
     r: int,
     seed: int,
 ) -> dict[int, AreaState]:
-    pair = init_factors(m_data, mask, r, seed)
+    u0, v0 = init_factors(m_data, mask, r, seed)
     states = {}
     for l, prob in problems.items():
-        u = pair.u.copy()
-        v = pair.v[:, prob.cols].copy()
+        u = u0.copy()
+        v = v0[:, prob.cols].copy()
         # every U_j starts at U_l and Gamma_lj at 0
         states[l] = AreaState(u=u, v=v, x=u @ v, pull=prob.deg * u,
                               gamma=np.zeros((prob.deg, *u.shape)))
@@ -600,12 +589,10 @@ def run_decentralized(
                 # areas needs the Gram sum_l V_l V_l^T of all of them
                 u_new, v_new = balance(u_new, v_new)
             st.u, st.v, st.x = u_new, v_new, u_new @ v_new
-            sends = [Message(dest=j, tag="factor", payload=u_new)
-                     for j in prob.neighbors]
+            sends = [(j, "factor", u_new) for j in prob.neighbors]
             if prob.stack is not None:
                 st.e_ll, coords = _flow_terms(prob, st.x)
-                sends += [Message(dest=j, tag="flow-term", payload=c)
-                          for j, c in coords.items()]
+                sends += [(j, "flow-term", c) for j, c in coords.items()]
             timings[l] = time.perf_counter() - t0
             return None, sends
 
@@ -623,8 +610,7 @@ def run_decentralized(
                 coords_in = {j: inbox[(j, "flow-term")] for j in prob.neighbors}
                 q_sum, st.lam, pulls = update_q(prob, st.e_ll, coords_in, st.lam)
                 st.row_targets[:, :3 * prob.n_l] = prob.f_l - q_sum
-                sends = [Message(dest=j, tag="flow-pull", payload=pull)
-                         for j, pull in pulls.items()]
+                sends = [(j, "flow-pull", pull) for j, pull in pulls.items()]
             u_in = np.stack([inbox[(j, "factor")] for j in prob.neighbors])
             st.gamma, st.pull = update_duals(st, u_in)
             timings[l] += time.perf_counter() - t0

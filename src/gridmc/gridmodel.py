@@ -96,17 +96,6 @@ class NetworkModel:
 
 
 @dataclass(frozen=True)
-class LoadScenario:
-    """Complex power injections per time step (rows) and phase (columns)."""
-
-    s: np.ndarray
-
-    def __post_init__(self):
-        if self.s.ndim != 2 or self.s.shape[0] < 1:
-            raise GridModelError("load scenario must be a T x |P| matrix, T >= 1")
-
-
-@dataclass(frozen=True)
 class AreaPartition:
     """Assignment of phase indices to areas plus the area adjacency graph."""
 
@@ -162,15 +151,17 @@ def _sample_complex(rng: np.random.Generator, lo: complex, hi: complex,
 
 
 def _load_scenario(rng: np.random.Generator, n: int, n_steps: int,
-                   scale: float = 1.0) -> LoadScenario:
-    """Consumption at n phases over n_steps: a base value per phase (times
-    ``scale``), a smooth ramp and 1% process noise, drawn from rng in that
-    order."""
+                   scale: float = 1.0) -> np.ndarray:
+    """The n_steps x n complex injections of consumption at n phases: a base
+    value per phase (times ``scale``), a smooth ramp and 1% process noise,
+    drawn from rng in that order."""
+    if n_steps < 1:
+        raise GridModelError(f"need at least one time step, got n_steps={n_steps}")
     base = scale * _sample_complex(rng, 0.002 + 0.0005j, 0.01 + 0.004j, n)
-    t = np.arange(n_steps) / max(n_steps, 1)
+    t = np.arange(n_steps) / n_steps
     ramp = 1.0 + 0.2 * t[:, None]  # smooth loading increase over the window
     noise = 1.0 + 0.01 * rng.standard_normal((n_steps, n))
-    return LoadScenario(s=-base[None, :] * ramp * noise)  # negative: consumption
+    return -base[None, :] * ramp * noise  # negative: consumption
 
 
 def generate_radial_feeder(
@@ -178,8 +169,9 @@ def generate_radial_feeder(
     seed: int = 0,
     n_steps: int = 1,
     three_phase: bool = False,
-) -> tuple[NetworkModel, LoadScenario]:
-    """Generate a connected radial feeder rooted at the slack bus.
+) -> tuple[NetworkModel, np.ndarray]:
+    """Generate a connected radial feeder rooted at the slack bus, and its
+    T x |P| complex injections.
 
     Bus 0 is the slack bus.  Each new bus attaches to the previous bus with
     probability 1/2, otherwise to a uniformly random earlier bus.  In
@@ -240,7 +232,7 @@ def feeder33_analog(
     seed: int = 0,
     n_steps: int = 1,
     n_areas: int = 4,
-) -> tuple[NetworkModel, LoadScenario, AreaPartition]:
+) -> tuple[NetworkModel, np.ndarray, AreaPartition]:
     """Desk-scale stand-in for the 33-bus feeder with its canonical 4-area
     contiguous partition.  Topology is fixed; impedances and loads are
     sampled per seed.  Loads follow the same `_load_scenario` as
@@ -253,7 +245,7 @@ def feeder33_analog(
     z = _sample_complex(rng, 0.02 + 0.01j, 0.06 + 0.04j, n)
     net = NetworkModel(parents=np.array(_FEEDER33_PARENTS) - 1,
                        z_line=z[:, None, None], v0=np.array([1.0 + 0.0j]))
-    loads = _load_scenario(rng, n, n_steps)
+    s = _load_scenario(rng, n, n_steps)
 
     sizes, adjacency = _FEEDER33_PARTITIONS[n_areas]
     assignment = np.concatenate(
@@ -264,7 +256,7 @@ def feeder33_analog(
         n_areas=n_areas,
         adjacency=frozenset(frozenset(p) for p in adjacency),
     )
-    return net, loads, part
+    return net, s, part
 
 
 def solve_exact_flow(

@@ -2,9 +2,10 @@
 per-edge communication-volume ledger.
 
 Nodes are closures invoked once per round with the messages delivered to them
-from the previous round; every send of round k is delivered before any node
-observes round k+1.  Outputs are therefore independent of the order in which
-node closures run within a round.  The bus delivers each payload array as it
+from the previous round; each returns its output and its sends, every send a
+`(dest, tag, payload)` tuple.  Every send of round k is delivered before any
+node observes round k+1.  Outputs are therefore independent of the order in
+which node closures run within a round.  The bus delivers each payload array as it
 was sent; the ledger counts one unit per array entry.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -21,14 +22,9 @@ class ProtocolViolationError(Exception):
     pass
 
 
-class Message(NamedTuple):
-    dest: int
-    tag: str
-    payload: np.ndarray
-
-
-# Inbox maps (source area, tag) -> payload.
-NodeFn = Callable[[Mapping[tuple[int, str], np.ndarray]], tuple[Any, list[Message]]]
+# Inbox maps (source area, tag) -> payload; each send is (dest, tag, payload).
+NodeFn = Callable[[Mapping[tuple[int, str], np.ndarray]],
+                  tuple[Any, list[tuple[int, str, np.ndarray]]]]
 
 
 @dataclass
@@ -36,15 +32,6 @@ class CommLedger:
     """Payload entry counts per (area pair, round, tag)."""
 
     counts: dict[tuple[frozenset[int], int, str], int] = field(default_factory=dict)
-
-    def count(self, pair: Iterable[int], rounds: Iterable[int]) -> int:
-        """Units the pair exchanged over `rounds`, summed over every tag."""
-        pair, rounds = frozenset(pair), set(rounds)
-        return sum(units for (p, r, _), units in self.counts.items()
-                   if p == pair and r in rounds)
-
-    def pairs(self) -> set[frozenset[int]]:
-        return {p for (p, _, _) in self.counts}
 
 
 class MessageBus:
@@ -76,23 +63,23 @@ class MessageBus:
         if sorted(schedule) != sorted(nodes):
             raise ProtocolViolationError("order must be a permutation of the node ids")
         outputs: dict[int, Any] = {}
-        staged: list[tuple[int, frozenset[int], Message]] = []
+        staged: list[tuple[int, frozenset[int], int, str, np.ndarray]] = []
         for area in schedule:
             inbox = self._pending.get(area, {})
             out, sends = nodes[area](inbox)
             outputs[area] = out
-            for msg in sends:
-                pair = self._edges.get((area, msg.dest))
+            for dest, tag, payload in sends:
+                pair = self._edges.get((area, dest))
                 if pair is None:
                     raise ProtocolViolationError(
-                        f"area {area} may not message non-neighbor area {msg.dest}")
-                staged.append((area, pair, msg))
+                        f"area {area} may not message non-neighbor area {dest}")
+                staged.append((area, pair, dest, tag, payload))
         self._pending = defaultdict(dict)
         counts = self.ledger.counts
-        for src, pair, msg in staged:
-            key = (pair, self.round_index, msg.tag)
-            counts[key] = counts.get(key, 0) + msg.payload.size
-            self._pending[msg.dest][(src, msg.tag)] = msg.payload
+        for src, pair, dest, tag, payload in staged:
+            key = (pair, self.round_index, tag)
+            counts[key] = counts.get(key, 0) + payload.size
+            self._pending[dest][(src, tag)] = payload
         self.round_index += 1
         return outputs
 

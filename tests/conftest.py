@@ -12,30 +12,30 @@ from reference import truncate_model
 @pytest.fixture(scope="session")
 def small_feeder():
     """9-bus single-phase radial feeder with a 3-area chain partition."""
-    net, scen = gm.generate_radial_feeder(9, seed=2, n_steps=2)
+    net, s = gm.generate_radial_feeder(9, seed=2, n_steps=2)
     part = gm.AreaPartition.contiguous(net.n_phases, 3)
-    return net, scen, part
+    return net, s, part
 
 
 @pytest.fixture(scope="session")
 def small_instance(small_feeder):
     """Ground truth, measurement matrix, and area maps for the small feeder."""
-    net, scen, part = small_feeder
-    v = gm.solve_exact_flow(net, scen.s)
-    mat = dm.build_matrix(v, scen.s)
-    model = lf.build_linear_model(net, n_steps=scen.s.shape[0])
+    net, s, part = small_feeder
+    v = gm.solve_exact_flow(net, s)
+    mat = dm.build_matrix(v, s)
+    model = lf.build_linear_model(net, n_steps=s.shape[0])
     trunc = truncate_model(model, part)
     maps = lf.build_area_maps(model, part)
     return {
-        "net": net, "scen": scen, "part": part, "v": v, "mat": mat,
+        "net": net, "s": s, "part": part, "v": v, "mat": mat,
         "model": model, "trunc": trunc, "maps": maps,
     }
 
 
 @pytest.fixture(scope="session")
 def analog33():
-    net, scen, part = gm.feeder33_analog(seed=0, n_steps=2, n_areas=4)
-    return net, scen, part
+    net, s, part = gm.feeder33_analog(seed=0, n_steps=2, n_areas=4)
+    return net, s, part
 
 
 def rand_complex(rng, shape):

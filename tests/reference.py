@@ -41,7 +41,7 @@ from gridmc import linflow as lf
 from gridmc.datamatrix import ROWS_PER_STEP
 from gridmc.gridmodel import AreaPartition, NetworkModel
 from gridmc.linflow import AreaMaps, LinearFlowModel, LinFlowError
-from gridmc.simnet import Message, MessageBus
+from gridmc.simnet import MessageBus
 
 # Penalty weights of the unit and acceptance tests.  They are smaller than
 # the paper's weights (the `AdmmConfig` defaults), which the tests that run
@@ -251,8 +251,7 @@ def decentralized_flow(
     def send_node(l: int):
         def fn(inbox):
             coords = coordinates(maps, l, x[l])
-            return None, [Message(dest=j, tag="flow-term", payload=c)
-                          for j, c in coords.items()]
+            return None, [(j, "flow-term", c) for j, c in coords.items()]
 
         return fn
 

@@ -36,13 +36,13 @@ def verdict(num: int, name: str, ok: bool, detail: str = "") -> bool:
 @pytest.fixture(scope="module")
 def analog_instance():
     """33-bus analog, 2 time steps, 5 areas, half-observed scada mask."""
-    net, scen, part = gm.feeder33_analog(seed=0, n_steps=2, n_areas=5)
-    v = gm.solve_exact_flow(net, scen.s)
-    mat = dm.build_matrix(v, scen.s)
+    net, s, part = gm.feeder33_analog(seed=0, n_steps=2, n_areas=5)
+    v = gm.solve_exact_flow(net, s)
+    mat = dm.build_matrix(v, s)
     model = lf.build_linear_model(net, n_steps=2)
     maps = lf.build_area_maps(model, part)
     mask = dm.sample_mask(*mat.shape, 0.5, policy="scada", seed=0).observed
-    return {"net": net, "scen": scen, "part": part, "v": v, "mat": mat,
+    return {"net": net, "s": s, "part": part, "v": v, "mat": mat,
             "model": model, "maps": maps, "mask": mask}
 
 
@@ -96,8 +96,8 @@ def test_02_balanced_factor_nuclear_norm():
         n = int(rng.integers(5, 31))
         k = int(rng.integers(1, min(m, n) + 1))
         a = rng.standard_normal((m, k)) @ rng.standard_normal((k, n))
-        pair = cp.init_factors(a, np.ones((m, n), dtype=bool), k)
-        half = 0.5 * (np.sum(pair.u**2) + np.sum(pair.v**2))
+        u, v = cp.init_factors(a, np.ones((m, n), dtype=bool), k)
+        half = 0.5 * (np.sum(u**2) + np.sum(v**2))
         nuc = np.sum(np.linalg.svd(a, compute_uv=False))
         worst = max(worst, abs(half - nuc))
     ok = worst <= 1e-8
@@ -210,7 +210,7 @@ def test_06_decentralized_flow(small_instance):
 def test_07_linear_model_accuracy(analog_instance):
     t0 = time.perf_counter()
     inst = analog_instance
-    v_lin, _ = predict(inst["model"], h_from_loads(inst["scen"].s))
+    v_lin, _ = predict(inst["model"], h_from_loads(inst["s"]))
     mape = 100.0 * np.mean(
         np.abs(np.abs(v_lin) - np.abs(inst["v"])) / np.abs(inst["v"])
     )
@@ -265,12 +265,12 @@ def test_09_time_window_trend():
 def test_10_optimality_certificate(analog_instance, certified_run):
     inst = analog_instance
     result, config = certified_run
-    fp = result.factors()
+    u, v = result.factors()
     # the certificate at the weights the estimate was solved at
     op = ct.build_B_d(inst["mask"], inst["mat"], inst["maps"],
                       config.mu, config.nu)
-    report = ct.full_report(fp.u, fp.v, op)
-    u_norm = float(np.linalg.norm(fp.u))
+    report = ct.full_report(u, v, op)
+    u_norm = float(np.linalg.norm(u))
     grad_ok = (report.grad_u_norm <= 1e-5 * (1 + u_norm)
                and report.grad_v_norm <= 1e-5 * (1 + u_norm))
     trace_ok = max(abs(t) for t in report.trace_residuals) <= 1e-6

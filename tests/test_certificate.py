@@ -34,8 +34,8 @@ def sampling_operator():
 @pytest.fixture(scope="module")
 def feeder33_operator():
     """Stacked operator over the 5-area feeder33 analog, T=2."""
-    net, scen, part = gm.feeder33_analog(seed=0, n_steps=2, n_areas=5)
-    mat = dm.build_matrix(gm.solve_exact_flow(net, scen.s), scen.s)
+    net, s, part = gm.feeder33_analog(seed=0, n_steps=2, n_areas=5)
+    mat = dm.build_matrix(gm.solve_exact_flow(net, s), s)
     model = lf.build_linear_model(net, n_steps=2)
     maps = lf.build_area_maps(model, part)
     mask = dm.sample_mask(*mat.shape, 0.5, policy="scada", seed=0)
@@ -46,9 +46,9 @@ def feeder33_operator():
 def random129_operator():
     """Stacked operator over the 129-bus random feeder in 5 contiguous
     areas, T=2, whose coupling blocks have rank 16 to 18."""
-    net, scen = gm.generate_radial_feeder(129, seed=0, n_steps=2)
+    net, s = gm.generate_radial_feeder(129, seed=0, n_steps=2)
     part = gm.AreaPartition.contiguous(net.n_phases, 5)
-    mat = dm.build_matrix(gm.solve_exact_flow(net, scen.s), scen.s)
+    mat = dm.build_matrix(gm.solve_exact_flow(net, s), s)
     maps = lf.build_area_maps(lf.build_linear_model(net, n_steps=2), part)
     mask = dm.sample_mask(*mat.shape, 0.5, policy="scada", seed=0)
     return ct.build_B_d(mask.observed, mat, maps, mu=10.0, nu=1.0)
@@ -77,15 +77,15 @@ class TestBuildOperator:
         entry rows are active: B(X) - d is zero past the observed block."""
         op, m_data, mask, maps = flow_operator
         trunc = small_instance["trunc"]
-        scen = small_instance["scen"]
-        v_lin, vmag_lin = predict(trunc, h_from_loads(scen.s))
+        s = small_instance["s"]
+        v_lin, vmag_lin = predict(trunc, h_from_loads(s))
         x = np.empty(op.shape)
         for t in range(trunc.n_steps):
             x[5 * t] = v_lin[t].real
             x[5 * t + 1] = v_lin[t].imag
             x[5 * t + 2] = vmag_lin[t]
-            x[5 * t + 3] = scen.s[t].real
-            x[5 * t + 4] = scen.s[t].imag
+            x[5 * t + 3] = s[t].real
+            x[5 * t + 4] = s[t].imag
         res = ct.apply_B(op, x) - op.d
         assert np.max(np.abs(res[op.n_observed:])) < 1e-10
 

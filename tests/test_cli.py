@@ -292,8 +292,8 @@ class TestPinnedReference:
         assert result.converged
         assert report.mape_magnitude_pct == pytest.approx(self.PINNED_MAPE_PCT, rel=1e-8)
         assert report.mae_angle_deg == pytest.approx(self.PINNED_MAE_DEG, rel=1e-8)
-        fp = result.factors()
-        scale = 0.5 * (np.linalg.norm(fp.u) ** 2 + np.linalg.norm(fp.v) ** 2)
+        u, v = result.factors()
+        scale = 0.5 * (np.linalg.norm(u) ** 2 + np.linalg.norm(v) ** 2)
         assert scale == pytest.approx(self.FACTOR_SCALE, rel=1e-8)
 
     def test_single_area_factors_multiply_to_the_estimate(self):
@@ -302,8 +302,8 @@ class TestPinnedReference:
         bit."""
         config = self.CONFIG
         result, *_ = cli._single_run(config, cli._build_instance(config), config.seed)
-        fp = result.factors()
-        assert np.array_equal(fp.u @ fp.v, result.x)
+        u, v = result.factors()
+        assert np.array_equal(u @ v, result.x)
 
     def test_certificate_checks_the_data_solved(self, tmp_path, monkeypatch):
         """The run stops near a stationary point of the data it solved, so

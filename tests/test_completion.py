@@ -59,14 +59,23 @@ class TestConfig:
             cp.AdmmConfig(**kwargs)
 
 
-class TestFactorPair:
-    def test_inner_dim_mismatch(self):
-        with pytest.raises(cp.CompletionError):
-            cp.FactorPair(u=np.zeros((4, 3)), v=np.zeros((2, 5)))
+class TestRankAboveMatrixDims:
+    """A rank above min(m, n) is refused where the rank is decided, and so
+    by the driver before any factor is formed."""
 
-    def test_rank_exceeds_dims(self):
-        with pytest.raises(cp.CompletionError):
-            cp.FactorPair(u=np.zeros((2, 3)), v=np.zeros((3, 5)))
+    def test_resolve_rank_raises(self):
+        assert cp.AdmmConfig(rank=5).resolve_rank(5, 33) == 5
+        with pytest.raises(cp.CompletionError, match="exceeds"):
+            cp.AdmmConfig(rank=6).resolve_rank(5, 33)
+        with pytest.raises(cp.CompletionError, match="exceeds"):
+            cp.AdmmConfig(rank=8).resolve_rank(10, 7)
+
+    def test_run_decentralized_raises(self, small_instance):
+        mat, part, maps = small_instance["mat"], small_instance["part"], small_instance["maps"]
+        mask = np.ones(mat.shape, dtype=bool)
+        with pytest.raises(cp.CompletionError, match="exceeds"):
+            cp.run_decentralized(mat, mask, maps, part,
+                                 admm_config(rank=min(mat.shape) + 1, max_iters=1))
 
 
 class TestInitFactors:
@@ -77,31 +86,31 @@ class TestInitFactors:
         a = rng.standard_normal((12, 8))
         mb = rng.random((12, 8)) < 0.7
         r = 4
-        pair = cp.init_factors(a, mb, r)
+        u, v = cp.init_factors(a, mb, r)
         sv = np.linalg.svd(np.where(mb, a, 0.0), compute_uv=False)
-        half = 0.5 * (np.sum(pair.u**2) + np.sum(pair.v**2))
+        half = 0.5 * (np.sum(u**2) + np.sum(v**2))
         assert abs(half - np.sum(sv[:r])) < 1e-10
-        assert abs(np.sum(pair.u**2) - np.sum(pair.v**2)) < 1e-10
+        assert abs(np.sum(u**2) - np.sum(v**2)) < 1e-10
 
     def test_product_is_best_rank_r(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((10, 6))
         mb = np.ones((10, 6), dtype=bool)
-        pair = cp.init_factors(a, mb, 3)
+        u, v = cp.init_factors(a, mb, 3)
         uu, sv, vt = np.linalg.svd(a)
         best = (uu[:, :3] * sv[:3]) @ vt[:3]
-        assert np.max(np.abs(pair.u @ pair.v - best)) < 1e-10
+        assert np.max(np.abs(u @ v - best)) < 1e-10
 
     def test_gaussian_fallback_on_rank_deficient(self):
         a = np.outer(np.arange(1.0, 7.0), np.ones(4))  # rank 1
         mb = np.ones((6, 4), dtype=bool)
-        p1 = cp.init_factors(a, mb, 3, seed=5)
-        p2 = cp.init_factors(a, mb, 3, seed=5)
-        p3 = cp.init_factors(a, mb, 3, seed=6)
-        assert np.array_equal(p1.u, p2.u)
-        assert not np.array_equal(p1.u, p3.u)
+        u1, _ = cp.init_factors(a, mb, 3, seed=5)
+        u2, _ = cp.init_factors(a, mb, 3, seed=5)
+        u3, _ = cp.init_factors(a, mb, 3, seed=6)
+        assert np.array_equal(u1, u2)
+        assert not np.array_equal(u1, u3)
         # scaled so the expected squared column norm is 1
-        assert 0.2 < np.mean(p1.u**2) * 3 < 5.0
+        assert 0.2 < np.mean(u1**2) * 3 < 5.0
 
     def test_rejects_bad_rank(self):
         with pytest.raises(cp.CompletionError):
@@ -160,11 +169,10 @@ class TestBalance:
         assert sigma[1] <= 1e-12 * sigma[0]
 
     def test_balanced_input_keeps_its_product_and_norms(self):
-        pair = cp.init_factors(np.random.default_rng(5).standard_normal((10, 7)),
+        u, v = cp.init_factors(np.random.default_rng(5).standard_normal((10, 7)),
                                np.ones((10, 7), dtype=bool), 3)
-        bu, bv = self.check(pair.u, pair.v)
-        assert _half_norms(bu, bv) == pytest.approx(_half_norms(pair.u, pair.v),
-                                                    rel=1e-12)
+        bu, bv = self.check(u, v)
+        assert _half_norms(bu, bv) == pytest.approx(_half_norms(u, v), rel=1e-12)
 
 
 def objective_factored(u, v, m_data, mask, area_maps, mu, nu):
@@ -204,9 +212,9 @@ class TestObjective:
 @pytest.fixture(scope="module")
 def three_step_setup():
     """Masked data, maps, and per-area problems for a T=3 three-area feeder."""
-    net, scen = gm.generate_radial_feeder(9, seed=2, n_steps=3)
+    net, s = gm.generate_radial_feeder(9, seed=2, n_steps=3)
     part = gm.AreaPartition.contiguous(net.n_phases, 3)
-    mat = dm.build_matrix(gm.solve_exact_flow(net, scen.s), scen.s)
+    mat = dm.build_matrix(gm.solve_exact_flow(net, s), s)
     model = lf.build_linear_model(net, n_steps=3)
     maps = lf.build_area_maps(model, part)
     mask = dm.sample_mask(*mat.shape, 0.6, policy="uniform", seed=4).observed
@@ -1021,15 +1029,11 @@ class TestMessagePayloads:
         `run_decentralized` builds goes out as the array its product made.
         A "factor" is the sender's U_l, (m, r); a "flow-term" from l to j is
         (T, rank(G_jl)) and a "flow-pull" from l to j is (T, rank(G_lj))."""
-        net, scen, part = gm.feeder33_analog(seed=0, n_steps=2, n_areas=5)
-        mat = dm.build_matrix(gm.solve_exact_flow(net, scen.s), scen.s)
+        net, s, part = gm.feeder33_analog(seed=0, n_steps=2, n_areas=5)
+        mat = dm.build_matrix(gm.solve_exact_flow(net, s), s)
         maps = lf.build_area_maps(lf.build_linear_model(net, n_steps=2), part)
         mask = dm.sample_mask(*mat.shape, 0.5, policy="scada", seed=0).observed
-        built, sent = [], []
-
-        def message(*args, **kwargs):
-            built.append(sn.Message(*args, **kwargs))
-            return built[-1]
+        sent = []
 
         run_round = sn.MessageBus.run_round
 
@@ -1037,30 +1041,27 @@ class TestMessagePayloads:
             def sender(l, fn):
                 def call(inbox):
                     out, sends = fn(inbox)
-                    sent.extend((l, msg) for msg in sends)
+                    sent.extend((l, *msg) for msg in sends)
                     return out, sends
                 return call
 
             return run_round(bus, {l: sender(l, fn) for l, fn in nodes.items()}, order=order)
 
-        monkeypatch.setattr(cp, "Message", message)
         monkeypatch.setattr(sn.MessageBus, "run_round", recorded_round)
         config = admm_config(rank=3, max_iters=1)
         result = cp.run_decentralized(mat, mask, maps, part, config)
-        assert [id(msg) for _, msg in sent] == [id(msg) for msg in built]
         edges = sum(len(part.neighbors(l)) for l in part.areas)
-        tags = [msg.tag for _, msg in sent]
+        tags = [tag for _, _, tag, _ in sent]
         assert {tag: tags.count(tag) for tag in set(tags)} == {
             "factor": edges, "flow-term": edges, "flow-pull": edges}
-        for l, msg in sent:
-            j = msg.dest
-            if msg.tag == "factor":
-                assert msg.payload is result.states[l].u
-                assert msg.payload.shape == (maps.m, 3)
-            elif msg.tag == "flow-term":
-                assert msg.payload.shape == (maps.n_steps, maps.coupling_rank(j, l))
+        for l, j, tag, payload in sent:
+            if tag == "factor":
+                assert payload is result.states[l].u
+                assert payload.shape == (maps.m, 3)
+            elif tag == "flow-term":
+                assert payload.shape == (maps.n_steps, maps.coupling_rank(j, l))
             else:
-                assert msg.payload.shape == (maps.n_steps, maps.coupling_rank(l, j))
+                assert payload.shape == (maps.n_steps, maps.coupling_rank(l, j))
 
 
 class TestSvtOracle:

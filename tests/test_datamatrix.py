@@ -156,7 +156,7 @@ class TestCsvRoundTrip:
         measurement matrix of its feeder, bit for bit."""
         assert cli.main(["gen-feeder", "--time-steps", "2", "--areas", "2",
                          "--out", str(tmp_path)]) == 0
-        net, scen, _ = gm.feeder33_analog(seed=0, n_steps=2, n_areas=2)
-        mat = dm.build_matrix(gm.solve_exact_flow(net, scen.s), scen.s)
+        net, s, _ = gm.feeder33_analog(seed=0, n_steps=2, n_areas=2)
+        mat = dm.build_matrix(gm.solve_exact_flow(net, s), s)
         again = np.loadtxt(tmp_path / "matrix.csv", delimiter=",")
         assert np.array_equal(again, mat)

@@ -252,12 +252,12 @@ class TestGenerateRadialFeeder:
         a2, l2 = gm.generate_radial_feeder(10, seed=5, n_steps=3)
         assert np.array_equal(a1.parents, a2.parents)
         assert np.array_equal(a1.z_line, a2.z_line)
-        assert np.array_equal(l1.s, l2.s)
+        assert np.array_equal(l1, l2)
 
     def test_shapes(self):
         net, loads = gm.generate_radial_feeder(8, n_steps=4)
         assert net.n_phases == 7
-        assert loads.s.shape == (4, 7)
+        assert loads.shape == (4, 7)
 
     def test_three_phase_mode(self):
         net, loads = gm.generate_radial_feeder(5, three_phase=True)
@@ -268,6 +268,10 @@ class TestGenerateRadialFeeder:
     def test_rejects_single_bus(self):
         with pytest.raises(gm.GridModelError):
             gm.generate_radial_feeder(1)
+
+    def test_rejects_no_time_steps(self):
+        with pytest.raises(gm.GridModelError, match="time step"):
+            gm.generate_radial_feeder(9, n_steps=0)
 
     def test_admittance_row_sums_vanish_with_slack(self):
         # Kirchhoff structure: [y_l0, y_ll] rows sum to zero for a pure
@@ -292,10 +296,10 @@ class TestFeederPins:
     @pytest.mark.parametrize("key", sorted(PINNED))
     def test_feeders_up_to_129_buses_are_unchanged(self, key):
         n_buses, seed, n_steps, three_phase = key
-        net, scen = gm.generate_radial_feeder(n_buses, seed=seed, n_steps=n_steps,
+        net, s = gm.generate_radial_feeder(n_buses, seed=seed, n_steps=n_steps,
                                               three_phase=three_phase)
         digest = hashlib.sha256()
-        for a in (*admittance(net), net.v0, scen.s):
+        for a in (*admittance(net), net.v0, s):
             digest.update(np.ascontiguousarray(a).tobytes())
         assert digest.hexdigest() == self.PINNED[key]
 
@@ -303,8 +307,8 @@ class TestFeederPins:
     def test_large_feeders_solve(self, n_buses):
         """Unscaled, these loads collapsed the flow (DivergedFlowError at
         residuals 0.38 and 0.73)."""
-        net, scen = gm.generate_radial_feeder(n_buses, seed=0, n_steps=2)
-        v = gm.solve_exact_flow(net, scen.s)
+        net, s = gm.generate_radial_feeder(n_buses, seed=0, n_steps=2)
+        v = gm.solve_exact_flow(net, s)
         assert np.min(np.abs(v)) > 0.8
 
 
@@ -320,16 +324,16 @@ class TestFeeder33Analog:
     def test_phase_count(self):
         net, loads, part = gm.feeder33_analog(n_steps=3, n_areas=5)
         assert net.n_phases == 32
-        assert loads.s.shape == (3, 32)
+        assert loads.shape == (3, 32)
         assert part.n_areas == 5
 
 
 class TestSolveExactFlow:
     def test_fixed_point_residual(self, small_feeder):
-        net, scen, _ = small_feeder
-        v = gm.solve_exact_flow(net, scen.s[0])
+        net, s, _ = small_feeder
+        v = gm.solve_exact_flow(net, s[0])
         w = net.no_load_voltage
-        residual = v - (w + net.apply_z(np.conj(scen.s[0]) / np.conj(v)))
+        residual = v - (w + net.apply_z(np.conj(s[0]) / np.conj(v)))
         assert np.max(np.abs(residual)) <= 1e-10
 
     @pytest.mark.parametrize("feeder", ["feeder33", "random129"])
@@ -339,19 +343,19 @@ class TestSolveExactFlow:
         through the Z-bus the solver uses.  The last sweep moves v by at
         most tol, so the residual is at most |Y_LL|_inf tol plus rounding."""
         if feeder == "feeder33":
-            net, scen, _ = gm.feeder33_analog(seed=0, n_steps=5, n_areas=5)
+            net, s, _ = gm.feeder33_analog(seed=0, n_steps=5, n_areas=5)
         else:
-            net, scen = gm.generate_radial_feeder(129, seed=0, n_steps=5)
+            net, s = gm.generate_radial_feeder(129, seed=0, n_steps=5)
         tol = 1e-10
-        v = gm.solve_exact_flow(net, scen.s, tol=tol)
+        v = gm.solve_exact_flow(net, s, tol=tol)
         y_ll = admittance(net)[0]
-        residual = (v - net.no_load_voltage) @ y_ll.T - np.conj(scen.s) / np.conj(v)
+        residual = (v - net.no_load_voltage) @ y_ll.T - np.conj(s) / np.conj(v)
         assert np.max(np.abs(residual)) <= 2 * np.linalg.norm(y_ll, np.inf) * tol
 
     def test_matches_newton_oracle(self, small_feeder):
-        net, scen, _ = small_feeder
-        v_fp = gm.solve_exact_flow(net, scen.s[0])
-        v_newton = newton_flow_oracle(net, scen.s[0])
+        net, s, _ = small_feeder
+        v_fp = gm.solve_exact_flow(net, s[0])
+        v_newton = newton_flow_oracle(net, s[0])
         assert np.max(np.abs(v_fp - v_newton)) < 1e-8
 
     def test_two_bus_closed_form(self):
@@ -376,8 +380,8 @@ class TestSolveExactFlow:
             gm.solve_exact_flow(net, s)
 
     def test_non_finite_load_reports_sweeps_run(self, small_feeder):
-        net, scen, _ = small_feeder
-        s = scen.s.copy()
+        net, s, _ = small_feeder
+        s = s.copy()
         s[1, 3] = np.inf
         with np.errstate(invalid="ignore"), \
                 pytest.raises(gm.DivergedFlowError) as excinfo:
@@ -385,9 +389,9 @@ class TestSolveExactFlow:
         assert excinfo.value.iterations == 1
 
     def test_multi_step(self, small_feeder):
-        net, scen, _ = small_feeder
-        v = gm.solve_exact_flow(net, scen.s)
-        assert v.shape == scen.s.shape
+        net, s, _ = small_feeder
+        v = gm.solve_exact_flow(net, s)
+        assert v.shape == s.shape
 
     # The thread count changes the rounding of a multi-column LAPACK solve,
     # and this process's BLAS may run several; a fresh interpreter pins one.
@@ -396,12 +400,12 @@ import sys
 import numpy as np
 from gridmc import gridmodel as gm
 if sys.argv[1] == "feeder33":
-    net, scen, _ = gm.feeder33_analog(seed=0, n_steps=10, n_areas=1)
+    net, s, _ = gm.feeder33_analog(seed=0, n_steps=10, n_areas=1)
 else:
-    net, scen = gm.generate_radial_feeder(129, seed=0, n_steps=5)
-batched = gm.solve_exact_flow(net, scen.s)
-rows = np.stack([gm.solve_exact_flow(net, row) for row in scen.s])
-print(batched.shape == scen.s.shape and np.array_equal(batched, rows))
+    net, s = gm.generate_radial_feeder(129, seed=0, n_steps=5)
+batched = gm.solve_exact_flow(net, s)
+rows = np.stack([gm.solve_exact_flow(net, row) for row in s])
+print(batched.shape == s.shape and np.array_equal(batched, rows))
 """
 
     @pytest.mark.parametrize("feeder", ["feeder33", "random"])

@@ -19,7 +19,7 @@ class TestMessageBus:
         received = {}
 
         def node1(inbox):
-            return None, [sn.Message(dest=2, tag="ping", payload=sent)]
+            return None, [(2, "ping", sent)]
 
         def node2(inbox):
             received.update(inbox)
@@ -34,7 +34,7 @@ class TestMessageBus:
         bus = make_bus(3)  # chain 1-2-3: areas 1 and 3 are not adjacent
 
         def node1(inbox):
-            return None, [sn.Message(dest=3, tag="x", payload=np.zeros(1))]
+            return None, [(3, "x", np.zeros(1))]
 
         nodes = {a: (lambda i: (None, [])) for a in (2, 3)}
         nodes[1] = node1
@@ -45,7 +45,7 @@ class TestMessageBus:
         bus = make_bus(2)
 
         def node1(inbox):
-            return None, [sn.Message(dest=1, tag="x", payload=np.zeros(1))]
+            return None, [(1, "x", np.zeros(1))]
 
         with pytest.raises(sn.ProtocolViolationError):
             bus.run_round({1: node1, 2: lambda i: (None, [])})
@@ -61,7 +61,7 @@ class TestMessageBus:
             return None, []
 
         def send(dest, tag, payload):
-            return lambda inbox: (None, [sn.Message(dest=dest, tag=tag, payload=payload)])
+            return lambda inbox: (None, [(dest, tag, payload)])
 
         bus.run_round({1: send(2, "a", sent), 2: quiet, 3: quiet})
         counts, round_index = dict(bus.ledger.counts), bus.round_index
@@ -103,10 +103,8 @@ class TestMessageBus:
                 def node(inbox):
                     for (_, _), payload in sorted(inbox.items()):
                         state[a] = 0.5 * state[a] + 0.25 * payload[0]
-                    sends = [
-                        sn.Message(dest=d, tag="g", payload=np.array([state[a]]))
-                        for d in (a % 5 + 1, (a - 2) % 5 + 1)
-                    ]
+                    sends = [(d, "g", np.array([state[a]]))
+                             for d in (a % 5 + 1, (a - 2) % 5 + 1)]
                     return state[a], sends
 
                 return node
@@ -129,13 +127,10 @@ class TestCommLedger:
         bus = make_bus(2)
 
         def node1(inbox):
-            return None, [
-                sn.Message(dest=2, tag="a", payload=np.zeros(3)),
-                sn.Message(dest=2, tag="b", payload=np.zeros(5)),
-            ]
+            return None, [(2, "a", np.zeros(3)), (2, "b", np.zeros(5))]
 
         def node2(inbox):
-            return None, [sn.Message(dest=1, tag="a", payload=np.zeros(2))]
+            return None, [(1, "a", np.zeros(2))]
 
         nodes = {1: node1, 2: node2}
         bus.run_round(nodes)
@@ -143,16 +138,12 @@ class TestCommLedger:
         return bus
 
     def test_counts_by_round_and_tag(self):
-        """`count` sums a pair's rounds over every tag; `counts` keeps each
-        (pair, round, tag) volume."""
+        """`counts` keeps each (pair, round, tag) volume, both directions of
+        a pair under one key."""
         bus = self._run_traffic()
         pair = frozenset({1, 2})
-        assert bus.ledger.count({1, 2}, [0]) == 10
-        assert bus.ledger.count({1, 2}, [0, 1]) == 20
-        assert bus.ledger.count({1, 2}, []) == 0
         assert bus.ledger.counts == {(pair, k, "a"): 5 for k in (0, 1)} | {
             (pair, k, "b"): 5 for k in (0, 1)}
-        assert bus.ledger.pairs() == {pair}
 
 
 class TestFormulas:
