@@ -61,7 +61,7 @@ class TestConfig:
 
 class TestRankAboveMatrixDims:
     """A rank above min(m, n) is refused where the rank is decided, and so
-    by the driver before any factor is formed."""
+    by `run_decentralized` before any factor is formed."""
 
     def test_resolve_rank_raises(self):
         assert cp.AdmmConfig(rank=5).resolve_rank(5, 33) == 5

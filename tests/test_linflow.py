@@ -131,7 +131,7 @@ class TestTruncation:
 @pytest.fixture(scope="module")
 def three_phase_instance():
     """Three-phase 29-bus radial feeder, T=2, in 4 contiguous areas."""
-    net, s = gm.generate_radial_feeder(29, seed=3, n_steps=2, three_phase=True)
+    net, _ = gm.generate_radial_feeder(29, seed=3, n_steps=2, three_phase=True)
     part = gm.AreaPartition.contiguous(net.n_phases, 4)
     model = lf.build_linear_model(net, n_steps=2)
     return {"model": model, "part": part, "maps": lf.build_area_maps(model, part)}
