@@ -143,31 +143,43 @@ def test_04_single_area_equivalence(small_instance, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(cp, "update_u", recorded)
         dec = cp.run_decentralized(mat, mask, maps, part, config)
-    # the plain block iteration of the whole matrix, without the bus, each
-    # V update followed by the balancing step, run to max_iters with no stop
+    # the plain block iteration of the whole matrix, without the bus: each
+    # exact U and V step over-relaxed by omega (U before the V solve reads
+    # it), then the balancing step, omega re-estimated from the last two
+    # changes of X, run to max_iters with no stop
     problems = cp._build_problems(mat, mask, maps, part, config)
     states = cp._init_states(problems, mat, mask,
                              config.resolve_rank(*mat.shape), config.seed)
     prob, st = problems[1], states[1]
-    plain_u, plain_x = [], []
-    for _ in range(config.max_iters):
+    plain_u, plain_x, plain_factors = [], [], []
+    omega, prev_step = 1.0, 0.0
+    for k in range(config.max_iters):
         z = cp._flow_target(prob, st)
         u_new = cp.update_u(prob, st, z)
-        v_new = cp.update_v(prob, st, u_new, z)
         plain_u.append(u_new)
+        u_new = st.u + omega * (u_new - st.u)
+        v_new = cp.update_v(prob, st, u_new, z)
+        v_new = st.v + omega * (v_new - st.v)
         st.u, st.v = cp.balance(u_new, v_new)
+        plain_factors.append((st.u, st.v))
         plain_x.append(st.u @ st.v)
+        if k > 0:
+            step = cp._norm(plain_x[k] - plain_x[k - 1])
+            omega, prev_step = cp._relaxation_factor(omega, step, prev_step), step
     # the stop rule on the plain iterates: the first iteration whose relative
     # change of X falls below tol (with 1e-16, only an X that rounding no
-    # longer moves), else the max_iters cap; from there on X must stay at
+    # longer moves), else the max_iters cap; there the driver ends on one
+    # exact V step and the balancing step, and from there on X must stay at
     # the driver's result
     stop = next((k + 1 for k in range(1, config.max_iters)
                  if np.linalg.norm(plain_x[k] - plain_x[k - 1])
                  / max(np.linalg.norm(plain_x[k - 1]), 1e-30) < config.tol),
                 config.max_iters)
+    st.u, st.v = plain_factors[stop - 1]
+    u_end, v_end = cp.balance(st.u, cp.update_v(prob, st, st.u, cp._flow_target(prob, st)))
     worst = max(float(np.linalg.norm(u - d)) for u, d in zip(plain_u, dec_u))
     worst = max([worst] + [float(np.linalg.norm(x - dec.x))
-                           for x in plain_x[stop - 1:]])
+                           for x in [u_end @ v_end] + plain_x[stop - 1:]])
     ok = len(dec_u) == stop and worst <= 1e-10
     assert verdict(4, "single-area-equivalence", ok,
                    f"max per-iteration gap {worst:.2e}")

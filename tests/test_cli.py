@@ -252,34 +252,35 @@ class TestInstanceBuild:
 
 class TestPinnedReference:
     # feeder33, T=10, one area, paper weights, rank 5, instance seed 0, as
-    # estimated by the exact U/V block updates, each followed by `balance`
+    # estimated by the over-relaxed U/V block updates, each followed by
+    # `balance`, and the final exact V step
     CONFIG = cli.ExperimentConfig(
         feeder="feeder33", time_steps=10, areas=1, policy="scada",
         fraction=0.5, noise_pct=1.0, seed=0,
         admm=cp.AdmmConfig(mu=1e4, nu=1e4, gamma=1e3, lam=1e3, rank=5,
                            max_iters=500, seed=0),
     )
-    PINNED_MAPE_PCT = 0.1806140735539416
-    PINNED_MAE_DEG = 0.12317828216826551
+    PINNED_MAPE_PCT = 0.18059918469904973
+    PINNED_MAE_DEG = 0.12309200861012144
     # its certificate, evaluated on the noisy data the run solved; the
     # spectral norm is the exact sigma_1 of one SVD of R
     PINNED_CERTIFICATE = {
-        "spectral_norm": 350.16345025646507,
-        "grad_u_norm": 0.13911459136595497,
-        "grad_v_norm": 1.9818537154075837e-05,
-        "stationarity_u": 0.014105999522635282,
-        "stationarity_v": 2.0099682617541602e-06,
-        "trace_residuals": [1.5901368222159817e-06, 1.5901368470849775e-06],
-        "comp_slack_residual": 1.5901368328741228e-06,
-        "dual_feasibility_min_eig": -61306.720947755945,
+        "spectral_norm": 350.1739014352029,
+        "grad_u_norm": 0.07557464489311942,
+        "grad_v_norm": 2.033123891365862e-06,
+        "stationarity_u": 0.007664223287304553,
+        "stationarity_v": 2.0619654727008577e-07,
+        "trace_residuals": [-5.6910945289700976e-08, -5.6910952395128334e-08],
+        "comp_slack_residual": 5.6910948842414655e-08,
+        "dual_feasibility_min_eig": -61310.38062317559,
     }
     # 0.5(|U|^2 + |V|^2) of its factors, the size of the order-one terms
     # whose rounding residuals the gradients, the stationarity fields, the
     # trace residuals and the slack are; test_feeder33_t10_single_area
     # checks it against the run
-    FACTOR_SCALE = 24.305515016122186
+    FACTOR_SCALE = 24.305520039599458
     # two BLAS threads move the trace residuals and the slack by up to
-    # 4.3e-9 and grad_u_norm by up to 4e-10, inside 3e-10 * FACTOR_SCALE =
+    # 7.9e-10 and grad_u_norm by up to 1.5e-9, inside 3e-10 * FACTOR_SCALE =
     # 7.3e-9
     RESIDUAL_TOL = 3e-10 * FACTOR_SCALE
     RESIDUAL_FIELDS = ("grad_u_norm", "grad_v_norm", "stationarity_u",
@@ -296,6 +297,20 @@ class TestPinnedReference:
         scale = 0.5 * (np.linalg.norm(u) ** 2 + np.linalg.norm(v) ** 2)
         assert scale == pytest.approx(self.FACTOR_SCALE, rel=1e-8)
 
+    def test_feeder33_t2_five_areas(self):
+        """Five areas run the plain ADMM steps, which the single area's
+        over-relaxation must not reach: the parent's figures at T=2, capped
+        at 60 iterations."""
+        config = dataclasses.replace(
+            self.CONFIG, time_steps=2, areas=5,
+            admm=dataclasses.replace(self.CONFIG.admm, max_iters=60))
+        result, report, *_ = cli._single_run(
+            config, cli._build_instance(config), config.seed)
+        assert result.trace.iterations == 60 and not result.converged
+        assert report.mape_magnitude_pct == pytest.approx(1.8098468198412072, rel=1e-8)
+        assert report.mae_angle_deg == pytest.approx(0.9608449574300244, rel=1e-8)
+        assert result.trace.objective[-1] == pytest.approx(37.91353454379747, rel=1e-8)
+
     def test_single_area_factors_multiply_to_the_estimate(self):
         """With one area the consensus-averaged pair the certificate reads
         is the area's own (U, V), so its product is the estimate x bit for
@@ -307,7 +322,7 @@ class TestPinnedReference:
 
     def test_certificate_checks_the_data_solved(self, tmp_path, monkeypatch):
         """The run stops near a stationary point of the data it solved, so
-        the certificate's grad_v_norm is small against |V| (2.0e-5 against
+        the certificate's grad_v_norm is small against |V| (2.0e-6 against
         4.93).  Evaluated at the noise-free matrix, which the solver never
         saw, it reads 1,301."""
         factors = {}
@@ -354,7 +369,7 @@ class TestPinnedReference:
 
     def test_tight_tolerance_stops_at_a_stationary_point(self, tmp_path):
         """With the balanced factors, `converged` at tol 1e-10 means the U
-        gradient is 1.4e-6 of its two terms' size (without them the run
+        gradient is 9.2e-7 of its two terms' size (without them the run
         read 0.79 after 3,000 iterations)."""
         config = dataclasses.replace(
             self.CONFIG, admm=dataclasses.replace(self.CONFIG.admm, tol=1e-10))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridmc import cli
 from gridmc import completion as cp
 from gridmc import datamatrix as dm
 from gridmc import gridmodel as gm
@@ -887,6 +888,46 @@ class TestDecentralizedRun:
         err = cp.DivergenceError(iteration=7)
         assert err.iteration == 7
         assert "7" in str(err)
+
+
+class TestOverRelaxation:
+    @pytest.mark.parametrize("omega", [1.0, 1.5, 1.98])
+    def test_growth_or_zero_step_resets_to_one(self, omega):
+        for ratio in (1.0, 1.5, 1e6):
+            assert cp._relaxation_factor(omega, ratio * 0.3, 0.3) == 1.0
+        assert cp._relaxation_factor(omega, 0.3, 0.0) == 1.0
+        assert cp._relaxation_factor(omega, 0.0, 0.0) == 1.0
+
+    def test_first_estimate(self):
+        got = cp._relaxation_factor(1.0, 0.9, 1.0)
+        assert got == pytest.approx(2.0 / (1.0 + np.sqrt(0.1)), rel=1e-14)
+        assert got == pytest.approx(1.5195, abs=1e-4)
+
+    @pytest.mark.parametrize("omega", [1.2, 1.5, 1.9])
+    def test_ratio_at_most_omega_minus_one_keeps_omega(self, omega):
+        for ratio in (0.0, 0.5 * (omega - 1.0), omega - 1.0):
+            assert cp._relaxation_factor(omega, ratio, 1.0) == omega
+
+    @pytest.mark.parametrize("omega", [1.0, 1.5, 1.98])
+    def test_stays_below_two_as_the_ratio_nears_one(self, omega):
+        for gap in (1e-2, 1e-6, 1e-12, 1e-16):
+            got = cp._relaxation_factor(omega, 1.0 - gap, 1.0)
+            assert 1.0 <= got < 1.9802  # 2 / (1 + sqrt(1 - 0.9999))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("time_steps", [10, 5])
+    def test_single_area_objective_never_increases(self, time_steps, seed):
+        """Each relaxed block step at omega < 2 is a descent step of its
+        quadratic, and `balance` keeps X and lowers the norm term, so a
+        single area's objective never rises (feeder33, paper weights)."""
+        config = cli.ExperimentConfig(
+            feeder="feeder33", time_steps=time_steps, areas=1,
+            admm=cp.AdmmConfig(rank=5))
+        result, *_ = cli._single_run(config, cli._build_instance(config), seed)
+        obj = result.trace.objective
+        assert result.converged and len(obj) > 10
+        for before, after in zip(obj, obj[1:]):
+            assert after <= before * (1.0 + 1e-12)
 
 
 class TestOncePerIteration:
