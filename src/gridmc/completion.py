@@ -702,6 +702,8 @@ def run_decentralized(
             st = states[l]
             st.u, st.v = balance(st.u, update_v(prob, st, st.u, _flow_target(prob, st)))
             st.x = st.u @ st.v
+            if prob.stack is not None:
+                st.e_ll = _flow_terms(prob, st.x)[0]
             x_full[:, prob.cols] = st.x
 
     return SolveResult(

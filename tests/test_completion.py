@@ -919,12 +919,16 @@ class TestOverRelaxation:
     def test_single_area_objective_never_increases(self, time_steps, seed):
         """Each relaxed block step at omega < 2 is a descent step of its
         quadratic, and `balance` keeps X and lowers the norm term, so a
-        single area's objective never rises (feeder33, paper weights)."""
+        single area's objective never rises (feeder33, paper weights), nor
+        at the final exact V step, evaluated on the state the run returns."""
         config = cli.ExperimentConfig(
             feeder="feeder33", time_steps=time_steps, areas=1,
             admm=cp.AdmmConfig(rank=5))
-        result, *_ = cli._single_run(config, cli._build_instance(config), seed)
-        obj = result.trace.objective
+        part, _, _, maps = instance = cli._build_instance(config)
+        result, _, mask, data = cli._single_run(config, instance, seed)
+        problems = cp._build_problems(data, mask.observed, maps, part, config.admm)
+        obj = result.trace.objective + [
+            cp._objective_decentralized(problems, result.states, config.admm)]
         assert result.converged and len(obj) > 10
         for before, after in zip(obj, obj[1:]):
             assert after <= before * (1.0 + 1e-12)
