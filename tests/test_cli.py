@@ -299,8 +299,8 @@ class TestPinnedReference:
 
     def test_feeder33_t2_five_areas(self):
         """Five areas run the plain ADMM steps, which the single area's
-        over-relaxation must not reach: the parent's figures at T=2, capped
-        at 60 iterations."""
+        over-relaxation must not reach: at T=2, capped at 60 iterations, the
+        run keeps the figures it read before that relaxation existed."""
         config = dataclasses.replace(
             self.CONFIG, time_steps=2, areas=5,
             admm=dataclasses.replace(self.CONFIG.admm, max_iters=60))
