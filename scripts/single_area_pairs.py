@@ -14,8 +14,7 @@ run converged, no seed takes more iterations, no final objective is higher
 and neither mean difference is worse than one standard error.  With
 --reference-tol TOL the change also re-runs every case to that tolerance
 (up to 5000 iterations) and prints each side's mean distance to that
-optimum in MAPE and objective.  With --json PATH the per-run records of
-both sides are written there.
+optimum in MAPE and objective.
 """
 
 from __future__ import annotations
@@ -118,7 +117,6 @@ def main() -> int:
     parser.add_argument("roots", nargs="*", type=Path, help="PARENT_ROOT CHANGE_ROOT")
     parser.add_argument("--seeds", type=int, default=12)
     parser.add_argument("--reference-tol", type=float)
-    parser.add_argument("--json", type=Path)
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
@@ -128,8 +126,6 @@ def main() -> int:
         parser.error("give PARENT_ROOT and CHANGE_ROOT")
     parent = run_side(args.roots[0], args.seeds)
     change = run_side(args.roots[1], args.seeds, args.reference_tol)
-    if args.json:
-        args.json.write_text(json.dumps({"parent": parent, "change": change}, indent=1))
     return 0 if compare(parent, change) else 1
 
 

@@ -579,17 +579,12 @@ def run_decentralized(
     two changes |X_k - X_{k-1}| (`_relaxation_factor`).  Any omega in
     (0, 2) keeps each relaxed step a descent step of its quadratic block
     objective, so the objective never rises.  A relaxed V misses its block
-    minimizer, so the run ends with one exact V step and `balance`.  On
-    feeder33, T=10, paper weights, rank 5, the run stops after 89
-    iterations (146 unrelaxed).  The factor adapts because a fixed one
-    slows small runs: omega = 1.6 takes that run to 35 iterations, but 7 of
-    8 seeds of a well-conditioned 8-bus run (T=1, mu = 100) to their cap of
-    25, where the plain steps need 9.3 on average and the adaptive factor
-    8.4.  Several areas keep the plain ADMM steps, which relaxation hurt:
-    on feeder33, T=5, five areas, omega = 1.3 raised the angle MAE from
-    0.346 to 0.436 deg and omega = 1.6 stopped on a singular normal matrix;
-    on a random 129-bus feeder omega = 1.3 raised the MAPE from 1.05% to
-    1.75%.
+    minimizer, so the run ends with one exact V step and `balance`, and the
+    last trace row's objective and rmse are those of the state returned.
+    The factor adapts
+    because a fixed one slows small runs, and several areas keep the plain
+    ADMM steps because relaxing them costs accuracy (figures in
+    CHANGES.md).
 
     Flow terms travel in the coupling coordinates of `AreaMaps`: area l
     sends c_jl = B_jl X_l, (T, rho_jl), area j expands it with A_jl and, as
@@ -695,16 +690,22 @@ def run_decentralized(
             omega, prev_step = _relaxation_factor(omega, step, prev_step), step
         x_prev = x_full
 
-    for l, prob in problems.items():
-        if not prob.neighbors:
-            # a relaxed V misses its block minimizer by (omega - 1) times the
-            # step, so the run ends on one exact V step and `balance`
-            st = states[l]
-            st.u, st.v = balance(st.u, update_v(prob, st, st.u, _flow_target(prob, st)))
-            st.x = st.u @ st.v
-            if prob.stack is not None:
-                st.e_ll = _flow_terms(prob, st.x)[0]
-            x_full[:, prob.cols] = st.x
+    isolated = [l for l, prob in problems.items() if not prob.neighbors]
+    for l in isolated:
+        # a relaxed V misses its block minimizer by (omega - 1) times the
+        # step, so the run ends on one exact V step and `balance`
+        prob, st = problems[l], states[l]
+        st.u, st.v = balance(st.u, update_v(prob, st, st.u, _flow_target(prob, st)))
+        st.x = st.u @ st.v
+        if prob.stack is not None:
+            st.e_ll = _flow_terms(prob, st.x)[0]
+        x_full[:, prob.cols] = st.x
+    if isolated:
+        # the last trace row describes the state the run returns
+        trace.objective[-1] = _objective_decentralized(problems, states, config)
+        if reference is not None:
+            err = x_full - reference
+            trace.rmse[-1] = math.sqrt(_sum_squares(err) / err.size)
 
     return SolveResult(
         x=x_full,

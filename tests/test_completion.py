@@ -920,15 +920,17 @@ class TestOverRelaxation:
         """Each relaxed block step at omega < 2 is a descent step of its
         quadratic, and `balance` keeps X and lowers the norm term, so a
         single area's objective never rises (feeder33, paper weights), nor
-        at the final exact V step, evaluated on the state the run returns."""
+        at the final exact V step, whose state the last trace row reads."""
         config = cli.ExperimentConfig(
             feeder="feeder33", time_steps=time_steps, areas=1,
             admm=cp.AdmmConfig(rank=5))
-        part, _, _, maps = instance = cli._build_instance(config)
+        part, _, mat, maps = instance = cli._build_instance(config)
         result, _, mask, data = cli._single_run(config, instance, seed)
         problems = cp._build_problems(data, mask.observed, maps, part, config.admm)
-        obj = result.trace.objective + [
-            cp._objective_decentralized(problems, result.states, config.admm)]
+        obj = result.trace.objective
+        assert obj[-1] == cp._objective_decentralized(problems, result.states, config.admm)
+        assert result.trace.rmse[-1] == pytest.approx(
+            np.sqrt(np.mean((result.x - mat) ** 2)), rel=1e-12)
         assert result.converged and len(obj) > 10
         for before, after in zip(obj, obj[1:]):
             assert after <= before * (1.0 + 1e-12)
