@@ -24,9 +24,10 @@ class CompletionError(Exception):
 
 
 class DivergenceError(CompletionError):
-    def __init__(self, iteration: int):
+    def __init__(self, iteration: int | None = None):
         self.iteration = iteration
-        super().__init__(f"non-finite iterate at iteration {iteration}")
+        at = "" if iteration is None else f" at iteration {iteration}"
+        super().__init__(f"non-finite iterate{at}")
 
 
 @dataclass(frozen=True)
@@ -368,15 +369,17 @@ def _solve_quadratic(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(h, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
-        # unreachable for any AdmmConfig: a U system adds 1/L + prox_c +
-        # gamma deg >= 1/L, a V system 1 + prox_c, to the diagonal of
-        # positive semidefinite blocks, so every system is positive definite
+        # not reached through `_solve_checked`, which refuses non-finite input:
+        # U systems add 1/L + prox_c + gamma deg >= 1/L and V systems 1 + prox_c
+        # to the diagonal of positive semidefinite blocks, so each is positive definite
         raise CompletionError(f"singular normal matrix in block update: {exc}")
 
 
 def _solve_checked(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the normal equations and verify the gradient vanishes at the
-    solution, over the whole stack of systems."""
+    solution, over the whole stack of systems, after refusing non-finite input."""
+    if not (np.isfinite(h).all() and np.isfinite(rhs).all()):
+        raise DivergenceError()
     sol = _solve_quadratic(h, rhs)
     grad = (h @ sol[..., None])[..., 0] - rhs
     if not _norm(grad) <= 1e-9 * (1.0 + (_norm(h) * _norm(sol) + _norm(rhs))):
@@ -570,21 +573,21 @@ def run_decentralized(
     ascent steps from what it received, then sends each neighbor the point
     its flow term pulls to.  Stops when both the consensus residual and the
     relative iterate change fall below tol (`converged`), or after max_iters
-    iterations.  With a single area nothing is sent, the consensus residual
-    is 0, and the iteration is the block U/V update of the whole matrix:
-    each exact block minimizer U*, V* over-relaxed, U <- U + omega (U* - U)
-    before the V solve reads U, then V <- V + omega (V* - V), then
-    `balance`, so the stop comes near a stationary point.  omega starts at
-    1 and is re-estimated after each iteration from the ratio of the last
-    two changes |X_k - X_{k-1}| (`_relaxation_factor`).  Any omega in
-    (0, 2) keeps each relaxed step a descent step of its quadratic block
-    objective, so the objective never rises.  A relaxed V misses its block
-    minimizer, so the run ends with one exact V step and `balance`, and the
-    last trace row's objective and rmse are those of the state returned.
-    The factor adapts
-    because a fixed one slows small runs, and several areas keep the plain
-    ADMM steps because relaxing them costs accuracy (figures in
-    CHANGES.md).
+    iterations.  The area graph must be connected (CompletionError
+    otherwise), so only a single area has no neighbors.  It sends nothing,
+    its consensus residual is 0, and its iteration is the block U/V update
+    of the whole matrix: each exact block minimizer U*, V* over-relaxed,
+    U <- U + omega (U* - U) before the V solve reads U, then V <- V + omega
+    (V* - V), then `balance`, so the stop comes near a stationary point.
+    omega starts at 1 and is re-estimated after each iteration from the
+    ratio of the last two changes |X_k - X_{k-1}| (`_relaxation_factor`).
+    Any omega in (0, 2) keeps each relaxed step a descent step of its
+    quadratic block objective, so the objective never rises.  A relaxed V
+    misses its block minimizer, so the iteration the run ends at (tolerance
+    met or max_iters reached) takes one exact V step and `balance` before
+    its trace row is written.  The factor adapts because a fixed one slows
+    small runs, and several areas keep the plain ADMM steps because
+    relaxing them costs accuracy (figures in CHANGES.md).
 
     Flow terms travel in the coupling coordinates of `AreaMaps`: area l
     sends c_jl = B_jl X_l, (T, rho_jl), area j expands it with A_jl and, as
@@ -597,6 +600,11 @@ def run_decentralized(
             np.array_equal(area_maps.partition.assignment, part.assignment)
             and area_maps.partition.adjacency == part.adjacency):
         raise CompletionError("area_maps were built for another partition")
+    reached = {1}
+    for _ in part.areas:  # a connected graph's paths have fewer steps than areas
+        reached |= {j for l in reached for j in part.neighbors(l)}
+    if len(reached) < part.n_areas:
+        raise CompletionError(f"the area graph is not connected: area 1 reaches {sorted(reached)}")
     m_data = np.asarray(m_data, dtype=float)
     r = config.resolve_rank(*m_data.shape)
     problems = _build_problems(m_data, mask, area_maps, part, config)
@@ -614,7 +622,7 @@ def run_decentralized(
                 st.row_targets[:, prob.stack_rows[j]] = pull
             z = _flow_target(prob, st)
             u_new = update_u(prob, st, z)
-            if prob.neighbors:
+            if part.n_areas > 1:
                 v_new = update_v(prob, st, u_new, z)
             else:
                 # each exact block step over-relaxed, U before the V solve
@@ -663,10 +671,11 @@ def run_decentralized(
     # last iteration (0 until two iterates are known)
     omega, prev_step = 1.0, 0.0
     for k in range(config.max_iters):
-        order_a = order.get(2 * k) if order else None
-        order_b = order.get(2 * k + 1) if order else None
-        bus.run_round(nodes_a, order=order_a)
-        bus.run_round(nodes_b, order=order_b)
+        try:
+            bus.run_round(nodes_a, order=order.get(2 * k) if order else None)
+        except DivergenceError:  # a solve met a non-finite input
+            raise DivergenceError(iteration=k) from None
+        bus.run_round(nodes_b, order=order.get(2 * k + 1) if order else None)
 
         x_full = np.empty_like(m_data)
         for l, prob in problems.items():
@@ -675,37 +684,27 @@ def run_decentralized(
             raise DivergenceError(iteration=k)
 
         consensus = _consensus_residual(problems, states)
+        if x_prev is not None:
+            step = _norm(x_full - x_prev)
+            converged = consensus < config.tol and step / max(_norm(x_prev), 1e-30) < config.tol
+            omega, prev_step = _relaxation_factor(omega, step, prev_step), step
+        x_prev = x_full
+        if part.n_areas == 1 and (converged or k == config.max_iters - 1):
+            # end on an exact V step: a relaxed V misses its block minimizer
+            prob, st = problems[1], states[1]
+            st.u, st.v = balance(st.u, update_v(prob, st, st.u, _flow_target(prob, st)))
+            x_full = st.x = st.u @ st.v
+            if prob.stack is not None:
+                st.e_ll = _flow_terms(prob, st.x)[0]
+
         trace.consensus.append(consensus)
         trace.objective.append(_objective_decentralized(problems, states, config))
         trace.max_area_seconds.append(max(timings.values()))
         if reference is not None:
             err = x_full - reference
             trace.rmse.append(math.sqrt(_sum_squares(err) / err.size))
-
-        if x_prev is not None:
-            step = _norm(x_full - x_prev)
-            if consensus < config.tol and step / max(_norm(x_prev), 1e-30) < config.tol:
-                converged = True
-                break
-            omega, prev_step = _relaxation_factor(omega, step, prev_step), step
-        x_prev = x_full
-
-    isolated = [l for l, prob in problems.items() if not prob.neighbors]
-    for l in isolated:
-        # a relaxed V misses its block minimizer by (omega - 1) times the
-        # step, so the run ends on one exact V step and `balance`
-        prob, st = problems[l], states[l]
-        st.u, st.v = balance(st.u, update_v(prob, st, st.u, _flow_target(prob, st)))
-        st.x = st.u @ st.v
-        if prob.stack is not None:
-            st.e_ll = _flow_terms(prob, st.x)[0]
-        x_full[:, prob.cols] = st.x
-    if isolated:
-        # the last trace row describes the state the run returns
-        trace.objective[-1] = _objective_decentralized(problems, states, config)
-        if reference is not None:
-            err = x_full - reference
-            trace.rmse[-1] = math.sqrt(_sum_squares(err) / err.size)
+        if converged:
+            break
 
     return SolveResult(
         x=x_full,

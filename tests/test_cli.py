@@ -3,6 +3,7 @@ import json
 import math
 import os
 import platform
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -92,6 +93,8 @@ class TestRunExperiment:
         payload = cli.run_experiment(fast_config(areas=1), tmp_path)
         assert payload["communication"] == []
         assert payload["final_consensus"] == 0.0
+        last = (tmp_path / "trace.csv").read_text().splitlines()[-1].split(",")
+        assert payload["final_objective"] == float(last[3])
 
     def test_one_area_reports_no_truncation(self, tmp_path):
         """One area keeps every coupling of N, so the run's model is the
@@ -367,6 +370,16 @@ class TestPinnedReference:
         for key in ("spectral_norm", "dual_feasibility_min_eig"):
             assert cert[key] == pytest.approx(pinned[key], rel=1e-12), key
 
+    def test_capped_run_ends_on_the_exact_v_step(self, tmp_path):
+        """A run stopped by the iteration cap ends on the exact V step too:
+        capped at 10 iterations, the factors it returns read relative V
+        stationarity 2.6e-4 (0.76 without that step)."""
+        config = dataclasses.replace(
+            self.CONFIG, admm=dataclasses.replace(self.CONFIG.admm, max_iters=10))
+        payload = cli.run_experiment(config, tmp_path)
+        assert payload["iterations"] == 10 and not payload["converged"]
+        assert payload["certificate"]["stationarity_v"] < 1e-2
+
     def test_tight_tolerance_stops_at_a_stationary_point(self, tmp_path):
         """With the balanced factors, `converged` at tol 1e-10 means the U
         gradient is 9.2e-7 of its two terms' size (without them the run
@@ -410,6 +423,18 @@ class TestReadme:
         assert proc.returncode == 0, proc.stderr
         assert "mape_magnitude_pct" in proc.stdout
         assert len(list(tmp_path.rglob("results.json"))) == 1
+
+    def test_shell_commands_parse(self):
+        """Every `gridmc` command of the README's sh blocks, continuation
+        lines joined, parses with the CLI's own parser."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = [block.split("```", 1)[0] for block in readme.split("```sh\n")[1:]]
+        lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+        commands = [line for line in lines if line.startswith("gridmc ")]
+        assert commands
+        parser = cli.build_parser()
+        for line in commands:
+            parser.parse_args(shlex.split(line)[1:])
 
 
 class TestCommands:

@@ -889,6 +889,47 @@ class TestDecentralizedRun:
         assert err.iteration == 7
         assert "7" in str(err)
 
+    def test_divergence_inside_an_iteration_reports_that_iteration(self, monkeypatch):
+        """An iterate that turns non-finite inside an iteration raises
+        DivergenceError with that iteration, from the first solve that meets
+        it: area 2's U scaled by 1e200 in iteration 3 of a feeder33, T=2,
+        five-area run overflows area 2's V system."""
+        config = cli.ExperimentConfig(feeder="feeder33", time_steps=2, areas=5,
+                                      admm=cp.AdmmConfig(rank=5, max_iters=10))
+        instance = cli._build_instance(config)
+        update_u, solved = cp.update_u, []
+
+        def scaled(prob, st, z):
+            solved.append(prob.area)
+            u_new = update_u(prob, st, z)
+            return 1e200 * u_new if solved.count(2) == 4 and prob.area == 2 else u_new
+
+        monkeypatch.setattr(cp, "update_u", scaled)
+        # numpy's overflow warnings, as a run outside pytest leaves them
+        with np.errstate(all="ignore"), pytest.raises(cp.DivergenceError) as err:
+            cli._single_run(config, instance, 0)
+        assert err.value.iteration == 3
+
+    def test_disconnected_area_graph_is_refused(self):
+        """No path joins the bases U_l of two areas in different pieces of
+        the area graph, so the consensus average the certificate reads mixes
+        unrelated factors: feeder33's 5-area assignment without adjacency
+        pairs, and a 4-area partition of two connected halves, are refused.
+        One area still runs."""
+        five = gm.feeder33_analog(seed=0, n_steps=1, n_areas=5)[2]
+        four = gm.feeder33_analog(seed=0, n_steps=1, n_areas=4)[2]
+        cut = gm.AreaPartition(assignment=five.assignment, n_areas=5)
+        halves = gm.AreaPartition(assignment=four.assignment, n_areas=4,
+                                  adjacency=frozenset({frozenset({1, 2}), frozenset({3, 4})}))
+        rng = np.random.default_rng(0)
+        m_data, mask = rng.standard_normal((5, 32)), np.ones((5, 32), dtype=bool)
+        config = admm_config(rank=2, max_iters=1)
+        for part in (cut, halves):
+            with pytest.raises(cp.CompletionError, match="not connected"):
+                cp.run_decentralized(m_data, mask, None, part, config)
+        one = gm.AreaPartition.contiguous(32, 1)
+        assert cp.run_decentralized(m_data, mask, None, one, config).trace.iterations == 1
+
 
 class TestOverRelaxation:
     @pytest.mark.parametrize("omega", [1.0, 1.5, 1.98])
