@@ -369,20 +369,20 @@ def _solve_quadratic(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(h, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
-        # not reached through `_solve_checked`, which refuses non-finite input:
-        # U systems add 1/L + prox_c + gamma deg >= 1/L and V systems 1 + prox_c
-        # to the diagonal of positive semidefinite blocks, so each is positive definite
+        # every system is positive definite in exact arithmetic (its diagonal
+        # gains 1/L + prox_c + gamma deg or 1 + prox_c), but rounding can lose
+        # that term once a diverging iterate is far out of scale
         raise CompletionError(f"singular normal matrix in block update: {exc}")
 
 
 def _solve_checked(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the normal equations and verify the gradient vanishes at the
-    solution, over the whole stack of systems, after refusing non-finite input."""
-    if not (np.isfinite(h).all() and np.isfinite(rhs).all()):
-        raise DivergenceError()
+    solution, over the whole stack of systems; non-finite input fails that check."""
     sol = _solve_quadratic(h, rhs)
     grad = (h @ sol[..., None])[..., 0] - rhs
     if not _norm(grad) <= 1e-9 * (1.0 + (_norm(h) * _norm(sol) + _norm(rhs))):
+        if not (np.isfinite(h).all() and np.isfinite(rhs).all()):
+            raise DivergenceError()
         raise CompletionError("block update does not solve its normal equations")
     return sol
 
