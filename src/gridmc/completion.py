@@ -27,7 +27,7 @@ class DivergenceError(CompletionError):
     def __init__(self, iteration: int | None = None):
         self.iteration = iteration
         at = "" if iteration is None else f" at iteration {iteration}"
-        super().__init__(f"non-finite iterate{at}")
+        super().__init__(f"iterate diverged{at}")
 
 
 @dataclass(frozen=True)
@@ -368,11 +368,11 @@ def _solve_quadratic(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve h x = rhs, or a stack of such systems (h: (..., n, n), rhs: (..., n))."""
     try:
         return np.linalg.solve(h, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError:
         # every system is positive definite in exact arithmetic (its diagonal
         # gains 1/L + prox_c + gamma deg or 1 + prox_c), but rounding can lose
         # that term once a diverging iterate is far out of scale
-        raise CompletionError(f"singular normal matrix in block update: {exc}")
+        raise DivergenceError() from None
 
 
 def _solve_checked(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -673,7 +673,7 @@ def run_decentralized(
     for k in range(config.max_iters):
         try:
             bus.run_round(nodes_a, order=order.get(2 * k) if order else None)
-        except DivergenceError:  # a solve met a non-finite input
+        except DivergenceError:  # a solve met a diverging iterate
             raise DivergenceError(iteration=k) from None
         bus.run_round(nodes_b, order=order.get(2 * k + 1) if order else None)
 

@@ -52,8 +52,8 @@ class ObservationMask:
 
 def build_matrix(v: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Assemble the 5T x |P| matrix from voltage and injection time series."""
-    v = np.atleast_2d(np.asarray(v, dtype=complex))
-    s = np.atleast_2d(np.asarray(s, dtype=complex))
+    v = np.asarray(v, dtype=complex)
+    s = np.asarray(s, dtype=complex)
     if v.shape != s.shape:
         raise DataMatrixError(f"shape mismatch: v {v.shape} vs s {s.shape}")
     n_steps, n = v.shape

@@ -38,6 +38,10 @@ class NetworkModel:
     parents: np.ndarray  # parent bus of buses 1..n, each parent before its child
     z_line: np.ndarray  # n x n_ph x n_ph line impedance blocks
     v0: np.ndarray  # slack voltage, one entry per slack phase
+    # Z, and w, the zero-injection voltage profile (v0 at every bus, since
+    # no current flows); both formed once, at construction, and read-only
+    z_bus: np.ndarray = field(init=False, repr=False, compare=False)
+    no_load_voltage: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, n_ph = self.parents.size, self.v0.size
@@ -65,34 +69,14 @@ class NetworkModel:
         z = (scaled @ path.T).reshape(n_ph, n_ph, n, n).transpose(2, 0, 3, 1)
         z = z.reshape(n * n_ph, n * n_ph)
         z.flags.writeable = False
-        object.__setattr__(self, "_z_bus", z)
+        object.__setattr__(self, "z_bus", z)
         w = np.tile(self.v0, n)
         w.flags.writeable = False
-        object.__setattr__(self, "_no_load_voltage", w)
+        object.__setattr__(self, "no_load_voltage", w)
 
     @property
     def n_phases(self) -> int:
-        return len(self._z_bus)
-
-    @property
-    def z_bus(self) -> np.ndarray:
-        """Z, formed once, at construction; read-only."""
-        return self._z_bus
-
-    def apply_z(self, rhs: np.ndarray) -> np.ndarray:
-        """x = Z rhs, for a vector or for each column of a matrix.  A matrix
-        rhs goes through one stacked product that applies Z to one column at
-        a time, so each column comes out bit for bit as if it were passed
-        alone."""
-        if rhs.ndim == 1:
-            return self._z_bus @ rhs
-        return (self._z_bus @ rhs.T[:, :, None])[:, :, 0].T
-
-    @property
-    def no_load_voltage(self) -> np.ndarray:
-        """w, the zero-injection voltage profile: v0 at every bus, since no
-        current flows (formed once, at construction; read-only)."""
-        return self._no_load_voltage
+        return len(self.z_bus)
 
 
 @dataclass(frozen=True)
@@ -267,25 +251,24 @@ def solve_exact_flow(
 ) -> np.ndarray:
     """Solve the nonlinear power flow by the Z-bus fixed-point iteration.
 
-    Returns v with v = w + Z diag(conj(v))^{-1} conj(s) to residual
-    infinity-norm <= tol, for one injection vector or for each row of a
-    T x |P| matrix.  The rows are swept together: each sweep is one product
-    with the network's Z-bus (`NetworkModel.apply_z`), with a column per
-    row not yet converged; a row stops on its own residual.  A sweep's residual product is the next sweep's iterate, so it
-    is never repeated.  Raises DivergedFlowError, with the number of sweeps
-    run and the residual of the earliest failing row, when a row's voltage
-    turns non-finite or collapses, or when a row has not converged after
-    max_iters sweeps.
+    Returns the T x |P| voltages v with v_t = w + Z diag(conj(v_t))^{-1}
+    conj(s_t) to residual infinity-norm <= tol, for each row s_t of the
+    T x |P| injections s.  The rows are swept together: each sweep is one
+    product with the network's Z-bus, over the rows not yet converged, and a
+    row stops on its own residual.  A sweep's residual product is the next
+    sweep's iterate, so it is never repeated.  Raises DivergedFlowError,
+    with the number of sweeps run and the residual of the earliest failing
+    row, when a row's voltage turns non-finite or collapses, or when a row
+    has not converged after max_iters sweeps.
     """
-    s = np.asarray(s, dtype=complex)
-    rhs = np.conj(np.atleast_2d(s))
-    w = net.no_load_voltage
+    rhs = np.conj(np.asarray(s, dtype=complex))
+    w, z_t = net.no_load_voltage, net.z_bus.T
     out = np.empty_like(rhs)
     active = np.arange(rhs.shape[0])
-    v = w + net.apply_z((rhs / np.conj(w)).T).T
+    v = w + (rhs / np.conj(w)) @ z_t
     residual = np.full(rhs.shape[0], np.inf)
     for it in range(max_iters):
-        v_next = w + net.apply_z((rhs[active] / np.conj(v)).T).T
+        v_next = w + (rhs[active] / np.conj(v)) @ z_t
         residual = np.max(np.abs(v - v_next), axis=1)
         done = residual <= tol
         out[active[done]] = v[done]
@@ -296,5 +279,5 @@ def solve_exact_flow(
                                     iterations=it + 1)
         active, v = active[~done], v_next[~done]
         if active.size == 0:
-            return out if s.ndim == 2 else out[0]
+            return out
     raise DivergedFlowError(residual=float(residual[0]), iterations=max_iters)

@@ -910,6 +910,33 @@ class TestDecentralizedRun:
             cli._single_run(config, instance, 0)
         assert err.value.iteration == 3
 
+    def test_singular_block_solve_reports_divergence(self, monkeypatch):
+        """A finite iterate far out of scale makes a normal matrix singular
+        in rounding; that is divergence, raised with the iteration of the
+        failing solve: five areas relaxing each U/V step at omega = 1.6 on
+        feeder33, T=5, paper weights.  Rounding moves the iteration (413,
+        then 305 once the power flow summed in another order), so the test
+        counts the U solves instead of pinning it."""
+        config = cli.ExperimentConfig(feeder="feeder33", time_steps=5, areas=5,
+                                      admm=cp.AdmmConfig(rank=5))
+        instance = cli._build_instance(config)
+        update_u, update_v, solved = cp.update_u, cp.update_v, []
+
+        def relaxed_u(prob, st, z):
+            solved.append(prob.area)
+            return st.u + 1.6 * (update_u(prob, st, z) - st.u)
+
+        def relaxed_v(prob, st, u_new, z):
+            return st.v + 1.6 * (update_v(prob, st, u_new, z) - st.v)
+
+        monkeypatch.setattr(cp, "update_u", relaxed_u)
+        monkeypatch.setattr(cp, "update_v", relaxed_v)
+        with np.errstate(all="ignore"), pytest.raises(cp.DivergenceError) as err:
+            cli._single_run(config, instance, 0)
+        # the area that failed is the last one to start its U solve
+        assert err.value.iteration == solved.count(solved[-1]) - 1
+        assert err.value.iteration > 0
+
     def test_disconnected_area_graph_is_refused(self):
         """No path joins the bases U_l of two areas in different pieces of
         the area graph, so the consensus average the certificate reads mixes

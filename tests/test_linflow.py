@@ -26,12 +26,12 @@ class TestBuildLinearModel:
         n = net.n_phases
         eps = 1e-7
         for col in [0, 2, n, n + 3]:
-            s = np.zeros(n, dtype=complex)
+            s = np.zeros((1, n), dtype=complex)
             if col < n:
-                s[col] = eps
+                s[0, col] = eps
             else:
-                s[col - n] = 1j * eps
-            v = gm.solve_exact_flow(net, s, tol=1e-14)
+                s[0, col - n] = 1j * eps
+            v = gm.solve_exact_flow(net, s, tol=1e-14)[0]
             dv = (v - net.no_load_voltage) / eps
             dmag = (np.abs(v) - np.abs(net.no_load_voltage)) / eps
             assert np.max(np.abs(dv - model.n_mat[:, col])) < 1e-5
