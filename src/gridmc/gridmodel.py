@@ -38,8 +38,7 @@ class NetworkModel:
     parents: np.ndarray  # parent bus of buses 1..n, each parent before its child
     z_line: np.ndarray  # n x n_ph x n_ph line impedance blocks
     v0: np.ndarray  # slack voltage, one entry per slack phase
-    # Z, and w, the zero-injection voltage profile (v0 at every bus, since
-    # no current flows); both formed once, at construction, and read-only
+    # Z and w, the no-load voltage: formed once, at construction; read-only
     z_bus: np.ndarray = field(init=False, repr=False, compare=False)
     no_load_voltage: np.ndarray = field(init=False, repr=False, compare=False)
 
