@@ -41,11 +41,6 @@ class StackedOperator:
     d: np.ndarray
     shape: tuple[int, int]
 
-    def __post_init__(self):
-        rows = self.n_observed + sum(self.maps.residual_dim(l) for l in self.areas)
-        if self.d.size != rows:
-            raise CertificateError("operator rows do not match offset length")
-
     @property
     def n_observed(self) -> int:
         return self.obs[0].size
@@ -90,6 +85,9 @@ def build_B_d(
     when there are no flow rows."""
     if mu <= 0:
         raise CertificateError("mu must be positive")
+    if maps is not None and maps.m != len(m_data):
+        raise CertificateError(f"maps were built for {maps.m} rows "
+                               f"(T = {maps.n_steps}), the data has {len(m_data)}")
     obs = np.nonzero(observed)
     scale = np.sqrt(nu / mu)
     flow = [scale * maps.f[l].ravel() for l in maps.partition.areas] if maps is not None else []

@@ -1,5 +1,5 @@
-"""Experiment runner: feeder generation, model building, estimation runs,
-sweeps, certification, and singular-value spectra, with machine-readable
+"""Experiment runner: an instance's data, model summary and singular-value
+spectra, estimation runs, sweeps and certification, with machine-readable
 outputs (results.json, trace.csv, spectrum.csv)."""
 
 from __future__ import annotations
@@ -272,17 +272,27 @@ def _estimate_and_write(config: ExperimentConfig, instance, out_dir: Path,
         raise
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    """The experiment options; each dest names, and each default is, an
-    `ExperimentConfig` or `AdmmConfig` field."""
+def _add_instance(parser: argparse.ArgumentParser) -> None:
+    """The options an instance is built from; each dest names, and each
+    default is, an `ExperimentConfig` field."""
     config = ExperimentConfig()
-    admm = config.admm
     parser.add_argument("--feeder", default=config.feeder, choices=["feeder33", "random"])
     parser.add_argument("--buses", dest="n_buses", type=int, default=config.n_buses)
     parser.add_argument("--time-steps", type=int, default=config.time_steps)
     parser.add_argument("--areas", type=int, default=config.areas)
     parser.add_argument("--policy", default=config.policy, choices=["scada", "uniform"])
     parser.add_argument("--fraction", type=float, default=config.fraction)
+    parser.add_argument("--seed", type=int, default=config.seed)
+    parser.add_argument("--out", type=Path, default=Path("results"))
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    """The experiment options: `_add_instance`'s and those of the runs; each
+    dest names, and each default is, an `ExperimentConfig` or `AdmmConfig`
+    field."""
+    _add_instance(parser)
+    config = ExperimentConfig()
+    admm = config.admm
     parser.add_argument("--noise-pct", type=float, default=config.noise_pct)
     parser.add_argument("--rank", type=int, default=admm.rank)
     parser.add_argument("--mu", type=float, default=admm.mu)
@@ -292,34 +302,30 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--prox-c", type=float, default=admm.prox_c)
     parser.add_argument("--max-iters", type=int, default=admm.max_iters)
     parser.add_argument("--tol", type=float, default=admm.tol)
-    parser.add_argument("--seed", type=int, default=config.seed)
     parser.add_argument("--runs", type=int, default=config.runs)
-    parser.add_argument("--out", type=Path, default=Path("results"))
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    """Each config field from the option of that dest; --seed seeds both."""
+    """Each config field from the option of that dest, or its default when
+    the command has no such option; --seed seeds both."""
     def build(cls, **given):
         return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
-                      if f.name not in given}, **given)
+                      if f.name not in given and hasattr(args, f.name)}, **given)
     return build(ExperimentConfig, admm=build(cp.AdmmConfig))
 
 
 def cmd_gen_feeder(args) -> int:
-    part, _, mat, _ = _build_instance(_config_from_args(args))
+    """Build the instance once and write its matrix, area assignment, model
+    summary, and the spectra of the matrix and of P_Omega of it."""
+    config = _config_from_args(args)
+    part, _, mat, maps = _build_instance(config)
+    model = maps.model
+    err = lf.truncation_error(model, part)
+    mask = dm.sample_mask(*mat.shape, config.fraction, policy=config.policy,
+                          seed=config.seed)
     args.out.mkdir(parents=True, exist_ok=True)
     np.savetxt(args.out / "matrix.csv", mat, delimiter=",")
     np.savetxt(args.out / "assignment.csv", part.assignment, fmt="%d")
-    print(f"wrote {args.out}/matrix.csv ({mat.shape[0]}x{mat.shape[1]}) "
-          f"and assignment.csv ({part.n_areas} areas)")
-    return 0
-
-
-def cmd_build_model(args) -> int:
-    part, _, _, maps = _build_instance(_config_from_args(args))
-    model = maps.model
-    err = lf.truncation_error(model, part)
-    args.out.mkdir(parents=True, exist_ok=True)
     with open(args.out / "model.json", "w") as fh:
         json.dump({
             "version": __version__,
@@ -329,7 +335,12 @@ def cmd_build_model(args) -> int:
             "truncation_error": err,
         }, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"truncation error {err:.6f}; wrote {args.out}/model.json")
+    write_spectrum_csv(mat, args.out / "spectrum.csv")
+    write_spectrum_csv(dm.apply_mask(mat, mask.observed),
+                       args.out / "spectrum_observed.csv")
+    print(f"truncation error {err:.6f}; wrote {args.out}/matrix.csv "
+          f"({mat.shape[0]}x{mat.shape[1]}), assignment.csv ({part.n_areas} areas), "
+          f"model.json, spectrum.csv and spectrum_observed.csv")
     return 0
 
 
@@ -423,19 +434,6 @@ def cmd_certify(args) -> int:
     return 1
 
 
-def cmd_spectrum(args) -> int:
-    config = _config_from_args(args)
-    _, _, mat, _ = _build_instance(config)
-    mask = dm.sample_mask(*mat.shape, config.fraction, policy=config.policy,
-                          seed=config.seed)
-    args.out.mkdir(parents=True, exist_ok=True)
-    write_spectrum_csv(mat, args.out / "spectrum.csv")
-    write_spectrum_csv(dm.apply_mask(mat, mask.observed),
-                       args.out / "spectrum_observed.csv")
-    print(f"wrote {args.out}/spectrum.csv and spectrum_observed.csv")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridmc",
@@ -443,13 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-feeder", help="generate a synthetic feeder dataset")
-    _add_common(p)
+    p = sub.add_parser("gen-feeder", help="write an instance's data, model and spectra")
+    _add_instance(p)
     p.set_defaults(fn=cmd_gen_feeder)
-
-    p = sub.add_parser("build-model", help="build and summarize the linear model")
-    _add_common(p)
-    p.set_defaults(fn=cmd_build_model)
 
     p = sub.add_parser("run", help="run one estimation experiment")
     _add_common(p)
@@ -467,10 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shrink", type=float, default=0.3)
     p.add_argument("--max-shrinks", type=int, default=8)
     p.set_defaults(fn=cmd_certify)
-
-    p = sub.add_parser("spectrum", help="singular-value spectra of the data")
-    _add_common(p)
-    p.set_defaults(fn=cmd_spectrum)
     return parser
 
 

@@ -600,6 +600,9 @@ def run_decentralized(
             np.array_equal(area_maps.partition.assignment, part.assignment)
             and area_maps.partition.adjacency == part.adjacency):
         raise CompletionError("area_maps were built for another partition")
+    if area_maps is not None and area_maps.m != len(m_data):
+        raise CompletionError(f"area_maps were built for {area_maps.m} rows "
+                              f"(T = {area_maps.n_steps}), the data has {len(m_data)}")
     reached = {1}
     for _ in part.areas:  # a connected graph's paths have fewer steps than areas
         reached |= {j for l in reached for j in part.neighbors(l)}

@@ -51,11 +51,13 @@ class ObservationMask:
 
 
 def build_matrix(v: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Assemble the 5T x |P| matrix from voltage and injection time series."""
+    """Assemble the 5T x |P| matrix from (T, |P|) voltage and injection windows."""
     v = np.asarray(v, dtype=complex)
     s = np.asarray(s, dtype=complex)
     if v.shape != s.shape:
         raise DataMatrixError(f"shape mismatch: v {v.shape} vs s {s.shape}")
+    if v.ndim != 2:
+        raise DataMatrixError(f"v and s must be (T, |P|) windows, got shape {v.shape}")
     n_steps, n = v.shape
     blocks = np.stack([v.real, v.imag, np.abs(v), s.real, s.imag], axis=1)
     return blocks.reshape(ROWS_PER_STEP * n_steps, n)

@@ -258,9 +258,13 @@ def solve_exact_flow(
     sweep's iterate, so it is never repeated.  Raises DivergedFlowError,
     with the number of sweeps run and the residual of the earliest failing
     row, when a row's voltage turns non-finite or collapses, or when a row
-    has not converged after max_iters sweeps.
+    has not converged after max_iters sweeps, and GridModelError when s is
+    not a (T, |P|) window.
     """
     rhs = np.conj(np.asarray(s, dtype=complex))
+    if rhs.ndim != 2 or rhs.shape[1] != net.n_phases:
+        raise GridModelError(f"injections must be a (T, |P|) = (T, {net.n_phases}) "
+                             f"window, got shape {rhs.shape}")
     w, z_t = net.no_load_voltage, net.z_bus.T
     out = np.empty_like(rhs)
     active = np.arange(rhs.shape[0])

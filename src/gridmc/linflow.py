@@ -98,7 +98,8 @@ class AreaMaps:
     A_l = [A_{l j1} ... A_{l jd}], the bases of what l receives.  Each B_jl
     is the rows stack_rows[l][j] of S_l and each A_lj the columns
     basis_cols[l][j] of A_l.  `model` is the linear model they were built
-    from, read only by the dense reference view `e_mats`."""
+    from; `n_steps`, the dense reference view `e_mats` and the
+    `truncation_error` that `cli` reports read it."""
 
     partition: AreaPartition
     model: LinearFlowModel

@@ -114,6 +114,14 @@ class TestBuildOperator:
         with pytest.raises(ct.CertificateError):
             ct.build_B_d(mask.observed, mat, None, mu=0.0, nu=1.0)
 
+    def test_rejects_maps_of_another_window(self, small_instance):
+        """Maps built for T = 2 and a T = 3 matrix are refused with a typed
+        error naming both row counts."""
+        mat, maps = small_instance["mat"], small_instance["maps"]
+        longer = np.vstack([mat, mat[:5]])
+        with pytest.raises(ct.CertificateError, match="built for 10 rows .* has 15"):
+            ct.build_B_d(np.ones(longer.shape, dtype=bool), longer, maps, mu=1.0, nu=1.0)
+
     def test_empty_mask(self, small_instance):
         mat = small_instance["mat"]
         maps = small_instance["maps"]

@@ -16,9 +16,12 @@ from gridmc import cli
 from gridmc import completion as cp
 from gridmc import linflow as lf
 
-FAST = [
+INSTANCE = [
     "--feeder", "random", "--buses", "8", "--time-steps", "1",
-    "--policy", "uniform", "--fraction", "0.8", "--rank", "2",
+    "--policy", "uniform", "--fraction", "0.8",
+]
+FAST = [
+    *INSTANCE, "--rank", "2",
     "--max-iters", "25", "--mu", "100", "--nu", "100",
     "--gamma", "10", "--lambda", "10",
 ]
@@ -439,29 +442,45 @@ class TestReadme:
 
 class TestCommands:
     def test_gen_feeder(self, tmp_path, capsys):
-        rc = cli.main(["gen-feeder", *FAST, "--areas", "2",
+        """One build writes the matrix, the area assignment, the model
+        summary and both spectra."""
+        rc = cli.main(["gen-feeder", *INSTANCE, "--areas", "3",
                        "--out", str(tmp_path)])
         assert rc == 0
-        assert (tmp_path / "matrix.csv").exists()
-        assert (tmp_path / "assignment.csv").exists()
-        assert "matrix.csv" in capsys.readouterr().out
-
-    def test_build_model(self, tmp_path, capsys):
-        rc = cli.main(["build-model", *FAST, "--areas", "3",
-                       "--out", str(tmp_path)])
-        assert rc == 0
+        mat = np.loadtxt(tmp_path / "matrix.csv", delimiter=",")
+        assert mat.shape == (5, 7)  # T=1, 8 buses less the slack
+        assert np.loadtxt(tmp_path / "assignment.csv").shape == (7,)
         model = json.loads((tmp_path / "model.json").read_text())
-        assert model["areas"] == 3
+        assert set(model) == {"version", "n_phases", "time_steps", "areas",
+                              "truncation_error"}
+        assert (model["n_phases"], model["time_steps"], model["areas"]) == (7, 1, 3)
         assert model["truncation_error"] >= 0.0
+        for name in ("spectrum.csv", "spectrum_observed.csv"):
+            lines = (tmp_path / name).read_text().splitlines()
+            assert lines[0] == "index,sigma"
+            assert len(lines) == 1 + 5  # min(5 rows, 7 phases) singular values
+        sigma = np.linalg.svd(mat, compute_uv=False)
+        assert np.allclose(np.loadtxt(tmp_path / "spectrum.csv", delimiter=",",
+                                      skiprows=1)[:, 1], sigma)
+        out = capsys.readouterr().out
+        assert "truncation error" in out and "spectrum_observed.csv" in out
+
+    def test_gen_feeder_takes_only_instance_options(self, tmp_path, capsys):
+        """An option that does not enter the instance is refused, not
+        silently read."""
+        with pytest.raises(SystemExit):
+            cli.main(["gen-feeder", *INSTANCE, "--rank", "2", "--out", str(tmp_path)])
+        assert "unrecognized arguments: --rank 2" in capsys.readouterr().err
+        assert not tmp_path.joinpath("matrix.csv").exists()
 
     def test_run_reports_the_build_model_truncation(self, tmp_path):
         """A 5-area feeder33 run writes the truncation error of its model
-        and partition, the figure `gridmc build-model` writes for the same
-        options."""
-        options = ["--feeder", "feeder33", "--time-steps", "1", "--areas", "5",
-                   "--rank", "2", "--max-iters", "2"]
-        assert cli.main(["build-model", *options, "--out", str(tmp_path / "m")]) == 0
-        assert cli.main(["run", *options, "--out", str(tmp_path / "r")]) == 0
+        and partition, the figure `gridmc gen-feeder` writes for the same
+        instance."""
+        instance = ["--feeder", "feeder33", "--time-steps", "1", "--areas", "5"]
+        assert cli.main(["gen-feeder", *instance, "--out", str(tmp_path / "m")]) == 0
+        assert cli.main(["run", *instance, "--rank", "2", "--max-iters", "2",
+                         "--out", str(tmp_path / "r")]) == 0
         model = json.loads((tmp_path / "m" / "model.json").read_text())
         results = json.loads((tmp_path / "r" / "results.json").read_text())
         assert model["truncation_error"] > 0.1
@@ -472,12 +491,6 @@ class TestCommands:
         assert rc == 0
         assert (tmp_path / "results.json").exists()
         assert "MAPE" in capsys.readouterr().out
-
-    def test_spectrum_command(self, tmp_path):
-        rc = cli.main(["spectrum", *FAST, "--out", str(tmp_path)])
-        assert rc == 0
-        assert (tmp_path / "spectrum.csv").exists()
-        assert (tmp_path / "spectrum_observed.csv").exists()
 
     def test_sweep_command(self, tmp_path):
         rc = cli.main([

@@ -884,6 +884,15 @@ class TestDecentralizedRun:
         result = cp.run_decentralized(m_data, mask, maps, rebuilt, config)
         assert result.trace.iterations == 1
 
+    def test_maps_of_another_window_are_refused(self, small_instance):
+        """Maps built for T = 2 and a T = 3 matrix are refused with a typed
+        error naming both row counts."""
+        maps, part = small_instance["maps"], small_instance["part"]
+        m_data = np.random.default_rng(0).standard_normal((15, part.assignment.size))
+        with pytest.raises(cp.CompletionError, match="built for 10 rows .* has 15"):
+            cp.run_decentralized(m_data, np.ones(m_data.shape, dtype=bool), maps,
+                                 part, admm_config(rank=2, max_iters=1))
+
     def test_divergence_error_reports_iteration(self):
         err = cp.DivergenceError(iteration=7)
         assert err.iteration == 7

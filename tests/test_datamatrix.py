@@ -35,6 +35,11 @@ class TestBuildMatrix:
         with pytest.raises(dm.DataMatrixError):
             dm.build_matrix(v, s[:2])
 
+    def test_rejects_a_single_step_vector(self, sample_vs):
+        v, s = sample_vs
+        with pytest.raises(dm.DataMatrixError, match=r"\(T, \|P\|\) windows"):
+            dm.build_matrix(v[0], s[0])
+
 
 class TestMask:
     def test_scada_excludes_phasor_rows(self):

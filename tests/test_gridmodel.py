@@ -389,6 +389,14 @@ class TestSolveExactFlow:
         v = gm.solve_exact_flow(net, s)
         assert v.shape == s.shape
 
+    def test_rejects_a_window_that_is_not_t_by_phases(self, small_feeder):
+        """A single (|P|,) vector, a window of the wrong width or a 3-D array
+        is refused with a typed error naming the window shape."""
+        net, s, _ = small_feeder
+        for bad in (s[0], s[:, :-1], s[..., None]):
+            with pytest.raises(gm.GridModelError, match=r"\(T, \|P\|\) = \(T, 8\)"):
+                gm.solve_exact_flow(net, bad)
+
     WINDOWS = {
         "feeder33": lambda: gm.feeder33_analog(seed=0, n_steps=10, n_areas=1)[:2],
         "random": lambda: gm.generate_radial_feeder(129, seed=0, n_steps=5),
