@@ -59,6 +59,8 @@ class ExperimentConfig:
         if not 0.0 <= self.noise_pct < math.inf:
             raise CliError(
                 f"--noise-pct must be finite and nonnegative, got {self.noise_pct:g}")
+        # the runs seed the solver from `seed`, so the config echoes that seed
+        object.__setattr__(self, "admm", dataclasses.replace(self.admm, seed=self.seed))
 
 
 def _build_feeder(config: ExperimentConfig):

@@ -1,4 +1,4 @@
-"""Linear voltage model (N, K, w), its area truncation error, and the
+"""Linear voltage model (G, w), its area truncation error, and the
 per-area linear maps feeding the completion objective."""
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ class LinFlowError(Exception):
 
 @dataclass(frozen=True)
 class LinearFlowModel:
-    """v ~ w + N h, |v| ~ |w| + K h with h = [Re s; Im s], identical blocks
-    replicated over n_steps time steps."""
+    """v ~ w + G conj(s), identical blocks replicated over n_steps time
+    steps.  Its real expansion N = [G, -iG], v ~ w + N [Re s; Im s], and
+    K = Re(diag(conj w / |w|) N) for |v| are formed per block (`_step_block`)."""
 
-    n_mat: np.ndarray  # complex, |P| x 2|P|
-    k_mat: np.ndarray  # real, |P| x 2|P|
+    g: np.ndarray  # complex, |P| x |P|
     w: np.ndarray  # complex, |P|
     n_steps: int
 
@@ -37,12 +37,7 @@ def build_linear_model(net: NetworkModel, n_steps: int = 1) -> LinearFlowModel:
     w = net.no_load_voltage
     if np.min(np.abs(w)) < 1e-9:
         raise LinFlowError("degenerate linearization: no-load voltage has a zero entry")
-    g = net.z_bus * (1.0 / np.conj(w))
-    n_mat = np.hstack([g, -1j * g])
-    # first-order expansion of |w + delta| around w
-    phase = (np.conj(w) / np.abs(w))[:, None]
-    k_mat = np.real(phase * n_mat)
-    return LinearFlowModel(n_mat=n_mat, k_mat=k_mat, w=w, n_steps=n_steps)
+    return LinearFlowModel(g=net.z_bus * (1.0 / np.conj(w)), w=w, n_steps=n_steps)
 
 
 def _coupling_mask(part: AreaPartition) -> np.ndarray:
@@ -57,17 +52,15 @@ def _coupling_mask(part: AreaPartition) -> np.ndarray:
 
 
 def truncation_error(model: LinearFlowModel, part: AreaPartition) -> float:
-    """Relative Frobenius error of N truncated to the same-area and
+    """Relative Frobenius error of G truncated to the same-area and
     neighbor-area couplings of `part`: the norm of the dropped entries over
-    that of N."""
+    that of G, which is also that of N = [G, -iG]."""
     if part.assignment.shape[0] != model.n_phases:
         raise LinFlowError("partition does not cover the model's phases")
-    denom = np.linalg.norm(model.n_mat)
+    denom = np.linalg.norm(model.g)
     if denom == 0:
-        raise LinFlowError("undefined metric: N is zero")
-    keep = _coupling_mask(part)
-    # N's columns pair up (Re s, Im s) per phase
-    dropped = np.where(np.hstack([keep, keep]), 0.0, model.n_mat)
+        raise LinFlowError("undefined metric: G is zero")
+    dropped = np.where(_coupling_mask(part), 0.0, model.g)
     return float(np.linalg.norm(dropped) / denom)
 
 
@@ -167,13 +160,15 @@ def _step_block(
     """Per-step block of E_lj: rows (target phase, [Re v, Im v, |v|]), columns
     (row of one time step, source phase), the row-major order of the step's
     5 x n_j block; within one area the target phase's own voltage rows
-    enter with +1."""
+    enter with +1.  The injection columns hold N and K, the first-order
+    expansion of |w + delta| around w, formed from G[own, src] alone."""
     g = np.zeros((own.size, 3, ROWS_PER_STEP, src.size))
-    at = (own[:, None], np.concatenate([src, src + model.n_phases]))
-    n_s = model.n_mat[at].reshape(own.size, 2, src.size)  # (Re s, Im s) columns
+    g_s = model.g[own[:, None], src]
+    n_s = np.stack([g_s, -1j * g_s], axis=1)  # (Re s, Im s) columns
+    phase = (np.conj(model.w[own]) / np.abs(model.w[own]))[:, None, None]
     g[:, 0, 3:] -= n_s.real
     g[:, 1, 3:] -= n_s.imag
-    g[:, 2, 3:] -= model.k_mat[at].reshape(own.size, 2, src.size)
+    g[:, 2, 3:] -= np.real(phase * n_s)
     if same_area:
         pos = np.arange(own.size)
         for c in range(3):

@@ -8,17 +8,21 @@ the unit tests are written against.
 - `svt_oracle`/`svt_objective`: an independent singular-value-thresholding
   solver of the convex nuclear-norm problem, the certified reference for the
   nu = 0 case.
+- `real_maps`: the real expansion (N, K) of a linear flow model, v ~ w + N h
+  and |v| ~ |w| + K h with h = [Re s; Im s], as whole |P| x 2|P| matrices.
 - `predict`/`h_from_loads`: the centralized evaluation of a linear flow
-  model, the dense reference for the per-area maps and `decentralized_flow`.
+  model through `real_maps`, the dense reference for the per-area maps and
+  `decentralized_flow`.
 - `truncate_model`: the dense model truncated to an area partition's
-  couplings, which `predict` evaluates and `linflow.truncation_error` is
-  measured against.
+  couplings (G masked), which `predict` evaluates and
+  `linflow.truncation_error` is measured against.
 - `sources`/`step_block`/`apply`/`apply_adjoint`: the per-step block G_lj
   of E_lj, built from the linear model alone, not from the coupling
   factors, and E_lj and its adjoint applied through it: the dense per-pair
   reference for the stacked S_l and A_l of `AreaMaps`.
-- `step_block_loop`: G_lj entry by entry from N and K, the reference for
-  `linflow._step_block` itself.
+- `step_block_loop`: G_lj entry by entry from the N and K of `real_maps`,
+  the reference for `linflow._step_block` itself, which forms only the
+  entries of N and K a block reads.
 - `factors`/`expand`/`project`/`coordinates`: one coupling block of
   `AreaMaps` at a time, read out of the stacks, the per-neighbor reference
   for the solver's products with the whole S_l and A_l.
@@ -124,30 +128,35 @@ def h_from_loads(s: np.ndarray) -> np.ndarray:
     return np.hstack([s.real, s.imag])
 
 
+def real_maps(model: LinearFlowModel) -> tuple[np.ndarray, np.ndarray]:
+    """(N, K) of v ~ w + N h, |v| ~ |w| + K h with h = [Re s; Im s]:
+    N = [G, -iG] (complex, |P| x 2|P|) and K = Re(diag(conj w / |w|) N), the
+    first-order expansion of |w + delta| around w."""
+    n_mat = np.hstack([model.g, -1j * model.g])
+    phase = (np.conj(model.w) / np.abs(model.w))[:, None]
+    return n_mat, np.real(phase * n_mat)
+
+
 def predict(model: LinearFlowModel, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centralized evaluation: returns (v, |v|) of shape (T, |P|)."""
     h = np.atleast_2d(h)
-    v = model.w[None, :] + h @ model.n_mat.T
-    vmag = np.abs(model.w)[None, :] + h @ model.k_mat.T
+    n_mat, k_mat = real_maps(model)
+    v = model.w[None, :] + h @ n_mat.T
+    vmag = np.abs(model.w)[None, :] + h @ k_mat.T
     return v, vmag
 
 
 def truncate_model(model: LinearFlowModel, part: AreaPartition) -> LinearFlowModel:
-    """Zero all couplings outside same-area/neighbor-area blocks (applied to
-    both N and K): the dense model the area maps evaluate."""
+    """Zero all couplings of G outside same-area/neighbor-area blocks (so
+    also those of N and K): the dense model the area maps evaluate."""
     a = part.assignment
     if a.shape[0] != model.n_phases:
         raise LinFlowError("partition does not cover the model's phases")
     coupled = {(x, x) for x in part.areas}
     coupled |= {(x, y) for pair in part.adjacency for x in pair for y in pair}
     keep = np.array([[(x, y) in coupled for y in a] for x in a])
-    keep2 = np.hstack([keep, keep])  # N columns pair up (Re s, Im s) per phase
-    return LinearFlowModel(
-        n_mat=np.where(keep2, model.n_mat, 0.0),
-        k_mat=np.where(keep2, model.k_mat, 0.0),
-        w=model.w,
-        n_steps=model.n_steps,
-    )
+    return LinearFlowModel(g=np.where(keep, model.g, 0.0), w=model.w,
+                           n_steps=model.n_steps)
 
 
 def sources(maps: AreaMaps, l: int) -> list[int]:
@@ -165,16 +174,16 @@ def step_block_loop(model: LinearFlowModel, own: np.ndarray, src: np.ndarray,
     """G_lj one entry at a time, by the layout `linflow._step_block`
     documents: row (target phase a, [Re v, Im v, |v|]), column (row k of
     one time step, source phase b).  The injection rows k = 3, 4 (Re s,
-    Im s of phase b) hold 0.0 minus Re N, Im N and K at the column of that
-    injection; within one area the voltage row k of the same component
-    holds 1.0 at a = b."""
+    Im s of phase b) hold 0.0 minus Re N, Im N and K of `real_maps` at the
+    column of that injection; within one area the voltage row k of the same
+    component holds 1.0 at a = b."""
     n = model.n_phases
+    n_mat, k_mat = real_maps(model)
     g = np.zeros((3 * own.size, ROWS_PER_STEP * src.size))
     for a, p in enumerate(own):
         for b, q in enumerate(src):
             for k, col in ((3, q), (4, q + n)):
-                entries = (model.n_mat[p, col].real, model.n_mat[p, col].imag,
-                           model.k_mat[p, col])
+                entries = (n_mat[p, col].real, n_mat[p, col].imag, k_mat[p, col])
                 for c, value in enumerate(entries):
                     g[3 * a + c, k * src.size + b] = 0.0 - value
             if same_area and a == b:
@@ -222,8 +231,8 @@ def coordinates(maps: AreaMaps, l: int, x_l: np.ndarray) -> dict[int, np.ndarray
 def decentralized_flow(
     maps: AreaMaps, h: np.ndarray, bus: MessageBus | None = None
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Evaluate the truncated model v = w + N h, |v| = |w| + K h by the
-    solver's exchange protocol.
+    """Evaluate the truncated model v = w + N h, |v| = |w| + K h (`real_maps`)
+    by the solver's exchange protocol.
 
     Area l holds X_l, whose voltage rows are zero and whose injection rows
     are its own columns of h, so its flow residual E(X) - f_l is -v.  In

@@ -92,6 +92,17 @@ class TestRunExperiment:
         trace = (tmp_path / "trace.csv").read_text().splitlines()
         assert len(trace) == 1 + last["iterations"]
 
+    def test_config_echoes_the_seed_the_run_used(self, tmp_path):
+        """The solver seed in results.json is the run's seed, not the one
+        given in the AdmmConfig, and the run is the one that seed draws."""
+        payload = cli.run_experiment(fast_config(seed=3, admm=cp.AdmmConfig(
+            mu=100.0, nu=100.0, gamma=10.0, lam=10.0, rank=2, max_iters=25, seed=7)),
+            tmp_path / "a")
+        assert payload["config"]["seed"] == payload["config"]["admm"]["seed"] == 3
+        assert payload["per_run"][0]["seed"] == 3
+        same = cli.run_experiment(fast_config(seed=3), tmp_path / "b")
+        assert payload == same
+
     def test_centralized_has_no_communication(self, tmp_path):
         payload = cli.run_experiment(fast_config(areas=1), tmp_path)
         assert payload["communication"] == []
@@ -393,6 +404,68 @@ class TestPinnedReference:
         assert payload["converged"]
         assert payload["certificate"]["stationarity_u"] <= 1e-5
         assert payload["certificate"]["stationarity_v"] <= 1e-5
+
+
+def _leaves(tree, path=()):
+    """(path, value) of every leaf of a JSON tree, keys in sorted order."""
+    if isinstance(tree, dict):
+        for key in sorted(tree):
+            yield from _leaves(tree[key], path + (key,))
+    elif isinstance(tree, list):
+        for i, item in enumerate(tree):
+            yield from _leaves(item, path + (i,))
+    else:
+        yield path, tree
+
+
+class TestBlasThreadCounts:
+    """`gridmc run` at one and at two BLAS threads writes the same
+    results.json up to rounding: every non-float field is equal and each
+    float lies within the tolerance of its top-level field."""
+
+    ARGS = ["--feeder", "random", "--buses", "129", "--time-steps", "5",
+            "--areas", "5", "--rank", "5", "--max-iters", "40"]
+    # relative bounds; measured at 1 against 2 threads (OpenBLAS, 2 vCPU),
+    # the estimate fields moved by up to 4.4e-13, the objective and
+    # consensus by 4.7e-13, the certificate by 1.2e-11 and
+    # truncation_error by 5.2e-16
+    REL_TOL = {"estimate": 1e-11, "per_run": 1e-11, "final_objective": 1e-11,
+               "final_consensus": 1e-11, "certificate": 1e-9,
+               "truncation_error": 1e-13}
+    # a certificate field may instead lie within TestPinnedReference's
+    # absolute bound per unit 0.5(|U|^2 + |V|^2): near a stationary point
+    # the gradients, trace residuals and slack are rounding residuals of
+    # order-one terms, which no relative bound holds
+    RESIDUAL_PER_SCALE = TestPinnedReference.RESIDUAL_TOL / TestPinnedReference.FACTOR_SCALE
+
+    def test_results_agree_within_the_stated_tolerances(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        payloads = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            out = tmp_path / threads
+            proc = subprocess.run(
+                [sys.executable, "-m", "gridmc.cli", "run", *self.ARGS, "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            payloads.append(list(_leaves(json.loads((out / "results.json").read_text()))))
+        config = cli._config_from_args(cli.build_parser().parse_args(["run", *self.ARGS]))
+        result, *_ = cli._single_run(config, cli._build_instance(config), config.seed)
+        u, v = result.factors()
+        residual_tol = self.RESIDUAL_PER_SCALE * 0.5 * (
+            np.linalg.norm(u) ** 2 + np.linalg.norm(v) ** 2)
+
+        one, two = payloads
+        assert [path for path, _ in one] == [path for path, _ in two]
+        for (path, x), (_, y) in zip(one, two):
+            if type(x) is not float or x == y:
+                assert type(x) is type(y) and x == y, path
+                continue
+            tol = self.REL_TOL[path[0]] * max(abs(x), abs(y))
+            if path[0] == "certificate":
+                tol = max(tol, residual_tol)
+            assert abs(x - y) <= tol, (path, x, y)
 
 
 class TestParserDefaults:

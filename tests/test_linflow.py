@@ -7,22 +7,24 @@ from gridmc import gridmodel as gm
 from gridmc import linflow as lf
 from gridmc import simnet as sn
 from reference import (apply, apply_adjoint, decentralized_flow, expand, factors,
-                       h_from_loads, predict, project, sources, step_block,
-                       step_block_loop, truncate_model)
+                       h_from_loads, predict, project, real_maps, sources,
+                       step_block, step_block_loop, truncate_model)
 
 
 class TestBuildLinearModel:
     def test_shapes(self, small_instance):
         model = small_instance["model"]
         n = small_instance["net"].n_phases
-        assert model.n_mat.shape == (n, 2 * n)
-        assert model.k_mat.shape == (n, 2 * n)
+        assert model.g.shape == (n, n)
+        n_mat, k_mat = real_maps(model)
+        assert n_mat.shape == (n, 2 * n)
+        assert k_mat.shape == (n, 2 * n)
 
     def test_matches_finite_difference(self, small_feeder):
         """Columns of N and K equal the sensitivity of the exact flow to each
         load component, evaluated at zero load."""
         net, _, _ = small_feeder
-        model = lf.build_linear_model(net)
+        n_mat, k_mat = real_maps(lf.build_linear_model(net))
         n = net.n_phases
         eps = 1e-7
         for col in [0, 2, n, n + 3]:
@@ -34,8 +36,8 @@ class TestBuildLinearModel:
             v = gm.solve_exact_flow(net, s, tol=1e-14)[0]
             dv = (v - net.no_load_voltage) / eps
             dmag = (np.abs(v) - np.abs(net.no_load_voltage)) / eps
-            assert np.max(np.abs(dv - model.n_mat[:, col])) < 1e-5
-            assert np.max(np.abs(dmag - model.k_mat[:, col])) < 1e-5
+            assert np.max(np.abs(dv - n_mat[:, col])) < 1e-5
+            assert np.max(np.abs(dmag - k_mat[:, col])) < 1e-5
 
     def test_prediction_accuracy(self, small_instance):
         model = small_instance["model"]
@@ -67,8 +69,7 @@ class TestTruncation:
         model, part = small_instance["model"], small_instance["part"]
         once = truncate_model(model, part)
         twice = truncate_model(once, part)
-        assert np.array_equal(once.n_mat, twice.n_mat)
-        assert np.array_equal(once.k_mat, twice.k_mat)
+        assert np.array_equal(once.g, twice.g)
         assert lf.truncation_error(once, part) == 0.0
 
     def test_extra_adjacency_reduces_error(self, small_instance):
@@ -89,24 +90,27 @@ class TestTruncation:
     def test_zeroes_only_cross_area_blocks(self, small_instance):
         model, part = small_instance["model"], small_instance["part"]
         trunc = truncate_model(model, part)
+        n_full, n_trunc = real_maps(model)[0], real_maps(trunc)[0]
         a = part.assignment
         n = model.n_phases
         adj = {tuple(sorted(p)) for p in part.adjacency}
         for i in range(n):
             for j in range(n):
                 coupled = a[i] == a[j] or tuple(sorted((a[i], a[j]))) in adj
+                assert trunc.g[i, j] == (model.g[i, j] if coupled else 0.0)
                 for col in (j, j + n):
                     if coupled:
-                        assert trunc.n_mat[i, col] == model.n_mat[i, col]
+                        assert n_trunc[i, col] == n_full[i, col]
                     else:
-                        assert trunc.n_mat[i, col] == 0.0
+                        assert n_trunc[i, col] == 0.0
 
     @pytest.mark.parametrize("feeder, areas", [("feeder33", 4), ("feeder33", 5),
                                                ("random129", 5)])
     def test_equals_the_dense_truncation_bit_for_bit(self, feeder, areas):
-        """||N - N_trunc|| / ||N|| with N_trunc the dense truncated model,
-        to the last bit: the kept entries of N - N_trunc are x - x = 0 and
-        the dropped ones x - 0 = x."""
+        """||G - G_trunc|| / ||G|| with G_trunc the dense truncated model,
+        to the last bit: the kept entries of G - G_trunc are x - x = 0 and
+        the dropped ones x - 0 = x.  The real expansion N = [G, -iG] gives
+        the same ratio up to rounding."""
         if feeder == "feeder33":
             net, _, part = gm.feeder33_analog(seed=0, n_steps=1, n_areas=areas)
         else:
@@ -114,10 +118,12 @@ class TestTruncation:
             part = gm.AreaPartition.contiguous(net.n_phases, areas)
         model = lf.build_linear_model(net)
         trunc = truncate_model(model, part)
-        dense = float(np.linalg.norm(model.n_mat - trunc.n_mat)
-                      / np.linalg.norm(model.n_mat))
+        dense = float(np.linalg.norm(model.g - trunc.g) / np.linalg.norm(model.g))
         assert dense > 0.0
         assert lf.truncation_error(model, part) == dense
+        n_full, n_trunc = real_maps(model)[0], real_maps(trunc)[0]
+        n_form = np.linalg.norm(n_full - n_trunc) / np.linalg.norm(n_full)
+        assert abs(n_form - dense) <= 1e-14 * dense
         with pytest.raises(lf.LinFlowError):
             lf.truncation_error(
                 model, gm.AreaPartition.contiguous(model.n_phases - 1, areas))
@@ -188,6 +194,7 @@ class TestAreaMaps:
         trunc = small_instance["trunc"]
         part = small_instance["part"]
         maps = small_instance["maps"]
+        n_mat, k_mat = real_maps(trunc)
         n = trunc.n_phases
         t_steps = trunc.n_steps
         rng = np.random.default_rng(5)
@@ -203,10 +210,8 @@ class TestAreaMaps:
                     vr, vi, vm = x[5 * t, c], x[5 * t + 1, c], x[5 * t + 2, c]
                     h_re = np.where(keep, x[5 * t + 3], 0.0)
                     h_im = np.where(keep, x[5 * t + 4], 0.0)
-                    pred = (trunc.n_mat[c, :n] @ h_re
-                            + trunc.n_mat[c, n:] @ h_im)
-                    pred_mag = (trunc.k_mat[c, :n] @ h_re
-                                + trunc.k_mat[c, n:] @ h_im)
+                    pred = n_mat[c, :n] @ h_re + n_mat[c, n:] @ h_im
+                    pred_mag = k_mat[c, :n] @ h_re + k_mat[c, n:] @ h_im
                     w = trunc.w[c]
                     expected[t].extend([
                         vr - pred.real - w.real,
@@ -303,7 +308,9 @@ class TestStepBlock:
         """Every own and neighbor block of a 5-area instance equals the
         entry-by-entry reference bit for bit, signed zeros included: the
         129-bus feeder's N and K hold exact zeros of both signs, and 0.0 - x
-        makes each +0.0 where -x would make a +0.0 entry -0.0."""
+        makes each +0.0 where -x would make a +0.0 entry -0.0.  The
+        reference reads the whole N and K of `real_maps`; `_step_block`
+        forms only its block's entries of them, from G."""
         if feeder == "feeder33":
             net, _, part = gm.feeder33_analog(seed=0, n_steps=2, n_areas=5)
         else:
