@@ -603,8 +603,8 @@ def run_decentralized(
     if area_maps is not None and area_maps.m != len(m_data):
         raise CompletionError(f"area_maps were built for {area_maps.m} rows "
                               f"(T = {area_maps.n_steps}), the data has {len(m_data)}")
-    if (width := np.shape(m_data)[1]) != part.assignment.size:
-        raise CompletionError(f"the data has {width} columns for {part.assignment.size} phases")
+    if np.shape(m_data)[1:] != (part.assignment.size,):
+        raise CompletionError(f"data of shape {np.shape(m_data)} for {part.assignment.size} phases")
     reached = {1}
     for _ in part.areas:  # a connected graph's paths have fewer steps than areas
         reached |= {j for l in reached for j in part.neighbors(l)}

@@ -895,15 +895,16 @@ class TestDecentralizedRun:
 
     def test_data_of_other_width_is_refused(self, analog33):
         """feeder33's 32-phase partition refuses a matrix of 33 columns,
-        whose last column no area owns, and one of 31, with a typed error
-        naming both widths."""
+        whose last column no area owns, one of 31 and a vector, with a
+        typed error naming the data's shape and the phase count."""
         net, _, part = analog33
         maps = lf.build_area_maps(lf.build_linear_model(net, n_steps=2), part)
-        for width in (33, 31):
-            m_data = np.random.default_rng(0).standard_normal((10, width))
-            with pytest.raises(cp.CompletionError, match=f"has {width} columns for 32 phases"):
+        for shape in [(10, 33), (10, 31), (10,)]:
+            m_data = np.random.default_rng(0).standard_normal(shape)
+            with pytest.raises(cp.CompletionError) as err:
                 cp.run_decentralized(m_data, np.ones(m_data.shape, dtype=bool), maps,
                                      part, admm_config(rank=2, max_iters=1))
+            assert str(err.value) == f"data of shape {shape} for 32 phases"
 
     def test_divergence_error_reports_iteration(self):
         err = cp.DivergenceError(iteration=7)
