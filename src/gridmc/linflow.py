@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .datamatrix import ROWS_PER_STEP, VOLTAGE_ROWS
+from .datamatrix import ROWS_PER_STEP
 from .gridmodel import AreaPartition, NetworkModel
 
 
@@ -40,6 +40,11 @@ def build_linear_model(net: NetworkModel, n_steps: int = 1) -> LinearFlowModel:
     return LinearFlowModel(g=net.z_bus * (1.0 / np.conj(w)), w=w, n_steps=n_steps)
 
 
+def _check_cover(model: LinearFlowModel, part: AreaPartition) -> None:
+    if part.assignment.shape[0] != model.n_phases:
+        raise LinFlowError("partition does not cover the model's phases")
+
+
 def _coupling_mask(part: AreaPartition) -> np.ndarray:
     """Boolean |P| x |P|: True where phases share an area or adjacent areas."""
     a = part.assignment
@@ -55,8 +60,7 @@ def truncation_error(model: LinearFlowModel, part: AreaPartition) -> float:
     """Relative Frobenius error of G truncated to the same-area and
     neighbor-area couplings of `part`: the norm of the dropped entries over
     that of G, which is also that of N = [G, -iG]."""
-    if part.assignment.shape[0] != model.n_phases:
-        raise LinFlowError("partition does not cover the model's phases")
+    _check_cover(model, part)
     denom = np.linalg.norm(model.g)
     if denom == 0:
         raise LinFlowError("undefined metric: G is zero")
@@ -139,19 +143,33 @@ def _slices(sizes: list[int], start: int = 0) -> list[slice]:
     return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
 
-def _factor_step_block(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact rank factorization g = A B with orthonormal A, at the default
-    rank tolerance of np.linalg.matrix_rank, of an off-diagonal step block.
-    Only its injection-row columns, the last 2 n_j, are nonzero, so the SVD
-    is taken over those and B is zero on the others; the tolerance uses the
-    full block's shape."""
-    first = VOLTAGE_ROWS * (g.shape[1] // ROWS_PER_STEP)
-    u, s, vt = np.linalg.svd(g[:, first:], full_matrices=False)
-    tol = s[0] * max(g.shape) * np.finfo(g.dtype).eps if s.size else 0.0
-    rho = int(np.sum(s > tol))
-    b = np.zeros((rho, g.shape[1]))
-    b[:, first:] = s[:rho, None] * vt[:rho]
-    return u[:, :rho], b
+def _coupling_factors(
+    model: LinearFlowModel, own: np.ndarray, src: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact rank factorization A B, A orthonormal, of the off-diagonal step
+    block `_step_block(model, own, src, False)`, formed from G[own, src].
+
+    That block maps the step's injections s to the rows [Re, Im, Re(phase .)]
+    of -G conj(s) at each target phase.  A mode sigma_i a_i b_i^H of the
+    complex SVD of G[own, src] carries c_i = b_i^H conj(s): two real
+    coordinates, Re c_i and Im c_i, whose residual columns are those rows of
+    a_i and of i a_i.  So the real rank is twice the complex rank, counted
+    at the default tolerance of np.linalg.matrix_rank on the complex
+    singular values with the real block's shape.  One QR of the columns
+    gives A = Q, and B = R Y for the coordinates' rows Y, which are zero on
+    the voltage columns."""
+    u, s, vh = np.linalg.svd(model.g[own[:, None], src], full_matrices=False)
+    tol = s[0] * max(3 * own.size, ROWS_PER_STEP * src.size) * np.finfo(float).eps
+    k = int(np.count_nonzero(s > tol))  # complex rank
+    u, y = u[:, :k], -s[:k, None] * vh[:k]  # G[own, src] = -u y
+    w = model.w[own]
+    pu = (np.conj(w) / np.abs(w))[:, None] * u
+    # columns Re c_1 ... Re c_k, then Im c_1 ... Im c_k
+    cols = np.stack([u.real, -u.imag, u.imag, u.real, pu.real, -pu.imag], axis=1)
+    q, r = np.linalg.qr(cols.reshape(3 * own.size, 2 * k))
+    b = np.zeros((2 * k, ROWS_PER_STEP, src.size))
+    b[:k, 3], b[:k, 4], b[k:, 3], b[k:, 4] = y.real, y.imag, y.imag, -y.real
+    return q, r @ b.reshape(2 * k, ROWS_PER_STEP * src.size)
 
 
 def _step_block(
@@ -191,10 +209,11 @@ def build_area_maps(model: LinearFlowModel, part: AreaPartition) -> AreaMaps:
     """Per-step blocks of the truncated model: they read only the same-area
     and neighbor-area couplings, which truncation keeps, so the full model
     and its truncation give the same maps."""
+    _check_cover(model, part)
     cols = {l: part.phases_in(l) for l in part.areas}
     w3 = np.stack([model.w.real, model.w.imag, np.abs(model.w)], axis=1)
     f = {l: np.tile(w3[cols[l]].ravel(), (model.n_steps, 1)) for l in part.areas}
-    factors = {(l, j): _factor_step_block(_step_block(model, cols[l], cols[j], same_area=False))
+    factors = {(l, j): _coupling_factors(model, cols[l], cols[j])
                for l in part.areas for j in part.neighbors(l)}
 
     stacks, bases, stack_rows, basis_cols = {}, {}, {}, {}

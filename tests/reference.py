@@ -23,6 +23,9 @@ the unit tests are written against.
 - `step_block_loop`: G_lj entry by entry from the N and K of `real_maps`,
   the reference for `linflow._step_block` itself, which forms only the
   entries of N and K a block reads.
+- `factor_step_block`: the exact rank factorization of an off-diagonal
+  step block by the SVD of its real injection columns, the reference for
+  `linflow._coupling_factors`, which factors the complex block of G.
 - `factors`/`expand`/`project`/`coordinates`: one coupling block of
   `AreaMaps` at a time, read out of the stacks, the per-neighbor reference
   for the solver's products with the whole S_l and A_l.
@@ -42,7 +45,7 @@ import numpy as np
 
 from gridmc import completion as cp
 from gridmc import linflow as lf
-from gridmc.datamatrix import ROWS_PER_STEP
+from gridmc.datamatrix import ROWS_PER_STEP, VOLTAGE_ROWS
 from gridmc.gridmodel import AreaPartition, NetworkModel
 from gridmc.linflow import AreaMaps, LinearFlowModel, LinFlowError
 from gridmc.simnet import MessageBus
@@ -190,6 +193,21 @@ def step_block_loop(model: LinearFlowModel, own: np.ndarray, src: np.ndarray,
                 for c in range(3):
                     g[3 * a + c, c * src.size + b] = 1.0
     return g
+
+
+def factor_step_block(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact rank factorization g = A B with orthonormal A, at the default
+    rank tolerance of np.linalg.matrix_rank, of an off-diagonal step block.
+    Only its injection-row columns, the last 2 n_j, are nonzero, so the SVD
+    is taken over those and B is zero on the others; the tolerance uses the
+    full block's shape."""
+    first = VOLTAGE_ROWS * (g.shape[1] // ROWS_PER_STEP)
+    u, s, vt = np.linalg.svd(g[:, first:], full_matrices=False)
+    tol = s[0] * max(g.shape) * np.finfo(g.dtype).eps if s.size else 0.0
+    rho = int(np.sum(s > tol))
+    b = np.zeros((rho, g.shape[1]))
+    b[:, first:] = s[:rho, None] * vt[:rho]
+    return u[:, :rho], b
 
 
 def apply(maps: AreaMaps, l: int, j: int, x_j: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from gridmc import datamatrix as dm
 from gridmc import gridmodel as gm
 from gridmc import linflow as lf
 from gridmc import simnet as sn
-from reference import (admm_config, apply, coordinates, expand, project, sources,
+from reference import (admm_config, apply, coordinates, expand, factors, project, sources,
                        svt_objective, svt_oracle, update_duals_per_edge, update_q_per_edge)
 
 # Independently pinned optimum of the seeded nuclear-norm problem below,
@@ -1089,7 +1089,7 @@ class TestStackedFlowProducts:
             maps.coupling_rank(j, 1) for j in prob.neighbors])[:-1])
         g_11 = lf._step_block(model, own, own, True)
         assert np.array_equal(blocks[0], g_11)
-        b_in = {j: lf._factor_step_block(lf._step_block(model, maps.cols[j], own, False))[1]
+        b_in = {j: lf._coupling_factors(model, maps.cols[j], own)[1]
                 for j in prob.neighbors}
         for j, block in zip(prob.neighbors, blocks[1:]):
             assert np.array_equal(block, b_in[j])
@@ -1199,6 +1199,40 @@ class TestMessagePayloads:
                 assert payload.shape == (maps.n_steps, maps.coupling_rank(j, l))
             else:
                 assert payload.shape == (maps.n_steps, maps.coupling_rank(l, j))
+
+
+class TestRankZeroCoupling:
+    def test_uncoupled_neighbors_send_only_their_factors(self):
+        """In the 9-bus feeder of seed 0 in 3 contiguous areas, areas 1 and
+        2 share no line on their way to the slack bus, so G_12 and G_21 are
+        exactly 0: both coupling ranks are 0, the factors are empty, and
+        the pair exchanges only its basis factors, 2mr reals per
+        iteration."""
+        net, s = gm.generate_radial_feeder(9, seed=0, n_steps=2)
+        part = gm.AreaPartition.contiguous(net.n_phases, 3)
+        maps = lf.build_area_maps(lf.build_linear_model(net, n_steps=2), part)
+        pair = frozenset({1, 2})
+        assert pair in part.adjacency
+        assert not maps.model.g[np.ix_(maps.cols[1], maps.cols[2])].any()
+        for l, j in [(1, 2), (2, 1)]:
+            assert maps.coupling_rank(l, j) == 0
+            a, b = factors(maps, l, j)
+            assert a.shape == (3 * maps.cols[l].size, 0)
+            assert b.shape == (0, 5 * maps.cols[j].size)
+        assert maps.coupling_rank(2, 3) > 0 and maps.coupling_rank(3, 2) > 0
+
+        mat = dm.build_matrix(gm.solve_exact_flow(net, s), s)
+        mask = dm.sample_mask(*mat.shape, 0.6, policy="uniform", seed=4).observed
+        k, r = 5, 2
+        result = cp.run_decentralized(mat, mask, maps, part,
+                                      admm_config(rank=r, max_iters=k, tol=1e-14))
+        assert result.trace.iterations == k and result.bus.round_index == 2 * k
+        per_iteration = [0] * k
+        for (edge, rnd, _), units in result.bus.ledger.counts.items():
+            if edge == pair:
+                per_iteration[rnd // 2] += units
+        assert per_iteration == [sn.protocol_comm_formula(maps.m, r, 0, 0)] * k
+        assert np.isfinite(result.x).all()
 
 
 class TestSvtOracle:

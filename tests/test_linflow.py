@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from gridmc import gridmodel as gm
 from gridmc import linflow as lf
 from gridmc import simnet as sn
-from reference import (apply, apply_adjoint, decentralized_flow, expand, factors,
-                       h_from_loads, predict, project, real_maps, sources,
+from reference import (apply, apply_adjoint, decentralized_flow, expand, factor_step_block,
+                       factors, h_from_loads, predict, project, real_maps, sources,
                        step_block, step_block_loop, truncate_model)
 
 
@@ -254,6 +254,15 @@ class TestAreaMaps:
                        + apply(maps, l, j, y[:, maps.cols[j]]))
                 assert np.max(np.abs(lhs - rhs)) < 1e-9 * (1 + scale)
 
+    @pytest.mark.parametrize("n_phases", [7, 9])
+    def test_partition_must_cover_the_model_phases(self, small_instance, n_phases):
+        """A partition of fewer phases than the model (which would drop the
+        last) or of more (which would index past G) is refused."""
+        model = small_instance["model"]
+        assert model.n_phases == 8
+        with pytest.raises(lf.LinFlowError, match="does not cover"):
+            lf.build_area_maps(model, gm.AreaPartition.contiguous(n_phases, 3))
+
     def test_residual_dims(self, small_instance):
         maps = small_instance["maps"]
         part = small_instance["part"]
@@ -382,10 +391,8 @@ class TestCouplingFactors:
                 nbrs, own = part.neighbors(l), maps.cols[l]
                 s_l, a_l = maps.stacks[l], maps.bases[l]
                 rows = [lf._step_block(model, own, own, True)] + [
-                    lf._factor_step_block(lf._step_block(model, maps.cols[j], own, False))[1]
-                    for j in nbrs]
-                cols = [lf._factor_step_block(lf._step_block(model, own, maps.cols[j], False))[0]
-                        for j in nbrs]
+                    lf._coupling_factors(model, maps.cols[j], own)[1] for j in nbrs]
+                cols = [lf._coupling_factors(model, own, maps.cols[j])[0] for j in nbrs]
                 assert np.array_equal(s_l, np.concatenate(rows))
                 assert np.array_equal(a_l, np.concatenate(cols, axis=1))
                 for j, b, a in zip(nbrs, rows[1:], cols):
@@ -399,25 +406,36 @@ class TestCouplingFactors:
 
 
 class TestCouplingFactorPins:
-    """Every coupling block of two 5-area instances: the factorization over
-    the injection columns is exact, and each rank is the block's numerical
-    rank and the one the full-block SVD gave."""
+    """Every coupling block of three instances: the factorization of the
+    complex block of G is exact, each rank is the real block's numerical
+    rank and the one the real SVD gave, and A_lj spans the same space as
+    the real SVD's basis.  The three-phase feeder's no-load voltages are
+    not real, so its |v| rows are the Re v and Im v rows turned by the
+    phase of w; on a single-phase feeder w = 1 and they equal the Re v
+    rows."""
 
     RANKS = {
         "feeder33": {(1, 2): 2, (1, 3): 2, (1, 4): 2, (1, 5): 2, (2, 1): 2,
                      (2, 5): 2, (3, 1): 2, (4, 1): 2, (5, 1): 2, (5, 2): 2},
         "random129": {(1, 2): 18, (2, 1): 18, (2, 3): 18, (3, 2): 18,
                       (3, 4): 18, (4, 3): 18, (4, 5): 16, (5, 4): 16},
+        "three_phase33": {(1, 2): 28, (2, 1): 28, (2, 3): 24, (3, 2): 24},
     }
 
     @pytest.mark.parametrize("feeder", sorted(RANKS))
     def test_factors_and_ranks(self, feeder):
+        t_steps = 5
         if feeder == "feeder33":
-            net, _, part = gm.feeder33_analog(seed=0, n_steps=5, n_areas=5)
-        else:
-            net, _ = gm.generate_radial_feeder(129, seed=0, n_steps=5)
+            net, _, part = gm.feeder33_analog(seed=0, n_steps=t_steps, n_areas=5)
+        elif feeder == "random129":
+            net, _ = gm.generate_radial_feeder(129, seed=0, n_steps=t_steps)
             part = gm.AreaPartition.contiguous(net.n_phases, 5)
-        maps = lf.build_area_maps(lf.build_linear_model(net, n_steps=5), part)
+        else:
+            t_steps = 3
+            net, _ = gm.generate_radial_feeder(33, seed=1, n_steps=t_steps, three_phase=True)
+            part = gm.AreaPartition.contiguous(96, 3)
+            assert np.max(np.abs(np.angle(net.no_load_voltage))) > 1.0
+        maps = lf.build_area_maps(lf.build_linear_model(net, n_steps=t_steps), part)
         ranks = {}
         for l, j in [(l, j) for l in part.areas for j in part.neighbors(l)]:
             a, b = factors(maps, l, j)
@@ -425,6 +443,9 @@ class TestCouplingFactorPins:
             assert np.max(np.abs(a.T @ a - np.eye(a.shape[1]))) < 1e-12
             assert np.linalg.norm(g - a @ b) <= 1e-12 * np.linalg.norm(g)
             assert a.shape[1] == b.shape[0] == np.linalg.matrix_rank(g)
+            a_svd = factor_step_block(g)[0]
+            assert a_svd.shape == a.shape
+            assert np.max(np.abs(a @ a.T - a_svd @ a_svd.T)) <= 1e-12
             ranks[(l, j)] = maps.coupling_rank(l, j)
         assert ranks == self.RANKS[feeder]
 
