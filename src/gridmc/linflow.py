@@ -167,7 +167,7 @@ def _coupling_factors(
     # columns Re c_1 ... Re c_k, then Im c_1 ... Im c_k
     cols = np.stack([u.real, -u.imag, u.imag, u.real, pu.real, -pu.imag], axis=1)
     q, r = np.linalg.qr(cols.reshape(3 * own.size, 2 * k))
-    b = np.zeros((2 * k, ROWS_PER_STEP, src.size))
+    b = np.zeros((2 * k, ROWS_PER_STEP, src.size))  # Re, Im of y conj(s) over rows 3, 4
     b[:k, 3], b[:k, 4], b[k:, 3], b[k:, 4] = y.real, y.imag, y.imag, -y.real
     return q, r @ b.reshape(2 * k, ROWS_PER_STEP * src.size)
 
