@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linflow import AreaMaps
+from .linflow import AreaFlow, AreaMaps
 
 
 class CertificateError(Exception):
@@ -30,9 +30,9 @@ class StackedOperator:
     The first rows read the observed cells `obs` (`np.nonzero` of the mask,
     row-major order); the remaining rows are, area by area, the flow maps
     E_ll(X_l) + sum_j E_lj(X_j) of `maps` scaled by `scale` = sqrt(nu/mu),
-    applied through each area's stack S_l and basis A_l: the operator the
-    solver minimizes, at the one data weight `mu` the residual matrix uses.
-    `maps` is None when there are no flow rows."""
+    applied through the products of each area's `AreaFlow`: the operator
+    the solver minimizes, at the one data weight `mu` the residual matrix
+    uses.  `maps` is None when there are no flow rows."""
 
     obs: tuple[np.ndarray, np.ndarray]
     maps: AreaMaps | None
@@ -50,8 +50,8 @@ class StackedOperator:
         return self.d.size
 
     @property
-    def areas(self) -> list[int]:
-        return self.maps.partition.areas if self.maps is not None else []
+    def areas(self) -> dict[int, AreaFlow]:
+        return self.maps.areas if self.maps is not None else {}
 
     @cached_property
     def b_mat(self) -> np.ndarray:
@@ -64,10 +64,10 @@ class StackedOperator:
         b_mat[np.arange(obs_i.size), obs_j * m + obs_i] = 1.0
         # area l's rows: E_lj scattered from area j's columns into those of X
         start = obs_i.size
-        for l in self.areas:
-            band = b_mat[start : start + self.maps.residual_dim(l)]
-            for j in [l] + self.maps.partition.neighbors(l):
-                cols = (self.maps.cols[j][:, None] * m + np.arange(m)).ravel()
+        for l, flow in self.areas.items():
+            band = b_mat[start : start + flow.f.size]
+            for j in [l] + flow.neighbors:
+                cols = (self.areas[j].cols[:, None] * m + np.arange(m)).ravel()
                 band[:, cols] = self.scale * self.maps.e_mats[(l, j)]
             start += band.shape[0]
         return b_mat
@@ -80,38 +80,37 @@ def build_B_d(
     mu: float,
     nu: float,
 ) -> StackedOperator:
-    """Stacked operator for the boolean observation array `observed`; its
-    entry rows follow the observed cells in row-major order.  `maps` is None
-    when there are no flow rows."""
+    """Stacked operator for the boolean observation array `observed`, of the
+    data's shape; its entry rows follow the observed cells in row-major
+    order.  `maps` is None when there are no flow rows."""
     if mu <= 0:
         raise CertificateError("mu must be positive")
-    if maps is not None and maps.m != len(m_data):
-        raise CertificateError(f"maps were built for {maps.m} rows "
-                               f"(T = {maps.n_steps}), the data has {len(m_data)}")
+    if maps is not None and np.shape(m_data) != (maps.m, maps.partition.assignment.size):
+        raise CertificateError(f"maps were built for {maps.m} rows (T = {maps.n_steps}) and "
+                               f"{maps.partition.assignment.size} phases, the data has "
+                               f"{len(m_data)} rows, shape {np.shape(m_data)}")
+    if np.shape(observed) != np.shape(m_data):
+        raise CertificateError(f"observed cells of shape {np.shape(observed)} "
+                               f"for data of shape {np.shape(m_data)}")
     obs = np.nonzero(observed)
     scale = np.sqrt(nu / mu)
-    flow = [scale * maps.f[l].ravel() for l in maps.partition.areas] if maps is not None else []
+    flow = [scale * a.f.ravel() for a in maps.areas.values()] if maps is not None else []
     return StackedOperator(obs=obs, maps=maps, mu=mu, scale=scale,
                            d=np.concatenate([m_data[obs], *flow]), shape=m_data.shape)
 
 
 def apply_B(op: StackedOperator, x: np.ndarray) -> np.ndarray:
-    """B(X).  One product X_l S_l^T per area gives E_ll(X_l) and the
-    coordinates B_jl x_t it sends each neighbor j; area l's flow rows are
-    E_ll(X_l) plus the coordinates it receives, side by side in neighbor
-    order, times A_l^T."""
+    """B(X), from the solver's own products: `AreaFlow.terms` of each X_l
+    gives E_ll(X_l) and the coordinates B_jl x_t it sends each neighbor j;
+    area l's flow rows are E_ll(X_l) plus what it receives, laid out by
+    `AreaFlow.gather`, times A_l^T."""
     if x.shape != op.shape:
         raise CertificateError(f"matrix {x.shape} does not match operator {op.shape}")
     out = [x[op.obs]]
-    maps = op.maps
-    rows = {l: x[:, maps.cols[l]].reshape(maps.n_steps, -1) @ maps.stacks[l].T
-            for l in op.areas}
-    for l in op.areas:
-        nbrs = maps.partition.neighbors(l)
-        received = [rows[j][:, maps.stack_rows[j][l]] for j in nbrs]
-        coords = np.concatenate([np.empty((maps.n_steps, 0))] + received, axis=1)
-        flow = rows[l][:, :3 * maps.cols[l].size] + coords @ maps.bases[l].T
-        out.append(op.scale * flow.ravel())
+    terms = {l: flow.terms(x[:, flow.cols]) for l, flow in op.areas.items()}
+    for l, flow in op.areas.items():
+        coords = flow.gather({j: terms[j][1][l] for j in flow.neighbors})
+        out.append(op.scale * (terms[l][0] + coords @ flow.basis.T).ravel())
     return np.concatenate(out)
 
 
@@ -124,17 +123,16 @@ def apply_B_adjoint(op: StackedOperator, z: np.ndarray) -> np.ndarray:
         raise CertificateError(f"vector length {z.size} does not match {op.n_rows} rows")
     out = np.zeros(op.shape)
     out[op.obs] = z[: op.n_observed]
-    maps, y = op.maps, {}
+    areas, y = op.areas, {}
     start = op.n_observed
-    for l in op.areas:
-        y[l] = op.scale * z[start : start + maps.residual_dim(l)].reshape(maps.n_steps, -1)
+    for l, flow in areas.items():
+        y[l] = op.scale * z[start : start + flow.f.size].reshape(flow.f.shape)
         start += y[l].size
-    projected = {l: y[l] @ maps.bases[l] for l in op.areas}
-    for j in op.areas:
-        nbrs = maps.partition.neighbors(j)
-        coords = [y[j]] + [projected[l][:, maps.basis_cols[l][j]] for l in nbrs]
-        out[:, maps.cols[j]] += (np.concatenate(coords, axis=1) @ maps.stacks[j]).reshape(
-            maps.m, -1)
+    projected = {l: y[l] @ flow.basis for l, flow in areas.items()}
+    for j, flow in areas.items():
+        coords = [y[j]] + [projected[l][:, areas[l].basis_cols[j]] for l in flow.neighbors]
+        out[:, flow.cols] += (np.concatenate(coords, axis=1) @ flow.stack).reshape(
+            len(out), -1)
     return out
 
 

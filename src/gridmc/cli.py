@@ -163,7 +163,7 @@ def _comm_summary(ledger, maps, r: int) -> list[dict]:
     out = []
     for pair in sorted(measured, key=sorted):
         a, b = sorted(pair)
-        n_a, n_b = maps.cols[a].size, maps.cols[b].size
+        n_a, n_b = maps.areas[a].cols.size, maps.areas[b].cols.size
         out.append({
             "pair": [int(a), int(b)],
             "per_iteration_measured": measured[pair],

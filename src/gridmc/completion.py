@@ -15,7 +15,7 @@ import numpy as np
 
 from .datamatrix import ROWS_PER_STEP, VOLTAGE_ROWS
 from .gridmodel import AreaPartition
-from .linflow import AreaMaps
+from .linflow import AreaFlow, AreaMaps
 from .simnet import MessageBus
 
 
@@ -151,7 +151,7 @@ def _objective_decentralized(problems, states, config) -> float:
         val += 0.5 * (_sum_squares(st.u) / n_areas + _sum_squares(st.v))
         diff = np.where(prob.mask, st.x, 0.0) - prob.m_obs
         val += 0.5 * config.mu * _sum_squares(diff)
-        if prob.stack is not None:
+        if prob.flow is not None:
             own = st.row_targets[:, :3 * prob.n_l]  # f_l - sum_j q_lj
             val += 0.5 * config.nu * _sum_squares(st.e_ll - own)
     return val
@@ -208,16 +208,16 @@ class AreaProblem:
 
     The flow terms act on each step's 5 x n_l row block X_t of X_l, read
     row-major as x_t (row t of X_l.reshape(T, 5n_l)), through the rows of
-    S_l = `AreaMaps.stacks[l]`: G_ll, weighted by nu, and the coupling
-    factor B_jl of each neighbor, weighted by lam.  They are
+    S_l = `flow.stack`: G_ll, weighted by nu, and the coupling factor B_jl
+    of each neighbor, weighted by lam.  They are
     sum_t 0.5 |W^(1/2) (S_l x_t - y_t)|^2, y_t row t of
     `AreaState.row_targets` and W = diag(`row_weights`).  The flow Hessian
     of one step, H = S_l^T W S_l = nu G_ll^T G_ll + lam sum_j B_jl^T B_jl,
     has 5 x 5 blocks H_kk' of n_l x n_l, one per pair of rows of the step;
     the 16 of `_FLOW_BLOCKS` are formed once per run and stored, the other
     9 are nu I and 0.  The updates read their weights from `config`, the
-    one H and the data terms were weighted with.  Of `AreaMaps` it holds
-    only area l's own blocks; without flow maps `stack` is None."""
+    one H and the data terms were weighted with.  `flow` is area l's record
+    of `AreaMaps.areas`, or None without flow maps."""
 
     area: int
     config: AdmmConfig
@@ -232,14 +232,8 @@ class AreaProblem:
     gram_weights: np.ndarray
     neighbors: list[int]
     n_areas: int
-    f_l: np.ndarray | None  # (T, 3n_l)
-    stack: np.ndarray | None  # S_l
-    basis: np.ndarray | None  # A_l = [A_lj ...], the bases of the coordinates received
+    flow: AreaFlow | None
     row_weights: np.ndarray | None  # W, per row of S_l
-    # j -> the rows of B_jl in S_l (columns of `AreaState.row_targets`), and
-    # the columns of A_lj in A_l (see `AreaMaps`)
-    stack_rows: dict[int, slice]
-    basis_cols: dict[int, slice]
     h_blocks: np.ndarray | None  # the H_kk' of `_FLOW_BLOCKS`, each row-major: (16, n_l^2)
     # flat positions of the blocks (k, k') of `_FLOW_BLOCKS` in the 5r x 5r
     # U matrix of one step (unknowns U_t row-major, (k, j)), (16, r, r); of
@@ -297,15 +291,12 @@ def _build_problems(
         neighbors = part.neighbors(l)
         n_l = cols.size
         m_obs = np.where(mask[:, cols], m_data[:, cols], 0.0)
-        f_l = stack = basis = weights = h_blocks = None
-        stack_rows, basis_cols = {}, {}
+        flow = weights = h_blocks = None
         if area_maps is not None:
-            f_l, stack, basis = area_maps.f[l], area_maps.stacks[l], area_maps.bases[l]
-            stack_rows, basis_cols = area_maps.stack_rows[l], area_maps.basis_cols[l]
-            own = 3 * n_l
-            weights = np.full(stack.shape[0], config.lam)
+            flow, own = area_maps.areas[l], 3 * n_l
+            weights = np.full(flow.stack.shape[0], config.lam)
             weights[:own] = config.nu
-            g_ll, b_in = stack[:own], stack[own:]
+            g_ll, b_in = flow.stack[:own], flow.stack[own:]
             h = config.nu * (g_ll.T @ g_ll) + config.lam * (b_in.T @ b_in)
             h = h.reshape(ROWS_PER_STEP, n_l, ROWS_PER_STEP, n_l).transpose(0, 2, 1, 3)
             voltage = config.nu * np.eye(VOLTAGE_ROWS)[:, :, None, None] * np.eye(n_l)
@@ -323,12 +314,8 @@ def _build_problems(
             gram_weights=config.mu * mask[:, cols] + voltage_weight,
             neighbors=neighbors,
             n_areas=part.n_areas,
-            f_l=f_l,
-            stack=stack,
-            basis=basis,
+            flow=flow,
             row_weights=weights,
-            stack_rows=stack_rows,
-            basis_cols=basis_cols,
             h_blocks=h_blocks,
             u_blocks=u_blocks,
             u_diag=u_diag,
@@ -346,17 +333,10 @@ def _flow_target(prob: AreaProblem, st: AreaState) -> np.ndarray:
     `AreaProblem`, so Z = sum_t (W y_t)^T S_l, one product over every row,
     and the linear parts of the U and V right-hand sides are this sum times
     V^T and U^T.  Without flow maps, mu P_Omega(M_l) alone."""
-    if prob.stack is None:
+    if prob.flow is None:
         return prob.mu_m_obs
-    z = (st.row_targets * prob.row_weights) @ prob.stack
+    z = (st.row_targets * prob.row_weights) @ prob.flow.stack
     return z.reshape(-1, prob.n_l) + prob.mu_m_obs
-
-
-def _flow_terms(prob: AreaProblem, x: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """E_ll(X_l), (T, 3n_l), and per neighbor j the (T, rho_jl) coordinates
-    B_jl x_t of E_jl(X_l) it sends j: column blocks of one product X_l S_l^T."""
-    rows = x.reshape(-1, ROWS_PER_STEP * prob.n_l) @ prob.stack.T
-    return rows[:, :3 * prob.n_l], {j: rows[:, s] for j, s in prob.stack_rows.items()}
 
 
 def _outer_rows(a: np.ndarray) -> np.ndarray:
@@ -402,7 +382,7 @@ def update_u(prob: AreaProblem, st: AreaState, z: np.ndarray) -> np.ndarray:
     # diagonal block of row i: sum_c gram_weights[i, c] v_c v_c^T + base I
     data = prob.gram_weights @ _outer_rows(v.T)
     data[:, :: r + 1] += 1.0 / prob.n_areas + config.prox_c + config.gamma * prob.deg
-    if prob.stack is None:
+    if prob.flow is None:
         return _solve_checked(data.reshape(m, r, r), rhs)
     # (V^T kron I_5)^T H (V^T kron I_5), the same for every step: the blocks
     # V H_kk' V^T of `_FLOW_BLOCKS` from two products, 0 between two voltage
@@ -430,7 +410,7 @@ def update_v(prob: AreaProblem, st: AreaState, u_new: np.ndarray,
     # block of column c: sum_i gram_weights[i, c] u_i u_i^T + (1 + prox_c) I
     data = prob.gram_weights.T @ _outer_rows(u_new)
     data[:, :: r + 1] += 1.0 + config.prox_c
-    if prob.stack is None:
+    if prob.flow is None:
         h = np.zeros((r * n_l, r * n_l))
     else:
         # sum_kk' W_kk' kron H_kk' over `_FLOW_BLOCKS`: one product gives
@@ -467,14 +447,14 @@ def update_q(
     A_lj is orthonormal, so each pull point is c_lj + A_lj^T (2 Lambda_l' - Lambda_l).
     With the c_lj side by side, in neighbor order whatever order the areas
     run in, sum_j e_lj and every A_lj^T are one product with A_l."""
-    lam, nu, d = prob.config.lam, prob.config.nu, prob.deg
-    coords = np.concatenate([coords_in[j] for j in prob.neighbors], axis=1)
-    e_sum = coords @ prob.basis.T
-    lam_new = (nu / (lam + nu * d)) * (prob.f_l - e_ll_val - e_sum + d * lam_dual)
+    lam, nu, d, flow = prob.config.lam, prob.config.nu, prob.deg, prob.flow
+    coords = flow.gather(coords_in)
+    e_sum = coords @ flow.basis.T
+    lam_new = (nu / (lam + nu * d)) * (flow.f - e_ll_val - e_sum + d * lam_dual)
     step = 2.0 * lam_new - lam_dual  # q_lj + Lambda_l' = e_lj + step
-    pulls = coords + step @ prob.basis
+    pulls = coords + step @ flow.basis
     return (e_sum + d * (lam_new - lam_dual), lam_new,
-            {j: pulls[:, c] for j, c in prob.basis_cols.items()})
+            {j: pulls[:, c] for j, c in flow.basis_cols.items()})
 
 
 def update_duals(
@@ -507,21 +487,19 @@ def _init_states(
         # every U_j starts at U_l and Gamma_lj at 0
         states[l] = AreaState(u=u, v=v, x=u @ v, pull=prob.deg * u,
                               gamma=np.zeros((prob.deg, *u.shape)))
-    if next(iter(problems.values())).stack is None:
+    if next(iter(problems.values())).flow is None:
         return states
     # q_lj starts at e_lj = E_lj(X_j) and Lambda_l at 0, so the first primal
     # solve sees a consistent decentralized model, and the first pull point
     # A_jl^T (q_jl + Lambda_j) = A_jl^T e_jl is B_jl x_t, what l sends j
-    sent = {l: _flow_terms(prob, states[l].x)[1] for l, prob in problems.items()}
+    sent = {l: prob.flow.terms(states[l].x)[1] for l, prob in problems.items()}
     for l, prob in problems.items():
-        st = states[l]
-        t_steps = len(prob.f_l)
-        coords = [sent[j][l] for j in prob.neighbors]
-        e_sum = np.concatenate([np.empty((t_steps, 0))] + coords, axis=1) @ prob.basis.T
-        st.lam = np.zeros_like(prob.f_l)
-        st.row_targets = np.empty((t_steps, prob.stack.shape[0]))
-        st.row_targets[:, :3 * prob.n_l] = prob.f_l - e_sum
-        for j, rows in prob.stack_rows.items():
+        st, flow = states[l], prob.flow
+        e_sum = flow.gather({j: sent[j][l] for j in prob.neighbors}) @ flow.basis.T
+        st.lam = np.zeros_like(flow.f)
+        st.row_targets = np.empty((len(flow.f), flow.stack.shape[0]))
+        st.row_targets[:, :3 * prob.n_l] = flow.f - e_sum
+        for j, rows in flow.stack_rows.items():
             st.row_targets[:, rows] = sent[l][j]
     return states
 
@@ -589,7 +567,7 @@ def run_decentralized(
     small runs, and several areas keep the plain ADMM steps because
     relaxing them costs accuracy (figures in CHANGES.md).
 
-    Flow terms travel in the coupling coordinates of `AreaMaps`: area l
+    Flow terms travel in the coupling coordinates of `AreaFlow`: area l
     sends c_jl = B_jl X_l, (T, rho_jl), area j expands it with A_jl and, as
     owner of q_jl and Lambda_j, returns A_jl^T (q_jl + Lambda_j), (T, rho_jl).
     A_jl has orthonormal columns, so |A B x - y|^2 = |B x - A^T y|^2 + const
@@ -605,6 +583,9 @@ def run_decentralized(
                               f"(T = {area_maps.n_steps}), the data has {len(m_data)}")
     if np.shape(m_data)[1:] != (part.assignment.size,):
         raise CompletionError(f"data of shape {np.shape(m_data)} for {part.assignment.size} phases")
+    if np.shape(mask) != np.shape(m_data):
+        raise CompletionError(
+            f"mask of shape {np.shape(mask)} for data of shape {np.shape(m_data)}")
     reached = {1}
     for _ in part.areas:  # a connected graph's paths have fewer steps than areas
         reached |= {j for l in reached for j in part.neighbors(l)}
@@ -624,7 +605,7 @@ def run_decentralized(
         def fn(inbox):
             t0 = time.perf_counter()
             for (j, _), pull in inbox.items():  # only round B's flow pull points
-                st.row_targets[:, prob.stack_rows[j]] = pull
+                st.row_targets[:, prob.flow.stack_rows[j]] = pull
             z = _flow_target(prob, st)
             u_new = update_u(prob, st, z)
             if part.n_areas > 1:
@@ -640,8 +621,8 @@ def run_decentralized(
                 u_new, v_new = balance(u_new, v_new)
             st.u, st.v, st.x = u_new, v_new, u_new @ v_new
             sends = [(j, "factor", u_new) for j in prob.neighbors]
-            if prob.stack is not None:
-                st.e_ll, coords = _flow_terms(prob, st.x)
+            if prob.flow is not None:
+                st.e_ll, coords = prob.flow.terms(st.x)
                 sends += [(j, "flow-term", c) for j, c in coords.items()]
             timings[l] = time.perf_counter() - t0
             return None, sends
@@ -656,10 +637,10 @@ def run_decentralized(
                 return None, []
             t0 = time.perf_counter()
             sends = []
-            if prob.stack is not None:  # no q terms without flow maps
+            if prob.flow is not None:  # no q terms without flow maps
                 coords_in = {j: inbox[(j, "flow-term")] for j in prob.neighbors}
                 q_sum, st.lam, pulls = update_q(prob, st.e_ll, coords_in, st.lam)
-                st.row_targets[:, :3 * prob.n_l] = prob.f_l - q_sum
+                st.row_targets[:, :3 * prob.n_l] = prob.flow.f - q_sum
                 sends = [(j, "flow-pull", pull) for j, pull in pulls.items()]
             u_in = np.stack([inbox[(j, "factor")] for j in prob.neighbors])
             st.gamma, st.pull = update_duals(st, u_in)
@@ -699,8 +680,8 @@ def run_decentralized(
             prob, st = problems[1], states[1]
             st.u, st.v = balance(st.u, update_v(prob, st, st.u, _flow_target(prob, st)))
             x_full = st.x = st.u @ st.v
-            if prob.stack is not None:
-                st.e_ll = _flow_terms(prob, st.x)[0]
+            if prob.flow is not None:
+                st.e_ll = prob.flow.terms(st.x)[0]
 
         trace.consensus.append(consensus)
         trace.objective.append(_objective_decentralized(problems, states, config))

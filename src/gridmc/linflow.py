@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Mapping
 
 import numpy as np
 
@@ -71,41 +72,62 @@ def truncation_error(model: LinearFlowModel, part: AreaPartition) -> float:
 # --- per-area linear maps over the measurement matrix -----------------------
 
 @dataclass(frozen=True)
-class AreaMaps:
-    """Linear maps E_lj from area-j measurement columns to the area-l residual
-    space, plus the affine targets f_l.
+class AreaFlow:
+    """Area l's share of the flow model, and the two products that the
+    solver and the certificate both make with it.
 
-    The residual space of area l holds, per time step and per phase (in
-    phase order), the real rows [Re v, Im v, |v|]: a (T, 3n_l) block, row t
-    the step's rows in the row order of G_lj.  `f[l]` and the solver's
-    residual-space quantities are such blocks; the certificate's flat B(X)
-    reads them row-major.
+    Its residual space holds, per time step and per phase (in phase order),
+    the real rows [Re v, Im v, |v|]: a (T, 3n_l) block, row t the step's
+    rows in the row order of G_ll.  `f` and the solver's residual-space
+    quantities are such blocks; the certificate's flat B(X) reads them
+    row-major.  A flow map acts on each step's 5 x n_l row block of X_l read
+    row-major, so X_l.reshape(T, 5n_l) is the per-step matrix with no copy.
 
-    E_lj repeats one per-step block G_lj (3n_l x 5n_j) on every time step.
-    Its rows are (phase, [Re v, Im v, |v|]); its columns read the step's
-    5 x n_j row block of X_j row-major, (row, phase), so X_j.reshape(T, 5n_j)
-    is the per-step matrix with no copy.  For neighbors l != j, G_lj = A_lj
-    B_lj exactly, with A_lj orthonormal (3n_l x rho) and rho = rank(G_lj).
+    For each neighbor j, the per-step block G_lj (3n_l x 5n_j) of E_lj is
+    exactly A_lj B_lj, A_lj orthonormal (3n_l x rho) and rho = rank(G_lj).
     The coordinates of E_lj(X_j) are B_lj applied per step, a (T, rho)
-    block; A_lj maps them back into the residual space of l.
+    block that A_lj maps back into the residual space of l.
+    The blocks are stacked in `neighbors` order j1 ... jd: `stack` S_l =
+    [G_ll; B_{j1 l}; ...; B_{jd l}], the rows every flow term applies to
+    X_l, with B_jl the rows `stack_rows[j]`, and `basis` A_l = [A_{l j1}
+    ... A_{l jd}], the bases of what l receives, with A_lj the columns
+    `basis_cols[j]`."""
 
-    The flow model is held in one form, each area's blocks stacked in
-    `partition.neighbors` order j1 ... jd: stacks[l] = S_l = [G_ll; B_{j1 l};
-    ...; B_{jd l}], the rows every flow term applies to X_l, and bases[l] =
-    A_l = [A_{l j1} ... A_{l jd}], the bases of what l receives.  Each B_jl
-    is the rows stack_rows[l][j] of S_l and each A_lj the columns
-    basis_cols[l][j] of A_l.  `model` is the linear model they were built
-    from; `n_steps`, the dense reference view `e_mats` and the
-    `truncation_error` that `cli` reports read it."""
+    cols: np.ndarray
+    neighbors: list[int]
+    f: np.ndarray  # f_l, (T, 3n_l)
+    stack: np.ndarray  # S_l, (3n_l + sum_j rho_jl) x 5n_l
+    basis: np.ndarray  # A_l, 3n_l x sum_j rho_lj
+    stack_rows: dict[int, slice]
+    basis_cols: dict[int, slice]
+
+    def terms(self, x: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        """E_ll(X_l), (T, 3n_l), and per neighbor j the (T, rho_jl)
+        coordinates B_jl x_t of E_jl(X_l) that l sends j: column blocks of
+        one product X_l S_l^T."""
+        rows = x.reshape(len(self.f), -1) @ self.stack.T
+        return rows[:, :3 * self.cols.size], {j: rows[:, s] for j, s in self.stack_rows.items()}
+
+    def gather(self, coords: Mapping[int, np.ndarray]) -> np.ndarray:
+        """The (T, rho_lj) coordinates c_lj received from each neighbor j,
+        side by side in `neighbors` order, so that sum_j A_lj c_lj is this
+        block times `basis`^T."""
+        return np.concatenate([np.empty((len(self.f), 0))]
+                              + [coords[j] for j in self.neighbors], axis=1)
+
+
+@dataclass(frozen=True)
+class AreaMaps:
+    """The flow model's maps E_lj from area-j measurement columns to the
+    area-l residual space, plus the affine targets f_l, held as one
+    `AreaFlow` per area.  E_lj repeats one per-step block G_lj on every time
+    step.  `model` is the linear model they were built from; `n_steps`, the
+    dense reference view `e_mats` and the `truncation_error` that `cli`
+    reports read it."""
 
     partition: AreaPartition
     model: LinearFlowModel
-    cols: dict[int, np.ndarray]
-    f: dict[int, np.ndarray]  # f_l, (T, 3n_l)
-    stacks: dict[int, np.ndarray]  # S_l, (3n_l + sum_j rho_jl) x 5n_l
-    bases: dict[int, np.ndarray]  # A_l, 3n_l x sum_j rho_lj
-    stack_rows: dict[int, dict[int, slice]]
-    basis_cols: dict[int, dict[int, slice]]
+    areas: dict[int, AreaFlow]
 
     @property
     def n_steps(self) -> int:
@@ -115,9 +137,6 @@ class AreaMaps:
     def m(self) -> int:
         return ROWS_PER_STEP * self.n_steps
 
-    def residual_dim(self, area: int) -> int:
-        return 3 * self.n_steps * self.cols[area].size
-
     @cached_property
     def e_mats(self) -> dict[tuple[int, int], np.ndarray]:
         """Dense reference views: e_mats[(l, j)] is E_lj as a 3T n_l x m n_j
@@ -126,14 +145,14 @@ class AreaMaps:
         estimation step and no certificate product reads them."""
         return {
             (l, j): _repeat_steps(
-                _step_block(self.model, self.cols[l], self.cols[j], same_area=l == j),
-                self.cols[j].size, self.n_steps)
-            for l in self.partition.areas for j in [l] + self.partition.neighbors(l)
+                _step_block(self.model, flow.cols, self.areas[j].cols, same_area=l == j),
+                self.areas[j].cols.size, self.n_steps)
+            for l, flow in self.areas.items() for j in [l] + flow.neighbors
         }
 
     def coupling_rank(self, l: int, j: int) -> int:
         """rank(G_lj): reals per time step that carry E_lj(X_j)."""
-        rows = self.stack_rows[j][l]
+        rows = self.areas[j].stack_rows[l]
         return rows.stop - rows.start
 
 
@@ -212,27 +231,21 @@ def build_area_maps(model: LinearFlowModel, part: AreaPartition) -> AreaMaps:
     _check_cover(model, part)
     cols = {l: part.phases_in(l) for l in part.areas}
     w3 = np.stack([model.w.real, model.w.imag, np.abs(model.w)], axis=1)
-    f = {l: np.tile(w3[cols[l]].ravel(), (model.n_steps, 1)) for l in part.areas}
     factors = {(l, j): _coupling_factors(model, cols[l], cols[j])
                for l in part.areas for j in part.neighbors(l)}
 
-    stacks, bases, stack_rows, basis_cols = {}, {}, {}, {}
+    areas = {}
     for l in part.areas:
         nbrs, own = part.neighbors(l), cols[l]
         b_in = [factors[(j, l)][1] for j in nbrs]
         a_in = [factors[(l, j)][0] for j in nbrs]
-        stacks[l] = np.concatenate([_step_block(model, own, own, same_area=True)] + b_in)
-        bases[l] = np.concatenate([np.empty((3 * own.size, 0))] + a_in, axis=1)
-        stack_rows[l] = dict(zip(nbrs, _slices([b.shape[0] for b in b_in], 3 * own.size)))
-        basis_cols[l] = dict(zip(nbrs, _slices([a.shape[1] for a in a_in])))
-
-    return AreaMaps(
-        partition=part,
-        model=model,
-        cols=cols,
-        f=f,
-        stacks=stacks,
-        bases=bases,
-        stack_rows=stack_rows,
-        basis_cols=basis_cols,
-    )
+        areas[l] = AreaFlow(
+            cols=own,
+            neighbors=nbrs,
+            f=np.tile(w3[own].ravel(), (model.n_steps, 1)),
+            stack=np.concatenate([_step_block(model, own, own, same_area=True)] + b_in),
+            basis=np.concatenate([np.empty((3 * own.size, 0))] + a_in, axis=1),
+            stack_rows=dict(zip(nbrs, _slices([b.shape[0] for b in b_in], 3 * own.size))),
+            basis_cols=dict(zip(nbrs, _slices([a.shape[1] for a in a_in]))),
+        )
+    return AreaMaps(partition=part, model=model, areas=areas)

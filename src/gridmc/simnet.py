@@ -55,15 +55,17 @@ class MessageBus:
     ) -> dict[int, Any]:
         """Run every node once against the previous round's inbox.
 
-        Each send is checked against the edge table as its node returns;
-        nothing is delivered or counted until every node has run, so a
-        refused round leaves the bus as it was.  ``order`` only permutes execution.
+        Each send is checked as its node returns: against the edge table,
+        and against the node's earlier sends, since one destination holds
+        one payload per (source, tag).  Nothing is delivered or counted
+        until every node has run, so a refused round leaves the bus as it
+        was.  ``order`` only permutes execution.
         """
         schedule = list(order) if order is not None else list(nodes)
         if sorted(schedule) != sorted(nodes):
             raise ProtocolViolationError("order must be a permutation of the node ids")
         outputs: dict[int, Any] = {}
-        staged: list[tuple[int, frozenset[int], int, str, np.ndarray]] = []
+        staged: dict[tuple[int, int, str], tuple[frozenset[int], np.ndarray]] = {}
         for area in schedule:
             inbox = self._pending.get(area, {})
             out, sends = nodes[area](inbox)
@@ -73,10 +75,13 @@ class MessageBus:
                 if pair is None:
                     raise ProtocolViolationError(
                         f"area {area} may not message non-neighbor area {dest}")
-                staged.append((area, pair, dest, tag, payload))
+                if (dest, area, tag) in staged:
+                    raise ProtocolViolationError(
+                        f"area {area} sent area {dest} two {tag!r} messages in one round")
+                staged[dest, area, tag] = pair, payload
         self._pending = defaultdict(dict)
         counts = self.ledger.counts
-        for src, pair, dest, tag, payload in staged:
+        for (dest, src, tag), (pair, payload) in staged.items():
             key = (pair, self.round_index, tag)
             counts[key] = counts.get(key, 0) + payload.size
             self._pending[dest][(src, tag)] = payload

@@ -169,7 +169,7 @@ def sources(maps: AreaMaps, l: int) -> list[int]:
 
 def step_block(maps: AreaMaps, l: int, j: int) -> np.ndarray:
     """G_lj (3n_l x 5n_j), built from the model the maps hold."""
-    return lf._step_block(maps.model, maps.cols[l], maps.cols[j], same_area=l == j)
+    return lf._step_block(maps.model, maps.areas[l].cols, maps.areas[j].cols, same_area=l == j)
 
 
 def step_block_loop(model: LinearFlowModel, own: np.ndarray, src: np.ndarray,
@@ -223,7 +223,8 @@ def apply_adjoint(maps: AreaMaps, l: int, j: int, y: np.ndarray) -> np.ndarray:
 def factors(maps: AreaMaps, l: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     """(A_lj, B_lj) with G_lj = A_lj B_lj: A_lj from the basis of l, B_lj from
     the stack of j."""
-    return maps.bases[l][:, maps.basis_cols[l][j]], maps.stacks[j][maps.stack_rows[j][l]]
+    own, src = maps.areas[l], maps.areas[j]
+    return own.basis[:, own.basis_cols[j]], src.stack[src.stack_rows[l]]
 
 
 def expand(maps: AreaMaps, l: int, j: int, coords: np.ndarray) -> np.ndarray:
@@ -269,7 +270,7 @@ def decentralized_flow(
         bus = MessageBus(part.adjacency)
     x = {}
     for l in part.areas:
-        cols = maps.cols[l]
+        cols = maps.areas[l].cols
         x_l = np.zeros((maps.n_steps, ROWS_PER_STEP, cols.size))
         x_l[:, 3] = h[:, cols]
         x_l[:, 4] = h[:, cols + n]
@@ -284,8 +285,8 @@ def decentralized_flow(
 
     def recv_node(l: int):
         def fn(inbox):
-            g_ll = maps.stacks[l][:3 * maps.cols[l].size]  # E_ll's rows of S_l
-            v = maps.f[l] - x[l].reshape(maps.n_steps, -1) @ g_ll.T
+            g_ll = maps.areas[l].stack[:3 * maps.areas[l].cols.size]  # E_ll's rows of S_l
+            v = maps.areas[l].f - x[l].reshape(maps.n_steps, -1) @ g_ll.T
             for j in part.neighbors(l):
                 v -= expand(maps, l, j, inbox[(j, "flow-term")])
             v = v.reshape(maps.n_steps, -1, 3)  # (step, phase, [Re v, Im v, |v|])
@@ -308,7 +309,7 @@ def update_q_per_edge(
     then the dual steps Lambda_lj' = Lambda_lj + q_lj - e_lj.  Returns
     (j -> q_lj, j -> Lambda_lj')."""
     lam, nu = prob.config.lam, prob.config.nu
-    own = nu * (prob.f_l - e_ll_val)
+    own = nu * (prob.flow.f - e_ll_val)
     rhs = {j: lam * (e_in[j] - lam_duals[j]) + own for j in prob.neighbors}
     total = functools.reduce(np.add, rhs.values())  # summed in neighbor order
     shift = (nu / (lam + nu * prob.deg)) * total

@@ -57,7 +57,7 @@ def random129_operator():
 class TestBuildOperator:
     def test_row_count(self, flow_operator):
         op, m_data, mask, maps = flow_operator
-        flow_rows = sum(maps.residual_dim(l) for l in maps.partition.areas)
+        flow_rows = sum(maps.areas[l].f.size for l in maps.partition.areas)
         assert op.n_observed == len(mask)
         assert op.n_rows == len(mask) + flow_rows
 
@@ -99,10 +99,10 @@ class TestBuildOperator:
         rows = [np.zeros((obs_i.size, m * n))]
         rows[0][np.arange(obs_i.size), obs_j * m + obs_i] = 1.0
         for l in maps.partition.areas:
-            block = np.zeros((maps.residual_dim(l), m * n))
+            block = np.zeros((maps.areas[l].f.size, m * n))
             for j in sources(maps, l):
                 g = maps.e_mats[(l, j)]
-                for pos, c in enumerate(maps.cols[j]):
+                for pos, c in enumerate(maps.areas[j].cols):
                     block[:, c * m:(c + 1) * m] += g[:, pos * m:(pos + 1) * m]
             rows.append(scale * block)
         assert maps.partition.n_areas == 3
@@ -121,6 +121,22 @@ class TestBuildOperator:
         longer = np.vstack([mat, mat[:5]])
         with pytest.raises(ct.CertificateError, match="built for 10 rows .* has 15"):
             ct.build_B_d(np.ones(longer.shape, dtype=bool), longer, maps, mu=1.0, nu=1.0)
+
+    def test_rejects_data_of_another_width(self, analog33):
+        """feeder33's 32-phase maps refuse data of 33 columns, one of which
+        has no flow rows, and of 31, and an observation array that does not
+        have the data's shape, with typed errors."""
+        net, _, part = analog33
+        maps = lf.build_area_maps(lf.build_linear_model(net, n_steps=2), part)
+        for width in (33, 31):
+            mat = np.random.default_rng(0).standard_normal((10, width))
+            with pytest.raises(ct.CertificateError,
+                               match=f"32 phases, .* shape \\(10, {width}\\)"):
+                ct.build_B_d(np.ones(mat.shape, dtype=bool), mat, maps, mu=1.0, nu=1.0)
+        mat = np.random.default_rng(0).standard_normal((10, 32))
+        for maps_or_none in (maps, None):
+            with pytest.raises(ct.CertificateError, match="of shape \\(10, 31\\) for data"):
+                ct.build_B_d(np.ones((10, 31), dtype=bool), mat, maps_or_none, mu=1.0, nu=1.0)
 
     def test_empty_mask(self, small_instance):
         mat = small_instance["mat"]
@@ -371,21 +387,22 @@ class TestSolverOperator:
     @staticmethod
     def bands(op, b):
         """Area -> its flow rows of the operator output b."""
-        ends = np.cumsum([op.n_observed] + [op.maps.residual_dim(l) for l in op.areas])
+        ends = np.cumsum([op.n_observed] + [op.maps.areas[l].f.size for l in op.areas])
         return {l: b[start:end] for l, start, end in zip(op.areas, ends, ends[1:])}
 
     def test_flow_rows_are_the_solver_products(self, op):
         """Each area's flow rows are scale (E_ll(X_l) + the coordinates its
-        neighbors send, times A_l^T), from `completion._flow_terms`."""
+        neighbors send, times A_l^T), from `AreaFlow.terms` of each
+        problem's record."""
         maps = op.maps
         problems = cp._build_problems(np.zeros(op.shape), np.ones(op.shape, dtype=bool),
                                       maps, maps.partition, admm_config())
         x = np.random.default_rng(3).standard_normal(op.shape)
-        terms = {l: cp._flow_terms(prob, x[:, prob.cols]) for l, prob in problems.items()}
+        terms = {l: prob.flow.terms(x[:, prob.cols]) for l, prob in problems.items()}
         got = self.bands(op, ct.apply_B(op, x))
         for l, prob in problems.items():
             received = [terms[j][1][l] for j in prob.neighbors]
-            e_sum = np.concatenate(received, axis=1) @ prob.basis.T
+            e_sum = np.concatenate(received, axis=1) @ prob.flow.basis.T
             want = op.scale * (terms[l][0] + e_sum).ravel()
             assert np.linalg.norm(got[l] - want) <= 1e-14 * np.linalg.norm(want)
 
@@ -395,10 +412,11 @@ class TestSolverOperator:
         maps = op.maps
         l = maps.partition.areas[0]
         j = maps.partition.neighbors(l)[0]
-        stack = maps.stacks[l].copy()
-        stack[maps.stack_rows[l][j].start, 3 * maps.cols[l].size:] += 1.0  # injection columns
-        moved = dataclasses.replace(
-            op, maps=dataclasses.replace(maps, stacks={**maps.stacks, l: stack}))
+        stack = maps.areas[l].stack.copy()
+        flow = maps.areas[l]
+        stack[flow.stack_rows[j].start, 3 * flow.cols.size:] += 1.0  # injection columns
+        areas = {**maps.areas, l: dataclasses.replace(flow, stack=stack)}
+        moved = dataclasses.replace(op, maps=dataclasses.replace(maps, areas=areas))
         rng = np.random.default_rng(4)
         x, z = rng.standard_normal(op.shape), rng.standard_normal(op.n_rows)
         before = self.bands(op, ct.apply_B(op, x))
@@ -407,7 +425,7 @@ class TestSolverOperator:
             assert np.array_equal(before[k], after[k]) == (k != j)
         before, after = ct.apply_B_adjoint(op, z), ct.apply_B_adjoint(moved, z)
         for k in op.areas:
-            cols = maps.cols[k]
+            cols = maps.areas[k].cols
             assert np.array_equal(before[:, cols], after[:, cols]) == (k != l)
 
     def test_inner_product_identity(self, op):

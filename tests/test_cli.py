@@ -421,51 +421,57 @@ def _leaves(tree, path=()):
 class TestBlasThreadCounts:
     """`gridmc run` at one and at two BLAS threads writes the same
     results.json up to rounding: every non-float field is equal and each
-    float lies within the tolerance of its top-level field."""
+    float lies within the tolerance of its top-level field.  Two runs: five
+    areas on the 129-bus feeder, and one area, the centralized path, on
+    feeder33 over ten steps."""
 
-    ARGS = ["--feeder", "random", "--buses", "129", "--time-steps", "5",
-            "--areas", "5", "--rank", "5", "--max-iters", "40"]
+    RUNS = [["--feeder", "random", "--buses", "129", "--time-steps", "5",
+             "--areas", "5", "--rank", "5", "--max-iters", "40"],
+            ["--feeder", "feeder33", "--time-steps", "10", "--areas", "1", "--rank", "5"]]
     # relative bounds; measured at 1 against 2 threads (OpenBLAS, 2 vCPU),
-    # the estimate fields moved by up to 4.4e-13, the objective and
-    # consensus by 4.7e-13, the certificate by 1.2e-11 and
-    # truncation_error by 5.2e-16
+    # the five-area run's estimate fields moved by up to 4.4e-13, the
+    # objective and consensus by 4.7e-13, the certificate by 1.2e-11 and
+    # truncation_error by 5.2e-16; the single-area run's estimate by 7.8e-12
+    # and stationarity_v by 2.9e-12
     REL_TOL = {"estimate": 1e-11, "per_run": 1e-11, "final_objective": 1e-11,
                "final_consensus": 1e-11, "certificate": 1e-9,
                "truncation_error": 1e-13}
     # a certificate field may instead lie within TestPinnedReference's
     # absolute bound per unit 0.5(|U|^2 + |V|^2): near a stationary point
     # the gradients, trace residuals and slack are rounding residuals of
-    # order-one terms, which no relative bound holds
+    # order-one terms, which no relative bound holds (the single-area run's
+    # slack and trace residuals moved by 1.3e-9, its bound is 7.3e-9)
     RESIDUAL_PER_SCALE = TestPinnedReference.RESIDUAL_TOL / TestPinnedReference.FACTOR_SCALE
 
     def test_results_agree_within_the_stated_tolerances(self, tmp_path):
         src = Path(__file__).resolve().parents[1] / "src"
-        payloads = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-            out = tmp_path / threads
-            proc = subprocess.run(
-                [sys.executable, "-m", "gridmc.cli", "run", *self.ARGS, "--out", str(out)],
-                env=env, capture_output=True, text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
-            payloads.append(list(_leaves(json.loads((out / "results.json").read_text()))))
-        config = cli._config_from_args(cli.build_parser().parse_args(["run", *self.ARGS]))
-        result, *_ = cli._single_run(config, cli._build_instance(config), config.seed)
-        u, v = result.factors()
-        residual_tol = self.RESIDUAL_PER_SCALE * 0.5 * (
-            np.linalg.norm(u) ** 2 + np.linalg.norm(v) ** 2)
+        for run, args in enumerate(self.RUNS):
+            payloads = []
+            for threads in ("1", "2"):
+                env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
+                           OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+                out = tmp_path / f"{run}-{threads}"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "gridmc.cli", "run", *args, "--out", str(out)],
+                    env=env, capture_output=True, text=True, timeout=300)
+                assert proc.returncode == 0, proc.stderr
+                payloads.append(list(_leaves(json.loads((out / "results.json").read_text()))))
+            config = cli._config_from_args(cli.build_parser().parse_args(["run", *args]))
+            result, *_ = cli._single_run(config, cli._build_instance(config), config.seed)
+            u, v = result.factors()
+            residual_tol = self.RESIDUAL_PER_SCALE * 0.5 * (
+                np.linalg.norm(u) ** 2 + np.linalg.norm(v) ** 2)
 
-        one, two = payloads
-        assert [path for path, _ in one] == [path for path, _ in two]
-        for (path, x), (_, y) in zip(one, two):
-            if type(x) is not float or x == y:
-                assert type(x) is type(y) and x == y, path
-                continue
-            tol = self.REL_TOL[path[0]] * max(abs(x), abs(y))
-            if path[0] == "certificate":
-                tol = max(tol, residual_tol)
-            assert abs(x - y) <= tol, (path, x, y)
+            one, two = payloads
+            assert [path for path, _ in one] == [path for path, _ in two]
+            for (path, x), (_, y) in zip(one, two):
+                if type(x) is not float or x == y:
+                    assert type(x) is type(y) and x == y, (run, path)
+                    continue
+                tol = self.REL_TOL[path[0]] * max(abs(x), abs(y))
+                if path[0] == "certificate":
+                    tol = max(tol, residual_tol)
+                assert abs(x - y) <= tol, (run, path, x, y)
 
 
 class TestParserDefaults:

@@ -186,8 +186,8 @@ def objective_factored(u, v, m_data, mask, area_maps, mu, nu):
     val += 0.5 * mu * np.sum(diff * diff)
     if area_maps is not None and nu != 0.0:
         for l in area_maps.partition.areas:
-            res = sum(apply(area_maps, l, j, x[:, area_maps.cols[j]])
-                      for j in sources(area_maps, l)) - area_maps.f[l]
+            res = sum(apply(area_maps, l, j, x[:, area_maps.areas[j].cols])
+                      for j in sources(area_maps, l)) - area_maps.areas[l].f
             val += 0.5 * nu * float(np.sum(res * res))
     return val
 
@@ -231,8 +231,8 @@ def _perturbed_states(problems, m_data, mask, r, seed):
         st = states[l]
         for i, j in enumerate(prob.neighbors):
             st.gamma[i] = 0.1 * rng.standard_normal(st.u.shape)
-            if prob.stack is not None:
-                pull = st.row_targets[:, prob.stack_rows[j]]  # a view: noise goes in place
+            if prob.flow is not None:
+                pull = st.row_targets[:, prob.flow.stack_rows[j]]  # a view: noise goes in place
                 pull += 0.1 * rng.standard_normal(pull.shape)
         # every U_j starts at U_l
         st.pull = np.sum(st.u - st.gamma, axis=0)
@@ -262,7 +262,7 @@ class TestSubproblems:
         val += 0.5 * config.nu * float(res @ res)
         for j in prob.neighbors:
             # |B x - c| = |A B x - A c|: A_jl has orthonormal columns
-            pull = st.row_targets[:, prob.stack_rows[j]]
+            pull = st.row_targets[:, prob.flow.stack_rows[j]]
             res_j = maps.e_mats[(j, l)] @ x_vec - expand(maps, j, l, pull).ravel()
             val += 0.5 * config.lam * float(res_j @ res_j)
         return val
@@ -459,7 +459,7 @@ def _flow_hessian(prob, config):
     """One step's flow Hessian nu G_ll^T G_ll + lam sum_j B_jl^T B_jl of
     the area, all 25 of its blocks, as (k, c, k', c')."""
     own, n_l = 3 * prob.n_l, prob.n_l
-    g_ll, b_in = prob.stack[:own], prob.stack[own:]
+    g_ll, b_in = prob.flow.stack[:own], prob.flow.stack[own:]
     h = config.nu * (g_ll.T @ g_ll) + config.lam * (b_in.T @ b_in)
     return h.reshape(5, n_l, 5, n_l)
 
@@ -610,19 +610,20 @@ class TestFlowHessianBlocks:
         """A stack with a nonzero off the unit entries of the voltage columns,
         in G_ll or in a B_jl, is refused with a typed error."""
         mat, maps = small_instance["mat"], small_instance["maps"]
-        stack = maps.stacks[2].copy()
-        stack[1 if row == "own" else 3 * maps.cols[2].size, 0] = 0.25
-        broken = dataclasses.replace(maps, stacks={**maps.stacks, 2: stack})
+        stack = maps.areas[2].stack.copy()
+        stack[1 if row == "own" else 3 * maps.areas[2].cols.size, 0] = 0.25
+        areas = {**maps.areas, 2: dataclasses.replace(maps.areas[2], stack=stack)}
+        broken = dataclasses.replace(maps, areas=areas)
         mask = np.ones(mat.shape, dtype=bool)
         with pytest.raises(cp.CompletionError, match="area 2"):
             cp._build_problems(mat, mask, broken, small_instance["part"], admm_config())
 
 
 def test_each_problem_holds_only_its_own_blocks():
-    """An area's problem holds its own blocks of the area maps, the very
-    arrays `AreaMaps` holds, so the solver copies nothing, and no field
-    holds the maps themselves, whose other areas' blocks the area's updates
-    must not reach."""
+    """An area's problem holds its own record of the area maps, the very
+    `AreaFlow` that `AreaMaps.areas` holds, so the solver copies nothing,
+    and no field holds the maps themselves, whose other areas' blocks the
+    area's updates must not reach."""
     part, maps = _flow_instance("feeder33", 5)
     m, n = 10, part.assignment.size
     problems = cp._build_problems(np.zeros((m, n)), np.zeros((m, n), dtype=bool),
@@ -631,8 +632,7 @@ def test_each_problem_holds_only_its_own_blocks():
     for l, prob in problems.items():
         assert not any(isinstance(getattr(prob, f.name), lf.AreaMaps)
                        for f in dataclasses.fields(prob))
-        assert prob.stack is maps.stacks[l] and prob.basis is maps.bases[l]
-        assert prob.f_l is maps.f[l]
+        assert prob.flow is maps.areas[l]
 
 
 def _star(small_instance, deg: int = 4):
@@ -669,7 +669,7 @@ class TestQUpdate:
         config = admm_config(lam=lam, nu=nu)
         prob = cp._build_problems(m_data, mask, maps, part, config)[2]  # degree 2
         rng = np.random.default_rng(seed)
-        d = maps.f[2].shape
+        d = maps.areas[2].f.shape
         e_ll_val = rng.standard_normal(d)
         coords = {j: rng.standard_normal((maps.n_steps, maps.coupling_rank(2, j)))
                   for j in prob.neighbors}
@@ -678,7 +678,7 @@ class TestQUpdate:
         total, dual_new, _ = cp.update_q(prob, e_ll_val, coords, dual)
         for j in prob.neighbors:
             q_j = e_in[j] - dual + dual_new
-            rhs = lam * (e_in[j] - dual) + nu * (prob.f_l - e_ll_val)
+            rhs = lam * (e_in[j] - dual) + nu * (prob.flow.f - e_ll_val)
             assert np.max(np.abs(lam * q_j + nu * total - rhs)) < 1e-7 * (
                 1 + np.max(np.abs(rhs))
             )
@@ -698,7 +698,7 @@ class TestQUpdate:
         prob = dataclasses.replace(prob, config=admm_config(lam=lam, nu=nu))
         assert prob.deg == deg
         rng = np.random.default_rng(seed)
-        l, d = prob.area, maps.f[prob.area].shape
+        l, d = prob.area, maps.areas[prob.area].f.shape
         e_ll_val = rng.standard_normal(d)
         coords = {j: rng.standard_normal((maps.n_steps, maps.coupling_rank(l, j)))
                   for j in prob.neighbors}
@@ -708,7 +708,7 @@ class TestQUpdate:
         q, duals = update_q_per_edge(prob, e_ll_val, e_in,
                                      {j: dual for j in prob.neighbors})
 
-        own = nu * (prob.f_l - e_ll_val)
+        own = nu * (prob.flow.f - e_ll_val)
         cancelled = max(np.linalg.norm(lam * (e_in[j] - dual) + own)
                         for j in prob.neighbors) / lam
 
@@ -841,7 +841,7 @@ class TestDecentralizedRun:
                 owner = states[j]
                 step = 2.0 * owner.lam - before.get(j, owner.lam)
                 c, a_step = coordinates(maps, l, st.x)[j], project(maps, j, l, step)
-                read = st.row_targets[:, prob.stack_rows[j]]
+                read = st.row_targets[:, prob.flow.stack_rows[j]]
                 gap = np.linalg.norm(read - (c + a_step))
                 checked.append((gap <= 1e-13 * (np.linalg.norm(c) + np.linalg.norm(a_step)),
                                 bool(np.any(owner.lam))))
@@ -906,6 +906,18 @@ class TestDecentralizedRun:
                                      part, admm_config(rank=2, max_iters=1))
             assert str(err.value) == f"data of shape {shape} for 32 phases"
 
+    def test_mask_of_other_shape_is_refused(self, analog33):
+        """A mask wider, taller or narrower than the data is refused with a
+        typed error naming both shapes."""
+        net, _, part = analog33
+        maps = lf.build_area_maps(lf.build_linear_model(net, n_steps=2), part)
+        m_data = np.random.default_rng(0).standard_normal((10, 32))
+        for shape in [(10, 33), (15, 32), (10, 31)]:
+            with pytest.raises(cp.CompletionError) as err:
+                cp.run_decentralized(m_data, np.ones(shape, dtype=bool), maps,
+                                     part, admm_config(rank=2, max_iters=1))
+            assert str(err.value) == f"mask of shape {shape} for data of shape (10, 32)"
+
     def test_divergence_error_reports_iteration(self):
         err = cp.DivergenceError(iteration=7)
         assert err.iteration == 7
@@ -932,32 +944,30 @@ class TestDecentralizedRun:
             cli._single_run(config, instance, 0)
         assert err.value.iteration == 3
 
-    def test_singular_block_solve_reports_divergence(self, monkeypatch):
-        """A finite iterate far out of scale makes a normal matrix singular
-        in rounding; that is divergence, raised with the iteration of the
-        failing solve: five areas relaxing each U/V step at omega = 1.6 on
-        feeder33, T=5, paper weights.  Rounding moves the iteration (413,
-        then 305 once the power flow summed in another order), so the test
-        counts the U solves instead of pinning it."""
-        config = cli.ExperimentConfig(feeder="feeder33", time_steps=5, areas=5,
-                                      admm=cp.AdmmConfig(rank=5))
-        instance = cli._build_instance(config)
-        update_u, update_v, solved = cp.update_u, cp.update_v, []
+    def test_singular_block_solve_reports_divergence(self, small_setup, monkeypatch):
+        """A block solve whose normal matrix is singular, as rounding can
+        make it once a diverging iterate is far out of scale, is divergence,
+        raised with the iteration of the failing solve: `np.linalg.solve`
+        fails area 2's U solve in iteration 3 of a three-area run."""
+        m_data, mask, maps, part, _ = small_setup
+        update_u, solve, solved, failed = cp.update_u, np.linalg.solve, [], []
 
-        def relaxed_u(prob, st, z):
+        def counted(prob, st, z):
             solved.append(prob.area)
-            return st.u + 1.6 * (update_u(prob, st, z) - st.u)
+            return update_u(prob, st, z)
 
-        def relaxed_v(prob, st, u_new, z):
-            return st.v + 1.6 * (update_v(prob, st, u_new, z) - st.v)
+        def singular(h, rhs):
+            if solved[-1] == 2 and solved.count(2) == 4 and not failed:
+                failed.append(h.shape)
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(h, rhs)
 
-        monkeypatch.setattr(cp, "update_u", relaxed_u)
-        monkeypatch.setattr(cp, "update_v", relaxed_v)
-        with np.errstate(all="ignore"), pytest.raises(cp.DivergenceError) as err:
-            cli._single_run(config, instance, 0)
-        # the area that failed is the last one to start its U solve
-        assert err.value.iteration == solved.count(solved[-1]) - 1
-        assert err.value.iteration > 0
+        monkeypatch.setattr(cp, "update_u", counted)
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(cp.DivergenceError) as err:
+            cp.run_decentralized(m_data, mask, maps, part, admm_config(rank=2, max_iters=10))
+        assert err.value.iteration == 3
+        assert failed == [(maps.n_steps, 10, 10)]  # T stacked 5r x 5r U systems
 
     def test_disconnected_area_graph_is_refused(self):
         """No path joins the bases U_l of two areas in different pieces of
@@ -1033,10 +1043,11 @@ class TestOncePerIteration:
         (one product with S_l), are computed once per area per iteration;
         the stored X_l and E_ll(X_l) are those of the final factors."""
         m_data, mask, maps, part, _ = small_setup
-        counts = {"_flow_target": 0, "_flow_terms": 0}
+        counts = {"_flow_target": 0, "terms": 0}
+        owners = {"_flow_target": cp, "terms": lf.AreaFlow}
 
         def counted(name):
-            fn = getattr(cp, name)
+            fn = getattr(owners[name], name)
 
             def call(*args):
                 counts[name] += 1
@@ -1045,7 +1056,7 @@ class TestOncePerIteration:
             return call
 
         for name in counts:
-            monkeypatch.setattr(cp, name, counted(name))
+            monkeypatch.setattr(owners[name], name, counted(name))
         at_init = {}
         init = cp._init_states
 
@@ -1082,14 +1093,14 @@ class TestStackedFlowProducts:
         part, maps, problems = _star(small_instance)
         model, mat = small_instance["model"], small_instance["mat"]
         prob = problems[1]
-        own = maps.cols[1]
-        s_1 = maps.stacks[1]
-        assert prob.neighbors == [2, 3, 4, 5] and s_1 is prob.stack
+        own = maps.areas[1].cols
+        s_1 = maps.areas[1].stack
+        assert prob.neighbors == [2, 3, 4, 5] and s_1 is prob.flow.stack
         blocks = np.split(s_1, np.cumsum([3 * own.size] + [
             maps.coupling_rank(j, 1) for j in prob.neighbors])[:-1])
         g_11 = lf._step_block(model, own, own, True)
         assert np.array_equal(blocks[0], g_11)
-        b_in = {j: lf._coupling_factors(model, maps.cols[j], own)[1]
+        b_in = {j: lf._coupling_factors(model, maps.areas[j].cols, own)[1]
                 for j in prob.neighbors}
         for j, block in zip(prob.neighbors, blocks[1:]):
             assert np.array_equal(block, b_in[j])
@@ -1111,7 +1122,7 @@ class TestStackedFlowProducts:
 
         def update_u_checked(p, st, z):
             if p.area == 1 and "last" in q_sum:
-                want = config.nu * ((maps.f[1] - q_sum["last"]) @ g_11)
+                want = config.nu * ((maps.areas[1].f - q_sum["last"]) @ g_11)
                 for j in p.neighbors:
                     want += config.lam * (pulls[j] @ b_in[j])
                 want = want.reshape(-1, p.n_l) + config.mu * p.m_obs
@@ -1213,12 +1224,12 @@ class TestRankZeroCoupling:
         maps = lf.build_area_maps(lf.build_linear_model(net, n_steps=2), part)
         pair = frozenset({1, 2})
         assert pair in part.adjacency
-        assert not maps.model.g[np.ix_(maps.cols[1], maps.cols[2])].any()
+        assert not maps.model.g[np.ix_(maps.areas[1].cols, maps.areas[2].cols)].any()
         for l, j in [(1, 2), (2, 1)]:
             assert maps.coupling_rank(l, j) == 0
             a, b = factors(maps, l, j)
-            assert a.shape == (3 * maps.cols[l].size, 0)
-            assert b.shape == (0, 5 * maps.cols[j].size)
+            assert a.shape == (3 * maps.areas[l].cols.size, 0)
+            assert b.shape == (0, 5 * maps.areas[j].cols.size)
         assert maps.coupling_rank(2, 3) > 0 and maps.coupling_rank(3, 2) > 0
 
         mat = dm.build_matrix(gm.solve_exact_flow(net, s), s)

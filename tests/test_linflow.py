@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from gridmc import gridmodel as gm
 from gridmc import linflow as lf
 from gridmc import simnet as sn
-from reference import (apply, apply_adjoint, decentralized_flow, expand, factor_step_block,
-                       factors, h_from_loads, predict, project, real_maps, sources,
-                       step_block, step_block_loop, truncate_model)
+from reference import (apply, apply_adjoint, coordinates, decentralized_flow, expand,
+                       factor_step_block, factors, h_from_loads, predict, project,
+                       real_maps, sources, step_block, step_block_loop, truncate_model)
 
 
 class TestBuildLinearModel:
@@ -184,7 +184,8 @@ class TestDecentralizedFlow:
 
 def flow_residual(maps, l, x):
     """E_ll(X) + sum_j E_lj(X) - f_l on the full m x |P| matrix x."""
-    return sum(apply(maps, l, j, x[:, maps.cols[j]]) for j in sources(maps, l)) - maps.f[l]
+    return (sum(apply(maps, l, j, x[:, maps.areas[j].cols]) for j in sources(maps, l))
+            - maps.areas[l].f)
 
 
 class TestAreaMaps:
@@ -249,9 +250,9 @@ class TestAreaMaps:
         x, y = rng.standard_normal(shape), rng.standard_normal(shape)
         for l in part.areas:
             for j in sources(maps, l):
-                lhs = apply(maps, l, j, (scale * x + y)[:, maps.cols[j]])
-                rhs = (scale * apply(maps, l, j, x[:, maps.cols[j]])
-                       + apply(maps, l, j, y[:, maps.cols[j]]))
+                lhs = apply(maps, l, j, (scale * x + y)[:, maps.areas[j].cols])
+                rhs = (scale * apply(maps, l, j, x[:, maps.areas[j].cols])
+                       + apply(maps, l, j, y[:, maps.areas[j].cols]))
                 assert np.max(np.abs(lhs - rhs)) < 1e-9 * (1 + scale)
 
     @pytest.mark.parametrize("n_phases", [7, 9])
@@ -268,8 +269,8 @@ class TestAreaMaps:
         part = small_instance["part"]
         for l in part.areas:
             n_l = part.phases_in(l).size
-            assert maps.residual_dim(l) == 3 * maps.n_steps * n_l
-            assert maps.f[l].shape == (maps.n_steps, 3 * n_l)
+            assert maps.areas[l].f.size == 3 * maps.n_steps * n_l
+            assert maps.areas[l].f.shape == (maps.n_steps, 3 * n_l)
 
 
 class TestResidualLayout:
@@ -287,9 +288,9 @@ class TestResidualLayout:
             w3 = np.column_stack([model.w.real, model.w.imag, np.abs(model.w)])
             for l in maps.partition.areas:
                 for t in range(t_steps):
-                    assert np.array_equal(maps.f[l][t], w3[maps.cols[l]].ravel())
+                    assert np.array_equal(maps.areas[l].f[t], w3[maps.areas[l].cols].ravel())
                 for j in sources(maps, l):
-                    g, n_j = step_block(maps, l, j), maps.cols[j].size
+                    g, n_j = step_block(maps, l, j), maps.areas[j].cols.size
                     for t in range(t_steps):
                         for k in range(5 * n_j):
                             x_j = np.zeros((maps.m, n_j))
@@ -346,7 +347,7 @@ class TestCouplingFactors:
             a, b = factors(maps, j, l)
             assert np.max(np.abs(a.T @ a - np.eye(a.shape[1]))) < 1e-12
             e = maps.e_mats[(j, l)]
-            n_j, n_l = maps.cols[j].size, maps.cols[l].size
+            n_j, n_l = maps.areas[j].cols.size, maps.areas[l].cols.size
             for t in range(t_steps):
                 rows = [3 * (t * n_j + pos) + c
                         for pos in range(n_j) for c in range(3)]
@@ -365,7 +366,7 @@ class TestCouplingFactors:
         for j, l in self._adjacent(maps):
             e = maps.e_mats[(j, l)]
             b = factors(maps, j, l)[1]
-            n_l = maps.cols[l].size
+            n_l = maps.areas[l].cols.size
             # rows (step, coordinate), columns vec_F(X_l) = (phase, step, row);
             # the columns of B_jl are (row, phase)
             coords = np.zeros((t_steps, b.shape[0], n_l, t_steps, 5))
@@ -388,16 +389,17 @@ class TestCouplingFactors:
                             (lf.build_linear_model(net, n_steps=2), part5)]:
             maps = lf.build_area_maps(model, part)
             for l in part.areas:
-                nbrs, own = part.neighbors(l), maps.cols[l]
-                s_l, a_l = maps.stacks[l], maps.bases[l]
+                nbrs, own = part.neighbors(l), maps.areas[l].cols
+                s_l, a_l = maps.areas[l].stack, maps.areas[l].basis
                 rows = [lf._step_block(model, own, own, True)] + [
-                    lf._coupling_factors(model, maps.cols[j], own)[1] for j in nbrs]
-                cols = [lf._coupling_factors(model, own, maps.cols[j])[0] for j in nbrs]
+                    lf._coupling_factors(model, maps.areas[j].cols, own)[1] for j in nbrs]
+                cols = [lf._coupling_factors(model, own, maps.areas[j].cols)[0] for j in nbrs]
                 assert np.array_equal(s_l, np.concatenate(rows))
                 assert np.array_equal(a_l, np.concatenate(cols, axis=1))
+                assert maps.areas[l].neighbors == nbrs
                 for j, b, a in zip(nbrs, rows[1:], cols):
-                    assert np.array_equal(s_l[maps.stack_rows[l][j]], b)
-                    assert np.array_equal(a_l[:, maps.basis_cols[l][j]], a)
+                    assert np.array_equal(s_l[maps.areas[l].stack_rows[j]], b)
+                    assert np.array_equal(a_l[:, maps.areas[l].basis_cols[j]], a)
                     assert maps.coupling_rank(j, l) == b.shape[0]
 
     def test_radial_feeder_couples_through_the_boundary_bus(self, feeder33_maps):
@@ -458,11 +460,31 @@ class TestPerStepApply:
         pairs = [(l, j) for l in maps.partition.areas for j in sources(maps, l)]
         assert sorted(maps.e_mats) == sorted(pairs)
         for (l, j), e in maps.e_mats.items():
-            x_j = rng.standard_normal((maps.m, maps.cols[j].size))
+            x_j = rng.standard_normal((maps.m, maps.areas[j].cols.size))
             want = e @ x_j.ravel(order="F")
             got = apply(maps, l, j, x_j).ravel()
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-            y = rng.standard_normal((maps.n_steps, 3 * maps.cols[l].size))
+            y = rng.standard_normal((maps.n_steps, 3 * maps.areas[l].cols.size))
             want = (e.T @ y.ravel()).reshape(x_j.shape, order="F")
             got = apply_adjoint(maps, l, j, y)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_record_products_match_the_reference(self, maps):
+        """`AreaFlow.terms` gives E_ll(X_l) and the coordinates l sends each
+        neighbor, and `gather` lays the received coordinates out so that one
+        product with A_l^T sums their expansions, whatever order they came in."""
+        rng = np.random.default_rng(2)
+        for l, flow in maps.areas.items():
+            x_l = rng.standard_normal((maps.m, flow.cols.size))
+            e_ll, sent = flow.terms(x_l)
+            want = apply(maps, l, l, x_l)
+            assert np.linalg.norm(e_ll - want) <= 1e-12 * np.linalg.norm(want)
+            want = coordinates(maps, l, x_l)
+            assert list(sent) == flow.neighbors
+            for j in flow.neighbors:
+                assert np.linalg.norm(sent[j] - want[j]) <= 1e-12 * np.linalg.norm(want[j])
+            received = {j: rng.standard_normal((maps.n_steps, maps.coupling_rank(l, j)))
+                        for j in reversed(flow.neighbors)}
+            got = flow.gather(received) @ flow.basis.T
+            want = sum(expand(maps, l, j, c) for j, c in received.items())
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

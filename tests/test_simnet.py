@@ -83,6 +83,31 @@ class TestMessageBus:
         assert inboxes[1] == {} and inboxes[3] == {}
         assert list(inboxes[2]) == [(1, "a")] and inboxes[2][(1, "a")] is sent
 
+    def test_repeated_send_is_refused(self):
+        """Two sends of one tag from one area to one neighbor in one round
+        would leave one payload and count both: the round is refused, and
+        it delivers and counts nothing."""
+        bus = make_bus(2)
+        sent = np.array([1.5, -2.0])
+        bus.run_round({1: lambda inbox: (None, [(2, "a", sent)]), 2: lambda inbox: (None, [])})
+        counts, round_index = dict(bus.ledger.counts), bus.round_index
+        twice = [(2, "b", np.ones(3)), (2, "b", np.ones(5))]
+        with pytest.raises(sn.ProtocolViolationError,
+                           match="area 1 sent area 2 two 'b' messages in one round"):
+            bus.run_round({1: lambda inbox: (None, twice), 2: lambda inbox: (None, [])})
+        assert bus.ledger.counts == counts and bus.round_index == round_index
+        inboxes = {}
+
+        def record(area):
+            def node(inbox):
+                inboxes[area] = dict(inbox)
+                return None, []
+            return node
+
+        bus.run_round({a: record(a) for a in (1, 2)})
+        assert inboxes[1] == {} and list(inboxes[2]) == [(1, "a")]
+        assert inboxes[2][(1, "a")] is sent
+
     def test_bad_order_rejected(self):
         bus = make_bus(2)
         nodes = {a: (lambda i: (None, [])) for a in (1, 2)}
