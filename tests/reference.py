@@ -27,8 +27,9 @@ the unit tests are written against.
   step block by the SVD of its real injection columns, the reference for
   `linflow._coupling_factors`, which factors the complex block of G.
 - `factors`/`expand`/`project`/`coordinates`: one coupling block of
-  `AreaMaps` at a time, read out of the stacks, the per-neighbor reference
-  for the solver's products with the whole S_l and A_l.
+  `AreaMaps` at a time, read out of each area's `AreaFlow`, the
+  per-neighbor reference for the solver's products with the whole S_l and
+  A_l.
 - `decentralized_flow`: the same evaluation, area by area, by the solver's
   exchange protocol over the message bus (Algorithm-2 style).
 - `update_q_per_edge`: the q step and flow dual ascent with one q_lj and one

@@ -378,7 +378,7 @@ class TestDualFeasibility:
 
 class TestSolverOperator:
     """The certificate applies the operator the solver minimizes: the
-    stacks S_l and bases A_l of `AreaMaps`, on two 5-area instances."""
+    products of each area's `AreaFlow`, on two 5-area instances."""
 
     @pytest.fixture(params=["feeder33", "random129"])
     def op(self, request, feeder33_operator, random129_operator):

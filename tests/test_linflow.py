@@ -269,7 +269,6 @@ class TestAreaMaps:
         part = small_instance["part"]
         for l in part.areas:
             n_l = part.phases_in(l).size
-            assert maps.areas[l].f.size == 3 * maps.n_steps * n_l
             assert maps.areas[l].f.shape == (maps.n_steps, 3 * n_l)
 
 
